@@ -25,7 +25,6 @@ from .conflict_graph import (
     build_thresholded_graph,
     interference_matrix,
     interference_score,
-    pilot_interference,
     vertex_degrees,
 )
 from .harness import (
@@ -41,11 +40,10 @@ from .harness import (
     run_trial,
     write_csv,
 )
-from .stage1 import Stage1Result, reallocate_case2, run_stage1, select_users_case1
+from .stage1 import Stage1Result, run_stage1
 from .stage2 import (
     AdmissionSolution,
     PowerControlResult,
-    SmoothingParams,
     admission_loop,
     enforce_fronthaul_cap,
     expected_rate_lb,
@@ -53,8 +51,6 @@ from .stage2 import (
     rate_coefficients,
     robust_beam_direction,
     rrh_power_share,
-    sca_linearize_indicator,
-    smooth_indicator,
 )
 from .topology import (
     NetworkInstance,
@@ -81,7 +77,6 @@ __all__ = [
     "PilotAssignment",
     "PowerControlResult",
     "SimConfig",
-    "SmoothingParams",
     "Stage1Result",
     "TrialResult",
     "admission_loop",
@@ -107,19 +102,14 @@ __all__ = [
     "mmse_estimate",
     "pairwise_distances",
     "perfect_csi",
-    "pilot_interference",
     "power_allocation_fixed_point",
     "rate_coefficients",
-    "reallocate_case2",
     "robust_beam_direction",
     "rrh_power_share",
     "run_campaign",
     "run_stage1",
     "run_trial",
-    "sca_linearize_indicator",
-    "select_users_case1",
     "simulate_pilot_rx",
-    "smooth_indicator",
     "validate_assignment",
     "vertex_degrees",
     "write_csv",

@@ -8,11 +8,10 @@ with flags taking precedence.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 
-from .harness import ALGORITHMS, CSV_HEADER, run_campaign, run_trial, write_csv
+from .harness import ALGORITHMS, CampaignReport, run_campaign, run_trial, write_csv
 from .topology import SimConfig, make_config
 
 _FLAG_TYPES = {"float": float, "int": int, "str": str}
@@ -72,18 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_rows(rows, out_path) -> None:
-    if out_path is None:
-        writer = csv.writer(sys.stdout)
-        for row in rows:
-            writer.writerow(row)
-    else:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in rows:
-                writer.writerow(row)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -91,7 +78,7 @@ def main(argv=None) -> int:
         if args.command == "trial":
             seed = config.master_seed if args.seed is None else args.seed
             result = run_trial(config, seed, args.algorithm)
-            _emit_rows([list(CSV_HEADER), result.csv_row()], args.out)
+            report = CampaignReport(cells={}, trials=(result,), seeds=(seed,))
         else:
             algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
             unknown = set(algorithms) - set(ALGORITHMS)
@@ -101,11 +88,7 @@ def main(argv=None) -> int:
             pilot_budgets = args.pilot_budgets or [config.pilot_count]
             report = run_campaign(config, cluster_sizes, pilot_budgets,
                                   algorithms=algorithms, num_seeds=args.seeds)
-            if args.out is None:
-                rows = [list(CSV_HEADER)] + [t.csv_row() for t in report.trials]
-                _emit_rows(rows, None)
-            else:
-                write_csv(report, args.out)
+        write_csv(report, sys.stdout if args.out is None else args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,9 +9,7 @@ users' log cross-to-own received-power ratios.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -55,23 +53,6 @@ def build_base_graph(clusters: np.ndarray, active_users=None) -> ConflictGraph:
     return ConflictGraph(adjacency=adjacency, users=active)
 
 
-def pilot_interference(alpha: np.ndarray, clusters: np.ndarray, k: int, k2: int) -> float:
-    """Pairwise pilot-interference weight between users ``k`` and ``k2``.
-
-    ln(1 + cross/own) from each user's perspective, summed; cross is the
-    power the user receives from the other user's cluster RRHs, own the
-    power from its own cluster.  Natural log: every downstream use is
-    order-based, so the base is immaterial.
-    """
-    if k == k2:
-        raise ValueError("pilot interference is defined for distinct users")
-    own_k = alpha[clusters[k], k].sum()
-    own_k2 = alpha[clusters[k2], k2].sum()
-    cross_k = alpha[clusters[k2], k].sum()
-    cross_k2 = alpha[clusters[k], k2].sum()
-    return float(np.log1p(cross_k / own_k) + np.log1p(cross_k2 / own_k2))
-
-
 def interference_matrix(alpha: np.ndarray, clusters: np.ndarray) -> np.ndarray:
     """All pairwise weights at once, (K, K) symmetric with zero diagonal."""
     # gathered[k2, l, k] = alpha[clusters[k2, l], k]
@@ -109,18 +90,3 @@ def interference_score(weights: np.ndarray, assignment, k: int) -> float:
         raise ValueError(f"user {k} has no pilot assigned")
     group = assignment.groups[pilot]
     return float(sum(weights[k, other] for other in group if other != k))
-
-
-def dump_debug_csv(graph: ConflictGraph, weights: np.ndarray,
-                   adjacency_path, weights_path) -> None:
-    """Write the adjacency and weight matrices as CSVs keyed by user id."""
-    ids = [int(u) for u in graph.users]
-    for path, matrix, fmt in (
-        (adjacency_path, graph.adjacency, lambda v: int(v)),
-        (weights_path, weights, lambda v: f"{v:.10g}"),
-    ):
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["user"] + ids)
-            for k in ids:
-                writer.writerow([k] + [fmt(matrix[k, k2]) for k2 in ids])

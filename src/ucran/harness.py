@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,12 +21,8 @@ import numpy as np
 from .channel import build_channel_state
 from .coloring import PilotAssignment, dsatur_color, validate_assignment
 from .conflict_graph import build_base_graph
-from .stage1 import (
-    CASE_REMOVAL,
-    Stage1Result,
-    run_stage1,
-    select_users_case1,
-)
+from .stage1 import Stage1Result, run_stage1
+from .stage1 import select_users_case1  # noqa: F401  (perfbench/spans.py wraps this name)
 from .stage2 import AdmissionSolution, admission_loop
 from .topology import NetworkInstance, STREAM_BASELINE, SimConfig, build_network, stream_rng
 
@@ -39,7 +34,6 @@ ALG_PERFECT = "perfect"
 ALGORITHMS = (ALG_PROPOSED, ALG_ORTHO, ALG_NOCASE2, ALG_CON, ALG_PERFECT)
 
 CASE_ORTHO = "ortho"   # orthogonal baseline ignores the conflict graph
-CASE_BASE = "base"     # under-budget coloring kept without reallocation
 
 CSV_HEADER = ("algorithm", "L", "tau", "seed", "stage1_admitted", "stage2_served",
               "min_rate", "mean_rate", "max_rrh_power_mw", "case_taken", "colors_used")
@@ -86,40 +80,15 @@ def baseline_nocase2(instance: NetworkInstance, pilot_budget: int,
                      reuse_cap: int) -> Stage1Result:
     """Like the proposed stage 1, but an under-budget base coloring is kept
     as is instead of being spread over the spare pilots."""
-    base = build_base_graph(instance.clusters)
-    assignment = dsatur_color(base, reuse_cap)
-    if assignment.num_pilots > pilot_budget:
-        return select_users_case1(instance, pilot_budget, reuse_cap)
-    case = CASE_BASE if assignment.num_pilots < pilot_budget else "exact"
-    return Stage1Result(admitted=np.arange(instance.num_users),
-                        assignment=assignment, case_taken=case,
-                        removal_trace=(), threshold=None,
-                        base_colors=assignment.num_pilots)
+    return run_stage1(instance, pilot_budget, reuse_cap, spread=False)
 
 
 def baseline_con(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
                  seed: int) -> Stage1Result:
     """Conventional removal: over-budget colorings shed uniformly random
     users instead of the highest-conflict ones; otherwise as baseline_nocase2."""
-    base = build_base_graph(instance.clusters)
-    assignment = dsatur_color(base, reuse_cap)
-    base_colors = assignment.num_pilots
-    if base_colors <= pilot_budget:
-        return baseline_nocase2(instance, pilot_budget, reuse_cap)
-
-    rng = stream_rng(seed, STREAM_BASELINE)
-    active = set(range(instance.num_users))
-    trace: list[int] = []
-    while assignment.num_pilots > pilot_budget:
-        victim = int(rng.choice(sorted(active)))
-        active.remove(victim)
-        trace.append(victim)
-        graph = build_base_graph(instance.clusters, active)
-        assignment = dsatur_color(graph, reuse_cap)
-    return Stage1Result(admitted=np.array(sorted(active), dtype=np.int64),
-                        assignment=assignment, case_taken=CASE_REMOVAL,
-                        removal_trace=tuple(trace), threshold=None,
-                        base_colors=base_colors)
+    return run_stage1(instance, pilot_budget, reuse_cap, spread=False,
+                      rng=stream_rng(seed, STREAM_BASELINE))
 
 
 def audit_solution(solution: AdmissionSolution, config: SimConfig) -> list[str]:
@@ -208,11 +177,7 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
 class CellStats:
     n: int
     mean_admitted: float
-    std_admitted: float
-    ci95_admitted: float
     mean_served: float
-    std_served: float
-    ci95_served: float
 
 
 @dataclass(frozen=True)
@@ -220,18 +185,6 @@ class CampaignReport:
     cells: dict          # (algorithm, cluster_size, pilot_budget) -> CellStats
     trials: tuple        # TrialResult, in deterministic emission order
     seeds: tuple
-
-
-def _cell_stats(values_admitted, values_served) -> CellStats:
-    def three(vals):
-        arr = np.asarray(vals, dtype=float)
-        mean = float(arr.mean())
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        return mean, std, 1.96 * std / math.sqrt(arr.size)
-    ma, sa, ca = three(values_admitted)
-    ms, ss, cs = three(values_served)
-    return CellStats(n=len(values_admitted), mean_admitted=ma, std_admitted=sa,
-                     ci95_admitted=ca, mean_served=ms, std_served=ss, ci95_served=cs)
 
 
 def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
@@ -254,28 +207,37 @@ def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
                                           pilot_count=pilot_budget)
                 cell = [run_trial(cfg, seed, algorithm) for seed in seeds]
                 trials.extend(cell)
-                cells[(algorithm, cluster_size, pilot_budget)] = _cell_stats(
-                    [t.stage1_admitted for t in cell],
-                    [t.stage2_served for t in cell])
+                cells[(algorithm, cluster_size, pilot_budget)] = CellStats(
+                    n=len(cell),
+                    mean_admitted=float(np.mean([t.stage1_admitted for t in cell])),
+                    mean_served=float(np.mean([t.stage2_served for t in cell])))
     report = CampaignReport(cells=cells, trials=tuple(trials), seeds=tuple(seeds))
     if out_csv is not None:
         write_csv(report, out_csv)
     return report
 
 
-def write_csv(report: CampaignReport, path) -> None:
-    """Trial rows in emission order, then one aggregate row per cell."""
+def write_csv(report: CampaignReport, out) -> None:
+    """Trial rows in emission order, then one aggregate row per cell.
+
+    ``out`` is a path or an open text stream.
+    """
+    if hasattr(out, "write"):
+        _write_rows(report, out)
+        return
     try:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for t in report.trials:
-                writer.writerow(t.csv_row())
-            for key, stats in report.cells.items():
-                algorithm, cluster_size, pilot_budget = key
-                writer.writerow([algorithm, cluster_size, pilot_budget, "mean",
-                                 f"{stats.mean_admitted:.10g}",
-                                 f"{stats.mean_served:.10g}",
-                                 "", "", "", "", ""])
+        with Path(out).open("w", newline="") as fh:
+            _write_rows(report, fh)
     except OSError as exc:
-        raise OSError(f"failed to write campaign CSV to {path}: {exc}") from exc
+        raise OSError(f"failed to write CSV to {out}: {exc}") from exc
+
+
+def _write_rows(report: CampaignReport, fh) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(CSV_HEADER)
+    for t in report.trials:
+        writer.writerow(t.csv_row())
+    for (algorithm, cluster_size, pilot_budget), stats in report.cells.items():
+        writer.writerow([algorithm, cluster_size, pilot_budget, "mean",
+                         f"{stats.mean_admitted:.10g}", f"{stats.mean_served:.10g}",
+                         "", "", "", "", ""])

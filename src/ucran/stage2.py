@@ -20,40 +20,6 @@ from .stage1 import Stage1Result
 from .topology import NetworkInstance, SimConfig
 
 
-@dataclass(frozen=True)
-class SmoothingParams:
-    """Knee of the concave surrogate x/(x+theta) for the indicator x > 0."""
-
-    theta: float = 1e-3
-
-    def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
-
-
-def smooth_indicator(x, theta: float):
-    """Concave proxy for "x is nonzero": x/(x+theta), in [0, 1) on x >= 0."""
-    x = np.asarray(x, dtype=float)
-    if (x < 0).any():
-        raise ValueError("smooth_indicator is defined on x >= 0")
-    out = x / (x + theta)
-    return float(out) if out.ndim == 0 else out
-
-
-def sca_linearize_indicator(x0: float, theta: float) -> tuple[float, float]:
-    """Tangent of the smooth indicator at x0, as (intercept, slope).
-
-    The function is concave on x >= 0, so the tangent over-estimates it
-    everywhere; successive refinements of x0 give the usual convex
-    majorization steps.
-    """
-    if x0 < 0:
-        raise ValueError("x0 must be >= 0")
-    slope = theta / (x0 + theta) ** 2
-    intercept = x0 / (x0 + theta) - slope * x0
-    return intercept, slope
-
-
 def enforce_fronthaul_cap(clusters: np.ndarray, admitted, alpha: np.ndarray,
                           cap: int) -> dict[int, np.ndarray]:
     """Prune serving sets so no RRH serves more than ``cap`` users.
@@ -225,7 +191,6 @@ class AdmissionSolution:
     powers: np.ndarray               # (n,) mW
     rates: np.ndarray                # (n,) bits/s/Hz, lower bound
     per_rrh_power: np.ndarray        # (I,) mW
-    smoothed_load: np.ndarray        # (I,) soft served-user count per RRH
     removal_trace: tuple[int, ...]   # users dropped in this stage, in order
 
     @property
@@ -238,13 +203,12 @@ def _empty_solution(num_rrhs: int, antennas: int, removed) -> AdmissionSolution:
         served=np.zeros(0, dtype=np.int64), serving_sets={},
         directions=np.zeros((num_rrhs * antennas, 0), dtype=complex),
         powers=np.zeros(0), rates=np.zeros(0),
-        per_rrh_power=np.zeros(num_rrhs), smoothed_load=np.zeros(num_rrhs),
+        per_rrh_power=np.zeros(num_rrhs),
         removal_trace=tuple(removed))
 
 
 def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
-                   channel_state: ChannelState, config: SimConfig,
-                   smoothing: SmoothingParams = SmoothingParams()) -> AdmissionSolution:
+                   channel_state: ChannelState, config: SimConfig) -> AdmissionSolution:
     """Serve as many pilot holders as the rate, power, and fronthaul
     constraints allow.
 
@@ -282,13 +246,10 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
         if control.feasible:
             rates = expected_rate_lb(channel_state, directions, served,
                                      control.powers, config.noise_power)
-            per_rrh = share @ control.powers
-            soft = smooth_indicator(share * control.powers[None, :],
-                                    smoothing.theta).sum(axis=1)
             return AdmissionSolution(
                 served=np.array(served, dtype=np.int64), serving_sets=serving,
                 directions=directions, powers=control.powers, rates=rates,
-                per_rrh_power=per_rrh, smoothed_load=soft,
+                per_rrh_power=share @ control.powers,
                 removal_trace=tuple(removed))
 
         victim = _pick_victim(served, control, weights, stage1_result)

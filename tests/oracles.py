@@ -2,13 +2,30 @@
 
 Everything here is deliberately brute-force and shares no code with the
 package: exhaustive capped coloring by backtracking, Monte Carlo ergodic
-rates by direct channel redraws, and power control by solving the linear
-fixed-point system.
+rates by direct channel redraws, power control by solving the linear
+fixed-point system, and the pairwise pilot-interference weight one pair
+at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def pilot_interference(alpha: np.ndarray, clusters: np.ndarray, k: int, k2: int) -> float:
+    """Pairwise pilot-interference weight between users ``k`` and ``k2``.
+
+    ln(1 + cross/own) from each user's perspective, summed; cross is the
+    power the user receives from the other user's cluster RRHs, own the
+    power from its own cluster.
+    """
+    if k == k2:
+        raise ValueError("pilot interference is defined for distinct users")
+    own_k = alpha[clusters[k], k].sum()
+    own_k2 = alpha[clusters[k2], k2].sum()
+    cross_k = alpha[clusters[k2], k].sum()
+    cross_k2 = alpha[clusters[k], k2].sum()
+    return float(np.log1p(cross_k / own_k) + np.log1p(cross_k2 / own_k2))
 
 
 def exact_capped_chromatic(adjacency: np.ndarray, cap: int) -> int:

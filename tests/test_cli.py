@@ -56,8 +56,23 @@ def test_campaign_defaults_to_config_sweep_point(capsys):
     code = main(["campaign", *SMALL, "--seeds", "1"])
     assert code == 0
     rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
-    assert len(rows) == 2
+    # header, the one trial row, the cell's mean row
+    assert len(rows) == 3
     assert rows[1][1] == "2" and rows[1][2] == "3"
+    assert rows[2][3] == "mean"
+
+
+def test_campaign_stdout_matches_out_file(tmp_path):
+    args = ["campaign", *SMALL, "--algorithms", "proposed,ortho", "--seeds", "2",
+            "--cluster-sizes", "2,3"]
+    out = tmp_path / "sweep.csv"
+    to_file = subprocess.run([sys.executable, "-m", "ucran", *args, "--out", str(out)],
+                             capture_output=True)
+    to_stdout = subprocess.run([sys.executable, "-m", "ucran", *args],
+                               capture_output=True)
+    assert to_file.returncode == 0 and to_stdout.returncode == 0
+    assert to_file.stdout == b""
+    assert to_stdout.stdout == out.read_bytes()
 
 
 def test_config_file_with_flag_precedence(tmp_path, capsys):

@@ -11,10 +11,10 @@ from ucran import (
     build_thresholded_graph,
     interference_matrix,
     interference_score,
-    pilot_interference,
     vertex_degrees,
 )
-from ucran.conflict_graph import dump_debug_csv
+
+from oracles import pilot_interference
 
 
 def _random_alpha(seed: int, num_rrhs: int, num_users: int) -> np.ndarray:
@@ -146,16 +146,3 @@ def test_interference_score_requires_assignment():
     assignment = PilotAssignment(pilot_of={0: 0}, num_pilots=1)
     with pytest.raises(ValueError, match="no pilot"):
         interference_score(np.zeros((2, 2)), assignment, 1)
-
-
-def test_debug_csv_dump(tmp_path):
-    clusters = np.array([[0], [0], [1]])
-    g = build_base_graph(clusters)
-    weights = interference_matrix(np.ones((2, 3)), clusters)
-    adj_path = tmp_path / "adj.csv"
-    w_path = tmp_path / "weights.csv"
-    dump_debug_csv(g, weights, adj_path, w_path)
-    lines = adj_path.read_text().strip().splitlines()
-    assert lines[0] == "user,0,1,2"
-    assert lines[1] == "0,0,1,0"
-    assert len(w_path.read_text().strip().splitlines()) == 4

@@ -11,12 +11,10 @@ from ucran import (
     build_network,
     dsatur_color,
     interference_matrix,
-    reallocate_case2,
     run_stage1,
-    select_users_case1,
     validate_assignment,
 )
-from ucran.stage1 import CASE_EXACT, CASE_REMOVAL, CASE_SPREAD
+from ucran.stage1 import CASE_BASE, CASE_EXACT, CASE_REMOVAL, CASE_SPREAD
 
 from conftest import craft_instance
 
@@ -49,7 +47,8 @@ def test_removal_tie_broken_by_interference_score():
     assert assignment.pilot_of[0] == assignment.pilot_of[2]
     assert assignment.pilot_of[1] == assignment.pilot_of[3]
 
-    result = select_users_case1(instance, pilot_budget=1, reuse_cap=2)
+    result = run_stage1(instance, pilot_budget=1, reuse_cap=2)
+    assert result.case_taken == CASE_REMOVAL
     assert result.removal_trace[0] == 1
 
 
@@ -59,12 +58,14 @@ def test_removal_tie_falls_back_to_lowest_index():
     clusters = np.array([[0], [0], [1], [1]])
     alpha = np.ones((2, 4))
     instance = craft_instance(alpha, clusters)
-    result = select_users_case1(instance, pilot_budget=1, reuse_cap=4)
+    result = run_stage1(instance, pilot_budget=1, reuse_cap=4)
+    assert result.case_taken == CASE_REMOVAL
     assert result.removal_trace[0] == 0
 
 
 def test_no_removals_when_already_within_budget(star_instance):
-    result = select_users_case1(star_instance, pilot_budget=5, reuse_cap=5)
+    result = run_stage1(star_instance, pilot_budget=5, reuse_cap=5, spread=False)
+    assert result.case_taken == CASE_BASE
     assert result.removal_trace == ()
     assert result.num_admitted == 6
 
@@ -179,7 +180,8 @@ def test_result_invariants_on_random_networks(seed, pilot_budget, reuse_cap):
 
 
 def test_spread_threshold_among_pairwise_weights(two_triangle_instance):
-    result = reallocate_case2(two_triangle_instance, pilot_budget=4, reuse_cap=4)
+    result = run_stage1(two_triangle_instance, pilot_budget=4, reuse_cap=4)
+    assert result.case_taken == CASE_SPREAD
     weights = interference_matrix(two_triangle_instance.alpha,
                                   two_triangle_instance.clusters)
     off_diag = weights[~np.eye(6, dtype=bool)]

@@ -5,7 +5,6 @@ import pytest
 
 from ucran import (
     SimConfig,
-    SmoothingParams,
     admission_loop,
     build_channel_state,
     build_network,
@@ -16,8 +15,6 @@ from ucran import (
     robust_beam_direction,
     rrh_power_share,
     run_stage1,
-    sca_linearize_indicator,
-    smooth_indicator,
 )
 from ucran.channel import MODE_IMPERFECT, ChannelState
 
@@ -34,44 +31,6 @@ def _state(estimates: np.ndarray, error_var: np.ndarray) -> ChannelState:
 
 def _complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-# ---------------------------------------------------------------- smoothing
-
-def test_smooth_indicator_values():
-    theta = 1e-3
-    assert smooth_indicator(0.0, theta) == 0.0
-    assert smooth_indicator(theta, theta) == pytest.approx(0.5)
-    assert smooth_indicator(1e6, theta) == pytest.approx(1.0, abs=1e-8)
-    arr = smooth_indicator(np.array([0.0, 1.0, 50.0]), theta)
-    assert arr.shape == (3,)
-    assert (arr >= 0).all() and (arr < 1).all()
-    assert (np.diff(arr) > 0).all()
-
-
-def test_smooth_indicator_rejects_negative():
-    with pytest.raises(ValueError):
-        smooth_indicator(-0.1, 1e-3)
-
-
-def test_smoothing_params_validation():
-    with pytest.raises(ValueError):
-        SmoothingParams(theta=0.0)
-    with pytest.raises(ValueError):
-        SmoothingParams(theta=-1.0)
-
-
-def test_tangent_touches_and_overestimates():
-    theta = 1e-2
-    grid = np.linspace(0.0, 5.0, 1000)
-    f = smooth_indicator(grid, theta)
-    for x0 in (0.0, 1e-4, 1e-2, 0.5, 3.0):
-        intercept, slope = sca_linearize_indicator(x0, theta)
-        assert intercept + slope * x0 == pytest.approx(smooth_indicator(x0, theta))
-        tangent = intercept + slope * grid
-        assert (tangent >= f - 1e-12).all()
-    with pytest.raises(ValueError):
-        sca_linearize_indicator(-1.0, theta)
 
 
 # ----------------------------------------------------------- fronthaul cap
@@ -438,30 +397,3 @@ def test_admission_scaling_invariance():
     np.testing.assert_allclose(sol_scaled.powers, sol.powers, rtol=1e-6)
     np.testing.assert_allclose(sol_scaled.rates, sol.rates, rtol=1e-6)
     assert sol.removal_trace == sol_scaled.removal_trace
-
-
-def test_admission_smoothed_load_bounded_by_hard_count():
-    config = _small_config()
-    _, _, sol = _run_pipeline(config, 7)
-    hard = np.zeros(config.num_rrhs)
-    for col, k in enumerate(sol.served):
-        share = rrh_power_share(sol.directions[:, [col]], config.num_rrhs,
-                                config.antennas_per_rrh)
-        hard += (share[:, 0] * sol.powers[col] > 0)
-    assert (sol.smoothed_load >= 0).all()
-    assert (sol.smoothed_load <= hard + 1e-12).all()
-
-
-def test_smoothing_params_plumbed_through():
-    config = _small_config()
-    instance = build_network(config, seed=8)
-    s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
-    state = build_channel_state(instance, s1.assignment, config, seed=8)
-    coarse = admission_loop(instance, s1, state, config,
-                            smoothing=SmoothingParams(theta=10.0))
-    fine = admission_loop(instance, s1, state, config,
-                          smoothing=SmoothingParams(theta=1e-9))
-    # a blunter knee reports a strictly softer load on active RRHs
-    active = coarse.smoothed_load > 0
-    assert active.any()
-    assert (coarse.smoothed_load[active] < fine.smoothed_load[active]).all()
