@@ -16,8 +16,8 @@ draws = 40_000
 # batch the realizations along the RRH axis: one call, many i.i.d. copies
 alpha = np.tile([[gain, gain]], (draws, 1))
 clusters = np.array([np.arange(draws), np.arange(draws)])
-shared = PilotAssignment(pilot_of={0: 0, 1: 0}, num_pilots=1)
-orthogonal = PilotAssignment(pilot_of={0: 0, 1: 1}, num_pilots=2)
+shared = PilotAssignment(pilots=[0, 0], num_pilots=1)
+orthogonal = PilotAssignment(pilots=[0, 1], num_pilots=2)
 
 print("pilot power | residual error, shared pilot | orthogonal pilots")
 for power in (0.5, 2.0, 8.0, 32.0, 128.0, 512.0):

@@ -65,15 +65,19 @@ def simulate_pilot_rx(true_channels: np.ndarray, assignment: PilotAssignment,
     sqrt(pilot_power)-scaled superposition of the channels of every user
     on pilot t, plus CN(0, noise_power * Identity) noise.
     """
-    num_rrhs, num_users, antennas = true_channels.shape
-    num_pilots = assignment.num_pilots
-    membership = np.zeros((num_users, num_pilots))
-    for k, t in assignment.pilot_of.items():
-        membership[k, t] = 1.0
     # y[i, t, :] = sqrt(p) * sum_k membership[k, t] * h[i, k, :] + noise
-    y = np.sqrt(pilot_power) * np.einsum("ikm,kt->itm", true_channels, membership)
+    y = np.sqrt(pilot_power) * np.einsum("ikm,kt->itm", true_channels,
+                                         assignment.membership)
     noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
     return y + np.sqrt(noise_power / 2.0) * noise
+
+
+def _cluster_link_mask(clusters: np.ndarray, users, shape: tuple[int, int]) -> np.ndarray:
+    """(I, K) bool, True on the intra-cluster links of ``users``."""
+    mask = np.zeros(shape, dtype=bool)
+    users = np.asarray(users, dtype=np.int64)
+    mask[clusters[users], users[:, None]] = True
+    return mask
 
 
 def mmse_estimate(y: np.ndarray, alpha: np.ndarray, assignment: PilotAssignment,
@@ -88,20 +92,10 @@ def mmse_estimate(y: np.ndarray, alpha: np.ndarray, assignment: PilotAssignment,
     layout; links without an estimate carry a zero vector and alpha as
     their variance.
     """
-    num_users = alpha.shape[1]
-    pilots = np.full(num_users, -1, dtype=np.int64)
-    for k, t in assignment.pilot_of.items():
-        pilots[k] = t
-
-    member = np.zeros((num_users, assignment.num_pilots))
-    for k, t in assignment.pilot_of.items():
-        member[k, t] = 1.0
+    pilots = assignment.pilots
     # received[i, t] = p * sum of alpha over users on pilot t, plus noise
-    received = pilot_power * (alpha @ member) + noise_power
-
-    mask = np.zeros(alpha.shape, dtype=bool)
-    for k, t in assignment.pilot_of.items():
-        mask[clusters[k], k] = True
+    received = pilot_power * (alpha @ assignment.membership) + noise_power
+    mask = _cluster_link_mask(clusters, assignment.users, alpha.shape)
 
     estimates = np.zeros(alpha.shape + (y.shape[2],), dtype=complex)
     error_var = alpha.copy()
@@ -117,9 +111,7 @@ def perfect_csi(true_channels: np.ndarray, clusters: np.ndarray,
                 admitted: np.ndarray, alpha: np.ndarray) -> ChannelState:
     """Intra-cluster links of admitted users known exactly; the rest keep
     only their large-scale statistics."""
-    mask = np.zeros(alpha.shape, dtype=bool)
-    for k in np.asarray(admitted, dtype=np.int64):
-        mask[clusters[k], k] = True
+    mask = _cluster_link_mask(clusters, admitted, alpha.shape)
     estimates = np.where(mask[:, :, None], true_channels, 0.0)
     error_var = np.where(mask, 0.0, alpha)
     return ChannelState(true_channels=true_channels, estimates=estimates,
@@ -140,8 +132,7 @@ def build_channel_state(instance: NetworkInstance, assignment: PilotAssignment,
     rng = stream_rng(seed, STREAM_FADING)
     h = draw_channels(instance.alpha, config.antennas_per_rrh, rng)
     if perfect:
-        admitted = np.array(sorted(assignment.pilot_of), dtype=np.int64)
-        return perfect_csi(h, instance.clusters, admitted, instance.alpha)
+        return perfect_csi(h, instance.clusters, assignment.users, instance.alpha)
     y = simulate_pilot_rx(h, assignment, config.pilot_power, config.noise_power, rng)
     estimates, error_var, mask = mmse_estimate(
         y, instance.alpha, assignment, instance.clusters,

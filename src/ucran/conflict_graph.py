@@ -29,39 +29,48 @@ class ConflictGraph:
     def num_users(self) -> int:
         return self.adjacency.shape[0]
 
-    def neighbors(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[k])
+    def restrict(self, users) -> ConflictGraph:
+        """The subgraph on ``users`` (ids outside the active set are ignored):
+        every edge touching another user is dropped."""
+        keep = np.zeros(self.num_users, dtype=bool)
+        keep[np.fromiter(users, dtype=np.int64)] = True
+        active = np.zeros(self.num_users, dtype=bool)
+        active[self.users] = True
+        keep &= active
+        return ConflictGraph(adjacency=self.adjacency & keep[:, None] & keep[None, :],
+                             users=np.flatnonzero(keep))
 
-    def degree(self, k: int) -> int:
-        return int(self.adjacency[k].sum())
 
+def build_base_graph(clusters: np.ndarray) -> ConflictGraph:
+    """Adjacency from cluster overlap: edge iff the two clusters intersect.
 
-def build_base_graph(clusters: np.ndarray, active_users=None) -> ConflictGraph:
-    """Adjacency from cluster overlap: edge iff the two clusters intersect."""
+    Every user is active; :meth:`ConflictGraph.restrict` cuts it down."""
     num_users = clusters.shape[0]
-    if active_users is None:
-        active = np.arange(num_users)
-    else:
-        active = np.asarray(sorted(active_users), dtype=np.int64)
     num_rrhs = int(clusters.max()) + 1 if clusters.size else 0
     incidence = np.zeros((num_users, num_rrhs), dtype=bool)
-    for k in active:
-        incidence[k, clusters[k]] = True
-    share = incidence @ incidence.T
-    adjacency = share > 0
+    incidence[np.arange(num_users)[:, None], clusters] = True
+    adjacency = (incidence @ incidence.T) > 0
     np.fill_diagonal(adjacency, False)
-    return ConflictGraph(adjacency=adjacency, users=active)
+    return ConflictGraph(adjacency=adjacency, users=np.arange(num_users))
 
 
 def interference_matrix(alpha: np.ndarray, clusters: np.ndarray) -> np.ndarray:
-    """All pairwise weights at once, (K, K) symmetric with zero diagonal."""
+    """All pairwise weights at once, (K, K) symmetric with zero diagonal.
+
+    Raises ValueError when a weight is not finite, e.g. when a user's
+    own-cluster gain underflows to zero.
+    """
     # gathered[k2, l, k] = alpha[clusters[k2, l], k]
     gathered = alpha[clusters]
     cross = gathered.sum(axis=1).T          # cross[k, k2] = power user k receives from cluster of k2
     own = np.diag(cross).copy()
-    half = np.log1p(cross / own[:, None])
-    weights = half + half.T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        half = np.log1p(cross / own[:, None])
+        weights = half + half.T
     np.fill_diagonal(weights, 0.0)
+    if not np.isfinite(weights).all():
+        raise ValueError("pilot-interference weights are not finite: an own-cluster "
+                         "gain underflows or a link gain overflows")
     return weights
 
 
@@ -71,11 +80,9 @@ def build_thresholded_graph(base: ConflictGraph, weights: np.ndarray,
     above the threshold.  Restricted to the base graph's active users."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    active_mask = np.zeros(base.num_users, dtype=bool)
-    active_mask[base.users] = True
-    extra = (weights > threshold) & active_mask[:, None] & active_mask[None, :]
+    extra = weights > threshold
     np.fill_diagonal(extra, False)
-    return ConflictGraph(adjacency=base.adjacency | extra, users=base.users)
+    return ConflictGraph(adjacency=base.adjacency | extra, users=base.users).restrict(base.users)
 
 
 def vertex_degrees(graph: ConflictGraph) -> np.ndarray:
@@ -84,9 +91,11 @@ def vertex_degrees(graph: ConflictGraph) -> np.ndarray:
 
 
 def interference_score(weights: np.ndarray, assignment, k: int) -> float:
-    """Total weight between ``k`` and the other users on its pilot."""
-    pilot = assignment.pilot_of.get(k)
-    if pilot is None:
+    """Total weight between ``k`` and the other users on its pilot, summed
+    in ascending user id."""
+    pilots = assignment.pilots
+    if pilots[k] < 0:
         raise ValueError(f"user {k} has no pilot assigned")
-    group = assignment.groups[pilot]
-    return float(sum(weights[k, other] for other in group if other != k))
+    others = pilots == pilots[k]
+    others[k] = False
+    return float(sum(weights[k, others]))

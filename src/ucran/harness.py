@@ -61,17 +61,20 @@ class TrialResult:
                 f"{self.max_rrh_power_mw:.10g}", self.case_taken, self.colors_used]
 
 
-def baseline_ortho(instance: NetworkInstance, pilot_budget: int, seed: int) -> Stage1Result:
-    """Orthogonal pilots for a random pick of min(budget, K) users."""
+def baseline_ortho(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
+                   seed: int) -> Stage1Result:
+    """Orthogonal pilots for a random pick of min(budget, K) users.
+
+    ``reuse_cap`` only sizes ``base_colors``, which is reported as for the
+    other algorithms; the pick itself ignores the conflict graph."""
     num_users = instance.num_users
     count = min(pilot_budget, num_users)
     rng = stream_rng(seed, STREAM_BASELINE)
     chosen = np.sort(rng.choice(num_users, size=count, replace=False))
-    assignment = PilotAssignment(
-        pilot_of={int(k): t for t, k in enumerate(chosen)}, num_pilots=count)
-    base_colors = dsatur_color(build_base_graph(instance.clusters),
-                               reuse_cap=num_users).num_pilots
-    return Stage1Result(admitted=chosen.astype(np.int64), assignment=assignment,
+    pilots = np.full(num_users, -1, dtype=np.int64)
+    pilots[chosen] = np.arange(count)
+    base_colors = dsatur_color(build_base_graph(instance.clusters), reuse_cap).num_pilots
+    return Stage1Result(assignment=PilotAssignment(pilots=pilots, num_pilots=count),
                         case_taken=CASE_ORTHO, removal_trace=(), threshold=None,
                         base_colors=base_colors)
 
@@ -118,7 +121,7 @@ def _stage1_for(algorithm: str, instance: NetworkInstance, config: SimConfig,
     if algorithm in (ALG_PROPOSED, ALG_PERFECT):
         return run_stage1(instance, config.pilot_count, config.reuse_cap)
     if algorithm == ALG_ORTHO:
-        return baseline_ortho(instance, config.pilot_count, seed)
+        return baseline_ortho(instance, config.pilot_count, config.reuse_cap, seed)
     if algorithm == ALG_NOCASE2:
         return baseline_nocase2(instance, config.pilot_count, config.reuse_cap)
     if algorithm == ALG_CON:
@@ -139,7 +142,7 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
 
     # pilot validity on the base conflict graph is a hard guarantee:
     # co-clustered users must never share a pilot
-    base = build_base_graph(instance.clusters, s1.admitted)
+    base = build_base_graph(instance.clusters).restrict(s1.admitted)
     validate_assignment(base, s1.assignment, config.reuse_cap)
 
     state = build_channel_state(instance, s1.assignment, config, seed,

@@ -13,6 +13,11 @@ The base conflict graph is colored once.  Four outcomes:
 * colors needed < budget with spreading turned off: the base coloring is
   kept as is (``base``);
 * colors needed = budget: the base coloring is kept as is (``exact``).
+
+The base graph is built once per call; removal rounds recolor
+``base.restrict(survivors)``.  The result carries one pilot array
+(:class:`~ucran.coloring.PilotAssignment`); the admitted users are its
+pilot holders.
 """
 
 from __future__ import annotations
@@ -40,12 +45,16 @@ CASE_BASE = "base"          # under budget, base coloring kept without spreading
 
 @dataclass(frozen=True)
 class Stage1Result:
-    admitted: np.ndarray            # sorted admitted user ids
-    assignment: PilotAssignment     # pilots for exactly the admitted users
+    assignment: PilotAssignment     # pilots of the admitted users, -1 elsewhere
     case_taken: str
     removal_trace: tuple[int, ...]  # users removed, in removal order
     threshold: float | None         # selected spread threshold (case2 only)
-    base_colors: int                # colors the full-user base graph needs
+    base_colors: int                # colors the full-user base graph needs under the cap
+
+    @property
+    def admitted(self) -> np.ndarray:
+        """Sorted admitted user ids: the pilot holders."""
+        return self.assignment.users
 
     @property
     def num_admitted(self) -> int:
@@ -77,7 +86,6 @@ def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
     if base_colors < pilot_budget and spread:
         return reallocate_case2(instance, pilot_budget, reuse_cap, base, base_colors)
     return Stage1Result(
-        admitted=np.arange(instance.num_users),
         assignment=assignment,
         case_taken=CASE_EXACT if base_colors == pilot_budget else CASE_BASE,
         removal_trace=(),
@@ -91,31 +99,31 @@ def select_users_case1(instance: NetworkInstance, pilot_budget: int, reuse_cap: 
                        rng: np.random.Generator | None = None) -> Stage1Result:
     """Remove users until the remaining base graph colors within budget.
 
-    Starts from the base graph and its coloring; each round recolors from
-    scratch.  The victim is the active user with the most conflict edges,
-    ties broken by the largest total interference weight to its current
-    pilot group, then by lowest user id.  With ``rng`` the victim is
+    Starts from the base graph and its coloring; each round recolors the
+    base graph restricted to the remaining users from scratch.  The victim
+    is the active user with the most conflict edges, ties broken by the
+    largest total interference weight to its current pilot group, then by
+    lowest user id.  With ``rng`` the victim is
     instead drawn uniformly from the active users.
     """
     weights = interference_matrix(instance.alpha, instance.clusters) if rng is None else None
-    active = set(range(instance.num_users))
     trace: list[int] = []
     graph, assignment = base, base_assignment
 
     while assignment.num_pilots > pilot_budget:
+        active = graph.users.tolist()
         if rng is None:
             degrees = vertex_degrees(graph)
-            victim = max(sorted(active), key=lambda k: (
+            victim = max(active, key=lambda k: (
                 degrees[k], interference_score(weights, assignment, k)))
         else:
-            victim = int(rng.choice(sorted(active)))
+            victim = int(rng.choice(active))
         active.remove(victim)
         trace.append(victim)
-        graph = build_base_graph(instance.clusters, active)
+        graph = base.restrict(active)
         assignment = dsatur_color(graph, reuse_cap)
 
     return Stage1Result(
-        admitted=np.array(sorted(active), dtype=np.int64),
         assignment=assignment,
         case_taken=CASE_REMOVAL,
         removal_trace=tuple(trace),
@@ -159,7 +167,6 @@ def reallocate_case2(instance: NetworkInstance, pilot_budget: int, reuse_cap: in
     assert assignment is not None  # sentinel keeps the search bracketed
 
     return Stage1Result(
-        admitted=np.arange(instance.num_users),
         assignment=assignment,
         case_taken=CASE_SPREAD,
         removal_trace=(),

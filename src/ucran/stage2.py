@@ -220,7 +220,7 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
     id), and repeats.  An empty served set is a valid outcome.
     """
     weights = interference_matrix(instance.alpha, instance.clusters)
-    served = sorted(int(k) for k in stage1_result.admitted)
+    served = stage1_result.admitted.tolist()
     removed: list[int] = []
     num_rrhs = instance.num_rrhs
     antennas = config.antennas_per_rrh

@@ -9,10 +9,13 @@ the same trial seed see identical RRH/user placements, shadowing and fading.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .conflict_graph import interference_matrix
 
 # Per-trial random sub-streams.  Baseline randomness gets its own stream so
 # that random user removal (Con) or random user sampling (Ortho) never
@@ -83,6 +86,13 @@ class SimConfig:
             raise ValueError("shadowing_stddev must be >= 0")
         if self.rate_req < 0:
             raise ValueError("rate_req must be >= 0")
+        try:
+            finite = math.isfinite(2.0 ** self.rate_req)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"rate_req too large: 2**rate_req overflows a float, "
+                             f"got {self.rate_req!r}")
 
 
 @dataclass(frozen=True)
@@ -166,11 +176,16 @@ def build_clusters(instance: NetworkInstance, cluster_size: int, by_gain: bool =
 
 
 def build_network(config: SimConfig, seed: int) -> NetworkInstance:
-    """Placement, large-scale gains and clusters for one trial seed."""
+    """Placement, large-scale gains and clusters for one trial seed.
+
+    Raises ValueError when the gains give non-finite pilot-interference
+    weights (say, every gain underflows), before any stage can use them.
+    """
     inst = generate_topology(config, seed)
     alpha = compute_large_scale(inst.rrh_positions, inst.user_positions, config, seed)
     inst = dataclasses.replace(inst, alpha=alpha)
     clusters = build_clusters(inst, config.cluster_size, by_gain=config.cluster_by_gain)
+    interference_matrix(alpha, clusters)
     return dataclasses.replace(inst, clusters=clusters)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ucran import NetworkInstance
+from ucran.topology import NetworkInstance
 
 
 def craft_instance(alpha: np.ndarray, clusters: np.ndarray) -> NetworkInstance:

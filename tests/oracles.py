@@ -3,8 +3,8 @@
 Everything here is deliberately brute-force and shares no code with the
 package: exhaustive capped coloring by backtracking, Monte Carlo ergodic
 rates by direct channel redraws, power control by solving the linear
-fixed-point system, and the pairwise pilot-interference weight one pair
-at a time.
+fixed-point system, the pairwise pilot-interference weight one pair at a
+time, and the cluster-overlap graph built on a user subset directly.
 """
 
 from __future__ import annotations
@@ -26,6 +26,24 @@ def pilot_interference(alpha: np.ndarray, clusters: np.ndarray, k: int, k2: int)
     cross_k = alpha[clusters[k2], k].sum()
     cross_k2 = alpha[clusters[k], k2].sum()
     return float(np.log1p(cross_k / own_k) + np.log1p(cross_k2 / own_k2))
+
+
+def base_graph_on(clusters: np.ndarray, active_users) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster-overlap graph built on the active users only.
+
+    Returns (adjacency, users): an edge iff two active users' clusters
+    share an RRH, rows and columns of inactive users all False, and the
+    sorted active ids.
+    """
+    num_users = clusters.shape[0]
+    active = np.asarray(sorted(active_users), dtype=np.int64)
+    num_rrhs = int(clusters.max()) + 1 if clusters.size else 0
+    incidence = np.zeros((num_users, num_rrhs), dtype=bool)
+    for k in active:
+        incidence[k, clusters[k]] = True
+    adjacency = (incidence @ incidence.T) > 0
+    np.fill_diagonal(adjacency, False)
+    return adjacency, active
 
 
 def exact_capped_chromatic(adjacency: np.ndarray, cap: int) -> int:

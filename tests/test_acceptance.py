@@ -12,24 +12,24 @@ import numpy as np
 import pytest
 
 from ucran import (
-    ConflictGraph,
     PilotAssignment,
     SimConfig,
     admission_loop,
-    audit_solution,
     build_base_graph,
     build_channel_state,
     build_network,
     draw_channels,
     dsatur_color,
     mmse_estimate,
-    power_allocation_fixed_point,
     run_campaign,
     run_stage1,
     run_trial,
     simulate_pilot_rx,
     validate_assignment,
 )
+from ucran.conflict_graph import ConflictGraph
+from ucran.harness import audit_solution
+from ucran.stage2 import power_allocation_fixed_point
 from oracles import (
     exact_capped_chromatic,
     greedy_clique_bound,
@@ -164,7 +164,7 @@ def test_criterion_7_mmse_analytics_match_simulation(capsys):
     gain_a, gain_b, power, noise = 1.0, 0.6, 5.0, 0.4
     alpha = np.tile([[gain_a, gain_b]], (draws, 1))
     clusters = np.array([np.arange(draws), np.arange(draws)])
-    assignment = PilotAssignment(pilot_of={0: 0, 1: 0}, num_pilots=1)
+    assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
     rng = np.random.default_rng(777)
     h = draw_channels(alpha, antennas=2, rng_or_seed=rng)
     y = simulate_pilot_rx(h, assignment, power, noise, rng)

@@ -8,11 +8,10 @@ from ucran import (
     build_network,
     draw_channels,
     mmse_estimate,
-    perfect_csi,
     run_stage1,
     simulate_pilot_rx,
 )
-from ucran.channel import MODE_IMPERFECT, MODE_PERFECT
+from ucran.channel import MODE_IMPERFECT, MODE_PERFECT, perfect_csi
 
 
 def _pair_system(num_draws: int, a0: float, a1: float):
@@ -20,7 +19,7 @@ def _pair_system(num_draws: int, a0: float, a1: float):
     along the RRH axis so a single call gives many i.i.d. realizations."""
     alpha = np.tile([[a0, a1]], (num_draws, 1))
     clusters = np.array([np.arange(num_draws), np.arange(num_draws)])
-    assignment = PilotAssignment(pilot_of={0: 0, 1: 0}, num_pilots=1)
+    assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
     return alpha, clusters, assignment
 
 
@@ -51,7 +50,7 @@ def test_draw_channels_independent_across_links():
 
 def test_pilot_rx_noise_free_single_user():
     h = draw_channels(np.ones((3, 1)), antennas=2, rng_or_seed=2)
-    assignment = PilotAssignment(pilot_of={0: 0}, num_pilots=1)
+    assignment = PilotAssignment(pilots=[0], num_pilots=1)
     rng = np.random.default_rng(0)
     y = simulate_pilot_rx(h, assignment, pilot_power=4.0, noise_power=0.0, rng=rng)
     np.testing.assert_allclose(y[:, 0], 2.0 * h[:, 0])
@@ -59,7 +58,7 @@ def test_pilot_rx_noise_free_single_user():
 
 def test_pilot_rx_superposition():
     h = draw_channels(np.ones((2, 3)), antennas=2, rng_or_seed=3)
-    assignment = PilotAssignment(pilot_of={0: 0, 1: 0, 2: 1}, num_pilots=2)
+    assignment = PilotAssignment(pilots=[0, 0, 1], num_pilots=2)
     rng = np.random.default_rng(0)
     y = simulate_pilot_rx(h, assignment, pilot_power=9.0, noise_power=0.0, rng=rng)
     np.testing.assert_allclose(y[:, 0], 3.0 * (h[:, 0] + h[:, 1]))
@@ -68,7 +67,7 @@ def test_pilot_rx_superposition():
 
 def test_pilot_rx_empty_group_is_noise():
     h = np.zeros((400, 1, 2), dtype=complex)
-    assignment = PilotAssignment(pilot_of={0: 1}, num_pilots=2)
+    assignment = PilotAssignment(pilots=[1], num_pilots=2)
     rng = np.random.default_rng(4)
     y = simulate_pilot_rx(h, assignment, pilot_power=1.0, noise_power=0.5, rng=rng)
     noise_energy = (np.abs(y[:, 0]) ** 2).mean()   # per complex entry
@@ -79,7 +78,7 @@ def test_mmse_sole_user_error_formula():
     p, noise, a = 3.0, 0.2, 1.7
     alpha = np.array([[a]])
     clusters = np.array([[0]])
-    assignment = PilotAssignment(pilot_of={0: 0}, num_pilots=1)
+    assignment = PilotAssignment(pilots=[0], num_pilots=1)
     h = draw_channels(alpha, antennas=2, rng_or_seed=1)
     rng = np.random.default_rng(1)
     y = simulate_pilot_rx(h, assignment, p, noise, rng)
@@ -94,7 +93,7 @@ def test_mmse_contamination_floor():
     a = 0.8
     alpha = np.array([[a, a]])
     clusters = np.array([[0], [0]])
-    assignment = PilotAssignment(pilot_of={0: 0, 1: 0}, num_pilots=1)
+    assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
     h = draw_channels(alpha, antennas=1, rng_or_seed=0)
     noise = 0.1
     errors = []
@@ -111,7 +110,7 @@ def test_mmse_error_decreases_with_power_when_alone():
     a = 1.0
     alpha = np.array([[a]])
     clusters = np.array([[0]])
-    assignment = PilotAssignment(pilot_of={0: 0}, num_pilots=1)
+    assignment = PilotAssignment(pilots=[0], num_pilots=1)
     h = draw_channels(alpha, antennas=1, rng_or_seed=0)
     noise = 0.3
     prev = None
@@ -157,7 +156,7 @@ def test_mmse_copilot_estimates_are_collinear():
     # both users' estimates at a shared RRH scale the same observation
     alpha = np.array([[1.0, 0.5]])
     clusters = np.array([[0], [0]])
-    assignment = PilotAssignment(pilot_of={0: 0, 1: 0}, num_pilots=1)
+    assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
     rng = np.random.default_rng(3)
     h = draw_channels(alpha, antennas=4, rng_or_seed=rng)
     y = simulate_pilot_rx(h, assignment, 2.0, 0.2, rng)
@@ -177,7 +176,7 @@ def test_estimates_exist_only_inside_clusters():
     assert state.mode == MODE_IMPERFECT
     for k in range(6):
         inside = np.zeros(9, dtype=bool)
-        if k in s1.assignment.pilot_of:
+        if s1.assignment.pilots[k] >= 0:
             inside[instance.clusters[k]] = True
         np.testing.assert_array_equal(state.estimated_mask[:, k], inside)
         assert (state.estimates[~inside, k] == 0).all()

@@ -1,8 +1,9 @@
 import csv
 import subprocess
 import sys
+import warnings
 
-from ucran import CSV_HEADER
+from ucran.harness import CSV_HEADER
 from ucran.cli import main
 
 SMALL = ["--num-rrhs", "9", "--num-users", "6", "--cluster-size", "2",
@@ -104,6 +105,22 @@ def test_bad_config_file_fails(tmp_path, capsys):
     code = main(["trial", "--config", str(cfg)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_rate_req_overflow_fails_cleanly(capsys):
+    code = main(["trial", *SMALL, "--rate-req", "2000"])
+    assert code == 1
+    assert "rate_req" in capsys.readouterr().err
+
+
+def test_underflowing_gains_fail_cleanly(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["trial", *SMALL, "--pathloss-intercept", "4000"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
 
 
 def test_unwritable_out_fails(tmp_path, capsys):

@@ -29,7 +29,7 @@ def test_path_graph_coloring_order():
     # middle vertex has the highest degree, gets color 0 first
     g = graph_from_edges(3, [(0, 1), (1, 2)])
     assignment = dsatur_color(g, reuse_cap=4)
-    assert assignment.pilot_of == {1: 0, 0: 1, 2: 1}
+    assert assignment.pilots.tolist() == [1, 0, 1]
     assert assignment.num_pilots == 2
 
 
@@ -39,7 +39,7 @@ def test_cap_splits_edgeless_graph():
     assert assignment.num_pilots == 3
     np.testing.assert_array_equal(assignment.group_sizes(), [2, 2, 1])
     # lowest ids fill the lowest colors first
-    assert assignment.pilot_of == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2}
+    assert assignment.pilots.tolist() == [0, 0, 1, 1, 2]
 
 
 def test_complete_graph_needs_all_colors():
@@ -47,13 +47,14 @@ def test_complete_graph_needs_all_colors():
     g = graph_from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
     assignment = dsatur_color(g, reuse_cap=1)
     assert assignment.num_pilots == n
-    assert sorted(assignment.pilot_of.values()) == list(range(n))
+    assert sorted(assignment.pilots.tolist()) == list(range(n))
 
 
 def test_only_active_users_are_colored():
     g = graph_from_edges(4, [(0, 1)], active={0, 1, 3})
     assignment = dsatur_color(g, reuse_cap=4)
-    assert set(assignment.pilot_of) == {0, 1, 3}
+    assert assignment.users.tolist() == [0, 1, 3]
+    assert assignment.pilots[2] == -1
 
 
 def test_rejects_bad_cap():
@@ -67,15 +68,15 @@ def test_validate_assignment_catches_violations():
     validate_assignment(g, good, reuse_cap=2)
 
     with pytest.raises(AssertionError, match="share pilot"):
-        validate_assignment(g, PilotAssignment({0: 0, 1: 0, 2: 1}, 2), 2)
+        validate_assignment(g, PilotAssignment([0, 0, 1], 2), 2)
     with pytest.raises(AssertionError, match="cover"):
-        validate_assignment(g, PilotAssignment({0: 0, 1: 1}, 2), 2)
+        validate_assignment(g, PilotAssignment([0, 1, -1], 2), 2)
     with pytest.raises(AssertionError, match="reuse cap"):
-        validate_assignment(g, PilotAssignment({0: 0, 1: 1, 2: 1}, 2), 1)
+        validate_assignment(g, PilotAssignment([0, 1, 1], 2), 1)
     with pytest.raises(AssertionError, match="contiguous"):
-        validate_assignment(g, PilotAssignment({0: 0, 1: 2, 2: 2}, 3), 2)
+        validate_assignment(g, PilotAssignment([0, 2, 2], 3), 2)
     with pytest.raises(AssertionError, match="out-of-range"):
-        validate_assignment(g, PilotAssignment({0: 0, 1: 1, 2: 5}, 2), 2)
+        validate_assignment(g, PilotAssignment([0, 1, 5], 2), 2)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 4))
@@ -111,17 +112,28 @@ def test_deterministic_output():
     g = random_graph(123, 15)
     a = dsatur_color(g, reuse_cap=3)
     b = dsatur_color(g, reuse_cap=3)
-    assert a.pilot_of == b.pilot_of and a.num_pilots == b.num_pilots
+    np.testing.assert_array_equal(a.pilots, b.pilots)
+    assert a.num_pilots == b.num_pilots
 
 
 def test_groups_view_is_sorted_and_complete():
-    g = random_graph(7, 9)
+    active = [0, 1, 2, 4, 5, 7, 8]
+    g = random_graph(7, 9).restrict(active)
     assignment = dsatur_color(g, reuse_cap=3)
     groups = assignment.groups
     flattened = sorted(k for members in groups.values() for k in members)
-    assert flattened == list(range(9))
+    assert flattened == active == assignment.users.tolist()
     for members in groups.values():
         assert members == sorted(members)
+    # users, membership, groups and group sizes all read the one pilot array
+    membership = assignment.membership
+    assert membership.shape == (9, assignment.num_pilots)
+    np.testing.assert_array_equal(membership.sum(axis=1), assignment.pilots >= 0)
+    np.testing.assert_array_equal(membership.sum(axis=0), assignment.group_sizes())
+    for c, members in groups.items():
+        np.testing.assert_array_equal(np.flatnonzero(membership[:, c]), members)
+        assert (assignment.pilots[members] == c).all()
+        assert len(members) == assignment.group_sizes()[c]
 
 
 def test_cluster_overlap_to_coloring_pipeline():
@@ -132,4 +144,4 @@ def test_cluster_overlap_to_coloring_pipeline():
     for a in range(4):
         for b in range(a + 1, 4):
             if set(clusters[a]) & set(clusters[b]):
-                assert assignment.pilot_of[a] != assignment.pilot_of[b]
+                assert assignment.pilots[a] != assignment.pilots[b]

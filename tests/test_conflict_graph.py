@@ -1,20 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucran import (
-    PilotAssignment,
-    build_base_graph,
-    build_thresholded_graph,
-    interference_matrix,
-    interference_score,
-    vertex_degrees,
-)
+from ucran import PilotAssignment, build_base_graph, interference_matrix
+from ucran.conflict_graph import build_thresholded_graph, interference_score, vertex_degrees
 
-from oracles import pilot_interference
+from oracles import base_graph_on, pilot_interference
 
 
 def _random_alpha(seed: int, num_rrhs: int, num_users: int) -> np.ndarray:
@@ -35,12 +30,31 @@ def test_base_graph_edges_iff_clusters_intersect():
 
 def test_base_graph_restricted_to_active_users():
     clusters = np.array([[0], [0], [0]])
-    g = build_base_graph(clusters, active_users={0, 2})
+    g = build_base_graph(clusters).restrict({0, 2})
     assert g.adjacency[0, 2]
     assert not g.adjacency[0, 1] and not g.adjacency[1, 2]
     np.testing.assert_array_equal(g.users, [0, 2])
-    assert g.degree(1) == 0
-    np.testing.assert_array_equal(g.neighbors(0), [2])
+    assert not g.adjacency[1].any()
+    np.testing.assert_array_equal(np.flatnonzero(g.adjacency[0]), [2])
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 12), st.integers(1, 4),
+       st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_restrict_matches_reference_construction(seed, num_users, width, keep):
+    rng = np.random.default_rng(seed)
+    num_rrhs = 8
+    clusters = np.stack([rng.choice(num_rrhs, size=width, replace=False)
+                         for _ in range(num_users)])
+    active = np.flatnonzero(rng.random(num_users) < keep)
+    g = build_base_graph(clusters).restrict(active)
+    adjacency, users = base_graph_on(clusters, set(active.tolist()))
+    np.testing.assert_array_equal(g.adjacency, adjacency)
+    np.testing.assert_array_equal(g.users, users)
+    # restricting again to a subset equals building on that subset directly
+    half = active[::2]
+    np.testing.assert_array_equal(g.restrict(half).adjacency,
+                                  base_graph_on(clusters, set(half.tolist()))[0])
 
 
 def test_pairwise_weight_hand_value():
@@ -67,6 +81,16 @@ def test_pairwise_weight_rejects_same_user():
     clusters = np.array([[0], [1]])
     with pytest.raises(ValueError):
         pilot_interference(alpha, clusters, 1, 1)
+
+
+def test_matrix_rejects_non_finite_weights():
+    # user 1's own-cluster gain underflows to zero: its ratios divide by zero
+    alpha = np.array([[1.0, 1e-3], [1e-3, 0.0]])
+    clusters = np.array([[0], [1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            interference_matrix(alpha, clusters)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -137,12 +161,12 @@ def test_interference_score_sums_group_weights():
         [0.5, 0.2, 0.0, 0.6],
         [0.1, 0.4, 0.6, 0.0],
     ])
-    assignment = PilotAssignment(pilot_of={0: 0, 1: 0, 2: 0, 3: 1}, num_pilots=2)
+    assignment = PilotAssignment(pilots=[0, 0, 0, 1], num_pilots=2)
     assert interference_score(weights, assignment, 0) == pytest.approx(0.8)
     assert interference_score(weights, assignment, 3) == pytest.approx(0.0)
 
 
 def test_interference_score_requires_assignment():
-    assignment = PilotAssignment(pilot_of={0: 0}, num_pilots=1)
+    assignment = PilotAssignment(pilots=[0, -1], num_pilots=1)
     with pytest.raises(ValueError, match="no pilot"):
         interference_score(np.zeros((2, 2)), assignment, 1)

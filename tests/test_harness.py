@@ -2,21 +2,24 @@ import numpy as np
 import pytest
 
 from ucran import (
-    CSV_HEADER,
+    ALGORITHMS,
     SimConfig,
-    audit_solution,
-    baseline_con,
-    baseline_nocase2,
-    baseline_ortho,
     build_base_graph,
     build_network,
+    dsatur_color,
     run_campaign,
     run_stage1,
     run_trial,
     validate_assignment,
     write_csv,
 )
-from ucran.harness import ALGORITHMS
+from ucran.harness import (
+    CSV_HEADER,
+    audit_solution,
+    baseline_con,
+    baseline_nocase2,
+    baseline_ortho,
+)
 
 
 def _config(**overrides) -> SimConfig:
@@ -32,22 +35,34 @@ def _config(**overrides) -> SimConfig:
 def test_baseline_ortho_picks_budget_many_distinct_pilots():
     config = _config()
     instance = build_network(config, seed=0)
-    s1 = baseline_ortho(instance, pilot_budget=3, seed=0)
+    s1 = baseline_ortho(instance, pilot_budget=3, reuse_cap=config.reuse_cap, seed=0)
     assert s1.num_admitted == 3
     assert s1.case_taken == "ortho"
-    pilots = [s1.assignment.pilot_of[int(k)] for k in s1.admitted]
+    pilots = s1.assignment.pilots[s1.admitted].tolist()
     assert sorted(pilots) == [0, 1, 2]
     assert (np.diff(s1.admitted) > 0).all()
-    again = baseline_ortho(instance, pilot_budget=3, seed=0)
+    again = baseline_ortho(instance, pilot_budget=3, reuse_cap=config.reuse_cap, seed=0)
     np.testing.assert_array_equal(s1.admitted, again.admitted)
 
 
 def test_baseline_ortho_budget_beyond_population():
     config = _config()
     instance = build_network(config, seed=1)
-    s1 = baseline_ortho(instance, pilot_budget=50, seed=1)
+    s1 = baseline_ortho(instance, pilot_budget=50, reuse_cap=config.reuse_cap, seed=1)
     assert s1.num_admitted == config.num_users
     assert s1.colors_used == config.num_users
+
+
+def test_baseline_ortho_reports_base_colors_under_the_reuse_cap():
+    # default scenario, seed 5: the base graph needs 5 colors without a
+    # cap but 7 under the configured cap of 4
+    config = SimConfig()
+    instance = build_network(config, seed=5)
+    base = build_base_graph(instance.clusters)
+    assert dsatur_color(base, config.num_users).num_pilots == 5
+    ortho = baseline_ortho(instance, config.pilot_count, config.reuse_cap, seed=5)
+    proposed = run_stage1(instance, config.pilot_count, config.reuse_cap)
+    assert ortho.base_colors == proposed.base_colors == 7
 
 
 def test_baseline_nocase2_removal_matches_proposed():
@@ -58,7 +73,7 @@ def test_baseline_nocase2_removal_matches_proposed():
     assert proposed.case_taken == "case1"
     ablated = baseline_nocase2(instance, config.pilot_count, config.reuse_cap)
     np.testing.assert_array_equal(proposed.admitted, ablated.admitted)
-    assert proposed.assignment.pilot_of == ablated.assignment.pilot_of
+    np.testing.assert_array_equal(proposed.assignment.pilots, ablated.assignment.pilots)
     assert proposed.removal_trace == ablated.removal_trace
 
 
@@ -83,7 +98,7 @@ def test_baseline_con_random_removal_valid_and_deterministic():
     together = sorted(list(s1.admitted) + list(s1.removal_trace))
     assert together == list(range(config.num_users))
     assert s1.colors_used <= config.pilot_count
-    base = build_base_graph(instance.clusters, s1.admitted)
+    base = build_base_graph(instance.clusters).restrict(s1.admitted)
     validate_assignment(base, s1.assignment, config.reuse_cap)
     again = baseline_con(instance, config.pilot_count, config.reuse_cap, seed=4)
     np.testing.assert_array_equal(s1.admitted, again.admitted)

@@ -26,7 +26,7 @@ def test_star_center_removed_first(star_instance):
     np.testing.assert_array_equal(result.admitted, [1, 2, 3, 4, 5])
     # all leaves fit on the single pilot once the hub user is gone
     assert result.colors_used == 1
-    assert set(result.assignment.pilot_of.values()) == {0}
+    assert result.assignment.pilots.tolist() == [-1, 0, 0, 0, 0, 0]
 
 
 def test_removal_tie_broken_by_interference_score():
@@ -44,8 +44,8 @@ def test_removal_tie_broken_by_interference_score():
 
     base = build_base_graph(clusters)
     assignment = dsatur_color(base, reuse_cap=2)
-    assert assignment.pilot_of[0] == assignment.pilot_of[2]
-    assert assignment.pilot_of[1] == assignment.pilot_of[3]
+    assert assignment.pilots[0] == assignment.pilots[2]
+    assert assignment.pilots[1] == assignment.pilots[3]
 
     result = run_stage1(instance, pilot_budget=1, reuse_cap=2)
     assert result.case_taken == CASE_REMOVAL
@@ -91,7 +91,7 @@ def test_spread_separates_strong_pairs(two_triangle_instance):
     result = run_stage1(two_triangle_instance, pilot_budget=4, reuse_cap=4)
     assert result.case_taken == CASE_SPREAD
     assert result.num_admitted == 6
-    pilots = result.assignment.pilot_of
+    pilots = result.assignment.pilots
     for a, b in ((0, 1), (2, 3), (4, 5)):
         assert pilots[a] != pilots[b]
     assert result.base_colors <= result.colors_used <= 4
@@ -112,7 +112,7 @@ def test_spread_picks_smallest_workable_threshold(four_user_spread_instance):
     # both base pairs weigh exactly 2 ln 2; the chosen threshold sits there,
     # completing the graph and forcing four distinct pilots
     assert result.threshold == pytest.approx(2 * math.log(2))
-    assert sorted(result.assignment.pilot_of.values()) == [0, 1, 2, 3]
+    assert sorted(result.assignment.pilots.tolist()) == [0, 1, 2, 3]
     assert result.base_colors == 2
     assert result.colors_used == 4
 
@@ -144,7 +144,7 @@ def test_rejects_bad_budget_and_unbuilt_instance():
     instance = build_network(cfg, seed=0)
     with pytest.raises(ValueError):
         run_stage1(instance, pilot_budget=0, reuse_cap=4)
-    from ucran import generate_topology
+    from ucran.topology import generate_topology
     bare = generate_topology(cfg, seed=0)
     with pytest.raises(ValueError, match="clusters"):
         run_stage1(bare, pilot_budget=2, reuse_cap=4)
@@ -163,7 +163,7 @@ def test_result_invariants_on_random_networks(seed, pilot_budget, reuse_cap):
     assert removed | set(result.admitted.tolist()) == set(range(10))
 
     # assignment is a valid capped coloring of the base graph on survivors
-    base = build_base_graph(instance.clusters, result.admitted)
+    base = build_base_graph(instance.clusters).restrict(result.admitted)
     validate_assignment(base, result.assignment, reuse_cap)
     assert result.colors_used <= pilot_budget
 

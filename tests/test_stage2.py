@@ -3,18 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ucran import (
-    SimConfig,
-    admission_loop,
-    build_channel_state,
-    build_network,
+from ucran import SimConfig, admission_loop, build_channel_state, build_network, run_stage1
+from ucran.stage2 import (
     enforce_fronthaul_cap,
     expected_rate_lb,
     power_allocation_fixed_point,
     rate_coefficients,
     robust_beam_direction,
     rrh_power_share,
-    run_stage1,
 )
 from ucran.channel import MODE_IMPERFECT, ChannelState
 
@@ -385,7 +381,7 @@ def test_admission_scaling_invariance():
     s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
     s1_scaled = run_stage1(scaled, config.pilot_count, config.reuse_cap)
     np.testing.assert_array_equal(s1.admitted, s1_scaled.admitted)
-    assert s1.assignment.pilot_of == s1_scaled.assignment.pilot_of
+    np.testing.assert_array_equal(s1.assignment.pilots, s1_scaled.assignment.pilots)
 
     state = build_channel_state(instance, s1.assignment, config, seed=6)
     state_scaled = build_channel_state(scaled, s1_scaled.assignment,

@@ -1,19 +1,20 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from ucran import (
+from ucran import SimConfig, build_network, make_config
+from ucran.topology import (
+    STREAM_PLACEMENT,
+    STREAM_SHADOWING,
     NetworkInstance,
-    SimConfig,
     build_clusters,
-    build_network,
     compute_large_scale,
     generate_topology,
     load_config_file,
-    make_config,
+    stream_rng,
 )
-from ucran.topology import STREAM_PLACEMENT, STREAM_SHADOWING, stream_rng
 
 
 def test_default_config_matches_reference_scenario():
@@ -47,6 +48,22 @@ def test_default_config_matches_reference_scenario():
 def test_config_validation(field, value):
     with pytest.raises(ValueError):
         SimConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [1024.0, 2000.0, float("inf"), float("nan")])
+def test_config_rejects_rate_req_whose_target_overflows(value):
+    with pytest.raises(ValueError, match="rate_req"):
+        SimConfig(rate_req=value)
+    assert SimConfig(rate_req=1023.0).rate_req == 1023.0
+
+
+def test_build_network_rejects_non_finite_interference_weights():
+    # every gain underflows to zero, so each own-cluster gain does too
+    cfg = SimConfig(num_rrhs=6, num_users=4, cluster_size=2, pathloss_intercept=4000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            build_network(cfg, seed=0)
 
 
 def test_cluster_size_cannot_exceed_rrh_count():
