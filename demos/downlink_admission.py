@@ -6,8 +6,6 @@ error loading, and the power fixed point either meets the rate target or
 names the next user to drop.
 """
 
-import numpy as np
-
 from ucran import SimConfig, admission_loop, build_channel_state, build_network, run_stage1
 
 config = SimConfig()
@@ -32,9 +30,7 @@ print(f"transmit powers (mW): min {solution.powers.min():.3f}, "
 print(f"per-RRH power (cap {config.rrh_power_cap:.0f} mW): "
       f"max {solution.per_rrh_power.max():.2f}")
 
-loads = np.zeros(config.num_rrhs, dtype=int)
-for k in solution.served:
-    loads[solution.serving_sets[int(k)]] += 1
+loads = solution.serving.sum(axis=1)
 print(f"fronthaul loads (cap {config.fronthaul_cap}): max {loads.max()}, "
       f"busy RRHs {(loads > 0).sum()}")
 

@@ -11,6 +11,7 @@ variance per antenna).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,14 @@ class ChannelState:
     @property
     def antennas(self) -> int:
         return self.true_channels.shape[2]
+
+    @functools.cached_property
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """Estimates and error variances flattened over RRH antennas, (I*M, K)
+        each; row i*M + m is antenna m of RRH i."""
+        num_rrhs, num_users, antennas = self.estimates.shape
+        hhat = self.estimates.transpose(0, 2, 1).reshape(num_rrhs * antennas, num_users)
+        return hhat, np.repeat(self.error_var, antennas, axis=0)
 
 
 def _as_rng(rng_or_seed) -> np.random.Generator:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,7 +51,6 @@ class TrialResult:
     max_rrh_power_mw: float
     case_taken: str
     colors_used: int
-    runtime_s: float
 
     def csv_row(self) -> list:
         return [self.algorithm, self.cluster_size, self.pilot_budget, self.seed,
@@ -103,9 +101,7 @@ def audit_solution(solution: AdmissionSolution, config: SimConfig) -> list[str]:
         problems.append(f"rate below requirement: min {solution.rates.min():.6f}")
     if (solution.per_rrh_power > config.rrh_power_cap).any():
         problems.append(f"per-RRH power cap exceeded: max {solution.per_rrh_power.max():.6f}")
-    loads = np.zeros(config.num_rrhs, dtype=np.int64)
-    for k in solution.served:
-        loads[solution.serving_sets[int(k)]] += 1
+    loads = solution.serving.sum(axis=1)
     if (loads > config.fronthaul_cap).any():
         problems.append(f"fronthaul cap exceeded: max load {loads.max()}")
     norms = np.linalg.norm(solution.directions, axis=0)
@@ -136,7 +132,6 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
     With ``return_details`` the stage results come back alongside the
     summary, for inspection and auditing.
     """
-    start = time.perf_counter()
     instance = build_network(config, seed)
     s1 = _stage1_for(algorithm, instance, config, seed)
 
@@ -169,7 +164,6 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
         max_rrh_power_mw=float(solution.per_rrh_power.max()),
         case_taken=s1.case_taken,
         colors_used=s1.colors_used,
-        runtime_s=time.perf_counter() - start,
     )
     if return_details:
         return result, s1, solution

@@ -31,7 +31,7 @@ from .conflict_graph import (
     ConflictGraph,
     build_base_graph,
     build_thresholded_graph,
-    interference_matrix,
+    interference_matrix,  # noqa: F401  (perfbench/spans.py wraps this name)
     interference_score,
     vertex_degrees,
 )
@@ -106,16 +106,17 @@ def select_users_case1(instance: NetworkInstance, pilot_budget: int, reuse_cap: 
     lowest user id.  With ``rng`` the victim is
     instead drawn uniformly from the active users.
     """
-    weights = interference_matrix(instance.alpha, instance.clusters) if rng is None else None
     trace: list[int] = []
     graph, assignment = base, base_assignment
 
     while assignment.num_pilots > pilot_budget:
         active = graph.users.tolist()
         if rng is None:
-            degrees = vertex_degrees(graph)
-            victim = max(active, key=lambda k: (
-                degrees[k], interference_score(weights, assignment, k)))
+            degrees = vertex_degrees(graph)[graph.users]
+            # interference only breaks degree ties; max keeps the lowest id on a tie
+            tied = graph.users[degrees == degrees.max()].tolist()
+            victim = max(tied, key=lambda k: interference_score(
+                instance.weights, assignment, k))
         else:
             victim = int(rng.choice(active))
         active.remove(victim)
@@ -143,8 +144,7 @@ def reallocate_case2(instance: NetworkInstance, pilot_budget: int, reuse_cap: in
     separation edges, so the colors needed do not decrease as the
     threshold drops.
     """
-    weights = interference_matrix(instance.alpha, instance.clusters)
-
+    weights = instance.weights
     off_diag = weights[~np.eye(instance.num_users, dtype=bool)]
     candidates = np.unique(off_diag)
     sentinel = candidates[-1] + 1.0 if candidates.size else 1.0

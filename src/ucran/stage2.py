@@ -3,60 +3,52 @@ the per-RRH fronthaul cap, robust beam directions from the estimated
 channels with error loading, an expected-rate lower bound, fixed-point
 power control under per-RRH power caps, and greedy admission.
 
+Serving sets are one (I, K) bool mask, True where RRH i serves user k.
 Beams live on the stacked antennas of each user's serving set but are
-stored zero-padded over all RRH antennas (row layout: RRH-major, antenna
-within RRH), which keeps every quadratic form a plain matrix product.
+stored zero-padded over all RRH antennas (the RRH-major row layout of
+:attr:`ChannelState.stacked`), which keeps every quadratic form a plain
+matrix product.  Each admission round computes the rate coefficients
+once, for both power control and the rate bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelState
-from .conflict_graph import interference_matrix, interference_score
+from .conflict_graph import interference_matrix  # noqa: F401  (perfbench/spans.py wraps this name)
+from .conflict_graph import interference_score
 from .stage1 import Stage1Result
 from .topology import NetworkInstance, SimConfig
 
 
 def enforce_fronthaul_cap(clusters: np.ndarray, admitted, alpha: np.ndarray,
-                          cap: int) -> dict[int, np.ndarray]:
-    """Prune serving sets so no RRH serves more than ``cap`` users.
+                          cap: int) -> np.ndarray:
+    """Serving mask (I, K): RRH i serves user k.
 
-    Start from the full cluster; an over-subscribed RRH keeps its ``cap``
-    strongest users (largest link gain, ties to the lower id) and is
-    removed from the rest.  May leave some users with an empty set.
+    Start from the admitted users' full clusters; an over-subscribed RRH
+    keeps its ``cap`` strongest users (largest link gain, ties to the lower
+    id) and is removed from the rest.  May leave some users with no RRH.
     """
     if cap < 1:
         raise ValueError("fronthaul cap must be >= 1")
-    admitted = [int(k) for k in admitted]
-    serving = {k: set(int(i) for i in clusters[k]) for k in admitted}
-    rrhs = sorted(set().union(*serving.values())) if serving else []
-    for i in rrhs:
-        users = [k for k in admitted if i in serving[k]]
-        if len(users) <= cap:
-            continue
-        users.sort(key=lambda k: (-alpha[i, k], k))
-        for k in users[cap:]:
-            serving[k].discard(i)
-    return {k: np.array(sorted(serving[k]), dtype=np.int64) for k in admitted}
+    admitted = np.unique(np.asarray(admitted, dtype=np.int64))
+    serving = np.zeros(alpha.shape, dtype=bool)
+    serving[clusters[admitted], admitted[:, None]] = True
+    # a stable sort over ascending ids breaks gain ties toward the lower id;
+    # links outside the clusters sort last and are masked out again below
+    key = np.where(serving[:, admitted], -alpha[:, admitted], np.inf)
+    strongest = np.argsort(key, axis=1, kind="stable")[:, :cap]
+    keep = np.zeros(key.shape, dtype=bool)
+    np.put_along_axis(keep, strongest, True, axis=1)
+    serving[:, admitted] &= keep
+    return serving
 
 
-def _stacked(channel_state: ChannelState) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates and error variances flattened over RRH antennas: (I*M, K)."""
-    num_rrhs, num_users, antennas = channel_state.estimates.shape
-    hhat = channel_state.estimates.transpose(0, 2, 1).reshape(num_rrhs * antennas, num_users)
-    evar = np.repeat(channel_state.error_var, antennas, axis=0)
-    return hhat, evar
-
-
-def _antenna_index(serving: np.ndarray, antennas: int) -> np.ndarray:
-    return (serving[:, None] * antennas + np.arange(antennas)).ravel()
-
-
-def robust_beam_direction(channel_state: ChannelState,
-                          serving_sets: dict[int, np.ndarray],
+def robust_beam_direction(channel_state: ChannelState, serving: np.ndarray,
                           served, noise_power: float) -> np.ndarray:
     """Unit beam directions, one column per served user.
 
@@ -66,17 +58,16 @@ def robust_beam_direction(channel_state: ChannelState,
     user's own estimate.  Links without estimates contribute only their
     error-loading term, which there equals the full link gain.
     """
-    hhat, evar = _stacked(channel_state)
-    dim, _ = hhat.shape
-    antennas = channel_state.antennas
+    hhat, evar = channel_state.stacked
     served = [int(k) for k in served]
-    directions = np.zeros((dim, len(served)), dtype=complex)
+    directions = np.zeros((hhat.shape[0], len(served)), dtype=complex)
     hhat_served = hhat[:, served]
     load = evar[:, served].sum(axis=1)
+    antenna_rows = np.repeat(serving[:, served], channel_state.antennas, axis=0)
     for col, k in enumerate(served):
-        if serving_sets[k].size == 0:
+        rows = np.flatnonzero(antenna_rows[:, col])
+        if rows.size == 0:
             raise ValueError(f"user {k} has an empty serving set")
-        rows = _antenna_index(serving_sets[k], antennas)
         local = hhat_served[rows]
         cov = local @ local.conj().T
         cov[np.diag_indices_from(cov)] += load[rows] + noise_power
@@ -99,7 +90,7 @@ def rate_coefficients(channel_state: ChannelState, directions: np.ndarray,
     from user b's beam (estimate where one exists, statistics elsewhere).
     """
     served = [int(k) for k in served]
-    hhat, evar = _stacked(channel_state)
+    hhat, evar = channel_state.stacked
     gains = hhat[:, served].conj().T @ directions            # gains[a, b] = <hhat_a, w_b>
     leak = evar[:, served].T @ (np.abs(directions) ** 2)     # leak[a, b]
     signal = np.abs(np.diag(gains)) ** 2
@@ -109,13 +100,14 @@ def rate_coefficients(channel_state: ChannelState, directions: np.ndarray,
     return signal, self_err, cross
 
 
-def expected_rate_lb(channel_state: ChannelState, directions: np.ndarray,
-                     served, powers: np.ndarray, noise_power: float) -> np.ndarray:
-    """Per-user achievable-rate lower bound, bits/s/Hz."""
-    signal, self_err, cross = rate_coefficients(channel_state, directions, served)
+def expected_rate_lb(signal: np.ndarray, self_err: np.ndarray, cross: np.ndarray,
+                     powers: np.ndarray, noise_power: float) -> np.ndarray:
+    """Per-user achievable-rate lower bound, bits/s/Hz, from the
+    :func:`rate_coefficients` of the beams."""
     powers = np.asarray(powers, dtype=float)
     sinr = powers * signal / (powers * self_err + cross @ powers + noise_power)
-    return np.log2(1.0 + sinr)
+    # log1p keeps tiny rates exact where log2(1 + sinr) cancels
+    return np.log1p(sinr) / math.log(2.0)
 
 
 def rrh_power_share(directions: np.ndarray, num_rrhs: int, antennas: int) -> np.ndarray:
@@ -186,7 +178,7 @@ def power_allocation_fixed_point(signal: np.ndarray, self_err: np.ndarray,
 @dataclass(frozen=True)
 class AdmissionSolution:
     served: np.ndarray               # sorted user ids
-    serving_sets: dict[int, np.ndarray]
+    serving: np.ndarray              # (I, K) bool, RRH i serves user k
     directions: np.ndarray           # (I*M, n) unit columns, zero-padded globally
     powers: np.ndarray               # (n,) mW
     rates: np.ndarray                # (n,) bits/s/Hz, lower bound
@@ -196,15 +188,6 @@ class AdmissionSolution:
     @property
     def num_served(self) -> int:
         return len(self.served)
-
-
-def _empty_solution(num_rrhs: int, antennas: int, removed) -> AdmissionSolution:
-    return AdmissionSolution(
-        served=np.zeros(0, dtype=np.int64), serving_sets={},
-        directions=np.zeros((num_rrhs * antennas, 0), dtype=complex),
-        powers=np.zeros(0), rates=np.zeros(0),
-        per_rrh_power=np.zeros(num_rrhs),
-        removal_trace=tuple(removed))
 
 
 def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
@@ -219,20 +202,20 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
     infinite demand; ties broken by pilot-group interference, then lowest
     id), and repeats.  An empty served set is a valid outcome.
     """
-    weights = interference_matrix(instance.alpha, instance.clusters)
     served = stage1_result.admitted.tolist()
     removed: list[int] = []
     num_rrhs = instance.num_rrhs
     antennas = config.antennas_per_rrh
-    sinr_target = 2.0 ** config.rate_req - 1.0
+    # expm1 keeps tiny targets exact where 2**rate_req - 1 cancels
+    sinr_target = math.expm1(config.rate_req * math.log(2.0))
 
     while served:
         serving = enforce_fronthaul_cap(instance.clusters, served,
                                         instance.alpha, config.fronthaul_cap)
-        starved = [k for k in served if serving[k].size == 0]
-        if starved:
-            removed.extend(starved)
-            served = [k for k in served if serving[k].size > 0]
+        has_rrh = serving[:, served].any(axis=0)
+        if not has_rrh.all():
+            removed.extend(k for k, ok in zip(served, has_rrh) if not ok)
+            served = [k for k, ok in zip(served, has_rrh) if ok]
             continue
 
         directions = robust_beam_direction(channel_state, serving, served,
@@ -244,19 +227,25 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
             share, config.rrh_power_cap)
 
         if control.feasible:
-            rates = expected_rate_lb(channel_state, directions, served,
-                                     control.powers, config.noise_power)
+            rates = expected_rate_lb(signal, self_err, cross, control.powers,
+                                     config.noise_power)
             return AdmissionSolution(
-                served=np.array(served, dtype=np.int64), serving_sets=serving,
+                served=np.array(served, dtype=np.int64), serving=serving,
                 directions=directions, powers=control.powers, rates=rates,
                 per_rrh_power=share @ control.powers,
                 removal_trace=tuple(removed))
 
-        victim = _pick_victim(served, control, weights, stage1_result)
+        victim = _pick_victim(served, control, instance.weights, stage1_result)
         served.remove(victim)
         removed.append(victim)
 
-    return _empty_solution(num_rrhs, antennas, removed)
+    return AdmissionSolution(
+        served=np.zeros(0, dtype=np.int64),
+        serving=np.zeros((num_rrhs, instance.num_users), dtype=bool),
+        directions=np.zeros((num_rrhs * antennas, 0), dtype=complex),
+        powers=np.zeros(0), rates=np.zeros(0),
+        per_rrh_power=np.zeros(num_rrhs),
+        removal_trace=tuple(removed))
 
 
 def _pick_victim(served: list[int], control: PowerControlResult,
@@ -267,10 +256,7 @@ def _pick_victim(served: list[int], control: PowerControlResult,
     else:
         mean_power = control.powers.mean()
         demand = control.powers / mean_power if mean_power > 0 else control.powers
-    best = None
-    best_key = None
-    for idx, k in enumerate(served):
-        key = (demand[idx], interference_score(weights, stage1_result.assignment, k))
-        if best is None or key > best_key:
-            best, best_key = k, key
-    return best
+    # score interference only for top-demand ties; the scan keeps the first max
+    first = max(range(len(served)), key=lambda idx: demand[idx])
+    tied = [k for k, d in zip(served, demand) if d == demand[first]] or [served[first]]
+    return max(tied, key=lambda k: interference_score(weights, stage1_result.assignment, k))

@@ -9,6 +9,7 @@ the same trial seed see identical RRH/user placements, shadowing and fading.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,6 +63,10 @@ class SimConfig:
     master_seed: int = 1
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         counts = {
             "num_rrhs": self.num_rrhs,
             "num_users": self.num_users,
@@ -76,10 +81,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.cluster_size > self.num_rrhs:
             raise ValueError("cluster_size cannot exceed num_rrhs")
-        for name in ("rrh_power_cap", "pilot_power", "noise_power"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("area_side", "min_distance"):
+        for name in ("rrh_power_cap", "pilot_power", "noise_power", "area_side",
+                     "min_distance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.shadowing_stddev < 0:
@@ -116,6 +119,12 @@ class NetworkInstance:
     @property
     def num_users(self) -> int:
         return self.user_positions.shape[0]
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Pairwise pilot-interference weights (K, K), computed on first use;
+        ValueError when one is not finite."""
+        return interference_matrix(self.alpha, self.clusters)
 
 
 def generate_topology(config: SimConfig, seed: int) -> NetworkInstance:
@@ -185,8 +194,9 @@ def build_network(config: SimConfig, seed: int) -> NetworkInstance:
     alpha = compute_large_scale(inst.rrh_positions, inst.user_positions, config, seed)
     inst = dataclasses.replace(inst, alpha=alpha)
     clusters = build_clusters(inst, config.cluster_size, by_gain=config.cluster_by_gain)
-    interference_matrix(alpha, clusters)
-    return dataclasses.replace(inst, clusters=clusters)
+    inst = dataclasses.replace(inst, clusters=clusters)
+    inst.weights  # computed here so a non-finite weight fails before any stage
+    return inst
 
 
 # --- plain-text config files -------------------------------------------------

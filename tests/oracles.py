@@ -4,7 +4,8 @@ Everything here is deliberately brute-force and shares no code with the
 package: exhaustive capped coloring by backtracking, Monte Carlo ergodic
 rates by direct channel redraws, power control by solving the linear
 fixed-point system, the pairwise pilot-interference weight one pair at a
-time, and the cluster-overlap graph built on a user subset directly.
+time, the cluster-overlap graph built on a user subset directly, and
+fronthaul pruning one RRH at a time on per-user serving sets.
 """
 
 from __future__ import annotations
@@ -44,6 +45,27 @@ def base_graph_on(clusters: np.ndarray, active_users) -> tuple[np.ndarray, np.nd
     adjacency = (incidence @ incidence.T) > 0
     np.fill_diagonal(adjacency, False)
     return adjacency, active
+
+
+def fronthaul_serving_sets(clusters: np.ndarray, admitted, alpha: np.ndarray,
+                           cap: int) -> dict[int, np.ndarray]:
+    """Serving set per admitted user under the per-RRH fronthaul cap.
+
+    Start from the full cluster; each over-subscribed RRH, in ascending id,
+    keeps its ``cap`` strongest users (largest link gain, ties to the lower
+    id) and is removed from the rest.  Sets come back sorted.
+    """
+    admitted = [int(k) for k in admitted]
+    serving = {k: set(int(i) for i in clusters[k]) for k in admitted}
+    rrhs = sorted(set().union(*serving.values())) if serving else []
+    for i in rrhs:
+        users = [k for k in admitted if i in serving[k]]
+        if len(users) <= cap:
+            continue
+        users.sort(key=lambda k: (-alpha[i, k], k))
+        for k in users[cap:]:
+            serving[k].discard(i)
+    return {k: np.array(sorted(serving[k]), dtype=np.int64) for k in admitted}
 
 
 def exact_capped_chromatic(adjacency: np.ndarray, cap: int) -> int:

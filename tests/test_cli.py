@@ -3,6 +3,8 @@ import subprocess
 import sys
 import warnings
 
+import pytest
+
 from ucran.harness import CSV_HEADER
 from ucran.cli import main
 
@@ -111,6 +113,16 @@ def test_rate_req_overflow_fails_cleanly(capsys):
     code = main(["trial", *SMALL, "--rate-req", "2000"])
     assert code == 1
     assert "rate_req" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--noise-power", "nan"), ("--pilot-power", "inf"),
+                                        ("--rrh-power-cap", "nan"), ("--area-side", "inf")])
+def test_non_finite_values_fail_cleanly(flag, value, capsys):
+    code = main(["trial", *SMALL, flag, value])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag[2:].replace('-', '_')} must be finite" in captured.err
 
 
 def test_underflowing_gains_fail_cleanly(capsys):

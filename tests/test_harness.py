@@ -120,7 +120,15 @@ def test_run_trial_row_is_repeatable():
     a = run_trial(config, seed=0, algorithm="proposed")
     b = run_trial(config, seed=0, algorithm="proposed")
     assert a.csv_row() == b.csv_row()
-    assert a.runtime_s > 0
+
+
+@pytest.mark.parametrize("rate_req", [1e-9, 1e-15, 1e-300])
+def test_run_trial_meets_tiny_rate_requirements(rate_req):
+    # 2**r - 1 and log2(1 + sinr) cancel to ~1e-7 relative error at these
+    # rates, more than the power-control target margin
+    result = run_trial(SimConfig(rate_req=rate_req), seed=0, algorithm="proposed")
+    assert result.stage2_served > 0
+    assert result.min_rate >= rate_req
 
 
 def test_run_trial_unknown_algorithm():

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucran import SimConfig, admission_loop, build_channel_state, build_network, run_stage1
 from ucran.stage2 import (
@@ -15,7 +17,7 @@ from ucran.stage2 import (
 from ucran.channel import MODE_IMPERFECT, ChannelState
 
 from conftest import craft_instance
-from oracles import solve_power_linear
+from oracles import fronthaul_serving_sets, solve_power_linear
 
 
 def _state(estimates: np.ndarray, error_var: np.ndarray) -> ChannelState:
@@ -29,36 +31,60 @@ def _complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _mask(num_rrhs: int, sets: dict[int, list[int]]) -> np.ndarray:
+    """Serving mask from per-user RRH lists."""
+    serving = np.zeros((num_rrhs, max(sets) + 1), dtype=bool)
+    for k, rrhs in sets.items():
+        serving[rrhs, k] = True
+    return serving
+
+
 # ----------------------------------------------------------- fronthaul cap
 
 def test_fronthaul_cap_keeps_strongest():
     clusters = np.array([[0], [0], [0]])
     alpha = np.array([[0.1, 0.5, 0.3]])
     serving = enforce_fronthaul_cap(clusters, [0, 1, 2], alpha, cap=2)
-    assert serving[1].tolist() == [0]
-    assert serving[2].tolist() == [0]
-    assert serving[0].size == 0
+    assert serving.tolist() == [[False, True, True]]
 
 
 def test_fronthaul_cap_tie_prefers_lower_id():
     clusters = np.array([[0], [0]])
     alpha = np.array([[0.4, 0.4]])
     serving = enforce_fronthaul_cap(clusters, [0, 1], alpha, cap=1)
-    assert serving[0].tolist() == [0]
-    assert serving[1].size == 0
+    assert serving.tolist() == [[True, False]]
 
 
 def test_fronthaul_cap_under_cap_untouched():
     clusters = np.array([[2, 0], [1, 2]])
     alpha = np.ones((3, 2))
     serving = enforce_fronthaul_cap(clusters, [0, 1], alpha, cap=3)
-    assert serving[0].tolist() == [0, 2]
-    assert serving[1].tolist() == [1, 2]
+    np.testing.assert_array_equal(serving, _mask(3, {0: [0, 2], 1: [1, 2]}))
 
 
 def test_fronthaul_cap_rejects_bad_cap():
     with pytest.raises(ValueError):
         enforce_fronthaul_cap(np.array([[0]]), [0], np.ones((1, 1)), cap=0)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 10), st.integers(1, 4),
+       st.integers(1, 5), st.floats(0.0, 1.0), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_fronthaul_mask_matches_reference_sets(seed, num_users, width, cap, keep, ties):
+    rng = np.random.default_rng(seed)
+    num_rrhs = 6
+    clusters = np.stack([rng.choice(num_rrhs, size=width, replace=False)
+                         for _ in range(num_users)])
+    # a few distinct gain levels force ties that only the user id can break
+    levels = rng.choice([0.25, 0.5, 1.0], size=(num_rrhs, num_users))
+    alpha = levels if ties else rng.uniform(0.1, 1.0, (num_rrhs, num_users))
+    admitted = np.flatnonzero(rng.random(num_users) < keep).tolist()
+    serving = enforce_fronthaul_cap(clusters, admitted, alpha, cap)
+    reference = fronthaul_serving_sets(clusters, admitted, alpha, cap)
+    expected = np.zeros((num_rrhs, num_users), dtype=bool)
+    for k, rrhs in reference.items():
+        expected[rrhs, k] = True
+    np.testing.assert_array_equal(serving, expected)
 
 
 # ------------------------------------------------------------------- beams
@@ -67,8 +93,7 @@ def test_beam_single_user_is_matched_filter():
     rng = np.random.default_rng(0)
     est = _complex(rng, (2, 1, 2))
     state = _state(est, np.zeros((2, 1)))
-    serving = {0: np.array([0, 1])}
-    w = robust_beam_direction(state, serving, [0], noise_power=0.3)
+    w = robust_beam_direction(state, _mask(2, {0: [0, 1]}), [0], noise_power=0.3)
     hhat = est.transpose(0, 2, 1).reshape(4)
     expected = hhat / np.linalg.norm(hhat)
     np.testing.assert_allclose(w[:, 0], expected, atol=1e-12)
@@ -80,7 +105,7 @@ def test_beam_two_users_match_dense_inverse():
     est = _complex(rng, (2, 2, 2))
     evar = rng.uniform(0.05, 0.4, (2, 2))
     state = _state(est, evar)
-    serving = {0: np.array([0, 1]), 1: np.array([0, 1])}
+    serving = _mask(2, {0: [0, 1], 1: [0, 1]})
     noise = 0.2
     w = robust_beam_direction(state, serving, [0, 1], noise_power=noise)
     hhat = est.transpose(0, 2, 1).reshape(4, 2)
@@ -96,8 +121,7 @@ def test_beam_zero_outside_serving_set():
     rng = np.random.default_rng(2)
     est = _complex(rng, (3, 1, 2))
     state = _state(est, np.zeros((3, 1)))
-    serving = {0: np.array([1])}
-    w = robust_beam_direction(state, serving, [0], noise_power=0.1)
+    w = robust_beam_direction(state, _mask(3, {0: [1]}), [0], noise_power=0.1)
     assert (w[[0, 1, 4, 5], 0] == 0).all()
     assert np.linalg.norm(w[:, 0]) == pytest.approx(1.0)
     local = est[1, 0]
@@ -108,7 +132,7 @@ def test_beam_empty_serving_set_raises():
     est = np.ones((1, 1, 1), dtype=complex)
     state = _state(est, np.zeros((1, 1)))
     with pytest.raises(ValueError):
-        robust_beam_direction(state, {0: np.array([], dtype=np.int64)}, [0], 0.1)
+        robust_beam_direction(state, np.zeros((1, 1), dtype=bool), [0], 0.1)
 
 
 # ------------------------------------------------------------ rate formula
@@ -117,21 +141,20 @@ def test_rate_lb_single_user_closed_form():
     rng = np.random.default_rng(3)
     est = _complex(rng, (2, 1, 2))
     state = _state(est, np.zeros((2, 1)))
-    serving = {0: np.array([0, 1])}
     noise = 0.05
-    w = robust_beam_direction(state, serving, [0], noise)
+    w = robust_beam_direction(state, _mask(2, {0: [0, 1]}), [0], noise)
+    coeffs = rate_coefficients(state, w, [0])
     energy = (np.abs(est) ** 2).sum()
     for p in (0.2, 1.0, 7.0):
-        rate = expected_rate_lb(state, w, [0], np.array([p]), noise)
+        rate = expected_rate_lb(*coeffs, np.array([p]), noise)
         assert rate[0] == pytest.approx(np.log2(1 + p * energy / noise))
 
 
 def test_rate_lb_zero_power_is_zero():
     est = np.ones((1, 2, 1), dtype=complex)
     state = _state(est, np.zeros((1, 2)))
-    serving = {0: np.array([0]), 1: np.array([0])}
-    w = robust_beam_direction(state, serving, [0, 1], 0.1)
-    rates = expected_rate_lb(state, w, [0, 1], np.zeros(2), 0.1)
+    w = robust_beam_direction(state, _mask(1, {0: [0], 1: [0]}), [0, 1], 0.1)
+    rates = expected_rate_lb(*rate_coefficients(state, w, [0, 1]), np.zeros(2), 0.1)
     np.testing.assert_array_equal(rates, 0.0)
 
 
@@ -152,8 +175,7 @@ def test_rrh_power_share_columns_sum_to_one():
     rng = np.random.default_rng(4)
     est = _complex(rng, (3, 2, 2))
     state = _state(est, np.zeros((3, 2)))
-    serving = {0: np.array([0, 1]), 1: np.array([1, 2])}
-    w = robust_beam_direction(state, serving, [0, 1], 0.1)
+    w = robust_beam_direction(state, _mask(3, {0: [0, 1], 1: [1, 2]}), [0, 1], 0.1)
     share = rrh_power_share(w, num_rrhs=3, antennas=2)
     np.testing.assert_allclose(share.sum(axis=0), 1.0)
     assert (share >= 0).all()
@@ -290,10 +312,9 @@ def test_admission_constraints_hold():
         instance, s1, sol = _run_pipeline(config, seed)
         assert (sol.rates >= config.rate_req - 1e-9).all()
         assert (sol.per_rrh_power <= config.rrh_power_cap + 1e-9).all()
-        counts = np.zeros(config.num_rrhs, dtype=int)
-        for k in sol.served:
-            counts[sol.serving_sets[int(k)]] += 1
-        assert (counts <= config.fronthaul_cap).all()
+        assert (sol.serving.sum(axis=1) <= config.fronthaul_cap).all()
+        # only served users hold serving links, and each holds at least one
+        np.testing.assert_array_equal(np.flatnonzero(sol.serving.any(axis=0)), sol.served)
         # served plus dropped is exactly the stage-1 admitted set
         together = sorted(list(sol.served) + list(sol.removal_trace))
         assert together == sorted(int(k) for k in s1.admitted)
@@ -351,7 +372,7 @@ def test_admission_never_beats_exhaustive_subsets():
                 serving = enforce_fronthaul_cap(instance.clusters, subset,
                                                 instance.alpha,
                                                 config.fronthaul_cap)
-                if any(serving[k].size == 0 for k in subset):
+                if not serving[:, subset].any(axis=0).all():
                     continue
                 w = robust_beam_direction(state, serving, subset,
                                           config.noise_power)

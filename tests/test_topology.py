@@ -57,6 +57,14 @@ def test_config_rejects_rate_req_whose_target_overflows(value):
     assert SimConfig(rate_req=1023.0).rate_req == 1023.0
 
 
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SimConfig)
+                                   if f.type == "float"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_floats(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SimConfig(**{field: value})
+
+
 def test_build_network_rejects_non_finite_interference_weights():
     # every gain underflows to zero, so each own-cluster gain does too
     cfg = SimConfig(num_rrhs=6, num_users=4, cluster_size=2, pathloss_intercept=4000.0)
