@@ -134,7 +134,8 @@ def build_channel_state(instance: NetworkInstance, assignment: PilotAssignment,
     """Draw fading, run the pilot phase, estimate.
 
     The fading stream draws the true channels first, so perfect and
-    imperfect modes see identical physics for the same seed.
+    imperfect modes see identical physics for the same seed.  ValueError
+    when an MMSE error variance is non-finite or negative (extreme gains).
     """
     if instance.alpha is None or instance.clusters is None:
         raise ValueError("instance must carry large-scale gains and clusters")
@@ -142,9 +143,14 @@ def build_channel_state(instance: NetworkInstance, assignment: PilotAssignment,
     h = draw_channels(instance.alpha, config.antennas_per_rrh, rng)
     if perfect:
         return perfect_csi(h, instance.clusters, assignment.users, instance.alpha)
-    y = simulate_pilot_rx(h, assignment, config.pilot_power, config.noise_power, rng)
-    estimates, error_var, mask = mmse_estimate(
-        y, instance.alpha, assignment, instance.clusters,
-        config.pilot_power, config.noise_power)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = simulate_pilot_rx(h, assignment, config.pilot_power, config.noise_power, rng)
+        estimates, error_var, mask = mmse_estimate(
+            y, instance.alpha, assignment, instance.clusters,
+            config.pilot_power, config.noise_power)
+    bad = int((~np.isfinite(error_var) | (error_var < 0)).sum())
+    if bad:
+        raise ValueError(f"channel estimation failed: {bad} error variances are non-"
+                         "finite or negative; the link gains span too wide a range")
     return ChannelState(true_channels=h, estimates=estimates, error_var=error_var,
                         estimated_mask=mask, mode=MODE_IMPERFECT)

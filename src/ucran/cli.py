@@ -8,32 +8,28 @@ with flags taking precedence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .harness import ALGORITHMS, CampaignReport, run_campaign, run_trial, write_csv
-from .topology import SimConfig, make_config
-
-_FLAG_TYPES = {"float": float, "int": int, "str": str}
+from .topology import CONFIG_FIELD_TYPES, SimConfig, make_config
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("scenario parameters")
-    for field in dataclasses.fields(SimConfig):
-        flag = "--" + field.name.replace("_", "-")
-        annotation = field.type if isinstance(field.type, str) else field.type.__name__
-        if annotation == "bool":
-            group.add_argument(flag, dest=field.name, default=None,
+    for name, field_type in CONFIG_FIELD_TYPES.items():
+        flag = "--" + name.replace("_", "-")
+        if field_type is bool:
+            group.add_argument(flag, dest=name, default=None,
                                action=argparse.BooleanOptionalAction)
         else:
-            group.add_argument(flag, dest=field.name, default=None,
-                               type=_FLAG_TYPES[annotation], metavar="X")
+            group.add_argument(flag, dest=name, default=None,
+                               type=field_type, metavar="X")
     group.add_argument("--config", default=None, metavar="FILE",
                        help="key = value file with the same parameter names")
 
 
 def _config_from(args: argparse.Namespace) -> SimConfig:
-    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(SimConfig)}
+    overrides = {name: getattr(args, name) for name in CONFIG_FIELD_TYPES}
     return make_config(config_file=args.config, **overrides)
 
 

@@ -59,18 +59,20 @@ def dsatur_color(graph: ConflictGraph, reuse_cap: int) -> PilotAssignment:
     """Color the graph's active users under the reuse cap."""
     if reuse_cap < 1:
         raise ValueError("reuse_cap must be >= 1")
-    vertices = graph.users.tolist()
     adjacency = graph.adjacency
-    static_degree = adjacency.sum(axis=1).tolist()
+    degree = adjacency.sum(axis=1)
+    # uncolored users by max degree, then lowest id; the first most-saturated
+    # user in this order is the max saturation / max degree / lowest id pick
+    order = graph.users[np.argsort(-degree[graph.users], kind="stable")].tolist()
 
     pilots = np.full(graph.num_users, -1, dtype=np.int64)
-    neighbor_colors: dict[int, set[int]] = {k: set() for k in vertices}
+    neighbor_colors: list[set[int]] = [set() for _ in range(graph.num_users)]
+    saturation = [0] * graph.num_users
     color_count: list[int] = []
-    uncolored = set(vertices)
 
-    while uncolored:
-        # max saturation, then max degree, then lowest id
-        k = min(uncolored, key=lambda v: (-len(neighbor_colors[v]), -static_degree[v], v))
+    while order:
+        k = max(order, key=saturation.__getitem__)
+        order.remove(k)
         forbidden = neighbor_colors[k]
         color = next(
             (c for c in range(len(color_count))
@@ -81,10 +83,10 @@ def dsatur_color(graph: ConflictGraph, reuse_cap: int) -> PilotAssignment:
             color_count.append(0)
         color_count[color] += 1
         pilots[k] = color
-        uncolored.discard(k)
         for nb in np.flatnonzero(adjacency[k]).tolist():
-            if nb in neighbor_colors:
+            if color not in neighbor_colors[nb]:
                 neighbor_colors[nb].add(color)
+                saturation[nb] += 1
 
     return PilotAssignment(pilots=pilots, num_pilots=len(color_count))
 

@@ -8,8 +8,8 @@ The base conflict graph is colored once.  Four outcomes:
   group, then lowest id), or, when a random generator is given, a uniformly
   random active user;
 * colors needed < budget: spare pilots are spent on extra separation, by
-  searching the smallest interference threshold whose augmented graph still
-  colors within the budget;
+  a binary search for a low interference threshold whose augmented graph
+  still colors within the budget;
 * colors needed < budget with spreading turned off: the base coloring is
   kept as is (``base``);
 * colors needed = budget: the base coloring is kept as is (``exact``).
@@ -84,7 +84,7 @@ def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
         return select_users_case1(instance, pilot_budget, reuse_cap, base,
                                   assignment, rng=rng)
     if base_colors < pilot_budget and spread:
-        return reallocate_case2(instance, pilot_budget, reuse_cap, base, base_colors)
+        return reallocate_case2(instance, pilot_budget, reuse_cap, base, assignment)
     return Stage1Result(
         assignment=assignment,
         case_taken=CASE_EXACT if base_colors == pilot_budget else CASE_BASE,
@@ -134,15 +134,15 @@ def select_users_case1(instance: NetworkInstance, pilot_budget: int, reuse_cap: 
 
 
 def reallocate_case2(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
-                     base: ConflictGraph, base_colors: int) -> Stage1Result:
+                     base: ConflictGraph, base_assignment: PilotAssignment) -> Stage1Result:
     """Spend spare pilots on separating the most mutually interfering pairs.
 
     Candidate thresholds are the distinct pairwise weights plus a sentinel
-    above the maximum (which reproduces the base graph, known to fit the
-    budget).  Binary search picks the smallest candidate whose augmented
-    graph still colors within budget; smaller thresholds add more
-    separation edges, so the colors needed do not decrease as the
-    threshold drops.
+    above the maximum, whose graph is the base graph.  Binary search returns
+    the threshold and coloring of its last probe that colors within budget
+    (the sentinel and base coloring when there is no pair to probe).  Greedy
+    DSatur's fit is not monotone in the threshold, so a smaller candidate
+    may fit too (open item 3 in ROADMAP.md).
     """
     weights = instance.weights
     off_diag = weights[~np.eye(instance.num_users, dtype=bool)]
@@ -150,26 +150,21 @@ def reallocate_case2(instance: NetworkInstance, pilot_budget: int, reuse_cap: in
     sentinel = candidates[-1] + 1.0 if candidates.size else 1.0
     candidates = np.append(candidates, sentinel)
 
-    def colors_fit(threshold: float) -> PilotAssignment | None:
-        graph = build_thresholded_graph(base, weights, threshold)
-        assignment = dsatur_color(graph, reuse_cap)
-        return assignment if assignment.num_pilots <= pilot_budget else None
-
+    assignment = base_assignment
     lo, hi = 0, len(candidates) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if colors_fit(candidates[mid]) is not None:
-            hi = mid
+        probe = dsatur_color(build_thresholded_graph(base, weights, candidates[mid]),
+                             reuse_cap)
+        if probe.num_pilots <= pilot_budget:
+            hi, assignment = mid, probe
         else:
             lo = mid + 1
-    threshold = float(candidates[hi])
-    assignment = colors_fit(threshold)
-    assert assignment is not None  # sentinel keeps the search bracketed
 
     return Stage1Result(
         assignment=assignment,
         case_taken=CASE_SPREAD,
         removal_trace=(),
-        threshold=threshold,
-        base_colors=base_colors,
+        threshold=float(candidates[hi]),
+        base_colors=base_assignment.num_pilots,
     )

@@ -176,12 +176,8 @@ def build_clusters(instance: NetworkInstance, cluster_size: int, by_gain: bool =
         key = -instance.alpha
     else:
         key = pairwise_distances(instance.rrh_positions, instance.user_positions)
-    rrh_ids = np.arange(num_rrhs)
-    clusters = np.empty((instance.num_users, cluster_size), dtype=np.int64)
-    for k in range(instance.num_users):
-        order = np.lexsort((rrh_ids, key[:, k]))
-        clusters[k] = order[:cluster_size]
-    return clusters
+    # a stable sort keeps tied RRHs in index order
+    return np.argsort(key.T, axis=1, kind="stable")[:, :cluster_size].astype(np.int64)
 
 
 def build_network(config: SimConfig, seed: int) -> NetworkInstance:
@@ -200,6 +196,11 @@ def build_network(config: SimConfig, seed: int) -> NetworkInstance:
 
 
 # --- plain-text config files -------------------------------------------------
+
+# SimConfig field name -> type, for config files and CLI flags (annotations
+# are strings under `from __future__ import annotations`)
+CONFIG_FIELD_TYPES = {f.name: {"float": float, "int": int, "bool": bool, "str": str}[f.type]
+                      for f in dataclasses.fields(SimConfig)}
 
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,
                  "yes": True, "no": False}
@@ -224,9 +225,6 @@ def load_config_file(path: str | Path) -> dict:
     Blank lines and ``#`` comments are ignored.  Unknown keys are an error so
     typos do not silently fall back to defaults.
     """
-    fields = {f.name: f.type for f in dataclasses.fields(SimConfig)}
-    # Field annotations are strings under `from __future__ import annotations`.
-    type_map = {"float": float, "int": int, "bool": bool, "str": str}
     values: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -236,10 +234,9 @@ def load_config_file(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip()
-        if key not in fields:
+        if key not in CONFIG_FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        annotation = fields[key] if isinstance(fields[key], str) else fields[key].__name__
-        values[key] = _coerce(key, text.strip(), type_map[annotation])
+        values[key] = _coerce(key, text.strip(), CONFIG_FIELD_TYPES[key])
     return values
 
 

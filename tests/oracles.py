@@ -4,8 +4,9 @@ Everything here is deliberately brute-force and shares no code with the
 package: exhaustive capped coloring by backtracking, Monte Carlo ergodic
 rates by direct channel redraws, power control by solving the linear
 fixed-point system, the pairwise pilot-interference weight one pair at a
-time, the cluster-overlap graph built on a user subset directly, and
-fronthaul pruning one RRH at a time on per-user serving sets.
+time, the cluster-overlap graph built on a user subset directly,
+fronthaul pruning one RRH at a time on per-user serving sets, and DSatur
+picking each next vertex by a full (saturation, degree, id) key.
 """
 
 from __future__ import annotations
@@ -66,6 +67,46 @@ def fronthaul_serving_sets(clusters: np.ndarray, admitted, alpha: np.ndarray,
         for k in users[cap:]:
             serving[k].discard(i)
     return {k: np.array(sorted(serving[k]), dtype=np.int64) for k in admitted}
+
+
+def dsatur_reference(graph, reuse_cap: int) -> tuple[np.ndarray, int]:
+    """Capped DSatur on a graph's active users: (pilots, num_pilots).
+
+    Each step colors the uncolored user with the most distinct neighbor
+    colors, then the highest static degree, then the lowest id, on the
+    lowest color no neighbor holds and fewer than ``reuse_cap`` users hold.
+    ``pilots`` is (K,), -1 for inactive users.
+    """
+    if reuse_cap < 1:
+        raise ValueError("reuse_cap must be >= 1")
+    vertices = graph.users.tolist()
+    adjacency = graph.adjacency
+    static_degree = adjacency.sum(axis=1).tolist()
+
+    pilots = np.full(graph.num_users, -1, dtype=np.int64)
+    neighbor_colors: dict[int, set[int]] = {k: set() for k in vertices}
+    color_count: list[int] = []
+    uncolored = set(vertices)
+
+    while uncolored:
+        # max saturation, then max degree, then lowest id
+        k = min(uncolored, key=lambda v: (-len(neighbor_colors[v]), -static_degree[v], v))
+        forbidden = neighbor_colors[k]
+        color = next(
+            (c for c in range(len(color_count))
+             if c not in forbidden and color_count[c] < reuse_cap),
+            len(color_count),
+        )
+        if color == len(color_count):
+            color_count.append(0)
+        color_count[color] += 1
+        pilots[k] = color
+        uncolored.discard(k)
+        for nb in np.flatnonzero(adjacency[k]).tolist():
+            if nb in neighbor_colors:
+                neighbor_colors[nb].add(color)
+
+    return pilots, len(color_count)
 
 
 def exact_capped_chromatic(adjacency: np.ndarray, cap: int) -> int:

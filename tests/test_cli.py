@@ -135,6 +135,18 @@ def test_underflowing_gains_fail_cleanly(capsys):
     assert "not finite" in captured.err
 
 
+@pytest.mark.parametrize("seed,stddev", [("0", "1000"), ("3", "300")])
+def test_extreme_shadowing_fails_cleanly(seed, stddev, capsys):
+    # 1000 dB gives non-finite MMSE error variances, 300 dB negative ones
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["trial", "--seed", seed, "--shadowing-stddev", stddev])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error variances are non-finite or negative" in captured.err
+
+
 def test_unwritable_out_fails(tmp_path, capsys):
     out = tmp_path / "nope" / "x.csv"
     code = main(["campaign", *SMALL, "--seeds", "1", "--out", str(out)])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ucran import PilotAssignment, build_base_graph, dsatur_color, validate_assignment
 from ucran.conflict_graph import ConflictGraph
 
-from oracles import exact_capped_chromatic, greedy_clique_bound
+from oracles import dsatur_reference, exact_capped_chromatic, greedy_clique_bound
 
 
 def graph_from_edges(num_users: int, edges, active=None) -> ConflictGraph:
@@ -87,6 +87,21 @@ def test_random_graphs_yield_valid_colorings(seed, cap):
     validate_assignment(g, assignment, reuse_cap=cap)
     assert assignment.num_pilots >= int(np.ceil(12 / cap))
     assert assignment.num_pilots >= greedy_clique_bound(g.adjacency)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_matches_reference_dsatur(data):
+    num_users = data.draw(st.integers(1, 14), label="num_users")
+    density = data.draw(st.sampled_from([0.1, 0.3, 0.5, 0.8]), label="density")
+    g = random_graph(data.draw(st.integers(0, 10 ** 6), label="seed"), num_users, density)
+    if data.draw(st.booleans(), label="restrict"):
+        g = g.restrict(data.draw(st.sets(st.integers(0, num_users - 1)), label="active"))
+    cap = data.draw(st.integers(1, num_users + 1), label="cap")
+    assignment = dsatur_color(g, reuse_cap=cap)
+    pilots, num_pilots = dsatur_reference(g, cap)
+    np.testing.assert_array_equal(assignment.pilots, pilots)
+    assert assignment.num_pilots == num_pilots
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(3, 7))

@@ -14,6 +14,7 @@ from ucran import (
     run_stage1,
     validate_assignment,
 )
+from ucran.conflict_graph import build_thresholded_graph
 from ucran.stage1 import CASE_BASE, CASE_EXACT, CASE_REMOVAL, CASE_SPREAD
 
 from conftest import craft_instance
@@ -186,3 +187,42 @@ def test_spread_threshold_among_pairwise_weights(two_triangle_instance):
                                   two_triangle_instance.clusters)
     off_diag = weights[~np.eye(6, dtype=bool)]
     assert result.threshold in off_diag
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_spread_returns_the_coloring_of_its_threshold(seed, reuse_cap, spare):
+    cfg = SimConfig(num_rrhs=12, num_users=10, cluster_size=3, area_side=400.0)
+    instance = build_network(cfg, seed=seed)
+    base = build_base_graph(instance.clusters)
+    budget = dsatur_color(base, reuse_cap).num_pilots + spare
+    result = run_stage1(instance, budget, reuse_cap)
+    assert result.case_taken == CASE_SPREAD
+    fresh = dsatur_color(build_thresholded_graph(base, instance.weights, result.threshold),
+                         reuse_cap)
+    np.testing.assert_array_equal(result.assignment.pilots, fresh.pilots)
+    assert result.colors_used == fresh.num_pilots <= budget
+
+
+def test_spread_falls_back_to_the_base_coloring():
+    # users 0-2 weigh 2 ln 2 pairwise and user 3 almost nothing to them;
+    # cluster-disjoint, they all share one pilot under cap 4.  The probe
+    # below 2 ln 2 adds the 0-1-2 triangle (3 pilots > 2) and fails; the
+    # probe at 2 ln 2 adds no edge, so the base coloring is returned.
+    alpha = np.full((4, 4), 1e-6)
+    alpha[:3, :3] = 1.0
+    np.fill_diagonal(alpha, 1.0)
+    instance = craft_instance(alpha, np.arange(4)[:, None])
+    result = run_stage1(instance, pilot_budget=2, reuse_cap=4)
+    assert result.case_taken == CASE_SPREAD
+    assert result.threshold == pytest.approx(2 * math.log(2))
+    assert result.assignment.pilots.tolist() == [0, 0, 0, 0]
+    assert result.colors_used == result.base_colors == 1
+
+    # a lone user has no pair weight: the sentinel is the only candidate,
+    # no probe runs, and the base coloring comes back at the sentinel 1.0
+    lone = run_stage1(craft_instance(np.ones((1, 1)), np.array([[0]])),
+                      pilot_budget=2, reuse_cap=4)
+    assert lone.case_taken == CASE_SPREAD
+    assert lone.threshold == 1.0
+    assert lone.assignment.pilots.tolist() == [0]
