@@ -22,14 +22,14 @@ orthogonal = PilotAssignment(pilots=[0, 1], num_pilots=2)
 print("pilot power | residual error, shared pilot | orthogonal pilots")
 for power in (0.5, 2.0, 8.0, 32.0, 128.0, 512.0):
     rng = np.random.default_rng(0)
-    h = draw_channels(alpha, antennas=1, rng_or_seed=rng)
+    h = draw_channels(alpha, antennas=1, rng=rng)
     y = simulate_pilot_rx(h, shared, power, noise, rng)
-    _, err_shared, _ = mmse_estimate(y, alpha, shared, clusters, power, noise)
+    _, err_shared = mmse_estimate(y, alpha, shared, clusters, power, noise)
 
     rng = np.random.default_rng(0)
-    h = draw_channels(alpha, antennas=1, rng_or_seed=rng)
+    h = draw_channels(alpha, antennas=1, rng=rng)
     y = simulate_pilot_rx(h, orthogonal, power, noise, rng)
-    _, err_clean, _ = mmse_estimate(y, alpha, orthogonal, clusters, power, noise)
+    _, err_clean = mmse_estimate(y, alpha, orthogonal, clusters, power, noise)
 
     print(f"{power:11.1f} | {err_shared[0, 0]:28.4f} | {err_clean[0, 0]:.6f}")
 
@@ -38,9 +38,9 @@ print(f"\ncontamination floor for equal gains: alpha/2 = {gain / 2}")
 # the analytic error is also what the realizations show
 power = 8.0
 rng = np.random.default_rng(1)
-h = draw_channels(alpha, antennas=1, rng_or_seed=rng)
+h = draw_channels(alpha, antennas=1, rng=rng)
 y = simulate_pilot_rx(h, shared, power, noise, rng)
-estimates, err, _ = mmse_estimate(y, alpha, shared, clusters, power, noise)
+estimates, err = mmse_estimate(y, alpha, shared, clusters, power, noise)
 empirical = float((np.abs(h - estimates)[:, 0] ** 2).mean())
 print(f"empirical MSE over {draws} draws: {empirical:.4f} "
       f"vs analytic {err[0, 0]:.4f}")

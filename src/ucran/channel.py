@@ -1,12 +1,14 @@
-"""Small-scale fading, uplink pilot reception, and per-link MMSE estimation.
+"""Small-scale fading, uplink pilot reception, and per-link channel knowledge.
 
 Array conventions: true channels and estimates are (num_rrhs, num_users,
 antennas) complex; error variances are (num_rrhs, num_users) per antenna.
-Estimates exist only on intra-cluster links of users holding a pilot; the
-``error_var`` entry is the MMSE residual variance there and falls back to
-the full link gain alpha everywhere else, so downstream consumers can
-treat every link uniformly (known part + zero-mean residual of that
-variance per antenna).
+A :class:`ChannelState` holds those three arrays and nothing else.  Only
+the intra-cluster links of pilot holders
+(:func:`~ucran.conflict_graph.cluster_link_mask`) are estimated: by
+linear MMSE from the pilot phase, or exactly under perfect CSI.  Every
+other link carries a zero estimate and its full gain alpha as its error
+variance, so downstream consumers can treat every link uniformly (known
+part + zero-mean residual of that variance per antenna).
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import PilotAssignment
+from .conflict_graph import cluster_link_mask
 from .topology import NetworkInstance, SimConfig, STREAM_FADING, stream_rng
-
-MODE_IMPERFECT = "imperfect"
-MODE_PERFECT = "perfect"
 
 
 @dataclass(frozen=True)
@@ -28,16 +28,6 @@ class ChannelState:
     true_channels: np.ndarray   # (I, K, M) complex
     estimates: np.ndarray       # (I, K, M) complex, zero off estimated links
     error_var: np.ndarray       # (I, K) per-antenna residual variance
-    estimated_mask: np.ndarray  # (I, K) bool, True where an estimate exists
-    mode: str
-
-    @property
-    def num_rrhs(self) -> int:
-        return self.true_channels.shape[0]
-
-    @property
-    def num_users(self) -> int:
-        return self.true_channels.shape[1]
 
     @property
     def antennas(self) -> int:
@@ -52,15 +42,8 @@ class ChannelState:
         return hhat, np.repeat(self.error_var, antennas, axis=0)
 
 
-def _as_rng(rng_or_seed) -> np.random.Generator:
-    if isinstance(rng_or_seed, np.random.Generator):
-        return rng_or_seed
-    return stream_rng(int(rng_or_seed), STREAM_FADING)
-
-
-def draw_channels(alpha: np.ndarray, antennas: int, rng_or_seed) -> np.ndarray:
+def draw_channels(alpha: np.ndarray, antennas: int, rng: np.random.Generator) -> np.ndarray:
     """I.i.d. Rayleigh links: h[i, k] ~ CN(0, alpha[i, k] * Identity)."""
-    rng = _as_rng(rng_or_seed)
     shape = alpha.shape + (antennas,)
     h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return np.sqrt(alpha / 2.0)[:, :, None] * h
@@ -81,51 +64,49 @@ def simulate_pilot_rx(true_channels: np.ndarray, assignment: PilotAssignment,
     return y + np.sqrt(noise_power / 2.0) * noise
 
 
-def _cluster_link_mask(clusters: np.ndarray, users, shape: tuple[int, int]) -> np.ndarray:
-    """(I, K) bool, True on the intra-cluster links of ``users``."""
-    mask = np.zeros(shape, dtype=bool)
-    users = np.asarray(users, dtype=np.int64)
-    mask[clusters[users], users[:, None]] = True
-    return mask
-
-
 def mmse_estimate(y: np.ndarray, alpha: np.ndarray, assignment: PilotAssignment,
                   clusters: np.ndarray, pilot_power: float, noise_power: float):
     """Per-link linear MMSE estimates on intra-cluster links.
 
     The scaling uses the total received pilot energy on the link's pilot,
     summed over every user sharing it network-wide; co-pilot users leave a
-    residual error even at high pilot power.
+    residual error even at high pilot power.  The error variance is
+    ``alpha * (noise + p * others) / received``, with ``others`` the gain
+    summed over the link's co-pilot users alone, so it stays exact when
+    one user dominates its pilot.
 
-    Returns (estimates, error_var, estimated_mask) in the ChannelState
-    layout; links without an estimate carry a zero vector and alpha as
-    their variance.
+    Returns (estimates, error_var) in the ChannelState layout; links
+    without an estimate carry a zero vector and alpha as their variance.
     """
     pilots = assignment.pilots
+    membership = assignment.membership
     # received[i, t] = p * sum of alpha over users on pilot t, plus noise
-    received = pilot_power * (alpha @ assignment.membership) + noise_power
-    mask = _cluster_link_mask(clusters, assignment.users, alpha.shape)
+    received = pilot_power * (alpha @ membership) + noise_power
+    # others[i, k] = sum of alpha[i, j] over the users j != k on k's pilot
+    copilot = membership @ membership.T
+    np.fill_diagonal(copilot, 0.0)
+    others = alpha @ copilot
 
     estimates = np.zeros(alpha.shape + (y.shape[2],), dtype=complex)
     error_var = alpha.copy()
-    rows, cols = np.nonzero(mask)
+    rows, cols = np.nonzero(cluster_link_mask(clusters, assignment.users, alpha.shape[0]))
     denom = received[rows, pilots[cols]]
-    coef = np.sqrt(pilot_power) * alpha[rows, cols] / denom
+    gain = alpha[rows, cols]
+    coef = np.sqrt(pilot_power) * gain / denom
     estimates[rows, cols] = coef[:, None] * y[rows, pilots[cols]]
-    error_var[rows, cols] = alpha[rows, cols] - pilot_power * alpha[rows, cols] ** 2 / denom
-    return estimates, error_var, mask
+    error_var[rows, cols] = gain * (noise_power + pilot_power * others[rows, cols]) / denom
+    return estimates, error_var
 
 
 def perfect_csi(true_channels: np.ndarray, clusters: np.ndarray,
                 admitted: np.ndarray, alpha: np.ndarray) -> ChannelState:
     """Intra-cluster links of admitted users known exactly; the rest keep
     only their large-scale statistics."""
-    mask = _cluster_link_mask(clusters, admitted, alpha.shape)
+    mask = cluster_link_mask(clusters, admitted, alpha.shape[0])
     estimates = np.where(mask[:, :, None], true_channels, 0.0)
     error_var = np.where(mask, 0.0, alpha)
     return ChannelState(true_channels=true_channels, estimates=estimates,
-                        error_var=error_var, estimated_mask=mask,
-                        mode=MODE_PERFECT)
+                        error_var=error_var)
 
 
 def build_channel_state(instance: NetworkInstance, assignment: PilotAssignment,
@@ -135,22 +116,19 @@ def build_channel_state(instance: NetworkInstance, assignment: PilotAssignment,
 
     The fading stream draws the true channels first, so perfect and
     imperfect modes see identical physics for the same seed.  ValueError
-    when an MMSE error variance is non-finite or negative (extreme gains).
+    when an MMSE error variance is not finite (extreme gains).
     """
-    if instance.alpha is None or instance.clusters is None:
-        raise ValueError("instance must carry large-scale gains and clusters")
     rng = stream_rng(seed, STREAM_FADING)
     h = draw_channels(instance.alpha, config.antennas_per_rrh, rng)
     if perfect:
         return perfect_csi(h, instance.clusters, assignment.users, instance.alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         y = simulate_pilot_rx(h, assignment, config.pilot_power, config.noise_power, rng)
-        estimates, error_var, mask = mmse_estimate(
+        estimates, error_var = mmse_estimate(
             y, instance.alpha, assignment, instance.clusters,
             config.pilot_power, config.noise_power)
-    bad = int((~np.isfinite(error_var) | (error_var < 0)).sum())
+    bad = int((~np.isfinite(error_var)).sum())
     if bad:
-        raise ValueError(f"channel estimation failed: {bad} error variances are non-"
-                         "finite or negative; the link gains span too wide a range")
-    return ChannelState(true_channels=h, estimates=estimates, error_var=error_var,
-                        estimated_mask=mask, mode=MODE_IMPERFECT)
+        raise ValueError(f"channel estimation failed: {bad} error variances are not "
+                         "finite; the link gains span too wide a range")
+    return ChannelState(true_channels=h, estimates=estimates, error_var=error_var)

@@ -41,15 +41,23 @@ class ConflictGraph:
                              users=np.flatnonzero(keep))
 
 
+def cluster_link_mask(clusters: np.ndarray, users, num_rrhs: int) -> np.ndarray:
+    """(I, K) bool, True where RRH i is in the cluster of user k, for k in
+    ``users``; the columns of other users are all False."""
+    mask = np.zeros((num_rrhs, clusters.shape[0]), dtype=bool)
+    users = np.asarray(users, dtype=np.int64)
+    mask[clusters[users], users[:, None]] = True
+    return mask
+
+
 def build_base_graph(clusters: np.ndarray) -> ConflictGraph:
     """Adjacency from cluster overlap: edge iff the two clusters intersect.
 
     Every user is active; :meth:`ConflictGraph.restrict` cuts it down."""
     num_users = clusters.shape[0]
     num_rrhs = int(clusters.max()) + 1 if clusters.size else 0
-    incidence = np.zeros((num_users, num_rrhs), dtype=bool)
-    incidence[np.arange(num_users)[:, None], clusters] = True
-    adjacency = (incidence @ incidence.T) > 0
+    incidence = cluster_link_mask(clusters, np.arange(num_users), num_rrhs)
+    adjacency = (incidence.T @ incidence) > 0
     np.fill_diagonal(adjacency, False)
     return ConflictGraph(adjacency=adjacency, users=np.arange(num_users))
 

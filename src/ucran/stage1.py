@@ -73,8 +73,6 @@ def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
     ``spread=False`` keeps an under-budget base coloring instead of
     spreading it; ``rng`` makes removal pick uniformly random victims.
     """
-    if instance.alpha is None or instance.clusters is None:
-        raise ValueError("instance must carry large-scale gains and clusters")
     if pilot_budget < 1:
         raise ValueError("pilot_budget must be >= 1")
     base = build_base_graph(instance.clusters)

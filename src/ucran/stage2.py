@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelState
 from .conflict_graph import interference_matrix  # noqa: F401  (perfbench/spans.py wraps this name)
-from .conflict_graph import interference_score
+from .conflict_graph import cluster_link_mask, interference_score
 from .stage1 import Stage1Result
 from .topology import NetworkInstance, SimConfig
 
@@ -36,8 +36,7 @@ def enforce_fronthaul_cap(clusters: np.ndarray, admitted, alpha: np.ndarray,
     if cap < 1:
         raise ValueError("fronthaul cap must be >= 1")
     admitted = np.unique(np.asarray(admitted, dtype=np.int64))
-    serving = np.zeros(alpha.shape, dtype=bool)
-    serving[clusters[admitted], admitted[:, None]] = True
+    serving = cluster_link_mask(clusters, admitted, alpha.shape[0])
     # a stable sort over ascending ids breaks gain ties toward the lower id;
     # links outside the clusters sort last and are masked out again below
     key = np.where(serving[:, admitted], -alpha[:, admitted], np.inf)
@@ -71,7 +70,12 @@ def robust_beam_direction(channel_state: ChannelState, serving: np.ndarray,
         local = hhat_served[rows]
         cov = local @ local.conj().T
         cov[np.diag_indices_from(cov)] += load[rows] + noise_power
-        w = np.linalg.solve(cov, hhat[rows, k])
+        try:
+            w = np.linalg.solve(cov, hhat[rows, k])
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"beam solve failed for user {k}: its serving-antenna "
+                             f"covariance is singular ({exc}); the link gains span "
+                             "too wide a range") from exc
         norm = np.linalg.norm(w)
         if norm == 0.0:
             w = np.ones(rows.size, dtype=complex)

@@ -100,17 +100,17 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class NetworkInstance:
-    """One realization of the network.  Treated as immutable once built.
+    """One realization of the network, built complete by :func:`build_network`
+    and immutable after.
 
     ``alpha[i, k]`` is the linear large-scale power gain from RRH i to user k,
-    ``clusters[k]`` the candidate serving set (nearest RRHs first).  Both are
-    None straight after placement and get filled in by :func:`build_network`.
+    ``clusters[k]`` the candidate serving set (best RRHs first).
     """
 
-    rrh_positions: np.ndarray            # (I, 2) m
-    user_positions: np.ndarray           # (K, 2) m
-    alpha: np.ndarray | None = None      # (I, K) linear gain
-    clusters: np.ndarray | None = None   # (K, L) RRH indices
+    rrh_positions: np.ndarray    # (I, 2) m
+    user_positions: np.ndarray   # (K, 2) m
+    alpha: np.ndarray            # (I, K) linear gain
+    clusters: np.ndarray         # (K, L) RRH indices
 
     @property
     def num_rrhs(self) -> int:
@@ -127,55 +127,33 @@ class NetworkInstance:
         return interference_matrix(self.alpha, self.clusters)
 
 
-def generate_topology(config: SimConfig, seed: int) -> NetworkInstance:
-    """Drop RRHs and users i.i.d. uniformly over the square service area."""
-    rng = stream_rng(seed, STREAM_PLACEMENT)
-    rrh = rng.uniform(0.0, config.area_side, size=(config.num_rrhs, 2))
-    users = rng.uniform(0.0, config.area_side, size=(config.num_users, 2))
-    return NetworkInstance(rrh_positions=rrh, user_positions=users)
-
-
 def pairwise_distances(rrh_positions: np.ndarray, user_positions: np.ndarray) -> np.ndarray:
     """Euclidean RRH-to-user distance matrix, shape (I, K)."""
     diff = rrh_positions[:, None, :] - user_positions[None, :, :]
     return np.sqrt((diff ** 2).sum(axis=2))
 
 
-def compute_large_scale(
-    rrh_positions: np.ndarray,
-    user_positions: np.ndarray,
-    config: SimConfig,
-    seed: int,
-) -> np.ndarray:
-    """Linear power gains: path loss over clamped distance plus shadowing.
+def compute_large_scale(distances: np.ndarray, config: SimConfig, seed: int) -> np.ndarray:
+    """Linear power gains (I, K): path loss over clamped distance plus shadowing.
 
     PL(d) = intercept + exponent * log10(d / 1000) in dB, d clamped below
     ``min_distance``; shadowing is i.i.d. log-normal with the configured dB
     standard deviation.
     """
-    dist = pairwise_distances(rrh_positions, user_positions)
-    dist = np.maximum(dist, config.min_distance)
+    dist = np.maximum(distances, config.min_distance)
     pl_db = config.pathloss_intercept + config.pathloss_exponent * np.log10(dist / 1000.0)
     rng = stream_rng(seed, STREAM_SHADOWING)
     shadow_db = config.shadowing_stddev * rng.standard_normal(dist.shape)
     return 10.0 ** ((-pl_db + shadow_db) / 10.0)
 
 
-def build_clusters(instance: NetworkInstance, cluster_size: int, by_gain: bool = False) -> np.ndarray:
-    """Candidate serving sets: the nearest ``cluster_size`` RRHs per user.
-
-    Ordered nearest first; distance ties break toward the lower RRH index.
-    With ``by_gain`` the ranking uses large-scale gain (descending) instead.
+def build_clusters(key: np.ndarray, cluster_size: int) -> np.ndarray:
+    """Candidate serving sets (K, L): per user k, the ``cluster_size`` RRHs i
+    with the smallest ``key[i, k]`` (a distance, or a negated gain), best
+    first; ties break toward the lower RRH index.
     """
-    num_rrhs = instance.num_rrhs
-    if cluster_size > num_rrhs:
+    if cluster_size > key.shape[0]:
         raise ValueError("cluster_size cannot exceed the number of RRHs")
-    if by_gain:
-        if instance.alpha is None:
-            raise ValueError("gain-based clustering requires alpha")
-        key = -instance.alpha
-    else:
-        key = pairwise_distances(instance.rrh_positions, instance.user_positions)
     # a stable sort keeps tied RRHs in index order
     return np.argsort(key.T, axis=1, kind="stable")[:, :cluster_size].astype(np.int64)
 
@@ -183,16 +161,22 @@ def build_clusters(instance: NetworkInstance, cluster_size: int, by_gain: bool =
 def build_network(config: SimConfig, seed: int) -> NetworkInstance:
     """Placement, large-scale gains and clusters for one trial seed.
 
+    RRHs and users drop i.i.d. uniformly over the square service area.
+    Clusters rank RRHs by distance, or by gain with ``cluster_by_gain``.
     Raises ValueError when the gains give non-finite pilot-interference
     weights (say, every gain underflows), before any stage can use them.
     """
-    inst = generate_topology(config, seed)
-    alpha = compute_large_scale(inst.rrh_positions, inst.user_positions, config, seed)
-    inst = dataclasses.replace(inst, alpha=alpha)
-    clusters = build_clusters(inst, config.cluster_size, by_gain=config.cluster_by_gain)
-    inst = dataclasses.replace(inst, clusters=clusters)
-    inst.weights  # computed here so a non-finite weight fails before any stage
-    return inst
+    rng = stream_rng(seed, STREAM_PLACEMENT)
+    rrh = rng.uniform(0.0, config.area_side, size=(config.num_rrhs, 2))
+    users = rng.uniform(0.0, config.area_side, size=(config.num_users, 2))
+    distances = pairwise_distances(rrh, users)
+    alpha = compute_large_scale(distances, config, seed)
+    clusters = build_clusters(-alpha if config.cluster_by_gain else distances,
+                              config.cluster_size)
+    instance = NetworkInstance(rrh_positions=rrh, user_positions=users,
+                               alpha=alpha, clusters=clusters)
+    instance.weights  # computed here so a non-finite weight fails before any stage
+    return instance
 
 
 # --- plain-text config files -------------------------------------------------

@@ -166,10 +166,9 @@ def test_criterion_7_mmse_analytics_match_simulation(capsys):
     clusters = np.array([np.arange(draws), np.arange(draws)])
     assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
     rng = np.random.default_rng(777)
-    h = draw_channels(alpha, antennas=2, rng_or_seed=rng)
+    h = draw_channels(alpha, antennas=2, rng=rng)
     y = simulate_pilot_rx(h, assignment, power, noise, rng)
-    estimates, error_var, _ = mmse_estimate(y, alpha, assignment, clusters,
-                                            power, noise)
+    estimates, error_var = mmse_estimate(y, alpha, assignment, clusters, power, noise)
     err = h - estimates
     rel = max(abs(float((np.abs(err[:, k]) ** 2).mean()) - error_var[0, k])
               / error_var[0, k] for k in (0, 1))

@@ -11,7 +11,8 @@ from ucran import (
     run_stage1,
     simulate_pilot_rx,
 )
-from ucran.channel import MODE_IMPERFECT, MODE_PERFECT, perfect_csi
+from ucran.channel import perfect_csi
+from ucran.conflict_graph import cluster_link_mask
 
 
 def _pair_system(num_draws: int, a0: float, a1: float):
@@ -26,22 +27,22 @@ def _pair_system(num_draws: int, a0: float, a1: float):
 def test_draw_channels_statistics():
     rng = np.random.default_rng(0)
     alpha = np.full((1, 100_000), 2.3)
-    h = draw_channels(alpha, antennas=2, rng_or_seed=rng)
+    h = draw_channels(alpha, antennas=2, rng=rng)
     energy = (np.abs(h) ** 2).sum(axis=2)
     assert energy.mean() == pytest.approx(2 * 2.3, rel=0.01)
 
 
 def test_draw_channels_zero_gain_and_determinism():
     alpha = np.array([[0.0, 1.0]])
-    a = draw_channels(alpha, antennas=3, rng_or_seed=5)
-    b = draw_channels(alpha, antennas=3, rng_or_seed=5)
+    a = draw_channels(alpha, antennas=3, rng=np.random.default_rng(5))
+    b = draw_channels(alpha, antennas=3, rng=np.random.default_rng(5))
     assert (a[0, 0] == 0).all()
     np.testing.assert_array_equal(a, b)
 
 
 def test_draw_channels_independent_across_links():
     rng = np.random.default_rng(1)
-    h = draw_channels(np.ones((2, 50_000)), antennas=1, rng_or_seed=rng)
+    h = draw_channels(np.ones((2, 50_000)), antennas=1, rng=rng)
     x = h[0, :, 0].real
     y = h[1, :, 0].real
     corr = np.corrcoef(x, y)[0, 1]
@@ -49,7 +50,7 @@ def test_draw_channels_independent_across_links():
 
 
 def test_pilot_rx_noise_free_single_user():
-    h = draw_channels(np.ones((3, 1)), antennas=2, rng_or_seed=2)
+    h = draw_channels(np.ones((3, 1)), antennas=2, rng=np.random.default_rng(2))
     assignment = PilotAssignment(pilots=[0], num_pilots=1)
     rng = np.random.default_rng(0)
     y = simulate_pilot_rx(h, assignment, pilot_power=4.0, noise_power=0.0, rng=rng)
@@ -57,7 +58,7 @@ def test_pilot_rx_noise_free_single_user():
 
 
 def test_pilot_rx_superposition():
-    h = draw_channels(np.ones((2, 3)), antennas=2, rng_or_seed=3)
+    h = draw_channels(np.ones((2, 3)), antennas=2, rng=np.random.default_rng(3))
     assignment = PilotAssignment(pilots=[0, 0, 1], num_pilots=2)
     rng = np.random.default_rng(0)
     y = simulate_pilot_rx(h, assignment, pilot_power=9.0, noise_power=0.0, rng=rng)
@@ -79,12 +80,26 @@ def test_mmse_sole_user_error_formula():
     alpha = np.array([[a]])
     clusters = np.array([[0]])
     assignment = PilotAssignment(pilots=[0], num_pilots=1)
-    h = draw_channels(alpha, antennas=2, rng_or_seed=1)
+    h = draw_channels(alpha, antennas=2, rng=np.random.default_rng(1))
     rng = np.random.default_rng(1)
     y = simulate_pilot_rx(h, assignment, p, noise, rng)
-    _, error_var, mask = mmse_estimate(y, alpha, assignment, clusters, p, noise)
-    assert mask[0, 0]
+    _, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
     assert error_var[0, 0] == pytest.approx(a * noise / (p * a + noise))
+
+
+def test_mmse_error_stays_exact_when_one_user_dominates():
+    # the dominant user's error is about noise/p, far below what
+    # alpha - p*alpha**2/received can resolve at alpha = 1e30
+    p, noise = 200.0, 4e-11
+    alpha = np.array([[1e30, 1.0]])
+    clusters = np.array([[0], [0]])
+    assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
+    h = draw_channels(alpha, antennas=1, rng=np.random.default_rng(0))
+    y = simulate_pilot_rx(h, assignment, p, noise, np.random.default_rng(0))
+    _, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
+    received = p * (1e30 + 1.0) + noise
+    assert error_var[0, 0] == pytest.approx(1e30 * (noise + p * 1.0) / received, rel=1e-12)
+    assert error_var[0, 1] == pytest.approx((noise + p * 1e30) / received, rel=1e-12)
 
 
 def test_mmse_contamination_floor():
@@ -94,13 +109,13 @@ def test_mmse_contamination_floor():
     alpha = np.array([[a, a]])
     clusters = np.array([[0], [0]])
     assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
-    h = draw_channels(alpha, antennas=1, rng_or_seed=0)
+    h = draw_channels(alpha, antennas=1, rng=np.random.default_rng(0))
     noise = 0.1
     errors = []
     for p in (2.0, 200.0):
         rng = np.random.default_rng(0)
         y = simulate_pilot_rx(h, assignment, p, noise, rng)
-        _, error_var, _ = mmse_estimate(y, alpha, assignment, clusters, p, noise)
+        _, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
         errors.append(error_var[0, 0])
     assert errors[1] == pytest.approx(a / 2, rel=0.05)
     assert errors[1] < errors[0]
@@ -111,12 +126,12 @@ def test_mmse_error_decreases_with_power_when_alone():
     alpha = np.array([[a]])
     clusters = np.array([[0]])
     assignment = PilotAssignment(pilots=[0], num_pilots=1)
-    h = draw_channels(alpha, antennas=1, rng_or_seed=0)
+    h = draw_channels(alpha, antennas=1, rng=np.random.default_rng(0))
     noise = 0.3
     prev = None
     for p in (0.5, 1.0, 2.0, 8.0):
         y = simulate_pilot_rx(h, assignment, p, noise, np.random.default_rng(0))
-        _, error_var, _ = mmse_estimate(y, alpha, assignment, clusters, p, noise)
+        _, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
         if prev is not None:
             assert error_var[0, 0] < prev
         prev = error_var[0, 0]
@@ -127,10 +142,10 @@ def test_mmse_empirical_error_matches_analytic():
     a0, a1, p, noise = 1.0, 0.6, 5.0, 0.4
     alpha, clusters, assignment = _pair_system(num_draws, a0, a1)
     rng = np.random.default_rng(7)
-    h = draw_channels(alpha, antennas=2, rng_or_seed=rng)
+    h = draw_channels(alpha, antennas=2, rng=rng)
     y = simulate_pilot_rx(h, assignment, p, noise, rng)
-    estimates, error_var, mask = mmse_estimate(y, alpha, assignment, clusters, p, noise)
-    assert mask.all()
+    estimates, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
+    assert (error_var < alpha).all()
     err = h - estimates
     for k in (0, 1):
         empirical = (np.abs(err[:, k]) ** 2).mean()   # per antenna
@@ -141,9 +156,9 @@ def test_mmse_orthogonality_of_estimate_and_error():
     num_draws = 100_000
     alpha, clusters, assignment = _pair_system(num_draws, 1.0, 0.5)
     rng = np.random.default_rng(11)
-    h = draw_channels(alpha, antennas=1, rng_or_seed=rng)
+    h = draw_channels(alpha, antennas=1, rng=rng)
     y = simulate_pilot_rx(h, assignment, 4.0, 0.3, rng)
-    estimates, _, _ = mmse_estimate(y, alpha, assignment, clusters, 4.0, 0.3)
+    estimates, _ = mmse_estimate(y, alpha, assignment, clusters, 4.0, 0.3)
     err = h - estimates
     est = estimates[:, 0, 0]
     res = err[:, 0, 0]
@@ -158,9 +173,9 @@ def test_mmse_copilot_estimates_are_collinear():
     clusters = np.array([[0], [0]])
     assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
     rng = np.random.default_rng(3)
-    h = draw_channels(alpha, antennas=4, rng_or_seed=rng)
+    h = draw_channels(alpha, antennas=4, rng=rng)
     y = simulate_pilot_rx(h, assignment, 2.0, 0.2, rng)
-    estimates, _, _ = mmse_estimate(y, alpha, assignment, clusters, 2.0, 0.2)
+    estimates, _ = mmse_estimate(y, alpha, assignment, clusters, 2.0, 0.2)
     e0, e1 = estimates[0, 0], estimates[0, 1]
     cross = e0 * np.linalg.norm(e1) - e1 * np.linalg.norm(e0) * np.exp(
         1j * np.angle(np.vdot(e1, e0)))
@@ -173,12 +188,11 @@ def test_estimates_exist_only_inside_clusters():
     instance = build_network(cfg, seed=5)
     s1 = run_stage1(instance, cfg.pilot_count, cfg.reuse_cap)
     state = build_channel_state(instance, s1.assignment, cfg, seed=5)
-    assert state.mode == MODE_IMPERFECT
     for k in range(6):
         inside = np.zeros(9, dtype=bool)
         if s1.assignment.pilots[k] >= 0:
             inside[instance.clusters[k]] = True
-        np.testing.assert_array_equal(state.estimated_mask[:, k], inside)
+        assert (state.estimates[inside, k] != 0).all()
         assert (state.estimates[~inside, k] == 0).all()
         np.testing.assert_array_equal(state.error_var[~inside, k],
                                       instance.alpha[~inside, k])
@@ -201,8 +215,7 @@ def test_perfect_mode_copies_channels():
     instance = build_network(cfg, seed=1)
     s1 = run_stage1(instance, cfg.pilot_count, cfg.reuse_cap)
     state = build_channel_state(instance, s1.assignment, cfg, seed=1, perfect=True)
-    assert state.mode == MODE_PERFECT
-    mask = state.estimated_mask
+    mask = cluster_link_mask(instance.clusters, s1.admitted, cfg.num_rrhs)
     np.testing.assert_array_equal(state.estimates[mask], state.true_channels[mask])
     assert (state.error_var[mask] == 0).all()
     np.testing.assert_array_equal(state.error_var[~mask], instance.alpha[~mask])
@@ -218,8 +231,9 @@ def test_perfect_and_imperfect_share_fading():
 
 
 def test_perfect_csi_direct():
-    h = draw_channels(np.ones((3, 2)), antennas=2, rng_or_seed=0)
+    h = draw_channels(np.ones((3, 2)), antennas=2, rng=np.random.default_rng(0))
     clusters = np.array([[0, 1], [1, 2]])
     state = perfect_csi(h, clusters, admitted=np.array([0]), alpha=np.ones((3, 2)))
-    assert state.estimated_mask[:, 0].sum() == 2
-    assert not state.estimated_mask[:, 1].any()
+    np.testing.assert_array_equal(state.error_var, [[0.0, 1.0], [0.0, 1.0], [1.0, 1.0]])
+    np.testing.assert_array_equal(state.estimates[:2, 0], h[:2, 0])
+    assert not state.estimates[2, 0].any() and not state.estimates[:, 1].any()

@@ -140,15 +140,11 @@ def test_budget_at_least_users_admits_everyone():
     assert result.num_admitted == 8
 
 
-def test_rejects_bad_budget_and_unbuilt_instance():
+def test_rejects_bad_budget():
     cfg = SimConfig(num_rrhs=4, num_users=2, cluster_size=1)
     instance = build_network(cfg, seed=0)
     with pytest.raises(ValueError):
         run_stage1(instance, pilot_budget=0, reuse_cap=4)
-    from ucran.topology import generate_topology
-    bare = generate_topology(cfg, seed=0)
-    with pytest.raises(ValueError, match="clusters"):
-        run_stage1(bare, pilot_budget=2, reuse_cap=4)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 4))

@@ -14,17 +14,15 @@ from ucran.stage2 import (
     robust_beam_direction,
     rrh_power_share,
 )
-from ucran.channel import MODE_IMPERFECT, ChannelState
+from ucran.channel import ChannelState
 
 from conftest import craft_instance
 from oracles import fronthaul_serving_sets, solve_power_linear
 
 
 def _state(estimates: np.ndarray, error_var: np.ndarray) -> ChannelState:
-    mask = np.ones(error_var.shape, dtype=bool)
     return ChannelState(true_channels=estimates.copy(), estimates=estimates,
-                        error_var=error_var, estimated_mask=mask,
-                        mode=MODE_IMPERFECT)
+                        error_var=error_var)
 
 
 def _complex(rng: np.random.Generator, shape) -> np.ndarray:

@@ -4,14 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from ucran import SimConfig, build_network, make_config
+from ucran import SimConfig, build_network, make_config, pairwise_distances
 from ucran.topology import (
     STREAM_PLACEMENT,
     STREAM_SHADOWING,
-    NetworkInstance,
     build_clusters,
     compute_large_scale,
-    generate_topology,
     load_config_file,
     stream_rng,
 )
@@ -81,9 +79,9 @@ def test_cluster_size_cannot_exceed_rrh_count():
 
 def test_placement_inside_area_and_deterministic():
     cfg = SimConfig(num_rrhs=10, num_users=7, cluster_size=2, area_side=300.0)
-    a = generate_topology(cfg, seed=11)
-    b = generate_topology(cfg, seed=11)
-    c = generate_topology(cfg, seed=12)
+    a = build_network(cfg, seed=11)
+    b = build_network(cfg, seed=11)
+    c = build_network(cfg, seed=12)
     assert a.rrh_positions.shape == (10, 2)
     assert a.user_positions.shape == (7, 2)
     assert (a.rrh_positions >= 0).all() and (a.rrh_positions <= 300).all()
@@ -98,7 +96,7 @@ def test_pathloss_reference_value_at_1km():
                     area_side=2000.0)
     rrh = np.array([[0.0, 0.0]])
     user = np.array([[1000.0, 0.0]])
-    alpha = compute_large_scale(rrh, user, cfg, seed=0)
+    alpha = compute_large_scale(pairwise_distances(rrh, user), cfg, seed=0)
     assert alpha[0, 0] == pytest.approx(10 ** -12.81, rel=1e-12)
 
 
@@ -106,8 +104,10 @@ def test_pathloss_distance_clamp():
     cfg = SimConfig(num_rrhs=1, num_users=1, cluster_size=1, shadowing_stddev=0.0,
                     min_distance=1.0)
     rrh = np.array([[50.0, 50.0]])
-    at_zero = compute_large_scale(rrh, np.array([[50.0, 50.0]]), cfg, seed=0)
-    at_one = compute_large_scale(rrh, np.array([[51.0, 50.0]]), cfg, seed=0)
+    at_zero = compute_large_scale(pairwise_distances(rrh, np.array([[50.0, 50.0]])),
+                                  cfg, seed=0)
+    at_one = compute_large_scale(pairwise_distances(rrh, np.array([[51.0, 50.0]])),
+                                 cfg, seed=0)
     assert at_zero[0, 0] == pytest.approx(at_one[0, 0], rel=1e-12)
     # 128.1 - 37.6 * 3 dB at the 1 m clamp
     assert at_zero[0, 0] == pytest.approx(10 ** (-(128.1 - 112.8) / 10), rel=1e-12)
@@ -118,7 +118,7 @@ def test_shadowing_statistics():
                     shadowing_stddev=8.0, min_distance=1.0)
     rrh = np.zeros((200, 2))
     users = np.tile([[1000.0, 0.0]], (200, 1))
-    alpha = compute_large_scale(rrh, users, cfg, seed=3)
+    alpha = compute_large_scale(pairwise_distances(rrh, users), cfg, seed=3)
     shadow_db = 10 * np.log10(alpha) + 128.1
     assert abs(shadow_db.mean()) < 0.2
     assert shadow_db.std() == pytest.approx(8.0, rel=0.05)
@@ -127,16 +127,14 @@ def test_shadowing_statistics():
 def test_clusters_are_nearest_rrhs_in_order():
     rrh = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [35.0, 0.0]])
     user = np.array([[12.0, 0.0]])
-    inst = NetworkInstance(rrh_positions=rrh, user_positions=user)
-    clusters = build_clusters(inst, cluster_size=3)
+    clusters = build_clusters(pairwise_distances(rrh, user), cluster_size=3)
     np.testing.assert_array_equal(clusters[0], [1, 2, 0])
 
 
 def test_cluster_distance_tie_prefers_lower_rrh_index():
     rrh = np.array([[0.0, 10.0], [0.0, -10.0], [0.0, 30.0]])
     user = np.array([[0.0, 0.0]])
-    inst = NetworkInstance(rrh_positions=rrh, user_positions=user)
-    clusters = build_clusters(inst, cluster_size=2)
+    clusters = build_clusters(pairwise_distances(rrh, user), cluster_size=2)
     np.testing.assert_array_equal(clusters[0], [0, 1])
 
 
@@ -145,21 +143,23 @@ def test_cluster_by_gain_uses_alpha_ranking():
     user = np.array([[1.0, 0.0]])
     # gain ranking contradicts the distance ranking
     alpha = np.array([[0.1], [0.9]])
-    inst = NetworkInstance(rrh_positions=rrh, user_positions=user, alpha=alpha)
-    np.testing.assert_array_equal(build_clusters(inst, 1, by_gain=True)[0], [1])
-    np.testing.assert_array_equal(build_clusters(inst, 1, by_gain=False)[0], [0])
+    np.testing.assert_array_equal(build_clusters(-alpha, 1)[0], [1])
+    np.testing.assert_array_equal(build_clusters(pairwise_distances(rrh, user), 1)[0], [0])
 
 
-def test_build_network_composes_everything():
-    cfg = SimConfig(num_rrhs=12, num_users=6, cluster_size=3)
+@pytest.mark.parametrize("by_gain", [False, True])
+def test_build_network_composes_everything(by_gain):
+    cfg = SimConfig(num_rrhs=12, num_users=6, cluster_size=3, cluster_by_gain=by_gain)
     inst = build_network(cfg, seed=5)
     assert inst.alpha.shape == (12, 6)
     assert inst.clusters.shape == (6, 3)
     assert (inst.alpha > 0).all()
-    # clusters hold valid, distinct RRH ids
+    # each user's cluster is its best RRHs under the configured ranking
+    key = -inst.alpha if by_gain else pairwise_distances(inst.rrh_positions,
+                                                         inst.user_positions)
     for k in range(6):
-        assert len(set(inst.clusters[k])) == 3
-        assert inst.clusters[k].min() >= 0 and inst.clusters[k].max() < 12
+        best = np.argsort(key[:, k], kind="stable")[:3]
+        np.testing.assert_array_equal(inst.clusters[k], best)
 
 
 def test_streams_are_independent_and_reproducible():
