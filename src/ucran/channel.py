@@ -2,13 +2,13 @@
 
 Array conventions: true channels and estimates are (num_rrhs, num_users,
 antennas) complex; error variances are (num_rrhs, num_users) per antenna.
-A :class:`ChannelState` holds those three arrays and nothing else.  Only
-the intra-cluster links of pilot holders
-(:func:`~ucran.conflict_graph.cluster_link_mask`) are estimated: by
-linear MMSE from the pilot phase, or exactly under perfect CSI.  Every
-other link carries a zero estimate and its full gain alpha as its error
-variance, so downstream consumers can treat every link uniformly (known
-part + zero-mean residual of that variance per antenna).
+A :class:`ChannelState` holds those three arrays and caches one per-user
+view of the links that carry an estimate.  Only the intra-cluster links
+of pilot holders (:func:`~ucran.conflict_graph.cluster_link_mask`) are
+estimated: by linear MMSE from the pilot phase, or exactly under perfect
+CSI.  Every other link carries a zero estimate and its full gain alpha
+as its error variance, so downstream consumers can treat every link
+uniformly (known part + zero-mean residual of that variance per antenna).
 """
 
 from __future__ import annotations
@@ -34,12 +34,30 @@ class ChannelState:
         return self.true_channels.shape[2]
 
     @functools.cached_property
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Estimates and error variances flattened over RRH antennas, (I*M, K)
-        each; row i*M + m is antenna m of RRH i."""
-        num_rrhs, num_users, antennas = self.estimates.shape
-        hhat = self.estimates.transpose(0, 2, 1).reshape(num_rrhs * antennas, num_users)
-        return hhat, np.repeat(self.error_var, antennas, axis=0)
+    def estimated_links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each user's links with a nonzero estimate, padded per user:
+        (K, E) RRH index, (K, E) valid mask and (K, E, M) estimates, zero
+        on padding.  A zero estimate adds nothing to any beam quantity, so
+        these links are all that stage 2 reads of the estimates."""
+        rrhs, valid = padded_rows((self.estimates != 0).any(axis=2))
+        users = np.arange(rrhs.shape[0])[:, None]
+        return rrhs, valid, self.estimates[rrhs, users] * valid[:, :, None]
+
+
+def padded_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The True rows of each column of a 2-D bool mask, ascending and padded
+    to the longest column: (columns, width) row index, 0 on padding, and
+    the (columns, width) valid mask."""
+    # flatnonzero on the transposed copy is many times faster than 2-D nonzero
+    cols, rows = np.divmod(np.flatnonzero(mask.T), mask.shape[0])
+    counts = np.bincount(cols, minlength=mask.shape[1])
+    starts = np.cumsum(counts) - counts
+    index = np.zeros((mask.shape[1], counts.max(initial=0)), dtype=np.int64)
+    valid = np.zeros(index.shape, dtype=bool)
+    slots = np.arange(cols.size) - starts[cols]
+    index[cols, slots] = rows
+    valid[cols, slots] = True
+    return index, valid
 
 
 def draw_channels(alpha: np.ndarray, antennas: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ALGORITHMS, CampaignReport, run_campaign, run_trial, write_csv
+from .harness import (ALGORITHMS, AuditError, CampaignReport, run_campaign, run_trial,
+                      write_csv)
 from .topology import CONFIG_FIELD_TYPES, SimConfig, make_config
 
 
@@ -85,7 +86,7 @@ def main(argv=None) -> int:
             report = run_campaign(config, cluster_sizes, pilot_budgets,
                                   algorithms=algorithms, num_seeds=args.seeds)
         write_csv(report, sys.stdout if args.out is None else args.out)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, AuditError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -92,6 +92,11 @@ def baseline_con(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
                       rng=stream_rng(seed, STREAM_BASELINE))
 
 
+class AuditError(AssertionError):
+    """A finished trial breaks a constraint that every solution must meet;
+    the message names the trial and lists the problems."""
+
+
 def audit_solution(solution: AdmissionSolution, config: SimConfig) -> list[str]:
     """Constraint check on a finished downlink solution; empty list = clean."""
     problems = []
@@ -146,10 +151,11 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
 
     problems = audit_solution(solution, config)
     if problems:
-        raise AssertionError(f"constraint audit failed (seed {seed}, {algorithm}): "
-                             + "; ".join(problems))
+        raise AuditError(f"constraint audit failed (seed {seed}, {algorithm}): "
+                         + "; ".join(problems))
     if not solution.num_served <= s1.num_admitted <= config.num_users:
-        raise AssertionError("served/admitted counts are inconsistent")
+        raise AuditError(f"constraint audit failed (seed {seed}, {algorithm}): "
+                         "served/admitted counts are inconsistent")
 
     served = solution.num_served
     result = TrialResult(

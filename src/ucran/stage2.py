@@ -4,11 +4,15 @@ channels with error loading, an expected-rate lower bound, fixed-point
 power control under per-RRH power caps, and greedy admission.
 
 Serving sets are one (I, K) bool mask, True where RRH i serves user k.
-Beams live on the stacked antennas of each user's serving set but are
-stored zero-padded over all RRH antennas (the RRH-major row layout of
-:attr:`ChannelState.stacked`), which keeps every quadratic form a plain
-matrix product.  Each admission round computes the rate coefficients
-once, for both power control and the rate bound.
+As in the user-centric C-RAN, a beam lives on its user's serving
+antennas only: :class:`LocalBeams` holds each one as an (L, M) block on
+its serving RRHs, padded to the largest serving set.  Every admission
+round solves all users' covariances in one batch, then computes the rate
+coefficients once, for both power control and the rate bound; they and
+the power shares gather from the beam blocks and from
+:attr:`ChannelState.estimated_links`, so no quadratic form runs over all
+I*M antennas.  Only the final solution spreads the beams over all RRH
+antennas, as :attr:`AdmissionSolution.directions`.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState
+from .channel import ChannelState, padded_rows
 from .conflict_graph import interference_matrix  # noqa: F401  (perfbench/spans.py wraps this name)
 from .conflict_graph import cluster_link_mask, interference_score
 from .stage1 import Stage1Result
@@ -47,44 +51,115 @@ def enforce_fronthaul_cap(clusters: np.ndarray, admitted, alpha: np.ndarray,
     return serving
 
 
+@dataclass(frozen=True)
+class LocalBeams:
+    """Unit beams on each served user's serving antennas.
+
+    Slot l of the beam in column a sits on RRH ``rrhs[a, l]`` and carries
+    the weights ``weights[a, l]`` on its M antennas.  Serving RRHs fill the
+    slots in ascending order; the slots past a user's serving-set size are
+    padding, with ``valid`` False, RRH 0 and zero weights.
+    """
+    rrhs: np.ndarray      # (n, L) int64
+    valid: np.ndarray     # (n, L) bool
+    weights: np.ndarray   # (n, L, M) complex
+    num_rrhs: int
+
+    @property
+    def slot_power(self) -> np.ndarray:
+        """(n, L) share of each beam's unit power on each slot."""
+        return (np.abs(self.weights) ** 2).sum(axis=2)
+
+    def dense(self) -> np.ndarray:
+        """(I*M, n) beams zero-padded over all RRH antennas; row i*M + m is
+        antenna m of RRH i."""
+        n, _, antennas = self.weights.shape
+        out = np.zeros((self.num_rrhs, antennas, n), dtype=complex)
+        cols, slots = np.nonzero(self.valid)
+        out[self.rrhs[cols, slots], :, cols] = self.weights[cols, slots]
+        return out.reshape(self.num_rrhs * antennas, n)
+
+
 def robust_beam_direction(channel_state: ChannelState, serving: np.ndarray,
-                          served, noise_power: float) -> np.ndarray:
-    """Unit beam directions, one column per served user.
+                          served, noise_power: float) -> LocalBeams:
+    """Unit beam directions, one per served user, on its serving antennas.
 
     On the stacked antennas of the user's serving set, the direction is
     the regularized inverse of the sum of all served users' estimated
     rank-one covariances plus diagonal error loading, applied to the
     user's own estimate.  Links without estimates contribute only their
-    error-loading term, which there equals the full link gain.
+    error-loading term, which there equals the full link gain.  A user
+    whose own estimate vanishes there gets the uniform unit beam.
+
+    The covariance block of RRHs (i, j) sums only the users estimated at
+    both, so every block comes from one table of per-RRH-pair sums, and
+    all users' systems are solved in one batch.
     """
-    hhat, evar = channel_state.stacked
-    served = [int(k) for k in served]
-    directions = np.zeros((hhat.shape[0], len(served)), dtype=complex)
-    hhat_served = hhat[:, served]
-    load = evar[:, served].sum(axis=1)
-    antenna_rows = np.repeat(serving[:, served], channel_state.antennas, axis=0)
-    for col, k in enumerate(served):
-        rows = np.flatnonzero(antenna_rows[:, col])
-        if rows.size == 0:
-            raise ValueError(f"user {k} has an empty serving set")
-        local = hhat_served[rows]
-        cov = local @ local.conj().T
-        cov[np.diag_indices_from(cov)] += load[rows] + noise_power
+    served = np.asarray(served, dtype=np.int64)
+    num_rrhs = serving.shape[0]
+    rrhs, valid = padded_rows(serving[:, served])
+    n, width = rrhs.shape
+    empty = ~valid.any(axis=1)
+    if empty.any():
+        raise ValueError(f"user {served[np.argmax(empty)]} has an empty serving set")
+    est_rrhs, est_valid, est = (part[served] for part in channel_state.estimated_links)
+    antennas = channel_state.antennas
+    dim = width * antennas
+
+    # table[t]: sum of hhat_b[i] hhat_b[j]^H over the users b estimated at
+    # both RRHs of pair key t = i*I + j; the extra last block stays zero
+    both = est_valid[:, :, None] & est_valid[:, None, :]
+    keys, block = np.unique(_pair_keys(est_rrhs, num_rrhs)[both], return_inverse=True)
+    table = np.zeros((keys.size + 1, antennas, antennas), dtype=complex)
+    np.add.at(table, block, (est[:, :, None, :, None] * est[:, None, :, None, :].conj())[both])
+
+    # each user's covariance gathers the blocks of its serving-RRH pairs;
+    # pairs no user covers and pairs with a padded slot read the zero block
+    wanted = _pair_keys(rrhs, num_rrhs)
+    keys = np.append(keys, num_rrhs * num_rrhs)
+    at = np.searchsorted(keys, wanted)
+    at[(keys[at] != wanted) | ~(valid[:, :, None] & valid[:, None, :])] = keys.size - 1
+    cov = table[at].transpose(0, 1, 3, 2, 4).reshape(n, dim, dim)
+    load = channel_state.error_var[:, served].sum(axis=1)
+    # padded slots get an identity diagonal and a zero right-hand side,
+    # so their weights solve to zero
+    diagonal = np.where(valid, load[rrhs] + noise_power, 1.0)
+    cov[:, np.arange(dim), np.arange(dim)] += np.repeat(diagonal, antennas, axis=1)
+    own = channel_state.estimates[rrhs, served[:, None]] * valid[:, :, None]
+    own = own.reshape(n, dim, 1)
+    try:
+        w = np.linalg.solve(cov, own)[:, :, 0]
+    except np.linalg.LinAlgError:
+        _raise_first_singular(cov, own, served)
+        raise
+
+    norms = np.linalg.norm(w, axis=1)
+    vanished = norms == 0.0
+    w /= np.where(vanished, 1.0, norms)[:, None]
+    uniform = np.repeat(valid, antennas, axis=1) / np.sqrt(valid.sum(axis=1) * antennas)[:, None]
+    w[vanished] = uniform[vanished]
+    return LocalBeams(rrhs=rrhs, valid=valid, weights=w.reshape(n, width, antennas),
+                      num_rrhs=num_rrhs)
+
+
+def _pair_keys(rrhs: np.ndarray, num_rrhs: int) -> np.ndarray:
+    """(n, W, W) key i*I + j of every ordered pair of a row's RRHs."""
+    return rrhs[:, :, None] * num_rrhs + rrhs[:, None, :]
+
+
+def _raise_first_singular(cov: np.ndarray, own: np.ndarray, served: np.ndarray) -> None:
+    """Re-solve user by user after a failed batch, to name the first user
+    whose system is singular."""
+    for a, k in enumerate(served):
         try:
-            w = np.linalg.solve(cov, hhat[rows, k])
+            np.linalg.solve(cov[a], own[a])
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"beam solve failed for user {k}: its serving-antenna "
                              f"covariance is singular ({exc}); the link gains span "
                              "too wide a range") from exc
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            w = np.ones(rows.size, dtype=complex)
-            norm = np.sqrt(rows.size)
-        directions[rows, col] = w / norm
-    return directions
 
 
-def rate_coefficients(channel_state: ChannelState, directions: np.ndarray,
+def rate_coefficients(channel_state: ChannelState, beams: LocalBeams,
                       served) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quadratic forms feeding the expected-SINR expression.
 
@@ -92,11 +167,35 @@ def rate_coefficients(channel_state: ChannelState, directions: np.ndarray,
     user a's own estimate, self_err[a] the residual-error leakage of its
     own beam, and cross[a, b] the average interference user a receives
     from user b's beam (estimate where one exists, statistics elsewhere).
+
+    A gain <hhat_a, w_b> sums over the RRHs where a link of user a is
+    estimated and beam b has a serving slot; the leakage reads the error
+    variances at beam b's serving RRHs only.
     """
-    served = [int(k) for k in served]
-    hhat, evar = channel_state.stacked
-    gains = hhat[:, served].conj().T @ directions            # gains[a, b] = <hhat_a, w_b>
-    leak = evar[:, served].T @ (np.abs(directions) ** 2)     # leak[a, b]
+    served = np.asarray(served, dtype=np.int64)
+    n = served.size
+    est_rrhs, est_valid, est = (part[served] for part in channel_state.estimated_links)
+    users, links = np.nonzero(est_valid)
+    link_rrh = est_rrhs[users, links]
+    cols, slots = np.nonzero(beams.valid)
+    slot_rrh = beams.rrhs[cols, slots]
+
+    # pair every serving slot with each estimated link at its RRH
+    order = np.argsort(link_rrh, kind="stable")
+    per_rrh = np.bincount(link_rrh, minlength=beams.num_rrhs)
+    first = np.cumsum(per_rrh) - per_rrh
+    per_slot = per_rrh[slot_rrh]
+    slot_of = np.repeat(np.arange(cols.size), per_slot)
+    offset = np.arange(slot_of.size) - np.repeat(np.cumsum(per_slot) - per_slot, per_slot)
+    link_of = order[first[slot_rrh][slot_of] + offset]
+    terms = np.einsum("pm,pm->p", est[users, links][link_of].conj(),
+                      beams.weights[cols, slots][slot_of])
+    flat = users[link_of] * n + cols[slot_of]
+    gains = (np.bincount(flat, terms.real, n * n)
+             + 1j * np.bincount(flat, terms.imag, n * n)).reshape(n, n)   # <hhat_a, w_b>
+
+    evar = channel_state.error_var[:, served]
+    leak = np.einsum("bla,bl->ab", evar[beams.rrhs], beams.slot_power)    # leak[a, b]
     signal = np.abs(np.diag(gains)) ** 2
     self_err = np.diag(leak).copy()
     cross = np.abs(gains) ** 2 + leak
@@ -114,10 +213,12 @@ def expected_rate_lb(signal: np.ndarray, self_err: np.ndarray, cross: np.ndarray
     return np.log1p(sinr) / math.log(2.0)
 
 
-def rrh_power_share(directions: np.ndarray, num_rrhs: int, antennas: int) -> np.ndarray:
+def rrh_power_share(beams: LocalBeams) -> np.ndarray:
     """share[i, a]: fraction of user a's power radiated by RRH i."""
-    w2 = np.abs(directions) ** 2
-    return w2.reshape(num_rrhs, antennas, -1).sum(axis=1)
+    share = np.zeros((beams.num_rrhs, beams.valid.shape[0]))
+    cols, slots = np.nonzero(beams.valid)
+    share[beams.rrhs[cols, slots], cols] = beams.slot_power[cols, slots]
+    return share
 
 
 @dataclass(frozen=True)
@@ -222,10 +323,10 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
             served = [k for k, ok in zip(served, has_rrh) if ok]
             continue
 
-        directions = robust_beam_direction(channel_state, serving, served,
-                                           config.noise_power)
-        signal, self_err, cross = rate_coefficients(channel_state, directions, served)
-        share = rrh_power_share(directions, num_rrhs, antennas)
+        beams = robust_beam_direction(channel_state, serving, served,
+                                      config.noise_power)
+        signal, self_err, cross = rate_coefficients(channel_state, beams, served)
+        share = rrh_power_share(beams)
         control = power_allocation_fixed_point(
             signal, self_err, cross, sinr_target, config.noise_power,
             share, config.rrh_power_cap)
@@ -235,7 +336,7 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
                                      config.noise_power)
             return AdmissionSolution(
                 served=np.array(served, dtype=np.int64), serving=serving,
-                directions=directions, powers=control.powers, rates=rates,
+                directions=beams.dense(), powers=control.powers, rates=rates,
                 per_rrh_power=share @ control.powers,
                 removal_trace=tuple(removed))
 

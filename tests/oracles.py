@@ -5,8 +5,10 @@ package: exhaustive capped coloring by backtracking, Monte Carlo ergodic
 rates by direct channel redraws, power control by solving the linear
 fixed-point system, the pairwise pilot-interference weight one pair at a
 time, the cluster-overlap graph built on a user subset directly,
-fronthaul pruning one RRH at a time on per-user serving sets, and DSatur
-picking each next vertex by a full (saturation, degree, id) key.
+fronthaul pruning one RRH at a time on per-user serving sets, DSatur
+picking each next vertex by a full (saturation, degree, id) key, and
+robust-beam covariance systems and rate coefficients as dense products
+over every RRH antenna, one user at a time.
 """
 
 from __future__ import annotations
@@ -67,6 +69,57 @@ def fronthaul_serving_sets(clusters: np.ndarray, admitted, alpha: np.ndarray,
         for k in users[cap:]:
             serving[k].discard(i)
     return {k: np.array(sorted(serving[k]), dtype=np.int64) for k in admitted}
+
+
+def _stack_antennas(per_link: np.ndarray) -> np.ndarray:
+    """(I, K, M) per-link vectors as (I*M, K); row i*M + m is antenna m of RRH i."""
+    num_rrhs, num_users, antennas = per_link.shape
+    return per_link.transpose(0, 2, 1).reshape(num_rrhs * antennas, num_users)
+
+
+def beam_systems_reference(estimates: np.ndarray, error_var: np.ndarray, serving: np.ndarray,
+                           served, noise_power: float) -> list:
+    """Per served user, (rows, cov, own): its serving-antenna rows of the
+    (I*M,) RRH-major antenna stack; the sum of every served user's estimated
+    outer product plus the diagonal error load (all served users'
+    variances) and noise on them; and its own estimate there.  Its robust
+    beam is the normalized solution of cov w = own, or the uniform beam
+    when own is zero.  ``estimates`` is (I, K, M), ``error_var`` (I, K)."""
+    served = [int(k) for k in served]
+    antennas = estimates.shape[2]
+    hhat = _stack_antennas(estimates)
+    load = np.repeat(error_var, antennas, axis=0)[:, served].sum(axis=1)
+    systems = []
+    for k in served:
+        rows = np.flatnonzero(np.repeat(serving[:, k], antennas))
+        local = hhat[rows][:, served]
+        cov = local @ local.conj().T + np.diag(load[rows] + noise_power)
+        systems.append((rows, cov, hhat[rows, k]))
+    return systems
+
+
+def rate_coefficients_reference(estimates: np.ndarray, error_var: np.ndarray,
+                                directions: np.ndarray, served):
+    """(signal, self_err, cross, share) of dense (I*M, n) beams.
+
+    gains[a, b] = <hhat_a, w_b> and leak[a, b] = sum of error_var_a |w_b|^2
+    over every RRH antenna; signal and self_err are the diagonals, cross
+    the off-diagonal |gains|^2 + leak.  share[i, b] is the part of |w_b|^2
+    on RRH i's antennas.
+    """
+    served = [int(k) for k in served]
+    num_rrhs, _, antennas = estimates.shape
+    hhat = _stack_antennas(estimates)[:, served]
+    evar = np.repeat(error_var, antennas, axis=0)[:, served]
+    power = np.abs(directions) ** 2
+    gains = hhat.conj().T @ directions
+    leak = evar.T @ power
+    signal = np.abs(np.diag(gains)) ** 2
+    self_err = np.diag(leak).copy()
+    cross = np.abs(gains) ** 2 + leak
+    np.fill_diagonal(cross, 0.0)
+    share = power.reshape(num_rrhs, antennas, -1).sum(axis=1)
+    return signal, self_err, cross, share
 
 
 def dsatur_reference(graph, reuse_cap: int) -> tuple[np.ndarray, int]:

@@ -151,6 +151,19 @@ def test_extreme_shadowing_fails_cleanly(seed, stddev, message, capsys):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("command", [["trial", "--seed", "1"], ["campaign", "--seeds", "1"]],
+                         ids=["trial", "campaign"])
+def test_audit_failure_fails_cleanly(command, monkeypatch, capsys):
+    monkeypatch.setattr("ucran.harness.audit_solution",
+                        lambda solution, config: ["per-RRH power cap exceeded: max 9"])
+    code = main([command[0], *SMALL, *command[1:]])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: constraint audit failed (seed 1, proposed)")
+    assert "per-RRH power cap exceeded: max 9" in captured.err
+
+
 def test_unwritable_out_fails(tmp_path, capsys):
     out = tmp_path / "nope" / "x.csv"
     code = main(["campaign", *SMALL, "--seeds", "1", "--out", str(out)])

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ucran import SimConfig, admission_loop, build_channel_state, build_network, run_stage1
 from ucran.stage2 import (
+    LocalBeams,
     enforce_fronthaul_cap,
     expected_rate_lb,
     power_allocation_fixed_point,
@@ -17,7 +19,8 @@ from ucran.stage2 import (
 from ucran.channel import ChannelState
 
 from conftest import craft_instance
-from oracles import fronthaul_serving_sets, solve_power_linear
+from oracles import (beam_systems_reference, fronthaul_serving_sets,
+                     rate_coefficients_reference, solve_power_linear)
 
 
 def _state(estimates: np.ndarray, error_var: np.ndarray) -> ChannelState:
@@ -91,7 +94,7 @@ def test_beam_single_user_is_matched_filter():
     rng = np.random.default_rng(0)
     est = _complex(rng, (2, 1, 2))
     state = _state(est, np.zeros((2, 1)))
-    w = robust_beam_direction(state, _mask(2, {0: [0, 1]}), [0], noise_power=0.3)
+    w = robust_beam_direction(state, _mask(2, {0: [0, 1]}), [0], noise_power=0.3).dense()
     hhat = est.transpose(0, 2, 1).reshape(4)
     expected = hhat / np.linalg.norm(hhat)
     np.testing.assert_allclose(w[:, 0], expected, atol=1e-12)
@@ -105,7 +108,7 @@ def test_beam_two_users_match_dense_inverse():
     state = _state(est, evar)
     serving = _mask(2, {0: [0, 1], 1: [0, 1]})
     noise = 0.2
-    w = robust_beam_direction(state, serving, [0, 1], noise_power=noise)
+    w = robust_beam_direction(state, serving, [0, 1], noise_power=noise).dense()
     hhat = est.transpose(0, 2, 1).reshape(4, 2)
     load = np.repeat(evar.sum(axis=1), 2)
     cov = hhat @ hhat.conj().T + np.diag(load + noise)
@@ -119,7 +122,7 @@ def test_beam_zero_outside_serving_set():
     rng = np.random.default_rng(2)
     est = _complex(rng, (3, 1, 2))
     state = _state(est, np.zeros((3, 1)))
-    w = robust_beam_direction(state, _mask(3, {0: [1]}), [0], noise_power=0.1)
+    w = robust_beam_direction(state, _mask(3, {0: [1]}), [0], noise_power=0.1).dense()
     assert (w[[0, 1, 4, 5], 0] == 0).all()
     assert np.linalg.norm(w[:, 0]) == pytest.approx(1.0)
     local = est[1, 0]
@@ -131,6 +134,97 @@ def test_beam_empty_serving_set_raises():
     state = _state(est, np.zeros((1, 1)))
     with pytest.raises(ValueError):
         robust_beam_direction(state, np.zeros((1, 1), dtype=bool), [0], 0.1)
+
+
+def test_beam_solve_failure_names_the_first_singular_user():
+    # noiseless, error-free, one antenna per RRH: user 5 is served by RRHs
+    # 0 and 1 but nobody is estimated at RRH 1, so its covariance has a
+    # zero row; user 2 (first in the batch) solves fine
+    est = np.zeros((2, 6, 1), dtype=complex)
+    est[0, 2, 0] = 1.0
+    est[0, 5, 0] = 2.0
+    state = _state(est, np.zeros((2, 6)))
+    serving = _mask(2, {2: [0], 5: [0, 1]})
+    with pytest.raises(ValueError, match="beam solve failed for user 5"):
+        robust_beam_direction(state, serving, [2, 5], noise_power=0.0)
+
+
+def test_beam_vanishing_own_estimate_gets_uniform_beam():
+    # user 1 has no estimate on its serving RRHs: the solve returns zero
+    # and the beam falls back to uniform weights on its serving antennas
+    rng = np.random.default_rng(7)
+    est = _complex(rng, (3, 2, 2))
+    est[1:, 1] = 0.0
+    state = _state(est, rng.uniform(0.05, 0.4, (3, 2)))
+    serving = _mask(3, {0: [0], 1: [1, 2]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = robust_beam_direction(state, serving, [0, 1], noise_power=0.1).dense()
+    np.testing.assert_allclose(w[:, 1], [0, 0, 0.5, 0.5, 0.5, 0.5])
+    assert np.linalg.norm(w[:, 1]) == pytest.approx(1.0)
+
+
+def _assert_matches_reference(state, serving, served, noise):
+    """Local beams, rate coefficients and power shares against the dense
+    per-user oracles.
+
+    A beam is checked by its normwise backward error on the oracle's own
+    covariance system, which stays at rounding level however ill-conditioned
+    the system is; an elementwise comparison of two solves would instead
+    grow with the condition number.  The rate coefficients and shares are
+    checked against the dense products of the same beams; atol covers
+    entries that cancel to near zero.
+    """
+    beams = robust_beam_direction(state, serving, served, noise)
+    dense = beams.dense()
+    systems = beam_systems_reference(state.estimates, state.error_var, serving, served, noise)
+    for col, (rows, cov, own) in enumerate(systems):
+        w = dense[:, col]
+        assert not np.delete(w, rows).any()
+        assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
+        if not own.any():
+            np.testing.assert_allclose(w[rows], 1.0 / np.sqrt(rows.size), rtol=1e-12)
+            continue
+        image = cov @ w[rows]
+        scale = np.vdot(image, own) / np.vdot(image, image)
+        residual = np.linalg.norm(scale * image - own)
+        assert residual <= 1e-13 * (np.linalg.norm(cov, 2) * abs(scale) + np.linalg.norm(own))
+    ours = rate_coefficients(state, beams, served) + (rrh_power_share(beams),)
+    theirs = rate_coefficients_reference(state.estimates, state.error_var, dense, served)
+    scale = theirs[0].max()
+    for name, got, want in zip(("signal", "self_err", "cross", "share"), ours, theirs):
+        atol = 1e-12 if name == "share" else 1e-12 * scale
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=atol, err_msg=name)
+    return beams
+
+
+def _pruned_round(seed: int, cluster_size: int, cap: int, perfect: bool):
+    config = _small_config(num_rrhs=9, num_users=8, cluster_size=cluster_size,
+                           pilot_count=4, reuse_cap=2, fronthaul_cap=cap)
+    instance = build_network(config, seed=seed)
+    s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
+    state = build_channel_state(instance, s1.assignment, config, seed=seed, perfect=perfect)
+    serving = enforce_fronthaul_cap(instance.clusters, s1.admitted, instance.alpha, cap)
+    served = [int(k) for k in s1.admitted if serving[:, k].any()]
+    return state, serving, served, config.noise_power
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 3), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_local_blocks_match_dense_reference(seed, cluster_size, cap, perfect):
+    state, serving, served, noise = _pruned_round(seed, cluster_size, cap, perfect)
+    if served:
+        _assert_matches_reference(state, serving, served, noise)
+
+
+@pytest.mark.parametrize("perfect", [False, True])
+def test_local_blocks_match_dense_reference_with_padding(perfect):
+    # the fronthaul cap prunes the serving sets to unequal sizes, so the
+    # shorter ones carry padded slots
+    state, serving, served, noise = _pruned_round(0, 3, 2, perfect)
+    beams = _assert_matches_reference(state, serving, served, noise)
+    sizes = beams.valid.sum(axis=1)
+    assert sizes.min() < sizes.max()
 
 
 # ------------------------------------------------------------ rate formula
@@ -162,7 +256,8 @@ def test_rate_coefficients_error_terms():
     v = 0.3
     est = np.ones((1, 1, 1), dtype=complex)
     state = _state(est, np.full((1, 1), v))
-    w = np.ones((1, 1), dtype=complex)
+    w = LocalBeams(rrhs=np.zeros((1, 1), dtype=np.int64), valid=np.ones((1, 1), dtype=bool),
+                   weights=np.ones((1, 1, 1), dtype=complex), num_rrhs=1)
     signal, self_err, cross = rate_coefficients(state, w, [0])
     assert signal[0] == pytest.approx(1.0)
     assert self_err[0] == pytest.approx(v)
@@ -174,7 +269,7 @@ def test_rrh_power_share_columns_sum_to_one():
     est = _complex(rng, (3, 2, 2))
     state = _state(est, np.zeros((3, 2)))
     w = robust_beam_direction(state, _mask(3, {0: [0, 1], 1: [1, 2]}), [0, 1], 0.1)
-    share = rrh_power_share(w, num_rrhs=3, antennas=2)
+    share = rrh_power_share(w)
     np.testing.assert_allclose(share.sum(axis=0), 1.0)
     assert (share >= 0).all()
 
@@ -375,8 +470,7 @@ def test_admission_never_beats_exhaustive_subsets():
                 w = robust_beam_direction(state, serving, subset,
                                           config.noise_power)
                 sig, serr, cross = rate_coefficients(state, w, subset)
-                share = rrh_power_share(w, config.num_rrhs,
-                                        config.antennas_per_rrh)
+                share = rrh_power_share(w)
                 control = power_allocation_fixed_point(
                     sig, serr, cross, target, config.noise_power, share,
                     config.rrh_power_cap)
