@@ -13,7 +13,8 @@ noise = 0.1
 gain = 1.0
 draws = 40_000
 
-# batch the realizations along the RRH axis: one call, many i.i.d. copies
+# batch the realizations along the RRH axis: one call, many i.i.d. copies;
+# every RRH is in both users' clusters, so estimates[k, i] is link (i, k)
 alpha = np.tile([[gain, gain]], (draws, 1))
 clusters = np.array([np.arange(draws), np.arange(draws)])
 shared = PilotAssignment(pilots=[0, 0], num_pilots=1)
@@ -41,6 +42,6 @@ rng = np.random.default_rng(1)
 h = draw_channels(alpha, antennas=1, rng=rng)
 y = simulate_pilot_rx(h, shared, power, noise, rng)
 estimates, err = mmse_estimate(y, alpha, shared, clusters, power, noise)
-empirical = float((np.abs(h - estimates)[:, 0] ** 2).mean())
+empirical = float((np.abs(h[:, 0] - estimates[0]) ** 2).mean())
 print(f"empirical MSE over {draws} draws: {empirical:.4f} "
       f"vs analytic {err[0, 0]:.4f}")

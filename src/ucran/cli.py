@@ -81,8 +81,9 @@ def main(argv=None) -> int:
             unknown = set(algorithms) - set(ALGORITHMS)
             if unknown:
                 raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-            cluster_sizes = args.cluster_sizes or [config.cluster_size]
-            pilot_budgets = args.pilot_budgets or [config.pilot_count]
+            sizes, budgets = args.cluster_sizes, args.pilot_budgets
+            cluster_sizes = [config.cluster_size] if sizes is None else sizes
+            pilot_budgets = [config.pilot_count] if budgets is None else budgets
             report = run_campaign(config, cluster_sizes, pilot_budgets,
                                   algorithms=algorithms, num_seeds=args.seeds)
         write_csv(report, sys.stdout if args.out is None else args.out)

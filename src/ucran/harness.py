@@ -196,10 +196,15 @@ def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
     """Sweep (algorithm, cluster size, pilot budget) over a shared seed list.
 
     Emits one CSV row per trial plus one aggregate row per cell (seed
-    column set to "mean").  Deterministic for a fixed config.
+    column set to "mean").  Deterministic for a fixed config.  ValueError
+    when a sweep list is empty or repeats an entry.
     """
     if num_seeds < 1:
         raise ValueError("num_seeds must be >= 1")
+    for name, values in (("algorithms", algorithms), ("cluster_sizes", cluster_sizes),
+                         ("pilot_budgets", pilot_budgets)):
+        if not 0 < len(set(values)) == len(values):
+            raise ValueError(f"{name} must be non-empty without repeats, got {list(values)}")
     seeds = [config.master_seed + j for j in range(num_seeds)]
     trials: list[TrialResult] = []
     cells: dict[tuple, CellStats] = {}

@@ -6,13 +6,13 @@ power control under per-RRH power caps, and greedy admission.
 Serving sets are one (I, K) bool mask, True where RRH i serves user k.
 As in the user-centric C-RAN, a beam lives on its user's serving
 antennas only: :class:`LocalBeams` holds each one as an (L, M) block on
-its serving RRHs, padded to the largest serving set.  Every admission
-round solves all users' covariances in one batch, then computes the rate
-coefficients once, for both power control and the rate bound; they and
-the power shares gather from the beam blocks and from
-:attr:`ChannelState.estimated_links`, so no quadratic form runs over all
-I*M antennas.  Only the final solution spreads the beams over all RRH
-antennas, as :attr:`AdmissionSolution.directions`.
+the user's cluster links (:attr:`ChannelState.links`, where the
+estimates live too), with the slots the fronthaul cap pruned invalid.
+Every admission round solves all users' covariances in one batch, then
+gathers the rate coefficients (for power control and the rate bound)
+and the power shares from those blocks, so no quadratic form runs over
+all I*M antennas.  Only the final solution spreads the beams over all
+RRH antennas, as :attr:`AdmissionSolution.directions`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState, padded_rows
+from .channel import ChannelState
 from .conflict_graph import interference_matrix  # noqa: F401  (perfbench/spans.py wraps this name)
 from .conflict_graph import cluster_link_mask, interference_score
 from .stage1 import Stage1Result
@@ -56,11 +56,11 @@ class LocalBeams:
     """Unit beams on each served user's serving antennas.
 
     Slot l of the beam in column a sits on RRH ``rrhs[a, l]`` and carries
-    the weights ``weights[a, l]`` on its M antennas.  Serving RRHs fill the
-    slots in ascending order; the slots past a user's serving-set size are
-    padding, with ``valid`` False, RRH 0 and zero weights.
+    the weights ``weights[a, l]`` on its M antennas.  The slots are the
+    user's cluster RRHs in ascending order; those outside its serving set
+    (pruned by the fronthaul cap) have ``valid`` False and zero weights.
     """
-    rrhs: np.ndarray      # (n, L) int64
+    rrhs: np.ndarray      # (n, L) int64, distinct in each row
     valid: np.ndarray     # (n, L) bool
     weights: np.ndarray   # (n, L, M) complex
     num_rrhs: int
@@ -75,11 +75,11 @@ class LocalBeams:
         antenna m of RRH i."""
         n, _, antennas = self.weights.shape
         out = np.zeros((self.num_rrhs, antennas, n), dtype=complex)
-        cols, slots = np.nonzero(self.valid)
-        out[self.rrhs[cols, slots], :, cols] = self.weights[cols, slots]
+        out[self.rrhs, :, np.arange(n)[:, None]] = self.weights
         return out.reshape(self.num_rrhs * antennas, n)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def robust_beam_direction(channel_state: ChannelState, serving: np.ndarray,
                           served, noise_power: float) -> LocalBeams:
     """Unit beam directions, one per served user, on its serving antennas.
@@ -91,48 +91,51 @@ def robust_beam_direction(channel_state: ChannelState, serving: np.ndarray,
     error-loading term, which there equals the full link gain.  A user
     whose own estimate vanishes there gets the uniform unit beam.
 
-    The covariance block of RRHs (i, j) sums only the users estimated at
-    both, so every block comes from one table of per-RRH-pair sums, and
-    all users' systems are solved in one batch.
+    The covariance block of RRHs (i, j) sums only the users with both in
+    their cluster, so every block comes from one table of per-RRH-pair
+    sums, and all users' systems are solved in one batch.
     """
     served = np.asarray(served, dtype=np.int64)
     num_rrhs = serving.shape[0]
-    rrhs, valid = padded_rows(serving[:, served])
-    n, width = rrhs.shape
+    rrhs = channel_state.links[served]
+    valid = serving[rrhs, served[:, None]]
+    est = channel_state.estimates[served]
+    n, width, antennas = est.shape
     empty = ~valid.any(axis=1)
     if empty.any():
         raise ValueError(f"user {served[np.argmax(empty)]} has an empty serving set")
-    est_rrhs, est_valid, est = (part[served] for part in channel_state.estimated_links)
-    antennas = channel_state.antennas
     dim = width * antennas
 
-    # table[t]: sum of hhat_b[i] hhat_b[j]^H over the users b estimated at
-    # both RRHs of pair key t = i*I + j; the extra last block stays zero
-    both = est_valid[:, :, None] & est_valid[:, None, :]
-    keys, block = np.unique(_pair_keys(est_rrhs, num_rrhs)[both], return_inverse=True)
-    table = np.zeros((keys.size + 1, antennas, antennas), dtype=complex)
-    np.add.at(table, block, (est[:, :, None, :, None] * est[:, None, :, None, :].conj())[both])
-
-    # each user's covariance gathers the blocks of its serving-RRH pairs;
-    # pairs no user covers and pairs with a padded slot read the zero block
-    wanted = _pair_keys(rrhs, num_rrhs)
-    keys = np.append(keys, num_rrhs * num_rrhs)
-    at = np.searchsorted(keys, wanted)
-    at[(keys[at] != wanted) | ~(valid[:, :, None] & valid[:, None, :])] = keys.size - 1
-    cov = table[at].transpose(0, 1, 3, 2, 4).reshape(n, dim, dim)
+    # table[t]: sum of hhat_b[i] hhat_b[j]^H over the users b with both
+    # RRHs of pair key t = i*I + j in their cluster.  Each user's own
+    # pairs are keys, so the inverse indexes its covariance blocks.
+    keys = rrhs[:, :, None] * num_rrhs + rrhs[:, None, :]
+    keys, block = np.unique(keys.ravel(), return_inverse=True)
+    table = np.zeros((keys.size, antennas, antennas), dtype=complex)
+    np.add.at(table, block, (est[:, :, None, :, None] * est[:, None, :, None, :].conj())
+              .reshape(-1, antennas, antennas))
+    cov = table[block.reshape(n, width, width)]
+    cov[~(valid[:, :, None] & valid[:, None, :])] = 0.0
+    cov = cov.transpose(0, 1, 3, 2, 4).reshape(n, dim, dim)
     load = channel_state.error_var[:, served].sum(axis=1)
-    # padded slots get an identity diagonal and a zero right-hand side,
+    # pruned slots get an identity diagonal and a zero right-hand side,
     # so their weights solve to zero
     diagonal = np.where(valid, load[rrhs] + noise_power, 1.0)
     cov[:, np.arange(dim), np.arange(dim)] += np.repeat(diagonal, antennas, axis=1)
-    own = channel_state.estimates[rrhs, served[:, None]] * valid[:, :, None]
-    own = own.reshape(n, dim, 1)
+    own = (est * valid[:, :, None]).reshape(n, dim, 1)
     try:
         w = np.linalg.solve(cov, own)[:, :, 0]
     except np.linalg.LinAlgError:
         _raise_first_singular(cov, own, served)
         raise
-
+    overflow = ~(np.isfinite(cov).all(axis=(1, 2)) & np.isfinite(w).all(axis=1))
+    if overflow.any():
+        raise ValueError(f"beam solve failed for user {served[np.argmax(overflow)]}: its "
+                         "covariance overflows; the link gains span too wide a range")
+    # an exact power-of-two scale brings each beam's peak near one, so its
+    # norm can neither under- nor overflow; normal beams keep every bit
+    _, exponent = np.frexp(np.abs(w).max(axis=1))
+    w *= np.ldexp(1.0, np.clip(-exponent, -1000, 1000))[:, None]
     norms = np.linalg.norm(w, axis=1)
     vanished = norms == 0.0
     w /= np.where(vanished, 1.0, norms)[:, None]
@@ -140,11 +143,6 @@ def robust_beam_direction(channel_state: ChannelState, serving: np.ndarray,
     w[vanished] = uniform[vanished]
     return LocalBeams(rrhs=rrhs, valid=valid, weights=w.reshape(n, width, antennas),
                       num_rrhs=num_rrhs)
-
-
-def _pair_keys(rrhs: np.ndarray, num_rrhs: int) -> np.ndarray:
-    """(n, W, W) key i*I + j of every ordered pair of a row's RRHs."""
-    return rrhs[:, :, None] * num_rrhs + rrhs[:, None, :]
 
 
 def _raise_first_singular(cov: np.ndarray, own: np.ndarray, served: np.ndarray) -> None:
@@ -168,19 +166,19 @@ def rate_coefficients(channel_state: ChannelState, beams: LocalBeams,
     own beam, and cross[a, b] the average interference user a receives
     from user b's beam (estimate where one exists, statistics elsewhere).
 
-    A gain <hhat_a, w_b> sums over the RRHs where a link of user a is
-    estimated and beam b has a serving slot; the leakage reads the error
+    A gain <hhat_a, w_b> sums over the RRHs where user a has a cluster
+    link and beam b has a serving slot; the leakage reads the error
     variances at beam b's serving RRHs only.
     """
     served = np.asarray(served, dtype=np.int64)
     n = served.size
-    est_rrhs, est_valid, est = (part[served] for part in channel_state.estimated_links)
-    users, links = np.nonzero(est_valid)
-    link_rrh = est_rrhs[users, links]
+    link_rrh = channel_state.links[served].ravel()
+    est = channel_state.estimates[served].reshape(link_rrh.size, -1)
+    users = np.arange(link_rrh.size) // channel_state.links.shape[1]
     cols, slots = np.nonzero(beams.valid)
     slot_rrh = beams.rrhs[cols, slots]
 
-    # pair every serving slot with each estimated link at its RRH
+    # pair every serving slot with each cluster link at its RRH
     order = np.argsort(link_rrh, kind="stable")
     per_rrh = np.bincount(link_rrh, minlength=beams.num_rrhs)
     first = np.cumsum(per_rrh) - per_rrh
@@ -188,7 +186,7 @@ def rate_coefficients(channel_state: ChannelState, beams: LocalBeams,
     slot_of = np.repeat(np.arange(cols.size), per_slot)
     offset = np.arange(slot_of.size) - np.repeat(np.cumsum(per_slot) - per_slot, per_slot)
     link_of = order[first[slot_rrh][slot_of] + offset]
-    terms = np.einsum("pm,pm->p", est[users, links][link_of].conj(),
+    terms = np.einsum("pm,pm->p", est[link_of].conj(),
                       beams.weights[cols, slots][slot_of])
     flat = users[link_of] * n + cols[slot_of]
     gains = (np.bincount(flat, terms.real, n * n)
@@ -215,9 +213,9 @@ def expected_rate_lb(signal: np.ndarray, self_err: np.ndarray, cross: np.ndarray
 
 def rrh_power_share(beams: LocalBeams) -> np.ndarray:
     """share[i, a]: fraction of user a's power radiated by RRH i."""
-    share = np.zeros((beams.num_rrhs, beams.valid.shape[0]))
-    cols, slots = np.nonzero(beams.valid)
-    share[beams.rrhs[cols, slots], cols] = beams.slot_power[cols, slots]
+    n = beams.rrhs.shape[0]
+    share = np.zeros((beams.num_rrhs, n))
+    share[beams.rrhs, np.arange(n)[:, None]] = beams.slot_power
     return share
 
 
@@ -229,6 +227,7 @@ class PowerControlResult:
     margins: np.ndarray   # per-user signal margin at the effective target
 
 
+@np.errstate(over="ignore")
 def power_allocation_fixed_point(signal: np.ndarray, self_err: np.ndarray,
                                  cross: np.ndarray, sinr_target: float,
                                  noise_power: float, rrh_share: np.ndarray,
@@ -245,8 +244,11 @@ def power_allocation_fixed_point(signal: np.ndarray, self_err: np.ndarray,
     truncated) iterate still clears the nominal target exactly.
 
     Infeasibility is a normal return: zero margin, iterates passing the
-    total-power ceiling implied by the per-RRH caps, a converged point
-    violating a per-RRH cap, or no convergence within the budget.
+    total-power ceiling implied by the per-RRH caps (an overflow does),
+    a converged point violating a per-RRH cap, or no convergence within
+    the budget.  ValueError when a float cannot carry the target: the
+    first iterate is subnormal, or gamma * noise, below every SINR
+    numerator here and in the rate bound, cannot resolve the margin.
     """
     n = signal.shape[0]
     gamma_eff = sinr_target * (1.0 + target_margin)
@@ -258,9 +260,15 @@ def power_allocation_fixed_point(signal: np.ndarray, self_err: np.ndarray,
     if (margins <= 0.0).any():
         return PowerControlResult(False, np.zeros(n), "margin", margins)
 
+    # the iterates only increase, so the first one bounds them all below
+    floor = gamma_eff * noise_power
+    first = floor / margins
+    finfo = np.finfo(float)
+    if (first < finfo.tiny).any() or floor * target_margin < 10 * finfo.smallest_subnormal:
+        raise ValueError(f"power control underflow: first iterate {first.min():.3g} mW, "
+                         f"SINR target times noise {floor:.3g}; too small to carry the target")
     ceiling = rrh_power_cap * rrh_share.shape[0]
     p = np.zeros(n)
-    converged = False
     for _ in range(max_iters):
         p_new = gamma_eff * (cross @ p + noise_power) / margins
         if p_new.sum() > ceiling:
@@ -271,9 +279,8 @@ def power_allocation_fixed_point(signal: np.ndarray, self_err: np.ndarray,
         done = bool((np.abs(p_new - p) <= rel_tol * p_new).all())
         p = p_new
         if done:
-            converged = True
             break
-    if not converged:
+    else:
         return PowerControlResult(False, p, "no_convergence", margins)
     if (rrh_share @ p > rrh_power_cap).any():
         return PowerControlResult(False, p, "rrh_cap", margins)
@@ -353,6 +360,7 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
         removal_trace=tuple(removed))
 
 
+@np.errstate(over="ignore")
 def _pick_victim(served: list[int], control: PowerControlResult,
                  weights: np.ndarray, stage1_result: Stage1Result) -> int:
     """Most burdensome user at the failed power iterate."""
@@ -360,7 +368,9 @@ def _pick_victim(served: list[int], control: PowerControlResult,
         demand = np.where(control.margins <= 0.0, -control.margins, -np.inf)
     else:
         mean_power = control.powers.mean()
-        demand = control.powers / mean_power if mean_power > 0 else control.powers
+        # past the largest float, the raw powers rank the demand
+        demand = (control.powers / mean_power if 0 < mean_power < np.inf
+                  else control.powers)
     # score interference only for top-demand ties; the scan keeps the first max
     first = max(range(len(served)), key=lambda idx: demand[idx])
     tied = [k for k, d in zip(served, demand) if d == demand[first]] or [served[first]]

@@ -138,13 +138,17 @@ def compute_large_scale(distances: np.ndarray, config: SimConfig, seed: int) -> 
 
     PL(d) = intercept + exponent * log10(d / 1000) in dB, d clamped below
     ``min_distance``; shadowing is i.i.d. log-normal with the configured dB
-    standard deviation.
+    standard deviation.  ValueError when a gain overflows a float.
     """
     dist = np.maximum(distances, config.min_distance)
     pl_db = config.pathloss_intercept + config.pathloss_exponent * np.log10(dist / 1000.0)
     rng = stream_rng(seed, STREAM_SHADOWING)
     shadow_db = config.shadowing_stddev * rng.standard_normal(dist.shape)
-    return 10.0 ** ((-pl_db + shadow_db) / 10.0)
+    with np.errstate(over="ignore"):
+        alpha = 10.0 ** ((-pl_db + shadow_db) / 10.0)
+    if np.isinf(alpha).any():
+        raise ValueError("large-scale gains overflow a float: the path loss is too low")
+    return alpha
 
 
 def build_clusters(key: np.ndarray, cluster_size: int) -> np.ndarray:

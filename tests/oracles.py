@@ -8,7 +8,8 @@ time, the cluster-overlap graph built on a user subset directly,
 fronthaul pruning one RRH at a time on per-user serving sets, DSatur
 picking each next vertex by a full (saturation, degree, id) key, and
 robust-beam covariance systems and rate coefficients as dense products
-over every RRH antenna, one user at a time.
+over every RRH antenna, one user at a time, on estimates spread from each
+user's cluster links to every RRH.
 """
 
 from __future__ import annotations
@@ -69,6 +70,16 @@ def fronthaul_serving_sets(clusters: np.ndarray, admitted, alpha: np.ndarray,
         for k in users[cap:]:
             serving[k].discard(i)
     return {k: np.array(sorted(serving[k]), dtype=np.int64) for k in admitted}
+
+
+def scatter_links(links: np.ndarray, per_link: np.ndarray, num_rrhs: int) -> np.ndarray:
+    """(K, L, M) vectors on each user's links ``links[k]`` spread to the
+    dense (I, K, M) layout, zero off those links, one user at a time."""
+    num_users, _, antennas = per_link.shape
+    dense = np.zeros((num_rrhs, num_users, antennas), dtype=per_link.dtype)
+    for k in range(num_users):
+        dense[links[k], k] = per_link[k]
+    return dense
 
 
 def _stack_antennas(per_link: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from oracles import (
     exact_capped_chromatic,
     greedy_clique_bound,
     mc_ergodic_rate,
+    scatter_links,
     solve_power_linear,
 )
 
@@ -169,7 +170,7 @@ def test_criterion_7_mmse_analytics_match_simulation(capsys):
     h = draw_channels(alpha, antennas=2, rng=rng)
     y = simulate_pilot_rx(h, assignment, power, noise, rng)
     estimates, error_var = mmse_estimate(y, alpha, assignment, clusters, power, noise)
-    err = h - estimates
+    err = h - scatter_links(clusters, estimates, draws)
     rel = max(abs(float((np.abs(err[:, k]) ** 2).mean()) - error_var[0, k])
               / error_var[0, k] for k in (0, 1))
 
@@ -231,7 +232,8 @@ def test_criterion_9_rate_bound_below_monte_carlo(capsys):
         if solution.num_served == 0:
             continue
         served = [int(k) for k in solution.served]
-        stacked = state.estimates.transpose(0, 2, 1).reshape(
+        dense = scatter_links(state.links, state.estimates, config.num_rrhs)
+        stacked = dense.transpose(0, 2, 1).reshape(
             config.num_rrhs * antennas, config.num_users)
         evar = np.repeat(state.error_var, antennas, axis=0)
         mc = mc_ergodic_rate(stacked[:, served], evar[:, served],

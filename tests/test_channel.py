@@ -14,6 +14,8 @@ from ucran import (
 from ucran.channel import perfect_csi
 from ucran.conflict_graph import cluster_link_mask
 
+from oracles import scatter_links
+
 
 def _pair_system(num_draws: int, a0: float, a1: float):
     """One RRH observing two co-pilot users, replicated num_draws times
@@ -146,7 +148,7 @@ def test_mmse_empirical_error_matches_analytic():
     y = simulate_pilot_rx(h, assignment, p, noise, rng)
     estimates, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
     assert (error_var < alpha).all()
-    err = h - estimates
+    err = h - scatter_links(clusters, estimates, num_draws)
     for k in (0, 1):
         empirical = (np.abs(err[:, k]) ** 2).mean()   # per antenna
         assert empirical == pytest.approx(error_var[0, k], rel=0.03)
@@ -159,8 +161,9 @@ def test_mmse_orthogonality_of_estimate_and_error():
     h = draw_channels(alpha, antennas=1, rng=rng)
     y = simulate_pilot_rx(h, assignment, 4.0, 0.3, rng)
     estimates, _ = mmse_estimate(y, alpha, assignment, clusters, 4.0, 0.3)
-    err = h - estimates
-    est = estimates[:, 0, 0]
+    dense = scatter_links(clusters, estimates, num_draws)
+    err = h - dense
+    est = dense[:, 0, 0]
     res = err[:, 0, 0]
     corr = np.abs((est * res.conj()).mean()) / np.sqrt(
         (np.abs(est) ** 2).mean() * (np.abs(res) ** 2).mean())
@@ -176,10 +179,25 @@ def test_mmse_copilot_estimates_are_collinear():
     h = draw_channels(alpha, antennas=4, rng=rng)
     y = simulate_pilot_rx(h, assignment, 2.0, 0.2, rng)
     estimates, _ = mmse_estimate(y, alpha, assignment, clusters, 2.0, 0.2)
-    e0, e1 = estimates[0, 0], estimates[0, 1]
+    e0, e1 = estimates[0, 0], estimates[1, 0]
     cross = e0 * np.linalg.norm(e1) - e1 * np.linalg.norm(e0) * np.exp(
         1j * np.angle(np.vdot(e1, e0)))
     np.testing.assert_allclose(cross, 0, atol=1e-12)
+
+
+def test_mmse_estimates_follow_the_given_cluster_order():
+    alpha = np.array([[1.0, 0.2], [0.5, 0.7], [0.3, 0.9]])
+    assignment = PilotAssignment(pilots=[0, 1], num_pilots=2)
+    rng = np.random.default_rng(4)
+    h = draw_channels(alpha, antennas=2, rng=rng)
+    y = simulate_pilot_rx(h, assignment, 2.0, 0.1, rng)
+    clusters = np.array([[2, 0], [1, 2]])
+    estimates, error_var = mmse_estimate(y, alpha, assignment, clusters, 2.0, 0.1)
+    ordered, ordered_var = mmse_estimate(y, alpha, assignment, np.sort(clusters, axis=1),
+                                         2.0, 0.1)
+    np.testing.assert_array_equal(estimates[0], ordered[0, ::-1])
+    np.testing.assert_array_equal(estimates[1], ordered[1])
+    np.testing.assert_array_equal(error_var, ordered_var)
 
 
 def test_estimates_exist_only_inside_clusters():
@@ -188,12 +206,15 @@ def test_estimates_exist_only_inside_clusters():
     instance = build_network(cfg, seed=5)
     s1 = run_stage1(instance, cfg.pilot_count, cfg.reuse_cap)
     state = build_channel_state(instance, s1.assignment, cfg, seed=5)
+    np.testing.assert_array_equal(state.links, np.sort(instance.clusters, axis=1))
+    holders = s1.assignment.pilots >= 0
+    assert not holders.all()
+    assert (state.estimates[holders] != 0).all()
+    assert (state.estimates[~holders] == 0).all()
     for k in range(6):
         inside = np.zeros(9, dtype=bool)
-        if s1.assignment.pilots[k] >= 0:
+        if holders[k]:
             inside[instance.clusters[k]] = True
-        assert (state.estimates[inside, k] != 0).all()
-        assert (state.estimates[~inside, k] == 0).all()
         np.testing.assert_array_equal(state.error_var[~inside, k],
                                       instance.alpha[~inside, k])
     assert (state.error_var >= 0).all()
@@ -216,7 +237,9 @@ def test_perfect_mode_copies_channels():
     s1 = run_stage1(instance, cfg.pilot_count, cfg.reuse_cap)
     state = build_channel_state(instance, s1.assignment, cfg, seed=1, perfect=True)
     mask = cluster_link_mask(instance.clusters, s1.admitted, cfg.num_rrhs)
-    np.testing.assert_array_equal(state.estimates[mask], state.true_channels[mask])
+    dense = scatter_links(state.links, state.estimates, cfg.num_rrhs)
+    np.testing.assert_array_equal(dense[mask], state.true_channels[mask])
+    assert not dense[~mask].any()
     assert (state.error_var[mask] == 0).all()
     np.testing.assert_array_equal(state.error_var[~mask], instance.alpha[~mask])
 
@@ -233,7 +256,8 @@ def test_perfect_and_imperfect_share_fading():
 def test_perfect_csi_direct():
     h = draw_channels(np.ones((3, 2)), antennas=2, rng=np.random.default_rng(0))
     clusters = np.array([[0, 1], [1, 2]])
-    state = perfect_csi(h, clusters, admitted=np.array([0]), alpha=np.ones((3, 2)))
-    np.testing.assert_array_equal(state.error_var, [[0.0, 1.0], [0.0, 1.0], [1.0, 1.0]])
-    np.testing.assert_array_equal(state.estimates[:2, 0], h[:2, 0])
-    assert not state.estimates[2, 0].any() and not state.estimates[:, 1].any()
+    estimates, error_var = perfect_csi(h, clusters, admitted=np.array([0]),
+                                       alpha=np.ones((3, 2)))
+    np.testing.assert_array_equal(error_var, [[0.0, 1.0], [0.0, 1.0], [1.0, 1.0]])
+    np.testing.assert_array_equal(estimates[0], h[:2, 0])
+    assert not estimates[1].any()

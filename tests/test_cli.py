@@ -36,7 +36,7 @@ def test_trial_out_file(tmp_path, capsys):
     code = main(["trial", *SMALL, "--seed", "0", "--out", str(out)])
     assert code == 0
     assert capsys.readouterr().out == ""
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert tuple(rows[0]) == CSV_HEADER
     assert len(rows) == 2
 
@@ -47,7 +47,7 @@ def test_campaign_out_file_with_aggregates(tmp_path):
                  "--seeds", "2", "--cluster-sizes", "2,3",
                  "--pilot-budgets", "3", "--out", str(out)])
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert tuple(rows[0]) == CSV_HEADER
     trial_rows = [r for r in rows[1:] if r[3] != "mean"]
     mean_rows = [r for r in rows[1:] if r[3] == "mean"]
@@ -93,6 +93,23 @@ def test_config_file_with_flag_precedence(tmp_path, capsys):
     assert float(rows[1][6]) >= 0.5
 
 
+@pytest.mark.parametrize("flag,value,shown", [
+    ("--algorithms", ",", "[]"),
+    ("--algorithms", "proposed,con,proposed", "['proposed', 'con', 'proposed']"),
+    ("--cluster-sizes", ",", "[]"),
+    ("--cluster-sizes", "2,3,2", "[2, 3, 2]"),
+    ("--pilot-budgets", ",", "[]"),
+    ("--pilot-budgets", "4,4", "[4, 4]"),
+])
+def test_empty_or_repeated_sweep_list_fails(flag, value, shown, capsys):
+    code = main(["campaign", *SMALL, "--seeds", "1", flag, value])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = flag[2:].replace("-", "_")
+    assert f"error: {name} must be non-empty without repeats, got {shown}" in captured.err
+
+
 def test_unknown_campaign_algorithm_fails(capsys):
     code = main(["campaign", *SMALL, "--algorithms", "proposed,magic",
                  "--seeds", "1"])
@@ -133,6 +150,37 @@ def test_underflowing_gains_fail_cleanly(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not finite" in captured.err
+
+
+@pytest.mark.parametrize("flags,message", [
+    pytest.param(["--pathloss-intercept", "-4000"], "large-scale gains overflow",
+                 id="gain-overflow"),
+    # one link of gain 3e158 and pilot power 1e300: the received pilot power
+    # overflows, and so does sqrt(p) * gain, so the MMSE coefficient is inf/inf
+    pytest.param(["--num-rrhs", "1", "--num-users", "1", "--cluster-size", "1",
+                  "--pilot-power", "1e300", "--noise-power", "1", "--area-side", "1",
+                  "--pathloss-exponent", "0", "--pathloss-intercept", "-1585",
+                  "--shadowing-stddev", "0", "--rate-req", "0"],
+                 "estimates are not finite", id="estimate-overflow"),
+])
+def test_overflowing_gains_fail_cleanly(flags, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["trial", "--seed", "0", *flags])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_power_underflow_fails_cleanly(capsys):
+    # the SINR target times the noise power underflows to zero, so the
+    # power iterates could never carry the rate requirement
+    code = main(["trial", "--seed", "0", "--rate-req", "1e-200", "--noise-power", "1e-200"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: power control underflow" in captured.err
 
 
 @pytest.mark.parametrize("seed,stddev,message", [

@@ -20,12 +20,16 @@ from ucran.channel import ChannelState
 
 from conftest import craft_instance
 from oracles import (beam_systems_reference, fronthaul_serving_sets,
-                     rate_coefficients_reference, solve_power_linear)
+                     rate_coefficients_reference, scatter_links, solve_power_linear)
 
 
 def _state(estimates: np.ndarray, error_var: np.ndarray) -> ChannelState:
-    return ChannelState(true_channels=estimates.copy(), estimates=estimates,
-                        error_var=error_var)
+    """Channel state from dense (I, K, M) estimates, every RRH one of each
+    user's links."""
+    num_rrhs, num_users, _ = estimates.shape
+    return ChannelState(true_channels=estimates.copy(),
+                        links=np.tile(np.arange(num_rrhs), (num_users, 1)),
+                        estimates=estimates.transpose(1, 0, 2), error_var=error_var)
 
 
 def _complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -129,6 +133,25 @@ def test_beam_zero_outside_serving_set():
     np.testing.assert_allclose(w[2:4, 0], local / np.linalg.norm(local), atol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-160])
+def test_beam_matched_filter_at_extreme_scales(scale):
+    # at 1e-200 the plain norm of the solved beam underflows to zero
+    rng = np.random.default_rng(8)
+    est = scale * _complex(rng, (2, 1, 2))
+    state = _state(est, np.zeros((2, 1)))
+    w = robust_beam_direction(state, _mask(2, {0: [0, 1]}), [0], noise_power=1.0).dense()
+    hhat = est.transpose(0, 2, 1).reshape(4)
+    np.testing.assert_allclose(w[:, 0], hhat / np.linalg.norm(hhat / scale) / scale,
+                               atol=1e-12)
+
+
+def test_beam_covariance_overflow_raises():
+    est = np.full((1, 2, 1), 1e200, dtype=complex)
+    state = _state(est, np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="beam solve failed for user 0: its covariance overflows"):
+        robust_beam_direction(state, _mask(1, {0: [0], 1: [0]}), [0, 1], noise_power=1.0)
+
+
 def test_beam_empty_serving_set_raises():
     est = np.ones((1, 1, 1), dtype=complex)
     state = _state(est, np.zeros((1, 1)))
@@ -177,7 +200,8 @@ def _assert_matches_reference(state, serving, served, noise):
     """
     beams = robust_beam_direction(state, serving, served, noise)
     dense = beams.dense()
-    systems = beam_systems_reference(state.estimates, state.error_var, serving, served, noise)
+    estimates = scatter_links(state.links, state.estimates, serving.shape[0])
+    systems = beam_systems_reference(estimates, state.error_var, serving, served, noise)
     for col, (rows, cov, own) in enumerate(systems):
         w = dense[:, col]
         assert not np.delete(w, rows).any()
@@ -190,7 +214,7 @@ def _assert_matches_reference(state, serving, served, noise):
         residual = np.linalg.norm(scale * image - own)
         assert residual <= 1e-13 * (np.linalg.norm(cov, 2) * abs(scale) + np.linalg.norm(own))
     ours = rate_coefficients(state, beams, served) + (rrh_power_share(beams),)
-    theirs = rate_coefficients_reference(state.estimates, state.error_var, dense, served)
+    theirs = rate_coefficients_reference(estimates, state.error_var, dense, served)
     scale = theirs[0].max()
     for name, got, want in zip(("signal", "self_err", "cross", "share"), ours, theirs):
         atol = 1e-12 if name == "share" else 1e-12 * scale
@@ -220,11 +244,19 @@ def test_local_blocks_match_dense_reference(seed, cluster_size, cap, perfect):
 @pytest.mark.parametrize("perfect", [False, True])
 def test_local_blocks_match_dense_reference_with_padding(perfect):
     # the fronthaul cap prunes the serving sets to unequal sizes, so the
-    # shorter ones carry padded slots
+    # shorter ones carry invalid slots
     state, serving, served, noise = _pruned_round(0, 3, 2, perfect)
     beams = _assert_matches_reference(state, serving, served, noise)
     sizes = beams.valid.sum(axis=1)
     assert sizes.min() < sizes.max()
+    # a pilot holder whose estimate on one serving link is exactly zero
+    # keeps that link as a zero slot of its beam
+    a, slot = np.argwhere(beams.valid)[0]
+    estimates = state.estimates.copy()
+    estimates[served[a], slot] = 0.0
+    zeroed = dataclasses.replace(state, estimates=estimates)
+    np.testing.assert_array_equal(
+        _assert_matches_reference(zeroed, serving, served, noise).valid, beams.valid)
 
 
 # ------------------------------------------------------------ rate formula
@@ -339,6 +371,15 @@ def test_power_margin_infeasible():
     assert result.margins[0] < 0
 
 
+def test_power_overflowing_iterate_passes_the_ceiling():
+    result = power_allocation_fixed_point(np.array([1e-300, 1.0]), np.zeros(2),
+                                          np.zeros((2, 2)), 1.0, 1e300,
+                                          np.ones((1, 2)), rrh_power_cap=1.0)
+    assert not result.feasible
+    assert result.reason == "ceiling"
+    assert np.isinf(result.powers[0])
+
+
 def test_power_ceiling_infeasible():
     # coupling spectral radius above one: iterates blow past the total cap
     signal = np.ones(2)
@@ -360,6 +401,19 @@ def test_power_rrh_cap_infeasible():
     assert not result.feasible
     assert result.reason == "rrh_cap"
     assert result.powers[0] == pytest.approx(3.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("signal,target,noise", [
+    # the first iterate gamma * noise / margin underflows to zero
+    (1.0, 1e-200, 1e-200),
+    # the first iterate is 1e-120, but gamma * noise = 1e-320 keeps three
+    # digits, too few to carry the 1e-7 target margin through the rate
+    (1e-200, 1e-160, 1e-160),
+])
+def test_power_underflow_raises(signal, target, noise):
+    with pytest.raises(ValueError, match="power control underflow"):
+        power_allocation_fixed_point(np.array([signal]), np.zeros(1), np.zeros((1, 1)),
+                                     target, noise, np.ones((1, 1)), rrh_power_cap=1e9)
 
 
 def test_power_iterates_monotone_and_budget_bounded():
