@@ -65,7 +65,8 @@ def mmse_estimate(y: np.ndarray, alpha: np.ndarray, assignment: PilotAssignment,
     Returns (estimates, error_var) in the ChannelState layout: estimates
     (K, L, M) on the links of ``clusters``, in its order, with zero rows
     for users without a pilot; error_var (I, K), alpha on every link
-    without an estimate.
+    without an estimate.  ValueError when the received pilot power on an
+    estimated link overflows.
     """
     pilots = assignment.pilots
     membership = assignment.membership
@@ -79,6 +80,11 @@ def mmse_estimate(y: np.ndarray, alpha: np.ndarray, assignment: PilotAssignment,
     users = assignment.users
     rows, cols, pilot = clusters[users], users[:, None], pilots[users][:, None]
     denom = received[rows, pilot]
+    overflowed = int((~np.isfinite(denom)).sum())
+    if overflowed:
+        # p * alpha = inf would give a zero coefficient and a zero error variance
+        raise ValueError(f"channel estimation failed: the received pilot power overflows "
+                         f"on {overflowed} estimated links, so their estimates are not finite")
     gain = alpha[rows, cols]
     coef = np.sqrt(pilot_power) * gain / denom
     estimates = np.zeros(clusters.shape + (y.shape[2],), dtype=complex)

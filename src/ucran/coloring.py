@@ -64,26 +64,29 @@ def dsatur_color(graph: ConflictGraph, reuse_cap: int) -> PilotAssignment:
     # uncolored users by max degree, then lowest id; the first most-saturated
     # user in this order is the max saturation / max degree / lowest id pick
     order = graph.users[np.argsort(-degree[graph.users], kind="stable")].tolist()
+    # user k's neighbours are neighbours[start[k]:start[k + 1]]
+    neighbours = np.nonzero(adjacency)[1].tolist()
+    start = np.concatenate(([0], np.cumsum(degree))).tolist()
 
     pilots = np.full(graph.num_users, -1, dtype=np.int64)
     neighbor_colors: list[set[int]] = [set() for _ in range(graph.num_users)]
     saturation = [0] * graph.num_users
     color_count: list[int] = []
+    open_colors: list[int] = []     # colors below the cap, ascending
 
     while order:
         k = max(order, key=saturation.__getitem__)
         order.remove(k)
         forbidden = neighbor_colors[k]
-        color = next(
-            (c for c in range(len(color_count))
-             if c not in forbidden and color_count[c] < reuse_cap),
-            len(color_count),
-        )
+        color = next((c for c in open_colors if c not in forbidden), len(color_count))
         if color == len(color_count):
             color_count.append(0)
+            open_colors.append(color)
         color_count[color] += 1
+        if color_count[color] == reuse_cap:
+            open_colors.remove(color)
         pilots[k] = color
-        for nb in np.flatnonzero(adjacency[k]).tolist():
+        for nb in neighbours[start[k]:start[k + 1]]:
             if color not in neighbor_colors[nb]:
                 neighbor_colors[nb].add(color)
                 saturation[nb] += 1

@@ -57,7 +57,8 @@ def build_base_graph(clusters: np.ndarray) -> ConflictGraph:
     num_users = clusters.shape[0]
     num_rrhs = int(clusters.max()) + 1 if clusters.size else 0
     incidence = cluster_link_mask(clusters, np.arange(num_users), num_rrhs)
-    adjacency = (incidence.T @ incidence) > 0
+    # adjacency[k, k2]: some RRH of k's cluster is in k2's cluster
+    adjacency = incidence[clusters].any(axis=1)
     np.fill_diagonal(adjacency, False)
     return ConflictGraph(adjacency=adjacency, users=np.arange(num_users))
 

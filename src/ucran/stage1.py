@@ -14,8 +14,10 @@ The base conflict graph is colored once.  Four outcomes:
   kept as is (``base``);
 * colors needed = budget: the base coloring is kept as is (``exact``).
 
-The base graph is built once per call; removal rounds recolor
-``base.restrict(survivors)``.  The result carries one pilot array
+The base graph is built once per call.  A removal round colors
+``base.restrict(survivors)`` only when the coloring is read: for a degree
+tie, or for the budget test once ``ceil(survivors / reuse_cap)`` no
+longer exceeds the budget.  The result carries one pilot array
 (:class:`~ucran.coloring.PilotAssignment`); the admitted users are its
 pilot holders.
 """
@@ -97,30 +99,47 @@ def select_users_case1(instance: NetworkInstance, pilot_budget: int, reuse_cap: 
                        rng: np.random.Generator | None = None) -> Stage1Result:
     """Remove users until the remaining base graph colors within budget.
 
-    Starts from the base graph and its coloring; each round recolors the
-    base graph restricted to the remaining users from scratch.  The victim
-    is the active user with the most conflict edges, ties broken by the
-    largest total interference weight to its current pilot group, then by
-    lowest user id.  With ``rng`` the victim is
+    Starts from the base graph and its coloring.  The victim is the active
+    user with the most conflict edges, ties broken by the largest total
+    interference weight to its pilot group in a fresh coloring of the
+    remaining users, then by lowest user id.  With ``rng`` the victim is
     instead drawn uniformly from the active users.
+
+    A capped coloring of n users needs at least ``ceil(n / reuse_cap)``
+    pilots, so while that exceeds the budget the loop goes on without one.
+    The remaining users are colored only when a coloring decides the
+    round: for the budget test once that bound no longer does, and for a
+    degree tie.  DSatur is deterministic, so the victims and the final
+    assignment are those of recoloring after every removal.
     """
     trace: list[int] = []
-    graph, assignment = base, base_assignment
+    graph = base
+    assignment: PilotAssignment | None = base_assignment  # None: not yet colored
 
-    while assignment.num_pilots > pilot_budget:
+    while True:
+        if -(-len(graph.users) // reuse_cap) <= pilot_budget:
+            if assignment is None:
+                assignment = dsatur_color(graph, reuse_cap)
+            if assignment.num_pilots <= pilot_budget:
+                break
         active = graph.users.tolist()
         if rng is None:
             degrees = vertex_degrees(graph)[graph.users]
-            # interference only breaks degree ties; max keeps the lowest id on a tie
             tied = graph.users[degrees == degrees.max()].tolist()
-            victim = max(tied, key=lambda k: interference_score(
-                instance.weights, assignment, k))
+            if len(tied) > 1:
+                if assignment is None:
+                    assignment = dsatur_color(graph, reuse_cap)
+                # max keeps the lowest id on an interference tie
+                victim = max(tied, key=lambda k: interference_score(
+                    instance.weights, assignment, k))
+            else:
+                victim = tied[0]
         else:
             victim = int(rng.choice(active))
         active.remove(victim)
         trace.append(victim)
         graph = base.restrict(active)
-        assignment = dsatur_color(graph, reuse_cap)
+        assignment = None
 
     return Stage1Result(
         assignment=assignment,

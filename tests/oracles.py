@@ -6,13 +6,16 @@ rates by direct channel redraws, power control by solving the linear
 fixed-point system, the pairwise pilot-interference weight one pair at a
 time, the cluster-overlap graph built on a user subset directly,
 fronthaul pruning one RRH at a time on per-user serving sets, DSatur
-picking each next vertex by a full (saturation, degree, id) key, and
+picking each next vertex by a full (saturation, degree, id) key, case-1
+user removal recoloring the survivors after every removal, and
 robust-beam covariance systems and rate coefficients as dense products
 over every RRH antenna, one user at a time, on estimates spread from each
 user's cluster links to every RRH.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -171,6 +174,42 @@ def dsatur_reference(graph, reuse_cap: int) -> tuple[np.ndarray, int]:
                 neighbor_colors[nb].add(color)
 
     return pilots, len(color_count)
+
+
+def select_users_case1_reference(clusters: np.ndarray, weights: np.ndarray,
+                                 pilot_budget: int, reuse_cap: int,
+                                 rng: np.random.Generator | None = None):
+    """Case-1 removal that recolors the survivors after every removal:
+    (removal trace, pilots).
+
+    Each round builds the cluster-overlap graph on the survivors, colors
+    it with :func:`dsatur_reference`, and stops once the coloring fits the
+    budget.  Otherwise the victim is the survivor of highest degree, ties
+    by the larger weight sum to its co-pilot users (ascending id), then by
+    lowest id; with ``rng`` it is ``rng.choice`` of the sorted survivors.
+    """
+    active = list(range(clusters.shape[0]))
+    trace = []
+    while True:
+        adjacency, users = base_graph_on(clusters, active)
+        graph = SimpleNamespace(adjacency=adjacency, users=users,
+                                num_users=adjacency.shape[0])
+        pilots, num_pilots = dsatur_reference(graph, reuse_cap)
+        if num_pilots <= pilot_budget:
+            return tuple(trace), pilots
+        if rng is None:
+            degree = adjacency.sum(axis=1)
+            top = max(degree[k] for k in active)
+
+            def score(k):
+                return sum(weights[k, j] for j in active if j != k and pilots[j] == pilots[k])
+
+            # max keeps the first, lowest-id user on a score tie
+            victim = max((k for k in active if degree[k] == top), key=score)
+        else:
+            victim = int(rng.choice(active))
+        active.remove(victim)
+        trace.append(victim)
 
 
 def exact_capped_chromatic(adjacency: np.ndarray, cap: int) -> int:

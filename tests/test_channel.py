@@ -104,6 +104,21 @@ def test_mmse_error_stays_exact_when_one_user_dominates():
     assert error_var[0, 1] == pytest.approx((noise + p * 1e30) / received, rel=1e-12)
 
 
+def test_mmse_rejects_an_overflowing_received_power():
+    # p * alpha overflows while sqrt(p) * alpha does not: the coefficient
+    # would round to zero and report a zero estimate with zero error
+    p, noise = 3e299, 1.0
+    alpha = np.array([[3e158]])
+    clusters = np.array([[0]])
+    assignment = PilotAssignment(pilots=[0], num_pilots=1)
+    h = draw_channels(alpha, antennas=1, rng=np.random.default_rng(0))
+    with np.errstate(over="ignore"):
+        y = simulate_pilot_rx(h, assignment, p, noise, np.random.default_rng(0))
+        assert np.isfinite(y).all()
+        with pytest.raises(ValueError, match="received pilot power overflows on 1 "):
+            mmse_estimate(y, alpha, assignment, clusters, p, noise)
+
+
 def test_mmse_contamination_floor():
     # two equal-gain users on one pilot: error tends to alpha/2 as the
     # pilot power grows

@@ -156,12 +156,19 @@ def test_underflowing_gains_fail_cleanly(capsys):
     pytest.param(["--pathloss-intercept", "-4000"], "large-scale gains overflow",
                  id="gain-overflow"),
     # one link of gain 3e158 and pilot power 1e300: the received pilot power
-    # overflows, and so does sqrt(p) * gain, so the MMSE coefficient is inf/inf
+    # overflows, and so does sqrt(p) * gain
     pytest.param(["--num-rrhs", "1", "--num-users", "1", "--cluster-size", "1",
                   "--pilot-power", "1e300", "--noise-power", "1", "--area-side", "1",
                   "--pathloss-exponent", "0", "--pathloss-intercept", "-1585",
                   "--shadowing-stddev", "0", "--rate-req", "0"],
                  "estimates are not finite", id="estimate-overflow"),
+    # pilot power 3e299: sqrt(p) * gain stays finite but p * gain overflows,
+    # which would round the MMSE coefficient and the error variance to zero
+    pytest.param(["--num-rrhs", "1", "--num-users", "1", "--cluster-size", "1",
+                  "--pilot-power", "3e299", "--noise-power", "1", "--area-side", "1",
+                  "--pathloss-exponent", "0", "--pathloss-intercept", "-1585",
+                  "--shadowing-stddev", "0", "--rate-req", "0"],
+                 "received pilot power overflows", id="received-overflow"),
 ])
 def test_overflowing_gains_fail_cleanly(flags, message, capsys):
     with warnings.catch_warnings():

@@ -92,12 +92,33 @@ def test_random_graphs_yield_valid_colorings(seed, cap):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_matches_reference_dsatur(data):
-    num_users = data.draw(st.integers(1, 14), label="num_users")
-    density = data.draw(st.sampled_from([0.1, 0.3, 0.5, 0.8]), label="density")
+    num_users = data.draw(st.integers(1, 60), label="num_users")
+    # 0.02 is as sparse as the 216-user removal graphs, 0.9 as dense as
+    # the thresholded graphs of the spread search
+    density = data.draw(st.sampled_from([0.02, 0.1, 0.3, 0.5, 0.8, 0.9]), label="density")
     g = random_graph(data.draw(st.integers(0, 10 ** 6), label="seed"), num_users, density)
     if data.draw(st.booleans(), label="restrict"):
         g = g.restrict(data.draw(st.sets(st.integers(0, num_users - 1)), label="active"))
     cap = data.draw(st.integers(1, num_users + 1), label="cap")
+    assignment = dsatur_color(g, reuse_cap=cap)
+    pilots, num_pilots = dsatur_reference(g, cap)
+    np.testing.assert_array_equal(assignment.pilots, pilots)
+    assert assignment.num_pilots == num_pilots
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_matches_reference_dsatur_on_cluster_graphs(data):
+    # restricted cluster-overlap graphs on many RRHs, as in case-1 removal
+    num_users = data.draw(st.integers(10, 60), label="num_users")
+    num_rrhs = data.draw(st.integers(num_users, 3 * num_users), label="num_rrhs")
+    width = data.draw(st.integers(1, 6), label="width")
+    rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6), label="seed"))
+    clusters = np.stack([rng.choice(num_rrhs, size=width, replace=False)
+                         for _ in range(num_users)])
+    active = np.flatnonzero(rng.random(num_users) < data.draw(st.floats(0.2, 1.0), label="keep"))
+    g = build_base_graph(clusters).restrict(active)
+    cap = data.draw(st.integers(1, 6), label="cap")
     assignment = dsatur_color(g, reuse_cap=cap)
     pilots, num_pilots = dsatur_reference(g, cap)
     np.testing.assert_array_equal(assignment.pilots, pilots)

@@ -57,6 +57,19 @@ def test_restrict_matches_reference_construction(seed, num_users, width, keep):
                                   base_graph_on(clusters, set(half.tolist()))[0])
 
 
+@given(st.integers(0, 10 ** 6), st.integers(0, 60), st.integers(1, 120), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_base_graph_matches_reference_construction(seed, num_users, num_rrhs, width):
+    rng = np.random.default_rng(seed)
+    width = min(width, num_rrhs)
+    clusters = np.array([rng.choice(num_rrhs, size=width, replace=False)
+                         for _ in range(num_users)], dtype=np.int64).reshape(num_users, width)
+    g = build_base_graph(clusters)
+    adjacency, users = base_graph_on(clusters, range(num_users))
+    np.testing.assert_array_equal(g.adjacency, adjacency)
+    np.testing.assert_array_equal(g.users, users)
+
+
 def test_pairwise_weight_hand_value():
     # cross/own ratios 0.5 and 0.2: ln(1.5) + ln(1.2)
     alpha = np.array([

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ucran import (
@@ -18,6 +18,7 @@ from ucran.conflict_graph import build_thresholded_graph
 from ucran.stage1 import CASE_BASE, CASE_EXACT, CASE_REMOVAL, CASE_SPREAD
 
 from conftest import craft_instance
+from oracles import select_users_case1_reference
 
 
 def test_star_center_removed_first(star_instance):
@@ -222,3 +223,69 @@ def test_spread_falls_back_to_the_base_coloring():
     assert lone.case_taken == CASE_SPREAD
     assert lone.threshold == 1.0
     assert lone.assignment.pilots.tolist() == [0]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_removal_matches_recoloring_every_round(data):
+    # tight budgets on up to 30 users: the count bound decides most rounds,
+    # and the last rounds need a coloring to test the budget
+    num_users = data.draw(st.integers(4, 30), label="num_users")
+    cfg = SimConfig(num_rrhs=data.draw(st.sampled_from([9, 16, 25]), label="num_rrhs"),
+                    num_users=num_users,
+                    cluster_size=data.draw(st.integers(1, 4), label="cluster_size"),
+                    area_side=400.0)
+    instance = build_network(cfg, seed=data.draw(st.integers(0, 10 ** 6), label="seed"))
+    reuse_cap = data.draw(st.integers(1, 4), label="reuse_cap")
+    base_colors = dsatur_color(build_base_graph(instance.clusters), reuse_cap).num_pilots
+    assume(base_colors >= 2)
+    budget = data.draw(st.integers(1, min(base_colors - 1, 4)), label="budget")
+    rng_seed = data.draw(st.one_of(st.none(), st.integers(0, 10 ** 6)), label="rng_seed")
+
+    def rng():
+        return None if rng_seed is None else np.random.default_rng(rng_seed)
+
+    result = run_stage1(instance, budget, reuse_cap, spread=False, rng=rng())
+    trace, pilots = select_users_case1_reference(instance.clusters, instance.weights,
+                                                 budget, reuse_cap, rng=rng())
+    assert result.case_taken == CASE_REMOVAL
+    assert result.removal_trace == trace
+    np.testing.assert_array_equal(result.assignment.pilots, pilots)
+
+
+def _count_dsatur_calls(monkeypatch):
+    calls = []
+
+    def counting(graph, reuse_cap):
+        calls.append(len(graph.users))
+        return dsatur_color(graph, reuse_cap)
+
+    monkeypatch.setattr("ucran.stage1.dsatur_color", counting)
+    return calls
+
+
+def test_random_removal_colors_only_when_the_count_bound_cannot_decide(monkeypatch):
+    # 60 users, 2 pilots of reuse cap 2: at most 4 users can fit, so every
+    # round above 4 survivors is decided without a coloring
+    cfg = SimConfig(num_rrhs=36, num_users=60, cluster_size=3)
+    instance = build_network(cfg, seed=4)
+    budget, cap = 2, 2
+    calls = _count_dsatur_calls(monkeypatch)
+    result = run_stage1(instance, budget, cap, spread=False, rng=np.random.default_rng(0))
+    assert result.case_taken == CASE_REMOVAL
+    survivors = [60 - r for r in range(1, len(result.removal_trace) + 1)]
+    undecided = [n for n in survivors if -(-n // cap) <= budget]
+    assert calls == [60] + undecided
+    assert len(calls) <= 5 < len(result.removal_trace)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_proposed_removal_colors_at_most_once_per_round(seed, monkeypatch):
+    cfg = SimConfig(num_rrhs=36, num_users=60, cluster_size=3)
+    instance = build_network(cfg, seed=seed)
+    calls = _count_dsatur_calls(monkeypatch)
+    result = run_stage1(instance, pilot_budget=2, reuse_cap=2)
+    assert result.case_taken == CASE_REMOVAL
+    # the base graph, then at most one coloring per removal
+    assert calls[0] == 60
+    assert len(calls) <= 1 + len(result.removal_trace)
