@@ -1,11 +1,12 @@
 """Small-scale fading, uplink pilot reception, and per-link channel knowledge.
 
 Array conventions: true channels are (num_rrhs, num_users, antennas)
-complex and error variances (num_rrhs, num_users) per antenna.  Estimates
-are stored on the only links they are made on, each user's cluster links:
-(num_users, L, antennas) on :attr:`ChannelState.links`, the L cluster RRHs
-in ascending order.  Pilot holders are estimated by linear MMSE from the
-pilot phase, or exactly under perfect CSI; other users keep zero rows.
+complex and live only while the pilot phase runs; error variances are
+(num_rrhs, num_users) per antenna.  Estimates are stored on the only links
+they are made on, each user's cluster links: (num_users, L, antennas) on
+:attr:`ChannelState.links`, the L cluster RRHs in ascending order.  Pilot
+holders are estimated by linear MMSE from the pilot phase, or exactly
+under perfect CSI; other users keep zero rows.
 Every link without an estimate keeps its full gain alpha as its error
 variance, so downstream consumers can treat every link uniformly (known
 part + zero-mean residual of that variance per antenna).
@@ -23,7 +24,6 @@ from .topology import NetworkInstance, SimConfig, STREAM_FADING, stream_rng
 
 @dataclass(frozen=True)
 class ChannelState:
-    true_channels: np.ndarray   # (I, K, M) complex
     links: np.ndarray           # (K, L) each user's cluster RRHs, ascending
     estimates: np.ndarray       # (K, L, M) complex on links, zero rows without a pilot
     error_var: np.ndarray       # (I, K) per-antenna residual variance
@@ -44,9 +44,13 @@ def simulate_pilot_rx(true_channels: np.ndarray, assignment: PilotAssignment,
     sqrt(pilot_power)-scaled superposition of the channels of every user
     on pilot t, plus CN(0, noise_power * Identity) noise.
     """
-    # y[i, t, :] = sqrt(p) * sum_k membership[k, t] * h[i, k, :] + noise
-    y = np.sqrt(pilot_power) * np.einsum("ikm,kt->itm", true_channels,
-                                         assignment.membership)
+    # y[i, t, :] = sqrt(p) * sum of h[i, k, :] over the users k on pilot t,
+    # added in ascending user id
+    num_rrhs, _, antennas = true_channels.shape
+    users = assignment.users
+    y = np.zeros((num_rrhs, assignment.num_pilots, antennas), dtype=complex)
+    np.add.at(y, (slice(None), assignment.pilots[users]), true_channels[:, users])
+    y *= np.sqrt(pilot_power)
     noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
     return y + np.sqrt(noise_power / 2.0) * noise
 
@@ -132,5 +136,4 @@ def build_channel_state(instance: NetworkInstance, assignment: PilotAssignment,
         if bad:
             raise ValueError(f"channel estimation failed: {bad} {what} are not "
                              "finite; the link gains span too wide a range")
-    return ChannelState(true_channels=h, links=links, estimates=estimates,
-                        error_var=error_var)
+    return ChannelState(links=links, estimates=estimates, error_var=error_var)

@@ -41,22 +41,14 @@ class ConflictGraph:
                              users=np.flatnonzero(keep))
 
 
-def cluster_link_mask(clusters: np.ndarray, users, num_rrhs: int) -> np.ndarray:
-    """(I, K) bool, True where RRH i is in the cluster of user k, for k in
-    ``users``; the columns of other users are all False."""
-    mask = np.zeros((num_rrhs, clusters.shape[0]), dtype=bool)
-    users = np.asarray(users, dtype=np.int64)
-    mask[clusters[users], users[:, None]] = True
-    return mask
-
-
 def build_base_graph(clusters: np.ndarray) -> ConflictGraph:
     """Adjacency from cluster overlap: edge iff the two clusters intersect.
 
     Every user is active; :meth:`ConflictGraph.restrict` cuts it down."""
     num_users = clusters.shape[0]
     num_rrhs = int(clusters.max()) + 1 if clusters.size else 0
-    incidence = cluster_link_mask(clusters, np.arange(num_users), num_rrhs)
+    incidence = np.zeros((num_rrhs, num_users), dtype=bool)   # RRH i in k's cluster
+    incidence[clusters, np.arange(num_users)[:, None]] = True
     # adjacency[k, k2]: some RRH of k's cluster is in k2's cluster
     adjacency = incidence[clusters].any(axis=1)
     np.fill_diagonal(adjacency, False)

@@ -106,10 +106,11 @@ def audit_solution(solution: AdmissionSolution, config: SimConfig) -> list[str]:
         problems.append(f"rate below requirement: min {solution.rates.min():.6f}")
     if (solution.per_rrh_power > config.rrh_power_cap).any():
         problems.append(f"per-RRH power cap exceeded: max {solution.per_rrh_power.max():.6f}")
-    loads = solution.serving.sum(axis=1)
+    beams = solution.beams
+    loads = np.bincount(beams.rrhs[beams.valid], minlength=beams.num_rrhs)
     if (loads > config.fronthaul_cap).any():
         problems.append(f"fronthaul cap exceeded: max load {loads.max()}")
-    norms = np.linalg.norm(solution.directions, axis=0)
+    norms = np.linalg.norm(beams.weights.reshape(solution.num_served, -1), axis=1)
     if (np.abs(norms - 1.0) > 1e-9).any():
         problems.append("beam directions are not unit norm")
     if (solution.powers < 0).any():

@@ -3,16 +3,15 @@ the per-RRH fronthaul cap, robust beam directions from the estimated
 channels with error loading, an expected-rate lower bound, fixed-point
 power control under per-RRH power caps, and greedy admission.
 
-Serving sets are one (I, K) bool mask, True where RRH i serves user k.
-As in the user-centric C-RAN, a beam lives on its user's serving
-antennas only: :class:`LocalBeams` holds each one as an (L, M) block on
-the user's cluster links (:attr:`ChannelState.links`, where the
-estimates live too), with the slots the fronthaul cap pruned invalid.
-Every admission round solves all users' covariances in one batch, then
-gathers the rate coefficients (for power control and the rate bound)
-and the power shares from those blocks, so no quadratic form runs over
-all I*M antennas.  Only the final solution spreads the beams over all
-RRH antennas, as :attr:`AdmissionSolution.directions`.
+As in the user-centric C-RAN, a user is served by its own cluster only,
+so stage 2 works on the served users' cluster links
+(:attr:`ChannelState.links`, where the estimates live too) from the
+fronthaul cap to the final solution.  A serving set is an (n, L) bool
+mask on those links, False where the cap pruned one, and a beam is an
+(L, M) block on the same links (:class:`LocalBeams`).  Every admission
+round solves all users' covariances in one batch, then gathers the rate
+coefficients (for power control and the rate bound) and the power shares
+from those blocks; nothing is spread over all I*M antennas.
 """
 
 from __future__ import annotations
@@ -24,31 +23,32 @@ import numpy as np
 
 from .channel import ChannelState
 from .conflict_graph import interference_matrix  # noqa: F401  (perfbench/spans.py wraps this name)
-from .conflict_graph import cluster_link_mask, interference_score
+from .conflict_graph import interference_score
 from .stage1 import Stage1Result
 from .topology import NetworkInstance, SimConfig
 
 
-def enforce_fronthaul_cap(clusters: np.ndarray, admitted, alpha: np.ndarray,
+def enforce_fronthaul_cap(links: np.ndarray, served, alpha: np.ndarray,
                           cap: int) -> np.ndarray:
-    """Serving mask (I, K): RRH i serves user k.
+    """Serving mask (n, L) on ``links[served]``: True where the link's RRH
+    serves the user.
 
-    Start from the admitted users' full clusters; an over-subscribed RRH
+    Start from the served users' full clusters; an over-subscribed RRH
     keeps its ``cap`` strongest users (largest link gain, ties to the lower
     id) and is removed from the rest.  May leave some users with no RRH.
     """
     if cap < 1:
         raise ValueError("fronthaul cap must be >= 1")
-    admitted = np.unique(np.asarray(admitted, dtype=np.int64))
-    serving = cluster_link_mask(clusters, admitted, alpha.shape[0])
-    # a stable sort over ascending ids breaks gain ties toward the lower id;
-    # links outside the clusters sort last and are masked out again below
-    key = np.where(serving[:, admitted], -alpha[:, admitted], np.inf)
-    strongest = np.argsort(key, axis=1, kind="stable")[:, :cap]
-    keep = np.zeros(key.shape, dtype=bool)
-    np.put_along_axis(keep, strongest, True, axis=1)
-    serving[:, admitted] &= keep
-    return serving
+    served = np.asarray(served, dtype=np.int64)
+    rrhs = links[served].ravel()
+    users = np.repeat(served, links.shape[1])
+    # rank each link within its RRH: strongest first, ties to the lower id
+    order = np.lexsort((users, -alpha[rrhs, users], rrhs))
+    by_rrh = rrhs[order]
+    rank = np.arange(by_rrh.size) - np.searchsorted(by_rrh, by_rrh)
+    keep = np.empty(by_rrh.size, dtype=bool)
+    keep[order] = rank < cap
+    return keep.reshape(served.size, links.shape[1])
 
 
 @dataclass(frozen=True)
@@ -70,19 +70,12 @@ class LocalBeams:
         """(n, L) share of each beam's unit power on each slot."""
         return (np.abs(self.weights) ** 2).sum(axis=2)
 
-    def dense(self) -> np.ndarray:
-        """(I*M, n) beams zero-padded over all RRH antennas; row i*M + m is
-        antenna m of RRH i."""
-        n, _, antennas = self.weights.shape
-        out = np.zeros((self.num_rrhs, antennas, n), dtype=complex)
-        out[self.rrhs, :, np.arange(n)[:, None]] = self.weights
-        return out.reshape(self.num_rrhs * antennas, n)
-
 
 @np.errstate(over="ignore", invalid="ignore")
-def robust_beam_direction(channel_state: ChannelState, serving: np.ndarray,
+def robust_beam_direction(channel_state: ChannelState, valid: np.ndarray,
                           served, noise_power: float) -> LocalBeams:
-    """Unit beam directions, one per served user, on its serving antennas.
+    """Unit beam directions, one per served user, on its serving antennas:
+    the links of ``channel_state.links[served]`` that ``valid`` marks.
 
     On the stacked antennas of the user's serving set, the direction is
     the regularized inverse of the sum of all served users' estimated
@@ -96,9 +89,8 @@ def robust_beam_direction(channel_state: ChannelState, serving: np.ndarray,
     sums, and all users' systems are solved in one batch.
     """
     served = np.asarray(served, dtype=np.int64)
-    num_rrhs = serving.shape[0]
+    num_rrhs = channel_state.error_var.shape[0]
     rrhs = channel_state.links[served]
-    valid = serving[rrhs, served[:, None]]
     est = channel_state.estimates[served]
     n, width, antennas = est.shape
     empty = ~valid.any(axis=1)
@@ -290,8 +282,7 @@ def power_allocation_fixed_point(signal: np.ndarray, self_err: np.ndarray,
 @dataclass(frozen=True)
 class AdmissionSolution:
     served: np.ndarray               # sorted user ids
-    serving: np.ndarray              # (I, K) bool, RRH i serves user k
-    directions: np.ndarray           # (I*M, n) unit columns, zero-padded globally
+    beams: LocalBeams                # unit beams on the served users' serving links
     powers: np.ndarray               # (n,) mW
     rates: np.ndarray                # (n,) bits/s/Hz, lower bound
     per_rrh_power: np.ndarray        # (I,) mW
@@ -316,21 +307,19 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
     """
     served = stage1_result.admitted.tolist()
     removed: list[int] = []
-    num_rrhs = instance.num_rrhs
-    antennas = config.antennas_per_rrh
     # expm1 keeps tiny targets exact where 2**rate_req - 1 cancels
     sinr_target = math.expm1(config.rate_req * math.log(2.0))
 
     while served:
-        serving = enforce_fronthaul_cap(instance.clusters, served,
-                                        instance.alpha, config.fronthaul_cap)
-        has_rrh = serving[:, served].any(axis=0)
+        valid = enforce_fronthaul_cap(channel_state.links, served,
+                                      instance.alpha, config.fronthaul_cap)
+        has_rrh = valid.any(axis=1)
         if not has_rrh.all():
             removed.extend(k for k, ok in zip(served, has_rrh) if not ok)
             served = [k for k, ok in zip(served, has_rrh) if ok]
             continue
 
-        beams = robust_beam_direction(channel_state, serving, served,
+        beams = robust_beam_direction(channel_state, valid, served,
                                       config.noise_power)
         signal, self_err, cross = rate_coefficients(channel_state, beams, served)
         share = rrh_power_share(beams)
@@ -342,8 +331,8 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
             rates = expected_rate_lb(signal, self_err, cross, control.powers,
                                      config.noise_power)
             return AdmissionSolution(
-                served=np.array(served, dtype=np.int64), serving=serving,
-                directions=beams.dense(), powers=control.powers, rates=rates,
+                served=np.array(served, dtype=np.int64), beams=beams,
+                powers=control.powers, rates=rates,
                 per_rrh_power=share @ control.powers,
                 removal_trace=tuple(removed))
 
@@ -351,12 +340,14 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
         served.remove(victim)
         removed.append(victim)
 
+    empty = np.zeros(0, dtype=np.int64)
+    links = channel_state.links[empty]
     return AdmissionSolution(
-        served=np.zeros(0, dtype=np.int64),
-        serving=np.zeros((num_rrhs, instance.num_users), dtype=bool),
-        directions=np.zeros((num_rrhs * antennas, 0), dtype=complex),
+        served=empty,
+        beams=LocalBeams(rrhs=links, valid=np.zeros(links.shape, dtype=bool),
+                         weights=channel_state.estimates[empty], num_rrhs=instance.num_rrhs),
         powers=np.zeros(0), rates=np.zeros(0),
-        per_rrh_power=np.zeros(num_rrhs),
+        per_rrh_power=np.zeros(instance.num_rrhs),
         removal_trace=tuple(removed))
 
 

@@ -194,19 +194,6 @@ _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,
                  "yes": True, "no": False}
 
 
-def _coerce(name: str, text: str, target_type) -> object:
-    if target_type is bool:
-        try:
-            return _BOOL_STRINGS[text.strip().lower()]
-        except KeyError:
-            raise ValueError(f"config key {name!r}: cannot parse boolean from {text!r}")
-    if target_type is int:
-        return int(text)
-    if target_type is float:
-        return float(text)
-    return text
-
-
 def load_config_file(path: str | Path) -> dict:
     """Parse a ``key = value`` config file into a dict of SimConfig fields.
 
@@ -224,7 +211,14 @@ def load_config_file(path: str | Path) -> dict:
         key = key.strip()
         if key not in CONFIG_FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, text.strip(), CONFIG_FIELD_TYPES[key])
+        text, target_type = text.strip(), CONFIG_FIELD_TYPES[key]
+        try:
+            values[key] = (_BOOL_STRINGS[text.lower()] if target_type is bool
+                           else target_type(text))
+        except (KeyError, ValueError):
+            kind = "boolean" if target_type is bool else target_type.__name__
+            raise ValueError(f"{path}:{lineno}: config key {key!r}: cannot parse "
+                             f"{kind} from {text!r}") from None
     return values
 
 

@@ -10,7 +10,8 @@ picking each next vertex by a full (saturation, degree, id) key, case-1
 user removal recoloring the survivors after every removal, and
 robust-beam covariance systems and rate coefficients as dense products
 over every RRH antenna, one user at a time, on estimates spread from each
-user's cluster links to every RRH.
+user's cluster links to every RRH, and the pilot observation as one
+product of the channels with the one-hot pilot membership.
 """
 
 from __future__ import annotations
@@ -85,27 +86,31 @@ def scatter_links(links: np.ndarray, per_link: np.ndarray, num_rrhs: int) -> np.
     return dense
 
 
-def _stack_antennas(per_link: np.ndarray) -> np.ndarray:
+def stack_antennas(per_link: np.ndarray) -> np.ndarray:
     """(I, K, M) per-link vectors as (I*M, K); row i*M + m is antenna m of RRH i."""
     num_rrhs, num_users, antennas = per_link.shape
     return per_link.transpose(0, 2, 1).reshape(num_rrhs * antennas, num_users)
 
 
-def beam_systems_reference(estimates: np.ndarray, error_var: np.ndarray, serving: np.ndarray,
-                           served, noise_power: float) -> list:
+def beam_systems_reference(estimates: np.ndarray, error_var: np.ndarray,
+                           serving: dict[int, np.ndarray], served,
+                           noise_power: float) -> list:
     """Per served user, (rows, cov, own): its serving-antenna rows of the
     (I*M,) RRH-major antenna stack; the sum of every served user's estimated
     outer product plus the diagonal error load (all served users'
     variances) and noise on them; and its own estimate there.  Its robust
     beam is the normalized solution of cov w = own, or the uniform beam
-    when own is zero.  ``estimates`` is (I, K, M), ``error_var`` (I, K)."""
+    when own is zero.  ``estimates`` is (I, K, M), ``error_var`` (I, K),
+    ``serving`` maps each served user to its serving RRH ids."""
     served = [int(k) for k in served]
-    antennas = estimates.shape[2]
-    hhat = _stack_antennas(estimates)
+    num_rrhs, _, antennas = estimates.shape
+    hhat = stack_antennas(estimates)
     load = np.repeat(error_var, antennas, axis=0)[:, served].sum(axis=1)
     systems = []
     for k in served:
-        rows = np.flatnonzero(np.repeat(serving[:, k], antennas))
+        on = np.zeros(num_rrhs, dtype=bool)
+        on[serving[k]] = True
+        rows = np.flatnonzero(np.repeat(on, antennas))
         local = hhat[rows][:, served]
         cov = local @ local.conj().T + np.diag(load[rows] + noise_power)
         systems.append((rows, cov, hhat[rows, k]))
@@ -123,7 +128,7 @@ def rate_coefficients_reference(estimates: np.ndarray, error_var: np.ndarray,
     """
     served = [int(k) for k in served]
     num_rrhs, _, antennas = estimates.shape
-    hhat = _stack_antennas(estimates)[:, served]
+    hhat = stack_antennas(estimates)[:, served]
     evar = np.repeat(error_var, antennas, axis=0)[:, served]
     power = np.abs(directions) ** 2
     gains = hhat.conj().T @ directions
@@ -134,6 +139,22 @@ def rate_coefficients_reference(estimates: np.ndarray, error_var: np.ndarray,
     np.fill_diagonal(cross, 0.0)
     share = power.reshape(num_rrhs, antennas, -1).sum(axis=1)
     return signal, self_err, cross, share
+
+
+def pilot_rx_reference(true_channels: np.ndarray, assignment, pilot_power: float,
+                       noise_power: float, rng: np.random.Generator) -> np.ndarray:
+    """Pilot observation (I, num_pilots, M): sqrt(pilot_power) times the
+    product of the (I, K, M) channels with the one-hot (K, num_pilots)
+    membership, plus CN(0, noise_power) noise drawn from ``rng`` as real
+    then imaginary parts."""
+    num_users = true_channels.shape[1]
+    membership = np.zeros((num_users, assignment.num_pilots))
+    for k, pilot in enumerate(assignment.pilots):
+        if pilot >= 0:
+            membership[k, pilot] = 1.0
+    y = np.sqrt(pilot_power) * np.einsum("ikm,kt->itm", true_channels, membership)
+    noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+    return y + np.sqrt(noise_power / 2.0) * noise
 
 
 def dsatur_reference(graph, reuse_cap: int) -> tuple[np.ndarray, int]:

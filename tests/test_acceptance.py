@@ -36,6 +36,7 @@ from oracles import (
     mc_ergodic_rate,
     scatter_links,
     solve_power_linear,
+    stack_antennas,
 )
 
 CLUSTER_SIZES = [2, 3, 4, 5, 6]
@@ -232,12 +233,14 @@ def test_criterion_9_rate_bound_below_monte_carlo(capsys):
         if solution.num_served == 0:
             continue
         served = [int(k) for k in solution.served]
-        dense = scatter_links(state.links, state.estimates, config.num_rrhs)
-        stacked = dense.transpose(0, 2, 1).reshape(
-            config.num_rrhs * antennas, config.num_users)
+        stacked = stack_antennas(scatter_links(state.links, state.estimates,
+                                               config.num_rrhs))
+        beams = solution.beams
+        directions = stack_antennas(scatter_links(beams.rrhs, beams.weights,
+                                                  beams.num_rrhs))
         evar = np.repeat(state.error_var, antennas, axis=0)
         mc = mc_ergodic_rate(stacked[:, served], evar[:, served],
-                             solution.directions, solution.powers,
+                             directions, solution.powers,
                              config.noise_power,
                              np.random.default_rng(10_000 + seed))
         bound_holds = bound_holds and bool((solution.rates <= mc).all())

@@ -12,9 +12,9 @@ from ucran import (
     simulate_pilot_rx,
 )
 from ucran.channel import perfect_csi
-from ucran.conflict_graph import cluster_link_mask
+from ucran.topology import STREAM_FADING, stream_rng
 
-from oracles import scatter_links
+from oracles import pilot_rx_reference, scatter_links
 
 
 def _pair_system(num_draws: int, a0: float, a1: float):
@@ -57,6 +57,22 @@ def test_pilot_rx_noise_free_single_user():
     rng = np.random.default_rng(0)
     y = simulate_pilot_rx(h, assignment, pilot_power=4.0, noise_power=0.0, rng=rng)
     np.testing.assert_allclose(y[:, 0], 2.0 * h[:, 0])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pilot_rx_matches_reference(seed):
+    # random assignments with users left without a pilot and pilots left
+    # unused: the observation must equal the one-hot product bit for bit
+    rng = np.random.default_rng(seed)
+    num_rrhs, num_users, num_pilots = rng.integers(1, 7), rng.integers(1, 13), rng.integers(1, 6)
+    alpha = rng.uniform(0.01, 2.0, (num_rrhs, num_users))
+    h = draw_channels(alpha, antennas=int(rng.integers(1, 4)), rng=rng)
+    pilots = np.where(rng.random(num_users) < 0.3, -1, rng.integers(0, num_pilots, num_users))
+    assignment = PilotAssignment(pilots=pilots, num_pilots=int(num_pilots))
+    p, noise = rng.uniform(0.1, 10.0), rng.uniform(0.0, 1.0)
+    y = simulate_pilot_rx(h, assignment, p, noise, np.random.default_rng(seed))
+    expected = pilot_rx_reference(h, assignment, p, noise, np.random.default_rng(seed))
+    assert np.array_equal(y, expected)
 
 
 def test_pilot_rx_superposition():
@@ -251,9 +267,12 @@ def test_perfect_mode_copies_channels():
     instance = build_network(cfg, seed=1)
     s1 = run_stage1(instance, cfg.pilot_count, cfg.reuse_cap)
     state = build_channel_state(instance, s1.assignment, cfg, seed=1, perfect=True)
-    mask = cluster_link_mask(instance.clusters, s1.admitted, cfg.num_rrhs)
+    # the true channels are the fading stream's first draw
+    h = draw_channels(instance.alpha, cfg.antennas_per_rrh, stream_rng(1, STREAM_FADING))
+    mask = np.zeros((cfg.num_rrhs, cfg.num_users), dtype=bool)
+    mask[instance.clusters[s1.admitted], s1.admitted[:, None]] = True
     dense = scatter_links(state.links, state.estimates, cfg.num_rrhs)
-    np.testing.assert_array_equal(dense[mask], state.true_channels[mask])
+    np.testing.assert_array_equal(dense[mask], h[mask])
     assert not dense[~mask].any()
     assert (state.error_var[mask] == 0).all()
     np.testing.assert_array_equal(state.error_var[~mask], instance.alpha[~mask])
@@ -265,7 +284,18 @@ def test_perfect_and_imperfect_share_fading():
     s1 = run_stage1(instance, cfg.pilot_count, cfg.reuse_cap)
     imperfect = build_channel_state(instance, s1.assignment, cfg, seed=8)
     perfect = build_channel_state(instance, s1.assignment, cfg, seed=8, perfect=True)
-    np.testing.assert_array_equal(imperfect.true_channels, perfect.true_channels)
+    # both modes start from the fading stream's first draw: perfect mode
+    # copies it, and the pilot phase observes it with the stream's next draws
+    rng = stream_rng(8, STREAM_FADING)
+    h = draw_channels(instance.alpha, cfg.antennas_per_rrh, rng)
+    users = s1.assignment.users
+    np.testing.assert_array_equal(perfect.estimates[users],
+                                  h[perfect.links[users], users[:, None]])
+    y = simulate_pilot_rx(h, s1.assignment, cfg.pilot_power, cfg.noise_power, rng)
+    estimates, error_var = mmse_estimate(y, instance.alpha, s1.assignment, imperfect.links,
+                                         cfg.pilot_power, cfg.noise_power)
+    np.testing.assert_array_equal(imperfect.estimates, estimates)
+    np.testing.assert_array_equal(imperfect.error_var, error_var)
 
 
 def test_perfect_csi_direct():

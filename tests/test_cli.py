@@ -126,6 +126,15 @@ def test_bad_config_file_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unparsable_config_value_names_the_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# scenario\nmaster_seed = 1.5\n")
+    code = main(["trial", "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {cfg}:2: config key 'master_seed': cannot parse int from '1.5'" in err
+
+
 def test_rate_req_overflow_fails_cleanly(capsys):
     code = main(["trial", *SMALL, "--rate-req", "2000"])
     assert code == 1

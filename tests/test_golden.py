@@ -21,3 +21,20 @@ def test_golden_campaign_csv(tmp_path):
         cases = {row["case_taken"] for row in csv.DictReader(fh) if row["seed"] != "mean"}
     assert {"case1", "case2", "exact", "base", "ortho"} <= cases
     assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256
+
+
+# The dense point: 324 RRHs and 216 users, where case 1 removes most users,
+# case 2 spreads 64 pilots and the admission loop drops dozens.
+DENSE_SHA256 = "3414950567d1d0a657883f0c8eebd49957a1bbf9d5e45ba5f4cb380cdd78e7c8"
+
+
+def test_golden_dense_campaign_csv(tmp_path):
+    path = tmp_path / "dense.csv"
+    run_campaign(SimConfig(num_rrhs=324, num_users=216), cluster_sizes=[4],
+                 pilot_budgets=[8, 64], algorithms=("proposed", "con"), num_seeds=1,
+                 out_csv=path)
+    data = path.read_bytes()
+    with path.open(newline="") as fh:
+        cases = {row["case_taken"] for row in csv.DictReader(fh) if row["seed"] != "mean"}
+    assert cases == {"case1", "case2", "base"}
+    assert hashlib.sha256(data).hexdigest() == DENSE_SHA256

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from ucran.harness import (
     baseline_nocase2,
     baseline_ortho,
 )
+from ucran.stage2 import AdmissionSolution, LocalBeams
 
 
 def _config(**overrides) -> SimConfig:
@@ -134,6 +137,61 @@ def test_run_trial_meets_tiny_rate_requirements(rate_req):
 def test_run_trial_unknown_algorithm():
     with pytest.raises(ValueError, match="unknown algorithm"):
         run_trial(_config(), seed=0, algorithm="magic")
+
+
+# ------------------------------------------------------------------- audit
+
+def _clean_solution() -> AdmissionSolution:
+    """Three users on RRHs 0-2 under ``_config()``: each RRH serves at most
+    two of them, user 2 has lost RRH 1 to the fronthaul cap, every beam has
+    unit norm and every rate and power meets its bound."""
+    weights = np.full((3, 2, 2), 0.5, dtype=complex)
+    weights[2, 0] = 0.0
+    weights[2, 1] = np.sqrt(0.5)
+    beams = LocalBeams(rrhs=np.array([[0, 1], [1, 2], [1, 2]]),
+                       valid=np.array([[True, True], [True, True], [False, True]]),
+                       weights=weights, num_rrhs=9)
+    return AdmissionSolution(served=np.array([0, 1, 2]), beams=beams,
+                             powers=np.array([1.0, 2.0, 3.0]),
+                             rates=np.array([1.5, 2.0, 1.0]),
+                             per_rrh_power=np.array([10.0, 20.0, 500.0] + [0.0] * 6),
+                             removal_trace=(4,))
+
+
+def _broken(what: str) -> AdmissionSolution:
+    solution = _clean_solution()
+    beams = solution.beams
+    if what == "fronthaul":
+        valid = beams.valid.copy()
+        valid[2, 0] = True      # a third user on RRH 1
+        return dataclasses.replace(solution, beams=dataclasses.replace(beams, valid=valid))
+    if what == "norm":
+        weights = beams.weights.copy()
+        weights[1] *= 1.0 + 1e-6
+        return dataclasses.replace(solution, beams=dataclasses.replace(beams, weights=weights))
+    if what == "rate":
+        return dataclasses.replace(solution, rates=np.array([1.5, 0.999, 1.0]))
+    if what == "power":
+        per_rrh_power = solution.per_rrh_power.copy()
+        per_rrh_power[4] = 500.5
+        return dataclasses.replace(solution, per_rrh_power=per_rrh_power)
+    assert what == "negative"
+    return dataclasses.replace(solution, powers=np.array([1.0, -1e-12, 3.0]))
+
+
+def test_audit_passes_a_clean_solution():
+    assert audit_solution(_clean_solution(), _config()) == []
+
+
+@pytest.mark.parametrize("what,message", [
+    ("fronthaul", "fronthaul cap exceeded: max load 3"),
+    ("norm", "beam directions are not unit norm"),
+    ("rate", "rate below requirement: min 0.999000"),
+    ("power", "per-RRH power cap exceeded: max 500.500000"),
+    ("negative", "negative transmit power"),
+])
+def test_audit_reports_each_broken_constraint(what, message):
+    assert audit_solution(_broken(what), _config()) == [message]
 
 
 def test_run_trial_details_consistent_with_row():

@@ -20,15 +20,15 @@ from ucran.channel import ChannelState
 
 from conftest import craft_instance
 from oracles import (beam_systems_reference, fronthaul_serving_sets,
-                     rate_coefficients_reference, scatter_links, solve_power_linear)
+                     rate_coefficients_reference, scatter_links, solve_power_linear,
+                     stack_antennas)
 
 
 def _state(estimates: np.ndarray, error_var: np.ndarray) -> ChannelState:
     """Channel state from dense (I, K, M) estimates, every RRH one of each
     user's links."""
     num_rrhs, num_users, _ = estimates.shape
-    return ChannelState(true_channels=estimates.copy(),
-                        links=np.tile(np.arange(num_rrhs), (num_users, 1)),
+    return ChannelState(links=np.tile(np.arange(num_rrhs), (num_users, 1)),
                         estimates=estimates.transpose(1, 0, 2), error_var=error_var)
 
 
@@ -36,35 +36,44 @@ def _complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _mask(num_rrhs: int, sets: dict[int, list[int]]) -> np.ndarray:
-    """Serving mask from per-user RRH lists."""
-    serving = np.zeros((num_rrhs, max(sets) + 1), dtype=bool)
-    for k, rrhs in sets.items():
-        serving[rrhs, k] = True
-    return serving
+def _valid(num_rrhs: int, sets: dict[int, list[int]]) -> np.ndarray:
+    """Serving mask on the links of :func:`_state` (every RRH, ascending),
+    one row per user of ``sets`` in its order, from per-user RRH lists."""
+    valid = np.zeros((len(sets), num_rrhs), dtype=bool)
+    for row, rrhs in enumerate(sets.values()):
+        valid[row, rrhs] = True
+    return valid
+
+
+def _dense(beams: LocalBeams) -> np.ndarray:
+    """(I*M, n) beams zero-padded over all RRH antennas."""
+    return stack_antennas(scatter_links(beams.rrhs, beams.weights, beams.num_rrhs))
 
 
 # ----------------------------------------------------------- fronthaul cap
 
 def test_fronthaul_cap_keeps_strongest():
-    clusters = np.array([[0], [0], [0]])
+    links = np.array([[0], [0], [0]])
     alpha = np.array([[0.1, 0.5, 0.3]])
-    serving = enforce_fronthaul_cap(clusters, [0, 1, 2], alpha, cap=2)
-    assert serving.tolist() == [[False, True, True]]
+    valid = enforce_fronthaul_cap(links, [0, 1, 2], alpha, cap=2)
+    assert valid.tolist() == [[False], [True], [True]]
 
 
 def test_fronthaul_cap_tie_prefers_lower_id():
-    clusters = np.array([[0], [0]])
+    links = np.array([[0], [0]])
     alpha = np.array([[0.4, 0.4]])
-    serving = enforce_fronthaul_cap(clusters, [0, 1], alpha, cap=1)
-    assert serving.tolist() == [[True, False]]
+    valid = enforce_fronthaul_cap(links, [0, 1], alpha, cap=1)
+    assert valid.tolist() == [[True], [False]]
+    # the rank does not depend on the order of the served list
+    assert enforce_fronthaul_cap(links, [1, 0], alpha, cap=1).tolist() == [[False], [True]]
 
 
 def test_fronthaul_cap_under_cap_untouched():
-    clusters = np.array([[2, 0], [1, 2]])
+    links = np.array([[0, 2], [1, 2]])
     alpha = np.ones((3, 2))
-    serving = enforce_fronthaul_cap(clusters, [0, 1], alpha, cap=3)
-    np.testing.assert_array_equal(serving, _mask(3, {0: [0, 2], 1: [1, 2]}))
+    valid = enforce_fronthaul_cap(links, [0, 1], alpha, cap=3)
+    assert valid.shape == (2, 2) and valid.all()
+    assert enforce_fronthaul_cap(links, [], alpha, cap=3).shape == (0, 2)
 
 
 def test_fronthaul_cap_rejects_bad_cap():
@@ -84,12 +93,11 @@ def test_fronthaul_mask_matches_reference_sets(seed, num_users, width, cap, keep
     levels = rng.choice([0.25, 0.5, 1.0], size=(num_rrhs, num_users))
     alpha = levels if ties else rng.uniform(0.1, 1.0, (num_rrhs, num_users))
     admitted = np.flatnonzero(rng.random(num_users) < keep).tolist()
-    serving = enforce_fronthaul_cap(clusters, admitted, alpha, cap)
+    valid = enforce_fronthaul_cap(clusters, admitted, alpha, cap)
     reference = fronthaul_serving_sets(clusters, admitted, alpha, cap)
-    expected = np.zeros((num_rrhs, num_users), dtype=bool)
-    for k, rrhs in reference.items():
-        expected[rrhs, k] = True
-    np.testing.assert_array_equal(serving, expected)
+    expected = np.array([np.isin(clusters[k], reference[k]) for k in admitted],
+                        dtype=bool).reshape(len(admitted), width)
+    np.testing.assert_array_equal(valid, expected)
 
 
 # ------------------------------------------------------------------- beams
@@ -98,7 +106,7 @@ def test_beam_single_user_is_matched_filter():
     rng = np.random.default_rng(0)
     est = _complex(rng, (2, 1, 2))
     state = _state(est, np.zeros((2, 1)))
-    w = robust_beam_direction(state, _mask(2, {0: [0, 1]}), [0], noise_power=0.3).dense()
+    w = _dense(robust_beam_direction(state, _valid(2, {0: [0, 1]}), [0], noise_power=0.3))
     hhat = est.transpose(0, 2, 1).reshape(4)
     expected = hhat / np.linalg.norm(hhat)
     np.testing.assert_allclose(w[:, 0], expected, atol=1e-12)
@@ -110,9 +118,9 @@ def test_beam_two_users_match_dense_inverse():
     est = _complex(rng, (2, 2, 2))
     evar = rng.uniform(0.05, 0.4, (2, 2))
     state = _state(est, evar)
-    serving = _mask(2, {0: [0, 1], 1: [0, 1]})
+    valid = _valid(2, {0: [0, 1], 1: [0, 1]})
     noise = 0.2
-    w = robust_beam_direction(state, serving, [0, 1], noise_power=noise).dense()
+    w = _dense(robust_beam_direction(state, valid, [0, 1], noise_power=noise))
     hhat = est.transpose(0, 2, 1).reshape(4, 2)
     load = np.repeat(evar.sum(axis=1), 2)
     cov = hhat @ hhat.conj().T + np.diag(load + noise)
@@ -126,7 +134,7 @@ def test_beam_zero_outside_serving_set():
     rng = np.random.default_rng(2)
     est = _complex(rng, (3, 1, 2))
     state = _state(est, np.zeros((3, 1)))
-    w = robust_beam_direction(state, _mask(3, {0: [1]}), [0], noise_power=0.1).dense()
+    w = _dense(robust_beam_direction(state, _valid(3, {0: [1]}), [0], noise_power=0.1))
     assert (w[[0, 1, 4, 5], 0] == 0).all()
     assert np.linalg.norm(w[:, 0]) == pytest.approx(1.0)
     local = est[1, 0]
@@ -139,7 +147,7 @@ def test_beam_matched_filter_at_extreme_scales(scale):
     rng = np.random.default_rng(8)
     est = scale * _complex(rng, (2, 1, 2))
     state = _state(est, np.zeros((2, 1)))
-    w = robust_beam_direction(state, _mask(2, {0: [0, 1]}), [0], noise_power=1.0).dense()
+    w = _dense(robust_beam_direction(state, _valid(2, {0: [0, 1]}), [0], noise_power=1.0))
     hhat = est.transpose(0, 2, 1).reshape(4)
     np.testing.assert_allclose(w[:, 0], hhat / np.linalg.norm(hhat / scale) / scale,
                                atol=1e-12)
@@ -149,7 +157,7 @@ def test_beam_covariance_overflow_raises():
     est = np.full((1, 2, 1), 1e200, dtype=complex)
     state = _state(est, np.zeros((1, 2)))
     with pytest.raises(ValueError, match="beam solve failed for user 0: its covariance overflows"):
-        robust_beam_direction(state, _mask(1, {0: [0], 1: [0]}), [0, 1], noise_power=1.0)
+        robust_beam_direction(state, _valid(1, {0: [0], 1: [0]}), [0, 1], noise_power=1.0)
 
 
 def test_beam_empty_serving_set_raises():
@@ -167,9 +175,9 @@ def test_beam_solve_failure_names_the_first_singular_user():
     est[0, 2, 0] = 1.0
     est[0, 5, 0] = 2.0
     state = _state(est, np.zeros((2, 6)))
-    serving = _mask(2, {2: [0], 5: [0, 1]})
+    valid = _valid(2, {2: [0], 5: [0, 1]})
     with pytest.raises(ValueError, match="beam solve failed for user 5"):
-        robust_beam_direction(state, serving, [2, 5], noise_power=0.0)
+        robust_beam_direction(state, valid, [2, 5], noise_power=0.0)
 
 
 def test_beam_vanishing_own_estimate_gets_uniform_beam():
@@ -179,15 +187,15 @@ def test_beam_vanishing_own_estimate_gets_uniform_beam():
     est = _complex(rng, (3, 2, 2))
     est[1:, 1] = 0.0
     state = _state(est, rng.uniform(0.05, 0.4, (3, 2)))
-    serving = _mask(3, {0: [0], 1: [1, 2]})
+    valid = _valid(3, {0: [0], 1: [1, 2]})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = robust_beam_direction(state, serving, [0, 1], noise_power=0.1).dense()
+        w = _dense(robust_beam_direction(state, valid, [0, 1], noise_power=0.1))
     np.testing.assert_allclose(w[:, 1], [0, 0, 0.5, 0.5, 0.5, 0.5])
     assert np.linalg.norm(w[:, 1]) == pytest.approx(1.0)
 
 
-def _assert_matches_reference(state, serving, served, noise):
+def _assert_matches_reference(state, valid, served, noise):
     """Local beams, rate coefficients and power shares against the dense
     per-user oracles.
 
@@ -198,9 +206,10 @@ def _assert_matches_reference(state, serving, served, noise):
     checked against the dense products of the same beams; atol covers
     entries that cancel to near zero.
     """
-    beams = robust_beam_direction(state, serving, served, noise)
-    dense = beams.dense()
-    estimates = scatter_links(state.links, state.estimates, serving.shape[0])
+    beams = robust_beam_direction(state, valid, served, noise)
+    dense = _dense(beams)
+    estimates = scatter_links(state.links, state.estimates, state.error_var.shape[0])
+    serving = {k: state.links[k][valid[a]] for a, k in enumerate(served)}
     systems = beam_systems_reference(estimates, state.error_var, serving, served, noise)
     for col, (rows, cov, own) in enumerate(systems):
         w = dense[:, col]
@@ -228,25 +237,26 @@ def _pruned_round(seed: int, cluster_size: int, cap: int, perfect: bool):
     instance = build_network(config, seed=seed)
     s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
     state = build_channel_state(instance, s1.assignment, config, seed=seed, perfect=perfect)
-    serving = enforce_fronthaul_cap(instance.clusters, s1.admitted, instance.alpha, cap)
-    served = [int(k) for k in s1.admitted if serving[:, k].any()]
-    return state, serving, served, config.noise_power
+    valid = enforce_fronthaul_cap(state.links, s1.admitted, instance.alpha, cap)
+    has_rrh = valid.any(axis=1)
+    served = [int(k) for k in s1.admitted[has_rrh]]
+    return state, valid[has_rrh], served, config.noise_power
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 3), st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_local_blocks_match_dense_reference(seed, cluster_size, cap, perfect):
-    state, serving, served, noise = _pruned_round(seed, cluster_size, cap, perfect)
+    state, valid, served, noise = _pruned_round(seed, cluster_size, cap, perfect)
     if served:
-        _assert_matches_reference(state, serving, served, noise)
+        _assert_matches_reference(state, valid, served, noise)
 
 
 @pytest.mark.parametrize("perfect", [False, True])
 def test_local_blocks_match_dense_reference_with_padding(perfect):
     # the fronthaul cap prunes the serving sets to unequal sizes, so the
     # shorter ones carry invalid slots
-    state, serving, served, noise = _pruned_round(0, 3, 2, perfect)
-    beams = _assert_matches_reference(state, serving, served, noise)
+    state, valid, served, noise = _pruned_round(0, 3, 2, perfect)
+    beams = _assert_matches_reference(state, valid, served, noise)
     sizes = beams.valid.sum(axis=1)
     assert sizes.min() < sizes.max()
     # a pilot holder whose estimate on one serving link is exactly zero
@@ -256,7 +266,7 @@ def test_local_blocks_match_dense_reference_with_padding(perfect):
     estimates[served[a], slot] = 0.0
     zeroed = dataclasses.replace(state, estimates=estimates)
     np.testing.assert_array_equal(
-        _assert_matches_reference(zeroed, serving, served, noise).valid, beams.valid)
+        _assert_matches_reference(zeroed, valid, served, noise).valid, beams.valid)
 
 
 # ------------------------------------------------------------ rate formula
@@ -266,7 +276,7 @@ def test_rate_lb_single_user_closed_form():
     est = _complex(rng, (2, 1, 2))
     state = _state(est, np.zeros((2, 1)))
     noise = 0.05
-    w = robust_beam_direction(state, _mask(2, {0: [0, 1]}), [0], noise)
+    w = robust_beam_direction(state, _valid(2, {0: [0, 1]}), [0], noise)
     coeffs = rate_coefficients(state, w, [0])
     energy = (np.abs(est) ** 2).sum()
     for p in (0.2, 1.0, 7.0):
@@ -277,7 +287,7 @@ def test_rate_lb_single_user_closed_form():
 def test_rate_lb_zero_power_is_zero():
     est = np.ones((1, 2, 1), dtype=complex)
     state = _state(est, np.zeros((1, 2)))
-    w = robust_beam_direction(state, _mask(1, {0: [0], 1: [0]}), [0, 1], 0.1)
+    w = robust_beam_direction(state, _valid(1, {0: [0], 1: [0]}), [0, 1], 0.1)
     rates = expected_rate_lb(*rate_coefficients(state, w, [0, 1]), np.zeros(2), 0.1)
     np.testing.assert_array_equal(rates, 0.0)
 
@@ -300,7 +310,7 @@ def test_rrh_power_share_columns_sum_to_one():
     rng = np.random.default_rng(4)
     est = _complex(rng, (3, 2, 2))
     state = _state(est, np.zeros((3, 2)))
-    w = robust_beam_direction(state, _mask(3, {0: [0, 1], 1: [1, 2]}), [0, 1], 0.1)
+    w = robust_beam_direction(state, _valid(3, {0: [0, 1], 1: [1, 2]}), [0, 1], 0.1)
     share = rrh_power_share(w)
     np.testing.assert_allclose(share.sum(axis=0), 1.0)
     assert (share >= 0).all()
@@ -457,16 +467,24 @@ def test_admission_constraints_hold():
     config = _small_config()
     for seed in (0, 1, 2):
         instance, s1, sol = _run_pipeline(config, seed)
+        beams = sol.beams
         assert (sol.rates >= config.rate_req - 1e-9).all()
         assert (sol.per_rrh_power <= config.rrh_power_cap + 1e-9).all()
-        assert (sol.serving.sum(axis=1) <= config.fronthaul_cap).all()
-        # only served users hold serving links, and each holds at least one
-        np.testing.assert_array_equal(np.flatnonzero(sol.serving.any(axis=0)), sol.served)
+        loads = np.bincount(beams.rrhs[beams.valid], minlength=config.num_rrhs)
+        assert (loads <= config.fronthaul_cap).all()
+        # each served user's beam sits on its cluster links, holds at least
+        # one serving link, and keeps exactly those the cap leaves it
+        links = np.sort(instance.clusters, axis=1)
+        np.testing.assert_array_equal(beams.rrhs, links[sol.served])
+        assert beams.valid.any(axis=1).all()
+        np.testing.assert_array_equal(beams.valid, enforce_fronthaul_cap(
+            links, sol.served, instance.alpha, config.fronthaul_cap))
+        assert not beams.weights[~beams.valid].any()
         # served plus dropped is exactly the stage-1 admitted set
         together = sorted(list(sol.served) + list(sol.removal_trace))
         assert together == sorted(int(k) for k in s1.admitted)
-        for col in range(sol.num_served):
-            assert np.linalg.norm(sol.directions[:, col]) == pytest.approx(1.0)
+        for weights in beams.weights:
+            assert np.linalg.norm(weights) == pytest.approx(1.0)
         assert (sol.powers > 0).all()
 
 
@@ -496,7 +514,9 @@ def test_admission_unreachable_rate_empties():
     _, s1, sol = _run_pipeline(config, 4)
     assert sol.num_served == 0
     assert sorted(sol.removal_trace) == sorted(int(k) for k in s1.admitted)
-    assert sol.directions.shape == (config.num_rrhs * config.antennas_per_rrh, 0)
+    shape = (0, config.cluster_size)
+    assert sol.beams.rrhs.shape == sol.beams.valid.shape == shape
+    assert sol.beams.weights.shape == shape + (config.antennas_per_rrh,)
     assert (sol.per_rrh_power == 0).all()
 
 
@@ -516,12 +536,12 @@ def test_admission_never_beats_exhaustive_subsets():
         admitted = [int(k) for k in s1.admitted]
         for size in range(len(admitted), 0, -1):
             for subset in combinations(admitted, size):
-                serving = enforce_fronthaul_cap(instance.clusters, subset,
-                                                instance.alpha,
-                                                config.fronthaul_cap)
-                if not serving[:, subset].any(axis=0).all():
+                valid = enforce_fronthaul_cap(state.links, subset,
+                                              instance.alpha,
+                                              config.fronthaul_cap)
+                if not valid.any(axis=1).all():
                     continue
-                w = robust_beam_direction(state, serving, subset,
+                w = robust_beam_direction(state, valid, subset,
                                           config.noise_power)
                 sig, serr, cross = rate_coefficients(state, w, subset)
                 share = rrh_power_share(w)

@@ -207,6 +207,19 @@ def test_config_file_rejects_bad_bool(tmp_path):
         load_config_file(path)
 
 
+@pytest.mark.parametrize("line,message", [
+    ("master_seed = 1.5", "config key 'master_seed': cannot parse int from '1.5'"),
+    ("noise_power = 1e-9W", "config key 'noise_power': cannot parse float from '1e-9W'"),
+    ("cluster_by_gain = maybe", "config key 'cluster_by_gain': cannot parse boolean from 'maybe'"),
+])
+def test_config_file_bad_value_names_file_line_and_key(tmp_path, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"num_users = 10\n{line}\n")
+    with pytest.raises(ValueError) as excinfo:
+        load_config_file(path)
+    assert str(excinfo.value) == f"{path}:2: {message}"
+
+
 def test_make_config_overrides_win_and_none_is_skipped(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text("num_users = 10\nmaster_seed = 4\n")
