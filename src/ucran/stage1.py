@@ -159,7 +159,7 @@ def reallocate_case2(instance: NetworkInstance, pilot_budget: int, reuse_cap: in
     the threshold and coloring of its last probe that colors within budget
     (the sentinel and base coloring when there is no pair to probe).  Greedy
     DSatur's fit is not monotone in the threshold, so a smaller candidate
-    may fit too (open item 3 in ROADMAP.md).
+    may fit too (ROADMAP.md, Settled: "Case 2, smallest fitting candidate").
     """
     weights = instance.weights
     off_diag = weights[~np.eye(instance.num_users, dtype=bool)]

@@ -165,7 +165,7 @@ def rate_coefficients(channel_state: ChannelState, beams: LocalBeams,
     served = np.asarray(served, dtype=np.int64)
     n = served.size
     link_rrh = channel_state.links[served].ravel()
-    est = channel_state.estimates[served].reshape(link_rrh.size, -1)
+    est = channel_state.estimates[served].reshape(link_rrh.size, channel_state.estimates.shape[2])
     users = np.arange(link_rrh.size) // channel_state.links.shape[1]
     cols, slots = np.nonzero(beams.valid)
     slot_rrh = beams.rrhs[cols, slots]
@@ -298,26 +298,28 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
     """Serve as many pilot holders as the rate, power, and fronthaul
     constraints allow.
 
-    Each round prunes serving sets to the fronthaul cap, drops users left
-    with no RRH, computes beams and the power fixed point, and on
-    infeasibility removes the user with the largest power demand relative
-    to an equal share at the last iterate (margin-violating users count as
-    infinite demand; ties broken by pilot-group interference, then lowest
-    id), and repeats.  An empty served set is a valid outcome.
+    Each round prunes serving sets to the fronthaul cap and drops, in that
+    same round, the users it leaves with no RRH; then it computes beams
+    and the power fixed point.  On infeasibility it removes the user with
+    the largest power at the failed iterate (margin-violating users count
+    as infinite demand; ties broken by pilot-group interference, then
+    lowest id), and repeats.  An empty served set is feasible, so it ends
+    through the same return as any other: a valid empty solution.
     """
     served = stage1_result.admitted.tolist()
     removed: list[int] = []
     # expm1 keeps tiny targets exact where 2**rate_req - 1 cancels
     sinr_target = math.expm1(config.rate_req * math.log(2.0))
 
-    while served:
+    while True:
         valid = enforce_fronthaul_cap(channel_state.links, served,
                                       instance.alpha, config.fronthaul_cap)
         has_rrh = valid.any(axis=1)
-        if not has_rrh.all():
-            removed.extend(k for k, ok in zip(served, has_rrh) if not ok)
-            served = [k for k, ok in zip(served, has_rrh) if ok]
-            continue
+        # a stranded user ranked below the cap at each of its RRHs, so
+        # dropping it moves no other user across the cap: no second pass
+        removed.extend(k for k, ok in zip(served, has_rrh) if not ok)
+        served = [k for k, ok in zip(served, has_rrh) if ok]
+        valid = valid[has_rrh]
 
         beams = robust_beam_direction(channel_state, valid, served,
                                       config.noise_power)
@@ -340,28 +342,14 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
         served.remove(victim)
         removed.append(victim)
 
-    empty = np.zeros(0, dtype=np.int64)
-    links = channel_state.links[empty]
-    return AdmissionSolution(
-        served=empty,
-        beams=LocalBeams(rrhs=links, valid=np.zeros(links.shape, dtype=bool),
-                         weights=channel_state.estimates[empty], num_rrhs=instance.num_rrhs),
-        powers=np.zeros(0), rates=np.zeros(0),
-        per_rrh_power=np.zeros(instance.num_rrhs),
-        removal_trace=tuple(removed))
 
-
-@np.errstate(over="ignore")
 def _pick_victim(served: list[int], control: PowerControlResult,
                  weights: np.ndarray, stage1_result: Stage1Result) -> int:
     """Most burdensome user at the failed power iterate."""
     if (control.margins <= 0.0).any():
         demand = np.where(control.margins <= 0.0, -control.margins, -np.inf)
     else:
-        mean_power = control.powers.mean()
-        # past the largest float, the raw powers rank the demand
-        demand = (control.powers / mean_power if 0 < mean_power < np.inf
-                  else control.powers)
+        demand = control.powers
     # score interference only for top-demand ties; the scan keeps the first max
     first = max(range(len(served)), key=lambda idx: demand[idx])
     tied = [k for k, d in zip(served, demand) if d == demand[first]] or [served[first]]

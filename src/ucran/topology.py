@@ -29,6 +29,8 @@ STREAM_BASELINE = 3
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Generator for one of a trial's independent randomness sub-streams."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng((int(seed), int(stream)))
 
 

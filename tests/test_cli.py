@@ -228,6 +228,17 @@ def test_audit_failure_fails_cleanly(command, monkeypatch, capsys):
     assert "per-RRH power cap exceeded: max 9" in captured.err
 
 
+@pytest.mark.parametrize("command", [["trial", "--seed", "-1"],
+                                     ["campaign", "--master-seed", "-1", "--seeds", "1"]],
+                         ids=["trial", "campaign"])
+def test_negative_seed_fails_cleanly(command, capsys):
+    code = main([command[0], *SMALL, *command[1:]])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: seed must be >= 0, got -1" in captured.err
+
+
 def test_unwritable_out_fails(tmp_path, capsys):
     out = tmp_path / "nope" / "x.csv"
     code = main(["campaign", *SMALL, "--seeds", "1", "--out", str(out)])

@@ -76,6 +76,29 @@ def test_fronthaul_cap_under_cap_untouched():
     assert enforce_fronthaul_cap(links, [], alpha, cap=3).shape == (0, 2)
 
 
+@pytest.mark.parametrize("ties", [False, True])
+def test_fronthaul_cap_second_pass_changes_nothing(ties):
+    # a user left with no RRH ranks below the cap at each of its RRHs, so
+    # capping the remaining users again changes no link: one pass per round
+    # is enough
+    stranded = 0
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        num_rrhs, num_users, width = 6, 10, int(rng.integers(1, 4))
+        clusters = np.stack([rng.choice(num_rrhs, size=width, replace=False)
+                             for _ in range(num_users)])
+        levels = rng.choice([0.25, 0.5, 1.0], size=(num_rrhs, num_users))
+        alpha = levels if ties else rng.uniform(0.1, 1.0, (num_rrhs, num_users))
+        served = np.flatnonzero(rng.random(num_users) < 0.8)
+        for cap in (1, 2, 3):
+            valid = enforce_fronthaul_cap(clusters, served, alpha, cap)
+            has_rrh = valid.any(axis=1)
+            stranded += int((~has_rrh).sum())
+            np.testing.assert_array_equal(
+                enforce_fronthaul_cap(clusters, served[has_rrh], alpha, cap), valid[has_rrh])
+    assert stranded > 0
+
+
 def test_fronthaul_cap_rejects_bad_cap():
     with pytest.raises(ValueError):
         enforce_fronthaul_cap(np.array([[0]]), [0], np.ones((1, 1)), cap=0)
@@ -267,6 +290,30 @@ def test_local_blocks_match_dense_reference_with_padding(perfect):
     zeroed = dataclasses.replace(state, estimates=estimates)
     np.testing.assert_array_equal(
         _assert_matches_reference(zeroed, valid, served, noise).valid, beams.valid)
+
+
+@pytest.mark.parametrize("served", [[], np.zeros(0, dtype=np.int64)], ids=["list", "array"])
+def test_every_step_takes_an_empty_served_set(served):
+    config = _small_config()
+    instance = build_network(config, seed=0)
+    s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
+    state = build_channel_state(instance, s1.assignment, config, seed=0)
+    width, antennas = config.cluster_size, config.antennas_per_rrh
+    valid = enforce_fronthaul_cap(state.links, served, instance.alpha, config.fronthaul_cap)
+    assert valid.shape == (0, width) and valid.dtype == bool
+    beams = robust_beam_direction(state, valid, served, config.noise_power)
+    assert beams.rrhs.shape == beams.valid.shape == (0, width)
+    assert beams.weights.shape == (0, width, antennas)
+    signal, self_err, cross = rate_coefficients(state, beams, served)
+    assert signal.shape == self_err.shape == (0,) and cross.shape == (0, 0)
+    share = rrh_power_share(beams)
+    assert share.shape == (config.num_rrhs, 0)
+    control = power_allocation_fixed_point(signal, self_err, cross, 1.0, config.noise_power,
+                                           share, config.rrh_power_cap)
+    assert control.feasible and control.powers.shape == (0,)
+    rates = expected_rate_lb(signal, self_err, cross, control.powers, config.noise_power)
+    assert rates.shape == (0,)
+    assert (share @ control.powers == 0).all()
 
 
 # ------------------------------------------------------------ rate formula
@@ -518,6 +565,11 @@ def test_admission_unreachable_rate_empties():
     assert sol.beams.rrhs.shape == sol.beams.valid.shape == shape
     assert sol.beams.weights.shape == shape + (config.antennas_per_rrh,)
     assert (sol.per_rrh_power == 0).all()
+    # the empty solution comes from the normal round, with the usual dtypes
+    assert sol.served.dtype == np.int64
+    assert sol.beams.valid.dtype == bool
+    assert np.iscomplexobj(sol.beams.weights)
+    assert sol.powers.shape == sol.rates.shape == (0,)
 
 
 def test_admission_never_beats_exhaustive_subsets():
