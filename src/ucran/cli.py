@@ -75,7 +75,7 @@ def main(argv=None) -> int:
         if args.command == "trial":
             seed = config.master_seed if args.seed is None else args.seed
             result = run_trial(config, seed, args.algorithm)
-            report = CampaignReport(cells={}, trials=(result,), seeds=(seed,))
+            report = CampaignReport(cells={}, trials=(result,))
         else:
             algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
             unknown = set(algorithms) - set(ALGORITHMS)

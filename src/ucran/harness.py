@@ -179,7 +179,6 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
 
 @dataclass(frozen=True)
 class CellStats:
-    n: int
     mean_admitted: float
     mean_served: float
 
@@ -188,7 +187,6 @@ class CellStats:
 class CampaignReport:
     cells: dict          # (algorithm, cluster_size, pilot_budget) -> CellStats
     trials: tuple        # TrialResult, in deterministic emission order
-    seeds: tuple
 
 
 def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
@@ -217,10 +215,9 @@ def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
                 cell = [run_trial(cfg, seed, algorithm) for seed in seeds]
                 trials.extend(cell)
                 cells[(algorithm, cluster_size, pilot_budget)] = CellStats(
-                    n=len(cell),
                     mean_admitted=float(np.mean([t.stage1_admitted for t in cell])),
                     mean_served=float(np.mean([t.stage2_served for t in cell])))
-    report = CampaignReport(cells=cells, trials=tuple(trials), seeds=tuple(seeds))
+    report = CampaignReport(cells=cells, trials=tuple(trials))
     if out_csv is not None:
         write_csv(report, out_csv)
     return report

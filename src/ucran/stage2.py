@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelState
 from .conflict_graph import interference_matrix  # noqa: F401  (perfbench/spans.py wraps this name)
-from .conflict_graph import interference_score
+from .conflict_graph import interference_score  # noqa: F401  (perfbench/spans.py wraps this name)
 from .stage1 import Stage1Result
 from .topology import NetworkInstance, SimConfig
 
@@ -86,7 +86,9 @@ def robust_beam_direction(channel_state: ChannelState, valid: np.ndarray,
 
     The covariance block of RRHs (i, j) sums only the users with both in
     their cluster, so every block comes from one table of per-RRH-pair
-    sums, and all users' systems are solved in one batch.
+    sums, and all users' systems are solved in one batch.  ValueError
+    names the first user whose system overflows, is singular, or is too
+    ill-conditioned for its beam to be trusted.
     """
     served = np.asarray(served, dtype=np.int64)
     num_rrhs = channel_state.error_var.shape[0]
@@ -124,6 +126,15 @@ def robust_beam_direction(channel_state: ChannelState, valid: np.ndarray,
     if overflow.any():
         raise ValueError(f"beam solve failed for user {served[np.argmax(overflow)]}: its "
                          "covariance overflows; the link gains span too wide a range")
+    # cond(cov) <= trace / min loading on the valid slots; the pruned slots
+    # are decoupled identity rows and say nothing about the solve
+    on = np.repeat(valid, antennas, axis=1)
+    trace = np.where(on, cov[:, np.arange(dim), np.arange(dim)].real, 0.0).sum(axis=1)
+    ill = trace > 1e14 * np.where(valid, diagonal, np.inf).min(axis=1)
+    if ill.any():
+        raise ValueError(f"beam solve failed for user {served[np.argmax(ill)]}: its "
+                         "covariance is too ill-conditioned; the link gains swamp the "
+                         "noise and error loading")
     # an exact power-of-two scale brings each beam's peak near one, so its
     # norm can neither under- nor overflow; normal beams keep every bit
     _, exponent = np.frexp(np.abs(w).max(axis=1))
@@ -131,7 +142,7 @@ def robust_beam_direction(channel_state: ChannelState, valid: np.ndarray,
     norms = np.linalg.norm(w, axis=1)
     vanished = norms == 0.0
     w /= np.where(vanished, 1.0, norms)[:, None]
-    uniform = np.repeat(valid, antennas, axis=1) / np.sqrt(valid.sum(axis=1) * antennas)[:, None]
+    uniform = on / np.sqrt(valid.sum(axis=1) * antennas)[:, None]
     w[vanished] = uniform[vanished]
     return LocalBeams(rrhs=rrhs, valid=valid, weights=w.reshape(n, width, antennas),
                       num_rrhs=num_rrhs)
@@ -164,9 +175,9 @@ def rate_coefficients(channel_state: ChannelState, beams: LocalBeams,
     """
     served = np.asarray(served, dtype=np.int64)
     n = served.size
-    link_rrh = channel_state.links[served].ravel()
+    link_rrh = beams.rrhs.ravel()
     est = channel_state.estimates[served].reshape(link_rrh.size, channel_state.estimates.shape[2])
-    users = np.arange(link_rrh.size) // channel_state.links.shape[1]
+    users = np.arange(link_rrh.size) // beams.rrhs.shape[1]
     cols, slots = np.nonzero(beams.valid)
     slot_rrh = beams.rrhs[cols, slots]
 
@@ -300,13 +311,13 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
 
     Each round prunes serving sets to the fronthaul cap and drops, in that
     same round, the users it leaves with no RRH; then it computes beams
-    and the power fixed point.  On infeasibility it removes the user with
-    the largest power at the failed iterate (margin-violating users count
-    as infinite demand; ties broken by pilot-group interference, then
-    lowest id), and repeats.  An empty served set is feasible, so it ends
+    and the power fixed point.  On infeasibility it removes one user and
+    repeats: the margin-short user with the largest shortfall, otherwise
+    the user with the largest power at the failed iterate; an exact tie
+    goes to the lowest id.  An empty served set is feasible, so it ends
     through the same return as any other: a valid empty solution.
     """
-    served = stage1_result.admitted.tolist()
+    served = stage1_result.admitted
     removed: list[int] = []
     # expm1 keeps tiny targets exact where 2**rate_req - 1 cancels
     sinr_target = math.expm1(config.rate_req * math.log(2.0))
@@ -317,9 +328,8 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
         has_rrh = valid.any(axis=1)
         # a stranded user ranked below the cap at each of its RRHs, so
         # dropping it moves no other user across the cap: no second pass
-        removed.extend(k for k, ok in zip(served, has_rrh) if not ok)
-        served = [k for k, ok in zip(served, has_rrh) if ok]
-        valid = valid[has_rrh]
+        removed.extend(served[~has_rrh].tolist())
+        served, valid = served[has_rrh], valid[has_rrh]
 
         beams = robust_beam_direction(channel_state, valid, served,
                                       config.noise_power)
@@ -333,24 +343,14 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
             rates = expected_rate_lb(signal, self_err, cross, control.powers,
                                      config.noise_power)
             return AdmissionSolution(
-                served=np.array(served, dtype=np.int64), beams=beams,
+                served=served, beams=beams,
                 powers=control.powers, rates=rates,
                 per_rrh_power=share @ control.powers,
                 removal_trace=tuple(removed))
 
-        victim = _pick_victim(served, control, instance.weights, stage1_result)
-        served.remove(victim)
-        removed.append(victim)
-
-
-def _pick_victim(served: list[int], control: PowerControlResult,
-                 weights: np.ndarray, stage1_result: Stage1Result) -> int:
-    """Most burdensome user at the failed power iterate."""
-    if (control.margins <= 0.0).any():
-        demand = np.where(control.margins <= 0.0, -control.margins, -np.inf)
-    else:
-        demand = control.powers
-    # score interference only for top-demand ties; the scan keeps the first max
-    first = max(range(len(served)), key=lambda idx: demand[idx])
-    tied = [k for k, d in zip(served, demand) if d == demand[first]] or [served[first]]
-    return max(tied, key=lambda k: interference_score(weights, stage1_result.assignment, k))
+        short = control.margins <= 0.0
+        demand = np.where(short, -control.margins, -np.inf) if short.any() else control.powers
+        # served is ascending, so an exact tie goes to the lowest id
+        victim = int(np.argmax(demand))
+        removed.append(int(served[victim]))
+        served = np.delete(served, victim)

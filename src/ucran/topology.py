@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,8 +28,15 @@ STREAM_FADING = 2
 STREAM_BASELINE = 3
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers, False for bools and floats."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Generator for one of a trial's independent randomness sub-streams."""
+    if not _is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng((int(seed), int(stream)))
@@ -67,20 +75,14 @@ class SimConfig:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
+            if field.type == "int" and not _is_integer(value):
+                raise ValueError(f"{field.name} must be an integer, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
-        counts = {
-            "num_rrhs": self.num_rrhs,
-            "num_users": self.num_users,
-            "cluster_size": self.cluster_size,
-            "antennas_per_rrh": self.antennas_per_rrh,
-            "pilot_count": self.pilot_count,
-            "reuse_cap": self.reuse_cap,
-            "fronthaul_cap": self.fronthaul_cap,
-        }
-        for name, value in counts.items():
-            if int(value) != value or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("num_rrhs", "num_users", "cluster_size", "antennas_per_rrh",
+                     "pilot_count", "reuse_cap", "fronthaul_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.cluster_size > self.num_rrhs:
             raise ValueError("cluster_size cannot exceed num_rrhs")
         for name in ("rrh_power_cap", "pilot_power", "noise_power", "area_side",
@@ -113,10 +115,6 @@ class NetworkInstance:
     user_positions: np.ndarray   # (K, 2) m
     alpha: np.ndarray            # (I, K) linear gain
     clusters: np.ndarray         # (K, L) RRH indices
-
-    @property
-    def num_rrhs(self) -> int:
-        return self.rrh_positions.shape[0]
 
     @property
     def num_users(self) -> int:

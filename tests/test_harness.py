@@ -139,6 +139,12 @@ def test_run_trial_unknown_algorithm():
         run_trial(_config(), seed=0, algorithm="magic")
 
 
+def test_run_trial_rejects_a_non_integer_seed():
+    # int(1.5) would run seed 1 under the label 1.5
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        run_trial(SimConfig(), 1.5, "proposed")
+
+
 # ------------------------------------------------------------------- audit
 
 def _clean_solution() -> AdmissionSolution:
@@ -231,14 +237,16 @@ def test_campaign_shape_and_stats():
     report = run_campaign(config, cluster_sizes=[2, 3], pilot_budgets=[3],
                           algorithms=("proposed", "con"), num_seeds=3)
     assert len(report.trials) == 2 * 2 * 1 * 3
-    assert report.seeds == (config.master_seed, config.master_seed + 1,
-                            config.master_seed + 2)
     assert set(report.cells) == {("proposed", 2, 3), ("proposed", 3, 3),
                                  ("con", 2, 3), ("con", 3, 3)}
+    # every cell runs the same seed list, one trial per seed
+    seeds = [config.master_seed, config.master_seed + 1, config.master_seed + 2]
+    for key in report.cells:
+        assert [t.seed for t in report.trials
+                if (t.algorithm, t.cluster_size, t.pilot_budget) == key] == seeds
     cell = report.cells[("proposed", 2, 3)]
     manual = [t.stage2_served for t in report.trials
               if t.algorithm == "proposed" and t.cluster_size == 2]
-    assert cell.n == 3
     assert cell.mean_served == pytest.approx(np.mean(manual))
 
 
@@ -246,7 +254,7 @@ def test_campaign_single_seed_stats_degenerate():
     report = run_campaign(_config(), cluster_sizes=[2], pilot_budgets=[3],
                           algorithms=("proposed",), num_seeds=1)
     cell = report.cells[("proposed", 2, 3)]
-    assert cell.n == 1
+    assert len(report.trials) == 1
     assert cell.mean_served == report.trials[0].stage2_served
 
 
@@ -280,9 +288,9 @@ def test_campaign_csv_layout(tmp_path):
     assert tuple(rows[0]) == CSV_HEADER
     assert len(rows) == 1 + len(report.trials) + len(report.cells)
     trial_rows = rows[1:1 + len(report.trials)]
+    assert [int(row[3]) for row in trial_rows] == [config.master_seed, config.master_seed + 1]
     for row in trial_rows:
         assert row[0] == "proposed"
-        assert int(row[3]) in report.seeds
         assert int(row[5]) <= int(row[4])
     aggregate = rows[1 + len(report.trials):]
     for row in aggregate:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -17,6 +18,8 @@ from ucran.stage2 import (
     rrh_power_share,
 )
 from ucran.channel import ChannelState
+from ucran.coloring import PilotAssignment
+from ucran.stage1 import Stage1Result
 
 from conftest import craft_instance
 from oracles import (beam_systems_reference, fronthaul_serving_sets,
@@ -181,6 +184,18 @@ def test_beam_covariance_overflow_raises():
     state = _state(est, np.zeros((1, 2)))
     with pytest.raises(ValueError, match="beam solve failed for user 0: its covariance overflows"):
         robust_beam_direction(state, _valid(1, {0: [0], 1: [0]}), [0, 1], noise_power=1.0)
+
+
+def test_beam_ill_conditioned_covariance_raises():
+    # one user on two RRHs, error-free estimates of scale 1e100, unit noise:
+    # hh^H + I is finite but has condition number about 1e200, so a solved
+    # beam could be off the matched filter by order one
+    rng = np.random.default_rng(8)
+    est = 1e100 * _complex(rng, (2, 1, 2))
+    state = _state(est, np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="beam solve failed for user 0: its covariance is "
+                                         "too ill-conditioned"):
+        robust_beam_direction(state, _valid(2, {0: [0, 1]}), [0], noise_power=1.0)
 
 
 def test_beam_empty_serving_set_raises():
@@ -632,3 +647,51 @@ def test_admission_scaling_invariance():
     np.testing.assert_allclose(sol_scaled.powers, sol.powers, rtol=1e-6)
     np.testing.assert_allclose(sol_scaled.rates, sol.rates, rtol=1e-6)
     assert sol.removal_trace == sol_scaled.removal_trace
+
+
+def _hand_round(est: np.ndarray, error_var: np.ndarray, rate_req: float,
+                rrh_power_cap: float):
+    """Admission inputs for dense (I, K, M) estimates: every user holds its
+    own pilot and has every RRH in its cluster, unit noise, and a fronthaul
+    cap that prunes nothing."""
+    num_rrhs, num_users, antennas = est.shape
+    instance = craft_instance(np.ones((num_rrhs, num_users)),
+                              np.tile(np.arange(num_rrhs), (num_users, 1)))
+    s1 = Stage1Result(assignment=PilotAssignment(pilots=np.arange(num_users),
+                                                 num_pilots=num_users),
+                      case_taken="base", removal_trace=(), threshold=None,
+                      base_colors=num_users)
+    config = SimConfig(num_rrhs=num_rrhs, num_users=num_users, cluster_size=num_rrhs,
+                       antennas_per_rrh=antennas, pilot_count=num_users, reuse_cap=1,
+                       rate_req=rate_req, noise_power=1.0, fronthaul_cap=num_users,
+                       rrh_power_cap=rrh_power_cap)
+    return instance, s1, _state(est.astype(complex), error_var), config
+
+
+@pytest.mark.parametrize("est,error_var,rate_req,cap,reason,victim", [
+    # margin-short users 0 and 2 (shortfalls 2 and 1, either way round);
+    # user 1 clears its margin and stays
+    (np.ones((1, 3, 1)), np.array([[3.0, 0.0, 2.0]]), 1.0, 100.0, "margin", 0),
+    (np.ones((1, 3, 1)), np.array([[2.0, 0.0, 3.0]]), 1.0, 100.0, "margin", 2),
+    # no margin-short user: the iterate crosses the power ceiling, and the
+    # weaker user, either way round, demands more power
+    (np.sqrt([[[1.0], [4.0]]]), np.zeros((1, 2)), math.log2(1.5), 1.0, "ceiling", 0),
+    (np.sqrt([[[4.0], [1.0]]]), np.zeros((1, 2)), math.log2(1.5), 1.0, "ceiling", 1),
+    # mirror-image users on mirrored RRHs: equal demands, the lower id goes
+    (np.array([[[1.0], [0.5]], [[0.5], [1.0]]]), np.zeros((2, 2)), 1.0, 1.0, "ceiling", 0),
+], ids=["shortfall-0", "shortfall-2", "power-0", "power-1", "tie"])
+def test_admission_drops_the_largest_demand_first(est, error_var, rate_req, cap, reason,
+                                                  victim):
+    instance, s1, state, config = _hand_round(est, error_var, rate_req, cap)
+    served = s1.admitted
+    beams = robust_beam_direction(state, np.ones((served.size, est.shape[0]), dtype=bool),
+                                  served, config.noise_power)
+    control = power_allocation_fixed_point(
+        *rate_coefficients(state, beams, served), 2.0 ** rate_req - 1.0,
+        config.noise_power, rrh_power_share(beams), cap)
+    assert control.reason == reason
+    if np.array_equal(est, est[::-1, ::-1]):
+        assert control.powers[0] == control.powers[1]
+    sol = admission_loop(instance, s1, state, config)
+    assert sol.removal_trace[0] == victim
+    assert sol.num_served >= 1

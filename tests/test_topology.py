@@ -42,6 +42,9 @@ def test_default_config_matches_reference_scenario():
     ("min_distance", -2.0),
     ("shadowing_stddev", -1.0),
     ("rate_req", -0.5),
+    ("num_users", 6.0),
+    ("reuse_cap", True),
+    ("master_seed", 1.5),
 ])
 def test_config_validation(field, value):
     with pytest.raises(ValueError):
