@@ -23,7 +23,8 @@ from .conflict_graph import build_base_graph
 from .stage1 import Stage1Result, run_stage1
 from .stage1 import select_users_case1  # noqa: F401  (perfbench/spans.py wraps this name)
 from .stage2 import AdmissionSolution, admission_loop
-from .topology import NetworkInstance, STREAM_BASELINE, SimConfig, build_network, stream_rng
+from .topology import (NetworkInstance, STREAM_BASELINE, SimConfig, _is_integer, build_network,
+                       stream_rng)
 
 ALG_PROPOSED = "proposed"
 ALG_ORTHO = "ortho"
@@ -198,8 +199,8 @@ def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
     column set to "mean").  Deterministic for a fixed config.  ValueError
     when a sweep list is empty or repeats an entry.
     """
-    if num_seeds < 1:
-        raise ValueError("num_seeds must be >= 1")
+    if not _is_integer(num_seeds) or num_seeds < 1:
+        raise ValueError(f"num_seeds must be an integer >= 1, got {num_seeds}")
     for name, values in (("algorithms", algorithms), ("cluster_sizes", cluster_sizes),
                          ("pilot_budgets", pilot_budgets)):
         if not 0 < len(set(values)) == len(values):

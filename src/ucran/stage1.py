@@ -14,12 +14,14 @@ The base conflict graph is colored once.  Four outcomes:
   kept as is (``base``);
 * colors needed = budget: the base coloring is kept as is (``exact``).
 
-The base graph is built once per call.  A removal round colors
-``base.restrict(survivors)`` only when the coloring is read: for a degree
-tie, or for the budget test once ``ceil(survivors / reuse_cap)`` no
-longer exceeds the budget.  The result carries one pilot array
-(:class:`~ucran.coloring.PilotAssignment`); the admitted users are its
-pilot holders.
+The base graph is built once per call.  A removal round shrinks the
+graph by its victim and colors the survivors only when the coloring is
+read: for a degree tie, or for the budget test once
+``ceil(survivors / reuse_cap)`` no longer exceeds the budget.  Each
+branch returns only its decision; :func:`run_stage1` builds the one
+:class:`Stage1Result`, whose single pilot array
+(:class:`~ucran.coloring.PilotAssignment`) names the admitted users as
+its pilot holders.
 """
 
 from __future__ import annotations
@@ -78,32 +80,36 @@ def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
     if pilot_budget < 1:
         raise ValueError("pilot_budget must be >= 1")
     base = build_base_graph(instance.clusters)
-    assignment = dsatur_color(base, reuse_cap)
-    base_colors = assignment.num_pilots
+    base_assignment = dsatur_color(base, reuse_cap)
+    base_colors = base_assignment.num_pilots
+    trace, threshold = (), None
     if base_colors > pilot_budget:
-        return select_users_case1(instance, pilot_budget, reuse_cap, base,
-                                  assignment, rng=rng)
-    if base_colors < pilot_budget and spread:
-        return reallocate_case2(instance, pilot_budget, reuse_cap, base, assignment)
-    return Stage1Result(
-        assignment=assignment,
-        case_taken=CASE_EXACT if base_colors == pilot_budget else CASE_BASE,
-        removal_trace=(),
-        threshold=None,
-        base_colors=base_colors,
-    )
+        case = CASE_REMOVAL
+        assignment, trace = select_users_case1(instance, pilot_budget, reuse_cap, base,
+                                               base_assignment, rng=rng)
+    elif base_colors < pilot_budget and spread:
+        case = CASE_SPREAD
+        assignment, threshold = reallocate_case2(instance, pilot_budget, reuse_cap, base,
+                                                 base_assignment)
+    else:
+        case = CASE_EXACT if base_colors == pilot_budget else CASE_BASE
+        assignment = base_assignment
+    return Stage1Result(assignment=assignment, case_taken=case, removal_trace=trace,
+                        threshold=threshold, base_colors=base_colors)
 
 
 def select_users_case1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
-                       base: ConflictGraph, base_assignment: PilotAssignment, *,
-                       rng: np.random.Generator | None = None) -> Stage1Result:
+                       graph: ConflictGraph, assignment: PilotAssignment, *,
+                       rng: np.random.Generator | None = None
+                       ) -> tuple[PilotAssignment, tuple[int, ...]]:
     """Remove users until the remaining base graph colors within budget.
 
-    Starts from the base graph and its coloring.  The victim is the active
-    user with the most conflict edges, ties broken by the largest total
-    interference weight to its pilot group in a fresh coloring of the
-    remaining users, then by lowest user id.  With ``rng`` the victim is
-    instead drawn uniformly from the active users.
+    Starts from the base graph and its coloring; returns the coloring of
+    the users left and the removed users in removal order.  The victim is
+    the active user with the most conflict edges, ties broken by the
+    largest total interference weight to its pilot group in a fresh
+    coloring of the remaining users, then by lowest user id.  With ``rng``
+    the victim is instead drawn uniformly from the active users.
 
     A capped coloring of n users needs at least ``ceil(n / reuse_cap)``
     pilots, so while that exceeds the budget the loop goes on without one.
@@ -113,16 +119,12 @@ def select_users_case1(instance: NetworkInstance, pilot_budget: int, reuse_cap: 
     assignment are those of recoloring after every removal.
     """
     trace: list[int] = []
-    graph = base
-    assignment: PilotAssignment | None = base_assignment  # None: not yet colored
-
     while True:
         if -(-len(graph.users) // reuse_cap) <= pilot_budget:
             if assignment is None:
                 assignment = dsatur_color(graph, reuse_cap)
             if assignment.num_pilots <= pilot_budget:
-                break
-        active = graph.users.tolist()
+                return assignment, tuple(trace)
         if rng is None:
             degrees = vertex_degrees(graph)[graph.users]
             tied = graph.users[degrees == degrees.max()].tolist()
@@ -135,29 +137,21 @@ def select_users_case1(instance: NetworkInstance, pilot_budget: int, reuse_cap: 
             else:
                 victim = tied[0]
         else:
-            victim = int(rng.choice(active))
-        active.remove(victim)
+            victim = int(rng.choice(graph.users))
         trace.append(victim)
-        graph = base.restrict(active)
-        assignment = None
-
-    return Stage1Result(
-        assignment=assignment,
-        case_taken=CASE_REMOVAL,
-        removal_trace=tuple(trace),
-        threshold=None,
-        base_colors=base_assignment.num_pilots,
-    )
+        graph = graph.restrict(graph.users[graph.users != victim])
+        assignment = None   # not yet colored
 
 
 def reallocate_case2(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
-                     base: ConflictGraph, base_assignment: PilotAssignment) -> Stage1Result:
+                     base: ConflictGraph, base_assignment: PilotAssignment
+                     ) -> tuple[PilotAssignment, float]:
     """Spend spare pilots on separating the most mutually interfering pairs.
 
     Candidate thresholds are the distinct pairwise weights plus a sentinel
     above the maximum, whose graph is the base graph.  Binary search returns
-    the threshold and coloring of its last probe that colors within budget
-    (the sentinel and base coloring when there is no pair to probe).  Greedy
+    the coloring and threshold of its last probe that colors within budget
+    (the base coloring and sentinel when there is no pair to probe).  Greedy
     DSatur's fit is not monotone in the threshold, so a smaller candidate
     may fit too (ROADMAP.md, Settled: "Case 2, smallest fitting candidate").
     """
@@ -177,11 +171,4 @@ def reallocate_case2(instance: NetworkInstance, pilot_budget: int, reuse_cap: in
             hi, assignment = mid, probe
         else:
             lo = mid + 1
-
-    return Stage1Result(
-        assignment=assignment,
-        case_taken=CASE_SPREAD,
-        removal_trace=(),
-        threshold=float(candidates[hi]),
-        base_colors=base_assignment.num_pilots,
-    )
+    return assignment, float(candidates[hi])

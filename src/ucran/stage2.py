@@ -25,7 +25,7 @@ from .channel import ChannelState
 from .conflict_graph import interference_matrix  # noqa: F401  (perfbench/spans.py wraps this name)
 from .conflict_graph import interference_score  # noqa: F401  (perfbench/spans.py wraps this name)
 from .stage1 import Stage1Result
-from .topology import NetworkInstance, SimConfig
+from .topology import NetworkInstance, SimConfig, _is_integer
 
 
 def enforce_fronthaul_cap(links: np.ndarray, served, alpha: np.ndarray,
@@ -37,8 +37,8 @@ def enforce_fronthaul_cap(links: np.ndarray, served, alpha: np.ndarray,
     keeps its ``cap`` strongest users (largest link gain, ties to the lower
     id) and is removed from the rest.  May leave some users with no RRH.
     """
-    if cap < 1:
-        raise ValueError("fronthaul cap must be >= 1")
+    if not _is_integer(cap) or cap < 1:
+        raise ValueError(f"fronthaul_cap must be an integer >= 1, got {cap}")
     served = np.asarray(served, dtype=np.int64)
     rrhs = links[served].ravel()
     users = np.repeat(served, links.shape[1])
@@ -130,7 +130,7 @@ def robust_beam_direction(channel_state: ChannelState, valid: np.ndarray,
     # are decoupled identity rows and say nothing about the solve
     on = np.repeat(valid, antennas, axis=1)
     trace = np.where(on, cov[:, np.arange(dim), np.arange(dim)].real, 0.0).sum(axis=1)
-    ill = trace > 1e14 * np.where(valid, diagonal, np.inf).min(axis=1)
+    ill = trace > 1e11 * np.where(valid, diagonal, np.inf).min(axis=1)
     if ill.any():
         raise ValueError(f"beam solve failed for user {served[np.argmax(ill)]}: its "
                          "covariance is too ill-conditioned; the link gains swamp the "
@@ -169,29 +169,24 @@ def rate_coefficients(channel_state: ChannelState, beams: LocalBeams,
     own beam, and cross[a, b] the average interference user a receives
     from user b's beam (estimate where one exists, statistics elsewhere).
 
-    A gain <hhat_a, w_b> sums over the RRHs where user a has a cluster
-    link and beam b has a serving slot; the leakage reads the error
-    variances at beam b's serving RRHs only.
+    A gain <hhat_a, w_b> sums, in ascending RRH order, over the RRHs
+    where user a has a cluster link and beam b has a serving slot; the
+    leakage reads the error variances at beam b's serving RRHs only.
     """
     served = np.asarray(served, dtype=np.int64)
     n = served.size
     link_rrh = beams.rrhs.ravel()
     est = channel_state.estimates[served].reshape(link_rrh.size, channel_state.estimates.shape[2])
     users = np.arange(link_rrh.size) // beams.rrhs.shape[1]
+    slot = np.full((beams.num_rrhs, n), -1)          # slot[i, b]: beam b's slot on RRH i
     cols, slots = np.nonzero(beams.valid)
-    slot_rrh = beams.rrhs[cols, slots]
+    slot[beams.rrhs[cols, slots], cols] = slots
 
-    # pair every serving slot with each cluster link at its RRH
-    order = np.argsort(link_rrh, kind="stable")
-    per_rrh = np.bincount(link_rrh, minlength=beams.num_rrhs)
-    first = np.cumsum(per_rrh) - per_rrh
-    per_slot = per_rrh[slot_rrh]
-    slot_of = np.repeat(np.arange(cols.size), per_slot)
-    offset = np.arange(slot_of.size) - np.repeat(np.cumsum(per_slot) - per_slot, per_slot)
-    link_of = order[first[slot_rrh][slot_of] + offset]
+    # pair each cluster link with every beam that has a slot at its RRH
+    link_of, col = np.divmod(np.flatnonzero((slot >= 0)[link_rrh]), n)
     terms = np.einsum("pm,pm->p", est[link_of].conj(),
-                      beams.weights[cols, slots][slot_of])
-    flat = users[link_of] * n + cols[slot_of]
+                      beams.weights[col, slot[link_rrh[link_of], col]])
+    flat = users[link_of] * n + col
     gains = (np.bincount(flat, terms.real, n * n)
              + 1j * np.bincount(flat, terms.imag, n * n)).reshape(n, n)   # <hhat_a, w_b>
 

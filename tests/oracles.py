@@ -10,8 +10,9 @@ picking each next vertex by a full (saturation, degree, id) key, case-1
 user removal recoloring the survivors after every removal, and
 robust-beam covariance systems and rate coefficients as dense products
 over every RRH antenna, one user at a time, on estimates spread from each
-user's cluster links to every RRH, and the pilot observation as one
-product of the channels with the one-hot pilot membership.
+user's cluster links to every RRH, the local rate coefficients through a
+sorted-link CSR join, and the pilot observation as one product of the
+channels with the one-hot pilot membership.
 """
 
 from __future__ import annotations
@@ -139,6 +140,43 @@ def rate_coefficients_reference(estimates: np.ndarray, error_var: np.ndarray,
     np.fill_diagonal(cross, 0.0)
     share = power.reshape(num_rrhs, antennas, -1).sum(axis=1)
     return signal, self_err, cross, share
+
+
+def rate_coefficients_join_reference(channel_state, beams, served):
+    """(signal, self_err, cross) of :class:`~ucran.stage2.LocalBeams`, with
+    each serving slot joined to the cluster links at its RRH through a
+    CSR layout of the links sorted by RRH (argsort, bincount, cumsum,
+    repeat).  Each gain sums its terms over beam b's slots in ascending
+    order; the leakage is the same einsum over the slots."""
+    served = np.asarray(served, dtype=np.int64)
+    n = served.size
+    link_rrh = beams.rrhs.ravel()
+    est = channel_state.estimates[served].reshape(link_rrh.size, channel_state.estimates.shape[2])
+    users = np.arange(link_rrh.size) // beams.rrhs.shape[1]
+    cols, slots = np.nonzero(beams.valid)
+    slot_rrh = beams.rrhs[cols, slots]
+
+    order = np.argsort(link_rrh, kind="stable")
+    per_rrh = np.bincount(link_rrh, minlength=beams.num_rrhs)
+    first = np.cumsum(per_rrh) - per_rrh
+    per_slot = per_rrh[slot_rrh]
+    slot_of = np.repeat(np.arange(cols.size), per_slot)
+    offset = np.arange(slot_of.size) - np.repeat(np.cumsum(per_slot) - per_slot, per_slot)
+    link_of = order[first[slot_rrh][slot_of] + offset]
+    terms = np.einsum("pm,pm->p", est[link_of].conj(),
+                      beams.weights[cols, slots][slot_of])
+    flat = users[link_of] * n + cols[slot_of]
+    gains = (np.bincount(flat, terms.real, n * n)
+             + 1j * np.bincount(flat, terms.imag, n * n)).reshape(n, n)
+
+    evar = channel_state.error_var[:, served]
+    power = (np.abs(beams.weights) ** 2).sum(axis=2)
+    leak = np.einsum("bla,bl->ab", evar[beams.rrhs], power)
+    signal = np.abs(np.diag(gains)) ** 2
+    self_err = np.diag(leak).copy()
+    cross = np.abs(gains) ** 2 + leak
+    np.fill_diagonal(cross, 0.0)
+    return signal, self_err, cross
 
 
 def pilot_rx_reference(true_channels: np.ndarray, assignment, pilot_power: float,

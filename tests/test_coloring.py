@@ -58,8 +58,11 @@ def test_only_active_users_are_colored():
 
 
 def test_rejects_bad_cap():
-    with pytest.raises(ValueError):
-        dsatur_color(graph_from_edges(2, []), reuse_cap=0)
+    # a cap that is not an integer would never be reached exactly
+    for cap in (0, 2.5, True):
+        with pytest.raises(ValueError, match=f"reuse_cap must be an integer >= 1, got {cap}"):
+            dsatur_color(graph_from_edges(2, []), reuse_cap=cap)
+    assert dsatur_color(graph_from_edges(2, []), reuse_cap=np.int64(1)).num_pilots == 2
 
 
 def test_validate_assignment_catches_violations():

@@ -259,8 +259,10 @@ def test_campaign_single_seed_stats_degenerate():
 
 
 def test_campaign_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        run_campaign(_config(), [2], [3], num_seeds=0)
+    for num_seeds in (0, 2.5, True):
+        with pytest.raises(ValueError,
+                           match=f"num_seeds must be an integer >= 1, got {num_seeds}"):
+            run_campaign(_config(), [2], [3], num_seeds=num_seeds)
     with pytest.raises(ValueError, match="unknown algorithm"):
         run_campaign(_config(), [2], [3], algorithms=("nope",), num_seeds=1)
 

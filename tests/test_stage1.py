@@ -29,6 +29,10 @@ def test_star_center_removed_first(star_instance):
     # all leaves fit on the single pilot once the hub user is gone
     assert result.colors_used == 1
     assert result.assignment.pilots.tolist() == [-1, 0, 0, 0, 0, 0]
+    # the hub and the leaves need two pilots before any removal
+    assert result.threshold is None
+    assert result.base_colors == 2 == dsatur_color(
+        build_base_graph(star_instance.clusters), 5).num_pilots
 
 
 def test_removal_tie_broken_by_interference_score():
@@ -70,6 +74,10 @@ def test_no_removals_when_already_within_budget(star_instance):
     assert result.case_taken == CASE_BASE
     assert result.removal_trace == ()
     assert result.num_admitted == 6
+    assert result.threshold is None
+    base = dsatur_color(build_base_graph(star_instance.clusters), 5)
+    assert result.base_colors == result.colors_used == base.num_pilots == 2
+    np.testing.assert_array_equal(result.assignment.pilots, base.pilots)
 
 
 def test_exact_budget_passthrough(two_triangle_instance):
@@ -106,6 +114,9 @@ def test_removal_case_on_two_triangles(two_triangle_instance):
     assert result.removal_trace == (0, 1)
     np.testing.assert_array_equal(result.admitted, [2, 3, 4, 5])
     assert result.colors_used == 2
+    # base_colors is the full graph's, not the survivors'
+    assert result.threshold is None
+    assert result.base_colors == 3
 
 
 def test_spread_picks_smallest_workable_threshold(four_user_spread_instance):

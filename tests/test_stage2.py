@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ucran import SimConfig, admission_loop, build_channel_state, build_network, run_stage1
@@ -23,8 +23,8 @@ from ucran.stage1 import Stage1Result
 
 from conftest import craft_instance
 from oracles import (beam_systems_reference, fronthaul_serving_sets,
-                     rate_coefficients_reference, scatter_links, solve_power_linear,
-                     stack_antennas)
+                     rate_coefficients_join_reference, rate_coefficients_reference,
+                     scatter_links, solve_power_linear, stack_antennas)
 
 
 def _state(estimates: np.ndarray, error_var: np.ndarray) -> ChannelState:
@@ -103,8 +103,11 @@ def test_fronthaul_cap_second_pass_changes_nothing(ties):
 
 
 def test_fronthaul_cap_rejects_bad_cap():
-    with pytest.raises(ValueError):
-        enforce_fronthaul_cap(np.array([[0]]), [0], np.ones((1, 1)), cap=0)
+    links = np.array([[0], [0], [0]])
+    for cap in (0, 1.5, 2.5, True):
+        with pytest.raises(ValueError, match=f"fronthaul_cap must be an integer >= 1, got {cap}"):
+            enforce_fronthaul_cap(links, [0, 1, 2], np.ones((1, 3)), cap=cap)
+    assert enforce_fronthaul_cap(links, [0, 1, 2], np.ones((1, 3)), cap=np.int64(2)).sum() == 2
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 10), st.integers(1, 4),
@@ -186,12 +189,14 @@ def test_beam_covariance_overflow_raises():
         robust_beam_direction(state, _valid(1, {0: [0], 1: [0]}), [0, 1], noise_power=1.0)
 
 
-def test_beam_ill_conditioned_covariance_raises():
-    # one user on two RRHs, error-free estimates of scale 1e100, unit noise:
-    # hh^H + I is finite but has condition number about 1e200, so a solved
-    # beam could be off the matched filter by order one
+@pytest.mark.parametrize("scale", [1e100, 1e6], ids=["1e100", "1e6"])
+def test_beam_ill_conditioned_covariance_raises(scale):
+    # one user on two RRHs, error-free estimates, unit noise: hh^H + I is
+    # finite but has condition number about scale**2, so a solved beam
+    # could be off the matched filter by order one at 1e100, and is off by
+    # 3.4e-4 already at 1e6 (trace over loading 1.4e13)
     rng = np.random.default_rng(8)
-    est = 1e100 * _complex(rng, (2, 1, 2))
+    est = scale * _complex(rng, (2, 1, 2))
     state = _state(est, np.zeros((2, 1)))
     with pytest.raises(ValueError, match="beam solve failed for user 0: its covariance is "
                                          "too ill-conditioned"):
@@ -305,6 +310,34 @@ def test_local_blocks_match_dense_reference_with_padding(perfect):
     zeroed = dataclasses.replace(state, estimates=estimates)
     np.testing.assert_array_equal(
         _assert_matches_reference(zeroed, valid, served, noise).valid, beams.valid)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 4), st.integers(0, 8),
+       st.integers(1, 3), st.floats(0.0, 0.6))
+@example(seed=0, num_rrhs=3, width=3, num_users=4, antennas=2, prune=0.0)
+@example(seed=1, num_rrhs=4, width=4, num_users=5, antennas=1, prune=0.3)
+@example(seed=0, num_rrhs=4, width=2, num_users=0, antennas=2, prune=0.0)
+@settings(max_examples=150, deadline=None)
+def test_rate_coefficients_match_the_join_reference_bit_for_bit(seed, num_rrhs, width,
+                                                               num_users, antennas, prune):
+    # each gain must add its terms in the reference's order (ascending RRH),
+    # so the comparison is exact; order shows from three terms on, and the
+    # examples pin users sharing three or four RRHs, pruned slots on shared
+    # RRHs, and an empty round
+    rng = np.random.default_rng(seed)
+    width = min(width, num_rrhs)
+    links = np.array([np.sort(rng.choice(num_rrhs, width, replace=False))
+                      for _ in range(num_users)], dtype=np.int64).reshape(num_users, width)
+    state = ChannelState(links=links, estimates=_complex(rng, (num_users, width, antennas)),
+                         error_var=rng.uniform(0.0, 1.0, (num_rrhs, num_users)))
+    served = np.flatnonzero(rng.random(num_users) < 0.8)
+    valid = rng.random((served.size, width)) >= prune
+    beams = LocalBeams(rrhs=links[served], valid=valid, num_rrhs=num_rrhs,
+                       weights=_complex(rng, (served.size, width, antennas)) * valid[:, :, None])
+    got = rate_coefficients(state, beams, served)
+    want = rate_coefficients_join_reference(state, beams, served)
+    for name, ours, theirs in zip(("signal", "self_err", "cross"), got, want):
+        assert ours.shape == theirs.shape and np.array_equal(ours, theirs), name
 
 
 @pytest.mark.parametrize("served", [[], np.zeros(0, dtype=np.int64)], ids=["list", "array"])
