@@ -91,12 +91,16 @@ def vertex_degrees(graph: ConflictGraph) -> np.ndarray:
     return graph.adjacency.sum(axis=1).astype(np.int64)
 
 
-def interference_score(weights: np.ndarray, assignment, k: int) -> float:
-    """Total weight between ``k`` and the other users on its pilot, summed
-    in ascending user id."""
-    pilots = assignment.pilots
-    if pilots[k] < 0:
-        raise ValueError(f"user {k} has no pilot assigned")
-    others = pilots == pilots[k]
-    others[k] = False
-    return float(sum(weights[k, others]))
+def interference_score(weights: np.ndarray, users, candidates) -> np.ndarray:
+    """Each candidate's total weight to ``users``, as a ``(len(candidates),)``
+    array.
+
+    Each total is summed left to right in the order of ``users``
+    (``((w[c, u0] + w[c, u1]) + w[c, u2]) + ...``).  The diagonal is
+    zero, so a candidate among ``users`` adds nothing for itself.
+    """
+    block = weights[np.ix_(candidates, users)]
+    if block.shape[1] == 0:
+        return np.zeros(block.shape[0])
+    # a running sum is sequential, so its last column has the documented order
+    return np.cumsum(block, axis=1)[:, -1]

@@ -4,9 +4,9 @@ The base conflict graph is colored once.  Four outcomes:
 
 * colors needed > budget: drop users one at a time until the remaining
   users fit the budget.  The victim is the user with the highest conflict
-  degree (ties by the interference it currently suffers from its pilot
-  group, then lowest id), or, when a random generator is given, a uniformly
-  random active user;
+  degree (ties by the largest total pilot-interference weight to the other
+  remaining users, then lowest id), or, when a random generator is given,
+  a uniformly random active user;
 * colors needed < budget: spare pilots are spent on extra separation, by
   a binary search for a low interference threshold whose augmented graph
   still colors within the budget;
@@ -15,9 +15,8 @@ The base conflict graph is colored once.  Four outcomes:
 * colors needed = budget: the base coloring is kept as is (``exact``).
 
 The base graph is built once per call.  A removal round shrinks the
-graph by its victim and colors the survivors only when the coloring is
-read: for a degree tie, or for the budget test once
-``ceil(survivors / reuse_cap)`` no longer exceeds the budget.  Each
+graph by its victim and colors the survivors only for the budget test,
+once ``ceil(survivors / reuse_cap)`` no longer exceeds the budget.  Each
 branch returns only its decision; :func:`run_stage1` builds the one
 :class:`Stage1Result`, whose single pilot array
 (:class:`~ucran.coloring.PilotAssignment`) names the admitted users as
@@ -39,7 +38,7 @@ from .conflict_graph import (
     interference_score,
     vertex_degrees,
 )
-from .topology import NetworkInstance
+from .topology import NetworkInstance, _is_integer
 
 CASE_REMOVAL = "case1"      # over budget, users removed
 CASE_SPREAD = "case2"       # under budget, co-pilot groups spread apart
@@ -77,8 +76,8 @@ def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
     ``spread=False`` keeps an under-budget base coloring instead of
     spreading it; ``rng`` makes removal pick uniformly random victims.
     """
-    if pilot_budget < 1:
-        raise ValueError("pilot_budget must be >= 1")
+    if not _is_integer(pilot_budget) or pilot_budget < 1:
+        raise ValueError(f"pilot_budget must be an integer >= 1, got {pilot_budget!r}")
     base = build_base_graph(instance.clusters)
     base_assignment = dsatur_color(base, reuse_cap)
     base_colors = base_assignment.num_pilots
@@ -107,16 +106,15 @@ def select_users_case1(instance: NetworkInstance, pilot_budget: int, reuse_cap: 
     Starts from the base graph and its coloring; returns the coloring of
     the users left and the removed users in removal order.  The victim is
     the active user with the most conflict edges, ties broken by the
-    largest total interference weight to its pilot group in a fresh
-    coloring of the remaining users, then by lowest user id.  With ``rng``
-    the victim is instead drawn uniformly from the active users.
+    largest total pilot-interference weight to the other active users
+    (:func:`~ucran.conflict_graph.interference_score`), then by lowest
+    user id.  With ``rng`` the victim is instead drawn uniformly from the
+    active users.
 
     A capped coloring of n users needs at least ``ceil(n / reuse_cap)``
     pilots, so while that exceeds the budget the loop goes on without one.
-    The remaining users are colored only when a coloring decides the
-    round: for the budget test once that bound no longer does, and for a
-    degree tie.  DSatur is deterministic, so the victims and the final
-    assignment are those of recoloring after every removal.
+    The remaining users are colored only for the budget test, once that
+    bound no longer decides it; no victim pick reads a coloring.
     """
     trace: list[int] = []
     while True:
@@ -127,15 +125,12 @@ def select_users_case1(instance: NetworkInstance, pilot_budget: int, reuse_cap: 
                 return assignment, tuple(trace)
         if rng is None:
             degrees = vertex_degrees(graph)[graph.users]
-            tied = graph.users[degrees == degrees.max()].tolist()
+            tied = graph.users[degrees == degrees.max()]
+            victim = int(tied[0])
             if len(tied) > 1:
-                if assignment is None:
-                    assignment = dsatur_color(graph, reuse_cap)
-                # max keeps the lowest id on an interference tie
-                victim = max(tied, key=lambda k: interference_score(
-                    instance.weights, assignment, k))
-            else:
-                victim = tied[0]
+                # argmax keeps the lowest id on a score tie
+                victim = int(tied[np.argmax(interference_score(instance.weights,
+                                                               graph.users, tied))])
         else:
             victim = int(rng.choice(graph.users))
         trace.append(victim)

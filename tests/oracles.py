@@ -4,15 +4,16 @@ Everything here is deliberately brute-force and shares no code with the
 package: exhaustive capped coloring by backtracking, Monte Carlo ergodic
 rates by direct channel redraws, power control by solving the linear
 fixed-point system, the pairwise pilot-interference weight one pair at a
-time, the cluster-overlap graph built on a user subset directly,
-fronthaul pruning one RRH at a time on per-user serving sets, DSatur
-picking each next vertex by a full (saturation, degree, id) key, case-1
-user removal recoloring the survivors after every removal, and
-robust-beam covariance systems and rate coefficients as dense products
-over every RRH antenna, one user at a time, on estimates spread from each
-user's cluster links to every RRH, the local rate coefficients through a
-sorted-link CSR join, and the pilot observation as one product of the
-channels with the one-hot pilot membership.
+time and a user's total weight one term at a time, the cluster-overlap
+graph built on a user subset directly, fronthaul pruning one RRH at a
+time on per-user serving sets, DSatur picking each next vertex by a full
+(saturation, degree, id) key, case-1 user removal recoloring the
+survivors after every removal, and robust-beam covariance systems and
+rate coefficients as dense products over every RRH antenna, one user at
+a time, on estimates spread from each user's cluster links to every RRH,
+the local rate coefficients through a sorted-link CSR join, and the pilot
+observation as one product of the channels with the one-hot pilot
+membership.
 """
 
 from __future__ import annotations
@@ -235,6 +236,15 @@ def dsatur_reference(graph, reuse_cap: int) -> tuple[np.ndarray, int]:
     return pilots, len(color_count)
 
 
+def weight_total_reference(weights: np.ndarray, users, k: int) -> float:
+    """User ``k``'s total weight to ``users``, added one at a time from 0.0
+    in the order of ``users`` (a plain loop, so no compensated summation)."""
+    total = 0.0
+    for j in users:
+        total += float(weights[k, j])
+    return total
+
+
 def select_users_case1_reference(clusters: np.ndarray, weights: np.ndarray,
                                  pilot_budget: int, reuse_cap: int,
                                  rng: np.random.Generator | None = None):
@@ -244,8 +254,9 @@ def select_users_case1_reference(clusters: np.ndarray, weights: np.ndarray,
     Each round builds the cluster-overlap graph on the survivors, colors
     it with :func:`dsatur_reference`, and stops once the coloring fits the
     budget.  Otherwise the victim is the survivor of highest degree, ties
-    by the larger weight sum to its co-pilot users (ascending id), then by
-    lowest id; with ``rng`` it is ``rng.choice`` of the sorted survivors.
+    by the larger weight sum to the other survivors (added one at a time in
+    ascending id), then by lowest id; with ``rng`` it is ``rng.choice`` of
+    the sorted survivors.  The coloring never decides a victim.
     """
     active = list(range(clusters.shape[0]))
     trace = []
@@ -261,7 +272,7 @@ def select_users_case1_reference(clusters: np.ndarray, weights: np.ndarray,
             top = max(degree[k] for k in active)
 
             def score(k):
-                return sum(weights[k, j] for j in active if j != k and pilots[j] == pilots[k])
+                return weight_total_reference(weights, [j for j in active if j != k], k)
 
             # max keeps the first, lowest-id user on a score tie
             victim = max((k for k in active if degree[k] == top), key=score)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucran import PilotAssignment, build_base_graph, interference_matrix
+from ucran import build_base_graph, interference_matrix
 from ucran.conflict_graph import build_thresholded_graph, interference_score, vertex_degrees
 
-from oracles import base_graph_on, pilot_interference
+from oracles import base_graph_on, pilot_interference, weight_total_reference
 
 
 def _random_alpha(seed: int, num_rrhs: int, num_users: int) -> np.ndarray:
@@ -167,19 +167,45 @@ def test_vertex_degrees():
     np.testing.assert_array_equal(vertex_degrees(g), [2, 2, 2, 0])
 
 
-def test_interference_score_sums_group_weights():
-    weights = np.array([
-        [0.0, 0.3, 0.5, 0.1],
-        [0.3, 0.0, 0.2, 0.4],
-        [0.5, 0.2, 0.0, 0.6],
-        [0.1, 0.4, 0.6, 0.0],
-    ])
-    assignment = PilotAssignment(pilots=[0, 0, 0, 1], num_pilots=2)
-    assert interference_score(weights, assignment, 0) == pytest.approx(0.8)
-    assert interference_score(weights, assignment, 3) == pytest.approx(0.0)
+_SCORE_WEIGHTS = np.array([
+    [0.0, 0.3, 0.5, 0.1],
+    [0.3, 0.0, 0.2, 0.4],
+    [0.5, 0.2, 0.0, 0.6],
+    [0.1, 0.4, 0.6, 0.0],
+])
 
 
-def test_interference_score_requires_assignment():
-    assignment = PilotAssignment(pilots=[0, -1], num_pilots=1)
-    with pytest.raises(ValueError, match="no pilot"):
-        interference_score(np.zeros((2, 2)), assignment, 1)
+def test_interference_score_sums_weights_to_users():
+    scores = interference_score(_SCORE_WEIGHTS, [0, 1, 2, 3], [0, 3])
+    assert scores.shape == (2,)
+    assert scores == pytest.approx([0.3 + 0.5 + 0.1, 0.1 + 0.4 + 0.6])
+    # only the listed users count, and a candidate need not be among them
+    assert interference_score(_SCORE_WEIGHTS, [1, 2], [0, 3, 1]) == pytest.approx(
+        [0.3 + 0.5, 0.4 + 0.6, 0.2])
+    assert interference_score(_SCORE_WEIGHTS, [], [2]).tolist() == [0.0]
+    assert interference_score(_SCORE_WEIGHTS, [0, 1], []).shape == (0,)
+
+
+def test_interference_score_own_diagonal_adds_nothing():
+    with_self = interference_score(_SCORE_WEIGHTS, range(4), range(4))
+    without = [interference_score(_SCORE_WEIGHTS, [j for j in range(4) if j != k], [k])[0]
+               for k in range(4)]
+    assert with_self.tolist() == without
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_interference_score_matches_the_oracle_bit_for_bit(data):
+    # weights over 16 orders of magnitude and up to 40 users, so that any
+    # other summation order (pairwise, blocked, compensated) shows
+    num_users = data.draw(st.integers(1, 40), label="num_users")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    half = np.triu(rng.random((num_users, num_users))
+                   * 10.0 ** rng.integers(-8, 9, (num_users, num_users)), 1)
+    weights = half + half.T
+    ids = st.integers(0, num_users - 1)
+    users = data.draw(st.lists(ids, unique=True), label="users")
+    candidates = data.draw(st.lists(ids, max_size=8), label="candidates")
+    scores = interference_score(weights, users, candidates)
+    expected = [weight_total_reference(weights, users, k) for k in candidates]
+    assert scores.tolist() == expected

@@ -9,7 +9,7 @@ import hashlib
 
 from ucran import ALGORITHMS, SimConfig, run_campaign
 
-GOLDEN_SHA256 = "1fa1e9d7678a79e1114c29a324db2ff2bf0b36c7ada164c7febd550c304c067b"
+GOLDEN_SHA256 = "a8416db6340a4a772b88c390553f15c90c373f32f92606c96e5b5b57c7a55ce6"
 
 
 def test_golden_campaign_csv(tmp_path):
@@ -25,7 +25,7 @@ def test_golden_campaign_csv(tmp_path):
 
 # The dense point: 324 RRHs and 216 users, where case 1 removes most users,
 # case 2 spreads 64 pilots and the admission loop drops dozens.
-DENSE_SHA256 = "3414950567d1d0a657883f0c8eebd49957a1bbf9d5e45ba5f4cb380cdd78e7c8"
+DENSE_SHA256 = "7c1f95d3ed91d9ac5be599ce16213d3b185adf34560e301cad896ebfc946f2a9"
 
 
 def test_golden_dense_campaign_csv(tmp_path):

@@ -14,7 +14,7 @@ from ucran import (
     run_stage1,
     validate_assignment,
 )
-from ucran.conflict_graph import build_thresholded_graph
+from ucran.conflict_graph import build_thresholded_graph, interference_score
 from ucran.stage1 import CASE_BASE, CASE_EXACT, CASE_REMOVAL, CASE_SPREAD
 
 from conftest import craft_instance
@@ -36,10 +36,10 @@ def test_star_center_removed_first(star_instance):
 
 
 def test_removal_tie_broken_by_interference_score():
-    # users 0 and 1 tie on degree (one edge between them); the reuse cap
-    # of 2 packs isolated user 2 with user 0 and user 3 with user 1, and
-    # user 1's group interference is made much larger, so despite the
-    # lower id of user 0 it is user 1 that goes first
+    # users 0 and 1 tie on degree (one edge between them); user 1's
+    # strong coupling to user 3 makes its total interference weight to
+    # the other users much larger, so despite the lower id of user 0 it
+    # is user 1 that goes first
     clusters = np.array([[0, 1], [1, 2], [3, 4], [5, 6]])
     alpha = np.full((7, 4), 1e-9)
     for k in range(4):
@@ -59,7 +59,7 @@ def test_removal_tie_broken_by_interference_score():
 
 
 def test_removal_tie_falls_back_to_lowest_index():
-    # two isolated co-cluster pairs, all weights equal: degree and group
+    # two isolated co-cluster pairs, all weights equal: degree and total
     # interference tie everywhere, so user 0 goes first
     clusters = np.array([[0], [0], [1], [1]])
     alpha = np.ones((2, 4))
@@ -109,10 +109,29 @@ def test_spread_separates_strong_pairs(two_triangle_instance):
 
 
 def test_removal_case_on_two_triangles(two_triangle_instance):
+    # Every user has degree 2 and, to the other five, two in-triangle
+    # weights a = 2 ln(1.5000005), its matched cross pair b = 2 ln(1.5) and
+    # two unmatched cross pairs c = 2 ln(1.2500005).
+    # Round 1 (6 users, 3 pilots > 2): all six totals are 2a + b + 2c, so
+    # the left-to-right sum in ascending id decides.  Users 0 and 2 add
+    # (b, a, c, a, c) and (a, c, b, a, c) and come out one ulp below users
+    # 1, 3, 4 and 5; user 1 is the lowest id of the largest and goes.
+    # Round 2 (0, 2, 4 still a triangle: 3 pilots > 2): 0, 2 and 4 tie on
+    # degree 2 (3 and 5 have 1).  User 0 has lost its b and scores 2a + 2c;
+    # 2 and 4 score a + b + a + c and a + a + c + b, equal in floating
+    # point, so user 2 goes by id.
+    # Round 3: edges 0-4 and 3-5 color with 2 pilots, so the loop stops.
+    weights = two_triangle_instance.weights
+    round1 = interference_score(weights, range(6), range(6))
+    assert np.flatnonzero(round1 == round1.max()).tolist() == [1, 3, 4, 5]
+    assert round1.max() - round1.min() == np.spacing(round1.min())
+    round2 = interference_score(weights, [0, 2, 3, 4, 5], [0, 2, 4])
+    assert round2[0] < round2[1] == round2[2]
+
     result = run_stage1(two_triangle_instance, pilot_budget=2, reuse_cap=4)
     assert result.case_taken == CASE_REMOVAL
-    assert result.removal_trace == (0, 1)
-    np.testing.assert_array_equal(result.admitted, [2, 3, 4, 5])
+    assert result.removal_trace == (1, 2)
+    np.testing.assert_array_equal(result.admitted, [0, 3, 4, 5])
     assert result.colors_used == 2
     # base_colors is the full graph's, not the survivors'
     assert result.threshold is None
@@ -155,8 +174,10 @@ def test_budget_at_least_users_admits_everyone():
 def test_rejects_bad_budget():
     cfg = SimConfig(num_rrhs=4, num_users=2, cluster_size=1)
     instance = build_network(cfg, seed=0)
-    with pytest.raises(ValueError):
-        run_stage1(instance, pilot_budget=0, reuse_cap=4)
+    for budget in (0, -1, 4.5, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="pilot_budget must be an integer"):
+            run_stage1(instance, pilot_budget=budget, reuse_cap=4)
+    assert run_stage1(instance, pilot_budget=np.int64(2), reuse_cap=4).num_admitted == 2
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 4))
@@ -291,12 +312,16 @@ def test_random_removal_colors_only_when_the_count_bound_cannot_decide(monkeypat
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_proposed_removal_colors_at_most_once_per_round(seed, monkeypatch):
+@pytest.mark.parametrize("policy", ["proposed", "random"])
+def test_removal_colors_only_for_the_budget_test(policy, seed, monkeypatch):
+    # whichever policy picks the victims, DSatur colors the base graph and
+    # then only the survivor counts that ceil(n / cap) <= budget leaves open
     cfg = SimConfig(num_rrhs=36, num_users=60, cluster_size=3)
     instance = build_network(cfg, seed=seed)
+    budget, cap = 2, 2
+    rng = None if policy == "proposed" else np.random.default_rng(seed)
     calls = _count_dsatur_calls(monkeypatch)
-    result = run_stage1(instance, pilot_budget=2, reuse_cap=2)
+    result = run_stage1(instance, budget, cap, spread=False, rng=rng)
     assert result.case_taken == CASE_REMOVAL
-    # the base graph, then at most one coloring per removal
-    assert calls[0] == 60
-    assert len(calls) <= 1 + len(result.removal_trace)
+    survivors = [60 - r for r in range(1, len(result.removal_trace) + 1)]
+    assert calls == [60] + [n for n in survivors if -(-n // cap) <= budget]
