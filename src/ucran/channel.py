@@ -32,8 +32,11 @@ class ChannelState:
 def draw_channels(alpha: np.ndarray, antennas: int, rng: np.random.Generator) -> np.ndarray:
     """I.i.d. Rayleigh links: h[i, k] ~ CN(0, alpha[i, k] * Identity)."""
     shape = alpha.shape + (antennas,)
-    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return np.sqrt(alpha / 2.0)[:, :, None] * h
+    h = np.empty(shape, dtype=complex)
+    h.real = rng.standard_normal(shape)
+    h.imag = rng.standard_normal(shape)
+    h *= np.sqrt(alpha / 2.0)[:, :, None]
+    return h
 
 
 def simulate_pilot_rx(true_channels: np.ndarray, assignment: PilotAssignment,

@@ -14,9 +14,10 @@ The base conflict graph is colored once.  Four outcomes:
   kept as is (``base``);
 * colors needed = budget: the base coloring is kept as is (``exact``).
 
-The base graph is built once per call.  A removal round shrinks the
-graph by its victim and colors the survivors only for the budget test,
-once ``ceil(survivors / reuse_cap)`` no longer exceeds the budget.  Each
+The base graph is built once per call.  A removal round subtracts its
+victim's adjacency row from one running degree vector, and the survivors'
+subgraph is cut out and colored only for the budget test, once
+``ceil(survivors / reuse_cap)`` no longer exceeds the budget.  Each
 branch returns only its decision; :func:`run_stage1` builds the one
 :class:`Stage1Result`, whose single pilot array
 (:class:`~ucran.coloring.PilotAssignment`) names the admitted users as
@@ -111,30 +112,38 @@ def select_users_case1(instance: NetworkInstance, pilot_budget: int, reuse_cap: 
     user id.  With ``rng`` the victim is instead drawn uniformly from the
     active users.
 
-    A capped coloring of n users needs at least ``ceil(n / reuse_cap)``
-    pilots, so while that exceeds the budget the loop goes on without one.
-    The remaining users are colored only for the budget test, once that
-    bound no longer decides it; no victim pick reads a coloring.
+    The degrees are summed once; each victim then takes one off each of
+    its neighbours.  A removed user, or one outside ``graph.users``, reads
+    a negative degree, so it never ties for the maximum.  A capped
+    coloring of n users needs at least ``ceil(n / reuse_cap)`` pilots, so
+    while that exceeds the budget the loop goes on without one.  The
+    remaining users are restricted out of ``graph`` and colored only for
+    the budget test, once that bound no longer decides it; no victim pick
+    reads a coloring.
     """
+    users = graph.users
+    degrees = np.full(graph.num_users, -1, dtype=np.int64)
+    degrees[users] = vertex_degrees(graph)[users]
     trace: list[int] = []
     while True:
-        if -(-len(graph.users) // reuse_cap) <= pilot_budget:
+        if -(-len(users) // reuse_cap) <= pilot_budget:
             if assignment is None:
-                assignment = dsatur_color(graph, reuse_cap)
+                assignment = dsatur_color(graph.restrict(users), reuse_cap)
             if assignment.num_pilots <= pilot_budget:
                 return assignment, tuple(trace)
         if rng is None:
-            degrees = vertex_degrees(graph)[graph.users]
-            tied = graph.users[degrees == degrees.max()]
+            tied = np.flatnonzero(degrees == degrees.max())
             victim = int(tied[0])
             if len(tied) > 1:
                 # argmax keeps the lowest id on a score tie
                 victim = int(tied[np.argmax(interference_score(instance.weights,
-                                                               graph.users, tied))])
+                                                               users, tied))])
         else:
-            victim = int(rng.choice(graph.users))
+            victim = int(rng.choice(users))
         trace.append(victim)
-        graph = graph.restrict(graph.users[graph.users != victim])
+        degrees -= graph.adjacency[victim]
+        degrees[victim] = -1
+        users = np.flatnonzero(degrees >= 0)
         assignment = None   # not yet colored
 
 

@@ -129,8 +129,9 @@ class NetworkInstance:
 
 def pairwise_distances(rrh_positions: np.ndarray, user_positions: np.ndarray) -> np.ndarray:
     """Euclidean RRH-to-user distance matrix, shape (I, K)."""
-    diff = rrh_positions[:, None, :] - user_positions[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=2))
+    dx = rrh_positions[:, 0, None] - user_positions[:, 0]
+    dy = rrh_positions[:, 1, None] - user_positions[:, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def compute_large_scale(distances: np.ndarray, config: SimConfig, seed: int) -> np.ndarray:
@@ -155,11 +156,21 @@ def build_clusters(key: np.ndarray, cluster_size: int) -> np.ndarray:
     """Candidate serving sets (K, L): per user k, the ``cluster_size`` RRHs i
     with the smallest ``key[i, k]`` (a distance, or a negated gain), best
     first; ties break toward the lower RRH index.
+
+    Only the candidates at or below each user's L-th smallest key are
+    sorted, by (user, key, RRH id), and the first L of each user are kept.
     """
+    if not _is_integer(cluster_size) or cluster_size < 1:
+        raise ValueError(f"cluster_size must be an integer >= 1, got {cluster_size!r}")
     if cluster_size > key.shape[0]:
         raise ValueError("cluster_size cannot exceed the number of RRHs")
-    # a stable sort keeps tied RRHs in index order
-    return np.argsort(key.T, axis=1, kind="stable")[:, :cluster_size].astype(np.int64)
+    kth = np.partition(key, cluster_size - 1, axis=0)[cluster_size - 1]
+    rrhs, users = np.nonzero(key <= kth)
+    order = np.lexsort((rrhs, key[rrhs, users], users))
+    rrhs, users = rrhs[order], users[order]
+    # rank each candidate within its user, best first
+    rank = np.arange(users.size) - np.searchsorted(users, users)
+    return rrhs[rank < cluster_size].reshape(-1, cluster_size)
 
 
 def build_network(config: SimConfig, seed: int) -> NetworkInstance:

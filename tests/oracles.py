@@ -11,9 +11,12 @@ time on per-user serving sets, DSatur picking each next vertex by a full
 survivors after every removal, and robust-beam covariance systems and
 rate coefficients as dense products over every RRH antenna, one user at
 a time, on estimates spread from each user's cluster links to every RRH,
-the local rate coefficients through a sorted-link CSR join, and the pilot
+the local rate coefficients through a sorted-link CSR join, the pilot
 observation as one product of the channels with the one-hot pilot
-membership.
+membership, and the distance matrix, the candidate clusters and the
+fading draw as the plain one-liners they were first written as (a
+broadcast difference summed over the coordinate axis, a full stable
+argsort per user, two normal draws added as complex parts).
 """
 
 from __future__ import annotations
@@ -37,6 +40,30 @@ def pilot_interference(alpha: np.ndarray, clusters: np.ndarray, k: int, k2: int)
     cross_k = alpha[clusters[k2], k].sum()
     cross_k2 = alpha[clusters[k], k2].sum()
     return float(np.log1p(cross_k / own_k) + np.log1p(cross_k2 / own_k2))
+
+
+def pairwise_distances_reference(rrh_positions: np.ndarray,
+                                 user_positions: np.ndarray) -> np.ndarray:
+    """(I, K) distances from the (I, K, 2) difference, squared and summed
+    over its last axis."""
+    diff = rrh_positions[:, None, :] - user_positions[None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=2))
+
+
+def build_clusters_reference(key: np.ndarray, cluster_size: int) -> np.ndarray:
+    """(K, L) clusters: the first ``cluster_size`` RRHs of each user's full
+    stable argsort of ``key``, so ties keep the lower RRH index first."""
+    return np.argsort(key.T, axis=1, kind="stable")[:, :cluster_size].astype(np.int64)
+
+
+def draw_channels_reference(alpha: np.ndarray, antennas: int,
+                            rng: np.random.Generator) -> np.ndarray:
+    """(I, K, M) Rayleigh channels: every real part drawn, then every
+    imaginary part, added as ``re + 1j * im`` and scaled by
+    ``sqrt(alpha / 2)``."""
+    shape = alpha.shape + (antennas,)
+    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return np.sqrt(alpha / 2.0)[:, :, None] * h
 
 
 def base_graph_on(clusters: np.ndarray, active_users) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ucran import (
     PilotAssignment,
@@ -14,7 +17,7 @@ from ucran import (
 from ucran.channel import perfect_csi
 from ucran.topology import STREAM_FADING, stream_rng
 
-from oracles import pilot_rx_reference, scatter_links
+from oracles import draw_channels_reference, pilot_rx_reference, scatter_links
 
 
 def _pair_system(num_draws: int, a0: float, a1: float):
@@ -40,6 +43,18 @@ def test_draw_channels_zero_gain_and_determinism():
     b = draw_channels(alpha, antennas=3, rng=np.random.default_rng(5))
     assert (a[0, 0] == 0).all()
     np.testing.assert_array_equal(a, b)
+
+
+@given(alpha=arrays(np.float64, st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                    elements=st.sampled_from([0.0, 5e-324, 1e-300, 1e-12, 0.5, 3.0, 1e300])),
+       antennas=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+@settings(max_examples=200, deadline=None)
+def test_draw_channels_matches_the_reference_bit_for_bit(alpha, antennas, seed):
+    # same stream order, same products: equal bits, signed zeros included
+    got = draw_channels(alpha, antennas, np.random.default_rng(seed))
+    want = draw_channels_reference(alpha, antennas, np.random.default_rng(seed))
+    assert got.dtype == want.dtype and got.shape == want.shape == alpha.shape + (antennas,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_draw_channels_independent_across_links():

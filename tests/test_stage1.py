@@ -15,7 +15,13 @@ from ucran import (
     validate_assignment,
 )
 from ucran.conflict_graph import build_thresholded_graph, interference_score
-from ucran.stage1 import CASE_BASE, CASE_EXACT, CASE_REMOVAL, CASE_SPREAD
+from ucran.stage1 import (
+    CASE_BASE,
+    CASE_EXACT,
+    CASE_REMOVAL,
+    CASE_SPREAD,
+    select_users_case1,
+)
 
 from conftest import craft_instance
 from oracles import select_users_case1_reference
@@ -283,6 +289,45 @@ def test_removal_matches_recoloring_every_round(data):
     assert result.case_taken == CASE_REMOVAL
     assert result.removal_trace == trace
     np.testing.assert_array_equal(result.assignment.pilots, pilots)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("policy", ["proposed", "random"])
+def test_removal_matches_recoloring_every_round_on_a_long_run(policy, seed, monkeypatch):
+    # 96 users, 4 pilots of reuse cap 4: the count bound decides every round
+    # down to 16 survivors, so 80 removals in a row run on the running
+    # degrees alone before the one coloring of the budget test
+    instance = build_network(SimConfig(num_rrhs=144, num_users=96), seed=seed)
+    budget, cap = 4, 4
+
+    def rng():
+        return None if policy == "proposed" else np.random.default_rng(seed)
+
+    calls = _count_dsatur_calls(monkeypatch)
+    result = run_stage1(instance, budget, cap, spread=False, rng=rng())
+    trace, pilots = select_users_case1_reference(instance.clusters, instance.weights,
+                                                 budget, cap, rng=rng())
+    assert result.case_taken == CASE_REMOVAL
+    assert calls == [96, 16]
+    assert result.removal_trace == trace
+    assert len(trace) == 80
+    np.testing.assert_array_equal(result.assignment.pilots, pilots)
+
+
+@pytest.mark.parametrize("policy", ["proposed", "random"])
+def test_removal_from_a_restricted_graph_keeps_to_its_users(policy):
+    # users outside the graph's active set are never victims or survivors,
+    # even once every survivor's degree has fallen to zero
+    instance = build_network(SimConfig(num_rrhs=36, num_users=40, cluster_size=3), seed=3)
+    active = np.arange(1, 40, 2)
+    graph = build_base_graph(instance.clusters).restrict(active)
+    rng = None if policy == "proposed" else np.random.default_rng(0)
+    assignment, trace = select_users_case1(instance, 1, 2, graph, dsatur_color(graph, 2),
+                                           rng=rng)
+    assert set(trace) <= set(active.tolist())
+    np.testing.assert_array_equal(assignment.users,
+                                  sorted(set(active.tolist()) - set(trace)))
+    assert assignment.num_pilots == 1
 
 
 def _count_dsatur_calls(monkeypatch):

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ucran import SimConfig, build_network, make_config, pairwise_distances
 from ucran.topology import (
@@ -13,6 +16,8 @@ from ucran.topology import (
     load_config_file,
     stream_rng,
 )
+
+from oracles import build_clusters_reference, pairwise_distances_reference
 
 
 def test_default_config_matches_reference_scenario():
@@ -148,6 +153,54 @@ def test_cluster_by_gain_uses_alpha_ranking():
     alpha = np.array([[0.1], [0.9]])
     np.testing.assert_array_equal(build_clusters(-alpha, 1)[0], [1])
     np.testing.assert_array_equal(build_clusters(pairwise_distances(rrh, user), 1)[0], [0])
+
+
+@pytest.mark.parametrize("size", [0, 2.5, True])
+def test_build_clusters_rejects_bad_size(size):
+    with pytest.raises(ValueError, match=f"cluster_size must be an integer >= 1, got {size!r}"):
+        build_clusters(np.ones((3, 2)), size)
+    # a numpy integer is an integer
+    assert build_clusters(np.ones((3, 2)), np.int64(2)).tolist() == [[0, 1], [0, 1]]
+
+
+@given(rrh=arrays(np.float64, st.tuples(st.integers(1, 8), st.just(2)),
+                  elements=st.floats(-1e150, 1e150)),
+       users=arrays(np.float64, st.tuples(st.integers(0, 8), st.just(2)),
+                    elements=st.floats(-1e150, 1e150)))
+@settings(max_examples=200, deadline=None)
+def test_pairwise_distances_match_the_reference_bit_for_bit(rrh, users):
+    got = pairwise_distances(rrh, users)
+    want = pairwise_distances_reference(rrh, users)
+    assert got.shape == want.shape == (len(rrh), len(users))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_build_clusters_matches_the_stable_argsort_bit_for_bit(data):
+    num_rrhs = data.draw(st.integers(1, 10), label="num_rrhs")
+    num_users = data.draw(st.integers(0, 6), label="num_users")
+    size = data.draw(st.integers(1, num_rrhs), label="cluster_size")
+    kind = data.draw(st.sampled_from(["ties", "distance", "gain"]), label="kind")
+    shape = (num_rrhs, num_users)
+    if kind == "ties":
+        # small integers times +-1, so zero comes as both 0.0 and -0.0
+        magnitude = data.draw(arrays(np.int64, shape, elements=st.integers(0, 3)))
+        sign = data.draw(arrays(np.float64, shape, elements=st.sampled_from([-1.0, 1.0])))
+        key = sign * magnitude
+    elif kind == "distance":
+        # positions on a coarse grid, so equal distances are common
+        def grid(n):
+            return data.draw(arrays(np.int64, (n, 2), elements=st.integers(0, 3))) * 10.0
+        key = pairwise_distances(grid(num_rrhs), grid(num_users))
+    else:
+        # negated gains; a zero gain negates to -0.0
+        key = -data.draw(arrays(np.float64, shape,
+                                elements=st.sampled_from([0.0, 1e-300, 1e-12, 0.5, 1.0])))
+    got = build_clusters(key, size)
+    want = build_clusters_reference(key, size)
+    assert got.dtype == want.dtype and got.shape == want.shape == (num_users, size)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("by_gain", [False, True])
