@@ -14,14 +14,14 @@ The base conflict graph is colored once.  Four outcomes:
   kept as is (``base``);
 * colors needed = budget: the base coloring is kept as is (``exact``).
 
-The base graph is built once per call.  A removal round subtracts its
-victim's adjacency row from one running degree vector, and the survivors'
-subgraph is cut out and colored only for the budget test, once
+The base graph and the pairwise weights (read nowhere else) are built
+once per call.  A removal round subtracts its victim's adjacency row
+from one running degree vector, and the survivors' subgraph is cut out
+and colored only for the budget test, once
 ``ceil(survivors / reuse_cap)`` no longer exceeds the budget.  Each
-branch returns only its decision; :func:`run_stage1` builds the one
+branch returns only its decision; :func:`run_stage1` builds the
 :class:`Stage1Result`, whose single pilot array
-(:class:`~ucran.coloring.PilotAssignment`) names the admitted users as
-its pilot holders.
+(:class:`~ucran.coloring.PilotAssignment`) holds the admitted users' pilots.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .conflict_graph import (
     ConflictGraph,
     build_base_graph,
     build_thresholded_graph,
-    interference_matrix,  # noqa: F401  (perfbench/spans.py wraps this name)
+    interference_matrix,
     interference_score,
     vertex_degrees,
 )
@@ -76,20 +76,22 @@ def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
 
     ``spread=False`` keeps an under-budget base coloring instead of
     spreading it; ``rng`` makes removal pick uniformly random victims.
+    ValueError when a pilot-interference weight is not finite.
     """
     if not _is_integer(pilot_budget) or pilot_budget < 1:
         raise ValueError(f"pilot_budget must be an integer >= 1, got {pilot_budget!r}")
+    weights = interference_matrix(instance.alpha, instance.clusters)
     base = build_base_graph(instance.clusters)
     base_assignment = dsatur_color(base, reuse_cap)
     base_colors = base_assignment.num_pilots
     trace, threshold = (), None
     if base_colors > pilot_budget:
         case = CASE_REMOVAL
-        assignment, trace = select_users_case1(instance, pilot_budget, reuse_cap, base,
+        assignment, trace = select_users_case1(weights, pilot_budget, reuse_cap, base,
                                                base_assignment, rng=rng)
     elif base_colors < pilot_budget and spread:
         case = CASE_SPREAD
-        assignment, threshold = reallocate_case2(instance, pilot_budget, reuse_cap, base,
+        assignment, threshold = reallocate_case2(weights, pilot_budget, reuse_cap, base,
                                                  base_assignment)
     else:
         case = CASE_EXACT if base_colors == pilot_budget else CASE_BASE
@@ -98,7 +100,7 @@ def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
                         threshold=threshold, base_colors=base_colors)
 
 
-def select_users_case1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
+def select_users_case1(weights: np.ndarray, pilot_budget: int, reuse_cap: int,
                        graph: ConflictGraph, assignment: PilotAssignment, *,
                        rng: np.random.Generator | None = None
                        ) -> tuple[PilotAssignment, tuple[int, ...]]:
@@ -107,10 +109,10 @@ def select_users_case1(instance: NetworkInstance, pilot_budget: int, reuse_cap: 
     Starts from the base graph and its coloring; returns the coloring of
     the users left and the removed users in removal order.  The victim is
     the active user with the most conflict edges, ties broken by the
-    largest total pilot-interference weight to the other active users
-    (:func:`~ucran.conflict_graph.interference_score`), then by lowest
-    user id.  With ``rng`` the victim is instead drawn uniformly from the
-    active users.
+    largest total of the (K, K) pilot-interference ``weights`` to the
+    other active users (:func:`~ucran.conflict_graph.interference_score`),
+    then by lowest user id.  With ``rng`` the victim is instead drawn
+    uniformly from the active users.
 
     The degrees are summed once; each victim then takes one off each of
     its neighbours.  A removed user, or one outside ``graph.users``, reads
@@ -136,8 +138,7 @@ def select_users_case1(instance: NetworkInstance, pilot_budget: int, reuse_cap: 
             victim = int(tied[0])
             if len(tied) > 1:
                 # argmax keeps the lowest id on a score tie
-                victim = int(tied[np.argmax(interference_score(instance.weights,
-                                                               users, tied))])
+                victim = int(tied[np.argmax(interference_score(weights, users, tied))])
         else:
             victim = int(rng.choice(users))
         trace.append(victim)
@@ -147,7 +148,7 @@ def select_users_case1(instance: NetworkInstance, pilot_budget: int, reuse_cap: 
         assignment = None   # not yet colored
 
 
-def reallocate_case2(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
+def reallocate_case2(weights: np.ndarray, pilot_budget: int, reuse_cap: int,
                      base: ConflictGraph, base_assignment: PilotAssignment
                      ) -> tuple[PilotAssignment, float]:
     """Spend spare pilots on separating the most mutually interfering pairs.
@@ -159,9 +160,7 @@ def reallocate_case2(instance: NetworkInstance, pilot_budget: int, reuse_cap: in
     DSatur's fit is not monotone in the threshold, so a smaller candidate
     may fit too (ROADMAP.md, Settled: "Case 2, smallest fitting candidate").
     """
-    weights = instance.weights
-    off_diag = weights[~np.eye(instance.num_users, dtype=bool)]
-    candidates = np.unique(off_diag)
+    candidates = np.unique(weights[~np.eye(len(weights), dtype=bool)])
     sentinel = candidates[-1] + 1.0 if candidates.size else 1.0
     candidates = np.append(candidates, sentinel)
 

@@ -9,15 +9,12 @@ the same trial seed see identical RRH/user placements, shadowing and fading.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .conflict_graph import interference_matrix
 
 # Per-trial random sub-streams.  Baseline randomness gets its own stream so
 # that random user removal (Con) or random user sampling (Ortho) never
@@ -31,6 +28,12 @@ STREAM_BASELINE = 3
 def _is_integer(value) -> bool:
     """True for Python and numpy integers, False for bools and floats."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# SimConfig field type (a string under `from __future__ import annotations`)
+# -> (the values it takes, what errors call them); only a bool field takes bools
+_FIELD_KINDS = {"int": (numbers.Integral, "an integer"),
+                "float": (numbers.Real, "a real number"), "bool": (bool, "a bool")}
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -75,8 +78,9 @@ class SimConfig:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if field.type == "int" and not _is_integer(value):
-                raise ValueError(f"{field.name} must be an integer, got {value!r}")
+            kind, what = _FIELD_KINDS[field.type]
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+                raise ValueError(f"{field.name} must be {what}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
         for name in ("num_rrhs", "num_users", "cluster_size", "antennas_per_rrh",
@@ -119,12 +123,6 @@ class NetworkInstance:
     @property
     def num_users(self) -> int:
         return self.user_positions.shape[0]
-
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        """Pairwise pilot-interference weights (K, K), computed on first use;
-        ValueError when one is not finite."""
-        return interference_matrix(self.alpha, self.clusters)
 
 
 def pairwise_distances(rrh_positions: np.ndarray, user_positions: np.ndarray) -> np.ndarray:
@@ -178,8 +176,6 @@ def build_network(config: SimConfig, seed: int) -> NetworkInstance:
 
     RRHs and users drop i.i.d. uniformly over the square service area.
     Clusters rank RRHs by distance, or by gain with ``cluster_by_gain``.
-    Raises ValueError when the gains give non-finite pilot-interference
-    weights (say, every gain underflows), before any stage can use them.
     """
     rng = stream_rng(seed, STREAM_PLACEMENT)
     rrh = rng.uniform(0.0, config.area_side, size=(config.num_rrhs, 2))
@@ -188,17 +184,15 @@ def build_network(config: SimConfig, seed: int) -> NetworkInstance:
     alpha = compute_large_scale(distances, config, seed)
     clusters = build_clusters(-alpha if config.cluster_by_gain else distances,
                               config.cluster_size)
-    instance = NetworkInstance(rrh_positions=rrh, user_positions=users,
-                               alpha=alpha, clusters=clusters)
-    instance.weights  # computed here so a non-finite weight fails before any stage
-    return instance
+    return NetworkInstance(rrh_positions=rrh, user_positions=users,
+                           alpha=alpha, clusters=clusters)
 
 
 # --- plain-text config files -------------------------------------------------
 
 # SimConfig field name -> type, for config files and CLI flags (annotations
 # are strings under `from __future__ import annotations`)
-CONFIG_FIELD_TYPES = {f.name: {"float": float, "int": int, "bool": bool, "str": str}[f.type]
+CONFIG_FIELD_TYPES = {f.name: {"float": float, "int": int, "bool": bool}[f.type]
                       for f in dataclasses.fields(SimConfig)}
 
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,

@@ -110,6 +110,25 @@ def test_empty_or_repeated_sweep_list_fails(flag, value, shown, capsys):
     assert f"error: {name} must be non-empty without repeats, got {shown}" in captured.err
 
 
+@pytest.mark.parametrize("command,message", [
+    (["campaign", "--cluster-sizes", "a,b"],
+     "argument --cluster-sizes: expected comma-separated integers, got 'a,b'"),
+    (["campaign", "--pilot-budgets", "4,1.5"],
+     "argument --pilot-budgets: expected comma-separated integers, got '4,1.5'"),
+    (["trial", "--num-rrhs", "abc"], "argument --num-rrhs: invalid int value: 'abc'"),
+    (["trial", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+    (["trial", "--algorithm", "nope"], "argument --algorithm: invalid choice: 'nope'"),
+])
+def test_flag_values_argparse_rejects_exit_2_with_usage(command, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(command)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ucran ")
+    assert f"error: {message}" in captured.err
+
+
 def test_unknown_campaign_algorithm_fails(capsys):
     code = main(["campaign", *SMALL, "--algorithms", "proposed,magic",
                  "--seeds", "1"])

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,22 @@ def test_run_trial_meets_tiny_rate_requirements(rate_req):
     result = run_trial(SimConfig(rate_req=rate_req), seed=0, algorithm="proposed")
     assert result.stage2_served > 0
     assert result.min_rate >= rate_req
+
+
+def test_ortho_on_underflowing_gains_serves_nobody_cleanly():
+    # every gain underflows to zero, so the pairwise weights are not finite
+    # and the other algorithms' stage 1 raises; ortho never reads them, and
+    # stage 2 drops each of its pilot holders in turn
+    config = SimConfig(num_rrhs=6, num_users=4, cluster_size=2, pathloss_intercept=4000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result, s1, solution = run_trial(config, seed=0, algorithm="ortho",
+                                         return_details=True)
+    assert s1.case_taken == "ortho"
+    np.testing.assert_array_equal(s1.admitted, [0, 1, 2, 3])
+    assert solution.removal_trace == (0, 1, 2, 3)
+    assert result.stage2_served == solution.num_served == 0
+    assert audit_solution(solution, config) == []
 
 
 def test_run_trial_unknown_algorithm():

@@ -1,0 +1,52 @@
+"""Every ucran module imports only modules earlier in the pipeline.
+
+The pipeline runs topology, conflict graph, coloring, stage 1, channel,
+stage 2, then the harness and the command line on top.  A module that
+imports a later one (say, the topology reaching into a stage-1 helper)
+ties the lower layer to an upper one; this test names each such import.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ucran"
+ORDER = ("topology", "conflict_graph", "coloring", "stage1", "channel", "stage2",
+         "harness", "cli")
+EXEMPT = {"__init__", "__main__"}
+
+
+def _imported_modules(path: Path) -> list[tuple[int, str]]:
+    """(line, ucran module) for every import of a ucran module in ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            # `from .x import y` names module x; `from . import x` names x
+            names = ([f"ucran.{node.module}"] if node.module
+                     else [f"ucran.{alias.name}" for alias in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        # the bare package runs __init__, which imports every module
+        found += [(node.lineno, name.split(".")[1] if "." in name else "__init__")
+                  for name in names if name == "ucran" or name.startswith("ucran.")]
+    return found
+
+
+def test_every_module_has_a_place_in_the_pipeline_order():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - EXEMPT
+    assert modules == set(ORDER)
+
+
+def test_imports_point_only_down_the_pipeline():
+    problems = [f"{stem}.py:{line}: imports {target}, which comes at or after it"
+                for stem in ORDER
+                for line, target in _imported_modules(PACKAGE / f"{stem}.py")
+                if target not in ORDER[:ORDER.index(stem)]]
+    assert problems == []
+
+
+def test_topology_imports_no_ucran_module():
+    assert _imported_modules(PACKAGE / "topology.py") == []

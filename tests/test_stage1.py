@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,10 @@ from ucran.stage1 import (
 
 from conftest import craft_instance
 from oracles import select_users_case1_reference
+
+
+def _weights(instance):
+    return interference_matrix(instance.alpha, instance.clusters)
 
 
 def test_star_center_removed_first(star_instance):
@@ -127,7 +132,7 @@ def test_removal_case_on_two_triangles(two_triangle_instance):
     # 2 and 4 score a + b + a + c and a + a + c + b, equal in floating
     # point, so user 2 goes by id.
     # Round 3: edges 0-4 and 3-5 color with 2 pilots, so the loop stops.
-    weights = two_triangle_instance.weights
+    weights = _weights(two_triangle_instance)
     round1 = interference_score(weights, range(6), range(6))
     assert np.flatnonzero(round1 == round1.max()).tolist() == [1, 3, 4, 5]
     assert round1.max() - round1.min() == np.spacing(round1.min())
@@ -177,6 +182,21 @@ def test_budget_at_least_users_admits_everyone():
     assert result.num_admitted == 8
 
 
+@pytest.mark.parametrize("spread,rng", [(True, None), (False, None),
+                                        (False, np.random.default_rng(0))],
+                         ids=["proposed", "nocase2", "con"])
+def test_run_stage1_rejects_non_finite_interference_weights(spread, rng):
+    # every gain underflows to zero, so each own-cluster gain does too:
+    # the network still builds, and stage 1, the weights' only reader, raises
+    cfg = SimConfig(num_rrhs=6, num_users=4, cluster_size=2, pathloss_intercept=4000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        instance = build_network(cfg, seed=0)
+        assert not instance.alpha.any()
+        with pytest.raises(ValueError, match="not finite"):
+            run_stage1(instance, cfg.pilot_count, cfg.reuse_cap, spread=spread, rng=rng)
+
+
 def test_rejects_bad_budget():
     cfg = SimConfig(num_rrhs=4, num_users=2, cluster_size=1)
     instance = build_network(cfg, seed=0)
@@ -218,8 +238,7 @@ def test_result_invariants_on_random_networks(seed, pilot_budget, reuse_cap):
 def test_spread_threshold_among_pairwise_weights(two_triangle_instance):
     result = run_stage1(two_triangle_instance, pilot_budget=4, reuse_cap=4)
     assert result.case_taken == CASE_SPREAD
-    weights = interference_matrix(two_triangle_instance.alpha,
-                                  two_triangle_instance.clusters)
+    weights = _weights(two_triangle_instance)
     off_diag = weights[~np.eye(6, dtype=bool)]
     assert result.threshold in off_diag
 
@@ -233,7 +252,7 @@ def test_spread_returns_the_coloring_of_its_threshold(seed, reuse_cap, spare):
     budget = dsatur_color(base, reuse_cap).num_pilots + spare
     result = run_stage1(instance, budget, reuse_cap)
     assert result.case_taken == CASE_SPREAD
-    fresh = dsatur_color(build_thresholded_graph(base, instance.weights, result.threshold),
+    fresh = dsatur_color(build_thresholded_graph(base, _weights(instance), result.threshold),
                          reuse_cap)
     np.testing.assert_array_equal(result.assignment.pilots, fresh.pilots)
     assert result.colors_used == fresh.num_pilots <= budget
@@ -284,7 +303,7 @@ def test_removal_matches_recoloring_every_round(data):
         return None if rng_seed is None else np.random.default_rng(rng_seed)
 
     result = run_stage1(instance, budget, reuse_cap, spread=False, rng=rng())
-    trace, pilots = select_users_case1_reference(instance.clusters, instance.weights,
+    trace, pilots = select_users_case1_reference(instance.clusters, _weights(instance),
                                                  budget, reuse_cap, rng=rng())
     assert result.case_taken == CASE_REMOVAL
     assert result.removal_trace == trace
@@ -305,7 +324,7 @@ def test_removal_matches_recoloring_every_round_on_a_long_run(policy, seed, monk
 
     calls = _count_dsatur_calls(monkeypatch)
     result = run_stage1(instance, budget, cap, spread=False, rng=rng())
-    trace, pilots = select_users_case1_reference(instance.clusters, instance.weights,
+    trace, pilots = select_users_case1_reference(instance.clusters, _weights(instance),
                                                  budget, cap, rng=rng())
     assert result.case_taken == CASE_REMOVAL
     assert calls == [96, 16]
@@ -322,8 +341,8 @@ def test_removal_from_a_restricted_graph_keeps_to_its_users(policy):
     active = np.arange(1, 40, 2)
     graph = build_base_graph(instance.clusters).restrict(active)
     rng = None if policy == "proposed" else np.random.default_rng(0)
-    assignment, trace = select_users_case1(instance, 1, 2, graph, dsatur_color(graph, 2),
-                                           rng=rng)
+    assignment, trace = select_users_case1(_weights(instance), 1, 2, graph,
+                                           dsatur_color(graph, 2), rng=rng)
     assert set(trace) <= set(active.tolist())
     np.testing.assert_array_equal(assignment.users,
                                   sorted(set(active.tolist()) - set(trace)))

@@ -1,5 +1,4 @@
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -71,13 +70,26 @@ def test_config_rejects_non_finite_floats(field, value):
         SimConfig(**{field: value})
 
 
-def test_build_network_rejects_non_finite_interference_weights():
-    # every gain underflows to zero, so each own-cluster gain does too
-    cfg = SimConfig(num_rrhs=6, num_users=4, cluster_size=2, pathloss_intercept=4000.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="not finite"):
-            build_network(cfg, seed=0)
+@pytest.mark.parametrize("field,value,kind", [
+    ("rrh_power_cap", "100", "a real number"),
+    ("rate_req", None, "a real number"),
+    ("area_side", 1 + 0j, "a real number"),
+    ("noise_power", True, "a real number"),
+    ("pilot_power", np.bool_(True), "a real number"),
+    ("cluster_by_gain", "no", "a bool"),
+    ("cluster_by_gain", 1, "a bool"),
+    ("cluster_by_gain", np.bool_(False), "a bool"),
+    ("num_rrhs", "36", "an integer"),
+])
+def test_config_rejects_wrongly_typed_fields(field, value, kind):
+    with pytest.raises(ValueError, match=f"^{field} must be {kind}, got "):
+        SimConfig(**{field: value})
+
+
+def test_config_accepts_any_real_number_in_float_fields():
+    cfg = SimConfig(area_side=700, rate_req=np.float32(2.0), pilot_power=np.int64(200),
+                    cluster_by_gain=True)
+    assert (cfg.area_side, cfg.rate_req, cfg.pilot_power) == (700, 2.0, 200)
 
 
 def test_cluster_size_cannot_exceed_rrh_count():
