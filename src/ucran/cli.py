@@ -82,9 +82,6 @@ def main(argv=None) -> int:
             report = CampaignReport(cells={}, trials=(result,))
         else:
             algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-            unknown = set(algorithms) - set(ALGORITHMS)
-            if unknown:
-                raise ValueError(f"unknown algorithms: {sorted(unknown)}")
             sizes, budgets = args.cluster_sizes, args.pilot_budgets
             cluster_sizes = [config.cluster_size] if sizes is None else sizes
             pilot_budgets = [config.pilot_count] if budgets is None else budgets

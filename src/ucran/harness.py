@@ -119,17 +119,20 @@ def audit_solution(solution: AdmissionSolution, config: SimConfig) -> list[str]:
     return problems
 
 
+def _check_algorithm(algorithm: str) -> None:
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+
+
 def _stage1_for(algorithm: str, instance: NetworkInstance, config: SimConfig,
                 seed: int) -> Stage1Result:
-    if algorithm in (ALG_PROPOSED, ALG_PERFECT):
-        return run_stage1(instance, config.pilot_count, config.reuse_cap)
     if algorithm == ALG_ORTHO:
         return baseline_ortho(instance, config.pilot_count, config.reuse_cap, seed)
     if algorithm == ALG_NOCASE2:
         return baseline_nocase2(instance, config.pilot_count, config.reuse_cap)
     if algorithm == ALG_CON:
         return baseline_con(instance, config.pilot_count, config.reuse_cap, seed)
-    raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    return run_stage1(instance, config.pilot_count, config.reuse_cap)   # proposed, perfect
 
 
 def run_trial(config: SimConfig, seed: int, algorithm: str,
@@ -137,8 +140,10 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
     """Full pipeline for one seed: topology, stage 1, channels, stage 2.
 
     With ``return_details`` the stage results come back alongside the
-    summary, for inspection and auditing.
+    summary, for inspection and auditing.  ValueError for an unknown
+    algorithm, before any work.
     """
+    _check_algorithm(algorithm)
     instance = build_network(config, seed)
     s1 = _stage1_for(algorithm, instance, config, seed)
 
@@ -196,8 +201,9 @@ def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
     """Sweep (algorithm, cluster size, pilot budget) over a shared seed list.
 
     Emits one CSV row per trial plus one aggregate row per cell (seed
-    column set to "mean").  Deterministic for a fixed config.  ValueError
-    when a sweep list is empty or repeats an entry.
+    column set to "mean").  Deterministic for a fixed config.  ValueError,
+    before the first trial, when a sweep list is empty or repeats an entry,
+    names an unknown algorithm or holds a point that makes no valid config.
     """
     if not _is_integer(num_seeds) or num_seeds < 1:
         raise ValueError(f"num_seeds must be an integer >= 1, got {num_seeds}")
@@ -205,14 +211,17 @@ def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
                          ("pilot_budgets", pilot_budgets)):
         if not 0 < len(set(values)) == len(values):
             raise ValueError(f"{name} must be non-empty without repeats, got {list(values)}")
+    for algorithm in algorithms:
+        _check_algorithm(algorithm)
+    configs = {(size, budget): dataclasses.replace(config, cluster_size=size, pilot_count=budget)
+               for size in cluster_sizes for budget in pilot_budgets}
     seeds = [config.master_seed + j for j in range(num_seeds)]
     trials: list[TrialResult] = []
     cells: dict[tuple, CellStats] = {}
     for algorithm in algorithms:
         for cluster_size in cluster_sizes:
             for pilot_budget in pilot_budgets:
-                cfg = dataclasses.replace(config, cluster_size=cluster_size,
-                                          pilot_count=pilot_budget)
+                cfg = configs[(cluster_size, pilot_budget)]
                 cell = [run_trial(cfg, seed, algorithm) for seed in seeds]
                 trials.extend(cell)
                 cells[(algorithm, cluster_size, pilot_budget)] = CellStats(

@@ -15,9 +15,9 @@ The base conflict graph is colored once.  Four outcomes:
 * colors needed = budget: the base coloring is kept as is (``exact``).
 
 The base graph and the pairwise weights (read nowhere else) are built
-once per call.  A removal round subtracts its victim's adjacency row
-from one running degree vector, and the survivors' subgraph is cut out
-and colored only for the budget test, once
+once per call.  Removal gets the over-budget base graph alone: a round
+takes its victim's adjacency row off one running degree vector, and only
+then cuts out and colors the survivors for the budget test, once
 ``ceil(survivors / reuse_cap)`` no longer exceeds the budget.  Each
 branch returns only its decision; :func:`run_stage1` builds the
 :class:`Stage1Result`, whose single pilot array
@@ -74,6 +74,7 @@ def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
                rng: np.random.Generator | None = None) -> Stage1Result:
     """Dispatch on how the base-graph coloring compares to the budget.
 
+    Removal gets the base graph alone, whose coloring is over budget.
     ``spread=False`` keeps an under-budget base coloring instead of
     spreading it; ``rng`` makes removal pick uniformly random victims.
     ValueError when a pilot-interference weight is not finite.
@@ -87,8 +88,7 @@ def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
     trace, threshold = (), None
     if base_colors > pilot_budget:
         case = CASE_REMOVAL
-        assignment, trace = select_users_case1(weights, pilot_budget, reuse_cap, base,
-                                               base_assignment, rng=rng)
+        assignment, trace = select_users_case1(weights, pilot_budget, reuse_cap, base, rng=rng)
     elif base_colors < pilot_budget and spread:
         case = CASE_SPREAD
         assignment, threshold = reallocate_case2(weights, pilot_budget, reuse_cap, base,
@@ -101,26 +101,27 @@ def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
 
 
 def select_users_case1(weights: np.ndarray, pilot_budget: int, reuse_cap: int,
-                       graph: ConflictGraph, assignment: PilotAssignment, *,
+                       graph: ConflictGraph, *,
                        rng: np.random.Generator | None = None
                        ) -> tuple[PilotAssignment, tuple[int, ...]]:
-    """Remove users until the remaining base graph colors within budget.
+    """Remove users from ``graph`` until the survivors color within budget.
 
-    Starts from the base graph and its coloring; returns the coloring of
-    the users left and the removed users in removal order.  The victim is
-    the active user with the most conflict edges, ties broken by the
-    largest total of the (K, K) pilot-interference ``weights`` to the
-    other active users (:func:`~ucran.conflict_graph.interference_score`),
-    then by lowest user id.  With ``rng`` the victim is instead drawn
-    uniformly from the active users.
+    ``graph``'s own coloring must exceed the budget, as :func:`run_stage1`
+    guarantees, so each round removes a victim before it tests.  Returns
+    the coloring of the users left and the removed users in removal order.
+    The victim is the active user with the most conflict edges, ties
+    broken by the largest total of the (K, K) pilot-interference
+    ``weights`` to the other active users
+    (:func:`~ucran.conflict_graph.interference_score`), then by lowest
+    user id.  With ``rng`` it is drawn uniformly from the active users.
 
     The degrees are summed once; each victim then takes one off each of
     its neighbours.  A removed user, or one outside ``graph.users``, reads
     a negative degree, so it never ties for the maximum.  A capped
     coloring of n users needs at least ``ceil(n / reuse_cap)`` pilots, so
     while that exceeds the budget the loop goes on without one.  The
-    remaining users are restricted out of ``graph`` and colored only for
-    the budget test, once that bound no longer decides it; no victim pick
+    survivors are restricted out of ``graph`` and colored only for the
+    budget test, once that bound no longer decides it; no victim pick
     reads a coloring.
     """
     users = graph.users
@@ -128,11 +129,6 @@ def select_users_case1(weights: np.ndarray, pilot_budget: int, reuse_cap: int,
     degrees[users] = vertex_degrees(graph)[users]
     trace: list[int] = []
     while True:
-        if -(-len(users) // reuse_cap) <= pilot_budget:
-            if assignment is None:
-                assignment = dsatur_color(graph.restrict(users), reuse_cap)
-            if assignment.num_pilots <= pilot_budget:
-                return assignment, tuple(trace)
         if rng is None:
             tied = np.flatnonzero(degrees == degrees.max())
             victim = int(tied[0])
@@ -145,7 +141,10 @@ def select_users_case1(weights: np.ndarray, pilot_budget: int, reuse_cap: int,
         degrees -= graph.adjacency[victim]
         degrees[victim] = -1
         users = np.flatnonzero(degrees >= 0)
-        assignment = None   # not yet colored
+        if -(-len(users) // reuse_cap) <= pilot_budget:
+            assignment = dsatur_color(graph.restrict(users), reuse_cap)
+            if assignment.num_pilots <= pilot_budget:
+                return assignment, tuple(trace)
 
 
 def reallocate_case2(weights: np.ndarray, pilot_budget: int, reuse_cap: int,

@@ -30,6 +30,14 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _finite(func, *args) -> bool:
+    """True when ``func(*args)`` is a finite float, False also when it overflows one."""
+    try:
+        return math.isfinite(func(*args))
+    except OverflowError:
+        return False
+
+
 # SimConfig field type (a string under `from __future__ import annotations`)
 # -> (the values it takes, what errors call them); only a bool field takes bools
 _FIELD_KINDS = {"int": (numbers.Integral, "an integer"),
@@ -81,7 +89,7 @@ class SimConfig:
             kind, what = _FIELD_KINDS[field.type]
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
                 raise ValueError(f"{field.name} must be {what}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
+            if kind is numbers.Real and not _finite(float, value):
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
         for name in ("num_rrhs", "num_users", "cluster_size", "antennas_per_rrh",
                      "pilot_count", "reuse_cap", "fronthaul_cap"):
@@ -97,11 +105,7 @@ class SimConfig:
             raise ValueError("shadowing_stddev must be >= 0")
         if self.rate_req < 0:
             raise ValueError("rate_req must be >= 0")
-        try:
-            finite = math.isfinite(2.0 ** self.rate_req)
-        except OverflowError:
-            finite = False
-        if not finite:
+        if not _finite(math.pow, 2.0, self.rate_req):
             raise ValueError(f"rate_req too large: 2**rate_req overflows a float, "
                              f"got {self.rate_req!r}")
 

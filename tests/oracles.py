@@ -17,13 +17,29 @@ membership, and the distance matrix, the candidate clusters and the
 fading draw as the plain one-liners they were first written as (a
 broadcast difference summed over the coordinate axis, a full stable
 argsort per user, two normal draws added as complex parts).
+
+One oracle is exact by search rather than independent:
+:func:`max_served_reference` tries every subset of the pilot holders,
+largest first, and tests each with the production admission round.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
+
+from ucran.stage2 import (
+    AdmissionSolution,
+    enforce_fronthaul_cap,
+    expected_rate_lb,
+    power_allocation_fixed_point,
+    rate_coefficients,
+    robust_beam_direction,
+    rrh_power_share,
+)
 
 
 def pilot_interference(alpha: np.ndarray, clusters: np.ndarray, k: int, k2: int) -> float:
@@ -405,3 +421,39 @@ def mc_ergodic_rate(estimates: np.ndarray, error_var: np.ndarray,
         total += np.log2(1.0 + signal / (interference + noise_power)).sum(axis=0)
         remaining -= d
     return total / num_draws
+
+
+def max_served_reference(instance, stage1_result, channel_state, config) -> AdmissionSolution:
+    """The largest set of pilot holders that one admission round serves whole.
+
+    Subset sizes go down from the admitted count, each size's subsets in
+    lexicographic order; the first subset that the fronthaul cap strands
+    no user of, and whose beams, rate coefficients and power shares give
+    a feasible power control at admission's SINR target, is returned as
+    a solution (the empty set always is one).  The round is made of the
+    production stage-2 functions, so this is exact for greedy admission's
+    own feasibility test.  Exponential in the admitted count.
+    """
+    admitted = stage1_result.admitted
+    sinr_target = math.expm1(config.rate_req * math.log(2.0))
+    for size in range(len(admitted), -1, -1):
+        for subset in combinations(admitted.tolist(), size):
+            served = np.array(subset, dtype=np.int64)
+            valid = enforce_fronthaul_cap(channel_state.links, served, instance.alpha,
+                                          config.fronthaul_cap)
+            if not valid.any(axis=1).all():
+                continue
+            beams = robust_beam_direction(channel_state, valid, served, config.noise_power)
+            signal, self_err, cross = rate_coefficients(channel_state, beams, served)
+            share = rrh_power_share(beams)
+            control = power_allocation_fixed_point(signal, self_err, cross, sinr_target,
+                                                   config.noise_power, share,
+                                                   config.rrh_power_cap)
+            if control.feasible:
+                return AdmissionSolution(
+                    served=served, beams=beams, powers=control.powers,
+                    rates=expected_rate_lb(signal, self_err, cross, control.powers,
+                                           config.noise_power),
+                    per_rrh_power=share @ control.powers,
+                    removal_trace=tuple(np.setdiff1d(admitted, served).tolist()))
+    raise AssertionError("the empty set must be feasible")

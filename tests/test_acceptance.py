@@ -1,4 +1,4 @@
-"""Acceptance gate: ten go/no-go checks at the reference scale.
+"""Acceptance gate: eleven go/no-go checks at the reference scale.
 
 Each test prints one [PASS]/[FAIL] line (never captured) so the verdicts
 survive any pytest output mode.  The two Monte Carlo campaigns are shared
@@ -33,6 +33,7 @@ from ucran.stage2 import power_allocation_fixed_point
 from oracles import (
     exact_capped_chromatic,
     greedy_clique_bound,
+    max_served_reference,
     mc_ergodic_rate,
     scatter_links,
     solve_power_linear,
@@ -274,3 +275,34 @@ def test_criterion_10_zero_constraint_violations(campaign_tau4, campaign_tau8, c
     _verdict(capsys, ok, "criterion 10 (no rate/power/fronthaul violations)",
              f"{audited} campaign trials audited inline, 9 re-audited, "
              f"{len(problems)} problems")
+
+
+def test_criterion_11_admission_gap_to_exact_optimum(capsys):
+    # greedy admission against the largest subset that one production round
+    # serves whole; exhaustive search stays at <= 12 pilot holders, so at
+    # most 2**12 rounds (and C(12, 6) = 924 subsets of any one size)
+    gaps = Counter()
+    dropped = skipped = 0
+    problems = []
+    ok = True
+    for size in (2, 4, 6):
+        for budget in (4, 8):
+            config = SimConfig(cluster_size=size, pilot_count=budget)
+            for seed in range(1, 401):
+                instance = build_network(config, seed)
+                s1 = run_stage1(instance, budget, config.reuse_cap)
+                if s1.num_admitted > 12:
+                    skipped += 1
+                    continue
+                state = build_channel_state(instance, s1.assignment, config, seed)
+                greedy = admission_loop(instance, s1, state, config).num_served
+                optimum = max_served_reference(instance, s1, state, config)
+                problems += audit_solution(optimum, config)
+                ok = ok and greedy <= optimum.num_served
+                dropped += greedy < s1.num_admitted
+                gaps[optimum.num_served - greedy] += 1
+    ok = ok and not problems
+    _verdict(capsys, ok, "criterion 11 (greedy admission never above exact optimum)",
+             f"optimum minus greedy {dict(sorted(gaps.items()))} over "
+             f"{sum(gaps.values())} trials ({dropped} with drops), "
+             f"{skipped} skipped (> 12 pilot holders), {len(problems)} audit problems")

@@ -284,6 +284,20 @@ def test_campaign_rejects_bad_inputs():
         run_campaign(_config(), [2], [3], algorithms=("nope",), num_seeds=1)
 
 
+@pytest.mark.parametrize("sweep,message", [
+    (dict(cluster_sizes=[2, 99]), "cluster_size cannot exceed num_rrhs"),
+    (dict(pilot_budgets=[3, 0]), "pilot_count must be >= 1, got 0"),
+    (dict(algorithms=("proposed", "magic")), "unknown algorithm 'magic'"),
+], ids=["cluster_size", "pilot_budget", "algorithm"])
+def test_campaign_rejects_a_bad_sweep_entry_before_any_trial(sweep, message, monkeypatch):
+    calls = []
+    monkeypatch.setattr("ucran.harness.run_trial", lambda *args: calls.append(args))
+    arguments = dict(cluster_sizes=[2], pilot_budgets=[3], algorithms=("proposed",))
+    with pytest.raises(ValueError, match=message):
+        run_campaign(_config(), **{**arguments, **sweep}, num_seeds=5)
+    assert calls == []
+
+
 def test_campaign_csv_bit_identical_across_runs(tmp_path):
     config = _config()
     first = tmp_path / "a.csv"

@@ -341,8 +341,7 @@ def test_removal_from_a_restricted_graph_keeps_to_its_users(policy):
     active = np.arange(1, 40, 2)
     graph = build_base_graph(instance.clusters).restrict(active)
     rng = None if policy == "proposed" else np.random.default_rng(0)
-    assignment, trace = select_users_case1(_weights(instance), 1, 2, graph,
-                                           dsatur_color(graph, 2), rng=rng)
+    assignment, trace = select_users_case1(_weights(instance), 1, 2, graph, rng=rng)
     assert set(trace) <= set(active.tolist())
     np.testing.assert_array_equal(assignment.users,
                                   sorted(set(active.tolist()) - set(trace)))

@@ -64,9 +64,15 @@ def test_config_rejects_rate_req_whose_target_overflows(value):
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SimConfig)
                                    if f.type == "float"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"),
+    # an int too large for a float, and numpy floats that are not finite
+    pytest.param(10**400, id="int-beyond-float"),
+    pytest.param(np.float32("nan"), id="float32-nan"),
+    pytest.param(np.float32("inf"), id="float32-inf"),
+])
 def test_config_rejects_non_finite_floats(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
         SimConfig(**{field: value})
 
 
