@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conflict_graph import ConflictGraph
-from .topology import _is_integer
+from .topology import check_integer
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ class PilotAssignment:
 
 def dsatur_color(graph: ConflictGraph, reuse_cap: int) -> PilotAssignment:
     """Color the graph's active users under the reuse cap."""
-    if not _is_integer(reuse_cap) or reuse_cap < 1:
-        raise ValueError(f"reuse_cap must be an integer >= 1, got {reuse_cap}")
+    check_integer("reuse_cap", reuse_cap)
     adjacency = graph.adjacency
     degree = adjacency.sum(axis=1)
     # uncolored users by max degree, then lowest id; the first most-saturated

@@ -23,8 +23,8 @@ from .conflict_graph import build_base_graph
 from .stage1 import Stage1Result, run_stage1
 from .stage1 import select_users_case1  # noqa: F401  (perfbench/spans.py wraps this name)
 from .stage2 import AdmissionSolution, admission_loop
-from .topology import (NetworkInstance, STREAM_BASELINE, SimConfig, _is_integer, build_network,
-                       stream_rng)
+from .topology import (NetworkInstance, STREAM_BASELINE, SimConfig, build_network,
+                       check_integer, stream_rng)
 
 ALG_PROPOSED = "proposed"
 ALG_ORTHO = "ortho"
@@ -64,8 +64,9 @@ def baseline_ortho(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
                    seed: int) -> Stage1Result:
     """Orthogonal pilots for a random pick of min(budget, K) users.
 
-    ``reuse_cap`` only sizes ``base_colors``, which is reported as for the
-    other algorithms; the pick itself ignores the conflict graph."""
+    ``reuse_cap`` only sizes ``base_colors``, carried on the Stage1Result
+    as for the other algorithms; the pick itself ignores the conflict graph."""
+    check_integer("pilot_budget", pilot_budget)
     num_users = instance.num_users
     count = min(pilot_budget, num_users)
     rng = stream_rng(seed, STREAM_BASELINE)
@@ -205,8 +206,7 @@ def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
     before the first trial, when a sweep list is empty or repeats an entry,
     names an unknown algorithm or holds a point that makes no valid config.
     """
-    if not _is_integer(num_seeds) or num_seeds < 1:
-        raise ValueError(f"num_seeds must be an integer >= 1, got {num_seeds}")
+    check_integer("num_seeds", num_seeds)
     for name, values in (("algorithms", algorithms), ("cluster_sizes", cluster_sizes),
                          ("pilot_budgets", pilot_budgets)):
         if not 0 < len(set(values)) == len(values):

@@ -39,7 +39,7 @@ from .conflict_graph import (
     interference_score,
     vertex_degrees,
 )
-from .topology import NetworkInstance, _is_integer
+from .topology import NetworkInstance, check_integer
 
 CASE_REMOVAL = "case1"      # over budget, users removed
 CASE_SPREAD = "case2"       # under budget, co-pilot groups spread apart
@@ -79,8 +79,7 @@ def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
     spreading it; ``rng`` makes removal pick uniformly random victims.
     ValueError when a pilot-interference weight is not finite.
     """
-    if not _is_integer(pilot_budget) or pilot_budget < 1:
-        raise ValueError(f"pilot_budget must be an integer >= 1, got {pilot_budget!r}")
+    check_integer("pilot_budget", pilot_budget)
     weights = interference_matrix(instance.alpha, instance.clusters)
     base = build_base_graph(instance.clusters)
     base_assignment = dsatur_color(base, reuse_cap)

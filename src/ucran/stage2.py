@@ -25,7 +25,7 @@ from .channel import ChannelState
 from .conflict_graph import interference_matrix  # noqa: F401  (perfbench/spans.py wraps this name)
 from .conflict_graph import interference_score  # noqa: F401  (perfbench/spans.py wraps this name)
 from .stage1 import Stage1Result
-from .topology import NetworkInstance, SimConfig, _is_integer
+from .topology import NetworkInstance, SimConfig, check_integer
 
 
 def enforce_fronthaul_cap(links: np.ndarray, served, alpha: np.ndarray,
@@ -37,8 +37,7 @@ def enforce_fronthaul_cap(links: np.ndarray, served, alpha: np.ndarray,
     keeps its ``cap`` strongest users (largest link gain, ties to the lower
     id) and is removed from the rest.  May leave some users with no RRH.
     """
-    if not _is_integer(cap) or cap < 1:
-        raise ValueError(f"fronthaul_cap must be an integer >= 1, got {cap}")
+    check_integer("fronthaul_cap", cap)
     served = np.asarray(served, dtype=np.int64)
     rrhs = links[served].ravel()
     users = np.repeat(served, links.shape[1])

@@ -25,9 +25,19 @@ STREAM_FADING = 2
 STREAM_BASELINE = 3
 
 
-def _is_integer(value) -> bool:
-    """True for Python and numpy integers, False for bools and floats."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _shown(value) -> str:
+    """``repr(value)``, or the size of an int too long for Python to print."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+
+
+def check_integer(name: str, value, minimum: int = 1) -> None:
+    """ValueError unless ``value`` is a Python or numpy integer, not a bool,
+    of at least ``minimum``: the one rule for every count and seed."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
 
 
 def _finite(func, *args) -> bool:
@@ -38,18 +48,14 @@ def _finite(func, *args) -> bool:
         return False
 
 
-# SimConfig field type (a string under `from __future__ import annotations`)
+# SimConfig non-int field type (a string under `from __future__ import annotations`)
 # -> (the values it takes, what errors call them); only a bool field takes bools
-_FIELD_KINDS = {"int": (numbers.Integral, "an integer"),
-                "float": (numbers.Real, "a real number"), "bool": (bool, "a bool")}
+_FIELD_KINDS = {"float": (numbers.Real, "a real number"), "bool": (bool, "a bool")}
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Generator for one of a trial's independent randomness sub-streams."""
-    if not _is_integer(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_integer("seed", seed, 0)
     return np.random.default_rng((int(seed), int(stream)))
 
 
@@ -86,15 +92,14 @@ class SimConfig:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
+            if field.type == "int":
+                check_integer(field.name, value, 0 if field.name == "master_seed" else 1)
+                continue
             kind, what = _FIELD_KINDS[field.type]
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-                raise ValueError(f"{field.name} must be {what}, got {value!r}")
+                raise ValueError(f"{field.name} must be {what}, got {_shown(value)}")
             if kind is numbers.Real and not _finite(float, value):
-                raise ValueError(f"{field.name} must be finite, got {value!r}")
-        for name in ("num_rrhs", "num_users", "cluster_size", "antennas_per_rrh",
-                     "pilot_count", "reuse_cap", "fronthaul_cap"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+                raise ValueError(f"{field.name} must be finite, got {_shown(value)}")
         if self.cluster_size > self.num_rrhs:
             raise ValueError("cluster_size cannot exceed num_rrhs")
         for name in ("rrh_power_cap", "pilot_power", "noise_power", "area_side",
@@ -107,7 +112,7 @@ class SimConfig:
             raise ValueError("rate_req must be >= 0")
         if not _finite(math.pow, 2.0, self.rate_req):
             raise ValueError(f"rate_req too large: 2**rate_req overflows a float, "
-                             f"got {self.rate_req!r}")
+                             f"got {_shown(self.rate_req)}")
 
 
 @dataclass(frozen=True)
@@ -162,8 +167,7 @@ def build_clusters(key: np.ndarray, cluster_size: int) -> np.ndarray:
     Only the candidates at or below each user's L-th smallest key are
     sorted, by (user, key, RRH id), and the first L of each user are kept.
     """
-    if not _is_integer(cluster_size) or cluster_size < 1:
-        raise ValueError(f"cluster_size must be an integer >= 1, got {cluster_size!r}")
+    check_integer("cluster_size", cluster_size)
     if cluster_size > key.shape[0]:
         raise ValueError("cluster_size cannot exceed the number of RRHs")
     kth = np.partition(key, cluster_size - 1, axis=0)[cluster_size - 1]
@@ -206,8 +210,8 @@ _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,
 def load_config_file(path: str | Path) -> dict:
     """Parse a ``key = value`` config file into a dict of SimConfig fields.
 
-    Blank lines and ``#`` comments are ignored.  Unknown keys are an error so
-    typos do not silently fall back to defaults.
+    Blank lines and ``#`` comments are ignored.  Unknown and repeated keys
+    are errors, so a typo never silently falls back to a default.
     """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -220,6 +224,8 @@ def load_config_file(path: str | Path) -> dict:
         key = key.strip()
         if key not in CONFIG_FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
         text, target_type = text.strip(), CONFIG_FIELD_TYPES[key]
         try:
             values[key] = (_BOOL_STRINGS[text.lower()] if target_type is bool

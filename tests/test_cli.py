@@ -154,6 +154,14 @@ def test_unparsable_config_value_names_the_key(tmp_path, capsys):
     assert f"error: {cfg}:2: config key 'master_seed': cannot parse int from '1.5'" in err
 
 
+def test_repeated_config_key_names_the_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("num_users = 10\nnum_users = 12\n")
+    code = main(["trial", "--config", str(cfg)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: duplicate config key 'num_users'\n"
+
+
 def test_rate_req_overflow_fails_cleanly(capsys):
     code = main(["trial", *SMALL, "--rate-req", "2000"])
     assert code == 1
@@ -247,15 +255,17 @@ def test_audit_failure_fails_cleanly(command, monkeypatch, capsys):
     assert "per-RRH power cap exceeded: max 9" in captured.err
 
 
-@pytest.mark.parametrize("command", [["trial", "--seed", "-1"],
-                                     ["campaign", "--master-seed", "-1", "--seeds", "1"]],
-                         ids=["trial", "campaign"])
-def test_negative_seed_fails_cleanly(command, capsys):
+@pytest.mark.parametrize("command,name", [
+    (["trial", "--seed", "-1"], "seed"),
+    # the config rejects it as it is built, before any trial
+    (["campaign", "--master-seed", "-1", "--seeds", "1"], "master_seed"),
+], ids=["trial", "campaign"])
+def test_negative_seed_fails_cleanly(command, name, capsys):
     code = main([command[0], *SMALL, *command[1:]])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: seed must be >= 0, got -1" in captured.err
+    assert captured.err == f"error: {name} must be an integer >= 0, got -1\n"
 
 
 def test_unwritable_out_fails(tmp_path, capsys):

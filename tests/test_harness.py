@@ -23,7 +23,8 @@ from ucran.harness import (
     baseline_nocase2,
     baseline_ortho,
 )
-from ucran.stage2 import AdmissionSolution, LocalBeams
+from ucran.stage2 import AdmissionSolution, LocalBeams, enforce_fronthaul_cap
+from ucran.topology import build_clusters, stream_rng
 
 
 def _config(**overrides) -> SimConfig:
@@ -67,6 +68,14 @@ def test_baseline_ortho_reports_base_colors_under_the_reuse_cap():
     ortho = baseline_ortho(instance, config.pilot_count, config.reuse_cap, seed=5)
     proposed = run_stage1(instance, config.pilot_count, config.reuse_cap)
     assert ortho.base_colors == proposed.base_colors == 7
+
+
+def test_baseline_ortho_rejects_bad_budget():
+    instance = build_network(SimConfig(), seed=0)
+    for budget in (0, -1, 4.5, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="^pilot_budget must be an integer >= 1, got "):
+            baseline_ortho(instance, budget, reuse_cap=4, seed=0)
+    assert baseline_ortho(instance, np.int64(2), reuse_cap=4, seed=0).num_admitted == 2
 
 
 def test_baseline_nocase2_removal_matches_proposed():
@@ -158,7 +167,7 @@ def test_run_trial_unknown_algorithm():
 
 def test_run_trial_rejects_a_non_integer_seed():
     # int(1.5) would run seed 1 under the label 1.5
-    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got 1.5"):
         run_trial(SimConfig(), 1.5, "proposed")
 
 
@@ -286,7 +295,7 @@ def test_campaign_rejects_bad_inputs():
 
 @pytest.mark.parametrize("sweep,message", [
     (dict(cluster_sizes=[2, 99]), "cluster_size cannot exceed num_rrhs"),
-    (dict(pilot_budgets=[3, 0]), "pilot_count must be >= 1, got 0"),
+    (dict(pilot_budgets=[3, 0]), "pilot_count must be an integer >= 1, got 0"),
     (dict(algorithms=("proposed", "magic")), "unknown algorithm 'magic'"),
 ], ids=["cluster_size", "pilot_budget", "algorithm"])
 def test_campaign_rejects_a_bad_sweep_entry_before_any_trial(sweep, message, monkeypatch):
@@ -296,6 +305,35 @@ def test_campaign_rejects_a_bad_sweep_entry_before_any_trial(sweep, message, mon
     with pytest.raises(ValueError, match=message):
         run_campaign(_config(), **{**arguments, **sweep}, num_seeds=5)
     assert calls == []
+
+
+# every count and seed entry point: (the name it checks, its minimum, a call passing a value)
+_INTEGER_ENTRY_POINTS = {
+    "stream_rng": ("seed", 0, lambda v: stream_rng(v, 0)),
+    "build_clusters": ("cluster_size", 1, lambda v: build_clusters(np.ones((3, 2)), v)),
+    "dsatur_color": ("reuse_cap", 1,
+                     lambda v: dsatur_color(build_base_graph(np.array([[0], [1]])), v)),
+    "run_stage1": ("pilot_budget", 1,
+                   lambda v: run_stage1(build_network(_config(), seed=0), v, 2)),
+    "baseline_ortho": ("pilot_budget", 1,
+                       lambda v: baseline_ortho(build_network(_config(), seed=0), v, 2, 0)),
+    "enforce_fronthaul_cap": ("fronthaul_cap", 1, lambda v: enforce_fronthaul_cap(
+        np.array([[0]]), [0], np.ones((1, 1)), v)),
+    "run_campaign": ("num_seeds", 1, lambda v: run_campaign(_config(), [2], [3], num_seeds=v)),
+    "run_trial": ("seed", 0, lambda v: run_trial(_config(), v, "proposed")),
+    **{f"SimConfig.{f.name}": (f.name, 0 if f.name == "master_seed" else 1,
+                               lambda v, name=f.name: SimConfig(**{name: v}))
+       for f in dataclasses.fields(SimConfig) if f.type == "int"},
+}
+
+
+@pytest.mark.parametrize("entry", _INTEGER_ENTRY_POINTS)
+def test_every_count_and_seed_entry_point_applies_the_one_integer_rule(entry):
+    name, minimum, call = _INTEGER_ENTRY_POINTS[entry]
+    for value in (True, 2.5, minimum - 1):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer >= {minimum}, got {value!r}$"):
+            call(value)
 
 
 def test_campaign_csv_bit_identical_across_runs(tmp_path):

@@ -48,5 +48,16 @@ def test_imports_point_only_down_the_pipeline():
     assert problems == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a `_` name is its module's own; a shared helper gets a public name
+    problems = [f"{path.name}:{node.lineno}: imports {alias.name} from {node.module}"
+                for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").split(".")[0] == "ucran")
+                for alias in node.names if alias.name.startswith("_")]
+    assert problems == []
+
+
 def test_topology_imports_no_ucran_module():
     assert _imported_modules(PACKAGE / "topology.py") == []

@@ -200,7 +200,7 @@ def test_run_stage1_rejects_non_finite_interference_weights(spread, rng):
 def test_rejects_bad_budget():
     cfg = SimConfig(num_rrhs=4, num_users=2, cluster_size=1)
     instance = build_network(cfg, seed=0)
-    for budget in (0, -1, 4.5, True, np.float64(3.0)):
+    for budget in (0, -1, -10**5000, 4.5, True, np.float64(3.0)):
         with pytest.raises(ValueError, match="pilot_budget must be an integer"):
             run_stage1(instance, pilot_budget=budget, reuse_cap=4)
     assert run_stage1(instance, pilot_budget=np.int64(2), reuse_cap=4).num_admitted == 2

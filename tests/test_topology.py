@@ -68,6 +68,8 @@ def test_config_rejects_rate_req_whose_target_overflows(value):
     float("nan"), float("inf"),
     # an int too large for a float, and numpy floats that are not finite
     pytest.param(10**400, id="int-beyond-float"),
+    # and one too long for Python to print, which the message must still name
+    pytest.param(10**5000, id="int-beyond-printing"),
     pytest.param(np.float32("nan"), id="float32-nan"),
     pytest.param(np.float32("inf"), id="float32-inf"),
 ])
@@ -85,7 +87,7 @@ def test_config_rejects_non_finite_floats(field, value):
     ("cluster_by_gain", "no", "a bool"),
     ("cluster_by_gain", 1, "a bool"),
     ("cluster_by_gain", np.bool_(False), "a bool"),
-    ("num_rrhs", "36", "an integer"),
+    pytest.param("num_rrhs", "36", "an integer >= 1", id="num_rrhs-36-an integer"),
 ])
 def test_config_rejects_wrongly_typed_fields(field, value, kind):
     with pytest.raises(ValueError, match=f"^{field} must be {kind}, got "):
@@ -265,6 +267,14 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     path.write_text("num_user = 10\n")
     with pytest.raises(ValueError, match="unknown config key"):
         load_config_file(path)
+
+
+def test_config_file_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("num_users = 10\n# again\nnum_users = 12\n")
+    with pytest.raises(ValueError) as excinfo:
+        load_config_file(path)
+    assert str(excinfo.value) == f"{path}:3: duplicate config key 'num_users'"
 
 
 def test_config_file_rejects_malformed_lines(tmp_path):
