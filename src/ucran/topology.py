@@ -48,9 +48,18 @@ def _finite(func, *args) -> bool:
         return False
 
 
-# SimConfig non-int field type (a string under `from __future__ import annotations`)
-# -> (the values it takes, what errors call them); only a bool field takes bools
-_FIELD_KINDS = {"float": (numbers.Real, "a real number"), "bool": (bool, "a bool")}
+# Each SimConfig field's rule, written once: its plain Python type and least value
+# (-inf: no bound; math.ulp(0.0), the least float above 0: "> 0").  SimConfig checks
+# and stores every field by it; config files and flags parse each field as its type.
+FIELD_RULES = {name: rule for rule, names in [
+    ((int, 1), "num_rrhs num_users cluster_size antennas_per_rrh pilot_count reuse_cap "
+               "fronthaul_cap"),
+    ((int, 0), "master_seed"),
+    ((float, math.ulp(0.0)), "area_side rrh_power_cap pilot_power noise_power min_distance"),
+    ((float, 0.0), "rate_req shadowing_stddev"),
+    ((float, -math.inf), "pathloss_exponent pathloss_intercept"),
+    ((bool, -math.inf), "cluster_by_gain"),
+] for name in names.split()}
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -90,29 +99,25 @@ class SimConfig:
     master_seed: int = 1
 
     def __post_init__(self):
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if field.type == "int":
-                check_integer(field.name, value, 0 if field.name == "master_seed" else 1)
-                continue
-            kind, what = _FIELD_KINDS[field.type]
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-                raise ValueError(f"{field.name} must be {what}, got {_shown(value)}")
-            if kind is numbers.Real and not _finite(float, value):
-                raise ValueError(f"{field.name} must be finite, got {_shown(value)}")
+        for name, (kind, least) in FIELD_RULES.items():
+            value = getattr(self, name)
+            if kind is int:
+                check_integer(name, value, least)
+            elif isinstance(value, bool) != (kind is bool) or not isinstance(value, numbers.Real):
+                what = "a bool" if kind is bool else "a real number"
+                raise ValueError(f"{name} must be {what}, got {_shown(value)}")
+            elif not _finite(float, value):
+                raise ValueError(f"{name} must be finite, got {_shown(value)}")
+            elif float(value) < least:
+                rule = "> 0" if least > 0 else ">= 0"
+                raise ValueError(f"{name} must be {rule}, got {_shown(value)}")
+            object.__setattr__(self, name, kind(value))
         if self.cluster_size > self.num_rrhs:
             raise ValueError("cluster_size cannot exceed num_rrhs")
-        for name in ("rrh_power_cap", "pilot_power", "noise_power", "area_side",
-                     "min_distance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.shadowing_stddev < 0:
-            raise ValueError("shadowing_stddev must be >= 0")
-        if self.rate_req < 0:
-            raise ValueError("rate_req must be >= 0")
         if not _finite(math.pow, 2.0, self.rate_req):
-            raise ValueError(f"rate_req too large: 2**rate_req overflows a float, "
-                             f"got {_shown(self.rate_req)}")
+            raise ValueError(f"rate_req too large: 2**rate_req overflows, got {self.rate_req}")
+        if not math.isfinite(2.0 * self.area_side * self.area_side):
+            raise ValueError(f"area_side too large: 2*side**2 overflows, got {self.area_side}")
 
 
 @dataclass(frozen=True)
@@ -198,10 +203,8 @@ def build_network(config: SimConfig, seed: int) -> NetworkInstance:
 
 # --- plain-text config files -------------------------------------------------
 
-# SimConfig field name -> type, for config files and CLI flags (annotations
-# are strings under `from __future__ import annotations`)
-CONFIG_FIELD_TYPES = {f.name: {"float": float, "int": int, "bool": bool}[f.type]
-                      for f in dataclasses.fields(SimConfig)}
+# SimConfig field name -> type, in field order, for config files and CLI flags
+CONFIG_FIELD_TYPES = {f.name: FIELD_RULES[f.name][0] for f in dataclasses.fields(SimConfig)}
 
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,
                  "yes": True, "no": False}
@@ -214,7 +217,7 @@ def load_config_file(path: str | Path) -> dict:
     are errors, so a typo never silently falls back to a default.
     """
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -228,8 +231,7 @@ def load_config_file(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
         text, target_type = text.strip(), CONFIG_FIELD_TYPES[key]
         try:
-            values[key] = (_BOOL_STRINGS[text.lower()] if target_type is bool
-                           else target_type(text))
+            values[key] = _BOOL_STRINGS[text.lower()] if target_type is bool else target_type(text)
         except (KeyError, ValueError):
             kind = "boolean" if target_type is bool else target_type.__name__
             raise ValueError(f"{path}:{lineno}: config key {key!r}: cannot parse "
@@ -239,8 +241,6 @@ def load_config_file(path: str | Path) -> dict:
 
 def make_config(config_file: str | Path | None = None, **overrides) -> SimConfig:
     """SimConfig from an optional file plus keyword overrides (overrides win)."""
-    values: dict[str, object] = {}
-    if config_file is not None:
-        values.update(load_config_file(config_file))
+    values = {} if config_file is None else load_config_file(config_file)
     values.update({k: v for k, v in overrides.items() if v is not None})
     return SimConfig(**values)

@@ -1,12 +1,15 @@
+import argparse
 import csv
+import dataclasses
 import subprocess
 import sys
 import warnings
 
 import pytest
 
-from ucran.harness import CSV_HEADER
-from ucran.cli import main
+from ucran.harness import ALGORITHMS, CSV_HEADER
+from ucran.cli import build_parser, main
+from ucran.topology import FIELD_RULES, SimConfig, load_config_file
 
 SMALL = ["--num-rrhs", "9", "--num-users", "6", "--cluster-size", "2",
          "--pilot-count", "3", "--reuse-cap", "2", "--area-side", "300",
@@ -205,6 +208,11 @@ def test_underflowing_gains_fail_cleanly(capsys):
                   "--pathloss-exponent", "0", "--pathloss-intercept", "-1585",
                   "--shadowing-stddev", "0", "--rate-req", "0"],
                  "received pilot power overflows", id="received-overflow"),
+    # an area whose squared diagonal overflows a float fails at the config,
+    # before any distance is squared, whatever the algorithm
+    *[pytest.param(["--area-side", "1e300", "--algorithm", algorithm],
+                   "error: area_side too large", id=f"distance-overflow-{algorithm}")
+      for algorithm in ALGORITHMS],
 ])
 def test_overflowing_gains_fail_cleanly(flags, message, capsys):
     with warnings.catch_warnings():
@@ -266,6 +274,30 @@ def test_negative_seed_fails_cleanly(command, name, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {name} must be an integer >= 0, got -1\n"
+
+
+def test_every_config_field_has_one_rule_one_flag_and_one_config_key(tmp_path):
+    # the rule table: exactly SimConfig's fields, each with its annotated type
+    fields = {field.name: field.type for field in dataclasses.fields(SimConfig)}
+    assert {name: kind.__name__ for name, (kind, _) in FIELD_RULES.items()} == fields
+    # the scenario flags of both subcommands
+    subcommands = next(action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)).choices
+    assert sorted(subcommands) == ["campaign", "trial"]
+    for parser in subcommands.values():
+        group = next(g for g in parser._action_groups if g.title == "scenario parameters")
+        flags = {action.dest: action.option_strings for action in group._group_actions}
+        assert flags.pop("config") == ["--config"]
+        assert sorted(flags) == sorted(fields)
+        for name, option_strings in flags.items():
+            assert option_strings[0] == "--" + name.replace("_", "-")
+    # the config file keys: a file naming every field once gives the defaults back
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{name} = {value}\n"
+                            for name, value in vars(SimConfig()).items()))
+    values = load_config_file(path)
+    assert sorted(values) == sorted(fields)
+    assert SimConfig(**values) == SimConfig()
 
 
 def test_unwritable_out_fails(tmp_path, capsys):

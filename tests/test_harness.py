@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -133,6 +134,27 @@ def test_run_trial_row_is_repeatable():
     a = run_trial(config, seed=0, algorithm="proposed")
     b = run_trial(config, seed=0, algorithm="proposed")
     assert a.csv_row() == b.csv_row()
+
+
+@pytest.mark.parametrize("field,value,plain", [
+    ("rate_req", np.float32(4.0), 4.0),
+    ("rate_req", np.longdouble(4.0), 4.0),
+    ("pilot_power", np.float32(200.0), 200.0),
+    ("pilot_power", np.float16(200.0), 200.0),
+    ("pilot_power", Fraction(200), 200.0),
+    ("noise_power", Fraction(10.0 ** -10.4), 10.0 ** -10.4),
+    ("shadowing_stddev", Fraction(8), 8.0),
+    ("min_distance", Fraction(1), 1.0),
+    ("pathloss_exponent", Fraction(37.6), 37.6),
+    ("num_users", np.int64(24), 24),
+], ids=lambda v: type(v).__name__ if not isinstance(v, str) else v)
+def test_a_number_gives_the_same_trial_whatever_its_type(field, value, plain):
+    assert value == plain
+    for algorithm in ("proposed", "ortho", "perfect"):
+        for seed in range(3):
+            rows = [run_trial(SimConfig(**{field: number}), seed, algorithm).csv_row()
+                    for number in (value, plain)]
+            assert rows[0] == rows[1], (algorithm, seed)
 
 
 @pytest.mark.parametrize("rate_req", [1e-9, 1e-15, 1e-300])

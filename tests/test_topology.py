@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from ucran import SimConfig, build_network, make_config, pairwise_distances
 from ucran.topology import (
+    FIELD_RULES,
     STREAM_PLACEMENT,
     STREAM_SHADOWING,
     build_clusters,
@@ -98,6 +100,46 @@ def test_config_accepts_any_real_number_in_float_fields():
     cfg = SimConfig(area_side=700, rate_req=np.float32(2.0), pilot_power=np.int64(200),
                     cluster_by_gain=True)
     assert (cfg.area_side, cfg.rate_req, cfg.pilot_power) == (700, 2.0, 200)
+    other = SimConfig(pilot_power=Fraction(200), noise_power=np.float16(200.0),
+                      rate_req=np.longdouble(4.0), num_users=np.int64(24))
+    assert (other.pilot_power, other.noise_power, other.rate_req, other.num_users) == \
+        (200.0, 200.0, 4.0, 24)
+    # every field is stored as its plain Python type, never a numpy scalar or a Fraction
+    for config in (cfg, other):
+        for field in dataclasses.fields(SimConfig):
+            expected = {"float": float, "int": int, "bool": bool}[field.type]
+            assert type(getattr(config, field.name)) is expected, field.name
+
+
+_COUNTS = ("num_rrhs", "num_users", "cluster_size", "antennas_per_rrh", "pilot_count",
+           "reuse_cap", "fronthaul_cap")
+# field -> (the value at its bound, accepted; the nearest value past it, rejected;
+# the rule as the message states it); None for a field with no bound
+_EDGES = {
+    **{name: (1, 0, "an integer >= 1") for name in _COUNTS},
+    "master_seed": (0, -1, "an integer >= 0"),
+    **{name: (5e-324, 0.0, "> 0") for name in ("area_side", "rrh_power_cap", "pilot_power",
+                                               "noise_power", "min_distance")},
+    **{name: (0.0, -5e-324, ">= 0") for name in ("shadowing_stddev", "rate_req")},
+    "pathloss_exponent": None,
+    "pathloss_intercept": None,
+}
+
+
+@pytest.mark.parametrize("field", [name for name, (kind, _) in FIELD_RULES.items()
+                                   if kind is not bool])
+def test_each_bound_holds_at_its_edge_on_both_sides(field):
+    # a one-RRH cluster, so that num_rrhs = 1 is not refused for cluster_size
+    base = {} if field == "cluster_size" else {"cluster_size": 1}
+    if _EDGES[field] is None:
+        # path loss may fall with distance, or gain at 1 km
+        assert getattr(SimConfig(**base, **{field: -1e3}), field) == -1e3
+        return
+    accepted, rejected, rule = _EDGES[field]
+    assert getattr(SimConfig(**base, **{field: accepted}), field) == accepted
+    with pytest.raises(ValueError) as excinfo:
+        SimConfig(**base, **{field: rejected})
+    assert str(excinfo.value) == f"{field} must be {rule}, got {rejected!r}"
 
 
 def test_cluster_size_cannot_exceed_rrh_count():
@@ -267,6 +309,12 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     path.write_text("num_user = 10\n")
     with pytest.raises(ValueError, match="unknown config key"):
         load_config_file(path)
+
+
+def test_config_file_with_a_byte_order_mark_parses(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes("\ufeffnum_rrhs = 12\nnum_users = 6\n".encode("utf-8"))
+    assert load_config_file(path) == {"num_rrhs": 12, "num_users": 6}
 
 
 def test_config_file_rejects_a_repeated_key(tmp_path):
