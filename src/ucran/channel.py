@@ -1,12 +1,15 @@
 """Small-scale fading, uplink pilot reception, and per-link channel knowledge.
 
 Array conventions: true channels are (num_rrhs, num_users, antennas)
-complex and live only while the pilot phase runs; error variances are
-(num_rrhs, num_users) per antenna.  Estimates are stored on the only links
-they are made on, each user's cluster links: (num_users, L, antennas) on
-:attr:`ChannelState.links`, the L cluster RRHs in ascending order.  Pilot
-holders are estimated by linear MMSE from the pilot phase, or exactly
-under perfect CSI; other users keep zero rows.
+complex and read-only, and only the pilot phase reads them; a
+:class:`SharedFading` holder keeps one seed's draw for every trial of
+that seed, and without one they live only through the call.  Error
+variances are (num_rrhs, num_users) per antenna.  Estimates are stored
+on the only links they are made on, each user's cluster links:
+(num_users, L, antennas) on :attr:`ChannelState.links`, the L cluster
+RRHs in ascending order.  Pilot holders are estimated by linear MMSE
+from the pilot phase, or exactly under perfect CSI; other users keep
+zero rows.
 Every link without an estimate keeps its full gain alpha as its error
 variance, so downstream consumers can treat every link uniformly (known
 part + zero-mean residual of that variance per antenna).
@@ -114,18 +117,53 @@ def perfect_csi(true_channels: np.ndarray, clusters: np.ndarray,
     return estimates, error_var
 
 
+class SharedFading:
+    """One seed's fading draw, made by the first :func:`build_channel_state`
+    call given this holder and reused by the later ones.
+
+    It keeps the true channels, read-only, and the fading stream's state
+    just after drawing them, so each call's pilot noise continues the
+    stream exactly as after a fresh draw.
+    """
+
+    def __init__(self):
+        self.seed = None
+        self.channels = None
+        self.state = None
+
+    def draw(self, alpha: np.ndarray, antennas: int, seed: int):
+        """(true channels, fading stream positioned just after them).
+        ValueError when the draw was made for another seed or shape."""
+        rng = stream_rng(seed, STREAM_FADING)
+        if self.channels is None:
+            self.channels = draw_channels(alpha, antennas, rng)
+            self.channels.flags.writeable = False
+            self.seed, self.state = seed, rng.bit_generator.state
+        elif seed != self.seed or self.channels.shape != alpha.shape + (antennas,):
+            raise ValueError(f"the shared fading was drawn for seed {self.seed} and shape "
+                             f"{self.channels.shape}, not seed {seed} and shape "
+                             f"{alpha.shape + (antennas,)}")
+        else:
+            rng.bit_generator.state = self.state
+        return self.channels, rng
+
+
 def build_channel_state(instance: NetworkInstance, assignment: PilotAssignment,
                         config: SimConfig, seed: int,
-                        perfect: bool = False) -> ChannelState:
+                        perfect: bool = False, *,
+                        fading: SharedFading | None = None) -> ChannelState:
     """Draw fading, run the pilot phase, estimate on each user's cluster
     links in ascending RRH order.
 
     The fading stream draws the true channels first, so perfect and
-    imperfect modes see identical physics for the same seed.  ValueError
-    when an error variance or estimate is not finite (extreme gains).
+    imperfect modes see identical physics for the same seed.  Calls given
+    the same ``fading`` holder share one draw (see :class:`SharedFading`);
+    without one, the call draws its own.  ValueError when an error
+    variance or estimate is not finite (extreme gains).
     """
-    rng = stream_rng(seed, STREAM_FADING)
-    h = draw_channels(instance.alpha, config.antennas_per_rrh, rng)
+    if fading is None:
+        fading = SharedFading()
+    h, rng = fading.draw(instance.alpha, config.antennas_per_rrh, seed)
     links = np.sort(instance.clusters, axis=1)
     if perfect:
         estimates, error_var = perfect_csi(h, links, assignment.users, instance.alpha)

@@ -6,6 +6,12 @@ Seeds fan out as master_seed + j for j in range(num_seeds), and every
 all algorithms and sweep points see identical placements, shadowing and
 fading.  Algorithm-local randomness (random user picks in the baselines)
 draws from its own stream and cannot shift the physics.
+
+A campaign runs its trials seed by seed, and every trial of a seed shares
+that seed's physics: one network per cluster size and one fading draw,
+each made inside the first trial that needs it and read-only after.  Rows
+still come out cell by cell, and a failing trial stops the campaign at the
+first failure in seed order.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import build_channel_state
+from .channel import SharedFading, build_channel_state
 from .coloring import PilotAssignment, dsatur_color, validate_assignment
 from .conflict_graph import build_base_graph
 from .stage1 import Stage1Result, run_stage1
@@ -136,16 +142,43 @@ def _stage1_for(algorithm: str, instance: NetworkInstance, config: SimConfig,
     return run_stage1(instance, config.pilot_count, config.reuse_cap)   # proposed, perfect
 
 
+class _SeedPhysics:
+    """What every trial of one seed shares: a network per cluster size,
+    built on first use, and the fading draw.  Their arrays are read-only,
+    so a stage that writes into them fails instead of changing a later
+    trial.  A campaign's configs differ only in cluster size and pilot
+    budget, and no network depends on the budget."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.networks: dict[int, NetworkInstance] = {}
+        self.fading = SharedFading()
+
+    def network(self, config: SimConfig) -> NetworkInstance:
+        instance = self.networks.get(config.cluster_size)
+        if instance is None:
+            instance = build_network(config, self.seed)
+            for field in dataclasses.fields(instance):
+                getattr(instance, field.name).flags.writeable = False
+            self.networks[config.cluster_size] = instance
+        return instance
+
+
 def run_trial(config: SimConfig, seed: int, algorithm: str,
-              return_details: bool = False):
+              return_details: bool = False, *, physics: _SeedPhysics | None = None):
     """Full pipeline for one seed: topology, stage 1, channels, stage 2.
 
     With ``return_details`` the stage results come back alongside the
-    summary, for inspection and auditing.  ValueError for an unknown
-    algorithm, before any work.
+    summary, for inspection and auditing.  ``physics`` is the seed's
+    shared network and fading when a campaign runs several trials of one
+    seed; a trial run alone makes its own.  ValueError for an unknown
+    algorithm or a bad seed, before any work.
     """
     _check_algorithm(algorithm)
-    instance = build_network(config, seed)
+    check_integer("seed", seed, 0)
+    if physics is None:
+        physics = _SeedPhysics(seed)
+    instance = physics.network(config)
     s1 = _stage1_for(algorithm, instance, config, seed)
 
     # pilot validity on the base conflict graph is a hard guarantee:
@@ -154,7 +187,7 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
     validate_assignment(base, s1.assignment, config.reuse_cap)
 
     state = build_channel_state(instance, s1.assignment, config, seed,
-                                perfect=(algorithm == ALG_PERFECT))
+                                perfect=(algorithm == ALG_PERFECT), fading=physics.fading)
     solution = admission_loop(instance, s1, state, config)
 
     problems = audit_solution(solution, config)
@@ -201,10 +234,15 @@ def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
                  out_csv=None) -> CampaignReport:
     """Sweep (algorithm, cluster size, pilot budget) over a shared seed list.
 
-    Emits one CSV row per trial plus one aggregate row per cell (seed
-    column set to "mean").  Deterministic for a fixed config.  ValueError,
-    before the first trial, when a sweep list is empty or repeats an entry,
-    names an unknown algorithm or holds a point that makes no valid config.
+    Trials run seed by seed (then cluster size, algorithm, pilot budget),
+    and each seed's trials share one network per cluster size and one
+    fading draw, dropped before the next seed's.  Emits one CSV row per
+    trial, cell by cell in sweep order and by seed within a cell, plus one
+    aggregate row per cell (seed column set to "mean").  Deterministic for
+    a fixed config.  ValueError, before the first trial, when a sweep list
+    is empty or repeats an entry, names an unknown algorithm or holds a
+    point that makes no valid config.  A failing trial stops the campaign
+    at the first failure in seed order.
     """
     check_integer("num_seeds", num_seeds)
     for name, values in (("algorithms", algorithms), ("cluster_sizes", cluster_sizes),
@@ -216,18 +254,21 @@ def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
     configs = {(size, budget): dataclasses.replace(config, cluster_size=size, pilot_count=budget)
                for size in cluster_sizes for budget in pilot_budgets}
     seeds = [config.master_seed + j for j in range(num_seeds)]
-    trials: list[TrialResult] = []
-    cells: dict[tuple, CellStats] = {}
-    for algorithm in algorithms:
-        for cluster_size in cluster_sizes:
-            for pilot_budget in pilot_budgets:
-                cfg = configs[(cluster_size, pilot_budget)]
-                cell = [run_trial(cfg, seed, algorithm) for seed in seeds]
-                trials.extend(cell)
-                cells[(algorithm, cluster_size, pilot_budget)] = CellStats(
-                    mean_admitted=float(np.mean([t.stage1_admitted for t in cell])),
-                    mean_served=float(np.mean([t.stage2_served for t in cell])))
-    report = CampaignReport(cells=cells, trials=tuple(trials))
+    rows: dict[tuple, list[TrialResult]] = {
+        (algorithm, size, budget): []
+        for algorithm in algorithms for size in cluster_sizes for budget in pilot_budgets}
+    for seed in seeds:
+        physics = _SeedPhysics(seed)    # drops the previous seed's before any draw
+        for size in cluster_sizes:
+            for algorithm in algorithms:
+                for budget in pilot_budgets:
+                    rows[(algorithm, size, budget)].append(
+                        run_trial(configs[(size, budget)], seed, algorithm, physics=physics))
+    cells = {key: CellStats(mean_admitted=float(np.mean([t.stage1_admitted for t in cell])),
+                            mean_served=float(np.mean([t.stage2_served for t in cell])))
+             for key, cell in rows.items()}
+    report = CampaignReport(cells=cells,
+                            trials=tuple(t for cell in rows.values() for t in cell))
     if out_csv is not None:
         write_csv(report, out_csv)
     return report

@@ -14,7 +14,7 @@ from ucran import (
     run_stage1,
     simulate_pilot_rx,
 )
-from ucran.channel import perfect_csi
+from ucran.channel import SharedFading, perfect_csi
 from ucran.topology import STREAM_FADING, stream_rng
 
 from oracles import draw_channels_reference, pilot_rx_reference, scatter_links
@@ -321,3 +321,20 @@ def test_perfect_csi_direct():
     np.testing.assert_array_equal(error_var, [[0.0, 1.0], [0.0, 1.0], [1.0, 1.0]])
     np.testing.assert_array_equal(estimates[0], h[:2, 0])
     assert not estimates[1].any()
+
+
+def test_shared_fading_draws_once_and_continues_the_stream():
+    cfg = SimConfig(num_rrhs=6, num_users=4, cluster_size=2, area_side=200.0)
+    instance = build_network(cfg, seed=8)
+    s1 = run_stage1(instance, cfg.pilot_count, cfg.reuse_cap)
+    fading = SharedFading()
+    shared = [build_channel_state(instance, s1.assignment, cfg, seed=8, perfect=perfect,
+                                  fading=fading)
+              for perfect in (False, True, False)]
+    fresh = [build_channel_state(instance, s1.assignment, cfg, seed=8, perfect=perfect)
+             for perfect in (False, True, False)]
+    for a, b in zip(shared, fresh):
+        np.testing.assert_array_equal(a.estimates, b.estimates)
+        np.testing.assert_array_equal(a.error_var, b.error_var)
+    with pytest.raises(ValueError, match="drawn for seed 8 .* not seed 9"):
+        build_channel_state(instance, s1.assignment, cfg, seed=9, fading=fading)

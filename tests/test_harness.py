@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ucran.channel
+import ucran.harness
 from ucran import (
     ALGORITHMS,
     SimConfig,
@@ -356,6 +358,83 @@ def test_every_count_and_seed_entry_point_applies_the_one_integer_rule(entry):
         with pytest.raises(ValueError,
                            match=f"^{name} must be an integer >= {minimum}, got {value!r}$"):
             call(value)
+
+
+def test_campaign_rows_equal_standalone_trials():
+    # every cell of a seed shares its network and fading; a trial run alone
+    # draws its own, and the rows must not tell the two apart
+    config = SimConfig()
+    report = run_campaign(config, cluster_sizes=[2, 4], pilot_budgets=[4, 8],
+                          algorithms=ALGORITHMS, num_seeds=3)
+    assert len(report.trials) == 5 * 2 * 2 * 3
+    for t in report.trials:
+        cfg = dataclasses.replace(config, cluster_size=t.cluster_size,
+                                  pilot_count=t.pilot_budget)
+        assert t.csv_row() == run_trial(cfg, t.seed, t.algorithm).csv_row()
+
+
+def _count_builds(monkeypatch) -> tuple[list, list]:
+    """Record (seed, cluster size) per network build and the shape per
+    fading draw, while both still run."""
+    networks, draws = [], []
+    build_network_ = ucran.harness.build_network
+    draw_channels_ = ucran.channel.draw_channels
+
+    def counting_build(config, seed):
+        networks.append((seed, config.cluster_size))
+        return build_network_(config, seed)
+
+    def counting_draw(alpha, antennas, rng):
+        draws.append(alpha.shape)
+        return draw_channels_(alpha, antennas, rng)
+
+    monkeypatch.setattr(ucran.harness, "build_network", counting_build)
+    monkeypatch.setattr(ucran.channel, "draw_channels", counting_draw)
+    return networks, draws
+
+
+def test_campaign_builds_each_network_and_draws_each_fading_once(monkeypatch):
+    networks, draws = _count_builds(monkeypatch)
+    config = _config()
+    run_campaign(config, cluster_sizes=[2, 3], pilot_budgets=[1, 3],
+                 algorithms=("proposed", "con", "perfect"), num_seeds=3)
+    seeds = [config.master_seed + j for j in range(3)]
+    assert networks == [(seed, size) for seed in seeds for size in (2, 3)]
+    assert draws == [(9, 6)] * 3
+    # the same counts again: nothing is kept from one campaign to the next
+    first = (list(networks), list(draws))
+    networks.clear()
+    draws.clear()
+    run_campaign(config, cluster_sizes=[2, 3], pilot_budgets=[1, 3],
+                 algorithms=("proposed", "con", "perfect"), num_seeds=3)
+    assert (networks, draws) == first
+
+
+def test_run_trial_alone_builds_and_draws_its_own(monkeypatch):
+    networks, draws = _count_builds(monkeypatch)
+    for _ in range(2):
+        run_trial(_config(), seed=4, algorithm="proposed")
+    assert networks == [(4, 2)] * 2
+    assert draws == [(9, 6)] * 2
+
+
+@pytest.mark.parametrize("field", ["rrh_positions", "user_positions", "alpha", "clusters"])
+def test_a_stage_writing_into_the_shared_network_fails(field, monkeypatch):
+    def writing_stage2(instance, stage1_result, state, config):
+        getattr(instance, field)[0, 0] = 0
+
+    monkeypatch.setattr(ucran.harness, "admission_loop", writing_stage2)
+    with pytest.raises(ValueError, match="read-only"):
+        run_campaign(_config(), [2], [3], algorithms=("proposed",), num_seeds=1)
+
+
+def test_a_stage_writing_into_the_shared_fading_fails(monkeypatch):
+    def writing_pilot_rx(true_channels, assignment, pilot_power, noise_power, rng):
+        true_channels[0, 0, 0] = 0.0
+
+    monkeypatch.setattr(ucran.channel, "simulate_pilot_rx", writing_pilot_rx)
+    with pytest.raises(ValueError, match="read-only"):
+        run_campaign(_config(), [2], [3], algorithms=("proposed",), num_seeds=1)
 
 
 def test_campaign_csv_bit_identical_across_runs(tmp_path):
