@@ -8,29 +8,28 @@ with flags taking precedence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .harness import (ALGORITHMS, AuditError, CampaignReport, run_campaign, run_trial,
                       write_csv)
-from .topology import CONFIG_FIELD_TYPES, SimConfig, make_config
+from .topology import FIELD_RULES, SimConfig, make_config
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("scenario parameters")
-    for name, field_type in CONFIG_FIELD_TYPES.items():
-        flag = "--" + name.replace("_", "-")
-        if field_type is bool:
-            group.add_argument(flag, dest=name, default=None,
-                               action=argparse.BooleanOptionalAction)
-        else:
-            group.add_argument(flag, dest=name, default=None,
-                               type=field_type, metavar="X")
+    for field in dataclasses.fields(SimConfig):     # flags in field order
+        kind, _ = FIELD_RULES[field.name]
+        options = (dict(action=argparse.BooleanOptionalAction) if kind is bool
+                   else dict(type=kind, metavar="X"))
+        group.add_argument("--" + field.name.replace("_", "-"), dest=field.name,
+                           default=None, **options)
     group.add_argument("--config", default=None, metavar="FILE",
                        help="key = value file with the same parameter names")
 
 
 def _config_from(args: argparse.Namespace) -> SimConfig:
-    overrides = {name: getattr(args, name) for name in CONFIG_FIELD_TYPES}
+    overrides = {name: getattr(args, name) for name in FIELD_RULES}
     return make_config(config_file=args.config, **overrides)
 
 

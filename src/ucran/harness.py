@@ -101,15 +101,19 @@ def baseline_con(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
 
 
 class AuditError(AssertionError):
-    """A finished trial breaks a constraint that every solution must meet;
-    the message names the trial and lists the problems."""
+    """A trial fails its pilot check or its constraint audit; the message
+    names the seed and algorithm and lists the problems."""
 
 
-def audit_solution(solution: AdmissionSolution, config: SimConfig) -> list[str]:
-    """Constraint check on a finished downlink solution; empty list = clean."""
+def audit_solution(solution: AdmissionSolution, config: SimConfig,
+                   holders: np.ndarray) -> list[str]:
+    """Constraint check on a finished downlink solution; empty list = clean.
+    Its served and dropped users must split stage 1's sorted pilot
+    ``holders`` exactly.  An empty solution takes the same checks."""
     problems = []
-    if solution.num_served == 0:
-        return problems
+    accounted = np.sort(np.concatenate((solution.served, solution.removal_trace)))
+    if not np.array_equal(accounted, holders):
+        problems.append("served and dropped users are not exactly the pilot holders")
     if (solution.rates < config.rate_req).any():
         problems.append(f"rate below requirement: min {solution.rates.min():.6f}")
     if (solution.per_rrh_power > config.rrh_power_cap).any():
@@ -118,7 +122,7 @@ def audit_solution(solution: AdmissionSolution, config: SimConfig) -> list[str]:
     loads = np.bincount(beams.rrhs[beams.valid], minlength=beams.num_rrhs)
     if (loads > config.fronthaul_cap).any():
         problems.append(f"fronthaul cap exceeded: max load {loads.max()}")
-    norms = np.linalg.norm(beams.weights.reshape(solution.num_served, -1), axis=1)
+    norms = np.linalg.norm(beams.weights, axis=(1, 2))
     if (np.abs(norms - 1.0) > 1e-9).any():
         problems.append("beam directions are not unit norm")
     if (solution.powers < 0).any():
@@ -172,7 +176,7 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
     summary, for inspection and auditing.  ``physics`` is the seed's
     shared network and fading when a campaign runs several trials of one
     seed; a trial run alone makes its own.  ValueError for an unknown
-    algorithm or a bad seed, before any work.
+    algorithm or a bad seed, before any work; AuditError when a check fails.
     """
     _check_algorithm(algorithm)
     check_integer("seed", seed, 0)
@@ -181,22 +185,21 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
     instance = physics.network(config)
     s1 = _stage1_for(algorithm, instance, config, seed)
 
-    # pilot validity on the base conflict graph is a hard guarantee:
-    # co-clustered users must never share a pilot
+    # a hard guarantee: co-clustered users must never share a pilot
     base = build_base_graph(instance.clusters).restrict(s1.admitted)
-    validate_assignment(base, s1.assignment, config.reuse_cap)
+    try:
+        validate_assignment(base, s1.assignment, config.reuse_cap)
+    except AssertionError as exc:
+        raise AuditError(f"pilot check failed (seed {seed}, {algorithm}): {exc}") from exc
 
     state = build_channel_state(instance, s1.assignment, config, seed,
                                 perfect=(algorithm == ALG_PERFECT), fading=physics.fading)
     solution = admission_loop(instance, s1, state, config)
 
-    problems = audit_solution(solution, config)
+    problems = audit_solution(solution, config, s1.admitted)
     if problems:
         raise AuditError(f"constraint audit failed (seed {seed}, {algorithm}): "
                          + "; ".join(problems))
-    if not solution.num_served <= s1.num_admitted <= config.num_users:
-        raise AuditError(f"constraint audit failed (seed {seed}, {algorithm}): "
-                         "served/admitted counts are inconsistent")
 
     served = solution.num_served
     result = TrialResult(

@@ -300,8 +300,8 @@ class AdmissionSolution:
 
 def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
                    channel_state: ChannelState, config: SimConfig) -> AdmissionSolution:
-    """Serve as many pilot holders as the rate, power, and fronthaul
-    constraints allow.
+    """Serve pilot holders greedily under the rate, power, and fronthaul
+    constraints (one drop per failed round; not always the largest set).
 
     Each round prunes serving sets to the fronthaul cap and drops, in that
     same round, the users it leaves with no RRH; then it computes beams

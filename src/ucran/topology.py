@@ -8,7 +8,6 @@ the same trial seed see identical RRH/user placements, shadowing and fading.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -203,9 +202,6 @@ def build_network(config: SimConfig, seed: int) -> NetworkInstance:
 
 # --- plain-text config files -------------------------------------------------
 
-# SimConfig field name -> type, in field order, for config files and CLI flags
-CONFIG_FIELD_TYPES = {f.name: FIELD_RULES[f.name][0] for f in dataclasses.fields(SimConfig)}
-
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,
                  "yes": True, "no": False}
 
@@ -225,11 +221,11 @@ def load_config_file(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_FIELD_TYPES:
+        if key not in FIELD_RULES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
-        text, target_type = text.strip(), CONFIG_FIELD_TYPES[key]
+        text, target_type = text.strip(), FIELD_RULES[key][0]
         try:
             values[key] = _BOOL_STRINGS[text.lower()] if target_type is bool else target_type(text)
         except (KeyError, ValueError):

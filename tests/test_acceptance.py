@@ -1,7 +1,8 @@
-"""Acceptance gate: eleven go/no-go checks at the reference scale.
+"""Acceptance gate: eleven go/no-go checks at the reference scale and one
+at the ultra-dense point.
 
 Each test prints one [PASS]/[FAIL] line (never captured) so the verdicts
-survive any pytest output mode.  The two Monte Carlo campaigns are shared
+survive any pytest output mode.  The three Monte Carlo campaigns are shared
 module-scoped fixtures; everything downstream reads their cell statistics.
 """
 
@@ -42,6 +43,7 @@ from oracles import (
 
 CLUSTER_SIZES = [2, 3, 4, 5, 6]
 NUM_SEEDS = 100
+DENSE_SIZES = [2, 4, 6, 8]
 
 
 def _verdict(capsys, ok: bool, label: str, detail: str) -> None:
@@ -62,6 +64,14 @@ def campaign_tau8():
     return run_campaign(SimConfig(), CLUSTER_SIZES, [8],
                         algorithms=("proposed", "con"),
                         num_seeds=NUM_SEEDS)
+
+
+@pytest.fixture(scope="module")
+def campaign_dense():
+    # seeds 1-6 at 324 RRHs / 216 users, tau 32
+    return run_campaign(SimConfig(num_rrhs=324, num_users=216, pilot_count=32),
+                        DENSE_SIZES, [32], algorithms=("proposed", "con", "perfect"),
+                        num_seeds=6)
 
 
 def _means(report, algorithm: str, budget: int, field: str) -> list[float]:
@@ -268,9 +278,9 @@ def test_criterion_10_zero_constraint_violations(campaign_tau4, campaign_tau8, c
     for algorithm in ("proposed", "con", "perfect"):
         for size in (2, 4, 6):
             cfg = SimConfig(cluster_size=size)
-            _, _, solution = run_trial(cfg, seed=cfg.master_seed,
-                                       algorithm=algorithm, return_details=True)
-            problems += audit_solution(solution, cfg)
+            _, s1, solution = run_trial(cfg, seed=cfg.master_seed,
+                                        algorithm=algorithm, return_details=True)
+            problems += audit_solution(solution, cfg, s1.admitted)
     ok = not problems
     _verdict(capsys, ok, "criterion 10 (no rate/power/fronthaul violations)",
              f"{audited} campaign trials audited inline, 9 re-audited, "
@@ -297,7 +307,7 @@ def test_criterion_11_admission_gap_to_exact_optimum(capsys):
                 state = build_channel_state(instance, s1.assignment, config, seed)
                 greedy = admission_loop(instance, s1, state, config).num_served
                 optimum = max_served_reference(instance, s1, state, config)
-                problems += audit_solution(optimum, config)
+                problems += audit_solution(optimum, config, s1.admitted)
                 ok = ok and greedy <= optimum.num_served
                 dropped += greedy < s1.num_admitted
                 gaps[optimum.num_served - greedy] += 1
@@ -306,3 +316,18 @@ def test_criterion_11_admission_gap_to_exact_optimum(capsys):
              f"optimum minus greedy {dict(sorted(gaps.items()))} over "
              f"{sum(gaps.values())} trials ({dropped} with drops), "
              f"{skipped} skipped (> 12 pilot holders), {len(problems)} audit problems")
+
+
+def test_criterion_12_ultra_dense_point(campaign_dense, capsys):
+    def row(algorithm, field):
+        return [getattr(campaign_dense.cells[(algorithm, size, 32)], field)
+                for size in DENSE_SIZES]
+
+    proposed, con, perfect = (row(a, "mean_served") for a in ("proposed", "con", "perfect"))
+    admitted = row("proposed", "mean_admitted")
+    ok = (all(c <= p <= pf for c, p, pf in zip(con, proposed, perfect))
+          and all(after <= before for before, after in zip(admitted, admitted[1:])))
+    _verdict(capsys, ok, "criterion 12 (324/216, tau 32: con <= proposed <= perfect "
+             "served; proposed admitted non-increasing in cluster size)",
+             f"proposed served by L {DENSE_SIZES}: {[round(v, 2) for v in proposed]}; "
+             f"admitted {[round(v, 2) for v in admitted]}")

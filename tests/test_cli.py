@@ -5,9 +5,11 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from ucran.harness import ALGORITHMS, CSV_HEADER
+from ucran import PilotAssignment, build_base_graph, run_stage1
+from ucran.harness import ALGORITHMS, CSV_HEADER, AuditError, run_trial
 from ucran.cli import build_parser, main
 from ucran.topology import FIELD_RULES, SimConfig, load_config_file
 
@@ -254,13 +256,36 @@ def test_extreme_shadowing_fails_cleanly(seed, stddev, message, capsys):
                          ids=["trial", "campaign"])
 def test_audit_failure_fails_cleanly(command, monkeypatch, capsys):
     monkeypatch.setattr("ucran.harness.audit_solution",
-                        lambda solution, config: ["per-RRH power cap exceeded: max 9"])
+                        lambda solution, config, holders: ["per-RRH power cap exceeded: max 9"])
     code = main([command[0], *SMALL, *command[1:]])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: constraint audit failed (seed 1, proposed)")
     assert "per-RRH power cap exceeded: max 9" in captured.err
+
+
+def _clashing_stage1(instance, pilot_budget, reuse_cap, **options):
+    """The proposed stage 1, then the second user of the first co-clustered
+    pair of holders moved onto the first one's pilot."""
+    s1 = run_stage1(instance, pilot_budget, reuse_cap, **options)
+    base = build_base_graph(instance.clusters).restrict(s1.admitted)
+    a, b = np.argwhere(np.triu(base.adjacency))[0]
+    pilots = s1.assignment.pilots.copy()
+    pilots[b] = pilots[a]
+    return dataclasses.replace(s1, assignment=PilotAssignment(pilots, s1.colors_used))
+
+
+def test_a_broken_pilot_assignment_fails_cleanly(monkeypatch, capsys):
+    monkeypatch.setattr("ucran.harness.run_stage1", _clashing_stage1)
+    message = r"pilot check failed \(seed 0, proposed\): adjacent users \d+ and \d+ share pilot"
+    with pytest.raises(AuditError, match=message):
+        run_trial(SimConfig(), 0, "proposed")
+    assert main(["trial", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: pilot check failed (seed 0, proposed): adjacent users ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command,name", [

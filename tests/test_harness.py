@@ -181,7 +181,7 @@ def test_ortho_on_underflowing_gains_serves_nobody_cleanly():
     np.testing.assert_array_equal(s1.admitted, [0, 1, 2, 3])
     assert solution.removal_trace == (0, 1, 2, 3)
     assert result.stage2_served == solution.num_served == 0
-    assert audit_solution(solution, config) == []
+    assert audit_solution(solution, config, s1.admitted) == []
 
 
 def test_run_trial_unknown_algorithm():
@@ -231,12 +231,20 @@ def _broken(what: str) -> AdmissionSolution:
         per_rrh_power = solution.per_rrh_power.copy()
         per_rrh_power[4] = 500.5
         return dataclasses.replace(solution, per_rrh_power=per_rrh_power)
+    if what == "served and dropped":
+        return dataclasses.replace(solution, removal_trace=(4, 1))
+    if what == "neither":
+        return dataclasses.replace(solution, removal_trace=())
     assert what == "negative"
     return dataclasses.replace(solution, powers=np.array([1.0, -1e-12, 3.0]))
 
 
+HOLDERS = np.array([0, 1, 2, 4])    # _clean_solution's served and dropped users
+BOOKKEEPING = "served and dropped users are not exactly the pilot holders"
+
+
 def test_audit_passes_a_clean_solution():
-    assert audit_solution(_clean_solution(), _config()) == []
+    assert audit_solution(_clean_solution(), _config(), HOLDERS) == []
 
 
 @pytest.mark.parametrize("what,message", [
@@ -245,16 +253,31 @@ def test_audit_passes_a_clean_solution():
     ("rate", "rate below requirement: min 0.999000"),
     ("power", "per-RRH power cap exceeded: max 500.500000"),
     ("negative", "negative transmit power"),
+    # user 1 is served and dropped too
+    ("served and dropped", BOOKKEEPING),
+    # holder 4 is neither served nor dropped
+    ("neither", BOOKKEEPING),
 ])
 def test_audit_reports_each_broken_constraint(what, message):
-    assert audit_solution(_broken(what), _config()) == [message]
+    assert audit_solution(_broken(what), _config(), HOLDERS) == [message]
+
+
+def test_audit_checks_an_empty_solution_like_any_other():
+    beams = LocalBeams(rrhs=np.zeros((0, 2), dtype=np.int64), valid=np.zeros((0, 2), dtype=bool),
+                       weights=np.zeros((0, 2, 2), dtype=complex), num_rrhs=9)
+    empty = AdmissionSolution(served=np.zeros(0, dtype=np.int64), beams=beams,
+                              powers=np.zeros(0), rates=np.zeros(0),
+                              per_rrh_power=np.zeros(9), removal_trace=(3, 0, 5))
+    assert audit_solution(empty, _config(), np.array([0, 3, 5])) == []
+    assert audit_solution(empty, _config(), np.array([0, 3, 5, 7])) == [BOOKKEEPING]
+    assert audit_solution(empty, _config(), np.array([0, 3])) == [BOOKKEEPING]
 
 
 def test_run_trial_details_consistent_with_row():
     config = _config()
     result, s1, solution = run_trial(config, seed=1, algorithm="proposed",
                                      return_details=True)
-    assert audit_solution(solution, config) == []
+    assert audit_solution(solution, config, s1.admitted) == []
     assert result.stage1_admitted == s1.num_admitted
     assert result.stage2_served == solution.num_served
     assert result.colors_used == s1.colors_used
