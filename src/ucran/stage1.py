@@ -14,11 +14,14 @@ The base conflict graph is colored once.  Four outcomes:
   kept as is (``base``);
 * colors needed = budget: the base coloring is kept as is (``exact``).
 
-The base graph and the pairwise weights (read nowhere else) are built
-once per call.  Removal gets the over-budget base graph alone: a round
-takes its victim's adjacency row off one running degree vector, and only
-then cuts out and colors the survivors for the budget test, once
-``ceil(survivors / reuse_cap)`` no longer exceeds the budget.  Each
+The base graph, its coloring and the pairwise weights (read nowhere
+else) come from a :class:`Stage1Base`: one per call, or one shared by
+every call on the same network and reuse cap; every call makes and
+checks the weights, whichever branch runs.  Removal gets the over-budget
+base graph alone: a round takes its victim's adjacency row off one
+running degree vector, and only then cuts out and colors the survivors
+for the budget test, once ``ceil(survivors / reuse_cap)`` no longer
+exceeds the budget.  Each
 branch returns only its decision; :func:`run_stage1` builds the
 :class:`Stage1Result`, whose single pilot array
 (:class:`~ucran.coloring.PilotAssignment`) holds the admitted users' pilots.
@@ -27,6 +30,7 @@ branch returns only its decision; :func:`run_stage1` builds the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,28 +73,74 @@ class Stage1Result:
         return self.assignment.num_pilots
 
 
+class Stage1Base:
+    """What every stage-1 call on one network and reuse cap shares: the
+    base conflict graph, its DSatur coloring under the cap and the (K, K)
+    pilot-interference weights.  Each is made on first use and kept, with
+    its arrays read-only, so a stage that writes into one fails instead
+    of changing a later call.
+    """
+
+    def __init__(self, instance: NetworkInstance, reuse_cap: int):
+        self.instance = instance
+        self.reuse_cap = reuse_cap
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """ValueError when a weight is not finite."""
+        weights = interference_matrix(self.instance.alpha, self.instance.clusters)
+        weights.flags.writeable = False
+        return weights
+
+    @cached_property
+    def graph(self) -> ConflictGraph:
+        graph = build_base_graph(self.instance.clusters)
+        graph.adjacency.flags.writeable = graph.users.flags.writeable = False
+        return graph
+
+    @cached_property
+    def coloring(self) -> PilotAssignment:
+        coloring = dsatur_color(self.graph, self.reuse_cap)
+        coloring.pilots.flags.writeable = False
+        return coloring
+
+
+def shared_base(instance: NetworkInstance, reuse_cap: int,
+                base: Stage1Base | None) -> Stage1Base:
+    """``base`` when it was made for ``instance`` and ``reuse_cap``, a new
+    holder when it is None; ValueError otherwise."""
+    if base is None:
+        return Stage1Base(instance, reuse_cap)
+    if base.instance is not instance or base.reuse_cap != reuse_cap:
+        raise ValueError("the stage-1 base was made for another network or reuse cap")
+    return base
+
+
 def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
-               spread: bool = True,
-               rng: np.random.Generator | None = None) -> Stage1Result:
+               spread: bool = True, rng: np.random.Generator | None = None,
+               base: Stage1Base | None = None) -> Stage1Result:
     """Dispatch on how the base-graph coloring compares to the budget.
 
     Removal gets the base graph alone, whose coloring is over budget.
     ``spread=False`` keeps an under-budget base coloring instead of
     spreading it; ``rng`` makes removal pick uniformly random victims.
-    ValueError when a pilot-interference weight is not finite.
+    ``base`` shares the base graph, coloring and weights with other calls
+    on the same network and cap (see :func:`shared_base`).  ValueError
+    when a pilot-interference weight is not finite, whichever branch runs.
     """
     check_integer("pilot_budget", pilot_budget)
-    weights = interference_matrix(instance.alpha, instance.clusters)
-    base = build_base_graph(instance.clusters)
-    base_assignment = dsatur_color(base, reuse_cap)
+    base = shared_base(instance, reuse_cap, base)
+    weights = base.weights
+    base_assignment = base.coloring
     base_colors = base_assignment.num_pilots
     trace, threshold = (), None
     if base_colors > pilot_budget:
         case = CASE_REMOVAL
-        assignment, trace = select_users_case1(weights, pilot_budget, reuse_cap, base, rng=rng)
+        assignment, trace = select_users_case1(weights, pilot_budget, reuse_cap, base.graph,
+                                               rng=rng)
     elif base_colors < pilot_budget and spread:
         case = CASE_SPREAD
-        assignment, threshold = reallocate_case2(weights, pilot_budget, reuse_cap, base,
+        assignment, threshold = reallocate_case2(weights, pilot_budget, reuse_cap, base.graph,
                                                  base_assignment)
     else:
         case = CASE_EXACT if base_colors == pilot_budget else CASE_BASE

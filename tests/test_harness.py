@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import ucran.channel
 import ucran.harness
+import ucran.stage1
 from ucran import (
     ALGORITHMS,
     SimConfig,
@@ -458,6 +460,169 @@ def test_a_stage_writing_into_the_shared_fading_fails(monkeypatch):
     monkeypatch.setattr(ucran.channel, "simulate_pilot_rx", writing_pilot_rx)
     with pytest.raises(ValueError, match="read-only"):
         run_campaign(_config(), [2], [3], algorithms=("proposed",), num_seeds=1)
+
+
+@pytest.mark.parametrize("algorithms", [("ortho", "nocase2"), ("ortho", "con")])
+def test_campaign_checks_the_weights_even_where_no_branch_reads_them(algorithms):
+    # every gain underflows, so the weights are not finite: ortho never
+    # reads them, and the base coloring of nocase2 and con must still check them
+    config = SimConfig(num_rrhs=6, num_users=4, cluster_size=2, pathloss_intercept=4000.0)
+    with pytest.raises(ValueError, match="weights are not finite"):
+        run_campaign(config, [2], [4, 8], algorithms=algorithms, num_seeds=1)
+
+
+def _count_stage_work(monkeypatch) -> list:
+    """Log, in call order, each network build as ("network", seed, L) and
+    each piece of shared stage work (base graph, base coloring, weights,
+    spread, channel state, admission), while all of it still runs."""
+    log, base_graphs = [], []
+    originals = {name: getattr(ucran.stage1, name) for name in
+                 ("build_base_graph", "dsatur_color", "interference_matrix",
+                  "reallocate_case2")}
+    build_network_ = ucran.harness.build_network
+    channel_ = ucran.harness.build_channel_state
+    admission_ = ucran.harness.admission_loop
+
+    def network(config, seed):
+        log.append(("network", seed, config.cluster_size))
+        return build_network_(config, seed)
+
+    def base_graph(clusters):
+        base_graphs.append(originals["build_base_graph"](clusters))
+        log.append("base_graph")
+        return base_graphs[-1]
+
+    def coloring(graph, reuse_cap):
+        if any(graph is base for base in base_graphs):
+            log.append("base_coloring")
+        return originals["dsatur_color"](graph, reuse_cap)
+
+    def weights(alpha, clusters):
+        log.append("weights")
+        return originals["interference_matrix"](alpha, clusters)
+
+    def spread(*args):
+        log.append("spread")
+        return originals["reallocate_case2"](*args)
+
+    def channel(*args, **kwargs):
+        log.append("channel")
+        return channel_(*args, **kwargs)
+
+    def admission(*args):
+        log.append("admission")
+        return admission_(*args)
+
+    for module, name, fake in ((ucran.harness, "build_network", network),
+                               (ucran.stage1, "build_base_graph", base_graph),
+                               (ucran.stage1, "dsatur_color", coloring),
+                               (ucran.stage1, "interference_matrix", weights),
+                               (ucran.stage1, "reallocate_case2", spread),
+                               (ucran.harness, "build_channel_state", channel),
+                               (ucran.harness, "admission_loop", admission)):
+        monkeypatch.setattr(module, name, fake)
+    return log
+
+
+def _per_seed(log) -> dict:
+    """A Counter of the logged work per seed: a seed's work starts at its
+    first network build."""
+    counts, seed = {}, None
+    for event in log:
+        if event[0] == "network":
+            seed = event[1]
+            counts.setdefault(seed, Counter())["network"] += 1
+        else:
+            counts[seed][event] += 1
+    return counts
+
+
+def _decision(row) -> tuple:
+    """The stage-1 decision and CSI mode a row maps to, from its own
+    algorithm and case."""
+    if row.case_taken in ("exact", "base"):
+        decision = ("base", row.cluster_size)
+    else:
+        name = {"ortho": "ortho", "case2": "spread"}.get(
+            row.case_taken, "random" if row.algorithm == "con" else "removal")
+        decision = (name, row.cluster_size, row.pilot_budget)
+    return decision, row.algorithm == "perfect"
+
+
+def test_campaign_makes_each_decision_and_admission_once_per_seed(monkeypatch):
+    log = _count_stage_work(monkeypatch)
+    config = SimConfig()
+    report = run_campaign(config, cluster_sizes=[2, 4], pilot_budgets=[4, 8],
+                          algorithms=ALGORITHMS, num_seeds=3)
+    counts = _per_seed(log)
+    assert list(counts) == [config.master_seed + j for j in range(3)]
+    shared = 0
+    for seed, count in counts.items():
+        rows = [t for t in report.trials if t.seed == seed]
+        admissions = len({_decision(row) for row in rows})
+        spreads = len({(row.cluster_size, row.pilot_budget)
+                       for row in rows if row.case_taken == "case2"})
+        assert count == {"network": 2, "base_graph": 2, "base_coloring": 2, "weights": 2,
+                         "channel": admissions, "admission": admissions,
+                         **({"spread": spreads} if spreads else {})}
+        shared += len(rows) - admissions
+    assert shared > 0
+    # the same counts again: nothing is kept from one campaign to the next
+    first = list(log)
+    log.clear()
+    run_campaign(config, cluster_sizes=[2, 4], pilot_budgets=[4, 8],
+                 algorithms=ALGORITHMS, num_seeds=3)
+    assert log == first
+
+
+def test_nocase2_alone_runs_no_spread(monkeypatch):
+    log = _count_stage_work(monkeypatch)
+    report = run_campaign(SimConfig(), cluster_sizes=[2, 4], pilot_budgets=[4, 8],
+                          algorithms=("nocase2",), num_seeds=3)
+    # some rows keep an under-budget base coloring that proposed would spread
+    assert any(t.case_taken == "base" for t in report.trials)
+    assert "spread" not in log
+
+
+def test_campaign_rows_do_not_depend_on_the_algorithm_order():
+    config = SimConfig()
+    sweep = dict(cluster_sizes=[2, 4], pilot_budgets=[4, 8], num_seeds=2)
+    default = run_campaign(config, algorithms=ALGORITHMS, **sweep)
+    reordered = run_campaign(config, algorithms=("perfect", "con", "nocase2", "ortho",
+                                                 "proposed"), **sweep)
+    assert reordered.cells == default.cells
+
+    def by_cell(report):
+        return sorted(report.trials, key=lambda t: (t.algorithm, t.cluster_size,
+                                                    t.pilot_budget, t.seed))
+
+    assert by_cell(reordered) == by_cell(default)
+
+
+def test_a_stage_writing_into_shared_pilots_fails(monkeypatch):
+    admission_ = ucran.harness.admission_loop
+
+    def writing_stage2(instance, stage1_result, state, config):
+        stage1_result.assignment.pilots[stage1_result.admitted[0]] = 0
+        return admission_(instance, stage1_result, state, config)
+
+    monkeypatch.setattr(ucran.harness, "admission_loop", writing_stage2)
+    # proposed and perfect share one stage-1 decision
+    with pytest.raises(ValueError, match="read-only"):
+        run_campaign(SimConfig(), [4], [4], algorithms=("proposed", "perfect"), num_seeds=1)
+
+
+@pytest.mark.parametrize("field", ["served", "powers", "rates", "per_rrh_power"])
+def test_a_check_writing_into_a_shared_admission_fails(field, monkeypatch):
+    audit_ = ucran.harness.audit_solution
+
+    def writing_audit(solution, config, holders):
+        getattr(solution, field)[0] = 0
+        return audit_(solution, config, holders)
+
+    monkeypatch.setattr(ucran.harness, "audit_solution", writing_audit)
+    with pytest.raises(ValueError, match="read-only"):
+        run_trial(SimConfig(), 1, "proposed")
 
 
 def test_campaign_csv_bit_identical_across_runs(tmp_path):

@@ -21,6 +21,7 @@ from ucran.stage1 import (
     CASE_EXACT,
     CASE_REMOVAL,
     CASE_SPREAD,
+    Stage1Base,
     select_users_case1,
 )
 
@@ -195,6 +196,31 @@ def test_run_stage1_rejects_non_finite_interference_weights(spread, rng):
         assert not instance.alpha.any()
         with pytest.raises(ValueError, match="not finite"):
             run_stage1(instance, cfg.pilot_count, cfg.reuse_cap, spread=spread, rng=rng)
+
+
+@pytest.mark.parametrize("budget", [2, 6, 9], ids=["removal", "exact", "spread"])
+def test_a_shared_base_gives_each_call_its_own_result(budget):
+    # one base for every call on the network, in any order, as each call alone
+    instance = build_network(SimConfig(num_rrhs=36, num_users=24, cluster_size=4), seed=6)
+    base = Stage1Base(instance, 4)
+    calls = [(True, None), (False, None), (False, 3)]    # proposed, nocase2, con
+    for spread, seed in calls + calls[::-1]:
+        shared, alone = (run_stage1(instance, budget, 4, spread=spread, base=option,
+                                    rng=None if seed is None else np.random.default_rng(seed))
+                         for option in (base, None))
+        assert (shared.case_taken, shared.removal_trace, shared.threshold,
+                shared.base_colors) == (alone.case_taken, alone.removal_trace,
+                                        alone.threshold, alone.base_colors)
+        np.testing.assert_array_equal(shared.assignment.pilots, alone.assignment.pilots)
+    assert not base.weights.flags.writeable and not base.coloring.pilots.flags.writeable
+
+
+def test_a_base_made_for_another_network_or_cap_is_rejected():
+    cfg = SimConfig(num_rrhs=9, num_users=6, cluster_size=2)
+    instance = build_network(cfg, seed=0)
+    for base in (Stage1Base(build_network(cfg, seed=0), 4), Stage1Base(instance, 3)):
+        with pytest.raises(ValueError, match="another network or reuse cap"):
+            run_stage1(instance, 3, 4, base=base)
 
 
 def test_rejects_bad_budget():
