@@ -8,17 +8,16 @@ fading.  Algorithm-local randomness (random user picks in the baselines)
 draws from its own stream and cannot shift the physics.
 
 A campaign runs its trials seed by seed, and every trial of a seed shares
-that seed's physics: one network per cluster size and one fading draw,
-each made inside the first trial that needs it and read-only after.  It
-shares the seed's stage-1 work too.  Per cluster size there is one base
-graph, one base coloring and one set of pilot-interference weights.  Each
-stage-1 decision is made once, and so are the channel state and admission
-of each decision and CSI mode.  ``_DECISIONS`` maps each algorithm and
-stage-1 branch to its decision and CSI mode, so ``perfect`` reuses
-``proposed``'s stage 1, and ``nocase2`` and ``con`` reuse ``proposed``'s or
-the base coloring wherever their rules agree.  Every row still runs its own
-pilot check and audit.  Rows still come out cell by cell, and a failing
-trial stops the campaign at the first failure in seed order.
+that seed's work through one memo: per cluster size one network and one
+stage-1 base (base graph, base coloring, pilot-interference weights and
+each budget's deterministic stage-1 decision), one fading draw, and one
+channel state and admission per input they read (cluster size, CSI mode
+and pilots).  Each trial calls stage 1 itself with its algorithm's flags,
+so :func:`~ucran.stage1.run_stage1` alone decides its branch and case, and
+two rows share an admission exactly when their pilots and CSI mode agree.
+Every row still runs its own pilot check and audit.  Rows still come out
+cell by cell, and a failing trial stops the campaign at the first failure
+in seed order.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ from .channel import SharedFading, build_channel_state
 from .coloring import PilotAssignment, validate_assignment
 from .coloring import dsatur_color  # noqa: F401  (perfbench/spans.py wraps this name)
 from .conflict_graph import build_base_graph  # noqa: F401  (perfbench/spans.py wraps this name)
-from .stage1 import (CASE_BASE, CASE_EXACT, CASE_REMOVAL, CASE_SPREAD, Stage1Base,
-                     Stage1Result, run_stage1, shared_base)
+from .stage1 import Stage1Base, Stage1Result, run_stage1, shared_base
 from .stage1 import select_users_case1  # noqa: F401  (perfbench/spans.py wraps this name)
 from .stage2 import AdmissionSolution, admission_loop
 from .topology import (NetworkInstance, STREAM_BASELINE, SimConfig, build_network,
@@ -47,8 +45,6 @@ ALG_NOCASE2 = "nocase2"
 ALG_CON = "con"
 ALG_PERFECT = "perfect"
 ALGORITHMS = (ALG_PROPOSED, ALG_ORTHO, ALG_NOCASE2, ALG_CON, ALG_PERFECT)
-
-CASE_ORTHO = "ortho"   # orthogonal baseline ignores the conflict graph
 
 CSV_HEADER = ("algorithm", "L", "tau", "seed", "stage1_admitted", "stage2_served",
               "min_rate", "mean_rate", "max_rrh_power_mw", "case_taken", "colors_used")
@@ -92,7 +88,7 @@ def baseline_ortho(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
     pilots = np.full(num_users, -1, dtype=np.int64)
     pilots[chosen] = np.arange(count)
     return Stage1Result(assignment=PilotAssignment(pilots=pilots, num_pilots=count),
-                        case_taken=CASE_ORTHO, removal_trace=(), threshold=None,
+                        case_taken=ALG_ORTHO, removal_trace=(), threshold=None,
                         base_colors=base_colors)
 
 
@@ -101,8 +97,8 @@ def baseline_nocase2(instance: NetworkInstance, pilot_budget: int,
     """Like the proposed stage 1, but an under-budget base coloring is kept
     as is instead of being spread over the spare pilots.
 
-    Campaigns and trials reach the same decision through ``_DECISIONS``;
-    this name stays because perfbench/spans.py wraps it."""
+    Trials call :func:`~ucran.stage1.run_stage1` with the same flags on a
+    shared base; this name stays because perfbench/spans.py wraps it."""
     return run_stage1(instance, pilot_budget, reuse_cap, spread=False)
 
 
@@ -111,8 +107,8 @@ def baseline_con(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
     """Conventional removal: over-budget colorings shed uniformly random
     users instead of the highest-conflict ones; otherwise as baseline_nocase2.
 
-    Campaigns and trials reach the same decision through ``_DECISIONS``;
-    this name stays because perfbench/spans.py wraps it."""
+    Trials call :func:`~ucran.stage1.run_stage1` with the same flags on a
+    shared base; this name stays because perfbench/spans.py wraps it."""
     return run_stage1(instance, pilot_budget, reuse_cap, spread=False,
                       rng=stream_rng(seed, STREAM_BASELINE))
 
@@ -152,101 +148,34 @@ def _check_algorithm(algorithm: str) -> None:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
 
-# (algorithm, branch) -> (stage-1 decision, perfect CSI).  The branch is
-# where the base coloring falls against the budget: over, under or on it.
-# A decision is one stage-1 call per (L, tau), except "base", the base
-# coloring, which is one per L for every budget it fits.
-_DECISIONS = {
-    (algorithm, branch): (decision, algorithm == ALG_PERFECT)
-    for algorithm, decisions in ((ALG_PROPOSED, ("removal", "spread", "base")),
-                                 (ALG_PERFECT, ("removal", "spread", "base")),
-                                 (ALG_NOCASE2, ("removal", "base", "base")),
-                                 (ALG_CON, ("random", "base", "base")),
-                                 (ALG_ORTHO, ("ortho", "ortho", "ortho")))
-    for branch, decision in zip((CASE_REMOVAL, CASE_SPREAD, CASE_EXACT), decisions)}
-
-
-def _read_only(record) -> None:
-    """Make every array of a dataclass, nested ones included, read-only."""
-    for field in dataclasses.fields(record):
-        value = getattr(record, field.name)
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-        elif dataclasses.is_dataclass(value):
-            _read_only(value)
+def _read_only(value):
+    """``value`` with every array in it, nested dataclasses included,
+    made read-only; anything else is returned as is."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            _read_only(getattr(value, field.name))
+    return value
 
 
 class _SeedPhysics:
-    """What every trial of one seed shares, each made on first use: per
-    cluster size a network and a stage-1 base (base graph, coloring and
-    weights); the fading draw; each stage-1 decision; and per decision
-    and CSI mode one admission, on one channel state.  Their arrays are
-    read-only, so a stage that writes into them fails instead of changing
-    a later trial.  A campaign's configs differ only in cluster size and
-    pilot budget, and no network, base, channel state or admission depends
-    on the budget except through the stage-1 decision.
+    """What every trial of one seed shares: its fading draw, and a memo
+    of whatever else its trials make, each made on first use with its
+    arrays read-only, so a stage that writes into one fails instead of
+    changing a later trial.
     """
 
-    def __init__(self, seed: int):
-        self.seed = seed
-        self.networks: dict[int, NetworkInstance] = {}
-        self.bases: dict[int, Stage1Base] = {}
+    def __init__(self):
         self.fading = SharedFading()
-        self.decisions: dict[tuple, Stage1Result] = {}
-        self.solutions: dict[tuple, AdmissionSolution] = {}
+        self.memo: dict[tuple, object] = {}
 
-    def network(self, config: SimConfig) -> NetworkInstance:
-        instance = self.networks.get(config.cluster_size)
-        if instance is None:
-            instance = build_network(config, self.seed)
-            _read_only(instance)
-            self.networks[config.cluster_size] = instance
-        return instance
-
-    def base(self, config: SimConfig) -> Stage1Base:
-        base = self.bases.get(config.cluster_size)
-        if base is None:
-            base = self.bases[config.cluster_size] = Stage1Base(self.network(config),
-                                                                config.reuse_cap)
-        return base
-
-    def stage1(self, config: SimConfig, algorithm: str) -> tuple[tuple, Stage1Result]:
-        """(admission key, stage-1 result) of one row.  The row's case is
-        its own: the base coloring reads ``exact`` on its budget."""
-        base, budget = self.base(config), config.pilot_count
-        colors = base.coloring.num_pilots
-        branch = (CASE_REMOVAL if colors > budget else
-                  CASE_SPREAD if colors < budget else CASE_EXACT)
-        decision, perfect = _DECISIONS[algorithm, branch]
-        key = (decision, config.cluster_size) + ((budget,) if decision != "base" else ())
-        s1 = self.decisions.get(key)
-        if s1 is None:
-            if decision == "ortho":
-                s1 = baseline_ortho(base.instance, budget, base.reuse_cap, self.seed,
-                                    base=base)
-            else:
-                rng = stream_rng(self.seed, STREAM_BASELINE) if decision == "random" else None
-                s1 = run_stage1(base.instance, budget, base.reuse_cap,
-                                spread=(decision == "spread"), rng=rng, base=base)
-            _read_only(s1)
-            self.decisions[key] = s1
-        if decision == "base":
-            s1 = dataclasses.replace(s1, case_taken=CASE_EXACT if colors == budget else CASE_BASE)
-        return (key, perfect), s1
-
-    def admission(self, config: SimConfig, key: tuple, s1: Stage1Result) -> AdmissionSolution:
-        """The admission of ``key``'s stage-1 decision and CSI mode, on
-        its channel state."""
-        solution = self.solutions.get(key)
-        if solution is None:
-            _, perfect = key
-            instance = self.network(config)
-            state = build_channel_state(instance, s1.assignment, config, self.seed,
-                                        perfect=perfect, fading=self.fading)
-            solution = admission_loop(instance, s1, state, config)
-            _read_only(solution)
-            self.solutions[key] = solution
-        return solution
+    def once(self, key: tuple, make):
+        """The value kept under ``key``, made by ``make`` on first use."""
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = _read_only(make())
+        return value
 
 
 def run_trial(config: SimConfig, seed: int, algorithm: str,
@@ -255,27 +184,45 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
 
     With ``return_details`` the stage results come back alongside the
     summary, for inspection and auditing.  ``physics`` is the seed's
-    shared state when a campaign runs several trials of one seed: its
-    network and fading, and every stage-1 decision and admission that
+    shared state when a campaign runs several trials of one seed: per
+    cluster size its network and stage-1 base, its fading, and one
+    channel state and admission per (cluster size, CSI mode, pilots) that
     another of its trials has already made; a trial run alone makes its
-    own.  Every trial runs its own pilot check and audit.  ValueError for
-    an unknown algorithm or a bad seed, before any work; AuditError when
-    a check fails.
+    own.  Every trial runs its own stage-1 call, pilot check and audit.
+    ValueError for an unknown algorithm or a bad seed, before any work;
+    AuditError when a check fails.
     """
     _check_algorithm(algorithm)
     check_integer("seed", seed, 0)
     if physics is None:
-        physics = _SeedPhysics(seed)
-    key, s1 = physics.stage1(config, algorithm)
+        physics = _SeedPhysics()
+    size, budget, cap = config.cluster_size, config.pilot_count, config.reuse_cap
+    instance = physics.once(("network", size), lambda: build_network(config, seed))
+    base = physics.once(("base", size), lambda: Stage1Base(instance, cap))
+    if algorithm == ALG_ORTHO:
+        s1 = baseline_ortho(instance, budget, cap, seed, base=base)
+    else:
+        rng = stream_rng(seed, STREAM_BASELINE) if algorithm == ALG_CON else None
+        s1 = run_stage1(instance, budget, cap, spread=algorithm in (ALG_PROPOSED, ALG_PERFECT),
+                        rng=rng, base=base)
+    _read_only(s1)
 
     # a hard guarantee: co-clustered users must never share a pilot
-    base = physics.base(config).graph.restrict(s1.admitted)
     try:
-        validate_assignment(base, s1.assignment, config.reuse_cap)
+        validate_assignment(base.graph.restrict(s1.admitted), s1.assignment, cap)
     except AssertionError as exc:
         raise AuditError(f"pilot check failed (seed {seed}, {algorithm}): {exc}") from exc
 
-    solution = physics.admission(config, key, s1)
+    perfect, pilots = algorithm == ALG_PERFECT, s1.assignment
+
+    def admit() -> AdmissionSolution:
+        state = build_channel_state(instance, pilots, config, seed, perfect=perfect,
+                                    fading=physics.fading)
+        return admission_loop(instance, s1, state, config)
+
+    # the inputs of both stages that differ between a campaign's trials of one seed
+    solution = physics.once(("admission", size, perfect, pilots.num_pilots,
+                             pilots.pilots.tobytes()), admit)
 
     problems = audit_solution(solution, config, s1.admitted)
     if problems:
@@ -320,8 +267,9 @@ def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
 
     Trials run seed by seed (then cluster size, algorithm, pilot budget).
     Each seed's trials share one network and one stage-1 base per cluster
-    size, one fading draw, and each stage-1 decision, channel state and
-    admission that more than one of them maps to; all of it is dropped
+    size, with each budget's deterministic stage-1 decision, one fading
+    draw, and one channel state and admission per (cluster size, CSI mode,
+    pilots) that more than one of them reaches; all of it is dropped
     before the next seed's.  The rows equal those of trials run one by
     one, whatever the order of ``algorithms``.  Emits one CSV row per
     trial, cell by cell in sweep order and by seed within a cell, plus one
@@ -345,7 +293,7 @@ def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
         (algorithm, size, budget): []
         for algorithm in algorithms for size in cluster_sizes for budget in pilot_budgets}
     for seed in seeds:
-        physics = _SeedPhysics(seed)    # drops the previous seed's before any draw
+        physics = _SeedPhysics()    # drops the previous seed's before any draw
         for size in cluster_sizes:
             for algorithm in algorithms:
                 for budget in pilot_budgets:

@@ -17,20 +17,22 @@ The base conflict graph is colored once.  Four outcomes:
 The base graph, its coloring and the pairwise weights (read nowhere
 else) come from a :class:`Stage1Base`: one per call, or one shared by
 every call on the same network and reuse cap; every call makes and
-checks the weights, whichever branch runs.  Removal gets the over-budget
-base graph alone: a round takes its victim's adjacency row off one
-running degree vector, and only then cuts out and colors the survivors
-for the budget test, once ``ceil(survivors / reuse_cap)`` no longer
-exceeds the budget.  Each
-branch returns only its decision; :func:`run_stage1` builds the
-:class:`Stage1Result`, whose single pilot array
-(:class:`~ucran.coloring.PilotAssignment`) holds the admitted users' pilots.
+checks the weights, whichever branch runs.  The base keeps each budget's
+deterministic decision too, the removal made without a random generator
+or the spread, so a later call at that budget reuses it.  Removal gets
+the over-budget base graph alone: a round takes its victim's adjacency
+row off one running degree vector, and only then cuts out and colors the
+survivors for the budget test, once ``ceil(survivors / reuse_cap)`` no
+longer exceeds the budget.  Each branch returns only its decision;
+:func:`run_stage1` builds the :class:`Stage1Result`, whose single pilot
+array (:class:`~ucran.coloring.PilotAssignment`) holds the admitted
+users' pilots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -75,15 +77,26 @@ class Stage1Result:
 
 class Stage1Base:
     """What every stage-1 call on one network and reuse cap shares: the
-    base conflict graph, its DSatur coloring under the cap and the (K, K)
-    pilot-interference weights.  Each is made on first use and kept, with
-    its arrays read-only, so a stage that writes into one fails instead
-    of changing a later call.
+    base conflict graph, its DSatur coloring under the cap, the (K, K)
+    pilot-interference weights, and per budget the one decision that
+    needs no random generator (the removal or the spread).  Each is made
+    on first use and kept, with its arrays read-only, so a stage that
+    writes into one fails instead of changing a later call.
     """
 
     def __init__(self, instance: NetworkInstance, reuse_cap: int):
         self.instance = instance
         self.reuse_cap = reuse_cap
+        self.decisions: dict[int, tuple] = {}
+
+    def decision(self, pilot_budget: int, make) -> tuple:
+        """The (assignment, trace or threshold) of ``pilot_budget``, made by
+        ``make`` on first use, its pilots read-only."""
+        decision = self.decisions.get(pilot_budget)
+        if decision is None:
+            decision = self.decisions[pilot_budget] = make()
+            decision[0].pilots.flags.writeable = False
+        return decision
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -108,7 +121,9 @@ class Stage1Base:
 def shared_base(instance: NetworkInstance, reuse_cap: int,
                 base: Stage1Base | None) -> Stage1Base:
     """``base`` when it was made for ``instance`` and ``reuse_cap``, a new
-    holder when it is None; ValueError otherwise."""
+    holder when it is None; ValueError otherwise, so no call reads a base
+    graph, coloring, weights or kept decision made for another network
+    or cap."""
     if base is None:
         return Stage1Base(instance, reuse_cap)
     if base.instance is not instance or base.reuse_cap != reuse_cap:
@@ -125,8 +140,11 @@ def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
     ``spread=False`` keeps an under-budget base coloring instead of
     spreading it; ``rng`` makes removal pick uniformly random victims.
     ``base`` shares the base graph, coloring and weights with other calls
-    on the same network and cap (see :func:`shared_base`).  ValueError
-    when a pilot-interference weight is not finite, whichever branch runs.
+    on the same network and cap (see :func:`shared_base`), and the removal
+    without ``rng`` and the spread of each budget: a call whose branch
+    and budget match an earlier one returns its pilots, read-only, under
+    its own case.  ValueError when a pilot-interference weight is not
+    finite, whichever branch runs.
     """
     check_integer("pilot_budget", pilot_budget)
     base = shared_base(instance, reuse_cap, base)
@@ -136,12 +154,12 @@ def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
     trace, threshold = (), None
     if base_colors > pilot_budget:
         case = CASE_REMOVAL
-        assignment, trace = select_users_case1(weights, pilot_budget, reuse_cap, base.graph,
-                                               rng=rng)
+        remove = partial(select_users_case1, weights, pilot_budget, reuse_cap, base.graph, rng=rng)
+        assignment, trace = remove() if rng is not None else base.decision(pilot_budget, remove)
     elif base_colors < pilot_budget and spread:
         case = CASE_SPREAD
-        assignment, threshold = reallocate_case2(weights, pilot_budget, reuse_cap, base.graph,
-                                                 base_assignment)
+        assignment, threshold = base.decision(pilot_budget, partial(
+            reallocate_case2, weights, pilot_budget, reuse_cap, base.graph, base_assignment))
     else:
         case = CASE_EXACT if base_colors == pilot_budget else CASE_BASE
         assignment = base_assignment

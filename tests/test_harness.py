@@ -28,6 +28,7 @@ from ucran.harness import (
     baseline_nocase2,
     baseline_ortho,
 )
+from ucran.stage1 import Stage1Base
 from ucran.stage2 import AdmissionSolution, LocalBeams, enforce_fronthaul_cap
 from ucran.topology import build_clusters, stream_rng
 
@@ -537,16 +538,15 @@ def _per_seed(log) -> dict:
     return counts
 
 
-def _decision(row) -> tuple:
-    """The stage-1 decision and CSI mode a row maps to, from its own
-    algorithm and case."""
-    if row.case_taken in ("exact", "base"):
-        decision = ("base", row.cluster_size)
-    else:
-        name = {"ortho": "ortho", "case2": "spread"}.get(
-            row.case_taken, "random" if row.algorithm == "con" else "removal")
-        decision = (name, row.cluster_size, row.pilot_budget)
-    return decision, row.algorithm == "perfect"
+def _admission_key(config, row) -> tuple:
+    """What a row's channel state and admission read that a campaign
+    varies: its cluster size, CSI mode and stage-1 pilots, taken from the
+    same trial run alone."""
+    cfg = dataclasses.replace(config, cluster_size=row.cluster_size,
+                              pilot_count=row.pilot_budget)
+    _, s1, _ = run_trial(cfg, row.seed, row.algorithm, return_details=True)
+    return (row.cluster_size, row.algorithm == "perfect", s1.assignment.num_pilots,
+            s1.assignment.pilots.tobytes())
 
 
 def test_campaign_makes_each_decision_and_admission_once_per_seed(monkeypatch):
@@ -556,10 +556,11 @@ def test_campaign_makes_each_decision_and_admission_once_per_seed(monkeypatch):
                           algorithms=ALGORITHMS, num_seeds=3)
     counts = _per_seed(log)
     assert list(counts) == [config.master_seed + j for j in range(3)]
+    first = list(log)
     shared = 0
     for seed, count in counts.items():
         rows = [t for t in report.trials if t.seed == seed]
-        admissions = len({_decision(row) for row in rows})
+        admissions = len({_admission_key(config, row) for row in rows})
         spreads = len({(row.cluster_size, row.pilot_budget)
                        for row in rows if row.case_taken == "case2"})
         assert count == {"network": 2, "base_graph": 2, "base_coloring": 2, "weights": 2,
@@ -568,11 +569,28 @@ def test_campaign_makes_each_decision_and_admission_once_per_seed(monkeypatch):
         shared += len(rows) - admissions
     assert shared > 0
     # the same counts again: nothing is kept from one campaign to the next
-    first = list(log)
     log.clear()
     run_campaign(config, cluster_sizes=[2, 4], pilot_budgets=[4, 8],
                  algorithms=ALGORITHMS, num_seeds=3)
     assert log == first
+
+
+def test_the_base_coloring_shares_one_admission_under_each_rows_own_case(monkeypatch):
+    # nocase2 and con keep the base coloring both on its own budget (exact)
+    # and above it (base): four rows, one admission, each row its own case
+    config = SimConfig(cluster_size=4)
+    instance = build_network(config, config.master_seed)
+    exact = Stage1Base(instance, config.reuse_cap).coloring.num_pilots
+    log = _count_stage_work(monkeypatch)
+    report = run_campaign(config, [4], [exact, exact + 2], algorithms=("nocase2", "con"),
+                          num_seeds=1)
+    assert Counter(log)["channel"] == Counter(log)["admission"] == 1
+    assert [(t.algorithm, t.pilot_budget, t.case_taken) for t in report.trials] == [
+        ("nocase2", exact, "exact"), ("nocase2", exact + 2, "base"),
+        ("con", exact, "exact"), ("con", exact + 2, "base")]
+    for t in report.trials:
+        cfg = dataclasses.replace(config, pilot_count=t.pilot_budget)
+        assert t.csv_row() == run_trial(cfg, t.seed, t.algorithm).csv_row()
 
 
 def test_nocase2_alone_runs_no_spread(monkeypatch):

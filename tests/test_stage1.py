@@ -1,11 +1,13 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ucran.stage1
 from ucran import (
     SimConfig,
     build_base_graph,
@@ -198,21 +200,39 @@ def test_run_stage1_rejects_non_finite_interference_weights(spread, rng):
             run_stage1(instance, cfg.pilot_count, cfg.reuse_cap, spread=spread, rng=rng)
 
 
-@pytest.mark.parametrize("budget", [2, 6, 9], ids=["removal", "exact", "spread"])
-def test_a_shared_base_gives_each_call_its_own_result(budget):
+# what six calls (proposed, nocase2, con, then back) make on one shared
+# base: the removal without rng and the spread once per budget, and one
+# random removal per con call
+@pytest.mark.parametrize("budget,made", [(2, {"select_users_case1": 1 + 2}), (6, {}),
+                                         (9, {"reallocate_case2": 1})],
+                         ids=["removal", "exact", "spread"])
+def test_a_shared_base_gives_each_call_its_own_result(budget, made, monkeypatch):
     # one base for every call on the network, in any order, as each call alone
+    calls = Counter()
+    for name in ("select_users_case1", "reallocate_case2"):
+        def counting(*args, _original=getattr(ucran.stage1, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(ucran.stage1, name, counting)
     instance = build_network(SimConfig(num_rrhs=36, num_users=24, cluster_size=4), seed=6)
     base = Stage1Base(instance, 4)
-    calls = [(True, None), (False, None), (False, 3)]    # proposed, nocase2, con
-    for spread, seed in calls + calls[::-1]:
-        shared, alone = (run_stage1(instance, budget, 4, spread=spread, base=option,
-                                    rng=None if seed is None else np.random.default_rng(seed))
-                         for option in (base, None))
+    orders = [(True, None), (False, None), (False, 3)]    # proposed, nocase2, con
+    orders += orders[::-1]
+
+    def call(spread, seed, option):
+        return run_stage1(instance, budget, 4, spread=spread, base=option,
+                          rng=None if seed is None else np.random.default_rng(seed))
+
+    results = [call(spread, seed, base) for spread, seed in orders]
+    assert calls == Counter(made)
+    for (spread, seed), shared in zip(orders, results):
+        alone = call(spread, seed, None)
         assert (shared.case_taken, shared.removal_trace, shared.threshold,
                 shared.base_colors) == (alone.case_taken, alone.removal_trace,
                                         alone.threshold, alone.base_colors)
         np.testing.assert_array_equal(shared.assignment.pilots, alone.assignment.pilots)
     assert not base.weights.flags.writeable and not base.coloring.pilots.flags.writeable
+    assert not any(kept.pilots.flags.writeable for kept, _ in base.decisions.values())
 
 
 def test_a_base_made_for_another_network_or_cap_is_rejected():
