@@ -63,9 +63,9 @@ def interference_matrix(alpha: np.ndarray, clusters: np.ndarray) -> np.ndarray:
     """
     # gathered[k2, l, k] = alpha[clusters[k2, l], k]
     gathered = alpha[clusters]
-    cross = gathered.sum(axis=1).T          # cross[k, k2] = power user k receives from cluster of k2
-    own = np.diag(cross).copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cross = gathered.sum(axis=1).T      # cross[k, k2] = power user k receives from cluster of k2
+        own = np.diag(cross).copy()
         half = np.log1p(cross / own[:, None])
         weights = half + half.T
     np.fill_diagonal(weights, 0.0)
@@ -97,7 +97,10 @@ def interference_score(weights: np.ndarray, users, candidates) -> np.ndarray:
 
     Each total is summed left to right in the order of ``users``
     (``((w[c, u0] + w[c, u1]) + w[c, u2]) + ...``).  The diagonal is
-    zero, so a candidate among ``users`` adds nothing for itself.
+    zero, so a candidate among ``users`` adds nothing for itself.  This
+    order defines case-1 removal's degree-tie rule; removal keeps running
+    totals and calls this exact step only for near ties (see
+    :func:`ucran.stage1.select_users_case1`).
     """
     block = weights[np.ix_(candidates, users)]
     if block.shape[1] == 0:

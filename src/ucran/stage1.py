@@ -21,9 +21,13 @@ checks the weights, whichever branch runs.  The base keeps each budget's
 deterministic decision too, the removal made without a random generator
 or the spread, so a later call at that budget reuses it.  Removal gets
 the over-budget base graph alone: a round takes its victim's adjacency
-row off one running degree vector, and only then cuts out and colors the
-survivors for the budget test, once ``ceil(survivors / reuse_cap)`` no
-longer exceeds the budget.  Each branch returns only its decision;
+row off one running degree vector and its weight column off the running
+weight totals beside it, and only then cuts out and colors the survivors
+for the budget test, once ``ceil(survivors / reuse_cap)`` no longer
+exceeds the budget.  A degree tie is settled on the running totals unless
+another total lies within their error bound of the best; only such a
+near tie is re-summed left to right, so the victims are those of the
+left-to-right rule.  Each branch returns only its decision;
 :func:`run_stage1` builds the :class:`Stage1Result`, whose single pilot
 array (:class:`~ucran.coloring.PilotAssignment`) holds the admitted
 users' pilots.
@@ -178,40 +182,76 @@ def select_users_case1(weights: np.ndarray, pilot_budget: int, reuse_cap: int,
     the coloring of the users left and the removed users in removal order.
     The victim is the active user with the most conflict edges, ties
     broken by the largest total of the (K, K) pilot-interference
-    ``weights`` to the other active users
-    (:func:`~ucran.conflict_graph.interference_score`), then by lowest
-    user id.  With ``rng`` it is drawn uniformly from the active users.
+    ``weights`` to the other active users, summed left to right in
+    ascending id (:func:`~ucran.conflict_graph.interference_score`), then
+    by lowest user id.  With ``rng`` it is drawn uniformly from the
+    active users.
 
-    The degrees are summed once; each victim then takes one off each of
-    its neighbours.  A removed user, or one outside ``graph.users``, reads
-    a negative degree, so it never ties for the maximum.  A capped
-    coloring of n users needs at least ``ceil(n / reuse_cap)`` pilots, so
-    while that exceeds the budget the loop goes on without one.  The
-    survivors are restricted out of ``graph`` and colored only for the
-    budget test, once that bound no longer decides it; no victim pick
-    reads a coloring.
+    The degrees and the weight totals are summed once; each victim then
+    takes one off each of its neighbours' degrees and its weight column
+    off the running totals.  A removed user, or one outside
+    ``graph.users``, reads a negative degree, so it never ties for the
+    maximum.  A degree tie goes to the best running total unless another
+    tied total lies within the two sums' error bound of it
+    (:func:`_near_best`); only such near ties are re-summed left to right
+    by ``interference_score``, so the victim is the one the left-to-right
+    rule picks.  A capped coloring of n users needs at least
+    ``ceil(n / reuse_cap)`` pilots, so while that exceeds the budget the
+    loop goes on without one.  The survivors are restricted out of
+    ``graph`` and colored only for the budget test, once that bound no
+    longer decides it; no victim pick reads a coloring.
     """
     users = graph.users
     degrees = np.full(graph.num_users, -1, dtype=np.int64)
     degrees[users] = vertex_degrees(graph)[users]
+    if rng is None:
+        block = weights[:, users]
+        totals = block.sum(axis=1)
+        scale = np.abs(block).sum(axis=1)
+    survivors = len(users)
     trace: list[int] = []
     while True:
         if rng is None:
             tied = np.flatnonzero(degrees == degrees.max())
             victim = int(tied[0])
             if len(tied) > 1:
-                # argmax keeps the lowest id on a score tie
-                victim = int(tied[np.argmax(interference_score(weights, users, tied))])
+                near = tied[_near_best(totals[tied], scale[tied], len(users) + len(trace))]
+                victim = int(near[0])
+                if len(near) > 1:
+                    # argmax keeps the lowest id on a score tie
+                    score = interference_score(weights, np.flatnonzero(degrees >= 0), near)
+                    victim = int(near[np.argmax(score)])
+            totals -= weights[:, victim]
         else:
-            victim = int(rng.choice(users))
+            victim = int(rng.choice(np.flatnonzero(degrees >= 0)))
         trace.append(victim)
         degrees -= graph.adjacency[victim]
         degrees[victim] = -1
-        users = np.flatnonzero(degrees >= 0)
-        if -(-len(users) // reuse_cap) <= pilot_budget:
-            assignment = dsatur_color(graph.restrict(users), reuse_cap)
+        survivors -= 1
+        if -(-survivors // reuse_cap) <= pilot_budget:
+            assignment = dsatur_color(graph.restrict(np.flatnonzero(degrees >= 0)), reuse_cap)
             if assignment.num_pilots <= pilot_budget:
                 return assignment, tuple(trace)
+
+
+def _near_best(totals: np.ndarray, scale: np.ndarray, terms: int) -> np.ndarray:
+    """Ascending positions of the ``totals`` whose left-to-right sums may
+    reach the best one's: the best one's alone unless a near tie needs
+    the exact sums.
+
+    A running total adds weights and subtracts some of them again,
+    ``terms`` in all, whose magnitudes sum to at most ``2 * scale``: it
+    lies within ``terms * eps * scale`` of the exact sum, and a
+    left-to-right sum of the same weights within half that (Higham,
+    *Accuracy and Stability*, sec. 4.2; eps is twice the unit roundoff).
+    The slack gives each of a total and the best one
+    ``2 * terms * eps * scale``, more than its two sums can differ by
+    with room for the test's own rounding, so a total further below the
+    best has a strictly lower left-to-right sum: it is never the victim.
+    """
+    best = int(np.argmax(totals))
+    slack = 2 * terms * np.finfo(float).eps * (scale[best] + scale)
+    return np.flatnonzero(totals >= totals[best] - slack)
 
 
 def reallocate_case2(weights: np.ndarray, pilot_budget: int, reuse_cap: int,

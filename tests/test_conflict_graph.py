@@ -106,6 +106,17 @@ def test_matrix_rejects_non_finite_weights():
             interference_matrix(alpha, clusters)
 
 
+def test_matrix_rejects_a_cluster_gain_that_overflows_its_sum():
+    # two link gains near the float maximum: the cluster's received power
+    # sums to inf, which ends in the same error, not an overflow warning
+    alpha = np.full((2, 2), 8.98850153e307)
+    clusters = np.array([[0, 1], [1, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            interference_matrix(alpha, clusters)
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=30, deadline=None)
 def test_matrix_matches_scalar_definition(seed):

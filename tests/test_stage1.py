@@ -122,7 +122,7 @@ def test_spread_separates_strong_pairs(two_triangle_instance):
     assert result.threshold is not None
 
 
-def test_removal_case_on_two_triangles(two_triangle_instance):
+def test_removal_case_on_two_triangles(two_triangle_instance, monkeypatch):
     # Every user has degree 2 and, to the other five, two in-triangle
     # weights a = 2 ln(1.5000005), its matched cross pair b = 2 ln(1.5) and
     # two unmatched cross pairs c = 2 ln(1.2500005).
@@ -142,9 +142,12 @@ def test_removal_case_on_two_triangles(two_triangle_instance):
     round2 = interference_score(weights, [0, 2, 3, 4, 5], [0, 2, 4])
     assert round2[0] < round2[1] == round2[2]
 
+    calls = _count_score_calls(monkeypatch)
     result = run_stage1(two_triangle_instance, pilot_budget=2, reuse_cap=4)
     assert result.case_taken == CASE_REMOVAL
     assert result.removal_trace == (1, 2)
+    # both rounds' ties are near ties, settled by the exact left-to-right sums
+    assert calls
     np.testing.assert_array_equal(result.admitted, [0, 3, 4, 5])
     assert result.colors_used == 2
     # base_colors is the full graph's, not the survivors'
@@ -434,3 +437,88 @@ def test_removal_colors_only_for_the_budget_test(policy, seed, monkeypatch):
     assert result.case_taken == CASE_REMOVAL
     survivors = [60 - r for r in range(1, len(result.removal_trace) + 1)]
     assert calls == [60] + [n for n in survivors if -(-n // cap) <= budget]
+
+
+def _count_score_calls(monkeypatch):
+    calls = []
+
+    def counting(weights, users, candidates):
+        calls.append(list(candidates))
+        return interference_score(weights, users, candidates)
+
+    monkeypatch.setattr("ucran.stage1.interference_score", counting)
+    return calls
+
+
+def _clusters_of(edges, num_users):
+    """Clusters whose overlap graph is exactly ``edges``: one RRH per edge,
+    padded with private RRHs to the largest degree."""
+    owned = [[] for _ in range(num_users)]
+    for rrh, (a, b) in enumerate(edges):
+        owned[a].append(rrh)
+        owned[b].append(rrh)
+    size = max(1, max(map(len, owned)))
+    spare = iter(range(len(edges), len(edges) + size * num_users))
+    return np.array([rrhs + [next(spare) for _ in range(size - len(rrhs))] for rrhs in owned])
+
+
+def _check_removal_against_the_oracle(weights, edges, pilot_budget, reuse_cap, monkeypatch):
+    clusters = _clusters_of(edges, len(weights))
+    calls = _count_score_calls(monkeypatch)
+    assignment, trace = select_users_case1(weights, pilot_budget, reuse_cap,
+                                           build_base_graph(clusters))
+    want_trace, want_pilots = select_users_case1_reference(clusters, weights,
+                                                           pilot_budget, reuse_cap)
+    assert trace == want_trace
+    np.testing.assert_array_equal(assignment.pilots, want_pilots)
+    return trace, calls
+
+
+def test_a_near_tie_of_equal_weights_in_another_order_is_summed_exactly(monkeypatch):
+    # users 0 and 1 share the one edge and the weight 1.0, and each holds
+    # the same eight weights to users 2-9, user 1's rotated by five places.
+    # Left to right user 0's total comes out one ulp above user 1's; the
+    # running totals, summed pairwise, read one ulp the other way.  Both
+    # lie within the error bound, so the exact sums decide: user 0 goes.
+    spread = np.array([0.1, 0.2, 0.3, 0.7, 1.1, 0.6, 0.9, 1.3])
+    weights = np.zeros((10, 10))
+    weights[0, 1] = 1.0
+    weights[0, 2:] = spread
+    weights[1, 2:] = np.roll(spread, -5)
+    weights = weights + weights.T
+    left_to_right = interference_score(weights, range(10), [0, 1])
+    assert left_to_right[0] - left_to_right[1] == np.spacing(left_to_right[1])
+
+    trace, calls = _check_removal_against_the_oracle(weights, [(0, 1)], 1, 10, monkeypatch)
+    assert trace == (0,)
+    assert calls == [[0, 1]]
+
+
+def test_a_near_tie_behind_a_huge_removed_weight_is_summed_exactly(monkeypatch):
+    # user 0 conflicts with 1-4 and goes first on degree alone.  User 1's
+    # weight to it is 1e16, whose ulp is 2: user 1's running total
+    # 1e16 + 1 + 1 + 1 rounds to 1e16 and reads 0 once that weight is taken
+    # off, though its other weights sum to 3.  Round 2 ties users 1-4 on
+    # degree 1 and user 2's running total 2 is the best.  Users 3 (0) and
+    # 4 (1) lie clear below it, but user 1's bound (about 30) covers it,
+    # so the exact sums of 1 and 2 decide: user 1 (3) goes before user 2
+    # (2).  Then 2 and 4 tie on clear totals.
+    weights = np.zeros((6, 6))
+    for a, b, weight in ((0, 1, 1e16), (1, 2, 1.0), (1, 4, 1.0), (1, 5, 1.0), (2, 5, 1.0)):
+        weights[a, b] = weights[b, a] = weight
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (2, 4)]
+    trace, calls = _check_removal_against_the_oracle(weights, edges, 1, 6, monkeypatch)
+    assert trace == (0, 1, 2)
+    assert calls == [[1, 2]]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_dense_removal_settles_every_tie_on_the_running_totals(seed, monkeypatch):
+    # the benchmark's dense case-1 point: no tie is close enough to need
+    # the exact sums
+    instance = build_network(SimConfig(num_rrhs=324, num_users=216, cluster_size=4), seed=seed)
+    calls = _count_score_calls(monkeypatch)
+    result = run_stage1(instance, 8, 4)
+    assert result.case_taken == CASE_REMOVAL
+    assert len(result.removal_trace) == 184
+    assert calls == []
