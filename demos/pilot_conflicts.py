@@ -26,8 +26,8 @@ print(f"conflict graph: {graph.adjacency.sum() // 2} edges, "
 assignment = dsatur_color(graph, config.reuse_cap)
 print(f"capacitated coloring: {assignment.num_pilots} pilots "
       f"for {config.num_users} users (cap {config.reuse_cap} per pilot)")
-for pilot, group in assignment.groups.items():
-    print(f"  pilot {pilot}: users {group}")
+for pilot in range(assignment.num_pilots):
+    print(f"  pilot {pilot}: users {np.flatnonzero(assignment.pilots == pilot).tolist()}")
 validate_assignment(graph, assignment, config.reuse_cap)
 
 # pairwise weights say how bad sharing a pilot would be

@@ -2,8 +2,8 @@
 
 Array conventions: true channels are (num_rrhs, num_users, antennas)
 complex and read-only, and only the pilot phase reads them; a
-:class:`SharedFading` holder keeps one seed's draw for every trial of
-that seed, and without one they live only through the call.  Error
+:class:`Fading` value keeps one seed's draw for every trial of that
+seed, and without one they live only through the call.  Error
 variances are (num_rrhs, num_users) per antenna.  Estimates are stored
 on the only links they are made on, each user's cluster links:
 (num_users, L, antennas) on :attr:`ChannelState.links`, the L cluster
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import PilotAssignment
-from .topology import NetworkInstance, SimConfig, STREAM_FADING, stream_rng
+from .topology import NetworkInstance, SimConfig, STREAM_FADING, read_only, stream_rng
 
 
 @dataclass(frozen=True)
@@ -117,53 +117,46 @@ def perfect_csi(true_channels: np.ndarray, clusters: np.ndarray,
     return estimates, error_var
 
 
-class SharedFading:
-    """One seed's fading draw, made by the first :func:`build_channel_state`
-    call given this holder and reused by the later ones.
+@dataclass(frozen=True)
+class Fading:
+    """One seed's fading draw: its true channels, read-only, and the
+    fading stream's state just after drawing them, so a pilot phase that
+    restores it continues the stream exactly as after a fresh draw."""
 
-    It keeps the true channels, read-only, and the fading stream's state
-    just after drawing them, so each call's pilot noise continues the
-    stream exactly as after a fresh draw.
-    """
+    seed: int
+    channels: np.ndarray    # (I, K, M) complex
+    stream: dict            # the fading stream's bit-generator state
 
-    def __init__(self):
-        self.seed = None
-        self.channels = None
-        self.state = None
 
-    def draw(self, alpha: np.ndarray, antennas: int, seed: int):
-        """(true channels, fading stream positioned just after them).
-        ValueError when the draw was made for another seed or shape."""
-        rng = stream_rng(seed, STREAM_FADING)
-        if self.channels is None:
-            self.channels = draw_channels(alpha, antennas, rng)
-            self.channels.flags.writeable = False
-            self.seed, self.state = seed, rng.bit_generator.state
-        elif seed != self.seed or self.channels.shape != alpha.shape + (antennas,):
-            raise ValueError(f"the shared fading was drawn for seed {self.seed} and shape "
-                             f"{self.channels.shape}, not seed {seed} and shape "
-                             f"{alpha.shape + (antennas,)}")
-        else:
-            rng.bit_generator.state = self.state
-        return self.channels, rng
+def draw_fading(alpha: np.ndarray, antennas: int, seed: int) -> Fading:
+    """The fading stream's first draw for ``seed``, as a :class:`Fading`."""
+    rng = stream_rng(seed, STREAM_FADING)
+    channels = draw_channels(alpha, antennas, rng)
+    return read_only(Fading(seed=seed, channels=channels, stream=rng.bit_generator.state))
 
 
 def build_channel_state(instance: NetworkInstance, assignment: PilotAssignment,
                         config: SimConfig, seed: int,
                         perfect: bool = False, *,
-                        fading: SharedFading | None = None) -> ChannelState:
+                        fading: Fading | None = None) -> ChannelState:
     """Draw fading, run the pilot phase, estimate on each user's cluster
     links in ascending RRH order.
 
     The fading stream draws the true channels first, so perfect and
     imperfect modes see identical physics for the same seed.  Calls given
-    the same ``fading`` holder share one draw (see :class:`SharedFading`);
-    without one, the call draws its own.  ValueError when an error
-    variance or estimate is not finite (extreme gains).
+    the same ``fading`` (see :func:`draw_fading`) share one draw; without
+    one, the call draws its own.  ValueError when ``fading`` was drawn for
+    another seed or shape, or when an error variance or estimate is not
+    finite (extreme gains).
     """
+    shape = instance.alpha.shape + (config.antennas_per_rrh,)
     if fading is None:
-        fading = SharedFading()
-    h, rng = fading.draw(instance.alpha, config.antennas_per_rrh, seed)
+        fading = draw_fading(instance.alpha, config.antennas_per_rrh, seed)
+    elif fading.seed != seed or fading.channels.shape != shape:
+        raise ValueError(f"the fading was drawn for seed {fading.seed} and shape "
+                         f"{fading.channels.shape}, not seed {seed} and shape {shape}")
+    h, rng = fading.channels, stream_rng(seed, STREAM_FADING)
+    rng.bit_generator.state = fading.stream
     links = np.sort(instance.clusters, axis=1)
     if perfect:
         estimates, error_var = perfect_csi(h, links, assignment.users, instance.alpha)

@@ -10,8 +10,8 @@ given graph always yields the same assignment.
 
 An assignment is one ``(K,)`` array over the full user index set:
 ``pilots[k]`` is user k's pilot, or -1 when k holds none.  The holder
-list, the one-hot membership matrix and the per-pilot groups are all
-derived from that array here.
+list, the one-hot membership matrix and the per-pilot group sizes are
+all derived from that array here.
 """
 
 from __future__ import annotations
@@ -46,11 +46,6 @@ class PilotAssignment:
         users = self.users
         out[users, self.pilots[users]] = 1.0
         return out
-
-    @property
-    def groups(self) -> dict[int, list[int]]:
-        """Users per pilot, each list sorted by user id."""
-        return {c: np.flatnonzero(self.pilots == c).tolist() for c in range(self.num_pilots)}
 
     def group_sizes(self) -> np.ndarray:
         return np.bincount(self.pilots[self.users], minlength=self.num_pilots)

@@ -7,17 +7,18 @@ all algorithms and sweep points see identical placements, shadowing and
 fading.  Algorithm-local randomness (random user picks in the baselines)
 draws from its own stream and cannot shift the physics.
 
-A campaign runs its trials seed by seed, and every trial of a seed shares
-that seed's work through one memo: per cluster size one network and one
-stage-1 base (base graph, base coloring, pilot-interference weights and
-each budget's deterministic stage-1 decision), one fading draw, and one
-channel state and admission per input they read (cluster size, CSI mode
-and pilots).  Each trial calls stage 1 itself with its algorithm's flags,
-so :func:`~ucran.stage1.run_stage1` alone decides its branch and case, and
-two rows share an admission exactly when their pilots and CSI mode agree.
-Every row still runs its own pilot check and audit.  Rows still come out
-cell by cell, and a failing trial stops the campaign at the first failure
-in seed order.
+A campaign runs its trials seed by seed, and every trial of a seed
+shares that seed's work through one :class:`~ucran.topology.Memo`: per
+cluster size one network and one stage-1 base (itself a memo of the
+base graph, base coloring, pilot-interference weights and each budget's
+deterministic stage-1 decision), one fading draw, and one channel state
+and admission per input they read (cluster size, CSI mode and pilots).
+Each trial calls stage 1 itself with its algorithm's flags, so
+:func:`~ucran.stage1.run_stage1` alone decides its branch and case, and
+two rows share an admission exactly when their pilots and CSI mode
+agree.  Every row still runs its own pilot check and audit.  Rows still
+come out cell by cell, and a failing trial stops the campaign at the
+first failure in seed order.
 """
 
 from __future__ import annotations
@@ -29,15 +30,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import SharedFading, build_channel_state
+from .channel import build_channel_state, draw_fading
 from .coloring import PilotAssignment, validate_assignment
 from .coloring import dsatur_color  # noqa: F401  (perfbench/spans.py wraps this name)
 from .conflict_graph import build_base_graph  # noqa: F401  (perfbench/spans.py wraps this name)
 from .stage1 import Stage1Base, Stage1Result, run_stage1, shared_base
 from .stage1 import select_users_case1  # noqa: F401  (perfbench/spans.py wraps this name)
 from .stage2 import AdmissionSolution, admission_loop
-from .topology import (NetworkInstance, STREAM_BASELINE, SimConfig, build_network,
-                       check_integer, stream_rng)
+from .topology import (Memo, NetworkInstance, STREAM_BASELINE, SimConfig, build_network,
+                       check_integer, read_only, stream_rng)
 
 ALG_PROPOSED = "proposed"
 ALG_ORTHO = "ortho"
@@ -148,38 +149,8 @@ def _check_algorithm(algorithm: str) -> None:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
 
-def _read_only(value):
-    """``value`` with every array in it, nested dataclasses included,
-    made read-only; anything else is returned as is."""
-    if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    elif dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            _read_only(getattr(value, field.name))
-    return value
-
-
-class _SeedPhysics:
-    """What every trial of one seed shares: its fading draw, and a memo
-    of whatever else its trials make, each made on first use with its
-    arrays read-only, so a stage that writes into one fails instead of
-    changing a later trial.
-    """
-
-    def __init__(self):
-        self.fading = SharedFading()
-        self.memo: dict[tuple, object] = {}
-
-    def once(self, key: tuple, make):
-        """The value kept under ``key``, made by ``make`` on first use."""
-        value = self.memo.get(key)
-        if value is None:
-            value = self.memo[key] = _read_only(make())
-        return value
-
-
 def run_trial(config: SimConfig, seed: int, algorithm: str,
-              return_details: bool = False, *, physics: _SeedPhysics | None = None):
+              return_details: bool = False, *, physics: Memo | None = None):
     """Full pipeline for one seed: topology, stage 1, channels, stage 2.
 
     With ``return_details`` the stage results come back alongside the
@@ -195,7 +166,7 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
     _check_algorithm(algorithm)
     check_integer("seed", seed, 0)
     if physics is None:
-        physics = _SeedPhysics()
+        physics = Memo()
     size, budget, cap = config.cluster_size, config.pilot_count, config.reuse_cap
     instance = physics.once(("network", size), lambda: build_network(config, seed))
     base = physics.once(("base", size), lambda: Stage1Base(instance, cap))
@@ -205,7 +176,7 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
         rng = stream_rng(seed, STREAM_BASELINE) if algorithm == ALG_CON else None
         s1 = run_stage1(instance, budget, cap, spread=algorithm in (ALG_PROPOSED, ALG_PERFECT),
                         rng=rng, base=base)
-    _read_only(s1)
+    read_only(s1)
 
     # a hard guarantee: co-clustered users must never share a pilot
     try:
@@ -216,8 +187,10 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
     perfect, pilots = algorithm == ALG_PERFECT, s1.assignment
 
     def admit() -> AdmissionSolution:
+        fading = physics.once(("fading",), lambda: draw_fading(
+            instance.alpha, config.antennas_per_rrh, seed))
         state = build_channel_state(instance, pilots, config, seed, perfect=perfect,
-                                    fading=physics.fading)
+                                    fading=fading)
         return admission_loop(instance, s1, state, config)
 
     # the inputs of both stages that differ between a campaign's trials of one seed
@@ -293,7 +266,7 @@ def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
         (algorithm, size, budget): []
         for algorithm in algorithms for size in cluster_sizes for budget in pilot_budgets}
     for seed in seeds:
-        physics = _SeedPhysics()    # drops the previous seed's before any draw
+        physics = Memo()    # drops the previous seed's before any draw
         for size in cluster_sizes:
             for algorithm in algorithms:
                 for budget in pilot_budgets:

@@ -17,26 +17,21 @@ The base conflict graph is colored once.  Four outcomes:
 The base graph, its coloring and the pairwise weights (read nowhere
 else) come from a :class:`Stage1Base`: one per call, or one shared by
 every call on the same network and reuse cap; every call makes and
-checks the weights, whichever branch runs.  The base keeps each budget's
-deterministic decision too, the removal made without a random generator
-or the spread, so a later call at that budget reuses it.  Removal gets
-the over-budget base graph alone: a round takes its victim's adjacency
-row off one running degree vector and its weight column off the running
-weight totals beside it, and only then cuts out and colors the survivors
-for the budget test, once ``ceil(survivors / reuse_cap)`` no longer
-exceeds the budget.  A degree tie is settled on the running totals unless
-another total lies within their error bound of the best; only such a
-near tie is re-summed left to right, so the victims are those of the
-left-to-right rule.  Each branch returns only its decision;
-:func:`run_stage1` builds the :class:`Stage1Result`, whose single pilot
-array (:class:`~ucran.coloring.PilotAssignment`) holds the admitted
-users' pilots.
+checks the weights, whichever branch runs.  The base is a
+:class:`~ucran.topology.Memo`, so it keeps each budget's deterministic
+decision too, the removal made without a random generator or the
+spread, for a later call at that budget.  Removal gets the over-budget
+base graph alone (:func:`select_users_case1` says how it picks its
+victims).  Each branch returns only its decision; :func:`run_stage1`
+builds the :class:`Stage1Result`, whose single pilot array
+(:class:`~ucran.coloring.PilotAssignment`) holds the admitted users'
+pilots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -49,7 +44,7 @@ from .conflict_graph import (
     interference_score,
     vertex_degrees,
 )
-from .topology import NetworkInstance, check_integer
+from .topology import Memo, NetworkInstance, check_integer
 
 CASE_REMOVAL = "case1"      # over budget, users removed
 CASE_SPREAD = "case2"       # under budget, co-pilot groups spread apart
@@ -79,47 +74,33 @@ class Stage1Result:
         return self.assignment.num_pilots
 
 
-class Stage1Base:
+class Stage1Base(Memo):
     """What every stage-1 call on one network and reuse cap shares: the
     base conflict graph, its DSatur coloring under the cap, the (K, K)
     pilot-interference weights, and per budget the one decision that
-    needs no random generator (the removal or the spread).  Each is made
-    on first use and kept, with its arrays read-only, so a stage that
-    writes into one fails instead of changing a later call.
+    needs no random generator (the removal or the spread).  As a
+    :class:`~ucran.topology.Memo` it makes each on first use and keeps it,
+    its arrays read-only.
     """
 
     def __init__(self, instance: NetworkInstance, reuse_cap: int):
+        super().__init__()
         self.instance = instance
         self.reuse_cap = reuse_cap
-        self.decisions: dict[int, tuple] = {}
 
-    def decision(self, pilot_budget: int, make) -> tuple:
-        """The (assignment, trace or threshold) of ``pilot_budget``, made by
-        ``make`` on first use, its pilots read-only."""
-        decision = self.decisions.get(pilot_budget)
-        if decision is None:
-            decision = self.decisions[pilot_budget] = make()
-            decision[0].pilots.flags.writeable = False
-        return decision
-
-    @cached_property
+    @property
     def weights(self) -> np.ndarray:
         """ValueError when a weight is not finite."""
-        weights = interference_matrix(self.instance.alpha, self.instance.clusters)
-        weights.flags.writeable = False
-        return weights
+        return self.once(("weights",), lambda: interference_matrix(
+            self.instance.alpha, self.instance.clusters))
 
-    @cached_property
+    @property
     def graph(self) -> ConflictGraph:
-        graph = build_base_graph(self.instance.clusters)
-        graph.adjacency.flags.writeable = graph.users.flags.writeable = False
-        return graph
+        return self.once(("graph",), lambda: build_base_graph(self.instance.clusters))
 
-    @cached_property
+    @property
     def coloring(self) -> PilotAssignment:
-        coloring = dsatur_color(self.graph, self.reuse_cap)
-        coloring.pilots.flags.writeable = False
-        return coloring
+        return self.once(("coloring",), lambda: dsatur_color(self.graph, self.reuse_cap))
 
 
 def shared_base(instance: NetworkInstance, reuse_cap: int,
@@ -159,10 +140,11 @@ def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
     if base_colors > pilot_budget:
         case = CASE_REMOVAL
         remove = partial(select_users_case1, weights, pilot_budget, reuse_cap, base.graph, rng=rng)
-        assignment, trace = remove() if rng is not None else base.decision(pilot_budget, remove)
+        assignment, trace = remove() if rng is not None else base.once(
+            ("removal", pilot_budget), remove)
     elif base_colors < pilot_budget and spread:
         case = CASE_SPREAD
-        assignment, threshold = base.decision(pilot_budget, partial(
+        assignment, threshold = base.once(("spread", pilot_budget), partial(
             reallocate_case2, weights, pilot_budget, reuse_cap, base.graph, base_assignment))
     else:
         case = CASE_EXACT if base_colors == pilot_budget else CASE_BASE

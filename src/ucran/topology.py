@@ -4,10 +4,13 @@ Every source of randomness draws from ``numpy.random.default_rng((seed, TAG))``
 where TAG is one of the stream constants below.  The campaign harness derives
 trial seeds as ``master_seed + trial_index``, so two algorithms evaluated at
 the same trial seed see identical RRH/user placements, shadowing and fading.
+As the bottom layer it also holds the one read-only rule and the one memo
+(:func:`read_only`, :class:`Memo`) by which later layers share a value.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -37,6 +40,38 @@ def check_integer(name: str, value, minimum: int = 1) -> None:
     of at least ``minimum``: the one rule for every count and seed."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
+
+
+def read_only(value):
+    """``value`` with every array in it, in tuples and dataclasses too,
+    made read-only: the one rule for anything a later call reads again.
+    Anything else is returned as is."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            # a scalar holds no array, so a long trace of user ids stays cheap
+            if not isinstance(item, (int, float)):
+                read_only(item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            read_only(getattr(value, field.name))
+    return value
+
+
+class Memo:
+    """Values made on first use and kept, each through :func:`read_only`,
+    so a stage that writes into one fails instead of changing a later
+    reader."""
+
+    def __init__(self):
+        self.kept: dict[tuple, object] = {}
+
+    def once(self, key: tuple, make):
+        """The value kept under ``key``, made by ``make`` on first use."""
+        if key not in self.kept:
+            self.kept[key] = read_only(make())
+        return self.kept[key]
 
 
 def _finite(func, *args) -> bool:

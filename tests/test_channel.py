@@ -14,7 +14,7 @@ from ucran import (
     run_stage1,
     simulate_pilot_rx,
 )
-from ucran.channel import SharedFading, perfect_csi
+from ucran.channel import draw_fading, perfect_csi
 from ucran.topology import STREAM_FADING, stream_rng
 
 from oracles import draw_channels_reference, pilot_rx_reference, scatter_links
@@ -271,7 +271,8 @@ def test_copilot_users_never_share_cluster_rrhs():
     cfg = SimConfig()
     instance = build_network(cfg, seed=9)
     s1 = run_stage1(instance, cfg.pilot_count, cfg.reuse_cap)
-    for group in s1.assignment.groups.values():
+    for pilot in range(s1.assignment.num_pilots):
+        group = np.flatnonzero(s1.assignment.pilots == pilot)
         for i, a in enumerate(group):
             for b in group[i + 1:]:
                 assert not set(instance.clusters[a]) & set(instance.clusters[b])
@@ -327,7 +328,8 @@ def test_shared_fading_draws_once_and_continues_the_stream():
     cfg = SimConfig(num_rrhs=6, num_users=4, cluster_size=2, area_side=200.0)
     instance = build_network(cfg, seed=8)
     s1 = run_stage1(instance, cfg.pilot_count, cfg.reuse_cap)
-    fading = SharedFading()
+    fading = draw_fading(instance.alpha, cfg.antennas_per_rrh, seed=8)
+    assert not fading.channels.flags.writeable
     shared = [build_channel_state(instance, s1.assignment, cfg, seed=8, perfect=perfect,
                                   fading=fading)
               for perfect in (False, True, False)]
@@ -338,3 +340,6 @@ def test_shared_fading_draws_once_and_continues_the_stream():
         np.testing.assert_array_equal(a.error_var, b.error_var)
     with pytest.raises(ValueError, match="drawn for seed 8 .* not seed 9"):
         build_channel_state(instance, s1.assignment, cfg, seed=9, fading=fading)
+    other = draw_fading(instance.alpha, cfg.antennas_per_rrh + 1, seed=8)
+    with pytest.raises(ValueError, match=r"shape \(6, 4, 3\), not seed 8 and shape \(6, 4, 2\)"):
+        build_channel_state(instance, s1.assignment, cfg, seed=8, fading=other)

@@ -61,3 +61,15 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_topology_imports_no_ucran_module():
     assert _imported_modules(PACKAGE / "topology.py") == []
+
+
+def test_one_read_only_rule_and_one_memo():
+    # topology.read_only alone freezes arrays and topology.Memo alone keeps
+    # values: a second idiom for either would drift from the first
+    allowed = {"flags.writeable": {"topology"}, "cached_property": set()}
+    problems = [f"{path.name}:{lineno}: {idiom}"
+                for path in sorted(PACKAGE.glob("*.py"))
+                for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+                for idiom, modules in allowed.items()
+                if idiom in line and path.stem not in modules]
+    assert problems == []

@@ -107,7 +107,7 @@ def test_two_triangles_base_pairs(two_triangle_instance):
     base = build_base_graph(two_triangle_instance.clusters)
     assignment = dsatur_color(base, reuse_cap=4)
     assert assignment.num_pilots == 3
-    groups = {tuple(v) for v in assignment.groups.values()}
+    groups = {tuple(np.flatnonzero(assignment.pilots == c)) for c in range(3)}
     assert groups == {(0, 1), (2, 3), (4, 5)}
 
 
@@ -235,7 +235,9 @@ def test_a_shared_base_gives_each_call_its_own_result(budget, made, monkeypatch)
                                         alone.threshold, alone.base_colors)
         np.testing.assert_array_equal(shared.assignment.pilots, alone.assignment.pilots)
     assert not base.weights.flags.writeable and not base.coloring.pilots.flags.writeable
-    assert not any(kept.pilots.flags.writeable for kept, _ in base.decisions.values())
+    decisions = [kept for key, kept in base.kept.items() if key[0] in ("removal", "spread")]
+    assert len(decisions) == len(made)    # one kept decision per kind of branch
+    assert not any(assignment.pilots.flags.writeable for assignment, _ in decisions)
 
 
 def test_a_base_made_for_another_network_or_cap_is_rejected():

@@ -10,11 +10,13 @@ from hypothesis.extra.numpy import arrays
 from ucran import SimConfig, build_network, make_config, pairwise_distances
 from ucran.topology import (
     FIELD_RULES,
+    Memo,
     STREAM_PLACEMENT,
     STREAM_SHADOWING,
     build_clusters,
     compute_large_scale,
     load_config_file,
+    read_only,
     stream_rng,
 )
 
@@ -365,3 +367,31 @@ def test_instance_is_immutable():
     inst = build_network(cfg, seed=0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         inst.alpha = None
+
+
+@pytest.mark.parametrize("kept", [None, ()], ids=["None", "empty"])
+def test_memo_makes_a_falsy_value_once(kept):
+    memo, made = Memo(), []
+
+    def make():
+        made.append(1)
+        return kept
+
+    assert [memo.once(("key",), make) for _ in range(3)] == [kept] * 3
+    assert made == [1]
+
+
+def test_memo_keeps_arrays_in_tuples_and_dataclasses_read_only():
+    @dataclasses.dataclass(frozen=True)
+    class Holder:
+        array: np.ndarray
+        nested: tuple
+
+    inner, outer, loose = np.zeros(2), np.zeros(3), np.zeros(4)
+    memo = Memo()
+    kept = memo.once(("key",), lambda: (Holder(array=inner, nested=(outer, 5)), loose, "x"))
+    assert kept[0].array is inner and kept[1] is loose
+    for array in (inner, outer, loose):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    assert read_only(7) == 7
