@@ -19,6 +19,20 @@ two rows share an admission exactly when their pilots and CSI mode
 agree.  Every row still runs its own pilot check and audit.  Rows still
 come out cell by cell, and a failing trial stops the campaign at the
 first failure in seed order.
+
+Within a seed's memo, what each key's value reads (every other config
+field is fixed for a campaign):
+
+- ``("network", L)``: the config with cluster size L.  Only the clusters
+  read L; the positions and ``alpha`` come from the placement and
+  shadowing streams, which do not.
+- ``("base", L)``: that network and the reuse cap.
+- ``("fading",)``: ``alpha``, the antenna count and the seed.  It is
+  drawn from the ``alpha`` of whichever L comes first, which is right
+  only because ``alpha`` does not read L (tested).
+- ``("admission", L, perfect, num_pilots, pilots)``: that network, the
+  fading, the CSI mode and the pilots; stage 1's admitted users are the
+  pilot holders, so nothing else of the stage-1 result is read.
 """
 
 from __future__ import annotations

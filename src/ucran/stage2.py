@@ -104,9 +104,12 @@ def robust_beam_direction(channel_state: ChannelState, valid: np.ndarray,
     # pairs are keys, so the inverse indexes its covariance blocks.
     keys = rrhs[:, :, None] * num_rrhs + rrhs[:, None, :]
     keys, block = np.unique(keys.ravel(), return_inverse=True)
-    table = np.zeros((keys.size, antennas, antennas), dtype=complex)
-    np.add.at(table, block, (est[:, :, None, :, None] * est[:, None, :, None, :].conj())
-              .reshape(-1, antennas, antennas))
+    outer = est[:, :, None, :, None] * est[:, None, :, None, :].conj()
+    # entry e of block b sits at b*M*M + e; bincount adds in input order
+    entry = (block[:, None] * antennas ** 2 + np.arange(antennas ** 2)).ravel()
+    table = np.empty((keys.size, antennas, antennas), dtype=complex)
+    table.real = np.bincount(entry, outer.real.ravel(), table.size).reshape(table.shape)
+    table.imag = np.bincount(entry, outer.imag.ravel(), table.size).reshape(table.shape)
     cov = table[block.reshape(n, width, width)]
     cov[~(valid[:, :, None] & valid[:, None, :])] = 0.0
     cov = cov.transpose(0, 1, 3, 2, 4).reshape(n, dim, dim)
@@ -224,7 +227,13 @@ class PowerControlResult:
     margins: np.ndarray   # per-user signal margin at the effective target
 
 
-@np.errstate(over="ignore")
+# Power control runs its iterates in blocks of rows, the first few small so
+# a quick fixed point costs little, then doubling up to this many.
+_FIRST_BLOCK = 4
+_MAX_BLOCK = 128
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def power_allocation_fixed_point(signal: np.ndarray, self_err: np.ndarray,
                                  cross: np.ndarray, sinr_target: float,
                                  noise_power: float, rrh_share: np.ndarray,
@@ -239,6 +248,15 @@ def power_allocation_fixed_point(signal: np.ndarray, self_err: np.ndarray,
     monotonically to the minimal fixed point whenever one exists.  The
     target carries a tiny positive margin so the converged (slightly
     truncated) iterate still clears the nominal target exactly.
+
+    The iterates are computed in blocks of rows, each row by the BLAS
+    matrix-vector product that ``cross @ p`` makes of a C- or
+    Fortran-ordered ``cross`` and the same three element-wise steps in the
+    same order, so every iterate is the one a step-at-a-time loop makes,
+    bit for bit.  The stop tests run once per block, and the first row in
+    iterate order where one fires is returned: the total-power ceiling
+    before the relative stop within a row, as a step-at-a-time loop tests
+    them.  Rows computed past it are discarded.
 
     Infeasibility is a normal return: zero margin, iterates passing the
     total-power ceiling implied by the per-RRH caps (an overflow does),
@@ -265,20 +283,39 @@ def power_allocation_fixed_point(signal: np.ndarray, self_err: np.ndarray,
         raise ValueError(f"power control underflow: first iterate {first.min():.3g} mW, "
                          f"SINR target times noise {floor:.3g}; too small to carry the target")
     ceiling = rrh_power_cap * rrh_share.shape[0]
-    p = np.zeros(n)
-    for _ in range(max_iters):
-        p_new = gamma_eff * (cross @ p + noise_power) / margins
-        if p_new.sum() > ceiling:
-            return PowerControlResult(False, p_new, "ceiling", margins)
+    # the scalars as 0-d arrays: the same values, and cheaper in-place steps
+    noise, gain = np.array(noise_power, dtype=float), np.array(gamma_eff, dtype=float)
+    # row 0 holds the last iterate of the previous block (zero at the start),
+    # rows 1..size the block's own
+    rows = np.zeros((max(0, min(max_iters, _MAX_BLOCK)) + 1, n))
+    size, left = _FIRST_BLOCK, max_iters
+    while left > 0:
+        size = min(size, left)
+        block = rows[:size + 1]
+        for p, p_new in zip(block[:-1], block[1:]):
+            # p_new = gamma_eff * (cross @ p + noise) / margins, step by step
+            np.dot(cross, p, out=p_new)
+            p_new += noise
+            p_new *= gain
+            p_new /= margins
+        new = block[1:]
+        over = new.sum(axis=1) > ceiling
         # per-component relative stop: keeps every user's converged SINR
         # within rel_tol of the effective target, so the margin still
         # clears the nominal one
-        done = bool((np.abs(p_new - p) <= rel_tol * p_new).all())
-        p = p_new
-        if done:
+        done = (np.abs(new - block[:-1]) <= rel_tol * new).all(axis=1)
+        stop = over | done
+        if stop.any():
+            row = int(np.argmax(stop))
+            p = new[row].copy()
+            if over[row]:
+                return PowerControlResult(False, p, "ceiling", margins)
             break
+        rows[0] = new[-1]
+        left -= size
+        size = min(2 * size, _MAX_BLOCK)
     else:
-        return PowerControlResult(False, p, "no_convergence", margins)
+        return PowerControlResult(False, rows[0].copy(), "no_convergence", margins)
     if (rrh_share @ p > rrh_power_cap).any():
         return PowerControlResult(False, p, "rrh_cap", margins)
     return PowerControlResult(True, p, "", margins)

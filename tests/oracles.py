@@ -3,20 +3,21 @@
 Everything here is deliberately brute-force and shares no code with the
 package: exhaustive capped coloring by backtracking, Monte Carlo ergodic
 rates by direct channel redraws, power control by solving the linear
-fixed-point system, the pairwise pilot-interference weight one pair at a
-time and a user's total weight one term at a time, the cluster-overlap
-graph built on a user subset directly, fronthaul pruning one RRH at a
-time on per-user serving sets, DSatur picking each next vertex by a full
-(saturation, degree, id) key, case-1 user removal recoloring the
-survivors after every removal, and robust-beam covariance systems and
-rate coefficients as dense products over every RRH antenna, one user at
-a time, on estimates spread from each user's cluster links to every RRH,
-the local rate coefficients through a sorted-link CSR join, the pilot
-observation as one product of the channels with the one-hot pilot
-membership, and the distance matrix, the candidate clusters and the
-fading draw as the plain one-liners they were first written as (a
-broadcast difference summed over the coordinate axis, a full stable
-argsort per user, two normal draws added as complex parts).
+fixed-point system and by iterating it one step at a time, the pairwise
+pilot-interference weight one pair at a time and a user's total weight
+one term at a time, the cluster-overlap graph built on a user subset
+directly, fronthaul pruning one RRH at a time on per-user serving sets,
+DSatur picking each next vertex by a full (saturation, degree, id) key,
+case-1 user removal recoloring the survivors after every removal, and
+robust-beam covariance systems and rate coefficients as dense products
+over every RRH antenna, one user at a time, on estimates spread from
+each user's cluster links to every RRH, the local rate coefficients
+through a sorted-link CSR join, the pilot observation as one product of
+the channels with the one-hot pilot membership, and the distance matrix,
+the candidate clusters and the fading draw as the plain one-liners they
+were first written as (a broadcast difference summed over the coordinate
+axis, a full stable argsort per user, two normal draws added as complex
+parts).
 
 One oracle is exact by search rather than independent:
 :func:`max_served_reference` tries every subset of the pilot holders,
@@ -33,6 +34,7 @@ import numpy as np
 
 from ucran.stage2 import (
     AdmissionSolution,
+    PowerControlResult,
     enforce_fronthaul_cap,
     expected_rate_lb,
     power_allocation_fixed_point,
@@ -392,6 +394,55 @@ def solve_power_linear(signal: np.ndarray, self_err: np.ndarray,
     if (p < 0).any():
         return None
     return p
+
+
+@np.errstate(over="ignore")
+def power_fixed_point_reference(signal: np.ndarray, self_err: np.ndarray,
+                                cross: np.ndarray, sinr_target: float,
+                                noise_power: float, rrh_share: np.ndarray,
+                                rrh_power_cap: float, *,
+                                target_margin: float = 1e-7,
+                                max_iters: int = 10_000,
+                                rel_tol: float = 1e-8) -> PowerControlResult:
+    """:func:`~ucran.stage2.power_allocation_fixed_point` one step at a
+    time: each iterate is made, tested against the total-power ceiling,
+    then against the relative stop, before the next one is made.  Same
+    returns and the same underflow ValueError."""
+    n = signal.shape[0]
+    gamma_eff = sinr_target * (1.0 + target_margin)
+    margins = signal - gamma_eff * self_err
+    if n == 0:
+        return PowerControlResult(True, np.zeros(0), "", margins)
+    if sinr_target == 0.0:
+        return PowerControlResult(True, np.zeros(n), "", margins)
+    if (margins <= 0.0).any():
+        return PowerControlResult(False, np.zeros(n), "margin", margins)
+
+    # the iterates only increase, so the first one bounds them all below
+    floor = gamma_eff * noise_power
+    first = floor / margins
+    finfo = np.finfo(float)
+    if (first < finfo.tiny).any() or floor * target_margin < 10 * finfo.smallest_subnormal:
+        raise ValueError(f"power control underflow: first iterate {first.min():.3g} mW, "
+                         f"SINR target times noise {floor:.3g}; too small to carry the target")
+    ceiling = rrh_power_cap * rrh_share.shape[0]
+    p = np.zeros(n)
+    for _ in range(max_iters):
+        p_new = gamma_eff * (cross @ p + noise_power) / margins
+        if p_new.sum() > ceiling:
+            return PowerControlResult(False, p_new, "ceiling", margins)
+        # per-component relative stop: keeps every user's converged SINR
+        # within rel_tol of the effective target, so the margin still
+        # clears the nominal one
+        done = bool((np.abs(p_new - p) <= rel_tol * p_new).all())
+        p = p_new
+        if done:
+            break
+    else:
+        return PowerControlResult(False, p, "no_convergence", margins)
+    if (rrh_share @ p > rrh_power_cap).any():
+        return PowerControlResult(False, p, "rrh_cap", margins)
+    return PowerControlResult(True, p, "", margins)
 
 
 def mc_ergodic_rate(estimates: np.ndarray, error_var: np.ndarray,

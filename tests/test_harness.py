@@ -444,6 +444,24 @@ def test_run_trial_alone_builds_and_draws_its_own(monkeypatch):
     assert draws == [(9, 6)] * 2
 
 
+@pytest.mark.parametrize("size", [{}, {"num_rrhs": 324, "num_users": 216}],
+                         ids=["default", "324-216"])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_the_gains_and_the_fading_read_no_cluster_size(size, seed):
+    # the seed memo keeps one fading under ("fading",), drawn from the
+    # alpha of whichever cluster size comes first: right only if neither
+    # the gains nor the draw read L
+    first = None
+    for cluster_size in range(2, 9):
+        config = SimConfig(cluster_size=cluster_size, **size)
+        alpha = build_network(config, seed).alpha
+        channels = ucran.channel.draw_fading(alpha, config.antennas_per_rrh, seed).channels
+        if first is None:
+            first = alpha, channels
+        assert alpha.tobytes() == first[0].tobytes()
+        assert channels.tobytes() == first[1].tobytes()
+
+
 @pytest.mark.parametrize("field", ["rrh_positions", "user_positions", "alpha", "clusters"])
 def test_a_stage_writing_into_the_shared_network_fails(field, monkeypatch):
     def writing_stage2(instance, stage1_result, state, config):

@@ -23,8 +23,9 @@ from ucran.stage1 import Stage1Result
 
 from conftest import craft_instance
 from oracles import (beam_systems_reference, fronthaul_serving_sets,
-                     rate_coefficients_join_reference, rate_coefficients_reference,
-                     scatter_links, solve_power_linear, stack_antennas)
+                     power_fixed_point_reference, rate_coefficients_join_reference,
+                     rate_coefficients_reference, scatter_links, solve_power_linear,
+                     stack_antennas)
 
 
 def _state(estimates: np.ndarray, error_var: np.ndarray) -> ChannelState:
@@ -539,6 +540,132 @@ def test_power_iterates_monotone_and_budget_bounded():
                                         share, rrh_power_cap=1e9)
     assert full.feasible
     np.testing.assert_allclose(full.powers, 100.0, rtol=1e-5)
+
+
+
+def _power_system(seed: int, n: int, radius: float, num_rrhs: int = 3,
+                  err: float = 0.05):
+    """(signal, self_err, cross, share) of n users on num_rrhs RRHs: cross
+    spans six decades, so the order of a sum shows in its last bits, and is
+    scaled so that cross / signal has spectral radius ``radius``."""
+    rng = np.random.default_rng(seed)
+    signal = rng.uniform(0.5, 2.0, n)
+    self_err = rng.uniform(0.0, err, n)
+    cross = rng.uniform(0.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, n))
+    np.fill_diagonal(cross, 0.0)
+    rho = np.abs(np.linalg.eigvals(cross / signal[:, None])).max()
+    if rho > 0.0:
+        cross *= radius / rho
+    share = rng.uniform(0.0, 1.0, (num_rrhs, n)) ** 4
+    share /= share.sum(axis=0)
+    return signal, self_err, cross, share
+
+
+def _same_as_step_loop(signal, self_err, cross, target, noise, share, cap, **kwargs):
+    """power_allocation_fixed_point's result, after checking that it equals
+    the step-at-a-time loop's bit for bit."""
+    got = power_allocation_fixed_point(signal, self_err, cross, target, noise, share,
+                                       cap, **kwargs)
+    want = power_fixed_point_reference(signal, self_err, cross, target, noise, share,
+                                       cap, **kwargs)
+    assert (got.feasible, got.reason) == (want.feasible, want.reason)
+    assert got.powers.dtype == want.powers.dtype
+    assert got.powers.tobytes() == want.powers.tobytes()
+    assert got.margins.tobytes() == want.margins.tobytes()
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24), radius=st.floats(0.0, 1.2),
+       num_rrhs=st.integers(1, 4), err=st.floats(0.0, 1.0),
+       target=st.one_of(st.just(0.0), st.floats(0.01, 4.0)),
+       noise=st.floats(1e-3, 10.0), cap_exp=st.floats(-2.0, 4.0),
+       max_iters=st.one_of(st.integers(0, 300), st.just(2_000)),
+       rel_tol=st.sampled_from([1e-8, 1e-4, 0.0]), fortran=st.booleans())
+def test_power_blocks_match_the_step_loop(seed, n, radius, num_rrhs, err, target, noise,
+                                          cap_exp, max_iters, rel_tol, fortran):
+    signal, self_err, cross, share = _power_system(seed, n, radius, num_rrhs, err)
+    if fortran:
+        cross = np.asfortranarray(cross)
+    _same_as_step_loop(signal, self_err, cross, target, noise, share, 10.0 ** cap_exp,
+                       max_iters=max_iters, rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("reason,radius,err,target,cap,max_iters", [
+    ("", 0.7, 0.05, 1.0, 10.0, 10_000),
+    ("margin", 0.7, 1.0, 3.0, 10.0, 10_000),
+    ("ceiling", 0.99, 0.05, 1.0, 10.0, 10_000),
+    ("rrh_cap", 0.5, 0.05, 1.0, 1.0, 10_000),
+    ("no_convergence", 0.999, 0.05, 1.0, 1e6, 300),
+])
+def test_power_blocks_match_the_step_loop_on_every_outcome(reason, radius, err, target,
+                                                           cap, max_iters):
+    signal, self_err, cross, share = _power_system(3, 12, radius, err=err)
+    result = _same_as_step_loop(signal, self_err, cross, target, 0.1, share, cap,
+                                max_iters=max_iters)
+    assert result.reason == reason
+
+
+@pytest.mark.parametrize("radius,cap,end", [(0.999, 1e6, "no_convergence"),
+                                            (0.7, 1e3, ""), (1.1, 1e4, "ceiling")])
+def test_power_blocks_match_the_step_loop_at_every_budget(radius, cap, end):
+    # every budget up to 140 steps and either side of later block ends:
+    # the slow system runs out at each, the others converge or pass the
+    # ceiling within 140 steps, inside a block
+    signal, self_err, cross, share = _power_system(4, 7, radius)
+    reasons = set()
+    for max_iters in [*range(0, 141), 251, 252, 253, 379, 380, 381]:
+        result = _same_as_step_loop(signal, self_err, cross, 1.0, 0.1, share, cap,
+                                    max_iters=max_iters)
+        reasons.add(result.reason)
+    assert reasons == {"no_convergence", end}
+
+
+@pytest.mark.parametrize("n", [7, 9, 37])
+def test_power_ceiling_equal_to_an_iterate_sum_is_not_passed(n):
+    # the ceiling equals the 1-D sum of iterate j exactly, so only a row
+    # sum with that sum's bits lets the loop go on to iterate j + 1
+    signal, self_err, cross, _ = _power_system(5, n, 0.999)
+    share = np.ones((1, n))
+    for j in range(1, 41):
+        iterate = power_fixed_point_reference(signal, self_err, cross, 1.0, 0.1, share, 1e9,
+                                              max_iters=j).powers
+        result = _same_as_step_loop(signal, self_err, cross, 1.0, 0.1, share,
+                                    float(iterate.sum()))
+        assert result.reason == "ceiling"
+        assert result.powers.sum() > iterate.sum()
+
+
+def test_power_ceiling_wins_over_the_stop_in_the_converged_row():
+    # the ceiling sits at the sum of the iterate before the converged one,
+    # so the converged row both passes the ceiling and meets the stop test
+    signal, self_err, cross, _ = _power_system(6, 9, 0.7)
+    share = np.ones((1, 9))
+    converged = power_fixed_point_reference(signal, self_err, cross, 1.0, 0.1, share, 1e9)
+    assert converged.feasible
+    steps = next(k for k in range(1, 10_000) if power_fixed_point_reference(
+        signal, self_err, cross, 1.0, 0.1, share, 1e9, max_iters=k).reason != "no_convergence")
+    before = power_fixed_point_reference(signal, self_err, cross, 1.0, 0.1, share, 1e9,
+                                         max_iters=steps - 1).powers
+    result = _same_as_step_loop(signal, self_err, cross, 1.0, 0.1, share,
+                                float(before.sum()))
+    assert result.reason == "ceiling"
+    assert result.powers.tobytes() == converged.powers.tobytes()
+
+
+def test_power_overflow_inside_a_block_passes_the_ceiling_quietly():
+    # each step multiplies the powers by about 1e60: iterates 1-6 stay
+    # finite and under the ceiling, iterate 7 overflows inside the second
+    # block, and the discarded rows after it compute inf - inf and 0 * inf
+    signal, cross = np.ones(2), np.array([[0.0, 1e60], [1e60, 0.0]])
+    args = (signal, np.zeros(2), cross, 1.0, 1.0, np.ones((1, 2)), 1e308)
+    sixth = power_fixed_point_reference(*args, max_iters=6)
+    assert sixth.reason == "no_convergence" and np.isfinite(sixth.powers).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _same_as_step_loop(*args)
+    assert result.reason == "ceiling"
+    assert np.isinf(result.powers).all()
 
 
 # ---------------------------------------------------------- admission loop
