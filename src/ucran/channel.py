@@ -10,6 +10,18 @@ on the only links they are made on, each user's cluster links:
 RRHs in ascending order.  Pilot holders are estimated by linear MMSE
 from the pilot phase, or exactly under perfect CSI; other users keep
 zero rows.
+
+The pilot phase works only on the links it reads: each pilot holder's
+cluster RRHs, on its own pilot.  The noise of every (RRH, pilot)
+observation is still drawn, so the fading stream moves on as if all
+were made.  The observation and the co-pilot gain sum of the error
+variance add the link's co-pilot holders from zero in ascending id, the
+order of the whole-array forms they replace (an ``np.add.at`` over
+every (RRH, pilot) pair and an ``alpha @ copilot`` product over every
+(RRH, user) pair), and a test holds them bit for bit to those forms.
+The total received pilot power stays one dense ``alpha @ membership``
+product: a per-link sum would not add in the order its BLAS kernel
+adds on every link.
 Every link without an estimate keeps its full gain alpha as its error
 variance, so downstream consumers can treat every link uniformly (known
 part + zero-mean residual of that variance per antenna).
@@ -43,64 +55,82 @@ def draw_channels(alpha: np.ndarray, antennas: int, rng: np.random.Generator) ->
 
 
 def simulate_pilot_rx(true_channels: np.ndarray, assignment: PilotAssignment,
-                      pilot_power: float, noise_power: float, rng) -> np.ndarray:
-    """Post-correlation pilot observation per (RRH, pilot).
+                      links: np.ndarray, pilot_power: float, noise_power: float,
+                      rng) -> np.ndarray:
+    """Post-correlation pilot observation on each pilot holder's links.
 
-    Orthogonal pilots separate perfectly, so observation t at RRH i is the
-    sqrt(pilot_power)-scaled superposition of the channels of every user
-    on pilot t, plus CN(0, noise_power * Identity) noise.
+    Orthogonal pilots separate perfectly, so the observation of pilot t
+    at RRH i is the sqrt(pilot_power)-scaled superposition of the
+    channels of every user on pilot t, plus CN(0, noise_power * Identity)
+    noise.  Returns it as (K, L, M) on the links of ``links`` (K, L), in
+    its order: row k holds user k's pilot at its links, zero rows for
+    users without a pilot.  The noise of every (RRH, pilot) is drawn, as
+    real then imaginary (I, num_pilots, M) arrays, so the stream moves on
+    as if every observation were made; only the holders' links are read.
     """
-    # y[i, t, :] = sqrt(p) * sum of h[i, k, :] over the users k on pilot t,
-    # added in ascending user id
+    # y[k, l] = sqrt(p) * sum of h[links[k, l], j] over the users j on k's
+    # pilot, added from zero in ascending user id as np.add.at adds
     num_rrhs, _, antennas = true_channels.shape
+    noise_shape = (num_rrhs, assignment.num_pilots, antennas)
+    real, imag = rng.standard_normal(noise_shape), rng.standard_normal(noise_shape)
     users = assignment.users
-    y = np.zeros((num_rrhs, assignment.num_pilots, antennas), dtype=complex)
-    np.add.at(y, (slice(None), assignment.pilots[users]), true_channels[:, users])
+    pilot = assignment.pilots[users]
+    rows = links[users]
+    # every (reader, holder) pair of holders on one pilot, readers ascending
+    # and each reader's holders ascending
+    reader, holder = np.nonzero(pilot[:, None] == pilot)
+    y = np.zeros(rows.shape + (antennas,), dtype=complex)
+    np.add.at(y, reader, true_channels[rows[reader], users[holder][:, None]])
     y *= np.sqrt(pilot_power)
-    noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-    return y + np.sqrt(noise_power / 2.0) * noise
+    at = rows, pilot[:, None]
+    noise = real[at] + 1j * imag[at]
+    observed = np.zeros(links.shape + (antennas,), dtype=complex)
+    observed[users] = y + np.sqrt(noise_power / 2.0) * noise
+    return observed
 
 
 def mmse_estimate(y: np.ndarray, alpha: np.ndarray, assignment: PilotAssignment,
-                  clusters: np.ndarray, pilot_power: float, noise_power: float):
+                  links: np.ndarray, pilot_power: float, noise_power: float):
     """Per-link linear MMSE estimates on intra-cluster links.
 
-    The scaling uses the total received pilot energy on the link's pilot,
-    summed over every user sharing it network-wide; co-pilot users leave a
-    residual error even at high pilot power.  The error variance is
-    ``alpha * (noise + p * others) / received``, with ``others`` the gain
-    summed over the link's co-pilot users alone, so it stays exact when
-    one user dominates its pilot.
+    ``y`` is :func:`simulate_pilot_rx`'s observation on the same
+    ``links``.  The scaling uses the total received pilot energy on the
+    link's pilot, summed over every user sharing it network-wide; co-pilot
+    users leave a residual error even at high pilot power.  The error
+    variance is ``alpha * (noise + p * others) / received``, with
+    ``others`` the gain summed over the link's co-pilot users alone, in
+    ascending id, so it stays exact when one user dominates its pilot.
 
     Returns (estimates, error_var) in the ChannelState layout: estimates
-    (K, L, M) on the links of ``clusters``, in its order, with zero rows
-    for users without a pilot; error_var (I, K), alpha on every link
-    without an estimate.  ValueError when the received pilot power on an
-    estimated link overflows.
+    (K, L, M) on ``links``, in its order, with zero rows for users without
+    a pilot; error_var (I, K), alpha on every link without an estimate.
+    ValueError when the received pilot power on an estimated link
+    overflows.
     """
-    pilots = assignment.pilots
-    membership = assignment.membership
     # received[i, t] = p * sum of alpha over users on pilot t, plus noise
-    received = pilot_power * (alpha @ membership) + noise_power
-    # others[i, k] = sum of alpha[i, j] over the users j != k on k's pilot
-    copilot = membership @ membership.T
-    np.fill_diagonal(copilot, 0.0)
-    others = alpha @ copilot
-
+    received = pilot_power * (alpha @ assignment.membership) + noise_power
     users = assignment.users
-    rows, cols, pilot = clusters[users], users[:, None], pilots[users][:, None]
-    denom = received[rows, pilot]
+    pilot = assignment.pilots[users]
+    rows, cols = links[users], users[:, None]
+    denom = received[rows, pilot[:, None]]
     overflowed = int((~np.isfinite(denom)).sum())
     if overflowed:
         # p * alpha = inf would give a zero coefficient and a zero error variance
         raise ValueError(f"channel estimation failed: the received pilot power overflows "
                          f"on {overflowed} estimated links, so their estimates are not finite")
+    # others[k, l] = sum of alpha[links[k, l], j] over the users j != k on
+    # k's pilot, added from zero in ascending id
+    copilot = pilot[:, None] == pilot
+    np.fill_diagonal(copilot, False)
+    reader, holder = np.nonzero(copilot)
+    others = np.zeros(rows.shape)
+    np.add.at(others, reader, alpha[rows[reader], users[holder][:, None]])
     gain = alpha[rows, cols]
     coef = np.sqrt(pilot_power) * gain / denom
-    estimates = np.zeros(clusters.shape + (y.shape[2],), dtype=complex)
-    estimates[users] = coef[:, :, None] * y[rows, pilot]
+    estimates = np.zeros(links.shape + (y.shape[2],), dtype=complex)
+    estimates[users] = coef[:, :, None] * y[users]
     error_var = alpha.copy()
-    error_var[rows, cols] = gain * (noise_power + pilot_power * others[rows, cols]) / denom
+    error_var[rows, cols] = gain * (noise_power + pilot_power * others) / denom
     return estimates, error_var
 
 
@@ -162,7 +192,8 @@ def build_channel_state(instance: NetworkInstance, assignment: PilotAssignment,
         estimates, error_var = perfect_csi(h, links, assignment.users, instance.alpha)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            y = simulate_pilot_rx(h, assignment, config.pilot_power, config.noise_power, rng)
+            y = simulate_pilot_rx(h, assignment, links, config.pilot_power,
+                                  config.noise_power, rng)
             estimates, error_var = mmse_estimate(
                 y, instance.alpha, assignment, links, config.pilot_power, config.noise_power)
     for what, values in (("error variances", error_var), ("estimates", estimates)):

@@ -8,11 +8,12 @@ fading.  Algorithm-local randomness (random user picks in the baselines)
 draws from its own stream and cannot shift the physics.
 
 A campaign runs its trials seed by seed, and every trial of a seed
-shares that seed's work through one :class:`~ucran.topology.Memo`: per
-cluster size one network and one stage-1 base (itself a memo of the
-base graph, base coloring, pilot-interference weights and each budget's
-deterministic stage-1 decision), one fading draw, and one channel state
-and admission per input they read (cluster size, CSI mode and pilots).
+shares that seed's work through one :class:`~ucran.topology.Memo`: one
+draw of the positions and gains, per cluster size one network and one
+stage-1 base (itself a memo of the base graph, base coloring,
+pilot-interference weights and each budget's deterministic stage-1
+decision), one fading draw, and one channel state and admission per
+input they read (cluster size, CSI mode and pilots).
 Each trial calls stage 1 itself with its algorithm's flags, so
 :func:`~ucran.stage1.run_stage1` alone decides its branch and case, and
 two rows share an admission exactly when their pilots and CSI mode
@@ -23,13 +24,14 @@ first failure in seed order.
 Within a seed's memo, what each key's value reads (every other config
 field is fixed for a campaign):
 
-- ``("network", L)``: the config with cluster size L.  Only the clusters
-  read L; the positions and ``alpha`` come from the placement and
-  shadowing streams, which do not.
-- ``("base", L)``: that network and the reuse cap.
-- ``("fading",)``: ``alpha``, the antenna count and the seed.  It is
-  drawn from the ``alpha`` of whichever L comes first, which is right
-  only because ``alpha`` does not read L (tested).
+- ``("gains",)``: the network of the first cluster size a trial of the
+  seed asks for.  Its positions and ``alpha`` come from the placement
+  and shadowing streams, which read no L (tested), so they are drawn
+  once per seed.
+- ``("network", L)``: every other cluster size's network, its clusters
+  made for L on the gains' positions and ``alpha``.
+- ``("base", L)``: that cluster size's network and the reuse cap.
+- ``("fading",)``: the gains' ``alpha``, the antenna count and the seed.
 - ``("admission", L, perfect, num_pilots, pilots)``: that network, the
   fading, the CSI mode and the pilots; stage 1's admitted users are the
   pilot holders, so nothing else of the stage-1 result is read.
@@ -169,11 +171,11 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
 
     With ``return_details`` the stage results come back alongside the
     summary, for inspection and auditing.  ``physics`` is the seed's
-    shared state when a campaign runs several trials of one seed: per
-    cluster size its network and stage-1 base, its fading, and one
-    channel state and admission per (cluster size, CSI mode, pilots) that
-    another of its trials has already made; a trial run alone makes its
-    own.  Every trial runs its own stage-1 call, pilot check and audit.
+    shared state when a campaign runs several trials of one seed: its
+    positions and gains, per cluster size its network and stage-1 base,
+    its fading, and one channel state and admission per (cluster size,
+    CSI mode, pilots) that another of its trials has already made; a
+    trial run alone makes its own.  Every trial runs its own stage-1 call, pilot check and audit.
     ValueError for an unknown algorithm or a bad seed, before any work;
     AuditError when a check fails.
     """
@@ -182,7 +184,10 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
     if physics is None:
         physics = Memo()
     size, budget, cap = config.cluster_size, config.pilot_count, config.reuse_cap
-    instance = physics.once(("network", size), lambda: build_network(config, seed))
+    # the first cluster size's network lends its positions and gains to the others
+    gains = physics.once(("gains",), lambda: build_network(config, seed))
+    instance = gains if gains.clusters.shape[1] == size else physics.once(
+        ("network", size), lambda: build_network(config, seed, gains=gains))
     base = physics.once(("base", size), lambda: Stage1Base(instance, cap))
     if algorithm == ALG_ORTHO:
         s1 = baseline_ortho(instance, budget, cap, seed, base=base)
@@ -202,7 +207,7 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
 
     def admit() -> AdmissionSolution:
         fading = physics.once(("fading",), lambda: draw_fading(
-            instance.alpha, config.antennas_per_rrh, seed))
+            gains.alpha, config.antennas_per_rrh, seed))
         state = build_channel_state(instance, pilots, config, seed, perfect=perfect,
                                     fading=fading)
         return admission_loop(instance, s1, state, config)
@@ -253,12 +258,13 @@ def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
     """Sweep (algorithm, cluster size, pilot budget) over a shared seed list.
 
     Trials run seed by seed (then cluster size, algorithm, pilot budget).
-    Each seed's trials share one network and one stage-1 base per cluster
-    size, with each budget's deterministic stage-1 decision, one fading
-    draw, and one channel state and admission per (cluster size, CSI mode,
-    pilots) that more than one of them reaches; all of it is dropped
-    before the next seed's.  The rows equal those of trials run one by
-    one, whatever the order of ``algorithms``.  Emits one CSV row per
+    Each seed's trials share one draw of the positions and gains, one
+    network and one stage-1 base per cluster size, with each budget's
+    deterministic stage-1 decision, one fading draw, and one channel
+    state and admission per (cluster size, CSI mode, pilots) that more
+    than one of them reaches; all of it is dropped before the next
+    seed's.  The rows equal those of trials run one by one, whatever the
+    order of ``algorithms``.  Emits one CSV row per
     trial, cell by cell in sweep order and by seed within a cell, plus one
     aggregate row per cell (seed column set to "mean").  Deterministic for
     a fixed config.  ValueError, before the first trial, when a sweep list

@@ -169,48 +169,77 @@ def select_users_case1(weights: np.ndarray, pilot_budget: int, reuse_cap: int,
     by lowest user id.  With ``rng`` it is drawn uniformly from the
     active users.
 
-    The degrees and the weight totals are summed once; each victim then
-    takes one off each of its neighbours' degrees and its weight column
-    off the running totals.  A removed user, or one outside
-    ``graph.users``, reads a negative degree, so it never ties for the
-    maximum.  A degree tie goes to the best running total unless another
-    tied total lies within the two sums' error bound of it
-    (:func:`_near_best`); only such near ties are re-summed left to right
-    by ``interference_score``, so the victim is the one the left-to-right
-    rule picks.  A capped coloring of n users needs at least
-    ``ceil(n / reuse_cap)`` pilots, so while that exceeds the budget the
-    loop goes on without one.  The survivors are restricted out of
-    ``graph`` and colored only for the budget test, once that bound no
-    longer decides it; no victim pick reads a coloring.
+    A capped coloring of n users needs at least ``ceil(n / reuse_cap)``
+    pilots, so while that exceeds the budget the loop goes on without
+    one.  The survivors are restricted out of ``graph`` and colored only
+    for the budget test, once that bound no longer decides it; no victim
+    pick reads a coloring.
+
+    With ``rng`` the active users are an ascending list and each victim
+    is popped at an index ``rng.integers(0, len(active))``, which draws
+    what ``rng.choice`` of the ascending active ids draws; no degree or
+    weight is read.  For n users the first ``max(1, n - reuse_cap *
+    pilot_budget)`` rounds run no budget test before their last, so they
+    draw their indices in one call, ``rng.integers(0, [n, n - 1, ...])``:
+    numpy gives the same indices one at a time and leaves the stream in
+    the same state (tested).
+
+    Without ``rng`` the degrees and the weight totals are summed once;
+    each victim then takes one off each of its neighbours' degrees and its
+    weight row (``weights`` is symmetric) off the running totals.  A
+    removed user, or one outside ``graph.users``, reads a negative degree,
+    so it never ties for the maximum.  A degree tie goes to the best
+    running total, the lowest id among equal ones, unless another tied
+    total lies within the two sums' error bound of it (:func:`_near_best`);
+    only such near ties are re-summed left to right by
+    ``interference_score``, so the victim is the one the left-to-right
+    rule picks.  ``_near_best`` itself runs only when the runner-up tied
+    total reaches ``top - 2 * terms * eps * (2 * max(scale))``, ``terms``
+    the users plus the rounds so far.  Every slack ``_near_best`` allows
+    is ``2 * terms * eps * (scale[best] + scale[j])``, at most that bound,
+    and rounding is monotone, so a runner-up below it leaves the best
+    total alone in the near set: the victim is the same.
     """
     users = graph.users
+    count = len(users)
+    if rng is not None:
+        active = users.tolist()
+        highs = np.arange(count, count - max(1, count - reuse_cap * pilot_budget), -1)
+        trace = [active.pop(i) for i in rng.integers(0, highs).tolist()]
+        while True:
+            assignment = dsatur_color(graph.restrict(active), reuse_cap)
+            if assignment.num_pilots <= pilot_budget:
+                return assignment, tuple(trace)
+            trace.append(active.pop(int(rng.integers(0, len(active)))))
+
     degrees = np.full(graph.num_users, -1, dtype=np.int64)
     degrees[users] = vertex_degrees(graph)[users]
-    if rng is None:
-        block = weights[:, users]
-        totals = block.sum(axis=1)
-        scale = np.abs(block).sum(axis=1)
-    survivors = len(users)
-    trace: list[int] = []
+    block = weights[:, users]
+    totals = block.sum(axis=1)
+    scale = np.abs(block).sum(axis=1)
+    reach = 2 * scale.max()     # at least scale[best] + scale[j] for any pair
+    eps = np.finfo(float).eps
+    trace = []
     while True:
-        if rng is None:
-            tied = np.flatnonzero(degrees == degrees.max())
-            victim = int(tied[0])
-            if len(tied) > 1:
-                near = tied[_near_best(totals[tied], scale[tied], len(users) + len(trace))]
-                victim = int(near[0])
-                if len(near) > 1:
-                    # argmax keeps the lowest id on a score tie
-                    score = interference_score(weights, np.flatnonzero(degrees >= 0), near)
-                    victim = int(near[np.argmax(score)])
-            totals -= weights[:, victim]
-        else:
-            victim = int(rng.choice(np.flatnonzero(degrees >= 0)))
+        terms = count + len(trace)
+        top_degree = degrees.max()
+        candidates = np.where(degrees == top_degree, totals, -np.inf)
+        victim = int(np.argmax(candidates))
+        top = candidates[victim]
+        candidates[victim] = -np.inf
+        if candidates.max() >= top - 2 * terms * eps * reach:
+            tied = np.flatnonzero(degrees == top_degree)
+            near = tied[_near_best(totals[tied], scale[tied], terms)]
+            victim = int(near[0])
+            if len(near) > 1:
+                # argmax keeps the lowest id on a score tie
+                score = interference_score(weights, np.flatnonzero(degrees >= 0), near)
+                victim = int(near[np.argmax(score)])
+        totals -= weights[victim]
         trace.append(victim)
         degrees -= graph.adjacency[victim]
         degrees[victim] = -1
-        survivors -= 1
-        if -(-survivors // reuse_cap) <= pilot_budget:
+        if -(-(count - len(trace)) // reuse_cap) <= pilot_budget:
             assignment = dsatur_color(graph.restrict(np.flatnonzero(degrees >= 0)), reuse_cap)
             if assignment.num_pilots <= pilot_budget:
                 return assignment, tuple(trace)

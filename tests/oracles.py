@@ -12,8 +12,10 @@ case-1 user removal recoloring the survivors after every removal, and
 robust-beam covariance systems and rate coefficients as dense products
 over every RRH antenna, one user at a time, on estimates spread from
 each user's cluster links to every RRH, the local rate coefficients
-through a sorted-link CSR join, the pilot observation as one product of
-the channels with the one-hot pilot membership, and the distance matrix,
+through a sorted-link CSR join, the pilot observation on every (RRH,
+pilot) pair as one product of the channels with the one-hot pilot
+membership and the MMSE estimates from it through dense products on
+every (RRH, user) pair, and the distance matrix,
 the candidate clusters and the fading draw as the plain one-liners they
 were first written as (a broadcast difference summed over the coordinate
 axis, a full stable argsort per user, two normal draws added as complex
@@ -225,20 +227,50 @@ def rate_coefficients_join_reference(channel_state, beams, served):
     return signal, self_err, cross
 
 
+def _membership_reference(assignment, num_users: int) -> np.ndarray:
+    """One-hot (K, num_pilots) pilot membership, filled one user at a time."""
+    membership = np.zeros((num_users, assignment.num_pilots))
+    for k, pilot in enumerate(assignment.pilots):
+        if pilot >= 0:
+            membership[k, pilot] = 1.0
+    return membership
+
+
 def pilot_rx_reference(true_channels: np.ndarray, assignment, pilot_power: float,
                        noise_power: float, rng: np.random.Generator) -> np.ndarray:
     """Pilot observation (I, num_pilots, M): sqrt(pilot_power) times the
     product of the (I, K, M) channels with the one-hot (K, num_pilots)
     membership, plus CN(0, noise_power) noise drawn from ``rng`` as real
     then imaginary parts."""
-    num_users = true_channels.shape[1]
-    membership = np.zeros((num_users, assignment.num_pilots))
-    for k, pilot in enumerate(assignment.pilots):
-        if pilot >= 0:
-            membership[k, pilot] = 1.0
+    membership = _membership_reference(assignment, true_channels.shape[1])
     y = np.sqrt(pilot_power) * np.einsum("ikm,kt->itm", true_channels, membership)
     noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
     return y + np.sqrt(noise_power / 2.0) * noise
+
+
+def mmse_estimate_reference(y: np.ndarray, alpha: np.ndarray, assignment,
+                            clusters: np.ndarray, pilot_power: float, noise_power: float):
+    """Linear MMSE estimates from the whole (I, num_pilots, M) observation
+    of :func:`pilot_rx_reference`: (estimates (K, L, M) on ``clusters``,
+    zero rows without a pilot; error_var (I, K), alpha on every link
+    without an estimate).  The received pilot power and the co-pilot gain
+    sums are formed on every (RRH, user) pair, as dense products of the
+    gains with the one-hot membership and with the co-pilot matrix."""
+    membership = _membership_reference(assignment, alpha.shape[1])
+    received = pilot_power * (alpha @ membership) + noise_power
+    copilot = membership @ membership.T
+    np.fill_diagonal(copilot, 0.0)
+    others = alpha @ copilot
+    users = np.flatnonzero(assignment.pilots >= 0)
+    rows, cols, pilot = clusters[users], users[:, None], assignment.pilots[users][:, None]
+    denom = received[rows, pilot]
+    gain = alpha[rows, cols]
+    coef = np.sqrt(pilot_power) * gain / denom
+    estimates = np.zeros(clusters.shape + (y.shape[2],), dtype=complex)
+    estimates[users] = coef[:, :, None] * y[rows, pilot]
+    error_var = alpha.copy()
+    error_var[rows, cols] = gain * (noise_power + pilot_power * others[rows, cols]) / denom
+    return estimates, error_var
 
 
 def dsatur_reference(graph, reuse_cap: int) -> tuple[np.ndarray, int]:

@@ -180,7 +180,7 @@ def test_criterion_7_mmse_analytics_match_simulation(capsys):
     assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
     rng = np.random.default_rng(777)
     h = draw_channels(alpha, antennas=2, rng=rng)
-    y = simulate_pilot_rx(h, assignment, power, noise, rng)
+    y = simulate_pilot_rx(h, assignment, clusters, power, noise, rng)
     estimates, error_var = mmse_estimate(y, alpha, assignment, clusters, power, noise)
     err = h - scatter_links(clusters, estimates, draws)
     rel = max(abs(float((np.abs(err[:, k]) ** 2).mean()) - error_var[0, k])

@@ -17,7 +17,13 @@ from ucran import (
 from ucran.channel import draw_fading, perfect_csi
 from ucran.topology import STREAM_FADING, stream_rng
 
-from oracles import draw_channels_reference, pilot_rx_reference, scatter_links
+from conftest import craft_instance
+from oracles import (
+    draw_channels_reference,
+    mmse_estimate_reference,
+    pilot_rx_reference,
+    scatter_links,
+)
 
 
 def _pair_system(num_draws: int, a0: float, a1: float):
@@ -70,14 +76,16 @@ def test_pilot_rx_noise_free_single_user():
     h = draw_channels(np.ones((3, 1)), antennas=2, rng=np.random.default_rng(2))
     assignment = PilotAssignment(pilots=[0], num_pilots=1)
     rng = np.random.default_rng(0)
-    y = simulate_pilot_rx(h, assignment, pilot_power=4.0, noise_power=0.0, rng=rng)
-    np.testing.assert_allclose(y[:, 0], 2.0 * h[:, 0])
+    y = simulate_pilot_rx(h, assignment, np.array([[0, 1, 2]]), pilot_power=4.0,
+                          noise_power=0.0, rng=rng)
+    np.testing.assert_allclose(y[0], 2.0 * h[:, 0])
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_pilot_rx_matches_reference(seed):
     # random assignments with users left without a pilot and pilots left
-    # unused: the observation must equal the one-hot product bit for bit
+    # unused: the observation on each holder's links, in their given order,
+    # must equal the one-hot product there bit for bit
     rng = np.random.default_rng(seed)
     num_rrhs, num_users, num_pilots = rng.integers(1, 7), rng.integers(1, 13), rng.integers(1, 6)
     alpha = rng.uniform(0.01, 2.0, (num_rrhs, num_users))
@@ -85,8 +93,13 @@ def test_pilot_rx_matches_reference(seed):
     pilots = np.where(rng.random(num_users) < 0.3, -1, rng.integers(0, num_pilots, num_users))
     assignment = PilotAssignment(pilots=pilots, num_pilots=int(num_pilots))
     p, noise = rng.uniform(0.1, 10.0), rng.uniform(0.0, 1.0)
-    y = simulate_pilot_rx(h, assignment, p, noise, np.random.default_rng(seed))
-    expected = pilot_rx_reference(h, assignment, p, noise, np.random.default_rng(seed))
+    links = np.argsort(rng.random((num_users, num_rrhs)), axis=1)[
+        :, :rng.integers(1, num_rrhs + 1)]
+    y = simulate_pilot_rx(h, assignment, links, p, noise, np.random.default_rng(seed))
+    whole = pilot_rx_reference(h, assignment, p, noise, np.random.default_rng(seed))
+    users = assignment.users
+    expected = np.zeros(links.shape + h.shape[2:], dtype=complex)
+    expected[users] = whole[links[users], pilots[users][:, None]]
     assert np.array_equal(y, expected)
 
 
@@ -94,17 +107,26 @@ def test_pilot_rx_superposition():
     h = draw_channels(np.ones((2, 3)), antennas=2, rng=np.random.default_rng(3))
     assignment = PilotAssignment(pilots=[0, 0, 1], num_pilots=2)
     rng = np.random.default_rng(0)
-    y = simulate_pilot_rx(h, assignment, pilot_power=9.0, noise_power=0.0, rng=rng)
-    np.testing.assert_allclose(y[:, 0], 3.0 * (h[:, 0] + h[:, 1]))
-    np.testing.assert_allclose(y[:, 1], 3.0 * h[:, 2])
+    links = np.array([[0, 1]] * 3)
+    y = simulate_pilot_rx(h, assignment, links, pilot_power=9.0, noise_power=0.0, rng=rng)
+    np.testing.assert_allclose(y[0], 3.0 * (h[:, 0] + h[:, 1]))
+    np.testing.assert_allclose(y[1], 3.0 * (h[:, 0] + h[:, 1]))
+    np.testing.assert_allclose(y[2], 3.0 * h[:, 2])
 
 
 def test_pilot_rx_empty_group_is_noise():
+    # no link reads the empty pilot 0, but its noise is drawn all the same:
+    # the holder of pilot 1 reads the stream's noise at pilot 1, and with
+    # a zero channel that noise is all it reads
     h = np.zeros((400, 1, 2), dtype=complex)
     assignment = PilotAssignment(pilots=[1], num_pilots=2)
     rng = np.random.default_rng(4)
-    y = simulate_pilot_rx(h, assignment, pilot_power=1.0, noise_power=0.5, rng=rng)
-    noise_energy = (np.abs(y[:, 0]) ** 2).mean()   # per complex entry
+    y = simulate_pilot_rx(h, assignment, np.arange(400)[None, :], pilot_power=1.0,
+                          noise_power=0.5, rng=rng)
+    rng = np.random.default_rng(4)
+    noise = rng.standard_normal((400, 2, 2)) + 1j * rng.standard_normal((400, 2, 2))
+    np.testing.assert_array_equal(y[0], np.sqrt(0.25) * noise[:, 1])
+    noise_energy = (np.abs(y[0]) ** 2).mean()   # per complex entry
     assert noise_energy == pytest.approx(0.5, rel=0.1)
 
 
@@ -115,7 +137,7 @@ def test_mmse_sole_user_error_formula():
     assignment = PilotAssignment(pilots=[0], num_pilots=1)
     h = draw_channels(alpha, antennas=2, rng=np.random.default_rng(1))
     rng = np.random.default_rng(1)
-    y = simulate_pilot_rx(h, assignment, p, noise, rng)
+    y = simulate_pilot_rx(h, assignment, clusters, p, noise, rng)
     _, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
     assert error_var[0, 0] == pytest.approx(a * noise / (p * a + noise))
 
@@ -128,7 +150,7 @@ def test_mmse_error_stays_exact_when_one_user_dominates():
     clusters = np.array([[0], [0]])
     assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
     h = draw_channels(alpha, antennas=1, rng=np.random.default_rng(0))
-    y = simulate_pilot_rx(h, assignment, p, noise, np.random.default_rng(0))
+    y = simulate_pilot_rx(h, assignment, clusters, p, noise, np.random.default_rng(0))
     _, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
     received = p * (1e30 + 1.0) + noise
     assert error_var[0, 0] == pytest.approx(1e30 * (noise + p * 1.0) / received, rel=1e-12)
@@ -144,7 +166,7 @@ def test_mmse_rejects_an_overflowing_received_power():
     assignment = PilotAssignment(pilots=[0], num_pilots=1)
     h = draw_channels(alpha, antennas=1, rng=np.random.default_rng(0))
     with np.errstate(over="ignore"):
-        y = simulate_pilot_rx(h, assignment, p, noise, np.random.default_rng(0))
+        y = simulate_pilot_rx(h, assignment, clusters, p, noise, np.random.default_rng(0))
         assert np.isfinite(y).all()
         with pytest.raises(ValueError, match="received pilot power overflows on 1 "):
             mmse_estimate(y, alpha, assignment, clusters, p, noise)
@@ -162,7 +184,7 @@ def test_mmse_contamination_floor():
     errors = []
     for p in (2.0, 200.0):
         rng = np.random.default_rng(0)
-        y = simulate_pilot_rx(h, assignment, p, noise, rng)
+        y = simulate_pilot_rx(h, assignment, clusters, p, noise, rng)
         _, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
         errors.append(error_var[0, 0])
     assert errors[1] == pytest.approx(a / 2, rel=0.05)
@@ -178,7 +200,7 @@ def test_mmse_error_decreases_with_power_when_alone():
     noise = 0.3
     prev = None
     for p in (0.5, 1.0, 2.0, 8.0):
-        y = simulate_pilot_rx(h, assignment, p, noise, np.random.default_rng(0))
+        y = simulate_pilot_rx(h, assignment, clusters, p, noise, np.random.default_rng(0))
         _, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
         if prev is not None:
             assert error_var[0, 0] < prev
@@ -191,7 +213,7 @@ def test_mmse_empirical_error_matches_analytic():
     alpha, clusters, assignment = _pair_system(num_draws, a0, a1)
     rng = np.random.default_rng(7)
     h = draw_channels(alpha, antennas=2, rng=rng)
-    y = simulate_pilot_rx(h, assignment, p, noise, rng)
+    y = simulate_pilot_rx(h, assignment, clusters, p, noise, rng)
     estimates, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
     assert (error_var < alpha).all()
     err = h - scatter_links(clusters, estimates, num_draws)
@@ -205,7 +227,7 @@ def test_mmse_orthogonality_of_estimate_and_error():
     alpha, clusters, assignment = _pair_system(num_draws, 1.0, 0.5)
     rng = np.random.default_rng(11)
     h = draw_channels(alpha, antennas=1, rng=rng)
-    y = simulate_pilot_rx(h, assignment, 4.0, 0.3, rng)
+    y = simulate_pilot_rx(h, assignment, clusters, 4.0, 0.3, rng)
     estimates, _ = mmse_estimate(y, alpha, assignment, clusters, 4.0, 0.3)
     dense = scatter_links(clusters, estimates, num_draws)
     err = h - dense
@@ -223,7 +245,7 @@ def test_mmse_copilot_estimates_are_collinear():
     assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
     rng = np.random.default_rng(3)
     h = draw_channels(alpha, antennas=4, rng=rng)
-    y = simulate_pilot_rx(h, assignment, 2.0, 0.2, rng)
+    y = simulate_pilot_rx(h, assignment, clusters, 2.0, 0.2, rng)
     estimates, _ = mmse_estimate(y, alpha, assignment, clusters, 2.0, 0.2)
     e0, e1 = estimates[0, 0], estimates[1, 0]
     cross = e0 * np.linalg.norm(e1) - e1 * np.linalg.norm(e0) * np.exp(
@@ -234,13 +256,15 @@ def test_mmse_copilot_estimates_are_collinear():
 def test_mmse_estimates_follow_the_given_cluster_order():
     alpha = np.array([[1.0, 0.2], [0.5, 0.7], [0.3, 0.9]])
     assignment = PilotAssignment(pilots=[0, 1], num_pilots=2)
-    rng = np.random.default_rng(4)
-    h = draw_channels(alpha, antennas=2, rng=rng)
-    y = simulate_pilot_rx(h, assignment, 2.0, 0.1, rng)
+    h = draw_channels(alpha, antennas=2, rng=np.random.default_rng(4))
     clusters = np.array([[2, 0], [1, 2]])
-    estimates, error_var = mmse_estimate(y, alpha, assignment, clusters, 2.0, 0.1)
-    ordered, ordered_var = mmse_estimate(y, alpha, assignment, np.sort(clusters, axis=1),
-                                         2.0, 0.1)
+
+    def estimate(links):
+        y = simulate_pilot_rx(h, assignment, links, 2.0, 0.1, np.random.default_rng(5))
+        return mmse_estimate(y, alpha, assignment, links, 2.0, 0.1)
+
+    estimates, error_var = estimate(clusters)
+    ordered, ordered_var = estimate(np.sort(clusters, axis=1))
     np.testing.assert_array_equal(estimates[0], ordered[0, ::-1])
     np.testing.assert_array_equal(estimates[1], ordered[1])
     np.testing.assert_array_equal(error_var, ordered_var)
@@ -307,7 +331,8 @@ def test_perfect_and_imperfect_share_fading():
     users = s1.assignment.users
     np.testing.assert_array_equal(perfect.estimates[users],
                                   h[perfect.links[users], users[:, None]])
-    y = simulate_pilot_rx(h, s1.assignment, cfg.pilot_power, cfg.noise_power, rng)
+    y = simulate_pilot_rx(h, s1.assignment, imperfect.links, cfg.pilot_power,
+                          cfg.noise_power, rng)
     estimates, error_var = mmse_estimate(y, instance.alpha, s1.assignment, imperfect.links,
                                          cfg.pilot_power, cfg.noise_power)
     np.testing.assert_array_equal(imperfect.estimates, estimates)
@@ -343,3 +368,61 @@ def test_shared_fading_draws_once_and_continues_the_stream():
     other = draw_fading(instance.alpha, cfg.antennas_per_rrh + 1, seed=8)
     with pytest.raises(ValueError, match=r"shape \(6, 4, 3\), not seed 8 and shape \(6, 4, 2\)"):
         build_channel_state(instance, s1.assignment, cfg, seed=8, fading=other)
+
+
+def _greedy_pilots(clusters: np.ndarray, order, num_pilots: int, cap: int) -> PilotAssignment:
+    """Each user in ``order`` takes the lowest pilot with fewer than ``cap``
+    holders, none of them sharing a cluster RRH with it, else no pilot:
+    a valid capped coloring whose groups fill to the cap while they can."""
+    pilots = np.full(len(clusters), -1)
+    groups: list[list[int]] = [[] for _ in range(num_pilots)]
+    for k in order:
+        for pilot, group in enumerate(groups):
+            if len(group) < cap and not any(set(clusters[k]) & set(clusters[j]) for j in group):
+                group.append(k)
+                pilots[k] = pilot
+                break
+    return PilotAssignment(pilots=pilots, num_pilots=num_pilots)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_channel_state_matches_the_whole_array_oracles_bit_for_bit(data):
+    # the pilot phase on the read links against the observation of every
+    # (RRH, pilot) pair and the dense products on every (RRH, user) pair;
+    # at one RRH every cluster is that RRH, so each holder has a pilot of
+    # its own and the co-pilot gain sums are 0 on both sides
+    num_rrhs = data.draw(st.integers(1, 40), label="num_rrhs")
+    num_users = data.draw(st.integers(1, 30), label="num_users")
+    size = data.draw(st.integers(1, min(num_rrhs, 4)), label="cluster_size")
+    cap = data.draw(st.integers(1, 4), label="reuse_cap")
+    num_pilots = data.draw(st.integers(1, 8), label="num_pilots")
+    antennas = data.draw(st.integers(1, 3), label="antennas")
+    perfect = data.draw(st.booleans(), label="perfect")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    alpha = 10.0 ** rng.uniform(-15.0, -3.0, (num_rrhs, num_users))
+    alpha[rng.random(alpha.shape) < 0.05] = 0.0
+    clusters = np.argsort(rng.random((num_users, num_rrhs)), axis=1)[:, :size]
+    assignment = _greedy_pilots(clusters, rng.permutation(num_users).tolist(), num_pilots, cap)
+    config = SimConfig(num_rrhs=num_rrhs, num_users=num_users, cluster_size=size,
+                       antennas_per_rrh=antennas, pilot_count=num_pilots, reuse_cap=cap)
+    state = build_channel_state(craft_instance(alpha, clusters), assignment, config, seed,
+                                perfect=perfect)
+
+    fading = stream_rng(seed, STREAM_FADING)
+    h = draw_channels_reference(alpha, antennas, fading)
+    links = np.sort(clusters, axis=1)
+    users = assignment.users
+    if perfect:
+        estimates = np.zeros(links.shape + (antennas,), dtype=complex)
+        estimates[users] = h[links[users], users[:, None]]
+        error_var = alpha.copy()
+        error_var[links[users], users[:, None]] = 0.0
+    else:
+        y = pilot_rx_reference(h, assignment, config.pilot_power, config.noise_power, fading)
+        estimates, error_var = mmse_estimate_reference(
+            y, alpha, assignment, links, config.pilot_power, config.noise_power)
+    assert state.links.tobytes() == links.tobytes()
+    assert state.estimates.tobytes() == estimates.tobytes()
+    assert state.error_var.tobytes() == error_var.tobytes()

@@ -9,6 +9,7 @@ import pytest
 import ucran.channel
 import ucran.harness
 import ucran.stage1
+import ucran.topology
 from ucran import (
     ALGORITHMS,
     SimConfig,
@@ -406,9 +407,9 @@ def _count_builds(monkeypatch) -> tuple[list, list]:
     build_network_ = ucran.harness.build_network
     draw_channels_ = ucran.channel.draw_channels
 
-    def counting_build(config, seed):
+    def counting_build(config, seed, **kwargs):
         networks.append((seed, config.cluster_size))
-        return build_network_(config, seed)
+        return build_network_(config, seed, **kwargs)
 
     def counting_draw(alpha, antennas, rng):
         draws.append(alpha.shape)
@@ -444,6 +445,65 @@ def test_run_trial_alone_builds_and_draws_its_own(monkeypatch):
     assert draws == [(9, 6)] * 2
 
 
+def test_campaign_draws_each_seeds_gains_and_fading_once_for_every_cluster_size(monkeypatch):
+    # the first cluster size's network lends its positions and alpha to
+    # the others, and the fading is drawn from that alpha: per seed one
+    # shadowing draw and one fading draw, whatever the cluster sizes
+    shadowing, networks = [], []
+    compute_large_scale_ = ucran.topology.compute_large_scale
+    build_network_ = ucran.harness.build_network
+    draw_channels_ = ucran.channel.draw_channels
+    draws = []
+
+    def counting_gains(distances, config, seed):
+        shadowing.append(seed)
+        return compute_large_scale_(distances, config, seed)
+
+    def keeping_build(config, seed, **kwargs):
+        networks.append((seed, build_network_(config, seed, **kwargs)))
+        return networks[-1][1]
+
+    def counting_draw(alpha, antennas, rng):
+        draws.append(alpha)
+        return draw_channels_(alpha, antennas, rng)
+
+    monkeypatch.setattr(ucran.topology, "compute_large_scale", counting_gains)
+    monkeypatch.setattr(ucran.harness, "build_network", keeping_build)
+    monkeypatch.setattr(ucran.channel, "draw_channels", counting_draw)
+    config = _config()
+    sizes = [3, 2, 4]
+    report = run_campaign(config, cluster_sizes=sizes, pilot_budgets=[1, 3],
+                          algorithms=("proposed", "con", "perfect"), num_seeds=3)
+    seeds = [config.master_seed + j for j in range(3)]
+    assert shadowing == seeds
+    assert [seed for seed, _ in networks] == [seed for seed in seeds for _ in sizes]
+    assert [network.clusters.shape[1] for _, network in networks] == sizes * 3
+    for j, seed in enumerate(seeds):
+        first, *others = [network for _, network in networks[3 * j:3 * j + 3]]
+        for network in others:
+            for field in ("rrh_positions", "user_positions", "alpha"):
+                assert getattr(network, field) is getattr(first, field)
+        assert draws[j] is first.alpha
+    assert len(draws) == 3
+    # the same rows as trials run one by one, each drawing its own gains
+    for t in report.trials:
+        cfg = dataclasses.replace(config, cluster_size=t.cluster_size,
+                                  pilot_count=t.pilot_budget)
+        assert t.csv_row() == run_trial(cfg, t.seed, t.algorithm).csv_row()
+
+
+def test_network_from_lent_gains_equals_a_fresh_one():
+    for by_gain in (False, True):
+        config = SimConfig(cluster_by_gain=by_gain)
+        gains = build_network(dataclasses.replace(config, cluster_size=5), seed=3)
+        lent = build_network(config, seed=3, gains=gains)
+        fresh = build_network(config, seed=3)
+        for field in ("rrh_positions", "user_positions", "alpha", "clusters"):
+            assert getattr(lent, field).tobytes() == getattr(fresh, field).tobytes()
+    with pytest.raises(ValueError, match="gains are for 36 RRHs and 24 users, not 36 and 25"):
+        build_network(SimConfig(num_users=25), seed=3, gains=gains)
+
+
 @pytest.mark.parametrize("size", [{}, {"num_rrhs": 324, "num_users": 216}],
                          ids=["default", "324-216"])
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -473,7 +533,7 @@ def test_a_stage_writing_into_the_shared_network_fails(field, monkeypatch):
 
 
 def test_a_stage_writing_into_the_shared_fading_fails(monkeypatch):
-    def writing_pilot_rx(true_channels, assignment, pilot_power, noise_power, rng):
+    def writing_pilot_rx(true_channels, assignment, links, pilot_power, noise_power, rng):
         true_channels[0, 0, 0] = 0.0
 
     monkeypatch.setattr(ucran.channel, "simulate_pilot_rx", writing_pilot_rx)
@@ -502,9 +562,9 @@ def _count_stage_work(monkeypatch) -> list:
     channel_ = ucran.harness.build_channel_state
     admission_ = ucran.harness.admission_loop
 
-    def network(config, seed):
+    def network(config, seed, **kwargs):
         log.append(("network", seed, config.cluster_size))
-        return build_network_(config, seed)
+        return build_network_(config, seed, **kwargs)
 
     def base_graph(clusters):
         base_graphs.append(originals["build_base_graph"](clusters))

@@ -514,6 +514,58 @@ def test_a_near_tie_behind_a_huge_removed_weight_is_summed_exactly(monkeypatch):
     assert calls == [[1, 2]]
 
 
+def _count_near_best_calls(monkeypatch):
+    calls = []
+    near_best = ucran.stage1._near_best
+
+    def counting(totals, scale, terms):
+        near = near_best(totals, scale, terms)
+        calls.append(near.tolist())
+        return near
+
+    monkeypatch.setattr(ucran.stage1, "_near_best", counting)
+    return calls
+
+
+@pytest.mark.parametrize("pair_weight,near_calls", [(1e16, [[0]]), (1.0, [])])
+def test_the_runner_up_filter_calls_near_best_only_inside_its_bound(pair_weight, near_calls,
+                                                                    monkeypatch):
+    # users 0 and 1 share the one edge and tie on degree; their totals are
+    # 1 + 3 = 4 and 1 + 2 = 3.  Users 2 and 3, without edges, hold
+    # ``pair_weight`` to each other, which sets the largest scale and with
+    # it the runner-up bound 4 * terms * eps * max(scale): about 36 at
+    # 1e16, so user 1 lies inside it and _near_best runs, but outside its
+    # own slack (about 1e-14), so user 0 is left alone and no exact sum
+    # is needed.  At 1.0 the bound is about 1e-14 and _near_best never runs.
+    weights = np.zeros((4, 4))
+    for a, b, weight in ((0, 1, 1.0), (0, 2, 3.0), (1, 2, 2.0), (2, 3, pair_weight)):
+        weights[a, b] = weights[b, a] = weight
+    near = _count_near_best_calls(monkeypatch)
+    trace, score_calls = _check_removal_against_the_oracle(weights, [(0, 1)], 1, 4, monkeypatch)
+    assert trace == (0,)
+    assert near == near_calls
+    assert score_calls == []
+
+
+@pytest.mark.parametrize("count", [2, 24, 96, 216])
+def test_one_integers_call_draws_what_one_choice_per_round_draws(count):
+    # random removal draws the victims of the rounds before its first
+    # budget test in one rng.integers call over the bounds count,
+    # count - 1, ...; numpy must give the indices, and leave the stream,
+    # as rng.choice of the ascending survivors one round at a time
+    for seed in range(200):
+        blind = 1 + seed % (count - 1)
+        one_by_one, at_once = np.random.default_rng(seed), np.random.default_rng(seed)
+        survivors, want = list(range(count)), []
+        for _ in range(blind):
+            want.append(int(one_by_one.choice(np.array(survivors))))
+            survivors.remove(want[-1])
+        survivors = list(range(count))
+        indices = at_once.integers(0, np.arange(count, count - blind, -1)).tolist()
+        assert [survivors.pop(i) for i in indices] == want
+        assert at_once.bit_generator.state == one_by_one.bit_generator.state
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_dense_removal_settles_every_tie_on_the_running_totals(seed, monkeypatch):
     # the benchmark's dense case-1 point: no tie is close enough to need
