@@ -12,6 +12,15 @@ mask on those links, False where the cap pruned one, and a beam is an
 round solves all users' covariances in one batch, then gathers the rate
 coefficients (for power control and the rate bound) and the power shares
 from those blocks; nothing is spread over all I*M antennas.
+
+A failed round drops one user, so what depends only on the pilot holders
+is built once per admission, in a :class:`HolderTable`: the fronthaul
+ranking of every holder link, the RRH-pair keys and outer products of the
+beam covariance table with each holder's index into it, and every (link,
+beam slot) pair that the rate coefficients sum.  A round reads the table
+at its surviving users' rows and filters it.  Each of its sums adds the
+same terms in the same order as one built from the round's users alone,
+so every result keeps its bits.
 """
 
 from __future__ import annotations
@@ -28,26 +37,120 @@ from .stage1 import Stage1Result
 from .topology import NetworkInstance, SimConfig, check_integer
 
 
-def enforce_fronthaul_cap(links: np.ndarray, served, alpha: np.ndarray,
-                          cap: int) -> np.ndarray:
-    """Serving mask (n, L) on ``links[served]``: True where the link's RRH
-    serves the user.
+@dataclass(frozen=True)
+class HolderTable:
+    """What no admission round changes: the pilot holders' links, built
+    once per admission by :func:`build_holder_table`.
+
+    Row h of every per-holder array is holder ``holders[h]``; a holder
+    link, or the beam slot on it, is the flat index h*L + l.  A round
+    reads the table at its surviving users' rows (:meth:`rows`).
+    """
+    holders: np.ndarray       # (H,) user ids, ascending
+    links: np.ndarray         # (H, L) cluster RRHs, ascending in each row
+    estimates: np.ndarray     # (H, L, M) estimates on those links
+    error_var: np.ndarray     # (I, K) per-antenna residual variance
+    # fronthaul cap: every holder link sorted by (RRH, -gain, id)
+    cap_links: np.ndarray     # (H*L,) flat link index
+    cap_holders: np.ndarray   # (H*L,) its holder row
+    cap_rrhs: np.ndarray      # (H*L,) its RRH
+    # beams: table entry t*M*M + m*M + m' of RRH-pair key t over all
+    # holders, real part at bin 2 * entry and imaginary part at the next
+    num_keys: int
+    outer_bins: np.ndarray    # (H, 2*L*L*M*M) bins of each holder's outer products
+    outer_parts: np.ndarray   # (H, 2*L*L*M*M) their real and imaginary parts
+    cov_index: np.ndarray     # (H, L*M, L*M) entry of each stacked-antenna element
+    # rate coefficients: every (holder link, holder beam slot) pair on a
+    # shared RRH, ordered by (link, beam), and its (link holder, beam
+    # holder) combination
+    pair_user: np.ndarray     # (P,) holder row of the link
+    pair_slot: np.ndarray     # (P,) flat beam slot
+    pair_est: np.ndarray      # (P, M) conjugate estimate on the link
+    pair_comb: np.ndarray     # (P,) combination id
+    comb_user: np.ndarray     # (C,) link holder row of each combination
+    comb_beam: np.ndarray     # (C,) beam holder row
+    self_comb: np.ndarray     # (H,) combination id of (h, h)
+
+    def rows(self, served) -> np.ndarray:
+        """Rows of ``served``, which must be holders, in the order given."""
+        return np.searchsorted(self.holders, served)
+
+
+def build_holder_table(channel_state: ChannelState, alpha: np.ndarray,
+                       holders) -> HolderTable:
+    """The :class:`HolderTable` of ``holders``, distinct user ids: the
+    fronthaul ranking of their links, the RRH-pair keys and outer products
+    of the beam covariance table with each holder's index into it, and the
+    (link, beam slot) pairs of the rate coefficients."""
+    holders = np.sort(np.asarray(holders, dtype=np.int64))
+    num_rrhs = channel_state.error_var.shape[0]
+    links = channel_state.links[holders]
+    est = channel_state.estimates[holders]
+    size, width, antennas = est.shape
+    link_rrh = links.ravel()
+    owner = np.arange(link_rrh.size) // width
+
+    # holders ascend, so the row breaks a gain tie as the id does
+    cap_links = np.lexsort((owner, -alpha[link_rrh, holders[owner]], link_rrh))
+
+    # the covariance table's row t sums hhat_b[i] hhat_b[j]^H over the users
+    # b with both RRHs of pair key t = i*I + j in their cluster; each
+    # holder's own pairs are keys, so the inverse indexes its blocks
+    keys = links[:, :, None] * num_rrhs + links[:, None, :]
+    keys, block = np.unique(keys.ravel(), return_inverse=True)
+    dim, square = width * antennas, antennas ** 2
+    # cov_index[h, l*M + m, l'*M + m'] = block[h, l, l'] * M*M + m*M + m'
+    within = np.arange(square).reshape(antennas, 1, antennas)
+    cov_index = (block.reshape(size, width, 1, width, 1) * square + within).reshape(size, dim, dim)
+    # the outer products in (h, l, l', m, m') order, each entry's real part
+    # then its imaginary part, as the bins receive them
+    outer_bins = (block.reshape(size, width * width, 1) * (2 * square)
+                  + np.arange(2 * square)).reshape(size, 2 * width * width * square)
+    with np.errstate(over="ignore", invalid="ignore"):    # the beam solve reports it
+        outer = est[:, :, None, :, None] * est[:, None, :, None, :].conj()
+    outer_parts = outer.reshape(size, width * width * square).view(float)
+
+    # each link meets every beam slot at its RRH, beams ascending
+    by_rrh = np.argsort(link_rrh, kind="stable")
+    per_rrh = np.bincount(link_rrh, minlength=num_rrhs)
+    count = per_rrh[link_rrh]
+    pair_link = np.repeat(np.arange(link_rrh.size), count)
+    offset = np.arange(pair_link.size) - np.repeat(np.cumsum(count) - count, count)
+    pair_slot = by_rrh[(np.cumsum(per_rrh) - per_rrh)[link_rrh][pair_link] + offset]
+    pair_user = owner[pair_link]
+    combs, pair_comb = np.unique(pair_user * size + owner[pair_slot], return_inverse=True)
+    comb_user, comb_beam = np.divmod(combs, size)
+    return HolderTable(
+        holders=holders, links=links, estimates=est, error_var=channel_state.error_var,
+        cap_links=cap_links, cap_holders=owner[cap_links], cap_rrhs=link_rrh[cap_links],
+        num_keys=keys.size, outer_bins=outer_bins, outer_parts=outer_parts,
+        cov_index=cov_index, pair_user=pair_user, pair_slot=pair_slot,
+        pair_est=np.take(est.reshape(-1, antennas), pair_link, axis=0).conj(),
+        pair_comb=pair_comb, comb_user=comb_user, comb_beam=comb_beam,
+        self_comb=np.searchsorted(combs, np.arange(size) * (size + 1)))
+
+
+def enforce_fronthaul_cap(table: HolderTable, served, cap: int) -> np.ndarray:
+    """Serving mask (n, L) on ``table.links`` at the rows of ``served``:
+    True where the link's RRH serves the user.
 
     Start from the served users' full clusters; an over-subscribed RRH
     keeps its ``cap`` strongest users (largest link gain, ties to the lower
     id) and is removed from the rest.  May leave some users with no RRH.
+    The table sorts every holder link by (RRH, -gain, id) once; a round
+    keeps the served users' entries, which stay in that order, and ranks
+    them within each RRH.
     """
     check_integer("fronthaul_cap", cap)
-    served = np.asarray(served, dtype=np.int64)
-    rrhs = links[served].ravel()
-    users = np.repeat(served, links.shape[1])
-    # rank each link within its RRH: strongest first, ties to the lower id
-    order = np.lexsort((users, -alpha[rrhs, users], rrhs))
-    by_rrh = rrhs[order]
+    rows = table.rows(served)
+    alive = np.zeros(table.holders.size, dtype=bool)
+    alive[rows] = True
+    live = alive[table.cap_holders]
+    by_rrh = table.cap_rrhs[live]
     rank = np.arange(by_rrh.size) - np.searchsorted(by_rrh, by_rrh)
-    keep = np.empty(by_rrh.size, dtype=bool)
-    keep[order] = rank < cap
-    return keep.reshape(served.size, links.shape[1])
+    keep = np.zeros(table.links.size, dtype=bool)
+    keep[table.cap_links[live]] = rank < cap
+    return keep.reshape(table.links.shape)[rows]
 
 
 @dataclass(frozen=True)
@@ -71,10 +174,11 @@ class LocalBeams:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def robust_beam_direction(channel_state: ChannelState, valid: np.ndarray,
-                          served, noise_power: float) -> LocalBeams:
+def robust_beam_direction(table: HolderTable, valid: np.ndarray, served,
+                          noise_power: float) -> LocalBeams:
     """Unit beam directions, one per served user, on its serving antennas:
-    the links of ``channel_state.links[served]`` that ``valid`` marks.
+    the links of ``table.links`` at the rows of ``served`` that ``valid``
+    marks.
 
     On the stacked antennas of the user's serving set, the direction is
     the regularized inverse of the sum of all served users' estimated
@@ -85,39 +189,37 @@ def robust_beam_direction(channel_state: ChannelState, valid: np.ndarray,
 
     The covariance block of RRHs (i, j) sums only the users with both in
     their cluster, so every block comes from one table of per-RRH-pair
-    sums, and all users' systems are solved in one batch.  ValueError
-    names the first user whose system overflows, is singular, or is too
-    ill-conditioned for its beam to be trusted.
+    sums, and all users' systems are solved in one batch.  The holder
+    table keys every RRH pair and each holder's outer products once; a
+    round bincounts only its served users' rows, each bin adding them in
+    served order (the keys of dropped users stay zero and nothing reads
+    them), and gathers each covariance from the sums in one step.
+    ValueError names the first user whose system overflows, is singular,
+    or is too ill-conditioned for its beam to be trusted.
     """
     served = np.asarray(served, dtype=np.int64)
-    num_rrhs = channel_state.error_var.shape[0]
-    rrhs = channel_state.links[served]
-    est = channel_state.estimates[served]
+    rows = table.rows(served)
+    num_rrhs = table.error_var.shape[0]
+    rrhs = table.links[rows]
+    est = table.estimates[rows]
     n, width, antennas = est.shape
     empty = ~valid.any(axis=1)
     if empty.any():
         raise ValueError(f"user {served[np.argmax(empty)]} has an empty serving set")
     dim = width * antennas
 
-    # table[t]: sum of hhat_b[i] hhat_b[j]^H over the users b with both
-    # RRHs of pair key t = i*I + j in their cluster.  Each user's own
-    # pairs are keys, so the inverse indexes its covariance blocks.
-    keys = rrhs[:, :, None] * num_rrhs + rrhs[:, None, :]
-    keys, block = np.unique(keys.ravel(), return_inverse=True)
-    outer = est[:, :, None, :, None] * est[:, None, :, None, :].conj()
-    # entry e of block b sits at b*M*M + e; bincount adds in input order
-    entry = (block[:, None] * antennas ** 2 + np.arange(antennas ** 2)).ravel()
-    table = np.empty((keys.size, antennas, antennas), dtype=complex)
-    table.real = np.bincount(entry, outer.real.ravel(), table.size).reshape(table.shape)
-    table.imag = np.bincount(entry, outer.imag.ravel(), table.size).reshape(table.shape)
-    cov = table[block.reshape(n, width, width)]
-    cov[~(valid[:, :, None] & valid[:, None, :])] = 0.0
-    cov = cov.transpose(0, 1, 3, 2, 4).reshape(n, dim, dim)
-    load = channel_state.error_var[:, served].sum(axis=1)
+    # bincount adds each bin's terms in input order: the served order
+    sums = np.bincount(table.outer_bins[rows].ravel(), table.outer_parts[rows].ravel(),
+                       2 * table.num_keys * antennas ** 2).view(complex)
+    cov = sums[table.cov_index[rows]]
+    on = np.repeat(valid, antennas, axis=1)
+    cov[~(on[:, :, None] & on[:, None, :])] = 0.0
+    load = table.error_var[:, served].sum(axis=1)
     # pruned slots get an identity diagonal and a zero right-hand side,
     # so their weights solve to zero
     diagonal = np.where(valid, load[rrhs] + noise_power, 1.0)
-    cov[:, np.arange(dim), np.arange(dim)] += np.repeat(diagonal, antennas, axis=1)
+    cov_diagonal = cov.reshape(n, dim * dim)[:, ::dim + 1]     # a view
+    cov_diagonal += np.repeat(diagonal, antennas, axis=1)
     own = (est * valid[:, :, None]).reshape(n, dim, 1)
     try:
         w = np.linalg.solve(cov, own)[:, :, 0]
@@ -130,8 +232,7 @@ def robust_beam_direction(channel_state: ChannelState, valid: np.ndarray,
                          "covariance overflows; the link gains span too wide a range")
     # cond(cov) <= trace / min loading on the valid slots; the pruned slots
     # are decoupled identity rows and say nothing about the solve
-    on = np.repeat(valid, antennas, axis=1)
-    trace = np.where(on, cov[:, np.arange(dim), np.arange(dim)].real, 0.0).sum(axis=1)
+    trace = np.where(on, cov_diagonal.real, 0.0).sum(axis=1)
     ill = trace > 1e11 * np.where(valid, diagonal, np.inf).min(axis=1)
     if ill.any():
         raise ValueError(f"beam solve failed for user {served[np.argmax(ill)]}: its "
@@ -162,7 +263,7 @@ def _raise_first_singular(cov: np.ndarray, own: np.ndarray, served: np.ndarray) 
                              "too wide a range") from exc
 
 
-def rate_coefficients(channel_state: ChannelState, beams: LocalBeams,
+def rate_coefficients(table: HolderTable, beams: LocalBeams,
                       served) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quadratic forms feeding the expected-SINR expression.
 
@@ -173,30 +274,42 @@ def rate_coefficients(channel_state: ChannelState, beams: LocalBeams,
 
     A gain <hhat_a, w_b> sums, in ascending RRH order, over the RRHs
     where user a has a cluster link and beam b has a serving slot; the
-    leakage reads the error variances at beam b's serving RRHs only.
+    leakage reads the error variances at beam b's serving RRHs only.  The
+    holder table lists every (link, beam slot) pair on a shared RRH once;
+    a round keeps the pairs of live users on valid slots and sums each
+    (a, b) combination by bincount, adding |gain|^2 to the leakage only
+    where both users live.  ``cross`` is C-ordered, which power control's
+    matrix-vector product needs for its bits.
     """
     served = np.asarray(served, dtype=np.int64)
-    n = served.size
-    link_rrh = beams.rrhs.ravel()
-    est = channel_state.estimates[served].reshape(link_rrh.size, channel_state.estimates.shape[2])
-    users = np.arange(link_rrh.size) // beams.rrhs.shape[1]
-    slot = np.full((beams.num_rrhs, n), -1)          # slot[i, b]: beam b's slot on RRH i
-    cols, slots = np.nonzero(beams.valid)
-    slot[beams.rrhs[cols, slots], cols] = slots
+    rows = table.rows(served)
+    antennas = table.estimates.shape[2]
+    alive = np.zeros(table.holders.size, dtype=bool)
+    alive[rows] = True
+    on = np.zeros(table.links.shape, dtype=bool)
+    on[rows] = beams.valid
+    weights = np.zeros(table.estimates.shape, dtype=complex)
+    weights[rows] = beams.weights
 
-    # pair each cluster link with every beam that has a slot at its RRH
-    link_of, col = np.divmod(np.flatnonzero((slot >= 0)[link_rrh]), n)
-    terms = np.einsum("pm,pm->p", est[link_of].conj(),
-                      beams.weights[col, slot[link_rrh[link_of], col]])
-    flat = users[link_of] * n + col
-    gains = (np.bincount(flat, terms.real, n * n)
-             + 1j * np.bincount(flat, terms.imag, n * n)).reshape(n, n)   # <hhat_a, w_b>
+    kept = np.flatnonzero(alive[table.pair_user] & on.ravel()[table.pair_slot])
+    # np.take gathers these short rows several times faster than indexing
+    terms = np.einsum("pm,pm->p", np.take(table.pair_est, kept, axis=0),
+                      np.take(weights.reshape(-1, antennas), table.pair_slot[kept], axis=0))
+    comb = table.pair_comb[kept]
+    size = table.comb_user.size
+    gains = (np.bincount(comb, terms.real, size)
+             + 1j * np.bincount(comb, terms.imag, size))     # <hhat_a, w_b> per combination
 
-    evar = channel_state.error_var[:, served]
+    evar = table.error_var[:, served]
     leak = np.einsum("bla,bl->ab", evar[beams.rrhs], beams.slot_power)    # leak[a, b]
-    signal = np.abs(np.diag(gains)) ** 2
+    signal = np.abs(gains[table.self_comb[rows]]) ** 2
     self_err = np.diag(leak).copy()
-    cross = np.abs(gains) ** 2 + leak
+    cross = np.ascontiguousarray(leak)
+    live = np.flatnonzero(alive[table.comb_user] & alive[table.comb_beam])
+    position = np.zeros(table.holders.size, dtype=np.int64)
+    position[rows] = np.arange(rows.size)
+    cross[position[table.comb_user[live]], position[table.comb_beam[live]]] += (
+        np.abs(gains[live]) ** 2)
     np.fill_diagonal(cross, 0.0)
     return signal, self_err, cross
 
@@ -340,31 +453,31 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
     """Serve pilot holders greedily under the rate, power, and fronthaul
     constraints (one drop per failed round; not always the largest set).
 
-    Each round prunes serving sets to the fronthaul cap and drops, in that
-    same round, the users it leaves with no RRH; then it computes beams
-    and the power fixed point.  On infeasibility it removes one user and
-    repeats: the margin-short user with the largest shortfall, otherwise
+    The holders' :class:`HolderTable` is built once, before the first
+    round.  Each round prunes serving sets to the fronthaul cap and drops,
+    in that same round, the users it leaves with no RRH; then it computes
+    beams and the power fixed point.  On infeasibility it removes one user
+    and repeats: the margin-short user with the largest shortfall, otherwise
     the user with the largest power at the failed iterate; an exact tie
     goes to the lowest id.  An empty served set is feasible, so it ends
     through the same return as any other: a valid empty solution.
     """
-    served = stage1_result.admitted
+    table = build_holder_table(channel_state, instance.alpha, stage1_result.admitted)
+    served = table.holders
     removed: list[int] = []
     # expm1 keeps tiny targets exact where 2**rate_req - 1 cancels
     sinr_target = math.expm1(config.rate_req * math.log(2.0))
 
     while True:
-        valid = enforce_fronthaul_cap(channel_state.links, served,
-                                      instance.alpha, config.fronthaul_cap)
+        valid = enforce_fronthaul_cap(table, served, config.fronthaul_cap)
         has_rrh = valid.any(axis=1)
         # a stranded user ranked below the cap at each of its RRHs, so
         # dropping it moves no other user across the cap: no second pass
         removed.extend(served[~has_rrh].tolist())
         served, valid = served[has_rrh], valid[has_rrh]
 
-        beams = robust_beam_direction(channel_state, valid, served,
-                                      config.noise_power)
-        signal, self_err, cross = rate_coefficients(channel_state, beams, served)
+        beams = robust_beam_direction(table, valid, served, config.noise_power)
+        signal, self_err, cross = rate_coefficients(table, beams, served)
         share = rrh_power_share(beams)
         control = power_allocation_fixed_point(
             signal, self_err, cross, sinr_target, config.noise_power,

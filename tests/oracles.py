@@ -24,6 +24,9 @@ parts).
 One oracle is exact by search rather than independent:
 :func:`max_served_reference` tries every subset of the pilot holders,
 largest first, and tests each with the production admission round.
+The three admission-round functions also have whole-served forms here,
+which rank, key and pair the served set from scratch on every call: the
+byte-for-byte references of the holder-table forms.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ import numpy as np
 
 from ucran.stage2 import (
     AdmissionSolution,
+    LocalBeams,
     PowerControlResult,
+    build_holder_table,
     enforce_fronthaul_cap,
     expected_rate_lb,
     power_allocation_fixed_point,
@@ -220,6 +225,102 @@ def rate_coefficients_join_reference(channel_state, beams, served):
     evar = channel_state.error_var[:, served]
     power = (np.abs(beams.weights) ** 2).sum(axis=2)
     leak = np.einsum("bla,bl->ab", evar[beams.rrhs], power)
+    signal = np.abs(np.diag(gains)) ** 2
+    self_err = np.diag(leak).copy()
+    cross = np.abs(gains) ** 2 + leak
+    np.fill_diagonal(cross, 0.0)
+    return signal, self_err, cross
+
+
+def fronthaul_cap_whole_reference(links: np.ndarray, served, alpha: np.ndarray,
+                                  cap: int) -> np.ndarray:
+    """Serving mask (n, L) on ``links[served]``, ranked from the served
+    set alone: one lexsort of its links by (RRH, -gain, id) per call, and
+    each RRH keeps its first ``cap``."""
+    served = np.asarray(served, dtype=np.int64)
+    rrhs = links[served].ravel()
+    users = np.repeat(served, links.shape[1])
+    order = np.lexsort((users, -alpha[rrhs, users], rrhs))
+    by_rrh = rrhs[order]
+    rank = np.arange(by_rrh.size) - np.searchsorted(by_rrh, by_rrh)
+    keep = np.empty(by_rrh.size, dtype=bool)
+    keep[order] = rank < cap
+    return keep.reshape(served.size, links.shape[1])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def robust_beam_whole_reference(channel_state, valid: np.ndarray, served,
+                                noise_power: float) -> LocalBeams:
+    """Robust beams built from the served set alone: the RRH-pair keys by
+    one ``np.unique`` per call, the per-pair covariance table by two
+    bincounts over the served users' outer products in served order, and
+    each covariance gathered block by block, then transposed to stacked
+    antennas.  ValueError where the solve overflows, is singular or too
+    ill-conditioned."""
+    served = np.asarray(served, dtype=np.int64)
+    num_rrhs = channel_state.error_var.shape[0]
+    rrhs = channel_state.links[served]
+    est = channel_state.estimates[served]
+    n, width, antennas = est.shape
+    if (~valid.any(axis=1)).any():
+        raise ValueError("empty serving set")
+    dim = width * antennas
+    keys = rrhs[:, :, None] * num_rrhs + rrhs[:, None, :]
+    keys, block = np.unique(keys.ravel(), return_inverse=True)
+    outer = est[:, :, None, :, None] * est[:, None, :, None, :].conj()
+    entry = (block[:, None] * antennas ** 2 + np.arange(antennas ** 2)).ravel()
+    table = np.empty((keys.size, antennas, antennas), dtype=complex)
+    table.real = np.bincount(entry, outer.real.ravel(), table.size).reshape(table.shape)
+    table.imag = np.bincount(entry, outer.imag.ravel(), table.size).reshape(table.shape)
+    cov = table[block.reshape(n, width, width)]
+    cov[~(valid[:, :, None] & valid[:, None, :])] = 0.0
+    cov = cov.transpose(0, 1, 3, 2, 4).reshape(n, dim, dim)
+    load = channel_state.error_var[:, served].sum(axis=1)
+    diagonal = np.where(valid, load[rrhs] + noise_power, 1.0)
+    cov[:, np.arange(dim), np.arange(dim)] += np.repeat(diagonal, antennas, axis=1)
+    own = (est * valid[:, :, None]).reshape(n, dim, 1)
+    try:
+        w = np.linalg.solve(cov, own)[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("singular covariance") from exc
+    if not (np.isfinite(cov).all() and np.isfinite(w).all()):
+        raise ValueError("covariance overflows")
+    on = np.repeat(valid, antennas, axis=1)
+    trace = np.where(on, cov[:, np.arange(dim), np.arange(dim)].real, 0.0).sum(axis=1)
+    if (trace > 1e11 * np.where(valid, diagonal, np.inf).min(axis=1)).any():
+        raise ValueError("covariance too ill-conditioned")
+    _, exponent = np.frexp(np.abs(w).max(axis=1))
+    w *= np.ldexp(1.0, np.clip(-exponent, -1000, 1000))[:, None]
+    norms = np.linalg.norm(w, axis=1)
+    vanished = norms == 0.0
+    w /= np.where(vanished, 1.0, norms)[:, None]
+    uniform = on / np.sqrt(valid.sum(axis=1) * antennas)[:, None]
+    w[vanished] = uniform[vanished]
+    return LocalBeams(rrhs=rrhs, valid=valid, weights=w.reshape(n, width, antennas),
+                      num_rrhs=num_rrhs)
+
+
+def rate_coefficients_whole_reference(channel_state, beams, served):
+    """(signal, self_err, cross) paired from the served set alone: an
+    (n*L, n) mask of the beams with a slot at each cluster link's RRH and a
+    ``flatnonzero`` over it per call, every gain summed by bincount over
+    all n*n combinations, and ``cross`` the whole |gains|^2 plus leakage."""
+    served = np.asarray(served, dtype=np.int64)
+    n = served.size
+    link_rrh = beams.rrhs.ravel()
+    est = channel_state.estimates[served].reshape(link_rrh.size, channel_state.estimates.shape[2])
+    users = np.arange(link_rrh.size) // beams.rrhs.shape[1]
+    slot = np.full((beams.num_rrhs, n), -1)
+    cols, slots = np.nonzero(beams.valid)
+    slot[beams.rrhs[cols, slots], cols] = slots
+    link_of, col = np.divmod(np.flatnonzero((slot >= 0)[link_rrh]), n)
+    terms = np.einsum("pm,pm->p", est[link_of].conj(),
+                      beams.weights[col, slot[link_rrh[link_of], col]])
+    flat = users[link_of] * n + col
+    gains = (np.bincount(flat, terms.real, n * n)
+             + 1j * np.bincount(flat, terms.imag, n * n)).reshape(n, n)
+    evar = channel_state.error_var[:, served]
+    leak = np.einsum("bla,bl->ab", evar[beams.rrhs], beams.slot_power)
     signal = np.abs(np.diag(gains)) ** 2
     self_err = np.diag(leak).copy()
     cross = np.abs(gains) ** 2 + leak
@@ -514,20 +615,21 @@ def max_served_reference(instance, stage1_result, channel_state, config) -> Admi
     no user of, and whose beams, rate coefficients and power shares give
     a feasible power control at admission's SINR target, is returned as
     a solution (the empty set always is one).  The round is made of the
-    production stage-2 functions, so this is exact for greedy admission's
-    own feasibility test.  Exponential in the admitted count.
+    production stage-2 functions on one holder table of the admitted users,
+    so this is exact for greedy admission's own feasibility test.
+    Exponential in the admitted count.
     """
     admitted = stage1_result.admitted
+    table = build_holder_table(channel_state, instance.alpha, admitted)
     sinr_target = math.expm1(config.rate_req * math.log(2.0))
     for size in range(len(admitted), -1, -1):
         for subset in combinations(admitted.tolist(), size):
             served = np.array(subset, dtype=np.int64)
-            valid = enforce_fronthaul_cap(channel_state.links, served, instance.alpha,
-                                          config.fronthaul_cap)
+            valid = enforce_fronthaul_cap(table, served, config.fronthaul_cap)
             if not valid.any(axis=1).all():
                 continue
-            beams = robust_beam_direction(channel_state, valid, served, config.noise_power)
-            signal, self_err, cross = rate_coefficients(channel_state, beams, served)
+            beams = robust_beam_direction(table, valid, served, config.noise_power)
+            signal, self_err, cross = rate_coefficients(table, beams, served)
             share = rrh_power_share(beams)
             control = power_allocation_fixed_point(signal, self_err, cross, sinr_target,
                                                    config.noise_power, share,

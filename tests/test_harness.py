@@ -22,6 +22,7 @@ from ucran import (
     validate_assignment,
     write_csv,
 )
+from ucran.channel import ChannelState
 from ucran.harness import (
     CSV_HEADER,
     audit_solution,
@@ -30,7 +31,7 @@ from ucran.harness import (
     baseline_ortho,
 )
 from ucran.stage1 import Stage1Base
-from ucran.stage2 import AdmissionSolution, LocalBeams, enforce_fronthaul_cap
+from ucran.stage2 import AdmissionSolution, LocalBeams, build_holder_table, enforce_fronthaul_cap
 from ucran.topology import build_clusters, stream_rng
 
 
@@ -369,7 +370,10 @@ _INTEGER_ENTRY_POINTS = {
     "baseline_ortho": ("pilot_budget", 1,
                        lambda v: baseline_ortho(build_network(_config(), seed=0), v, 2, 0)),
     "enforce_fronthaul_cap": ("fronthaul_cap", 1, lambda v: enforce_fronthaul_cap(
-        np.array([[0]]), [0], np.ones((1, 1)), v)),
+        build_holder_table(ChannelState(links=np.array([[0]]),
+                                        estimates=np.zeros((1, 1, 1), dtype=complex),
+                                        error_var=np.zeros((1, 1))), np.ones((1, 1)), [0]),
+        [0], v)),
     "run_campaign": ("num_seeds", 1, lambda v: run_campaign(_config(), [2], [3], num_seeds=v)),
     "run_trial": ("seed", 0, lambda v: run_trial(_config(), v, "proposed")),
     **{f"SimConfig.{f.name}": (f.name, 0 if f.name == "master_seed" else 1,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ucran import SimConfig, admission_loop, build_channel_state, build_network, run_stage1
 from ucran.stage2 import (
     LocalBeams,
+    build_holder_table,
     enforce_fronthaul_cap,
     expected_rate_lb,
     power_allocation_fixed_point,
@@ -22,10 +23,11 @@ from ucran.coloring import PilotAssignment
 from ucran.stage1 import Stage1Result
 
 from conftest import craft_instance
-from oracles import (beam_systems_reference, fronthaul_serving_sets,
-                     power_fixed_point_reference, rate_coefficients_join_reference,
-                     rate_coefficients_reference, scatter_links, solve_power_linear,
-                     stack_antennas)
+from oracles import (beam_systems_reference, fronthaul_cap_whole_reference,
+                     fronthaul_serving_sets, power_fixed_point_reference,
+                     rate_coefficients_join_reference, rate_coefficients_reference,
+                     rate_coefficients_whole_reference, robust_beam_whole_reference,
+                     scatter_links, solve_power_linear, stack_antennas)
 
 
 def _state(estimates: np.ndarray, error_var: np.ndarray) -> ChannelState:
@@ -49,6 +51,24 @@ def _valid(num_rrhs: int, sets: dict[int, list[int]]) -> np.ndarray:
     return valid
 
 
+def _table(state: ChannelState, holders):
+    """Holder table of ``holders`` on ``state``, with unit link gains."""
+    return build_holder_table(state, np.ones(state.error_var.shape), holders)
+
+
+def _links_state(links: np.ndarray, num_rrhs: int) -> ChannelState:
+    """Channel state on ``links`` with zero estimates: all the fronthaul cap reads."""
+    num_users, width = links.shape
+    return ChannelState(links=links, estimates=np.zeros((num_users, width, 1), dtype=complex),
+                        error_var=np.zeros((num_rrhs, num_users)))
+
+
+def _cap(links: np.ndarray, served, alpha: np.ndarray, cap) -> np.ndarray:
+    """The fronthaul mask of ``served`` on the holder table of ``served``."""
+    table = build_holder_table(_links_state(links, alpha.shape[0]), alpha, served)
+    return enforce_fronthaul_cap(table, served, cap)
+
+
 def _dense(beams: LocalBeams) -> np.ndarray:
     """(I*M, n) beams zero-padded over all RRH antennas."""
     return stack_antennas(scatter_links(beams.rrhs, beams.weights, beams.num_rrhs))
@@ -59,25 +79,25 @@ def _dense(beams: LocalBeams) -> np.ndarray:
 def test_fronthaul_cap_keeps_strongest():
     links = np.array([[0], [0], [0]])
     alpha = np.array([[0.1, 0.5, 0.3]])
-    valid = enforce_fronthaul_cap(links, [0, 1, 2], alpha, cap=2)
+    valid = _cap(links, [0, 1, 2], alpha, cap=2)
     assert valid.tolist() == [[False], [True], [True]]
 
 
 def test_fronthaul_cap_tie_prefers_lower_id():
     links = np.array([[0], [0]])
     alpha = np.array([[0.4, 0.4]])
-    valid = enforce_fronthaul_cap(links, [0, 1], alpha, cap=1)
+    valid = _cap(links, [0, 1], alpha, cap=1)
     assert valid.tolist() == [[True], [False]]
     # the rank does not depend on the order of the served list
-    assert enforce_fronthaul_cap(links, [1, 0], alpha, cap=1).tolist() == [[False], [True]]
+    assert _cap(links, [1, 0], alpha, cap=1).tolist() == [[False], [True]]
 
 
 def test_fronthaul_cap_under_cap_untouched():
     links = np.array([[0, 2], [1, 2]])
     alpha = np.ones((3, 2))
-    valid = enforce_fronthaul_cap(links, [0, 1], alpha, cap=3)
+    valid = _cap(links, [0, 1], alpha, cap=3)
     assert valid.shape == (2, 2) and valid.all()
-    assert enforce_fronthaul_cap(links, [], alpha, cap=3).shape == (0, 2)
+    assert _cap(links, [], alpha, cap=3).shape == (0, 2)
 
 
 @pytest.mark.parametrize("ties", [False, True])
@@ -94,12 +114,13 @@ def test_fronthaul_cap_second_pass_changes_nothing(ties):
         levels = rng.choice([0.25, 0.5, 1.0], size=(num_rrhs, num_users))
         alpha = levels if ties else rng.uniform(0.1, 1.0, (num_rrhs, num_users))
         served = np.flatnonzero(rng.random(num_users) < 0.8)
+        table = build_holder_table(_links_state(clusters, num_rrhs), alpha, served)
         for cap in (1, 2, 3):
-            valid = enforce_fronthaul_cap(clusters, served, alpha, cap)
+            valid = enforce_fronthaul_cap(table, served, cap)
             has_rrh = valid.any(axis=1)
             stranded += int((~has_rrh).sum())
             np.testing.assert_array_equal(
-                enforce_fronthaul_cap(clusters, served[has_rrh], alpha, cap), valid[has_rrh])
+                enforce_fronthaul_cap(table, served[has_rrh], cap), valid[has_rrh])
     assert stranded > 0
 
 
@@ -107,8 +128,8 @@ def test_fronthaul_cap_rejects_bad_cap():
     links = np.array([[0], [0], [0]])
     for cap in (0, 1.5, 2.5, True):
         with pytest.raises(ValueError, match=f"fronthaul_cap must be an integer >= 1, got {cap}"):
-            enforce_fronthaul_cap(links, [0, 1, 2], np.ones((1, 3)), cap=cap)
-    assert enforce_fronthaul_cap(links, [0, 1, 2], np.ones((1, 3)), cap=np.int64(2)).sum() == 2
+            _cap(links, [0, 1, 2], np.ones((1, 3)), cap=cap)
+    assert _cap(links, [0, 1, 2], np.ones((1, 3)), cap=np.int64(2)).sum() == 2
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 10), st.integers(1, 4),
@@ -123,7 +144,7 @@ def test_fronthaul_mask_matches_reference_sets(seed, num_users, width, cap, keep
     levels = rng.choice([0.25, 0.5, 1.0], size=(num_rrhs, num_users))
     alpha = levels if ties else rng.uniform(0.1, 1.0, (num_rrhs, num_users))
     admitted = np.flatnonzero(rng.random(num_users) < keep).tolist()
-    valid = enforce_fronthaul_cap(clusters, admitted, alpha, cap)
+    valid = _cap(clusters, admitted, alpha, cap)
     reference = fronthaul_serving_sets(clusters, admitted, alpha, cap)
     expected = np.array([np.isin(clusters[k], reference[k]) for k in admitted],
                         dtype=bool).reshape(len(admitted), width)
@@ -136,7 +157,8 @@ def test_beam_single_user_is_matched_filter():
     rng = np.random.default_rng(0)
     est = _complex(rng, (2, 1, 2))
     state = _state(est, np.zeros((2, 1)))
-    w = _dense(robust_beam_direction(state, _valid(2, {0: [0, 1]}), [0], noise_power=0.3))
+    w = _dense(robust_beam_direction(_table(state, [0]), _valid(2, {0: [0, 1]}), [0],
+                                     noise_power=0.3))
     hhat = est.transpose(0, 2, 1).reshape(4)
     expected = hhat / np.linalg.norm(hhat)
     np.testing.assert_allclose(w[:, 0], expected, atol=1e-12)
@@ -150,7 +172,7 @@ def test_beam_two_users_match_dense_inverse():
     state = _state(est, evar)
     valid = _valid(2, {0: [0, 1], 1: [0, 1]})
     noise = 0.2
-    w = _dense(robust_beam_direction(state, valid, [0, 1], noise_power=noise))
+    w = _dense(robust_beam_direction(_table(state, [0, 1]), valid, [0, 1], noise_power=noise))
     hhat = est.transpose(0, 2, 1).reshape(4, 2)
     load = np.repeat(evar.sum(axis=1), 2)
     cov = hhat @ hhat.conj().T + np.diag(load + noise)
@@ -164,7 +186,8 @@ def test_beam_zero_outside_serving_set():
     rng = np.random.default_rng(2)
     est = _complex(rng, (3, 1, 2))
     state = _state(est, np.zeros((3, 1)))
-    w = _dense(robust_beam_direction(state, _valid(3, {0: [1]}), [0], noise_power=0.1))
+    w = _dense(robust_beam_direction(_table(state, [0]), _valid(3, {0: [1]}), [0],
+                                     noise_power=0.1))
     assert (w[[0, 1, 4, 5], 0] == 0).all()
     assert np.linalg.norm(w[:, 0]) == pytest.approx(1.0)
     local = est[1, 0]
@@ -177,7 +200,8 @@ def test_beam_matched_filter_at_extreme_scales(scale):
     rng = np.random.default_rng(8)
     est = scale * _complex(rng, (2, 1, 2))
     state = _state(est, np.zeros((2, 1)))
-    w = _dense(robust_beam_direction(state, _valid(2, {0: [0, 1]}), [0], noise_power=1.0))
+    w = _dense(robust_beam_direction(_table(state, [0]), _valid(2, {0: [0, 1]}), [0],
+                                     noise_power=1.0))
     hhat = est.transpose(0, 2, 1).reshape(4)
     np.testing.assert_allclose(w[:, 0], hhat / np.linalg.norm(hhat / scale) / scale,
                                atol=1e-12)
@@ -187,7 +211,8 @@ def test_beam_covariance_overflow_raises():
     est = np.full((1, 2, 1), 1e200, dtype=complex)
     state = _state(est, np.zeros((1, 2)))
     with pytest.raises(ValueError, match="beam solve failed for user 0: its covariance overflows"):
-        robust_beam_direction(state, _valid(1, {0: [0], 1: [0]}), [0, 1], noise_power=1.0)
+        robust_beam_direction(_table(state, [0, 1]), _valid(1, {0: [0], 1: [0]}), [0, 1],
+                              noise_power=1.0)
 
 
 @pytest.mark.parametrize("scale", [1e100, 1e6], ids=["1e100", "1e6"])
@@ -201,14 +226,14 @@ def test_beam_ill_conditioned_covariance_raises(scale):
     state = _state(est, np.zeros((2, 1)))
     with pytest.raises(ValueError, match="beam solve failed for user 0: its covariance is "
                                          "too ill-conditioned"):
-        robust_beam_direction(state, _valid(2, {0: [0, 1]}), [0], noise_power=1.0)
+        robust_beam_direction(_table(state, [0]), _valid(2, {0: [0, 1]}), [0], noise_power=1.0)
 
 
 def test_beam_empty_serving_set_raises():
     est = np.ones((1, 1, 1), dtype=complex)
     state = _state(est, np.zeros((1, 1)))
     with pytest.raises(ValueError):
-        robust_beam_direction(state, np.zeros((1, 1), dtype=bool), [0], 0.1)
+        robust_beam_direction(_table(state, [0]), np.zeros((1, 1), dtype=bool), [0], 0.1)
 
 
 def test_beam_solve_failure_names_the_first_singular_user():
@@ -221,7 +246,7 @@ def test_beam_solve_failure_names_the_first_singular_user():
     state = _state(est, np.zeros((2, 6)))
     valid = _valid(2, {2: [0], 5: [0, 1]})
     with pytest.raises(ValueError, match="beam solve failed for user 5"):
-        robust_beam_direction(state, valid, [2, 5], noise_power=0.0)
+        robust_beam_direction(_table(state, [2, 5]), valid, [2, 5], noise_power=0.0)
 
 
 def test_beam_vanishing_own_estimate_gets_uniform_beam():
@@ -234,7 +259,7 @@ def test_beam_vanishing_own_estimate_gets_uniform_beam():
     valid = _valid(3, {0: [0], 1: [1, 2]})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = _dense(robust_beam_direction(state, valid, [0, 1], noise_power=0.1))
+        w = _dense(robust_beam_direction(_table(state, [0, 1]), valid, [0, 1], noise_power=0.1))
     np.testing.assert_allclose(w[:, 1], [0, 0, 0.5, 0.5, 0.5, 0.5])
     assert np.linalg.norm(w[:, 1]) == pytest.approx(1.0)
 
@@ -250,7 +275,8 @@ def _assert_matches_reference(state, valid, served, noise):
     checked against the dense products of the same beams; atol covers
     entries that cancel to near zero.
     """
-    beams = robust_beam_direction(state, valid, served, noise)
+    table = _table(state, served)
+    beams = robust_beam_direction(table, valid, served, noise)
     dense = _dense(beams)
     estimates = scatter_links(state.links, state.estimates, state.error_var.shape[0])
     serving = {k: state.links[k][valid[a]] for a, k in enumerate(served)}
@@ -266,7 +292,7 @@ def _assert_matches_reference(state, valid, served, noise):
         scale = np.vdot(image, own) / np.vdot(image, image)
         residual = np.linalg.norm(scale * image - own)
         assert residual <= 1e-13 * (np.linalg.norm(cov, 2) * abs(scale) + np.linalg.norm(own))
-    ours = rate_coefficients(state, beams, served) + (rrh_power_share(beams),)
+    ours = rate_coefficients(table, beams, served) + (rrh_power_share(beams),)
     theirs = rate_coefficients_reference(estimates, state.error_var, dense, served)
     scale = theirs[0].max()
     for name, got, want in zip(("signal", "self_err", "cross", "share"), ours, theirs):
@@ -281,7 +307,8 @@ def _pruned_round(seed: int, cluster_size: int, cap: int, perfect: bool):
     instance = build_network(config, seed=seed)
     s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
     state = build_channel_state(instance, s1.assignment, config, seed=seed, perfect=perfect)
-    valid = enforce_fronthaul_cap(state.links, s1.admitted, instance.alpha, cap)
+    table = build_holder_table(state, instance.alpha, s1.admitted)
+    valid = enforce_fronthaul_cap(table, s1.admitted, cap)
     has_rrh = valid.any(axis=1)
     served = [int(k) for k in s1.admitted[has_rrh]]
     return state, valid[has_rrh], served, config.noise_power
@@ -335,10 +362,72 @@ def test_rate_coefficients_match_the_join_reference_bit_for_bit(seed, num_rrhs, 
     valid = rng.random((served.size, width)) >= prune
     beams = LocalBeams(rrhs=links[served], valid=valid, num_rrhs=num_rrhs,
                        weights=_complex(rng, (served.size, width, antennas)) * valid[:, :, None])
-    got = rate_coefficients(state, beams, served)
+    got = rate_coefficients(_table(state, served), beams, served)
     want = rate_coefficients_join_reference(state, beams, served)
     for name, ours, theirs in zip(("signal", "self_err", "cross"), got, want):
         assert ours.shape == theirs.shape and np.array_equal(ours, theirs), name
+
+
+def _same_bytes(got: np.ndarray, want: np.ndarray, name: str) -> None:
+    assert got.shape == want.shape and got.dtype == want.dtype, name
+    assert got.tobytes() == want.tobytes(), name
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), num_rrhs=st.integers(1, 40),
+       num_users=st.integers(1, 30), num_holders=st.integers(0, 30), width=st.integers(1, 4),
+       antennas=st.integers(1, 3), cap=st.integers(1, 4), perfect=st.booleans())
+@example(seed=0, num_rrhs=6, num_users=5, num_holders=0, width=2, antennas=2, cap=1,
+         perfect=False)
+@example(seed=1, num_rrhs=6, num_users=5, num_holders=1, width=3, antennas=2, cap=1,
+         perfect=True)
+@example(seed=2, num_rrhs=4, num_users=12, num_holders=12, width=4, antennas=3, cap=2,
+         perfect=False)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_every_round_on_the_holder_table_matches_the_whole_served_references(
+        seed, num_rrhs, num_users, num_holders, width, antennas, cap, perfect):
+    # a random channel state: gains spanning three decades, or a few levels
+    # that tie; estimates on the holders' cluster links only, with zero
+    # error there under perfect CSI, and the full gain as error elsewhere
+    rng = np.random.default_rng(seed)
+    width = min(width, num_rrhs)
+    links = np.array([np.sort(rng.choice(num_rrhs, width, replace=False))
+                      for _ in range(num_users)], dtype=np.int64)
+    if rng.random() < 0.5:
+        alpha = rng.choice([0.25, 0.5, 1.0], size=(num_rrhs, num_users))
+    else:
+        alpha = 10.0 ** rng.uniform(-3.0, 0.0, (num_rrhs, num_users))
+    holders = np.sort(rng.choice(num_users, min(num_holders, num_users), replace=False))
+    gains = alpha[links.T, np.arange(num_users)].T                  # (K, L)
+    estimates = np.zeros((num_users, width, antennas), dtype=complex)
+    estimates[holders] = (np.sqrt(gains[holders] / 2.0)[:, :, None]
+                          * _complex(rng, (holders.size, width, antennas)))
+    error_var = alpha.copy()
+    rows, cols = np.repeat(holders, width), links[holders].ravel()
+    error_var[cols, rows] = 0.0 if perfect else alpha[cols, rows] * rng.uniform(0.0, 1.0, rows.size)
+    state = ChannelState(links=links, estimates=estimates, error_var=error_var)
+    noise = 10.0 ** rng.uniform(-3.0, 0.0)
+
+    table = build_holder_table(state, alpha, holders)
+    served = table.holders
+    while True:
+        valid = enforce_fronthaul_cap(table, served, cap)
+        _same_bytes(valid, fronthaul_cap_whole_reference(links, served, alpha, cap), "valid")
+        has_rrh = valid.any(axis=1)
+        served, valid = served[has_rrh], valid[has_rrh]
+        beams = robust_beam_direction(table, valid, served, noise)
+        want = robust_beam_whole_reference(state, valid, served, noise)
+        for name in ("rrhs", "valid", "weights"):
+            _same_bytes(getattr(beams, name), getattr(want, name), name)
+        got = rate_coefficients(table, beams, served)
+        for name, ours, theirs in zip(("signal", "self_err", "cross"), got,
+                                      rate_coefficients_whole_reference(state, beams, served)):
+            _same_bytes(ours, theirs, name)
+        # power control's BLAS matrix-vector product adds in another order
+        # for a Fortran-ordered matrix, so its bits depend on this order
+        assert got[2].flags.c_contiguous
+        if not served.size:
+            break
+        served = np.delete(served, rng.integers(served.size))
 
 
 @pytest.mark.parametrize("served", [[], np.zeros(0, dtype=np.int64)], ids=["list", "array"])
@@ -348,12 +437,14 @@ def test_every_step_takes_an_empty_served_set(served):
     s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
     state = build_channel_state(instance, s1.assignment, config, seed=0)
     width, antennas = config.cluster_size, config.antennas_per_rrh
-    valid = enforce_fronthaul_cap(state.links, served, instance.alpha, config.fronthaul_cap)
+    # the holders stay, and the round has dropped every one of them
+    table = build_holder_table(state, instance.alpha, s1.admitted)
+    valid = enforce_fronthaul_cap(table, served, config.fronthaul_cap)
     assert valid.shape == (0, width) and valid.dtype == bool
-    beams = robust_beam_direction(state, valid, served, config.noise_power)
+    beams = robust_beam_direction(table, valid, served, config.noise_power)
     assert beams.rrhs.shape == beams.valid.shape == (0, width)
     assert beams.weights.shape == (0, width, antennas)
-    signal, self_err, cross = rate_coefficients(state, beams, served)
+    signal, self_err, cross = rate_coefficients(table, beams, served)
     assert signal.shape == self_err.shape == (0,) and cross.shape == (0, 0)
     share = rrh_power_share(beams)
     assert share.shape == (config.num_rrhs, 0)
@@ -372,8 +463,9 @@ def test_rate_lb_single_user_closed_form():
     est = _complex(rng, (2, 1, 2))
     state = _state(est, np.zeros((2, 1)))
     noise = 0.05
-    w = robust_beam_direction(state, _valid(2, {0: [0, 1]}), [0], noise)
-    coeffs = rate_coefficients(state, w, [0])
+    table = _table(state, [0])
+    w = robust_beam_direction(table, _valid(2, {0: [0, 1]}), [0], noise)
+    coeffs = rate_coefficients(table, w, [0])
     energy = (np.abs(est) ** 2).sum()
     for p in (0.2, 1.0, 7.0):
         rate = expected_rate_lb(*coeffs, np.array([p]), noise)
@@ -383,8 +475,9 @@ def test_rate_lb_single_user_closed_form():
 def test_rate_lb_zero_power_is_zero():
     est = np.ones((1, 2, 1), dtype=complex)
     state = _state(est, np.zeros((1, 2)))
-    w = robust_beam_direction(state, _valid(1, {0: [0], 1: [0]}), [0, 1], 0.1)
-    rates = expected_rate_lb(*rate_coefficients(state, w, [0, 1]), np.zeros(2), 0.1)
+    table = _table(state, [0, 1])
+    w = robust_beam_direction(table, _valid(1, {0: [0], 1: [0]}), [0, 1], 0.1)
+    rates = expected_rate_lb(*rate_coefficients(table, w, [0, 1]), np.zeros(2), 0.1)
     np.testing.assert_array_equal(rates, 0.0)
 
 
@@ -396,7 +489,7 @@ def test_rate_coefficients_error_terms():
     state = _state(est, np.full((1, 1), v))
     w = LocalBeams(rrhs=np.zeros((1, 1), dtype=np.int64), valid=np.ones((1, 1), dtype=bool),
                    weights=np.ones((1, 1, 1), dtype=complex), num_rrhs=1)
-    signal, self_err, cross = rate_coefficients(state, w, [0])
+    signal, self_err, cross = rate_coefficients(_table(state, [0]), w, [0])
     assert signal[0] == pytest.approx(1.0)
     assert self_err[0] == pytest.approx(v)
     assert cross.shape == (1, 1) and cross[0, 0] == 0.0
@@ -406,7 +499,8 @@ def test_rrh_power_share_columns_sum_to_one():
     rng = np.random.default_rng(4)
     est = _complex(rng, (3, 2, 2))
     state = _state(est, np.zeros((3, 2)))
-    w = robust_beam_direction(state, _valid(3, {0: [0, 1], 1: [1, 2]}), [0, 1], 0.1)
+    w = robust_beam_direction(_table(state, [0, 1]), _valid(3, {0: [0, 1], 1: [1, 2]}),
+                              [0, 1], 0.1)
     share = rrh_power_share(w)
     np.testing.assert_allclose(share.sum(axis=0), 1.0)
     assert (share >= 0).all()
@@ -699,7 +793,7 @@ def test_admission_constraints_hold():
         links = np.sort(instance.clusters, axis=1)
         np.testing.assert_array_equal(beams.rrhs, links[sol.served])
         assert beams.valid.any(axis=1).all()
-        np.testing.assert_array_equal(beams.valid, enforce_fronthaul_cap(
+        np.testing.assert_array_equal(beams.valid, _cap(
             links, sol.served, instance.alpha, config.fronthaul_cap))
         assert not beams.weights[~beams.valid].any()
         # served plus dropped is exactly the stage-1 admitted set
@@ -761,16 +855,15 @@ def test_admission_never_beats_exhaustive_subsets():
         target = 2.0 ** config.rate_req - 1.0
         best = 0
         admitted = [int(k) for k in s1.admitted]
+        table = build_holder_table(state, instance.alpha, admitted)
         for size in range(len(admitted), 0, -1):
             for subset in combinations(admitted, size):
-                valid = enforce_fronthaul_cap(state.links, subset,
-                                              instance.alpha,
-                                              config.fronthaul_cap)
+                valid = enforce_fronthaul_cap(table, subset, config.fronthaul_cap)
                 if not valid.any(axis=1).all():
                     continue
-                w = robust_beam_direction(state, valid, subset,
+                w = robust_beam_direction(table, valid, subset,
                                           config.noise_power)
-                sig, serr, cross = rate_coefficients(state, w, subset)
+                sig, serr, cross = rate_coefficients(table, w, subset)
                 share = rrh_power_share(w)
                 control = power_allocation_fixed_point(
                     sig, serr, cross, target, config.noise_power, share,
@@ -844,10 +937,11 @@ def test_admission_drops_the_largest_demand_first(est, error_var, rate_req, cap,
                                                   victim):
     instance, s1, state, config = _hand_round(est, error_var, rate_req, cap)
     served = s1.admitted
-    beams = robust_beam_direction(state, np.ones((served.size, est.shape[0]), dtype=bool),
+    table = build_holder_table(state, instance.alpha, served)
+    beams = robust_beam_direction(table, np.ones((served.size, est.shape[0]), dtype=bool),
                                   served, config.noise_power)
     control = power_allocation_fixed_point(
-        *rate_coefficients(state, beams, served), 2.0 ** rate_req - 1.0,
+        *rate_coefficients(table, beams, served), 2.0 ** rate_req - 1.0,
         config.noise_power, rrh_power_share(beams), cap)
     assert control.reason == reason
     if np.array_equal(est, est[::-1, ::-1]):
