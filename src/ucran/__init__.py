@@ -10,7 +10,7 @@ lower bound clears the requirement.  The harness sweeps cluster size and
 pilot budget over shared seeds and emits CSV campaigns.
 """
 
-from .channel import build_channel_state, draw_channels, mmse_estimate, simulate_pilot_rx
+from .channel import build_channel_state, link_channels, mmse_estimate, simulate_pilot_rx
 from .coloring import PilotAssignment, dsatur_color, validate_assignment
 from .conflict_graph import build_base_graph, interference_matrix
 from .harness import ALGORITHMS, CampaignReport, run_campaign, run_trial, write_csv
@@ -31,9 +31,9 @@ __all__ = [
     "build_base_graph",
     "build_channel_state",
     "build_network",
-    "draw_channels",
     "dsatur_color",
     "interference_matrix",
+    "link_channels",
     "make_config",
     "mmse_estimate",
     "pairwise_distances",

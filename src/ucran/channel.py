@@ -1,9 +1,15 @@
 """Small-scale fading, uplink pilot reception, and per-link channel knowledge.
 
-Array conventions: true channels are (num_rrhs, num_users, antennas)
-complex and read-only, and only the pilot phase reads them; a
-:class:`Fading` value keeps one seed's draw for every trial of that
-seed, and without one they live only through the call.  Error
+Array conventions: the true channels are (num_rrhs, num_users, antennas)
+complex, h[i, k] ~ CN(0, alpha[i, k] * Identity), and the pilot noise is
+(num_rrhs, num_pilots, antennas).  Neither is ever held whole: each
+value is a pure function of the seed, its stream tag and its index,
+made by :func:`complex_normal` from a counter-based stream (Salmon et
+al., SC 2011), so a call makes only the links it reads, in any order and
+batch, and every trial of a seed reads the same value on a shared link.
+Value m of link (i, k) sits at counter (i * K + k) * M + m of the fading
+stream, and the noise of RRH i on pilot t at counter (t * I + i) * M + m
+of the pilot-noise stream, a layout that reads no pilot count.  Error
 variances are (num_rrhs, num_users) per antenna.  Estimates are stored
 on the only links they are made on, each user's cluster links:
 (num_users, L, antennas) on :attr:`ChannelState.links`, the L cluster
@@ -11,17 +17,16 @@ RRHs in ascending order.  Pilot holders are estimated by linear MMSE
 from the pilot phase, or exactly under perfect CSI; other users keep
 zero rows.
 
-The pilot phase works only on the links it reads: each pilot holder's
-cluster RRHs, on its own pilot.  The noise of every (RRH, pilot)
-observation is still drawn, so the fading stream moves on as if all
-were made.  The observation and the co-pilot gain sum of the error
-variance add the link's co-pilot holders from zero in ascending id, the
-order of the whole-array forms they replace (an ``np.add.at`` over
-every (RRH, pilot) pair and an ``alpha @ copilot`` product over every
-(RRH, user) pair), and a test holds them bit for bit to those forms.
-The total received pilot power stays one dense ``alpha @ membership``
-product: a per-link sum would not add in the order its BLAS kernel
-adds on every link.
+The pilot phase makes only what it reads: each pilot holder's
+cluster RRHs, on its own pilot, the channels of that pilot's holders
+there and the noise there.  The observation and the co-pilot gain sum of
+the error variance add the link's co-pilot holders from zero in
+ascending id, the order of the whole-array forms they replace (an
+``np.add.at`` over every (RRH, pilot) pair and an ``alpha @ copilot``
+product over every (RRH, user) pair), and a test holds them bit for bit
+to those forms.  The total received pilot power stays one dense
+``alpha @ membership`` product: a per-link sum would not add in the
+order its BLAS kernel adds on every link.
 Every link without an estimate keeps its full gain alpha as its error
 variance, so downstream consumers can treat every link uniformly (known
 part + zero-mean residual of that variance per antenna).
@@ -29,12 +34,20 @@ part + zero-mean residual of that variance per antenna).
 
 from __future__ import annotations
 
+import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coloring import PilotAssignment
-from .topology import NetworkInstance, SimConfig, STREAM_FADING, read_only, stream_rng
+from .topology import (NetworkInstance, SimConfig, STREAM_FADING, STREAM_PILOT_NOISE,
+                       check_integer)
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the counter step, odd, and
+# the two multipliers of its bijective finalizer
+GAMMA = 0x9E3779B97F4A7C15
+MIX1, MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 @dataclass(frozen=True)
@@ -44,19 +57,70 @@ class ChannelState:
     error_var: np.ndarray       # (I, K) per-antenna residual variance
 
 
-def draw_channels(alpha: np.ndarray, antennas: int, rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. Rayleigh links: h[i, k] ~ CN(0, alpha[i, k] * Identity)."""
-    shape = alpha.shape + (antennas,)
-    h = np.empty(shape, dtype=complex)
-    h.real = rng.standard_normal(shape)
-    h.imag = rng.standard_normal(shape)
-    h *= np.sqrt(alpha / 2.0)[:, :, None]
-    return h
+def stream_key(seed: int, stream: int) -> int:
+    """The 64-bit key of one seed's stream: the first 8 bytes, little-endian,
+    of the BLAKE2b digest of ``"seed:stream"``, so a seed of any size has
+    one.  ValueError unless ``seed`` is an integer >= 0."""
+    check_integer("seed", seed, 0)
+    digest = hashlib.blake2b(f"{int(seed)}:{int(stream)}".encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
 
 
-def simulate_pilot_rx(true_channels: np.ndarray, assignment: PilotAssignment,
-                      links: np.ndarray, pilot_power: float, noise_power: float,
-                      rng) -> np.ndarray:
+def complex_normal(seed: int, stream: int, counters) -> np.ndarray:
+    """The CN(0, 1) value at each counter of the (``seed``, ``stream``)
+    stream, as a complex array of the counters' shape.
+
+    Value n is made from the 64-bit words 2n and 2n + 1 (mod 2**64), word
+    c being SplitMix64's finalizer of ``key + c * GAMMA`` (mod 2**64), so
+    the words run as SplitMix64's outputs from :func:`stream_key`.  Their
+    top 52 bits give u1 and u2 on the open interval (0, 1), and Box–Muller
+    in polar form gives ``sqrt(-ln u1) * exp(2 pi i u2)``.  Every step is
+    elementwise, so a value's bits read nothing of its batch.
+    """
+    counters = np.asarray(counters, dtype=np.uint64)
+    # words 2n and 2n + 1 of every value, each row contiguous
+    words = np.empty((2,) + counters.shape, dtype=np.uint64)
+    np.multiply(counters, 2 * GAMMA % 2 ** 64, out=words[0])
+    words[0] += stream_key(seed, stream)
+    np.add(words[0], GAMMA, out=words[1])
+    words ^= words >> 30
+    words *= MIX1
+    words ^= words >> 27
+    words *= MIX2
+    words ^= words >> 31
+    # (top 52 bits + 1/2) / 2**52, exact in float64
+    u = np.multiply(words >> 12, 2.0 ** -52)
+    u += 2.0 ** -53
+    radius = np.sqrt(-np.log(u[0]))
+    angle = (2.0 * math.pi) * u[1]
+    values = np.empty(counters.shape, dtype=complex)
+    np.multiply(radius, np.cos(angle), out=values.real)
+    np.multiply(radius, np.sin(angle), out=values.imag)
+    return values
+
+
+def _per_antenna(seed: int, stream: int, flat: np.ndarray, antennas: int) -> np.ndarray:
+    """The stream's values at counters ``flat * antennas + m``, shaped
+    ``flat.shape + (antennas,)``; made antenna-major, so each numpy call
+    runs along ``flat`` rather than along the few antennas."""
+    flat = np.asarray(flat)
+    m = np.arange(antennas).reshape((antennas,) + (1,) * flat.ndim)
+    values = complex_normal(seed, stream, flat * antennas + m)
+    return values.transpose(tuple(range(1, values.ndim)) + (0,))
+
+
+def link_channels(seed: int, alpha: np.ndarray, antennas: int,
+                  rrhs: np.ndarray, users: np.ndarray) -> np.ndarray:
+    """The true channels ``h[rrhs, users]`` of ``seed``: i.i.d. Rayleigh,
+    h[i, k] ~ CN(0, alpha[i, k] * Identity), shaped as the broadcast index
+    arrays plus (antennas,)."""
+    values = _per_antenna(seed, STREAM_FADING, rrhs * alpha.shape[1] + users, antennas)
+    return np.sqrt(alpha[rrhs, users])[..., None] * values
+
+
+def simulate_pilot_rx(seed: int, alpha: np.ndarray, antennas: int,
+                      assignment: PilotAssignment, links: np.ndarray,
+                      pilot_power: float, noise_power: float) -> np.ndarray:
     """Post-correlation pilot observation on each pilot holder's links.
 
     Orthogonal pilots separate perfectly, so the observation of pilot t
@@ -64,15 +128,11 @@ def simulate_pilot_rx(true_channels: np.ndarray, assignment: PilotAssignment,
     channels of every user on pilot t, plus CN(0, noise_power * Identity)
     noise.  Returns it as (K, L, M) on the links of ``links`` (K, L), in
     its order: row k holds user k's pilot at its links, zero rows for
-    users without a pilot.  The noise of every (RRH, pilot) is drawn, as
-    real then imaginary (I, num_pilots, M) arrays, so the stream moves on
-    as if every observation were made; only the holders' links are read.
+    users without a pilot.  Only those links' channels and noise are
+    made, as the values of ``seed`` there (see :func:`link_channels`).
     """
     # y[k, l] = sqrt(p) * sum of h[links[k, l], j] over the users j on k's
     # pilot, added from zero in ascending user id as np.add.at adds
-    num_rrhs, _, antennas = true_channels.shape
-    noise_shape = (num_rrhs, assignment.num_pilots, antennas)
-    real, imag = rng.standard_normal(noise_shape), rng.standard_normal(noise_shape)
     users = assignment.users
     pilot = assignment.pilots[users]
     rows = links[users]
@@ -80,12 +140,13 @@ def simulate_pilot_rx(true_channels: np.ndarray, assignment: PilotAssignment,
     # and each reader's holders ascending
     reader, holder = np.nonzero(pilot[:, None] == pilot)
     y = np.zeros(rows.shape + (antennas,), dtype=complex)
-    np.add.at(y, reader, true_channels[rows[reader], users[holder][:, None]])
+    np.add.at(y, reader, link_channels(seed, alpha, antennas, rows[reader],
+                                       users[holder][:, None]))
     y *= np.sqrt(pilot_power)
-    at = rows, pilot[:, None]
-    noise = real[at] + 1j * imag[at]
+    noise = _per_antenna(seed, STREAM_PILOT_NOISE, pilot[:, None] * alpha.shape[0] + rows,
+                         antennas)
     observed = np.zeros(links.shape + (antennas,), dtype=complex)
-    observed[users] = y + np.sqrt(noise_power / 2.0) * noise
+    observed[users] = y + np.sqrt(noise_power) * noise
     return observed
 
 
@@ -134,68 +195,40 @@ def mmse_estimate(y: np.ndarray, alpha: np.ndarray, assignment: PilotAssignment,
     return estimates, error_var
 
 
-def perfect_csi(true_channels: np.ndarray, clusters: np.ndarray,
-                admitted: np.ndarray, alpha: np.ndarray):
-    """Intra-cluster links of admitted users known exactly; the rest keep
-    only their large-scale statistics.  Returns (estimates, error_var) in
-    the layout of :func:`mmse_estimate`."""
+def perfect_csi(seed: int, alpha: np.ndarray, antennas: int, clusters: np.ndarray,
+                admitted: np.ndarray):
+    """Intra-cluster links of admitted users known exactly, as the values
+    of ``seed`` there (see :func:`link_channels`); the rest keep only
+    their large-scale statistics.  Returns (estimates, error_var) in the
+    layout of :func:`mmse_estimate`."""
     rows, cols = clusters[admitted], admitted[:, None]
-    estimates = np.zeros(clusters.shape + (true_channels.shape[2],), dtype=complex)
-    estimates[admitted] = true_channels[rows, cols]
+    estimates = np.zeros(clusters.shape + (antennas,), dtype=complex)
+    estimates[admitted] = link_channels(seed, alpha, antennas, rows, cols)
     error_var = alpha.copy()
     error_var[rows, cols] = 0.0
     return estimates, error_var
 
 
-@dataclass(frozen=True)
-class Fading:
-    """One seed's fading draw: its true channels, read-only, and the
-    fading stream's state just after drawing them, so a pilot phase that
-    restores it continues the stream exactly as after a fresh draw."""
-
-    seed: int
-    channels: np.ndarray    # (I, K, M) complex
-    stream: dict            # the fading stream's bit-generator state
-
-
-def draw_fading(alpha: np.ndarray, antennas: int, seed: int) -> Fading:
-    """The fading stream's first draw for ``seed``, as a :class:`Fading`."""
-    rng = stream_rng(seed, STREAM_FADING)
-    channels = draw_channels(alpha, antennas, rng)
-    return read_only(Fading(seed=seed, channels=channels, stream=rng.bit_generator.state))
-
-
 def build_channel_state(instance: NetworkInstance, assignment: PilotAssignment,
-                        config: SimConfig, seed: int,
-                        perfect: bool = False, *,
-                        fading: Fading | None = None) -> ChannelState:
-    """Draw fading, run the pilot phase, estimate on each user's cluster
-    links in ascending RRH order.
+                        config: SimConfig, seed: int, perfect: bool = False) -> ChannelState:
+    """Run the pilot phase on the seed's fading and estimate on each user's
+    cluster links in ascending RRH order.
 
-    The fading stream draws the true channels first, so perfect and
-    imperfect modes see identical physics for the same seed.  Calls given
-    the same ``fading`` (see :func:`draw_fading`) share one draw; without
-    one, the call draws its own.  ValueError when ``fading`` was drawn for
-    another seed or shape, or when an error variance or estimate is not
-    finite (extreme gains).
+    Perfect and imperfect modes read the same channels for the same seed,
+    and so does every call for that seed whatever its pilots.  ValueError
+    for a bad seed, or when an error variance or estimate is not finite
+    (extreme gains).
     """
-    shape = instance.alpha.shape + (config.antennas_per_rrh,)
-    if fading is None:
-        fading = draw_fading(instance.alpha, config.antennas_per_rrh, seed)
-    elif fading.seed != seed or fading.channels.shape != shape:
-        raise ValueError(f"the fading was drawn for seed {fading.seed} and shape "
-                         f"{fading.channels.shape}, not seed {seed} and shape {shape}")
-    h, rng = fading.channels, stream_rng(seed, STREAM_FADING)
-    rng.bit_generator.state = fading.stream
+    alpha, antennas = instance.alpha, config.antennas_per_rrh
     links = np.sort(instance.clusters, axis=1)
     if perfect:
-        estimates, error_var = perfect_csi(h, links, assignment.users, instance.alpha)
+        estimates, error_var = perfect_csi(seed, alpha, antennas, links, assignment.users)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            y = simulate_pilot_rx(h, assignment, links, config.pilot_power,
-                                  config.noise_power, rng)
+            y = simulate_pilot_rx(seed, alpha, antennas, assignment, links,
+                                  config.pilot_power, config.noise_power)
             estimates, error_var = mmse_estimate(
-                y, instance.alpha, assignment, links, config.pilot_power, config.noise_power)
+                y, alpha, assignment, links, config.pilot_power, config.noise_power)
     for what, values in (("error variances", error_var), ("estimates", estimates)):
         bad = int((~np.isfinite(values)).sum())
         if bad:

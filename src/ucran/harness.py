@@ -12,8 +12,11 @@ shares that seed's work through one :class:`~ucran.topology.Memo`: one
 draw of the positions and gains, per cluster size one network and one
 stage-1 base (itself a memo of the base graph, base coloring,
 pilot-interference weights and each budget's deterministic stage-1
-decision), one fading draw, and one channel state and admission per
-input they read (cluster size, CSI mode and pilots).
+decision), and one channel state and admission per input they read
+(cluster size, CSI mode and pilots).  The fading needs no memo: each
+channel state makes the links it reads as the seed's keyed values there
+(:mod:`ucran.channel`), so every trial of a seed reads the same value on
+a shared link.
 Each trial calls stage 1 itself with its algorithm's flags, so
 :func:`~ucran.stage1.run_stage1` alone decides its branch and case, and
 two rows share an admission exactly when their pilots and CSI mode
@@ -31,9 +34,8 @@ field is fixed for a campaign):
 - ``("network", L)``: every other cluster size's network, its clusters
   made for L on the gains' positions and ``alpha``.
 - ``("base", L)``: that cluster size's network and the reuse cap.
-- ``("fading",)``: the gains' ``alpha``, the antenna count and the seed.
 - ``("admission", L, perfect, num_pilots, pilots)``: that network, the
-  fading, the CSI mode and the pilots; stage 1's admitted users are the
+  seed, the CSI mode and the pilots; stage 1's admitted users are the
   pilot holders, so nothing else of the stage-1 result is read.
 """
 
@@ -46,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import build_channel_state, draw_fading
+from .channel import build_channel_state
 from .coloring import PilotAssignment, validate_assignment
 from .coloring import dsatur_color  # noqa: F401  (perfbench/spans.py wraps this name)
 from .conflict_graph import build_base_graph  # noqa: F401  (perfbench/spans.py wraps this name)
@@ -173,9 +175,10 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
     summary, for inspection and auditing.  ``physics`` is the seed's
     shared state when a campaign runs several trials of one seed: its
     positions and gains, per cluster size its network and stage-1 base,
-    its fading, and one channel state and admission per (cluster size,
-    CSI mode, pilots) that another of its trials has already made; a
-    trial run alone makes its own.  Every trial runs its own stage-1 call, pilot check and audit.
+    and one channel state and admission per (cluster size, CSI mode,
+    pilots) that another of its trials has already made; a trial run
+    alone makes its own.  Every trial runs its own stage-1 call, pilot
+    check and audit.
     ValueError for an unknown algorithm or a bad seed, before any work;
     AuditError when a check fails.
     """
@@ -206,10 +209,7 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
     perfect, pilots = algorithm == ALG_PERFECT, s1.assignment
 
     def admit() -> AdmissionSolution:
-        fading = physics.once(("fading",), lambda: draw_fading(
-            gains.alpha, config.antennas_per_rrh, seed))
-        state = build_channel_state(instance, pilots, config, seed, perfect=perfect,
-                                    fading=fading)
+        state = build_channel_state(instance, pilots, config, seed, perfect=perfect)
         return admission_loop(instance, s1, state, config)
 
     # the inputs of both stages that differ between a campaign's trials of one seed
@@ -260,9 +260,9 @@ def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
     Trials run seed by seed (then cluster size, algorithm, pilot budget).
     Each seed's trials share one draw of the positions and gains, one
     network and one stage-1 base per cluster size, with each budget's
-    deterministic stage-1 decision, one fading draw, and one channel
-    state and admission per (cluster size, CSI mode, pilots) that more
-    than one of them reaches; all of it is dropped before the next
+    deterministic stage-1 decision, and one channel state and admission
+    per (cluster size, CSI mode, pilots) that more than one of them
+    reaches; all of it is dropped before the next
     seed's.  The rows equal those of trials run one by one, whatever the
     order of ``algorithms``.  Emits one CSV row per
     trial, cell by cell in sweep order and by seed within a cell, plus one

@@ -1,9 +1,12 @@
 """Network geometry, large-scale fading and user-centric cluster formation.
 
-Every source of randomness draws from ``numpy.random.default_rng((seed, TAG))``
-where TAG is one of the stream constants below.  The campaign harness derives
-trial seeds as ``master_seed + trial_index``, so two algorithms evaluated at
-the same trial seed see identical RRH/user placements, shadowing and fading.
+Every source of randomness is one of a seed's streams, tagged by one of the
+stream constants below: placement, shadowing and baseline picks draw from
+``numpy.random.default_rng((seed, TAG))``, and the channel layer makes the
+fading and the pilot noise as keyed values of (seed, TAG, index), one link
+at a time.  The campaign harness derives trial seeds as
+``master_seed + trial_index``, so two algorithms evaluated at the same
+trial seed see identical RRH/user placements, shadowing and fading.
 As the bottom layer it also holds the one read-only rule and the one memo
 (:func:`read_only`, :class:`Memo`) by which later layers share a value.
 """
@@ -25,6 +28,7 @@ STREAM_PLACEMENT = 0
 STREAM_SHADOWING = 1
 STREAM_FADING = 2
 STREAM_BASELINE = 3
+STREAM_PILOT_NOISE = 4
 
 
 def _shown(value) -> str:

@@ -15,15 +15,18 @@ each user's cluster links to every RRH, the local rate coefficients
 through a sorted-link CSR join, the pilot observation on every (RRH,
 pilot) pair as one product of the channels with the one-hot pilot
 membership and the MMSE estimates from it through dense products on
-every (RRH, user) pair, and the distance matrix,
-the candidate clusters and the fading draw as the plain one-liners they
-were first written as (a broadcast difference summed over the coordinate
-axis, a full stable argsort per user, two normal draws added as complex
-parts).
+every (RRH, user) pair, the distance matrix and
+the candidate clusters as the plain one-liners they were first written
+as (a broadcast difference summed over the coordinate axis, a full
+stable argsort per user), and SplitMix64's words in Python integers.
 
-One oracle is exact by search rather than independent:
-:func:`max_served_reference` tries every subset of the pilot holders,
-largest first, and tests each with the production admission round.
+Two oracles are not independent.  :func:`max_served_reference` is exact
+by search: it tries every subset of the pilot holders, largest first,
+and tests each with the production admission round.  The whole channel
+and pilot-noise arrays take :func:`ucran.channel.complex_normal`'s value
+at every counter at once, in the layout each oracle states, so they
+check which counter each link reads; the values themselves are checked
+against :func:`splitmix64_reference`.
 The three admission-round functions also have whole-served forms here,
 which rank, key and pair the served set from scratch on every call: the
 byte-for-byte references of the holder-table forms.
@@ -37,6 +40,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ucran.channel import complex_normal
 from ucran.stage2 import (
     AdmissionSolution,
     LocalBeams,
@@ -49,6 +53,7 @@ from ucran.stage2 import (
     robust_beam_direction,
     rrh_power_share,
 )
+from ucran.topology import STREAM_FADING, STREAM_PILOT_NOISE
 
 
 def pilot_interference(alpha: np.ndarray, clusters: np.ndarray, k: int, k2: int) -> float:
@@ -81,14 +86,23 @@ def build_clusters_reference(key: np.ndarray, cluster_size: int) -> np.ndarray:
     return np.argsort(key.T, axis=1, kind="stable")[:, :cluster_size].astype(np.int64)
 
 
-def draw_channels_reference(alpha: np.ndarray, antennas: int,
-                            rng: np.random.Generator) -> np.ndarray:
-    """(I, K, M) Rayleigh channels: every real part drawn, then every
-    imaginary part, added as ``re + 1j * im`` and scaled by
-    ``sqrt(alpha / 2)``."""
+def draw_channels_reference(alpha: np.ndarray, antennas: int, seed: int) -> np.ndarray:
+    """(I, K, M) Rayleigh channels of ``seed``: the fading stream's values
+    at every counter 0 .. I*K*M - 1 at once, laid out row-major over
+    (I, K, M) and scaled by ``sqrt(alpha)``."""
     shape = alpha.shape + (antennas,)
-    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return np.sqrt(alpha / 2.0)[:, :, None] * h
+    values = complex_normal(seed, STREAM_FADING, np.arange(math.prod(shape))).reshape(shape)
+    return np.sqrt(alpha)[:, :, None] * values
+
+
+def splitmix64_reference(key: int, counter: int) -> int:
+    """Word ``counter`` of the stream keyed ``key``: SplitMix64's finalizer
+    of ``key + counter * 0x9E3779B97F4A7C15``, in Python ints mod 2**64."""
+    mask = 2 ** 64 - 1
+    z = (key + counter * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
 
 
 def base_graph_on(clusters: np.ndarray, active_users) -> tuple[np.ndarray, np.ndarray]:
@@ -338,15 +352,18 @@ def _membership_reference(assignment, num_users: int) -> np.ndarray:
 
 
 def pilot_rx_reference(true_channels: np.ndarray, assignment, pilot_power: float,
-                       noise_power: float, rng: np.random.Generator) -> np.ndarray:
+                       noise_power: float, seed: int) -> np.ndarray:
     """Pilot observation (I, num_pilots, M): sqrt(pilot_power) times the
     product of the (I, K, M) channels with the one-hot (K, num_pilots)
-    membership, plus CN(0, noise_power) noise drawn from ``rng`` as real
-    then imaginary parts."""
-    membership = _membership_reference(assignment, true_channels.shape[1])
+    membership, plus CN(0, noise_power) noise: the pilot-noise stream's
+    values of ``seed`` at every counter at once, laid out row-major over
+    (num_pilots, I, M)."""
+    num_rrhs, num_users, antennas = true_channels.shape
+    membership = _membership_reference(assignment, num_users)
     y = np.sqrt(pilot_power) * np.einsum("ikm,kt->itm", true_channels, membership)
-    noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-    return y + np.sqrt(noise_power / 2.0) * noise
+    shape = (assignment.num_pilots, num_rrhs, antennas)
+    noise = complex_normal(seed, STREAM_PILOT_NOISE, np.arange(math.prod(shape)))
+    return y + np.sqrt(noise_power) * noise.reshape(shape).transpose(1, 0, 2)
 
 
 def mmse_estimate_reference(y: np.ndarray, alpha: np.ndarray, assignment,

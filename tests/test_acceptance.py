@@ -19,8 +19,8 @@ from ucran import (
     build_base_graph,
     build_channel_state,
     build_network,
-    draw_channels,
     dsatur_color,
+    link_channels,
     mmse_estimate,
     run_campaign,
     run_stage1,
@@ -178,9 +178,9 @@ def test_criterion_7_mmse_analytics_match_simulation(capsys):
     alpha = np.tile([[gain_a, gain_b]], (draws, 1))
     clusters = np.array([np.arange(draws), np.arange(draws)])
     assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
-    rng = np.random.default_rng(777)
-    h = draw_channels(alpha, antennas=2, rng=rng)
-    y = simulate_pilot_rx(h, assignment, clusters, power, noise, rng)
+    rrhs, users = np.indices(alpha.shape)
+    h = link_channels(777, alpha, 2, rrhs, users)
+    y = simulate_pilot_rx(777, alpha, 2, assignment, clusters, power, noise)
     estimates, error_var = mmse_estimate(y, alpha, assignment, clusters, power, noise)
     err = h - scatter_links(clusters, estimates, draws)
     rel = max(abs(float((np.abs(err[:, k]) ** 2).mean()) - error_var[0, k])

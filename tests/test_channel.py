@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,13 @@ from ucran import (
     SimConfig,
     build_channel_state,
     build_network,
-    draw_channels,
+    link_channels,
     mmse_estimate,
     run_stage1,
     simulate_pilot_rx,
 )
-from ucran.channel import draw_fading, perfect_csi
-from ucran.topology import STREAM_FADING, stream_rng
+from ucran.channel import complex_normal, perfect_csi, stream_key
+from ucran.topology import STREAM_FADING, STREAM_PILOT_NOISE
 
 from conftest import craft_instance
 from oracles import (
@@ -23,6 +25,7 @@ from oracles import (
     mmse_estimate_reference,
     pilot_rx_reference,
     scatter_links,
+    splitmix64_reference,
 )
 
 
@@ -35,20 +38,71 @@ def _pair_system(num_draws: int, a0: float, a1: float):
     return alpha, clusters, assignment
 
 
+def _all_links(seed: int, alpha: np.ndarray, antennas: int) -> np.ndarray:
+    """The (I, K, M) channels of ``seed``, asked for link by link as one batch."""
+    rrhs, users = np.indices(alpha.shape)
+    return link_channels(seed, alpha, antennas, rrhs, users)
+
+
+def test_splitmix64_reference_gives_the_published_outputs():
+    # SplitMix64 seeded 1234567: its outputs 1..5 (Steele, Lea & Flood's
+    # generator as in java.util.SplittableRandom)
+    assert [splitmix64_reference(1234567, c) for c in range(1, 6)] == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821]
+
+
+@pytest.mark.parametrize("counter", [0, 1, 12345, 2 ** 63, 2 ** 64 - 1])
+@pytest.mark.parametrize("stream", [STREAM_FADING, STREAM_PILOT_NOISE])
+def test_complex_normal_is_box_muller_of_two_splitmix64_words(counter, stream):
+    # value n reads words 2n and 2n + 1 mod 2**64, each word's top 52 bits
+    # give u on (0, 1), and sqrt(-ln u1) * exp(2 pi i u2) is the value;
+    # finite at both ends of the counter range
+    key = stream_key(9, stream)
+    u1, u2 = (((splitmix64_reference(key, (2 * counter + j) % 2 ** 64) >> 12) + 0.5)
+              * 2.0 ** -52 for j in (0, 1))
+    assert 0.0 < u1 < 1.0 and 0.0 < u2 < 1.0
+    radius = np.sqrt(-np.log(np.array([u1])))
+    angle = 2.0 * math.pi * np.array([u2])
+    want = radius * np.cos(angle) + 1j * (radius * np.sin(angle))
+    got = complex_normal(9, stream, [counter])
+    assert np.isfinite(got).all()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_channel_and_noise_keys_differ():
+    for seed in (0, 1, 2 ** 70):
+        assert stream_key(seed, STREAM_FADING) != stream_key(seed, STREAM_PILOT_NOISE)
+        counters = np.arange(64)
+        fading = complex_normal(seed, STREAM_FADING, counters)
+        noise = complex_normal(seed, STREAM_PILOT_NOISE, counters)
+        assert not np.isin(fading, noise).any()
+    assert stream_key(1, STREAM_FADING) != stream_key(2, STREAM_FADING)
+
+
 def test_draw_channels_statistics():
-    rng = np.random.default_rng(0)
     alpha = np.full((1, 100_000), 2.3)
-    h = draw_channels(alpha, antennas=2, rng=rng)
+    h = _all_links(0, alpha, antennas=2)
     energy = (np.abs(h) ** 2).sum(axis=2)
     assert energy.mean() == pytest.approx(2 * 2.3, rel=0.01)
 
 
+def test_draw_channels_are_circular_and_uncorrelated_across_antennas():
+    h = _all_links(3, np.ones((1, 100_000)), antennas=2)[0]
+    power = (np.abs(h[:, 0]) ** 2).mean()
+    assert abs((h[:, 0] ** 2).mean()) / power < 0.02
+    assert h[:, 0].real.var() == pytest.approx(h[:, 0].imag.var(), rel=0.02)
+    corr = abs((h[:, 0] * h[:, 1].conj()).mean()) / power
+    assert corr < 0.02
+
+
 def test_draw_channels_zero_gain_and_determinism():
     alpha = np.array([[0.0, 1.0]])
-    a = draw_channels(alpha, antennas=3, rng=np.random.default_rng(5))
-    b = draw_channels(alpha, antennas=3, rng=np.random.default_rng(5))
+    a = _all_links(5, alpha, antennas=3)
+    b = _all_links(5, alpha, antennas=3)
     assert (a[0, 0] == 0).all()
     np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, _all_links(6, alpha, antennas=3))
 
 
 @given(alpha=arrays(np.float64, st.tuples(st.integers(0, 5), st.integers(0, 5)),
@@ -56,16 +110,23 @@ def test_draw_channels_zero_gain_and_determinism():
        antennas=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
 @settings(max_examples=200, deadline=None)
 def test_draw_channels_matches_the_reference_bit_for_bit(alpha, antennas, seed):
-    # same stream order, same products: equal bits, signed zeros included
-    got = draw_channels(alpha, antennas, np.random.default_rng(seed))
-    want = draw_channels_reference(alpha, antennas, np.random.default_rng(seed))
+    # a link's value is the same bits whether asked for with every link,
+    # alone, or in another order and batch, signed zeros included
+    want = draw_channels_reference(alpha, antennas, seed)
+    got = _all_links(seed, alpha, antennas)
     assert got.dtype == want.dtype and got.shape == want.shape == alpha.shape + (antennas,)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got.tobytes() == want.tobytes()
+    rrhs, users = np.indices(alpha.shape).reshape(2, -1)
+    order = np.random.default_rng(seed).permutation(rrhs.size)
+    shuffled = link_channels(seed, alpha, antennas, rrhs[order], users[order])
+    assert shuffled.tobytes() == want[rrhs[order], users[order]].tobytes()
+    for i, k in zip(rrhs[order[:3]], users[order[:3]]):
+        alone = link_channels(seed, alpha, antennas, np.array([i]), np.array([k]))
+        assert alone.tobytes() == want[i, k][None].tobytes()
 
 
 def test_draw_channels_independent_across_links():
-    rng = np.random.default_rng(1)
-    h = draw_channels(np.ones((2, 50_000)), antennas=1, rng=rng)
+    h = _all_links(1, np.ones((2, 50_000)), antennas=1)
     x = h[0, :, 0].real
     y = h[1, :, 0].real
     corr = np.corrcoef(x, y)[0, 1]
@@ -73,11 +134,11 @@ def test_draw_channels_independent_across_links():
 
 
 def test_pilot_rx_noise_free_single_user():
-    h = draw_channels(np.ones((3, 1)), antennas=2, rng=np.random.default_rng(2))
+    alpha = np.ones((3, 1))
+    h = _all_links(2, alpha, antennas=2)
     assignment = PilotAssignment(pilots=[0], num_pilots=1)
-    rng = np.random.default_rng(0)
-    y = simulate_pilot_rx(h, assignment, np.array([[0, 1, 2]]), pilot_power=4.0,
-                          noise_power=0.0, rng=rng)
+    y = simulate_pilot_rx(2, alpha, 2, assignment, np.array([[0, 1, 2]]), pilot_power=4.0,
+                          noise_power=0.0)
     np.testing.assert_allclose(y[0], 2.0 * h[:, 0])
 
 
@@ -89,45 +150,62 @@ def test_pilot_rx_matches_reference(seed):
     rng = np.random.default_rng(seed)
     num_rrhs, num_users, num_pilots = rng.integers(1, 7), rng.integers(1, 13), rng.integers(1, 6)
     alpha = rng.uniform(0.01, 2.0, (num_rrhs, num_users))
-    h = draw_channels(alpha, antennas=int(rng.integers(1, 4)), rng=rng)
+    antennas = int(rng.integers(1, 4))
     pilots = np.where(rng.random(num_users) < 0.3, -1, rng.integers(0, num_pilots, num_users))
     assignment = PilotAssignment(pilots=pilots, num_pilots=int(num_pilots))
     p, noise = rng.uniform(0.1, 10.0), rng.uniform(0.0, 1.0)
     links = np.argsort(rng.random((num_users, num_rrhs)), axis=1)[
         :, :rng.integers(1, num_rrhs + 1)]
-    y = simulate_pilot_rx(h, assignment, links, p, noise, np.random.default_rng(seed))
-    whole = pilot_rx_reference(h, assignment, p, noise, np.random.default_rng(seed))
+    y = simulate_pilot_rx(seed, alpha, antennas, assignment, links, p, noise)
+    whole = pilot_rx_reference(draw_channels_reference(alpha, antennas, seed), assignment,
+                               p, noise, seed)
     users = assignment.users
-    expected = np.zeros(links.shape + h.shape[2:], dtype=complex)
+    expected = np.zeros(links.shape + (antennas,), dtype=complex)
     expected[users] = whole[links[users], pilots[users][:, None]]
     assert np.array_equal(y, expected)
 
 
 def test_pilot_rx_superposition():
-    h = draw_channels(np.ones((2, 3)), antennas=2, rng=np.random.default_rng(3))
+    alpha = np.ones((2, 3))
+    h = _all_links(3, alpha, antennas=2)
     assignment = PilotAssignment(pilots=[0, 0, 1], num_pilots=2)
-    rng = np.random.default_rng(0)
     links = np.array([[0, 1]] * 3)
-    y = simulate_pilot_rx(h, assignment, links, pilot_power=9.0, noise_power=0.0, rng=rng)
+    y = simulate_pilot_rx(3, alpha, 2, assignment, links, pilot_power=9.0, noise_power=0.0)
     np.testing.assert_allclose(y[0], 3.0 * (h[:, 0] + h[:, 1]))
     np.testing.assert_allclose(y[1], 3.0 * (h[:, 0] + h[:, 1]))
     np.testing.assert_allclose(y[2], 3.0 * h[:, 2])
 
 
 def test_pilot_rx_empty_group_is_noise():
-    # no link reads the empty pilot 0, but its noise is drawn all the same:
-    # the holder of pilot 1 reads the stream's noise at pilot 1, and with
-    # a zero channel that noise is all it reads
-    h = np.zeros((400, 1, 2), dtype=complex)
+    # no link reads the empty pilot 0: the holder of pilot 1 reads the
+    # noise stream at pilot 1's counters, past pilot 0's, and with a zero
+    # channel that noise is all it reads
+    alpha = np.zeros((400, 1))
     assignment = PilotAssignment(pilots=[1], num_pilots=2)
-    rng = np.random.default_rng(4)
-    y = simulate_pilot_rx(h, assignment, np.arange(400)[None, :], pilot_power=1.0,
-                          noise_power=0.5, rng=rng)
-    rng = np.random.default_rng(4)
-    noise = rng.standard_normal((400, 2, 2)) + 1j * rng.standard_normal((400, 2, 2))
-    np.testing.assert_array_equal(y[0], np.sqrt(0.25) * noise[:, 1])
+    y = simulate_pilot_rx(4, alpha, 2, assignment, np.arange(400)[None, :], pilot_power=1.0,
+                          noise_power=0.5)
+    counters = ((400 + np.arange(400)) * 2)[:, None] + np.arange(2)
+    noise = complex_normal(4, STREAM_PILOT_NOISE, counters)
+    np.testing.assert_array_equal(y[0], np.sqrt(0.5) * noise)
     noise_energy = (np.abs(y[0]) ** 2).mean()   # per complex entry
     assert noise_energy == pytest.approx(0.5, rel=0.1)
+
+
+def test_pilot_noise_reads_no_pilot_count_or_cluster_size():
+    # the noise of RRH i on pilot t is the same value whatever the number
+    # of pilots, the holder reading it and its cluster
+    alpha = np.zeros((6, 3))
+    seen = {}
+    for num_pilots, size in ((2, 2), (3, 4), (5, 6)):
+        pilots = np.arange(3) % num_pilots
+        links = np.tile(np.arange(size), (3, 1))
+        y = simulate_pilot_rx(7, alpha, 2, PilotAssignment(pilots=pilots, num_pilots=num_pilots),
+                              links, pilot_power=1.0, noise_power=1.0)
+        for k in range(3):
+            for l, i in enumerate(links[k]):
+                value = seen.setdefault((i, pilots[k]), y[k, l].tobytes())
+                assert y[k, l].tobytes() == value
+    assert len(seen) < 3 * (2 + 4 + 6)
 
 
 def test_mmse_sole_user_error_formula():
@@ -135,9 +213,7 @@ def test_mmse_sole_user_error_formula():
     alpha = np.array([[a]])
     clusters = np.array([[0]])
     assignment = PilotAssignment(pilots=[0], num_pilots=1)
-    h = draw_channels(alpha, antennas=2, rng=np.random.default_rng(1))
-    rng = np.random.default_rng(1)
-    y = simulate_pilot_rx(h, assignment, clusters, p, noise, rng)
+    y = simulate_pilot_rx(1, alpha, 2, assignment, clusters, p, noise)
     _, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
     assert error_var[0, 0] == pytest.approx(a * noise / (p * a + noise))
 
@@ -149,8 +225,7 @@ def test_mmse_error_stays_exact_when_one_user_dominates():
     alpha = np.array([[1e30, 1.0]])
     clusters = np.array([[0], [0]])
     assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
-    h = draw_channels(alpha, antennas=1, rng=np.random.default_rng(0))
-    y = simulate_pilot_rx(h, assignment, clusters, p, noise, np.random.default_rng(0))
+    y = simulate_pilot_rx(0, alpha, 1, assignment, clusters, p, noise)
     _, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
     received = p * (1e30 + 1.0) + noise
     assert error_var[0, 0] == pytest.approx(1e30 * (noise + p * 1.0) / received, rel=1e-12)
@@ -164,9 +239,8 @@ def test_mmse_rejects_an_overflowing_received_power():
     alpha = np.array([[3e158]])
     clusters = np.array([[0]])
     assignment = PilotAssignment(pilots=[0], num_pilots=1)
-    h = draw_channels(alpha, antennas=1, rng=np.random.default_rng(0))
     with np.errstate(over="ignore"):
-        y = simulate_pilot_rx(h, assignment, clusters, p, noise, np.random.default_rng(0))
+        y = simulate_pilot_rx(0, alpha, 1, assignment, clusters, p, noise)
         assert np.isfinite(y).all()
         with pytest.raises(ValueError, match="received pilot power overflows on 1 "):
             mmse_estimate(y, alpha, assignment, clusters, p, noise)
@@ -179,12 +253,10 @@ def test_mmse_contamination_floor():
     alpha = np.array([[a, a]])
     clusters = np.array([[0], [0]])
     assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
-    h = draw_channels(alpha, antennas=1, rng=np.random.default_rng(0))
     noise = 0.1
     errors = []
     for p in (2.0, 200.0):
-        rng = np.random.default_rng(0)
-        y = simulate_pilot_rx(h, assignment, clusters, p, noise, rng)
+        y = simulate_pilot_rx(0, alpha, 1, assignment, clusters, p, noise)
         _, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
         errors.append(error_var[0, 0])
     assert errors[1] == pytest.approx(a / 2, rel=0.05)
@@ -196,11 +268,10 @@ def test_mmse_error_decreases_with_power_when_alone():
     alpha = np.array([[a]])
     clusters = np.array([[0]])
     assignment = PilotAssignment(pilots=[0], num_pilots=1)
-    h = draw_channels(alpha, antennas=1, rng=np.random.default_rng(0))
     noise = 0.3
     prev = None
     for p in (0.5, 1.0, 2.0, 8.0):
-        y = simulate_pilot_rx(h, assignment, clusters, p, noise, np.random.default_rng(0))
+        y = simulate_pilot_rx(0, alpha, 1, assignment, clusters, p, noise)
         _, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
         if prev is not None:
             assert error_var[0, 0] < prev
@@ -211,9 +282,8 @@ def test_mmse_empirical_error_matches_analytic():
     num_draws = 100_000
     a0, a1, p, noise = 1.0, 0.6, 5.0, 0.4
     alpha, clusters, assignment = _pair_system(num_draws, a0, a1)
-    rng = np.random.default_rng(7)
-    h = draw_channels(alpha, antennas=2, rng=rng)
-    y = simulate_pilot_rx(h, assignment, clusters, p, noise, rng)
+    h = _all_links(7, alpha, antennas=2)
+    y = simulate_pilot_rx(7, alpha, 2, assignment, clusters, p, noise)
     estimates, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
     assert (error_var < alpha).all()
     err = h - scatter_links(clusters, estimates, num_draws)
@@ -225,9 +295,8 @@ def test_mmse_empirical_error_matches_analytic():
 def test_mmse_orthogonality_of_estimate_and_error():
     num_draws = 100_000
     alpha, clusters, assignment = _pair_system(num_draws, 1.0, 0.5)
-    rng = np.random.default_rng(11)
-    h = draw_channels(alpha, antennas=1, rng=rng)
-    y = simulate_pilot_rx(h, assignment, clusters, 4.0, 0.3, rng)
+    h = _all_links(11, alpha, antennas=1)
+    y = simulate_pilot_rx(11, alpha, 1, assignment, clusters, 4.0, 0.3)
     estimates, _ = mmse_estimate(y, alpha, assignment, clusters, 4.0, 0.3)
     dense = scatter_links(clusters, estimates, num_draws)
     err = h - dense
@@ -243,9 +312,7 @@ def test_mmse_copilot_estimates_are_collinear():
     alpha = np.array([[1.0, 0.5]])
     clusters = np.array([[0], [0]])
     assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
-    rng = np.random.default_rng(3)
-    h = draw_channels(alpha, antennas=4, rng=rng)
-    y = simulate_pilot_rx(h, assignment, clusters, 2.0, 0.2, rng)
+    y = simulate_pilot_rx(3, alpha, 4, assignment, clusters, 2.0, 0.2)
     estimates, _ = mmse_estimate(y, alpha, assignment, clusters, 2.0, 0.2)
     e0, e1 = estimates[0, 0], estimates[1, 0]
     cross = e0 * np.linalg.norm(e1) - e1 * np.linalg.norm(e0) * np.exp(
@@ -256,11 +323,10 @@ def test_mmse_copilot_estimates_are_collinear():
 def test_mmse_estimates_follow_the_given_cluster_order():
     alpha = np.array([[1.0, 0.2], [0.5, 0.7], [0.3, 0.9]])
     assignment = PilotAssignment(pilots=[0, 1], num_pilots=2)
-    h = draw_channels(alpha, antennas=2, rng=np.random.default_rng(4))
     clusters = np.array([[2, 0], [1, 2]])
 
     def estimate(links):
-        y = simulate_pilot_rx(h, assignment, links, 2.0, 0.1, np.random.default_rng(5))
+        y = simulate_pilot_rx(4, alpha, 2, assignment, links, 2.0, 0.1)
         return mmse_estimate(y, alpha, assignment, links, 2.0, 0.1)
 
     estimates, error_var = estimate(clusters)
@@ -307,8 +373,8 @@ def test_perfect_mode_copies_channels():
     instance = build_network(cfg, seed=1)
     s1 = run_stage1(instance, cfg.pilot_count, cfg.reuse_cap)
     state = build_channel_state(instance, s1.assignment, cfg, seed=1, perfect=True)
-    # the true channels are the fading stream's first draw
-    h = draw_channels(instance.alpha, cfg.antennas_per_rrh, stream_rng(1, STREAM_FADING))
+    # the true channels are the seed's values on the fading stream
+    h = draw_channels_reference(instance.alpha, cfg.antennas_per_rrh, 1)
     mask = np.zeros((cfg.num_rrhs, cfg.num_users), dtype=bool)
     mask[instance.clusters[s1.admitted], s1.admitted[:, None]] = True
     dense = scatter_links(state.links, state.estimates, cfg.num_rrhs)
@@ -324,15 +390,14 @@ def test_perfect_and_imperfect_share_fading():
     s1 = run_stage1(instance, cfg.pilot_count, cfg.reuse_cap)
     imperfect = build_channel_state(instance, s1.assignment, cfg, seed=8)
     perfect = build_channel_state(instance, s1.assignment, cfg, seed=8, perfect=True)
-    # both modes start from the fading stream's first draw: perfect mode
-    # copies it, and the pilot phase observes it with the stream's next draws
-    rng = stream_rng(8, STREAM_FADING)
-    h = draw_channels(instance.alpha, cfg.antennas_per_rrh, rng)
+    # both modes read the seed's channels: perfect mode copies them, and
+    # the pilot phase observes them under the seed's pilot noise
+    h = draw_channels_reference(instance.alpha, cfg.antennas_per_rrh, 8)
     users = s1.assignment.users
     np.testing.assert_array_equal(perfect.estimates[users],
                                   h[perfect.links[users], users[:, None]])
-    y = simulate_pilot_rx(h, s1.assignment, imperfect.links, cfg.pilot_power,
-                          cfg.noise_power, rng)
+    y = simulate_pilot_rx(8, instance.alpha, cfg.antennas_per_rrh, s1.assignment,
+                          imperfect.links, cfg.pilot_power, cfg.noise_power)
     estimates, error_var = mmse_estimate(y, instance.alpha, s1.assignment, imperfect.links,
                                          cfg.pilot_power, cfg.noise_power)
     np.testing.assert_array_equal(imperfect.estimates, estimates)
@@ -340,34 +405,13 @@ def test_perfect_and_imperfect_share_fading():
 
 
 def test_perfect_csi_direct():
-    h = draw_channels(np.ones((3, 2)), antennas=2, rng=np.random.default_rng(0))
+    alpha = np.ones((3, 2))
+    h = _all_links(0, alpha, antennas=2)
     clusters = np.array([[0, 1], [1, 2]])
-    estimates, error_var = perfect_csi(h, clusters, admitted=np.array([0]),
-                                       alpha=np.ones((3, 2)))
+    estimates, error_var = perfect_csi(0, alpha, 2, clusters, admitted=np.array([0]))
     np.testing.assert_array_equal(error_var, [[0.0, 1.0], [0.0, 1.0], [1.0, 1.0]])
     np.testing.assert_array_equal(estimates[0], h[:2, 0])
     assert not estimates[1].any()
-
-
-def test_shared_fading_draws_once_and_continues_the_stream():
-    cfg = SimConfig(num_rrhs=6, num_users=4, cluster_size=2, area_side=200.0)
-    instance = build_network(cfg, seed=8)
-    s1 = run_stage1(instance, cfg.pilot_count, cfg.reuse_cap)
-    fading = draw_fading(instance.alpha, cfg.antennas_per_rrh, seed=8)
-    assert not fading.channels.flags.writeable
-    shared = [build_channel_state(instance, s1.assignment, cfg, seed=8, perfect=perfect,
-                                  fading=fading)
-              for perfect in (False, True, False)]
-    fresh = [build_channel_state(instance, s1.assignment, cfg, seed=8, perfect=perfect)
-             for perfect in (False, True, False)]
-    for a, b in zip(shared, fresh):
-        np.testing.assert_array_equal(a.estimates, b.estimates)
-        np.testing.assert_array_equal(a.error_var, b.error_var)
-    with pytest.raises(ValueError, match="drawn for seed 8 .* not seed 9"):
-        build_channel_state(instance, s1.assignment, cfg, seed=9, fading=fading)
-    other = draw_fading(instance.alpha, cfg.antennas_per_rrh + 1, seed=8)
-    with pytest.raises(ValueError, match=r"shape \(6, 4, 3\), not seed 8 and shape \(6, 4, 2\)"):
-        build_channel_state(instance, s1.assignment, cfg, seed=8, fading=other)
 
 
 def _greedy_pilots(clusters: np.ndarray, order, num_pilots: int, cap: int) -> PilotAssignment:
@@ -410,8 +454,7 @@ def test_channel_state_matches_the_whole_array_oracles_bit_for_bit(data):
     state = build_channel_state(craft_instance(alpha, clusters), assignment, config, seed,
                                 perfect=perfect)
 
-    fading = stream_rng(seed, STREAM_FADING)
-    h = draw_channels_reference(alpha, antennas, fading)
+    h = draw_channels_reference(alpha, antennas, seed)
     links = np.sort(clusters, axis=1)
     users = assignment.users
     if perfect:
@@ -420,7 +463,7 @@ def test_channel_state_matches_the_whole_array_oracles_bit_for_bit(data):
         error_var = alpha.copy()
         error_var[links[users], users[:, None]] = 0.0
     else:
-        y = pilot_rx_reference(h, assignment, config.pilot_power, config.noise_power, fading)
+        y = pilot_rx_reference(h, assignment, config.pilot_power, config.noise_power, seed)
         estimates, error_var = mmse_estimate_reference(
             y, alpha, assignment, links, config.pilot_power, config.noise_power)
     assert state.links.tobytes() == links.tobytes()

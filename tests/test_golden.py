@@ -9,7 +9,7 @@ import hashlib
 
 from ucran import ALGORITHMS, SimConfig, run_campaign
 
-GOLDEN_SHA256 = "a8416db6340a4a772b88c390553f15c90c373f32f92606c96e5b5b57c7a55ce6"
+GOLDEN_SHA256 = "94d3d081fbbc0eabddc57876692fabae1b6cd4c556791ec82d8aca1c93814f2d"
 
 
 def test_golden_campaign_csv(tmp_path):
@@ -25,7 +25,7 @@ def test_golden_campaign_csv(tmp_path):
 
 # The dense point: 324 RRHs and 216 users, where case 1 removes most users,
 # case 2 spreads 64 pilots and the admission loop drops dozens.
-DENSE_SHA256 = "7c1f95d3ed91d9ac5be599ce16213d3b185adf34560e301cad896ebfc946f2a9"
+DENSE_SHA256 = "d30dfe2e44282eaf6fa8c4edef00ce629d98bdce22118c058d276291b0223302"
 
 
 def test_golden_dense_campaign_csv(tmp_path):

@@ -22,7 +22,7 @@ from ucran import (
     validate_assignment,
     write_csv,
 )
-from ucran.channel import ChannelState
+from ucran.channel import ChannelState, stream_key
 from ucran.harness import (
     CSV_HEADER,
     audit_solution,
@@ -362,6 +362,7 @@ def test_campaign_rejects_a_bad_sweep_entry_before_any_trial(sweep, message, mon
 # every count and seed entry point: (the name it checks, its minimum, a call passing a value)
 _INTEGER_ENTRY_POINTS = {
     "stream_rng": ("seed", 0, lambda v: stream_rng(v, 0)),
+    "stream_key": ("seed", 0, lambda v: stream_key(v, 0)),
     "build_clusters": ("cluster_size", 1, lambda v: build_clusters(np.ones((3, 2)), v)),
     "dsatur_color": ("reuse_cap", 1,
                      lambda v: dsatur_color(build_base_graph(np.array([[0], [1]])), v)),
@@ -404,60 +405,78 @@ def test_campaign_rows_equal_standalone_trials():
         assert t.csv_row() == run_trial(cfg, t.seed, t.algorithm).csv_row()
 
 
-def _count_builds(monkeypatch) -> tuple[list, list]:
-    """Record (seed, cluster size) per network build and the shape per
-    fading draw, while both still run."""
-    networks, draws = [], []
+def _count_builds(monkeypatch) -> list:
+    """Record (seed, cluster size) per network build, while each still runs."""
+    networks = []
     build_network_ = ucran.harness.build_network
-    draw_channels_ = ucran.channel.draw_channels
 
     def counting_build(config, seed, **kwargs):
         networks.append((seed, config.cluster_size))
         return build_network_(config, seed, **kwargs)
 
-    def counting_draw(alpha, antennas, rng):
-        draws.append(alpha.shape)
-        return draw_channels_(alpha, antennas, rng)
-
     monkeypatch.setattr(ucran.harness, "build_network", counting_build)
-    monkeypatch.setattr(ucran.channel, "draw_channels", counting_draw)
-    return networks, draws
+    return networks
 
 
-def test_campaign_builds_each_network_and_draws_each_fading_once(monkeypatch):
-    networks, draws = _count_builds(monkeypatch)
+def test_campaign_builds_each_network_once_and_its_trials_read_one_fading(monkeypatch):
+    # no fading is kept: each channel state makes the links it reads, and
+    # trials of a seed that differ in L, tau, CSI mode or algorithm must
+    # read the same bits on a shared link
+    networks = _count_builds(monkeypatch)
+    reads, trial = {}, []
+    run_trial_ = ucran.harness.run_trial
+    link_channels_ = ucran.channel.link_channels
+
+    def tagged_trial(config, seed, algorithm, **kwargs):
+        trial[:] = [(config.cluster_size, config.pilot_count, algorithm)]
+        return run_trial_(config, seed, algorithm, **kwargs)
+
+    def recording_links(seed, alpha, antennas, rrhs, users):
+        h = link_channels_(seed, alpha, antennas, rrhs, users)
+        rrhs, users = np.broadcast_arrays(rrhs, users)
+        for i, k, value in zip(rrhs.ravel(), users.ravel(), h.reshape(-1, antennas)):
+            reads.setdefault((seed, i, k), []).append((trial[0], value.tobytes()))
+        return h
+
+    monkeypatch.setattr(ucran.harness, "run_trial", tagged_trial)
+    monkeypatch.setattr(ucran.channel, "link_channels", recording_links)
     config = _config()
     run_campaign(config, cluster_sizes=[2, 3], pilot_budgets=[1, 3],
                  algorithms=("proposed", "con", "perfect"), num_seeds=3)
     seeds = [config.master_seed + j for j in range(3)]
     assert networks == [(seed, size) for seed in seeds for size in (2, 3)]
-    assert draws == [(9, 6)] * 3
+    assert {seed for seed, _, _ in reads} == set(seeds)
+    differ = set()
+    for read in reads.values():
+        assert len({value for _, value in read}) == 1
+        (size0, budget0, algorithm0), _ = read[0]
+        for (size, budget, algorithm), _ in read[1:]:
+            differ |= {name for name, same in (
+                ("L", size == size0), ("tau", budget == budget0),
+                ("CSI mode", (algorithm == "perfect") == (algorithm0 == "perfect")),
+                ("algorithm", algorithm == algorithm0)) if not same}
+    assert differ == {"L", "tau", "CSI mode", "algorithm"}
     # the same counts again: nothing is kept from one campaign to the next
-    first = (list(networks), list(draws))
+    first = list(networks)
     networks.clear()
-    draws.clear()
     run_campaign(config, cluster_sizes=[2, 3], pilot_budgets=[1, 3],
                  algorithms=("proposed", "con", "perfect"), num_seeds=3)
-    assert (networks, draws) == first
+    assert networks == first
 
 
 def test_run_trial_alone_builds_and_draws_its_own(monkeypatch):
-    networks, draws = _count_builds(monkeypatch)
+    networks = _count_builds(monkeypatch)
     for _ in range(2):
         run_trial(_config(), seed=4, algorithm="proposed")
     assert networks == [(4, 2)] * 2
-    assert draws == [(9, 6)] * 2
 
 
-def test_campaign_draws_each_seeds_gains_and_fading_once_for_every_cluster_size(monkeypatch):
+def test_campaign_draws_each_seeds_gains_once_for_every_cluster_size(monkeypatch):
     # the first cluster size's network lends its positions and alpha to
-    # the others, and the fading is drawn from that alpha: per seed one
-    # shadowing draw and one fading draw, whatever the cluster sizes
+    # the others: per seed one shadowing draw, whatever the cluster sizes
     shadowing, networks = [], []
     compute_large_scale_ = ucran.topology.compute_large_scale
     build_network_ = ucran.harness.build_network
-    draw_channels_ = ucran.channel.draw_channels
-    draws = []
 
     def counting_gains(distances, config, seed):
         shadowing.append(seed)
@@ -467,13 +486,8 @@ def test_campaign_draws_each_seeds_gains_and_fading_once_for_every_cluster_size(
         networks.append((seed, build_network_(config, seed, **kwargs)))
         return networks[-1][1]
 
-    def counting_draw(alpha, antennas, rng):
-        draws.append(alpha)
-        return draw_channels_(alpha, antennas, rng)
-
     monkeypatch.setattr(ucran.topology, "compute_large_scale", counting_gains)
     monkeypatch.setattr(ucran.harness, "build_network", keeping_build)
-    monkeypatch.setattr(ucran.channel, "draw_channels", counting_draw)
     config = _config()
     sizes = [3, 2, 4]
     report = run_campaign(config, cluster_sizes=sizes, pilot_budgets=[1, 3],
@@ -487,8 +501,6 @@ def test_campaign_draws_each_seeds_gains_and_fading_once_for_every_cluster_size(
         for network in others:
             for field in ("rrh_positions", "user_positions", "alpha"):
                 assert getattr(network, field) is getattr(first, field)
-        assert draws[j] is first.alpha
-    assert len(draws) == 3
     # the same rows as trials run one by one, each drawing its own gains
     for t in report.trials:
         cfg = dataclasses.replace(config, cluster_size=t.cluster_size,
@@ -512,14 +524,15 @@ def test_network_from_lent_gains_equals_a_fresh_one():
                          ids=["default", "324-216"])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_the_gains_and_the_fading_read_no_cluster_size(size, seed):
-    # the seed memo keeps one fading under ("fading",), drawn from the
-    # alpha of whichever cluster size comes first: right only if neither
-    # the gains nor the draw read L
+    # the seed memo keeps one set of gains, from whichever cluster size
+    # comes first, and the fading is made from that alpha: right only if
+    # neither the gains nor the channels read L
     first = None
     for cluster_size in range(2, 9):
         config = SimConfig(cluster_size=cluster_size, **size)
         alpha = build_network(config, seed).alpha
-        channels = ucran.channel.draw_fading(alpha, config.antennas_per_rrh, seed).channels
+        channels = ucran.channel.link_channels(seed, alpha, config.antennas_per_rrh,
+                                               *np.indices(alpha.shape))
         if first is None:
             first = alpha, channels
         assert alpha.tobytes() == first[0].tobytes()
@@ -532,15 +545,6 @@ def test_a_stage_writing_into_the_shared_network_fails(field, monkeypatch):
         getattr(instance, field)[0, 0] = 0
 
     monkeypatch.setattr(ucran.harness, "admission_loop", writing_stage2)
-    with pytest.raises(ValueError, match="read-only"):
-        run_campaign(_config(), [2], [3], algorithms=("proposed",), num_seeds=1)
-
-
-def test_a_stage_writing_into_the_shared_fading_fails(monkeypatch):
-    def writing_pilot_rx(true_channels, assignment, links, pilot_power, noise_power, rng):
-        true_channels[0, 0, 0] = 0.0
-
-    monkeypatch.setattr(ucran.channel, "simulate_pilot_rx", writing_pilot_rx)
     with pytest.raises(ValueError, match="read-only"):
         run_campaign(_config(), [2], [3], algorithms=("proposed",), num_seeds=1)
 

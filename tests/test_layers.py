@@ -73,3 +73,25 @@ def test_one_read_only_rule_and_one_memo():
                 for idiom, modules in allowed.items()
                 if idiom in line and path.stem not in modules]
     assert problems == []
+
+
+def _names(node: ast.AST) -> list[str]:
+    """The names a node reads: an attribute, a bare name, or what it imports."""
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [part for alias in node.names for part in alias.name.split(".")]
+    return []
+
+
+def test_channel_makes_every_value_from_the_keyed_stream():
+    # channel.py builds no numpy Generator and draws no normal: every
+    # fading and noise value comes from complex_normal's keyed words, so
+    # no value can depend on draw order
+    forbidden = {"random", "default_rng", "Generator", "standard_normal", "stream_rng"}
+    used = [f"channel.py:{node.lineno}: {name}"
+            for node in ast.walk(ast.parse((PACKAGE / "channel.py").read_text()))
+            for name in _names(node) if name in forbidden]
+    assert used == []
