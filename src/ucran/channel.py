@@ -9,27 +9,26 @@ al., SC 2011), so a call makes only the links it reads, in any order and
 batch, and every trial of a seed reads the same value on a shared link.
 Value m of link (i, k) sits at counter (i * K + k) * M + m of the fading
 stream, and the noise of RRH i on pilot t at counter (t * I + i) * M + m
-of the pilot-noise stream, a layout that reads no pilot count.  Error
-variances are (num_rrhs, num_users) per antenna.  Estimates are stored
-on the only links they are made on, each user's cluster links:
-(num_users, L, antennas) on :attr:`ChannelState.links`, the L cluster
-RRHs in ascending order.  Pilot holders are estimated by linear MMSE
-from the pilot phase, or exactly under perfect CSI; other users keep
-zero rows.
+of the pilot-noise stream, a layout that reads no pilot count.
+
+Only the pilot holders know more than large-scale CSI, so a
+:class:`ChannelState` holds them alone, row (or column) h being the h-th
+holder in ascending id: estimates (H, L, antennas) on the only links they
+are made on, its L cluster RRHs in ascending order, and per-antenna
+error variances (I, H).  Estimates come by linear MMSE from the pilot
+phase, or exactly under perfect CSI.  Every RRH outside a holder's
+cluster keeps the full gain alpha as its error variance, so consumers
+treat every link alike: known part plus a zero-mean residual.
 
 The pilot phase makes only what it reads: each pilot holder's
 cluster RRHs, on its own pilot, the channels of that pilot's holders
 there and the noise there.  The observation and the co-pilot gain sum of
 the error variance add the link's co-pilot holders from zero in
-ascending id, the order of the whole-array forms they replace (an
-``np.add.at`` over every (RRH, pilot) pair and an ``alpha @ copilot``
-product over every (RRH, user) pair), and a test holds them bit for bit
-to those forms.  The total received pilot power stays one dense
-``alpha @ membership`` product: a per-link sum would not add in the
-order its BLAS kernel adds on every link.
-Every link without an estimate keeps its full gain alpha as its error
-variance, so downstream consumers can treat every link uniformly (known
-part + zero-mean residual of that variance per antenna).
+ascending id, as an ``np.add.at`` over every (RRH, pilot) pair and a
+co-pilot product over every (RRH, user) pair formed one user at a time
+do, and a test holds them bit for bit to those forms.  The total
+received pilot power stays one dense ``alpha @ membership`` product: a
+per-link sum would not add in the order its BLAS kernel adds.
 """
 
 from __future__ import annotations
@@ -52,9 +51,10 @@ MIX1, MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 @dataclass(frozen=True)
 class ChannelState:
-    links: np.ndarray           # (K, L) each user's cluster RRHs, ascending
-    estimates: np.ndarray       # (K, L, M) complex on links, zero rows without a pilot
-    error_var: np.ndarray       # (I, K) per-antenna residual variance
+    holders: np.ndarray         # (H,) the pilot holders' user ids, ascending
+    links: np.ndarray           # (H, L) each holder's cluster RRHs, ascending
+    estimates: np.ndarray       # (H, L, M) complex on links
+    error_var: np.ndarray       # (I, H) per-antenna residual variance, column h holder h
 
 
 def stream_key(seed: int, stream: int) -> int:
@@ -126,28 +126,26 @@ def simulate_pilot_rx(seed: int, alpha: np.ndarray, antennas: int,
     Orthogonal pilots separate perfectly, so the observation of pilot t
     at RRH i is the sqrt(pilot_power)-scaled superposition of the
     channels of every user on pilot t, plus CN(0, noise_power * Identity)
-    noise.  Returns it as (K, L, M) on the links of ``links`` (K, L), in
-    its order: row k holds user k's pilot at its links, zero rows for
-    users without a pilot.  Only those links' channels and noise are
-    made, as the values of ``seed`` there (see :func:`link_channels`).
+    noise.  ``links`` (H, L) holds the links of ``assignment.users``, row
+    h those of the h-th holder in any order; returns the observation
+    (H, L, M) there: row h holds holder h's pilot at its links.  Only
+    those links' channels and noise are made, as the values of ``seed``
+    there (see :func:`link_channels`).
     """
-    # y[k, l] = sqrt(p) * sum of h[links[k, l], j] over the users j on k's
-    # pilot, added from zero in ascending user id as np.add.at adds
+    # y[r, l] = sqrt(p) * sum of h[links[r, l], j] over the users j on the
+    # pilot of holder r, added from zero in ascending id as np.add.at adds
     users = assignment.users
     pilot = assignment.pilots[users]
-    rows = links[users]
     # every (reader, holder) pair of holders on one pilot, readers ascending
     # and each reader's holders ascending
     reader, holder = np.nonzero(pilot[:, None] == pilot)
-    y = np.zeros(rows.shape + (antennas,), dtype=complex)
-    np.add.at(y, reader, link_channels(seed, alpha, antennas, rows[reader],
+    y = np.zeros(links.shape + (antennas,), dtype=complex)
+    np.add.at(y, reader, link_channels(seed, alpha, antennas, links[reader],
                                        users[holder][:, None]))
     y *= np.sqrt(pilot_power)
-    noise = _per_antenna(seed, STREAM_PILOT_NOISE, pilot[:, None] * alpha.shape[0] + rows,
+    noise = _per_antenna(seed, STREAM_PILOT_NOISE, pilot[:, None] * alpha.shape[0] + links,
                          antennas)
-    observed = np.zeros(links.shape + (antennas,), dtype=complex)
-    observed[users] = y + np.sqrt(noise_power) * noise
-    return observed
+    return y + np.sqrt(noise_power) * noise
 
 
 def mmse_estimate(y: np.ndarray, alpha: np.ndarray, assignment: PilotAssignment,
@@ -163,66 +161,60 @@ def mmse_estimate(y: np.ndarray, alpha: np.ndarray, assignment: PilotAssignment,
     ascending id, so it stays exact when one user dominates its pilot.
 
     Returns (estimates, error_var) in the ChannelState layout: estimates
-    (K, L, M) on ``links``, in its order, with zero rows for users without
-    a pilot; error_var (I, K), alpha on every link without an estimate.
-    ValueError when the received pilot power on an estimated link
-    overflows.
+    (H, L, M) on ``links``, in its order; error_var (I, H), alpha on every
+    link without an estimate.  ValueError when the received pilot power on
+    an estimated link overflows.
     """
     # received[i, t] = p * sum of alpha over users on pilot t, plus noise
     received = pilot_power * (alpha @ assignment.membership) + noise_power
     users = assignment.users
     pilot = assignment.pilots[users]
-    rows, cols = links[users], users[:, None]
-    denom = received[rows, pilot[:, None]]
+    denom = received[links, pilot[:, None]]
     overflowed = int((~np.isfinite(denom)).sum())
     if overflowed:
         # p * alpha = inf would give a zero coefficient and a zero error variance
         raise ValueError(f"channel estimation failed: the received pilot power overflows "
                          f"on {overflowed} estimated links, so their estimates are not finite")
-    # others[k, l] = sum of alpha[links[k, l], j] over the users j != k on
-    # k's pilot, added from zero in ascending id
+    # others[r, l] = sum of alpha[links[r, l], j] over the other users j on
+    # the pilot of holder r, added from zero in ascending id
     copilot = pilot[:, None] == pilot
     np.fill_diagonal(copilot, False)
     reader, holder = np.nonzero(copilot)
-    others = np.zeros(rows.shape)
-    np.add.at(others, reader, alpha[rows[reader], users[holder][:, None]])
-    gain = alpha[rows, cols]
+    others = np.zeros(links.shape)
+    np.add.at(others, reader, alpha[links[reader], users[holder][:, None]])
+    gain = alpha[links, users[:, None]]
     coef = np.sqrt(pilot_power) * gain / denom
-    estimates = np.zeros(links.shape + (y.shape[2],), dtype=complex)
-    estimates[users] = coef[:, :, None] * y[users]
-    error_var = alpha.copy()
-    error_var[rows, cols] = gain * (noise_power + pilot_power * others) / denom
-    return estimates, error_var
+    error_var = alpha[:, users]
+    error_var[links, np.arange(users.size)[:, None]] = (
+        gain * (noise_power + pilot_power * others) / denom)
+    return coef[:, :, None] * y, error_var
 
 
-def perfect_csi(seed: int, alpha: np.ndarray, antennas: int, clusters: np.ndarray,
-                admitted: np.ndarray):
-    """Intra-cluster links of admitted users known exactly, as the values
-    of ``seed`` there (see :func:`link_channels`); the rest keep only
-    their large-scale statistics.  Returns (estimates, error_var) in the
-    layout of :func:`mmse_estimate`."""
-    rows, cols = clusters[admitted], admitted[:, None]
-    estimates = np.zeros(clusters.shape + (antennas,), dtype=complex)
-    estimates[admitted] = link_channels(seed, alpha, antennas, rows, cols)
-    error_var = alpha.copy()
-    error_var[rows, cols] = 0.0
-    return estimates, error_var
+def perfect_csi(seed: int, alpha: np.ndarray, antennas: int, links: np.ndarray,
+                holders: np.ndarray):
+    """The holders' links ``links`` (H, L) known exactly, as the values of
+    ``seed`` there (see :func:`link_channels`); the rest keep only their
+    large-scale statistics.  Returns (estimates, error_var) in the layout
+    of :func:`mmse_estimate`."""
+    error_var = alpha[:, holders]
+    error_var[links, np.arange(holders.size)[:, None]] = 0.0
+    return link_channels(seed, alpha, antennas, links, holders[:, None]), error_var
 
 
 def build_channel_state(instance: NetworkInstance, assignment: PilotAssignment,
                         config: SimConfig, seed: int, perfect: bool = False) -> ChannelState:
-    """Run the pilot phase on the seed's fading and estimate on each user's
-    cluster links in ascending RRH order.
+    """Run the pilot phase on the seed's fading and estimate on each pilot
+    holder's cluster links in ascending RRH order.
 
     Perfect and imperfect modes read the same channels for the same seed,
     and so does every call for that seed whatever its pilots.  ValueError
     for a bad seed, or when an error variance or estimate is not finite
     (extreme gains).
     """
-    alpha, antennas = instance.alpha, config.antennas_per_rrh
-    links = np.sort(instance.clusters, axis=1)
+    alpha, antennas, holders = instance.alpha, config.antennas_per_rrh, assignment.users
+    links = np.sort(instance.clusters[holders], axis=1)
     if perfect:
-        estimates, error_var = perfect_csi(seed, alpha, antennas, links, assignment.users)
+        estimates, error_var = perfect_csi(seed, alpha, antennas, links, holders)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             y = simulate_pilot_rx(seed, alpha, antennas, assignment, links,
@@ -234,4 +226,5 @@ def build_channel_state(instance: NetworkInstance, assignment: PilotAssignment,
         if bad:
             raise ValueError(f"channel estimation failed: {bad} {what} are not "
                              "finite; the link gains span too wide a range")
-    return ChannelState(links=links, estimates=estimates, error_var=error_var)
+    return ChannelState(holders=holders, links=links, estimates=estimates,
+                        error_var=error_var)

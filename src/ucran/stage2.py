@@ -4,8 +4,8 @@ channels with error loading, an expected-rate lower bound, fixed-point
 power control under per-RRH power caps, and greedy admission.
 
 As in the user-centric C-RAN, a user is served by its own cluster only,
-so stage 2 works on the served users' cluster links
-(:attr:`ChannelState.links`, where the estimates live too) from the
+so stage 2 works on the served users' cluster links, the pilot holders'
+rows of the :class:`ChannelState` where the estimates live too, from the
 fronthaul cap to the final solution.  A serving set is an (n, L) bool
 mask on those links, False where the cap pruned one, and a beam is an
 (L, M) block on the same links (:class:`LocalBeams`).  Every admission
@@ -14,13 +14,14 @@ coefficients (for power control and the rate bound) and the power shares
 from those blocks; nothing is spread over all I*M antennas.
 
 A failed round drops one user, so what depends only on the pilot holders
-is built once per admission, in a :class:`HolderTable`: the fronthaul
-ranking of every holder link, the RRH-pair keys and outer products of the
-beam covariance table with each holder's index into it, and every (link,
-beam slot) pair that the rate coefficients sum.  A round reads the table
-at its surviving users' rows and filters it.  Each of its sums adds the
-same terms in the same order as one built from the round's users alone,
-so every result keeps its bits.
+is built once per admission, in a :class:`HolderTable` beside the
+channel state's own arrays: the fronthaul ranking of every holder link,
+the RRH-pair keys and outer products of the beam covariance table with
+each holder's index into it, and every (link, beam slot) pair that the
+rate coefficients sum.  A round reads the table at its surviving users'
+rows and filters it.  Each of its sums adds the same terms in the same
+order as one built from the round's users alone, so every result keeps
+its bits.
 """
 
 from __future__ import annotations
@@ -42,14 +43,15 @@ class HolderTable:
     """What no admission round changes: the pilot holders' links, built
     once per admission by :func:`build_holder_table`.
 
-    Row h of every per-holder array is holder ``holders[h]``; a holder
-    link, or the beam slot on it, is the flat index h*L + l.  A round
-    reads the table at its surviving users' rows (:meth:`rows`).
+    Row h of every per-holder array, and column h of ``error_var``, is
+    holder ``holders[h]``; a holder link, or the beam slot on it, is the
+    flat index h*L + l.  A round reads the table at its surviving users'
+    rows (:meth:`rows`).
     """
     holders: np.ndarray       # (H,) user ids, ascending
     links: np.ndarray         # (H, L) cluster RRHs, ascending in each row
     estimates: np.ndarray     # (H, L, M) estimates on those links
-    error_var: np.ndarray     # (I, K) per-antenna residual variance
+    error_var: np.ndarray     # (I, H) per-antenna residual variance
     # fronthaul cap: every holder link sorted by (RRH, -gain, id)
     cap_links: np.ndarray     # (H*L,) flat link index
     cap_holders: np.ndarray   # (H*L,) its holder row
@@ -76,16 +78,14 @@ class HolderTable:
         return np.searchsorted(self.holders, served)
 
 
-def build_holder_table(channel_state: ChannelState, alpha: np.ndarray,
-                       holders) -> HolderTable:
-    """The :class:`HolderTable` of ``holders``, distinct user ids: the
-    fronthaul ranking of their links, the RRH-pair keys and outer products
-    of the beam covariance table with each holder's index into it, and the
-    (link, beam slot) pairs of the rate coefficients."""
-    holders = np.sort(np.asarray(holders, dtype=np.int64))
-    num_rrhs = channel_state.error_var.shape[0]
-    links = channel_state.links[holders]
-    est = channel_state.estimates[holders]
+def build_holder_table(channel_state: ChannelState, alpha: np.ndarray) -> HolderTable:
+    """The :class:`HolderTable` of the channel state's pilot holders, on
+    its arrays as they are: the fronthaul ranking of their links, the
+    RRH-pair keys and outer products of the beam covariance table with
+    each holder's index into it, and the (link, beam slot) pairs of the
+    rate coefficients."""
+    holders, links = channel_state.holders, channel_state.links
+    est, num_rrhs = channel_state.estimates, channel_state.error_var.shape[0]
     size, width, antennas = est.shape
     link_rrh = links.ravel()
     owner = np.arange(link_rrh.size) // width
@@ -108,7 +108,8 @@ def build_holder_table(channel_state: ChannelState, alpha: np.ndarray,
                   + np.arange(2 * square)).reshape(size, 2 * width * width * square)
     with np.errstate(over="ignore", invalid="ignore"):    # the beam solve reports it
         outer = est[:, :, None, :, None] * est[:, None, :, None, :].conj()
-    outer_parts = outer.reshape(size, width * width * square).view(float)
+    # C order for the float view: perfect-CSI estimates come antenna-major
+    outer_parts = np.ascontiguousarray(outer).reshape(size, width * width * square).view(float)
 
     # each link meets every beam slot at its RRH, beams ascending
     by_rrh = np.argsort(link_rrh, kind="stable")
@@ -214,7 +215,7 @@ def robust_beam_direction(table: HolderTable, valid: np.ndarray, served,
     cov = sums[table.cov_index[rows]]
     on = np.repeat(valid, antennas, axis=1)
     cov[~(on[:, :, None] & on[:, None, :])] = 0.0
-    load = table.error_var[:, served].sum(axis=1)
+    load = table.error_var[:, rows].sum(axis=1)
     # pruned slots get an identity diagonal and a zero right-hand side,
     # so their weights solve to zero
     diagonal = np.where(valid, load[rrhs] + noise_power, 1.0)
@@ -300,7 +301,7 @@ def rate_coefficients(table: HolderTable, beams: LocalBeams,
     gains = (np.bincount(comb, terms.real, size)
              + 1j * np.bincount(comb, terms.imag, size))     # <hhat_a, w_b> per combination
 
-    evar = table.error_var[:, served]
+    evar = table.error_var[:, rows]
     leak = np.einsum("bla,bl->ab", evar[beams.rrhs], beams.slot_power)    # leak[a, b]
     signal = np.abs(gains[table.self_comb[rows]]) ** 2
     self_err = np.diag(leak).copy()
@@ -461,8 +462,11 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
     the user with the largest power at the failed iterate; an exact tie
     goes to the lowest id.  An empty served set is feasible, so it ends
     through the same return as any other: a valid empty solution.
+    ValueError unless ``channel_state`` was built for the admitted users.
     """
-    table = build_holder_table(channel_state, instance.alpha, stage1_result.admitted)
+    if not np.array_equal(stage1_result.admitted, channel_state.holders):
+        raise ValueError("the channel state was made for other pilot holders")
+    table = build_holder_table(channel_state, instance.alpha)
     served = table.holders
     removed: list[int] = []
     # expm1 keeps tiny targets exact where 2**rate_req - 1 cancels

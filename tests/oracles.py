@@ -15,7 +15,8 @@ each user's cluster links to every RRH, the local rate coefficients
 through a sorted-link CSR join, the pilot observation on every (RRH,
 pilot) pair as one product of the channels with the one-hot pilot
 membership and the MMSE estimates from it through dense products on
-every (RRH, user) pair, the distance matrix and
+every (RRH, user) pair (the co-pilot gain sums one user at a time, in
+ascending id), the distance matrix and
 the candidate clusters as the plain one-liners they were first written
 as (a broadcast difference summed over the coordinate axis, a full
 stable argsort per user), and SplitMix64's words in Python integers.
@@ -214,11 +215,12 @@ def rate_coefficients_join_reference(channel_state, beams, served):
     each serving slot joined to the cluster links at its RRH through a
     CSR layout of the links sorted by RRH (argsort, bincount, cumsum,
     repeat).  Each gain sums its terms over beam b's slots in ascending
-    order; the leakage is the same einsum over the slots."""
-    served = np.asarray(served, dtype=np.int64)
-    n = served.size
+    order; the leakage is the same einsum over the slots.  ``served`` are
+    pilot holders, read at their rows of ``channel_state``."""
+    rows = channel_state.holders.searchsorted(np.asarray(served, dtype=np.int64))
+    n = rows.size
     link_rrh = beams.rrhs.ravel()
-    est = channel_state.estimates[served].reshape(link_rrh.size, channel_state.estimates.shape[2])
+    est = channel_state.estimates[rows].reshape(link_rrh.size, channel_state.estimates.shape[2])
     users = np.arange(link_rrh.size) // beams.rrhs.shape[1]
     cols, slots = np.nonzero(beams.valid)
     slot_rrh = beams.rrhs[cols, slots]
@@ -236,7 +238,7 @@ def rate_coefficients_join_reference(channel_state, beams, served):
     gains = (np.bincount(flat, terms.real, n * n)
              + 1j * np.bincount(flat, terms.imag, n * n)).reshape(n, n)
 
-    evar = channel_state.error_var[:, served]
+    evar = channel_state.error_var[:, rows]
     power = (np.abs(beams.weights) ** 2).sum(axis=2)
     leak = np.einsum("bla,bl->ab", evar[beams.rrhs], power)
     signal = np.abs(np.diag(gains)) ** 2
@@ -269,12 +271,13 @@ def robust_beam_whole_reference(channel_state, valid: np.ndarray, served,
     one ``np.unique`` per call, the per-pair covariance table by two
     bincounts over the served users' outer products in served order, and
     each covariance gathered block by block, then transposed to stacked
-    antennas.  ValueError where the solve overflows, is singular or too
-    ill-conditioned."""
-    served = np.asarray(served, dtype=np.int64)
+    antennas.  ``served`` are pilot holders, read at their rows of
+    ``channel_state``.  ValueError where the solve overflows, is singular
+    or too ill-conditioned."""
+    rows = channel_state.holders.searchsorted(np.asarray(served, dtype=np.int64))
     num_rrhs = channel_state.error_var.shape[0]
-    rrhs = channel_state.links[served]
-    est = channel_state.estimates[served]
+    rrhs = channel_state.links[rows]
+    est = channel_state.estimates[rows]
     n, width, antennas = est.shape
     if (~valid.any(axis=1)).any():
         raise ValueError("empty serving set")
@@ -289,7 +292,7 @@ def robust_beam_whole_reference(channel_state, valid: np.ndarray, served,
     cov = table[block.reshape(n, width, width)]
     cov[~(valid[:, :, None] & valid[:, None, :])] = 0.0
     cov = cov.transpose(0, 1, 3, 2, 4).reshape(n, dim, dim)
-    load = channel_state.error_var[:, served].sum(axis=1)
+    load = channel_state.error_var[:, rows].sum(axis=1)
     diagonal = np.where(valid, load[rrhs] + noise_power, 1.0)
     cov[:, np.arange(dim), np.arange(dim)] += np.repeat(diagonal, antennas, axis=1)
     own = (est * valid[:, :, None]).reshape(n, dim, 1)
@@ -318,11 +321,12 @@ def rate_coefficients_whole_reference(channel_state, beams, served):
     """(signal, self_err, cross) paired from the served set alone: an
     (n*L, n) mask of the beams with a slot at each cluster link's RRH and a
     ``flatnonzero`` over it per call, every gain summed by bincount over
-    all n*n combinations, and ``cross`` the whole |gains|^2 plus leakage."""
-    served = np.asarray(served, dtype=np.int64)
-    n = served.size
+    all n*n combinations, and ``cross`` the whole |gains|^2 plus leakage.
+    ``served`` are pilot holders, read at their rows of ``channel_state``."""
+    rows = channel_state.holders.searchsorted(np.asarray(served, dtype=np.int64))
+    n = rows.size
     link_rrh = beams.rrhs.ravel()
-    est = channel_state.estimates[served].reshape(link_rrh.size, channel_state.estimates.shape[2])
+    est = channel_state.estimates[rows].reshape(link_rrh.size, channel_state.estimates.shape[2])
     users = np.arange(link_rrh.size) // beams.rrhs.shape[1]
     slot = np.full((beams.num_rrhs, n), -1)
     cols, slots = np.nonzero(beams.valid)
@@ -333,7 +337,7 @@ def rate_coefficients_whole_reference(channel_state, beams, served):
     flat = users[link_of] * n + col
     gains = (np.bincount(flat, terms.real, n * n)
              + 1j * np.bincount(flat, terms.imag, n * n)).reshape(n, n)
-    evar = channel_state.error_var[:, served]
+    evar = channel_state.error_var[:, rows]
     leak = np.einsum("bla,bl->ab", evar[beams.rrhs], beams.slot_power)
     signal = np.abs(np.diag(gains)) ** 2
     self_err = np.diag(leak).copy()
@@ -372,13 +376,17 @@ def mmse_estimate_reference(y: np.ndarray, alpha: np.ndarray, assignment,
     of :func:`pilot_rx_reference`: (estimates (K, L, M) on ``clusters``,
     zero rows without a pilot; error_var (I, K), alpha on every link
     without an estimate).  The received pilot power and the co-pilot gain
-    sums are formed on every (RRH, user) pair, as dense products of the
-    gains with the one-hot membership and with the co-pilot matrix."""
+    sums are formed on every (RRH, user) pair: the first as the dense
+    product of the gains with the one-hot membership, the second as the
+    product with the co-pilot matrix one user row at a time, from zero in
+    ascending id (a BLAS product may add its terms in another order)."""
     membership = _membership_reference(assignment, alpha.shape[1])
     received = pilot_power * (alpha @ membership) + noise_power
     copilot = membership @ membership.T
     np.fill_diagonal(copilot, 0.0)
-    others = alpha @ copilot
+    others = np.zeros(alpha.shape)
+    for j in range(alpha.shape[1]):
+        others += alpha[:, j, None] * copilot[j]
     users = np.flatnonzero(assignment.pilots >= 0)
     rows, cols, pilot = clusters[users], users[:, None], assignment.pilots[users][:, None]
     denom = received[rows, pilot]
@@ -637,7 +645,7 @@ def max_served_reference(instance, stage1_result, channel_state, config) -> Admi
     Exponential in the admitted count.
     """
     admitted = stage1_result.admitted
-    table = build_holder_table(channel_state, instance.alpha, admitted)
+    table = build_holder_table(channel_state, instance.alpha)
     sinr_target = math.expm1(config.rate_req * math.log(2.0))
     for size in range(len(admitted), -1, -1):
         for subset in combinations(admitted.tolist(), size):

@@ -243,7 +243,8 @@ def test_criterion_9_rate_bound_below_monte_carlo(capsys):
         seed += 1
         if solution.num_served == 0:
             continue
-        served = [int(k) for k in solution.served]
+        # the served users' columns: their rows of the pilot holders
+        served = state.holders.searchsorted(solution.served)
         stacked = stack_antennas(scatter_links(state.links, state.estimates,
                                                config.num_rrhs))
         beams = solution.beams

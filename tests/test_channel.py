@@ -80,14 +80,14 @@ def test_channel_and_noise_keys_differ():
     assert stream_key(1, STREAM_FADING) != stream_key(2, STREAM_FADING)
 
 
-def test_draw_channels_statistics():
+def test_link_channels_statistics():
     alpha = np.full((1, 100_000), 2.3)
     h = _all_links(0, alpha, antennas=2)
     energy = (np.abs(h) ** 2).sum(axis=2)
     assert energy.mean() == pytest.approx(2 * 2.3, rel=0.01)
 
 
-def test_draw_channels_are_circular_and_uncorrelated_across_antennas():
+def test_link_channels_are_circular_and_uncorrelated_across_antennas():
     h = _all_links(3, np.ones((1, 100_000)), antennas=2)[0]
     power = (np.abs(h[:, 0]) ** 2).mean()
     assert abs((h[:, 0] ** 2).mean()) / power < 0.02
@@ -96,7 +96,7 @@ def test_draw_channels_are_circular_and_uncorrelated_across_antennas():
     assert corr < 0.02
 
 
-def test_draw_channels_zero_gain_and_determinism():
+def test_link_channels_zero_gain_and_determinism():
     alpha = np.array([[0.0, 1.0]])
     a = _all_links(5, alpha, antennas=3)
     b = _all_links(5, alpha, antennas=3)
@@ -109,7 +109,7 @@ def test_draw_channels_zero_gain_and_determinism():
                     elements=st.sampled_from([0.0, 5e-324, 1e-300, 1e-12, 0.5, 3.0, 1e300])),
        antennas=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
 @settings(max_examples=200, deadline=None)
-def test_draw_channels_matches_the_reference_bit_for_bit(alpha, antennas, seed):
+def test_link_channels_matches_the_reference_bit_for_bit(alpha, antennas, seed):
     # a link's value is the same bits whether asked for with every link,
     # alone, or in another order and batch, signed zeros included
     want = draw_channels_reference(alpha, antennas, seed)
@@ -125,7 +125,7 @@ def test_draw_channels_matches_the_reference_bit_for_bit(alpha, antennas, seed):
         assert alone.tobytes() == want[i, k][None].tobytes()
 
 
-def test_draw_channels_independent_across_links():
+def test_link_channels_independent_across_links():
     h = _all_links(1, np.ones((2, 50_000)), antennas=1)
     x = h[0, :, 0].real
     y = h[1, :, 0].real
@@ -146,7 +146,7 @@ def test_pilot_rx_noise_free_single_user():
 def test_pilot_rx_matches_reference(seed):
     # random assignments with users left without a pilot and pilots left
     # unused: the observation on each holder's links, in their given order,
-    # must equal the one-hot product there bit for bit
+    # must equal the one-hot product there bit for bit, one row per holder
     rng = np.random.default_rng(seed)
     num_rrhs, num_users, num_pilots = rng.integers(1, 7), rng.integers(1, 13), rng.integers(1, 6)
     alpha = rng.uniform(0.01, 2.0, (num_rrhs, num_users))
@@ -156,13 +156,11 @@ def test_pilot_rx_matches_reference(seed):
     p, noise = rng.uniform(0.1, 10.0), rng.uniform(0.0, 1.0)
     links = np.argsort(rng.random((num_users, num_rrhs)), axis=1)[
         :, :rng.integers(1, num_rrhs + 1)]
-    y = simulate_pilot_rx(seed, alpha, antennas, assignment, links, p, noise)
+    users = assignment.users
+    y = simulate_pilot_rx(seed, alpha, antennas, assignment, links[users], p, noise)
     whole = pilot_rx_reference(draw_channels_reference(alpha, antennas, seed), assignment,
                                p, noise, seed)
-    users = assignment.users
-    expected = np.zeros(links.shape + (antennas,), dtype=complex)
-    expected[users] = whole[links[users], pilots[users][:, None]]
-    assert np.array_equal(y, expected)
+    assert np.array_equal(y, whole[links[users], pilots[users][:, None]])
 
 
 def test_pilot_rx_superposition():
@@ -342,19 +340,19 @@ def test_estimates_exist_only_inside_clusters():
     instance = build_network(cfg, seed=5)
     s1 = run_stage1(instance, cfg.pilot_count, cfg.reuse_cap)
     state = build_channel_state(instance, s1.assignment, cfg, seed=5)
-    np.testing.assert_array_equal(state.links, np.sort(instance.clusters, axis=1))
-    holders = s1.assignment.pilots >= 0
-    assert not holders.all()
-    assert (state.estimates[holders] != 0).all()
-    assert (state.estimates[~holders] == 0).all()
-    for k in range(6):
+    holders = s1.assignment.users
+    assert holders.size < 6
+    np.testing.assert_array_equal(state.holders, holders)
+    np.testing.assert_array_equal(state.links, np.sort(instance.clusters[holders], axis=1))
+    assert state.estimates.shape == (holders.size, 2, cfg.antennas_per_rrh)
+    assert (state.estimates != 0).all()
+    for h, k in enumerate(holders):
         inside = np.zeros(9, dtype=bool)
-        if holders[k]:
-            inside[instance.clusters[k]] = True
-        np.testing.assert_array_equal(state.error_var[~inside, k],
+        inside[instance.clusters[k]] = True
+        np.testing.assert_array_equal(state.error_var[~inside, h],
                                       instance.alpha[~inside, k])
     assert (state.error_var >= 0).all()
-    assert (state.error_var <= instance.alpha + 1e-15).all()
+    assert (state.error_var <= instance.alpha[:, holders] + 1e-15).all()
 
 
 def test_copilot_users_never_share_cluster_rrhs():
@@ -373,15 +371,18 @@ def test_perfect_mode_copies_channels():
     instance = build_network(cfg, seed=1)
     s1 = run_stage1(instance, cfg.pilot_count, cfg.reuse_cap)
     state = build_channel_state(instance, s1.assignment, cfg, seed=1, perfect=True)
-    # the true channels are the seed's values on the fading stream
-    h = draw_channels_reference(instance.alpha, cfg.antennas_per_rrh, 1)
+    # the true channels are the seed's values on the fading stream, taken
+    # at the holders' columns as the state keeps them
+    users = s1.admitted
+    h = draw_channels_reference(instance.alpha, cfg.antennas_per_rrh, 1)[:, users]
     mask = np.zeros((cfg.num_rrhs, cfg.num_users), dtype=bool)
-    mask[instance.clusters[s1.admitted], s1.admitted[:, None]] = True
+    mask[instance.clusters[users], users[:, None]] = True
+    mask = mask[:, users]
     dense = scatter_links(state.links, state.estimates, cfg.num_rrhs)
     np.testing.assert_array_equal(dense[mask], h[mask])
     assert not dense[~mask].any()
     assert (state.error_var[mask] == 0).all()
-    np.testing.assert_array_equal(state.error_var[~mask], instance.alpha[~mask])
+    np.testing.assert_array_equal(state.error_var[~mask], instance.alpha[:, users][~mask])
 
 
 def test_perfect_and_imperfect_share_fading():
@@ -394,8 +395,7 @@ def test_perfect_and_imperfect_share_fading():
     # the pilot phase observes them under the seed's pilot noise
     h = draw_channels_reference(instance.alpha, cfg.antennas_per_rrh, 8)
     users = s1.assignment.users
-    np.testing.assert_array_equal(perfect.estimates[users],
-                                  h[perfect.links[users], users[:, None]])
+    np.testing.assert_array_equal(perfect.estimates, h[perfect.links, users[:, None]])
     y = simulate_pilot_rx(8, instance.alpha, cfg.antennas_per_rrh, s1.assignment,
                           imperfect.links, cfg.pilot_power, cfg.noise_power)
     estimates, error_var = mmse_estimate(y, instance.alpha, s1.assignment, imperfect.links,
@@ -408,10 +408,13 @@ def test_perfect_csi_direct():
     alpha = np.ones((3, 2))
     h = _all_links(0, alpha, antennas=2)
     clusters = np.array([[0, 1], [1, 2]])
-    estimates, error_var = perfect_csi(0, alpha, 2, clusters, admitted=np.array([0]))
-    np.testing.assert_array_equal(error_var, [[0.0, 1.0], [0.0, 1.0], [1.0, 1.0]])
-    np.testing.assert_array_equal(estimates[0], h[:2, 0])
-    assert not estimates[1].any()
+    estimates, error_var = perfect_csi(0, alpha, 2, clusters, holders=np.array([0, 1]))
+    np.testing.assert_array_equal(error_var, [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(estimates, [h[:2, 0], h[1:, 1]])
+    # row and column h are the h-th holder's, whatever its id
+    estimates, error_var = perfect_csi(0, alpha, 2, clusters[1:], holders=np.array([1]))
+    np.testing.assert_array_equal(error_var, [[1.0], [0.0], [0.0]])
+    np.testing.assert_array_equal(estimates, [h[1:, 1]])
 
 
 def _greedy_pilots(clusters: np.ndarray, order, num_pilots: int, cap: int) -> PilotAssignment:
@@ -466,6 +469,11 @@ def test_channel_state_matches_the_whole_array_oracles_bit_for_bit(data):
         y = pilot_rx_reference(h, assignment, config.pilot_power, config.noise_power, seed)
         estimates, error_var = mmse_estimate_reference(
             y, alpha, assignment, links, config.pilot_power, config.noise_power)
-    assert state.links.tobytes() == links.tobytes()
-    assert state.estimates.tobytes() == estimates.tobytes()
-    assert state.error_var.tobytes() == error_var.tobytes()
+    # the state holds the pilot holders alone: the oracles at their rows
+    assert state.holders.tobytes() == users.tobytes()
+    assert state.links.shape == (users.size, size)
+    assert state.estimates.shape == (users.size, size, antennas)
+    assert state.error_var.shape == (num_rrhs, users.size)
+    assert state.links.tobytes() == links[users].tobytes()
+    assert state.estimates.tobytes() == estimates[users].tobytes()
+    assert state.error_var.tobytes() == error_var[:, users].tobytes()

@@ -371,9 +371,9 @@ _INTEGER_ENTRY_POINTS = {
     "baseline_ortho": ("pilot_budget", 1,
                        lambda v: baseline_ortho(build_network(_config(), seed=0), v, 2, 0)),
     "enforce_fronthaul_cap": ("fronthaul_cap", 1, lambda v: enforce_fronthaul_cap(
-        build_holder_table(ChannelState(links=np.array([[0]]),
+        build_holder_table(ChannelState(holders=np.array([0]), links=np.array([[0]]),
                                         estimates=np.zeros((1, 1, 1), dtype=complex),
-                                        error_var=np.zeros((1, 1))), np.ones((1, 1)), [0]),
+                                        error_var=np.zeros((1, 1))), np.ones((1, 1))),
         [0], v)),
     "run_campaign": ("num_seeds", 1, lambda v: run_campaign(_config(), [2], [3], num_seeds=v)),
     "run_trial": ("seed", 0, lambda v: run_trial(_config(), v, "proposed")),

@@ -31,11 +31,19 @@ from oracles import (beam_systems_reference, fronthaul_cap_whole_reference,
 
 
 def _state(estimates: np.ndarray, error_var: np.ndarray) -> ChannelState:
-    """Channel state from dense (I, K, M) estimates, every RRH one of each
-    user's links."""
+    """Channel state from dense (I, K, M) estimates: every user a pilot
+    holder, and every RRH one of its links."""
     num_rrhs, num_users, _ = estimates.shape
-    return ChannelState(links=np.tile(np.arange(num_rrhs), (num_users, 1)),
+    return ChannelState(holders=np.arange(num_users),
+                        links=np.tile(np.arange(num_rrhs), (num_users, 1)),
                         estimates=estimates.transpose(1, 0, 2), error_var=error_var)
+
+
+def _sliced(state: ChannelState, holders) -> ChannelState:
+    """``state`` cut to ``holders``, distinct pilot holders of it."""
+    rows = state.holders.searchsorted(np.sort(np.asarray(holders, dtype=np.int64)))
+    return ChannelState(holders=state.holders[rows], links=state.links[rows],
+                        estimates=state.estimates[rows], error_var=state.error_var[:, rows])
 
 
 def _complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -52,20 +60,23 @@ def _valid(num_rrhs: int, sets: dict[int, list[int]]) -> np.ndarray:
 
 
 def _table(state: ChannelState, holders):
-    """Holder table of ``holders`` on ``state``, with unit link gains."""
-    return build_holder_table(state, np.ones(state.error_var.shape), holders)
+    """Holder table of ``holders`` on ``state`` cut to them, with unit link gains."""
+    gains = np.ones((state.error_var.shape[0], state.holders.max(initial=-1) + 1))
+    return build_holder_table(_sliced(state, holders), gains)
 
 
 def _links_state(links: np.ndarray, num_rrhs: int) -> ChannelState:
-    """Channel state on ``links`` with zero estimates: all the fronthaul cap reads."""
+    """Channel state on ``links``, every user a pilot holder, with zero
+    estimates: all the fronthaul cap reads."""
     num_users, width = links.shape
-    return ChannelState(links=links, estimates=np.zeros((num_users, width, 1), dtype=complex),
+    return ChannelState(holders=np.arange(num_users), links=links,
+                        estimates=np.zeros((num_users, width, 1), dtype=complex),
                         error_var=np.zeros((num_rrhs, num_users)))
 
 
 def _cap(links: np.ndarray, served, alpha: np.ndarray, cap) -> np.ndarray:
     """The fronthaul mask of ``served`` on the holder table of ``served``."""
-    table = build_holder_table(_links_state(links, alpha.shape[0]), alpha, served)
+    table = build_holder_table(_sliced(_links_state(links, alpha.shape[0]), served), alpha)
     return enforce_fronthaul_cap(table, served, cap)
 
 
@@ -114,7 +125,7 @@ def test_fronthaul_cap_second_pass_changes_nothing(ties):
         levels = rng.choice([0.25, 0.5, 1.0], size=(num_rrhs, num_users))
         alpha = levels if ties else rng.uniform(0.1, 1.0, (num_rrhs, num_users))
         served = np.flatnonzero(rng.random(num_users) < 0.8)
-        table = build_holder_table(_links_state(clusters, num_rrhs), alpha, served)
+        table = build_holder_table(_sliced(_links_state(clusters, num_rrhs), served), alpha)
         for cap in (1, 2, 3):
             valid = enforce_fronthaul_cap(table, served, cap)
             has_rrh = valid.any(axis=1)
@@ -278,9 +289,11 @@ def _assert_matches_reference(state, valid, served, noise):
     table = _table(state, served)
     beams = robust_beam_direction(table, valid, served, noise)
     dense = _dense(beams)
+    # the dense oracles take one column per pilot holder: served at its rows
+    columns = state.holders.searchsorted(served)
     estimates = scatter_links(state.links, state.estimates, state.error_var.shape[0])
-    serving = {k: state.links[k][valid[a]] for a, k in enumerate(served)}
-    systems = beam_systems_reference(estimates, state.error_var, serving, served, noise)
+    serving = {h: state.links[h][valid[a]] for a, h in enumerate(columns)}
+    systems = beam_systems_reference(estimates, state.error_var, serving, columns, noise)
     for col, (rows, cov, own) in enumerate(systems):
         w = dense[:, col]
         assert not np.delete(w, rows).any()
@@ -293,7 +306,7 @@ def _assert_matches_reference(state, valid, served, noise):
         residual = np.linalg.norm(scale * image - own)
         assert residual <= 1e-13 * (np.linalg.norm(cov, 2) * abs(scale) + np.linalg.norm(own))
     ours = rate_coefficients(table, beams, served) + (rrh_power_share(beams),)
-    theirs = rate_coefficients_reference(estimates, state.error_var, dense, served)
+    theirs = rate_coefficients_reference(estimates, state.error_var, dense, columns)
     scale = theirs[0].max()
     for name, got, want in zip(("signal", "self_err", "cross", "share"), ours, theirs):
         atol = 1e-12 if name == "share" else 1e-12 * scale
@@ -307,7 +320,7 @@ def _pruned_round(seed: int, cluster_size: int, cap: int, perfect: bool):
     instance = build_network(config, seed=seed)
     s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
     state = build_channel_state(instance, s1.assignment, config, seed=seed, perfect=perfect)
-    table = build_holder_table(state, instance.alpha, s1.admitted)
+    table = build_holder_table(state, instance.alpha)
     valid = enforce_fronthaul_cap(table, s1.admitted, cap)
     has_rrh = valid.any(axis=1)
     served = [int(k) for k in s1.admitted[has_rrh]]
@@ -334,7 +347,7 @@ def test_local_blocks_match_dense_reference_with_padding(perfect):
     # keeps that link as a zero slot of its beam
     a, slot = np.argwhere(beams.valid)[0]
     estimates = state.estimates.copy()
-    estimates[served[a], slot] = 0.0
+    estimates[state.holders.searchsorted(served[a]), slot] = 0.0
     zeroed = dataclasses.replace(state, estimates=estimates)
     np.testing.assert_array_equal(
         _assert_matches_reference(zeroed, valid, served, noise).valid, beams.valid)
@@ -356,7 +369,8 @@ def test_rate_coefficients_match_the_join_reference_bit_for_bit(seed, num_rrhs, 
     width = min(width, num_rrhs)
     links = np.array([np.sort(rng.choice(num_rrhs, width, replace=False))
                       for _ in range(num_users)], dtype=np.int64).reshape(num_users, width)
-    state = ChannelState(links=links, estimates=_complex(rng, (num_users, width, antennas)),
+    state = ChannelState(holders=np.arange(num_users), links=links,
+                         estimates=_complex(rng, (num_users, width, antennas)),
                          error_var=rng.uniform(0.0, 1.0, (num_rrhs, num_users)))
     served = np.flatnonzero(rng.random(num_users) < 0.8)
     valid = rng.random((served.size, width)) >= prune
@@ -385,8 +399,8 @@ def _same_bytes(got: np.ndarray, want: np.ndarray, name: str) -> None:
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_every_round_on_the_holder_table_matches_the_whole_served_references(
         seed, num_rrhs, num_users, num_holders, width, antennas, cap, perfect):
-    # a random channel state: gains spanning three decades, or a few levels
-    # that tie; estimates on the holders' cluster links only, with zero
+    # a random channel state of the holders: gains spanning three decades,
+    # or a few levels that tie; estimates on their cluster links, with zero
     # error there under perfect CSI, and the full gain as error elsewhere
     rng = np.random.default_rng(seed)
     width = min(width, num_rrhs)
@@ -398,16 +412,17 @@ def test_every_round_on_the_holder_table_matches_the_whole_served_references(
         alpha = 10.0 ** rng.uniform(-3.0, 0.0, (num_rrhs, num_users))
     holders = np.sort(rng.choice(num_users, min(num_holders, num_users), replace=False))
     gains = alpha[links.T, np.arange(num_users)].T                  # (K, L)
-    estimates = np.zeros((num_users, width, antennas), dtype=complex)
-    estimates[holders] = (np.sqrt(gains[holders] / 2.0)[:, :, None]
-                          * _complex(rng, (holders.size, width, antennas)))
-    error_var = alpha.copy()
-    rows, cols = np.repeat(holders, width), links[holders].ravel()
-    error_var[cols, rows] = 0.0 if perfect else alpha[cols, rows] * rng.uniform(0.0, 1.0, rows.size)
-    state = ChannelState(links=links, estimates=estimates, error_var=error_var)
+    estimates = (np.sqrt(gains[holders] / 2.0)[:, :, None]
+                 * _complex(rng, (holders.size, width, antennas)))
+    error_var = alpha[:, holders]
+    rows, cols = np.repeat(np.arange(holders.size), width), links[holders].ravel()
+    error_var[cols, rows] = (0.0 if perfect else
+                             alpha[cols, holders[rows]] * rng.uniform(0.0, 1.0, rows.size))
+    state = ChannelState(holders=holders, links=links[holders], estimates=estimates,
+                         error_var=error_var)
     noise = 10.0 ** rng.uniform(-3.0, 0.0)
 
-    table = build_holder_table(state, alpha, holders)
+    table = build_holder_table(state, alpha)
     served = table.holders
     while True:
         valid = enforce_fronthaul_cap(table, served, cap)
@@ -438,7 +453,7 @@ def test_every_step_takes_an_empty_served_set(served):
     state = build_channel_state(instance, s1.assignment, config, seed=0)
     width, antennas = config.cluster_size, config.antennas_per_rrh
     # the holders stay, and the round has dropped every one of them
-    table = build_holder_table(state, instance.alpha, s1.admitted)
+    table = build_holder_table(state, instance.alpha)
     valid = enforce_fronthaul_cap(table, served, config.fronthaul_cap)
     assert valid.shape == (0, width) and valid.dtype == bool
     beams = robust_beam_direction(table, valid, served, config.noise_power)
@@ -841,6 +856,25 @@ def test_admission_unreachable_rate_empties():
     assert sol.powers.shape == sol.rates.shape == (0,)
 
 
+def test_admission_rejects_a_channel_state_made_for_other_pilot_holders():
+    # a state with one holder fewer than stage 1 admitted, or one more,
+    # must not be served in place of the admitted users' own state
+    config = _small_config()
+    instance = build_network(config, seed=0)
+    s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
+    pilots = s1.assignment.pilots.copy()
+    pilots[s1.admitted[0]] = -1
+    fewer = dataclasses.replace(s1, assignment=dataclasses.replace(s1.assignment, pilots=pilots))
+    for stage1, made_for in ((s1, fewer), (fewer, s1)):
+        state = build_channel_state(instance, made_for.assignment, config, seed=0)
+        with pytest.raises(ValueError, match="^the channel state was made for other pilot "
+                                             "holders$"):
+            admission_loop(instance, stage1, state, config)
+    sol = admission_loop(instance, fewer, build_channel_state(instance, fewer.assignment,
+                                                              config, seed=0), config)
+    assert sorted(sol.served.tolist() + list(sol.removal_trace)) == fewer.admitted.tolist()
+
+
 def test_admission_never_beats_exhaustive_subsets():
     from itertools import combinations
 
@@ -855,7 +889,7 @@ def test_admission_never_beats_exhaustive_subsets():
         target = 2.0 ** config.rate_req - 1.0
         best = 0
         admitted = [int(k) for k in s1.admitted]
-        table = build_holder_table(state, instance.alpha, admitted)
+        table = build_holder_table(state, instance.alpha)
         for size in range(len(admitted), 0, -1):
             for subset in combinations(admitted, size):
                 valid = enforce_fronthaul_cap(table, subset, config.fronthaul_cap)
@@ -937,7 +971,7 @@ def test_admission_drops_the_largest_demand_first(est, error_var, rate_req, cap,
                                                   victim):
     instance, s1, state, config = _hand_round(est, error_var, rate_req, cap)
     served = s1.admitted
-    table = build_holder_table(state, instance.alpha, served)
+    table = build_holder_table(state, instance.alpha)
     beams = robust_beam_direction(table, np.ones((served.size, est.shape[0]), dtype=bool),
                                   served, config.noise_power)
     control = power_allocation_fixed_point(
