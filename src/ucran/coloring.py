@@ -51,8 +51,15 @@ class PilotAssignment:
         return np.bincount(self.pilots[self.users], minlength=self.num_pilots)
 
 
-def dsatur_color(graph: ConflictGraph, reuse_cap: int) -> PilotAssignment:
-    """Color the graph's active users under the reuse cap."""
+def dsatur_color(graph: ConflictGraph, reuse_cap: int,
+                 max_colors: int | None = None) -> PilotAssignment | None:
+    """Color the graph's active users under the reuse cap.
+
+    With ``max_colors``, None at the moment the coloring would open color
+    ``max_colors``: no color is ever closed, so None comes exactly when the
+    full coloring needs more than ``max_colors`` colors, and otherwise the
+    assignment is the one made without the limit.
+    """
     check_integer("reuse_cap", reuse_cap)
     adjacency = graph.adjacency
     degree = adjacency.sum(axis=1)
@@ -75,6 +82,8 @@ def dsatur_color(graph: ConflictGraph, reuse_cap: int) -> PilotAssignment:
         forbidden = neighbor_colors[k]
         color = next((c for c in open_colors if c not in forbidden), len(color_count))
         if color == len(color_count):
+            if color == max_colors:
+                return None
             color_count.append(0)
             open_colors.append(color)
         color_count[color] += 1

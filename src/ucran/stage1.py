@@ -172,8 +172,9 @@ def select_users_case1(weights: np.ndarray, pilot_budget: int, reuse_cap: int,
     A capped coloring of n users needs at least ``ceil(n / reuse_cap)``
     pilots, so while that exceeds the budget the loop goes on without
     one.  The survivors are restricted out of ``graph`` and colored only
-    for the budget test, once that bound no longer decides it; no victim
-    pick reads a coloring.
+    for the budget test, once that bound no longer decides it, and the
+    coloring stops at the first color past the budget; no victim pick
+    reads a coloring.
 
     With ``rng`` the active users are an ascending list and each victim
     is popped at an index ``rng.integers(0, len(active))``, which draws
@@ -207,8 +208,8 @@ def select_users_case1(weights: np.ndarray, pilot_budget: int, reuse_cap: int,
         highs = np.arange(count, count - max(1, count - reuse_cap * pilot_budget), -1)
         trace = [active.pop(i) for i in rng.integers(0, highs).tolist()]
         while True:
-            assignment = dsatur_color(graph.restrict(active), reuse_cap)
-            if assignment.num_pilots <= pilot_budget:
+            assignment = dsatur_color(graph.restrict(active), reuse_cap, pilot_budget)
+            if assignment is not None:
                 return assignment, tuple(trace)
             trace.append(active.pop(int(rng.integers(0, len(active)))))
 
@@ -240,8 +241,9 @@ def select_users_case1(weights: np.ndarray, pilot_budget: int, reuse_cap: int,
         degrees -= graph.adjacency[victim]
         degrees[victim] = -1
         if -(-(count - len(trace)) // reuse_cap) <= pilot_budget:
-            assignment = dsatur_color(graph.restrict(np.flatnonzero(degrees >= 0)), reuse_cap)
-            if assignment.num_pilots <= pilot_budget:
+            assignment = dsatur_color(graph.restrict(np.flatnonzero(degrees >= 0)), reuse_cap,
+                                      pilot_budget)
+            if assignment is not None:
                 return assignment, tuple(trace)
 
 
@@ -273,7 +275,8 @@ def reallocate_case2(weights: np.ndarray, pilot_budget: int, reuse_cap: int,
     Candidate thresholds are the distinct pairwise weights plus a sentinel
     above the maximum, whose graph is the base graph.  Binary search returns
     the coloring and threshold of its last probe that colors within budget
-    (the base coloring and sentinel when there is no pair to probe).  Greedy
+    (the base coloring and sentinel when there is no pair to probe); a
+    probe's coloring stops at the first color past the budget.  Greedy
     DSatur's fit is not monotone in the threshold, so a smaller candidate
     may fit too (ROADMAP.md, Settled: "Case 2, smallest fitting candidate").
     """
@@ -286,8 +289,8 @@ def reallocate_case2(weights: np.ndarray, pilot_budget: int, reuse_cap: int,
     while lo < hi:
         mid = (lo + hi) // 2
         probe = dsatur_color(build_thresholded_graph(base, weights, candidates[mid]),
-                             reuse_cap)
-        if probe.num_pilots <= pilot_budget:
+                             reuse_cap, pilot_budget)
+        if probe is not None:
             hi, assignment = mid, probe
         else:
             lo = mid + 1

@@ -13,13 +13,13 @@ round solves all users' covariances in one batch, then gathers the rate
 coefficients (for power control and the rate bound) and the power shares
 from those blocks; nothing is spread over all I*M antennas.
 
-A failed round drops one user, so what depends only on the pilot holders
-is built once per admission, in a :class:`HolderTable` beside the
-channel state's own arrays: the fronthaul ranking of every holder link,
-the RRH-pair keys and outer products of the beam covariance table with
-each holder's index into it, and every (link, beam slot) pair that the
-rate coefficients sum.  A round reads the table at its surviving users'
-rows and filters it.  Each of its sums adds the same terms in the same
+A failed round drops a few users at most, listed on its own beams, so
+what depends only on the pilot holders is built once per admission, in a
+:class:`HolderTable` beside the channel state's own arrays: the
+fronthaul ranking of every holder link, the RRH-pair keys and outer
+products of the beam covariance table with each holder's index into it,
+and every (link, beam slot) pair that the rate coefficients sum.  A
+round reads the table at its surviving users' rows and filters it.  Each of its sums adds the same terms in the same
 order as one built from the round's users alone, so every result keeps
 its bits.
 """
@@ -449,20 +449,43 @@ class AdmissionSolution:
         return len(self.served)
 
 
+# A failed round of n served users drops up to n // 32 of them, at least
+# one, before it re-beams: below 64 users that is one drop per round.  The
+# beams of a round go stale as its victims leave, and a divisor of 16
+# served fewer users on dense admissions (ROADMAP.md, Settled).
+_LISTING_DIVISOR = 32
+
+
+def _victim(control: PowerControlResult) -> int:
+    """Position of the user to drop after a failed power control: the
+    largest margin shortfall, else the largest power at the failed
+    iterate; an exact tie goes to the first position."""
+    short = control.margins <= 0.0
+    demand = np.where(short, -control.margins, -np.inf) if short.any() else control.powers
+    return int(np.argmax(demand))
+
+
 def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
                    channel_state: ChannelState, config: SimConfig) -> AdmissionSolution:
     """Serve pilot holders greedily under the rate, power, and fronthaul
-    constraints (one drop per failed round; not always the largest set).
+    constraints (not always the largest set).
 
     The holders' :class:`HolderTable` is built once, before the first
     round.  Each round prunes serving sets to the fronthaul cap and drops,
     in that same round, the users it leaves with no RRH; then it computes
-    beams and the power fixed point.  On infeasibility it removes one user
-    and repeats: the margin-short user with the largest shortfall, otherwise
-    the user with the largest power at the failed iterate; an exact tie
-    goes to the lowest id.  An empty served set is feasible, so it ends
-    through the same return as any other: a valid empty solution.
-    ValueError unless ``channel_state`` was built for the admitted users.
+    beams and the power fixed point.  On infeasibility it lists victims on
+    the round's beams, one at a time: the margin-short user with the
+    largest shortfall, otherwise the user with the largest power at the
+    failed iterate; an exact tie goes to the lowest id.  After each pick
+    the power fixed point of the survivors' rate coefficients and power
+    shares is run again for one block of iterates (``_MAX_BLOCK``), and
+    the listing goes on while it fails on the ceiling, a margin or an RRH
+    cap, up to ``max(1, n // 32)`` victims of the round's n users (one
+    below 64 users).  A feasible or unconverged listing call ends it.
+    The round then drops every listed victim, in order, and repeats.  An
+    empty served set is feasible, so it ends through the same return as
+    any other: a valid empty solution.  ValueError unless
+    ``channel_state`` was built for the admitted users.
     """
     if not np.array_equal(stage1_result.admitted, channel_state.holders):
         raise ValueError("the channel state was made for other pilot holders")
@@ -496,9 +519,24 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
                 per_rrh_power=share @ control.powers,
                 removal_trace=tuple(removed))
 
-        short = control.margins <= 0.0
-        demand = np.where(short, -control.margins, -np.inf) if short.any() else control.powers
-        # served is ascending, so an exact tie goes to the lowest id
-        victim = int(np.argmax(demand))
-        removed.append(int(served[victim]))
-        served = np.delete(served, victim)
+        # list victims on this round's beams: after each pick the survivors'
+        # power problem is re-solved while it still shows infeasibility, for
+        # one block at most (calls without that limit served fewer); alive
+        # and served ascend, so the first position on a tie is the lowest id
+        limit = max(1, served.size // _LISTING_DIVISOR)
+        alive = np.arange(served.size)
+        victims = []
+        while True:
+            victim = _victim(control)
+            victims.append(alive[victim])
+            alive = np.delete(alive, victim)
+            if len(victims) == limit:
+                break
+            control = power_allocation_fixed_point(
+                signal[alive], self_err[alive], cross[np.ix_(alive, alive)],
+                sinr_target, config.noise_power, share[:, alive], config.rrh_power_cap,
+                max_iters=_MAX_BLOCK)
+            if control.feasible or control.reason == "no_convergence":
+                break
+        removed.extend(served[victims].tolist())
+        served = served[alive]

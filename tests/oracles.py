@@ -21,9 +21,11 @@ the candidate clusters as the plain one-liners they were first written
 as (a broadcast difference summed over the coordinate axis, a full
 stable argsort per user), and SplitMix64's words in Python integers.
 
-Two oracles are not independent.  :func:`max_served_reference` is exact
+Three oracles are not independent.  :func:`max_served_reference` is exact
 by search: it tries every subset of the pilot holders, largest first,
-and tests each with the production admission round.  The whole channel
+and tests each with the production admission round.
+:func:`admission_listing_reference` lists each failed round's victims one
+at a time, calling the production round functions and power loop.  The whole channel
 and pilot-noise arrays take :func:`ucran.channel.complex_normal`'s value
 at every counter at once, in the layout each oracle states, so they
 check which counter each link reads; the values themselves are checked
@@ -667,3 +669,61 @@ def max_served_reference(instance, stage1_result, channel_state, config) -> Admi
                     per_rrh_power=share @ control.powers,
                     removal_trace=tuple(np.setdiff1d(admitted, served).tolist()))
     raise AssertionError("the empty set must be feasible")
+
+
+def admission_listing_reference(instance, stage1_result, channel_state, config) -> list[tuple]:
+    """Greedy admission whose failed rounds list their victims one at a
+    time on the round's fixed beams, as rounds ``(n, stranded, listed)``.
+
+    Each round strands the users the fronthaul cap leaves with no RRH,
+    which leaves ``n`` served users, then makes their beams, rate
+    coefficients and power shares with the production functions.  A
+    failed power control lists the user with the largest margin
+    shortfall, else the largest power at the failed iterate (the lowest
+    id on a tie), and the production power loop runs again, for at most
+    128 iterates, on the survivors' submatrices.  The round lists while
+    that call fails on ceiling, margin or rrh_cap, and at most
+    ``max(1, n // 32)`` victims; then every listed victim is dropped and
+    the next round re-beams.  The last round is the feasible one, with
+    nothing listed.
+    """
+    table = build_holder_table(channel_state, instance.alpha)
+    sinr_target = math.expm1(config.rate_req * math.log(2.0))
+    served = [int(k) for k in stage1_result.admitted]
+    rounds = []
+    while True:
+        valid = enforce_fronthaul_cap(table, served, config.fronthaul_cap)
+        keep = valid.any(axis=1)
+        stranded = [k for k, ok in zip(served, keep) if not ok]
+        served = [k for k, ok in zip(served, keep) if ok]
+        beams = robust_beam_direction(table, valid[keep], served, config.noise_power)
+        signal, self_err, cross = rate_coefficients(table, beams, served)
+        share = rrh_power_share(beams)
+
+        def power(alive, max_iters):
+            return power_allocation_fixed_point(
+                signal[alive], self_err[alive], np.ascontiguousarray(cross[alive][:, alive]),
+                sinr_target, config.noise_power, share[:, alive], config.rrh_power_cap,
+                max_iters=max_iters)
+
+        alive = list(range(len(served)))
+        control = power(alive, 10_000)
+        listed = []
+        if not control.feasible:
+            while True:
+                margins, powers = control.margins, control.powers
+                short = [a for a in range(len(alive)) if margins[a] <= 0.0]
+                if short:
+                    pick = max(short, key=lambda a: (-margins[a], -a))
+                else:
+                    pick = max(range(len(alive)), key=lambda a: (powers[a], -a))
+                listed.append(served[alive.pop(pick)])
+                if len(listed) == max(1, len(served) // 32):
+                    break
+                control = power(alive, 128)
+                if control.reason not in ("ceiling", "margin", "rrh_cap"):
+                    break
+        rounds.append((len(served), stranded, listed))
+        if not listed:
+            return rounds
+        served = [k for k in served if k not in listed]

@@ -110,6 +110,27 @@ def test_matches_reference_dsatur(data):
 
 
 @given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_color_limit_returns_none_exactly_when_the_full_coloring_exceeds_it(data):
+    num_users = data.draw(st.integers(1, 40), label="num_users")
+    density = data.draw(st.sampled_from([0.02, 0.1, 0.3, 0.5, 0.8, 0.9]), label="density")
+    g = random_graph(data.draw(st.integers(0, 10 ** 6), label="seed"), num_users, density)
+    if data.draw(st.booleans(), label="restrict"):
+        g = g.restrict(data.draw(st.sets(st.integers(0, num_users - 1)), label="active"))
+    cap = data.draw(st.integers(1, num_users + 1), label="cap")
+    full = dsatur_color(g, reuse_cap=cap)
+    # limits around the full coloring's count, where the answer turns
+    limit = data.draw(st.integers(max(0, full.num_pilots - 2), full.num_pilots + 2),
+                      label="max_colors")
+    limited = dsatur_color(g, cap, limit)
+    if full.num_pilots > limit:
+        assert limited is None
+    else:
+        np.testing.assert_array_equal(limited.pilots, full.pilots)
+        assert limited.num_pilots == full.num_pilots
+
+
+@given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_matches_reference_dsatur_on_cluster_graphs(data):
     # restricted cluster-overlap graphs on many RRHs, as in case-1 removal

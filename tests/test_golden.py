@@ -25,7 +25,7 @@ def test_golden_campaign_csv(tmp_path):
 
 # The dense point: 324 RRHs and 216 users, where case 1 removes most users,
 # case 2 spreads 64 pilots and the admission loop drops dozens.
-DENSE_SHA256 = "d30dfe2e44282eaf6fa8c4edef00ce629d98bdce22118c058d276291b0223302"
+DENSE_SHA256 = "048b0b92d4422626dc5c2bbe17e4671427969c195acf91d337b9e6c627fb5ede"
 
 
 def test_golden_dense_campaign_csv(tmp_path):

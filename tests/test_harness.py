@@ -579,10 +579,10 @@ def _count_stage_work(monkeypatch) -> list:
         log.append("base_graph")
         return base_graphs[-1]
 
-    def coloring(graph, reuse_cap):
+    def coloring(graph, reuse_cap, max_colors=None):
         if any(graph is base for base in base_graphs):
             log.append("base_coloring")
-        return originals["dsatur_color"](graph, reuse_cap)
+        return originals["dsatur_color"](graph, reuse_cap, max_colors)
 
     def weights(alpha, clusters):
         log.append("weights")

@@ -402,9 +402,9 @@ def test_removal_from_a_restricted_graph_keeps_to_its_users(policy):
 def _count_dsatur_calls(monkeypatch):
     calls = []
 
-    def counting(graph, reuse_cap):
+    def counting(graph, reuse_cap, max_colors=None):
         calls.append(len(graph.users))
-        return dsatur_color(graph, reuse_cap)
+        return dsatur_color(graph, reuse_cap, max_colors)
 
     monkeypatch.setattr("ucran.stage1.dsatur_color", counting)
     return calls

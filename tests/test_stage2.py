@@ -20,10 +20,12 @@ from ucran.stage2 import (
 )
 from ucran.channel import ChannelState
 from ucran.coloring import PilotAssignment
+from ucran.harness import audit_solution
 from ucran.stage1 import Stage1Result
 
 from conftest import craft_instance
-from oracles import (beam_systems_reference, fronthaul_cap_whole_reference,
+from oracles import (admission_listing_reference, beam_systems_reference,
+                     fronthaul_cap_whole_reference,
                      fronthaul_serving_sets, power_fixed_point_reference,
                      rate_coefficients_join_reference, rate_coefficients_reference,
                      rate_coefficients_whole_reference, robust_beam_whole_reference,
@@ -873,6 +875,36 @@ def test_admission_rejects_a_channel_state_made_for_other_pilot_holders():
     sol = admission_loop(instance, fewer, build_channel_state(instance, fewer.assignment,
                                                               config, seed=0), config)
     assert sorted(sol.served.tolist() + list(sol.removal_trace)) == fewer.admitted.tolist()
+
+
+def test_admission_lists_victims_on_each_failed_rounds_beams(monkeypatch):
+    # the dense point at tau 64, with a rate target that takes admission
+    # from rounds of over 200 users, which list several victims, down to
+    # rounds below 64 users, which list one each
+    config = SimConfig(num_rrhs=324, num_users=216, cluster_size=4, pilot_count=64,
+                       rate_req=10.0)
+    instance = build_network(config, seed=1)
+    s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
+    state = build_channel_state(instance, s1.assignment, config, seed=1)
+    rounds = admission_listing_reference(instance, s1, state, config)
+
+    entering = []
+
+    def recording(table, served, cap):
+        entering.append(len(served))
+        return enforce_fronthaul_cap(table, served, cap)
+
+    monkeypatch.setattr("ucran.stage2.enforce_fronthaul_cap", recording)
+    sol = admission_loop(instance, s1, state, config)
+    # each round drops the users entering it less those entering the next
+    dropped = -np.diff(entering + [sol.num_served])
+    per_round = np.split(np.array(sol.removal_trace), np.cumsum(dropped)[:-1])
+    assert [r.tolist() for r in per_round] == [stranded + listed
+                                               for _, stranded, listed in rounds]
+    assert max(len(listed) for _, _, listed in rounds) > 1
+    below = [len(listed) for n, _, listed in rounds[:-1] if n < 64]
+    assert below and set(below) == {1}
+    assert audit_solution(sol, config, s1.admitted) == []
 
 
 def test_admission_never_beats_exhaustive_subsets():
