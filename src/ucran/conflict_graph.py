@@ -64,7 +64,8 @@ def interference_matrix(alpha: np.ndarray, clusters: np.ndarray) -> np.ndarray:
     # gathered[k2, l, k] = alpha[clusters[k2, l], k]
     gathered = alpha[clusters]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cross = gathered.sum(axis=1).T      # cross[k, k2] = power user k receives from cluster of k2
+        # cross[k, k2] = power user k receives from the cluster of k2
+        cross = gathered.sum(axis=1).T
         own = np.diag(cross).copy()
         half = np.log1p(cross / own[:, None])
         weights = half + half.T

@@ -8,15 +8,14 @@ fading.  Algorithm-local randomness (random user picks in the baselines)
 draws from its own stream and cannot shift the physics.
 
 A campaign runs its trials seed by seed, and every trial of a seed
-shares that seed's work through one :class:`~ucran.topology.Memo`: one
-draw of the positions and gains, per cluster size one network and one
-stage-1 base (itself a memo of the base graph, base coloring,
-pilot-interference weights and each budget's deterministic stage-1
-decision), and one channel state and admission per input they read
-(cluster size, CSI mode and pilots).  The fading needs no memo: each
-channel state makes the links it reads as the seed's keyed values there
-(:mod:`ucran.channel`), so every trial of a seed reads the same value on
-a shared link.
+shares that seed's work through one :class:`~ucran.topology.Memo`: per
+cluster size one network and one stage-1 base (itself a memo of the base
+graph, base coloring, pilot-interference weights and each budget's
+deterministic stage-1 decision), and one channel state and admission per
+input they read (cluster size, CSI mode and pilots).  The fading needs no
+memo: each channel state makes the links it reads as the seed's keyed
+values there (:mod:`ucran.channel`), so every trial of a seed reads the
+same value on a shared link.
 Each trial calls stage 1 itself with its algorithm's flags, so
 :func:`~ucran.stage1.run_stage1` alone decides its branch and case, and
 two rows share an admission exactly when their pilots and CSI mode
@@ -27,12 +26,9 @@ first failure in seed order.
 Within a seed's memo, what each key's value reads (every other config
 field is fixed for a campaign):
 
-- ``("gains",)``: the network of the first cluster size a trial of the
-  seed asks for.  Its positions and ``alpha`` come from the placement
-  and shadowing streams, which read no L (tested), so they are drawn
-  once per seed.
-- ``("network", L)``: every other cluster size's network, its clusters
-  made for L on the gains' positions and ``alpha``.
+- ``("network", L)``: the seed and L.  Its positions and ``alpha`` come
+  from the placement and shadowing streams, which read no L (tested), so
+  every cluster size of a seed sees the same ones.
 - ``("base", L)``: that cluster size's network and the reuse cap.
 - ``("admission", L, perfect, num_pilots, pilots)``: that network, the
   seed, the CSI mode and the pilots; stage 1's admitted users are the
@@ -173,12 +169,11 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
 
     With ``return_details`` the stage results come back alongside the
     summary, for inspection and auditing.  ``physics`` is the seed's
-    shared state when a campaign runs several trials of one seed: its
-    positions and gains, per cluster size its network and stage-1 base,
-    and one channel state and admission per (cluster size, CSI mode,
-    pilots) that another of its trials has already made; a trial run
-    alone makes its own.  Every trial runs its own stage-1 call, pilot
-    check and audit.
+    shared state when a campaign runs several trials of one seed: per
+    cluster size its network and stage-1 base, and one channel state and
+    admission per (cluster size, CSI mode, pilots) that another of its
+    trials has already made; a trial run alone makes its own.  Every
+    trial runs its own stage-1 call, pilot check and audit.
     ValueError for an unknown algorithm or a bad seed, before any work;
     AuditError when a check fails.
     """
@@ -187,10 +182,7 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
     if physics is None:
         physics = Memo()
     size, budget, cap = config.cluster_size, config.pilot_count, config.reuse_cap
-    # the first cluster size's network lends its positions and gains to the others
-    gains = physics.once(("gains",), lambda: build_network(config, seed))
-    instance = gains if gains.clusters.shape[1] == size else physics.once(
-        ("network", size), lambda: build_network(config, seed, gains=gains))
+    instance = physics.once(("network", size), lambda: build_network(config, seed))
     base = physics.once(("base", size), lambda: Stage1Base(instance, cap))
     if algorithm == ALG_ORTHO:
         s1 = baseline_ortho(instance, budget, cap, seed, base=base)
@@ -258,18 +250,17 @@ def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
     """Sweep (algorithm, cluster size, pilot budget) over a shared seed list.
 
     Trials run seed by seed (then cluster size, algorithm, pilot budget).
-    Each seed's trials share one draw of the positions and gains, one
-    network and one stage-1 base per cluster size, with each budget's
-    deterministic stage-1 decision, and one channel state and admission
-    per (cluster size, CSI mode, pilots) that more than one of them
-    reaches; all of it is dropped before the next
-    seed's.  The rows equal those of trials run one by one, whatever the
-    order of ``algorithms``.  Emits one CSV row per
-    trial, cell by cell in sweep order and by seed within a cell, plus one
-    aggregate row per cell (seed column set to "mean").  Deterministic for
-    a fixed config.  ValueError, before the first trial, when a sweep list
-    is empty or repeats an entry, names an unknown algorithm or holds a
-    point that makes no valid config.  A failing trial stops the campaign
+    Each seed's trials share one network and one stage-1 base per
+    cluster size, with each budget's deterministic stage-1 decision, and
+    one channel state and admission per (cluster size, CSI mode, pilots)
+    that more than one of them reaches; all of it is dropped before the
+    next seed's.  The rows equal those of trials run one by one, whatever
+    the order of ``algorithms``.  Emits one CSV row per trial, cell by
+    cell in sweep order and by seed within a cell, plus one aggregate row
+    per cell (seed column set to "mean").  Deterministic for a fixed
+    config.  ValueError, before the first trial, when a sweep list is
+    empty or repeats an entry, names an unknown algorithm or holds a point
+    that makes no valid config.  A failing trial stops the campaign
     at the first failure in seed order.
     """
     check_integer("num_seeds", num_seeds)

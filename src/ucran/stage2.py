@@ -19,9 +19,9 @@ what depends only on the pilot holders is built once per admission, in a
 fronthaul ranking of every holder link, the RRH-pair keys and outer
 products of the beam covariance table with each holder's index into it,
 and every (link, beam slot) pair that the rate coefficients sum.  A
-round reads the table at its surviving users' rows and filters it.  Each of its sums adds the same terms in the same
-order as one built from the round's users alone, so every result keeps
-its bits.
+round reads the table at its surviving users' rows and filters it.
+Each of its sums adds the same terms in the same order as one built
+from the round's users alone, so every result keeps its bits.
 """
 
 from __future__ import annotations

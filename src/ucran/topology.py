@@ -222,30 +222,19 @@ def build_clusters(key: np.ndarray, cluster_size: int) -> np.ndarray:
     return rrhs[rank < cluster_size].reshape(-1, cluster_size)
 
 
-def build_network(config: SimConfig, seed: int, *,
-                  gains: NetworkInstance | None = None) -> NetworkInstance:
+def build_network(config: SimConfig, seed: int) -> NetworkInstance:
     """Placement, large-scale gains and clusters for one trial seed.
 
     RRHs and users drop i.i.d. uniformly over the square service area.
     Clusters rank RRHs by distance, or by gain with ``cluster_by_gain``.
-    The placement and shadowing streams read no cluster size, so
-    ``gains``, a network built for the same seed and config at another
-    cluster size, lends its positions and ``alpha`` as they are, and only
-    the clusters are made.  ValueError when ``gains`` holds another
-    number of RRHs or users.
+    The placement and shadowing streams read no cluster size, so every
+    cluster size of a seed sees the same positions and gains.
     """
-    if gains is None:
-        rng = stream_rng(seed, STREAM_PLACEMENT)
-        rrh = rng.uniform(0.0, config.area_side, size=(config.num_rrhs, 2))
-        users = rng.uniform(0.0, config.area_side, size=(config.num_users, 2))
-        distances = pairwise_distances(rrh, users)
-        alpha = compute_large_scale(distances, config, seed)
-    else:
-        rrh, users, alpha = gains.rrh_positions, gains.user_positions, gains.alpha
-        if alpha.shape != (config.num_rrhs, config.num_users):
-            raise ValueError(f"the gains are for {alpha.shape[0]} RRHs and {alpha.shape[1]} "
-                             f"users, not {config.num_rrhs} and {config.num_users}")
-        distances = pairwise_distances(rrh, users)
+    rng = stream_rng(seed, STREAM_PLACEMENT)
+    rrh = rng.uniform(0.0, config.area_side, size=(config.num_rrhs, 2))
+    users = rng.uniform(0.0, config.area_side, size=(config.num_users, 2))
+    distances = pairwise_distances(rrh, users)
+    alpha = compute_large_scale(distances, config, seed)
     clusters = build_clusters(-alpha if config.cluster_by_gain else distances,
                               config.cluster_size)
     return NetworkInstance(rrh_positions=rrh, user_positions=users,

@@ -1,38 +1,40 @@
-"""Independent reference implementations used to check the library.
+"""Reference implementations used to check the library.
 
-Everything here is deliberately brute-force and shares no code with the
-package: exhaustive capped coloring by backtracking, Monte Carlo ergodic
-rates by direct channel redraws, power control by solving the linear
-fixed-point system and by iterating it one step at a time, the pairwise
-pilot-interference weight one pair at a time and a user's total weight
-one term at a time, the cluster-overlap graph built on a user subset
-directly, fronthaul pruning one RRH at a time on per-user serving sets,
-DSatur picking each next vertex by a full (saturation, degree, id) key,
-case-1 user removal recoloring the survivors after every removal, and
-robust-beam covariance systems and rate coefficients as dense products
-over every RRH antenna, one user at a time, on estimates spread from
-each user's cluster links to every RRH, the local rate coefficients
-through a sorted-link CSR join, the pilot observation on every (RRH,
-pilot) pair as one product of the channels with the one-hot pilot
-membership and the MMSE estimates from it through dense products on
-every (RRH, user) pair (the co-pilot gain sums one user at a time, in
-ascending id), the distance matrix and
-the candidate clusters as the plain one-liners they were first written
-as (a broadcast difference summed over the coordinate axis, a full
-stable argsort per user), and SplitMix64's words in Python integers.
+Each quantity has at most one math reference, written plainly from its
+formula and sharing no code with the package, and at most one byte
+reference, an earlier or whole-array form that the production code must
+match bit for bit:
 
-Three oracles are not independent.  :func:`max_served_reference` is exact
-by search: it tries every subset of the pilot holders, largest first,
-and tests each with the production admission round.
-:func:`admission_listing_reference` lists each failed round's victims one
-at a time, calling the production round functions and power loop.  The whole channel
-and pilot-noise arrays take :func:`ucran.channel.complex_normal`'s value
-at every counter at once, in the layout each oracle states, so they
-check which counter each link reads; the values themselves are checked
-against :func:`splitmix64_reference`.
-The three admission-round functions also have whole-served forms here,
-which rank, key and pair the served set from scratch on every call: the
-byte-for-byte references of the holder-table forms.
+- distances and clusters: :func:`pairwise_distances_reference` (a
+  broadcast difference) and :func:`build_clusters_reference` (a full
+  stable argsort per user), both byte;
+- keyed randomness: :func:`splitmix64_reference` (math, Python ints) and
+  :func:`channels_reference`, the fading of every link at once (byte);
+- pilot observation and MMSE estimates: :func:`pilot_rx_reference` and
+  :func:`mmse_estimate_reference`, dense over every (RRH, pilot) and
+  (RRH, user) pair (byte);
+- conflict graph, weights and coloring: :func:`base_graph_on`,
+  :func:`pilot_interference`, :func:`weight_total_reference`,
+  :func:`dsatur_reference`, :func:`exact_capped_chromatic` and
+  :func:`greedy_clique_bound` (math);
+- case-1 removal: :func:`select_users_case1_reference`, recoloring after
+  every removal (math);
+- fronthaul cap: :func:`fronthaul_serving_sets` (math) and
+  :func:`fronthaul_cap_whole_reference` (byte);
+- beams: :func:`beam_systems_reference` (math) and
+  :func:`robust_beam_whole_reference` (byte);
+- rate coefficients: :func:`rate_coefficients_reference` (math) and
+  :func:`rate_coefficients_whole_reference` (byte);
+- power control: :func:`solve_power_linear` (math) and
+  :func:`power_fixed_point_reference` (byte);
+- the rate bound: :func:`mc_ergodic_rate`, by channel redraws (math).
+
+The whole-served byte references rank, key and pair the served set from
+scratch on every call.  Two admission oracles are not independent:
+:func:`max_served_reference` tries every subset of the pilot holders,
+largest first, with the production admission round, and
+:func:`admission_listing_reference` lists each failed round's victims
+one at a time with the production round functions and power loop.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def build_clusters_reference(key: np.ndarray, cluster_size: int) -> np.ndarray:
     return np.argsort(key.T, axis=1, kind="stable")[:, :cluster_size].astype(np.int64)
 
 
-def draw_channels_reference(alpha: np.ndarray, antennas: int, seed: int) -> np.ndarray:
+def channels_reference(alpha: np.ndarray, antennas: int, seed: int) -> np.ndarray:
     """(I, K, M) Rayleigh channels of ``seed``: the fading stream's values
     at every counter 0 .. I*K*M - 1 at once, laid out row-major over
     (I, K, M) and scaled by ``sqrt(alpha)``."""
@@ -210,44 +212,6 @@ def rate_coefficients_reference(estimates: np.ndarray, error_var: np.ndarray,
     np.fill_diagonal(cross, 0.0)
     share = power.reshape(num_rrhs, antennas, -1).sum(axis=1)
     return signal, self_err, cross, share
-
-
-def rate_coefficients_join_reference(channel_state, beams, served):
-    """(signal, self_err, cross) of :class:`~ucran.stage2.LocalBeams`, with
-    each serving slot joined to the cluster links at its RRH through a
-    CSR layout of the links sorted by RRH (argsort, bincount, cumsum,
-    repeat).  Each gain sums its terms over beam b's slots in ascending
-    order; the leakage is the same einsum over the slots.  ``served`` are
-    pilot holders, read at their rows of ``channel_state``."""
-    rows = channel_state.holders.searchsorted(np.asarray(served, dtype=np.int64))
-    n = rows.size
-    link_rrh = beams.rrhs.ravel()
-    est = channel_state.estimates[rows].reshape(link_rrh.size, channel_state.estimates.shape[2])
-    users = np.arange(link_rrh.size) // beams.rrhs.shape[1]
-    cols, slots = np.nonzero(beams.valid)
-    slot_rrh = beams.rrhs[cols, slots]
-
-    order = np.argsort(link_rrh, kind="stable")
-    per_rrh = np.bincount(link_rrh, minlength=beams.num_rrhs)
-    first = np.cumsum(per_rrh) - per_rrh
-    per_slot = per_rrh[slot_rrh]
-    slot_of = np.repeat(np.arange(cols.size), per_slot)
-    offset = np.arange(slot_of.size) - np.repeat(np.cumsum(per_slot) - per_slot, per_slot)
-    link_of = order[first[slot_rrh][slot_of] + offset]
-    terms = np.einsum("pm,pm->p", est[link_of].conj(),
-                      beams.weights[cols, slots][slot_of])
-    flat = users[link_of] * n + cols[slot_of]
-    gains = (np.bincount(flat, terms.real, n * n)
-             + 1j * np.bincount(flat, terms.imag, n * n)).reshape(n, n)
-
-    evar = channel_state.error_var[:, rows]
-    power = (np.abs(beams.weights) ** 2).sum(axis=2)
-    leak = np.einsum("bla,bl->ab", evar[beams.rrhs], power)
-    signal = np.abs(np.diag(gains)) ** 2
-    self_err = np.diag(leak).copy()
-    cross = np.abs(gains) ** 2 + leak
-    np.fill_diagonal(cross, 0.0)
-    return signal, self_err, cross
 
 
 def fronthaul_cap_whole_reference(links: np.ndarray, served, alpha: np.ndarray,

@@ -21,7 +21,7 @@ from ucran.topology import STREAM_FADING, STREAM_PILOT_NOISE
 
 from conftest import craft_instance
 from oracles import (
-    draw_channels_reference,
+    channels_reference,
     mmse_estimate_reference,
     pilot_rx_reference,
     scatter_links,
@@ -112,7 +112,7 @@ def test_link_channels_zero_gain_and_determinism():
 def test_link_channels_matches_the_reference_bit_for_bit(alpha, antennas, seed):
     # a link's value is the same bits whether asked for with every link,
     # alone, or in another order and batch, signed zeros included
-    want = draw_channels_reference(alpha, antennas, seed)
+    want = channels_reference(alpha, antennas, seed)
     got = _all_links(seed, alpha, antennas)
     assert got.dtype == want.dtype and got.shape == want.shape == alpha.shape + (antennas,)
     assert got.tobytes() == want.tobytes()
@@ -158,7 +158,7 @@ def test_pilot_rx_matches_reference(seed):
         :, :rng.integers(1, num_rrhs + 1)]
     users = assignment.users
     y = simulate_pilot_rx(seed, alpha, antennas, assignment, links[users], p, noise)
-    whole = pilot_rx_reference(draw_channels_reference(alpha, antennas, seed), assignment,
+    whole = pilot_rx_reference(channels_reference(alpha, antennas, seed), assignment,
                                p, noise, seed)
     assert np.array_equal(y, whole[links[users], pilots[users][:, None]])
 
@@ -374,7 +374,7 @@ def test_perfect_mode_copies_channels():
     # the true channels are the seed's values on the fading stream, taken
     # at the holders' columns as the state keeps them
     users = s1.admitted
-    h = draw_channels_reference(instance.alpha, cfg.antennas_per_rrh, 1)[:, users]
+    h = channels_reference(instance.alpha, cfg.antennas_per_rrh, 1)[:, users]
     mask = np.zeros((cfg.num_rrhs, cfg.num_users), dtype=bool)
     mask[instance.clusters[users], users[:, None]] = True
     mask = mask[:, users]
@@ -393,7 +393,7 @@ def test_perfect_and_imperfect_share_fading():
     perfect = build_channel_state(instance, s1.assignment, cfg, seed=8, perfect=True)
     # both modes read the seed's channels: perfect mode copies them, and
     # the pilot phase observes them under the seed's pilot noise
-    h = draw_channels_reference(instance.alpha, cfg.antennas_per_rrh, 8)
+    h = channels_reference(instance.alpha, cfg.antennas_per_rrh, 8)
     users = s1.assignment.users
     np.testing.assert_array_equal(perfect.estimates, h[perfect.links, users[:, None]])
     y = simulate_pilot_rx(8, instance.alpha, cfg.antennas_per_rrh, s1.assignment,
@@ -457,7 +457,7 @@ def test_channel_state_matches_the_whole_array_oracles_bit_for_bit(data):
     state = build_channel_state(craft_instance(alpha, clusters), assignment, config, seed,
                                 perfect=perfect)
 
-    h = draw_channels_reference(alpha, antennas, seed)
+    h = channels_reference(alpha, antennas, seed)
     links = np.sort(clusters, axis=1)
     users = assignment.users
     if perfect:

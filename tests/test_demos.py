@@ -1,5 +1,5 @@
-"""Every walkthrough script in demos/, and the README quick start, runs to
-completion without a warning."""
+"""Every walkthrough script in demos/ runs to completion without a
+warning.  The README quick start runs in-process in test_readme.py."""
 
 import os
 import subprocess
@@ -14,26 +14,16 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def _readme_quick_start() -> str:
-    """The README's ``python`` code block."""
-    return (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
-
-
-# each entry is the interpreter's arguments: a demo file, or inline code
-SCRIPTS = [[str(d)] for d in DEMOS] + [["-c", _readme_quick_start()]]
-
-
 def test_demos_are_found():
     assert len(DEMOS) >= 6
 
 
-@pytest.mark.parametrize("script", SCRIPTS,
-                         ids=[d.stem for d in DEMOS] + ["readme_quick_start"])
+@pytest.mark.parametrize("script", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs_cleanly(script):
     # import the package the suite itself imports
     src = str(Path(ucran.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *script], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                           cwd=ROOT, env={**os.environ, "PYTHONPATH": path}, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

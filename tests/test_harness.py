@@ -410,9 +410,9 @@ def _count_builds(monkeypatch) -> list:
     networks = []
     build_network_ = ucran.harness.build_network
 
-    def counting_build(config, seed, **kwargs):
+    def counting_build(config, seed):
         networks.append((seed, config.cluster_size))
-        return build_network_(config, seed, **kwargs)
+        return build_network_(config, seed)
 
     monkeypatch.setattr(ucran.harness, "build_network", counting_build)
     return networks
@@ -471,62 +471,12 @@ def test_run_trial_alone_builds_and_draws_its_own(monkeypatch):
     assert networks == [(4, 2)] * 2
 
 
-def test_campaign_draws_each_seeds_gains_once_for_every_cluster_size(monkeypatch):
-    # the first cluster size's network lends its positions and alpha to
-    # the others: per seed one shadowing draw, whatever the cluster sizes
-    shadowing, networks = [], []
-    compute_large_scale_ = ucran.topology.compute_large_scale
-    build_network_ = ucran.harness.build_network
-
-    def counting_gains(distances, config, seed):
-        shadowing.append(seed)
-        return compute_large_scale_(distances, config, seed)
-
-    def keeping_build(config, seed, **kwargs):
-        networks.append((seed, build_network_(config, seed, **kwargs)))
-        return networks[-1][1]
-
-    monkeypatch.setattr(ucran.topology, "compute_large_scale", counting_gains)
-    monkeypatch.setattr(ucran.harness, "build_network", keeping_build)
-    config = _config()
-    sizes = [3, 2, 4]
-    report = run_campaign(config, cluster_sizes=sizes, pilot_budgets=[1, 3],
-                          algorithms=("proposed", "con", "perfect"), num_seeds=3)
-    seeds = [config.master_seed + j for j in range(3)]
-    assert shadowing == seeds
-    assert [seed for seed, _ in networks] == [seed for seed in seeds for _ in sizes]
-    assert [network.clusters.shape[1] for _, network in networks] == sizes * 3
-    for j, seed in enumerate(seeds):
-        first, *others = [network for _, network in networks[3 * j:3 * j + 3]]
-        for network in others:
-            for field in ("rrh_positions", "user_positions", "alpha"):
-                assert getattr(network, field) is getattr(first, field)
-    # the same rows as trials run one by one, each drawing its own gains
-    for t in report.trials:
-        cfg = dataclasses.replace(config, cluster_size=t.cluster_size,
-                                  pilot_count=t.pilot_budget)
-        assert t.csv_row() == run_trial(cfg, t.seed, t.algorithm).csv_row()
-
-
-def test_network_from_lent_gains_equals_a_fresh_one():
-    for by_gain in (False, True):
-        config = SimConfig(cluster_by_gain=by_gain)
-        gains = build_network(dataclasses.replace(config, cluster_size=5), seed=3)
-        lent = build_network(config, seed=3, gains=gains)
-        fresh = build_network(config, seed=3)
-        for field in ("rrh_positions", "user_positions", "alpha", "clusters"):
-            assert getattr(lent, field).tobytes() == getattr(fresh, field).tobytes()
-    with pytest.raises(ValueError, match="gains are for 36 RRHs and 24 users, not 36 and 25"):
-        build_network(SimConfig(num_users=25), seed=3, gains=gains)
-
-
 @pytest.mark.parametrize("size", [{}, {"num_rrhs": 324, "num_users": 216}],
                          ids=["default", "324-216"])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_the_gains_and_the_fading_read_no_cluster_size(size, seed):
-    # the seed memo keeps one set of gains, from whichever cluster size
-    # comes first, and the fading is made from that alpha: right only if
-    # neither the gains nor the channels read L
+    # common random numbers: every cluster size of a seed must see the
+    # same gains and the same fading, so neither may read L
     first = None
     for cluster_size in range(2, 9):
         config = SimConfig(cluster_size=cluster_size, **size)
@@ -570,9 +520,9 @@ def _count_stage_work(monkeypatch) -> list:
     channel_ = ucran.harness.build_channel_state
     admission_ = ucran.harness.admission_loop
 
-    def network(config, seed, **kwargs):
+    def network(config, seed):
         log.append(("network", seed, config.cluster_size))
-        return build_network_(config, seed, **kwargs)
+        return build_network_(config, seed)
 
     def base_graph(clusters):
         base_graphs.append(originals["build_base_graph"](clusters))

@@ -10,6 +10,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ucran"
+TESTS = Path(__file__).resolve().parent
 ORDER = ("topology", "conflict_graph", "coloring", "stage1", "channel", "stage2",
          "harness", "cli")
 EXEMPT = {"__init__", "__main__"}
@@ -95,3 +96,12 @@ def test_channel_makes_every_value_from_the_keyed_stream():
             for node in ast.walk(ast.parse((PACKAGE / "channel.py").read_text()))
             for name in _names(node) if name in forbidden]
     assert used == []
+
+
+def test_no_line_of_the_package_or_its_tests_is_over_100_characters():
+    # no linter is a dependency, so the one line-length rule is checked here
+    long = [f"{path.relative_to(PACKAGE.parents[1])}:{lineno}: {len(line)}"
+            for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+            if len(line) > 100]
+    assert long == []

@@ -25,9 +25,8 @@ from ucran.stage1 import Stage1Result
 
 from conftest import craft_instance
 from oracles import (admission_listing_reference, beam_systems_reference,
-                     fronthaul_cap_whole_reference,
-                     fronthaul_serving_sets, power_fixed_point_reference,
-                     rate_coefficients_join_reference, rate_coefficients_reference,
+                     fronthaul_cap_whole_reference, fronthaul_serving_sets,
+                     power_fixed_point_reference, rate_coefficients_reference,
                      rate_coefficients_whole_reference, robust_beam_whole_reference,
                      scatter_links, solve_power_linear, stack_antennas)
 
@@ -361,8 +360,8 @@ def test_local_blocks_match_dense_reference_with_padding(perfect):
 @example(seed=1, num_rrhs=4, width=4, num_users=5, antennas=1, prune=0.3)
 @example(seed=0, num_rrhs=4, width=2, num_users=0, antennas=2, prune=0.0)
 @settings(max_examples=150, deadline=None)
-def test_rate_coefficients_match_the_join_reference_bit_for_bit(seed, num_rrhs, width,
-                                                               num_users, antennas, prune):
+def test_rate_coefficients_match_the_whole_reference_bit_for_bit(seed, num_rrhs, width,
+                                                                num_users, antennas, prune):
     # each gain must add its terms in the reference's order (ascending RRH),
     # so the comparison is exact; order shows from three terms on, and the
     # examples pin users sharing three or four RRHs, pruned slots on shared
@@ -379,7 +378,7 @@ def test_rate_coefficients_match_the_join_reference_bit_for_bit(seed, num_rrhs, 
     beams = LocalBeams(rrhs=links[served], valid=valid, num_rrhs=num_rrhs,
                        weights=_complex(rng, (served.size, width, antennas)) * valid[:, :, None])
     got = rate_coefficients(_table(state, served), beams, served)
-    want = rate_coefficients_join_reference(state, beams, served)
+    want = rate_coefficients_whole_reference(state, beams, served)
     for name, ours, theirs in zip(("signal", "self_err", "cross"), got, want):
         assert ours.shape == theirs.shape and np.array_equal(ours, theirs), name
 

@@ -25,6 +25,8 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 CAMPAIGNS = {
     "dense-admission": (SimConfig(num_rrhs=324, num_users=216, master_seed=1),
                         (4,), (64,), ("proposed",), 1),
+    "dense-removal": (SimConfig(num_rrhs=324, num_users=216, master_seed=1),
+                      (4,), (8,), ("proposed", "con"), 1),
     "grid-default": (SimConfig(master_seed=1), (2, 4, 6), (4, 8), ALGORITHMS, 2),
 }
 
@@ -38,6 +40,16 @@ PINNED_COUNTS = {
         "stage2.power.calls": 59, "stage2.power.ceiling": 54, "stage2.power.feasible": 1,
         "stage2.power.margin": 0, "stage2.power.no_convergence": 4,
         "stage2.power.rrh_cap": 0, "stage2.rounds": 14, "topology.calls": 1,
+    },
+    "dense-removal": {
+        "channel.calls": 2, "coloring.dsatur.calls": 3, "coloring.dsatur.vertices": 280,
+        "conflict_graph.base_graph.calls": 1, "conflict_graph.score.calls": 0,
+        "conflict_graph.threshold_graph.calls": 0, "conflict_graph.weights.calls": 1,
+        "stage1.case.case1": 2, "stage1.removal_rounds": 368, "stage1.spread_probes": 0,
+        "stage2.beam.calls": 2, "stage2.beam.user_solves": 64, "stage2.drops": 0,
+        "stage2.power.calls": 2, "stage2.power.ceiling": 0, "stage2.power.feasible": 2,
+        "stage2.power.margin": 0, "stage2.power.no_convergence": 0,
+        "stage2.power.rrh_cap": 0, "stage2.rounds": 2, "topology.calls": 1,
     },
     "grid-default": {
         "channel.calls": 48, "coloring.dsatur.calls": 115, "coloring.dsatur.vertices": 2034,
@@ -60,6 +72,13 @@ PINNED_CALLS = {
         "stage2": 1, "stage2.beam": 14, "stage2.fronthaul": 14, "stage2.power": 59,
         "stage2.power_share": 14, "stage2.rate_coeffs": 14, "stage2.rate_lb": 1,
         "topology": 1,
+    },
+    "dense-removal": {
+        "channel": 2, "coloring.dsatur": 3, "conflict_graph.base_graph": 1,
+        "conflict_graph.degrees": 1, "conflict_graph.weights": 1, "harness.checks": 4,
+        "harness.trial": 2, "stage1": 2, "stage1.removal": 2, "stage2": 2, "stage2.beam": 2,
+        "stage2.fronthaul": 2, "stage2.power": 2, "stage2.power_share": 2,
+        "stage2.rate_coeffs": 2, "stage2.rate_lb": 2, "topology": 1,
     },
     "grid-default": {
         "channel": 48, "coloring.dsatur": 115, "conflict_graph.base_graph": 6,
