@@ -4,9 +4,9 @@ Array conventions: the true channels are (num_rrhs, num_users, antennas)
 complex, h[i, k] ~ CN(0, alpha[i, k] * Identity), and the pilot noise is
 (num_rrhs, num_pilots, antennas).  Neither is ever held whole: each
 value is a pure function of the seed, its stream tag and its index,
-made by :func:`complex_normal` from a counter-based stream (Salmon et
-al., SC 2011), so a call makes only the links it reads, in any order and
-batch, and every trial of a seed reads the same value on a shared link.
+made by :func:`~ucran.topology.complex_normal` from the keyed stream,
+so a call makes only the links it reads, in any order and batch, and
+every trial of a seed reads the same value on a shared link.
 Value m of link (i, k) sits at counter (i * K + k) * M + m of the fading
 stream, and the noise of RRH i on pilot t at counter (t * I + i) * M + m
 of the pilot-noise stream, a layout that reads no pilot count.
@@ -33,20 +33,13 @@ per-link sum would not add in the order its BLAS kernel adds.
 
 from __future__ import annotations
 
-import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coloring import PilotAssignment
 from .topology import (NetworkInstance, SimConfig, STREAM_FADING, STREAM_PILOT_NOISE,
-                       check_integer)
-
-# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the counter step, odd, and
-# the two multipliers of its bijective finalizer
-GAMMA = 0x9E3779B97F4A7C15
-MIX1, MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+                       complex_normal)
 
 
 @dataclass(frozen=True)
@@ -55,48 +48,6 @@ class ChannelState:
     links: np.ndarray           # (H, L) each holder's cluster RRHs, ascending
     estimates: np.ndarray       # (H, L, M) complex on links
     error_var: np.ndarray       # (I, H) per-antenna residual variance, column h holder h
-
-
-def stream_key(seed: int, stream: int) -> int:
-    """The 64-bit key of one seed's stream: the first 8 bytes, little-endian,
-    of the BLAKE2b digest of ``"seed:stream"``, so a seed of any size has
-    one.  ValueError unless ``seed`` is an integer >= 0."""
-    check_integer("seed", seed, 0)
-    digest = hashlib.blake2b(f"{int(seed)}:{int(stream)}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
-
-
-def complex_normal(seed: int, stream: int, counters) -> np.ndarray:
-    """The CN(0, 1) value at each counter of the (``seed``, ``stream``)
-    stream, as a complex array of the counters' shape.
-
-    Value n is made from the 64-bit words 2n and 2n + 1 (mod 2**64), word
-    c being SplitMix64's finalizer of ``key + c * GAMMA`` (mod 2**64), so
-    the words run as SplitMix64's outputs from :func:`stream_key`.  Their
-    top 52 bits give u1 and u2 on the open interval (0, 1), and Box–Muller
-    in polar form gives ``sqrt(-ln u1) * exp(2 pi i u2)``.  Every step is
-    elementwise, so a value's bits read nothing of its batch.
-    """
-    counters = np.asarray(counters, dtype=np.uint64)
-    # words 2n and 2n + 1 of every value, each row contiguous
-    words = np.empty((2,) + counters.shape, dtype=np.uint64)
-    np.multiply(counters, 2 * GAMMA % 2 ** 64, out=words[0])
-    words[0] += stream_key(seed, stream)
-    np.add(words[0], GAMMA, out=words[1])
-    words ^= words >> 30
-    words *= MIX1
-    words ^= words >> 27
-    words *= MIX2
-    words ^= words >> 31
-    # (top 52 bits + 1/2) / 2**52, exact in float64
-    u = np.multiply(words >> 12, 2.0 ** -52)
-    u += 2.0 ** -53
-    radius = np.sqrt(-np.log(u[0]))
-    angle = (2.0 * math.pi) * u[1]
-    values = np.empty(counters.shape, dtype=complex)
-    np.multiply(radius, np.cos(angle), out=values.real)
-    np.multiply(radius, np.sin(angle), out=values.imag)
-    return values
 
 
 def _per_antenna(seed: int, stream: int, flat: np.ndarray, antennas: int) -> np.ndarray:

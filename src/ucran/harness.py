@@ -4,8 +4,8 @@ and CSV emission.
 Seeds fan out as master_seed + j for j in range(num_seeds), and every
 (cluster size, pilot budget, algorithm) cell reuses the same seed list, so
 all algorithms and sweep points see identical placements, shadowing and
-fading.  Algorithm-local randomness (random user picks in the baselines)
-draws from its own stream and cannot shift the physics.
+fading.  The baselines' random user picks read their own keyed stream
+(:func:`baseline_draws`) and cannot shift the physics.
 
 A campaign runs its trials seed by seed, and every trial of a seed
 shares that seed's work through one :class:`~ucran.topology.Memo`: per
@@ -52,7 +52,7 @@ from .stage1 import Stage1Base, Stage1Result, run_stage1, shared_base
 from .stage1 import select_users_case1  # noqa: F401  (perfbench/spans.py wraps this name)
 from .stage2 import AdmissionSolution, admission_loop
 from .topology import (Memo, NetworkInstance, STREAM_BASELINE, SimConfig, build_network,
-                       check_integer, read_only, stream_rng)
+                       check_integer, read_only, uniforms)
 
 ALG_PROPOSED = "proposed"
 ALG_ORTHO = "ortho"
@@ -86,9 +86,14 @@ class TrialResult:
                 f"{self.max_rrh_power_mw:.10g}", self.case_taken, self.colors_used]
 
 
+def baseline_draws(seed: int, num_users: int) -> np.ndarray:
+    """One float in (0, 1) per user: u1 at counters 0..K-1 of the baseline stream."""
+    return uniforms(seed, STREAM_BASELINE, np.arange(num_users))[0]
+
+
 def baseline_ortho(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
                    seed: int, *, base: Stage1Base | None = None) -> Stage1Result:
-    """Orthogonal pilots for a random pick of min(budget, K) users.
+    """Orthogonal pilots for the min(budget, K) users of least baseline draw.
 
     ``reuse_cap`` only sizes ``base_colors``, carried on the Stage1Result
     as for the other algorithms; the pick itself ignores the conflict
@@ -98,8 +103,7 @@ def baseline_ortho(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
     base_colors = shared_base(instance, reuse_cap, base).coloring.num_pilots
     num_users = instance.num_users
     count = min(pilot_budget, num_users)
-    rng = stream_rng(seed, STREAM_BASELINE)
-    chosen = np.sort(rng.choice(num_users, size=count, replace=False))
+    chosen = np.sort(np.argsort(baseline_draws(seed, num_users), kind="stable")[:count])
     pilots = np.full(num_users, -1, dtype=np.int64)
     pilots[chosen] = np.arange(count)
     return Stage1Result(assignment=PilotAssignment(pilots=pilots, num_pilots=count),
@@ -119,13 +123,13 @@ def baseline_nocase2(instance: NetworkInstance, pilot_budget: int,
 
 def baseline_con(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
                  seed: int) -> Stage1Result:
-    """Conventional removal: over-budget colorings shed uniformly random
-    users instead of the highest-conflict ones; otherwise as baseline_nocase2.
+    """Conventional removal: over-budget colorings shed users picked by
+    :func:`baseline_draws`, not the highest-conflict ones; otherwise as baseline_nocase2.
 
     Trials call :func:`~ucran.stage1.run_stage1` with the same flags on a
     shared base; this name stays because perfbench/spans.py wraps it."""
     return run_stage1(instance, pilot_budget, reuse_cap, spread=False,
-                      rng=stream_rng(seed, STREAM_BASELINE))
+                      draws=baseline_draws(seed, instance.num_users))
 
 
 class AuditError(AssertionError):
@@ -187,9 +191,9 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
     if algorithm == ALG_ORTHO:
         s1 = baseline_ortho(instance, budget, cap, seed, base=base)
     else:
-        rng = stream_rng(seed, STREAM_BASELINE) if algorithm == ALG_CON else None
+        draws = baseline_draws(seed, instance.num_users) if algorithm == ALG_CON else None
         s1 = run_stage1(instance, budget, cap, spread=algorithm in (ALG_PROPOSED, ALG_PERFECT),
-                        rng=rng, base=base)
+                        draws=draws, base=base)
     read_only(s1)
 
     # a hard guarantee: co-clustered users must never share a pilot

@@ -5,8 +5,8 @@ The base conflict graph is colored once.  Four outcomes:
 * colors needed > budget: drop users one at a time until the remaining
   users fit the budget.  The victim is the user with the highest conflict
   degree (ties by the largest total pilot-interference weight to the other
-  remaining users, then lowest id), or, when a random generator is given,
-  a uniformly random active user;
+  remaining users, then lowest id), or, when random draws are given, the
+  active user each round's draw picks;
 * colors needed < budget: spare pilots are spent on extra separation, by
   a binary search for a low interference threshold whose augmented graph
   still colors within the budget;
@@ -19,11 +19,11 @@ else) come from a :class:`Stage1Base`: one per call, or one shared by
 every call on the same network and reuse cap; every call makes and
 checks the weights, whichever branch runs.  The base is a
 :class:`~ucran.topology.Memo`, so it keeps each budget's deterministic
-decision too, the removal made without a random generator or the
-spread, for a later call at that budget.  Removal gets the over-budget
-base graph alone (:func:`select_users_case1` says how it picks its
-victims).  Each branch returns only its decision; :func:`run_stage1`
-builds the :class:`Stage1Result`, whose single pilot array
+decision too, the removal made without draws or the spread, for a
+later call at that budget.  Removal gets the over-budget base graph
+alone (:func:`select_users_case1` says how it picks its victims).
+Each branch returns only its decision; :func:`run_stage1` builds the
+:class:`Stage1Result`, whose single pilot array
 (:class:`~ucran.coloring.PilotAssignment`) holds the admitted users'
 pilots.
 """
@@ -78,7 +78,7 @@ class Stage1Base(Memo):
     """What every stage-1 call on one network and reuse cap shares: the
     base conflict graph, its DSatur coloring under the cap, the (K, K)
     pilot-interference weights, and per budget the one decision that
-    needs no random generator (the removal or the spread).  As a
+    needs no random draws (the removal or the spread).  As a
     :class:`~ucran.topology.Memo` it makes each on first use and keeps it,
     its arrays read-only.
     """
@@ -117,19 +117,19 @@ def shared_base(instance: NetworkInstance, reuse_cap: int,
 
 
 def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
-               spread: bool = True, rng: np.random.Generator | None = None,
+               spread: bool = True, draws: np.ndarray | None = None,
                base: Stage1Base | None = None) -> Stage1Result:
     """Dispatch on how the base-graph coloring compares to the budget.
 
     Removal gets the base graph alone, whose coloring is over budget.
     ``spread=False`` keeps an under-budget base coloring instead of
-    spreading it; ``rng`` makes removal pick uniformly random victims.
-    ``base`` shares the base graph, coloring and weights with other calls
-    on the same network and cap (see :func:`shared_base`), and the removal
-    without ``rng`` and the spread of each budget: a call whose branch
-    and budget match an earlier one returns its pilots, read-only, under
-    its own case.  ValueError when a pilot-interference weight is not
-    finite, whichever branch runs.
+    spreading it; ``draws`` picks removal's victims at random
+    (:func:`select_users_case1`).  ``base`` shares the base graph, coloring
+    and weights with other calls on the same network and cap (see
+    :func:`shared_base`), and the removal without ``draws`` and the spread
+    of each budget: a call whose branch and budget match an earlier one
+    returns its pilots, read-only, under its own case.  ValueError when a
+    pilot-interference weight is not finite, whichever branch runs.
     """
     check_integer("pilot_budget", pilot_budget)
     base = shared_base(instance, reuse_cap, base)
@@ -139,8 +139,9 @@ def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
     trace, threshold = (), None
     if base_colors > pilot_budget:
         case = CASE_REMOVAL
-        remove = partial(select_users_case1, weights, pilot_budget, reuse_cap, base.graph, rng=rng)
-        assignment, trace = remove() if rng is not None else base.once(
+        remove = partial(select_users_case1, weights, pilot_budget, reuse_cap, base.graph,
+                         draws=draws)
+        assignment, trace = remove() if draws is not None else base.once(
             ("removal", pilot_budget), remove)
     elif base_colors < pilot_budget and spread:
         case = CASE_SPREAD
@@ -154,8 +155,7 @@ def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
 
 
 def select_users_case1(weights: np.ndarray, pilot_budget: int, reuse_cap: int,
-                       graph: ConflictGraph, *,
-                       rng: np.random.Generator | None = None
+                       graph: ConflictGraph, *, draws: np.ndarray | None = None
                        ) -> tuple[PilotAssignment, tuple[int, ...]]:
     """Remove users from ``graph`` until the survivors color within budget.
 
@@ -166,8 +166,9 @@ def select_users_case1(weights: np.ndarray, pilot_budget: int, reuse_cap: int,
     broken by the largest total of the (K, K) pilot-interference
     ``weights`` to the other active users, summed left to right in
     ascending id (:func:`~ucran.conflict_graph.interference_score`), then
-    by lowest user id.  With ``rng`` it is drawn uniformly from the
-    active users.
+    by lowest user id.  With ``draws``, one float in (0, 1) per round,
+    round r pops position ``int(draws[r] * n)`` of the n active users in
+    ascending id, and no degree or weight is read.
 
     A capped coloring of n users needs at least ``ceil(n / reuse_cap)``
     pilots, so while that exceeds the budget the loop goes on without
@@ -176,16 +177,7 @@ def select_users_case1(weights: np.ndarray, pilot_budget: int, reuse_cap: int,
     coloring stops at the first color past the budget; no victim pick
     reads a coloring.
 
-    With ``rng`` the active users are an ascending list and each victim
-    is popped at an index ``rng.integers(0, len(active))``, which draws
-    what ``rng.choice`` of the ascending active ids draws; no degree or
-    weight is read.  For n users the first ``max(1, n - reuse_cap *
-    pilot_budget)`` rounds run no budget test before their last, so they
-    draw their indices in one call, ``rng.integers(0, [n, n - 1, ...])``:
-    numpy gives the same indices one at a time and leaves the stream in
-    the same state (tested).
-
-    Without ``rng`` the degrees and the weight totals are summed once;
+    Without ``draws`` the degrees and the weight totals are summed once;
     each victim then takes one off each of its neighbours' degrees and its
     weight row (``weights`` is symmetric) off the running totals.  A
     removed user, or one outside ``graph.users``, reads a negative degree,
@@ -203,15 +195,14 @@ def select_users_case1(weights: np.ndarray, pilot_budget: int, reuse_cap: int,
     """
     users = graph.users
     count = len(users)
-    if rng is not None:
-        active = users.tolist()
-        highs = np.arange(count, count - max(1, count - reuse_cap * pilot_budget), -1)
-        trace = [active.pop(i) for i in rng.integers(0, highs).tolist()]
+    if draws is not None:
+        active, trace = users.tolist(), []
         while True:
-            assignment = dsatur_color(graph.restrict(active), reuse_cap, pilot_budget)
-            if assignment is not None:
-                return assignment, tuple(trace)
-            trace.append(active.pop(int(rng.integers(0, len(active)))))
+            trace.append(active.pop(int(draws[len(trace)] * len(active))))
+            if -(-len(active) // reuse_cap) <= pilot_budget:
+                assignment = dsatur_color(graph.restrict(active), reuse_cap, pilot_budget)
+                if assignment is not None:
+                    return assignment, tuple(trace)
 
     degrees = np.full(graph.num_users, -1, dtype=np.int64)
     degrees[users] = vertex_degrees(graph)[users]

@@ -1,12 +1,12 @@
 """Network geometry, large-scale fading and user-centric cluster formation.
 
 Every source of randomness is one of a seed's streams, tagged by one of the
-stream constants below: placement, shadowing and baseline picks draw from
-``numpy.random.default_rng((seed, TAG))``, and the channel layer makes the
-fading and the pilot noise as keyed values of (seed, TAG, index), one link
-at a time.  The campaign harness derives trial seeds as
-``master_seed + trial_index``, so two algorithms evaluated at the same
-trial seed see identical RRH/user placements, shadowing and fading.
+stream constants below.  Placement and shadowing draw from
+``numpy.random.default_rng((seed, TAG))``; the fading, the pilot noise and
+the baseline picks are keyed values of (seed, TAG, index) from
+:func:`uniforms`, a counter-based stream (Salmon et al., SC 2011).  The
+harness's trial seeds are ``master_seed + trial_index``, so two algorithms
+at the same trial seed see identical RRH/user placements, shadowing and fading.
 As the bottom layer it also holds the one read-only rule and the one memo
 (:func:`read_only`, :class:`Memo`) by which later layers share a value.
 """
@@ -14,6 +14,7 @@ As the bottom layer it also holds the one read-only rule and the one memo
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -104,6 +105,58 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Generator for one of a trial's independent randomness sub-streams."""
     check_integer("seed", seed, 0)
     return np.random.default_rng((int(seed), int(stream)))
+
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the counter step, odd, and
+# the two multipliers of its bijective finalizer
+GAMMA = 0x9E3779B97F4A7C15
+MIX1, MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def stream_key(seed: int, stream: int) -> int:
+    """The 64-bit key of one seed's stream: the first 8 bytes, little-endian,
+    of the BLAKE2b digest of ``"seed:stream"``, so a seed of any size has
+    one.  ValueError unless ``seed`` is an integer >= 0."""
+    check_integer("seed", seed, 0)
+    digest = hashlib.blake2b(f"{int(seed)}:{int(stream)}".encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
+
+
+def uniforms(seed: int, stream: int, counters) -> np.ndarray:
+    """The u1, u2 in (0, 1) at each counter of the (``seed``, ``stream``)
+    stream, shaped ``(2,) + counters.shape``.  Pair n reads the 64-bit
+    words 2n and 2n + 1 (mod 2**64), word c being SplitMix64's finalizer
+    of ``key + c * GAMMA`` (mod 2**64) for :func:`stream_key`'s key; each
+    word's top 52 bits give its u.  Every step is elementwise, so a
+    value's bits read nothing of its batch."""
+    counters = np.asarray(counters, dtype=np.uint64)
+    # words 2n and 2n + 1 of every value, each row contiguous
+    words = np.empty((2,) + counters.shape, dtype=np.uint64)
+    np.multiply(counters, 2 * GAMMA % 2 ** 64, out=words[0])
+    words[0] += stream_key(seed, stream)
+    np.add(words[0], GAMMA, out=words[1])
+    words ^= words >> 30
+    words *= MIX1
+    words ^= words >> 27
+    words *= MIX2
+    words ^= words >> 31
+    # (top 52 bits + 1/2) / 2**52, exact in float64
+    u = np.multiply(words >> 12, 2.0 ** -52)
+    u += 2.0 ** -53
+    return u
+
+
+def complex_normal(seed: int, stream: int, counters) -> np.ndarray:
+    """The CN(0, 1) value at each counter of the (``seed``, ``stream``)
+    stream, as a complex array of the counters' shape: Box–Muller in polar
+    form, ``sqrt(-ln u1) * exp(2 pi i u2)``, of :func:`uniforms`' pair."""
+    u1, u2 = uniforms(seed, stream, counters)
+    radius = np.sqrt(-np.log(u1))
+    angle = (2.0 * math.pi) * u2
+    values = np.empty(u1.shape, dtype=complex)
+    np.multiply(radius, np.cos(angle), out=values.real)
+    np.multiply(radius, np.sin(angle), out=values.imag)
+    return values
 
 
 @dataclass(frozen=True)

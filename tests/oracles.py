@@ -45,7 +45,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ucran.channel import complex_normal
 from ucran.stage2 import (
     AdmissionSolution,
     LocalBeams,
@@ -58,7 +57,7 @@ from ucran.stage2 import (
     robust_beam_direction,
     rrh_power_share,
 )
-from ucran.topology import STREAM_FADING, STREAM_PILOT_NOISE
+from ucran.topology import STREAM_FADING, STREAM_PILOT_NOISE, complex_normal
 
 
 def pilot_interference(alpha: np.ndarray, clusters: np.ndarray, k: int, k2: int) -> float:
@@ -416,7 +415,7 @@ def weight_total_reference(weights: np.ndarray, users, k: int) -> float:
 
 def select_users_case1_reference(clusters: np.ndarray, weights: np.ndarray,
                                  pilot_budget: int, reuse_cap: int,
-                                 rng: np.random.Generator | None = None):
+                                 draws: np.ndarray | None = None):
     """Case-1 removal that recolors the survivors after every removal:
     (removal trace, pilots).
 
@@ -424,8 +423,9 @@ def select_users_case1_reference(clusters: np.ndarray, weights: np.ndarray,
     it with :func:`dsatur_reference`, and stops once the coloring fits the
     budget.  Otherwise the victim is the survivor of highest degree, ties
     by the larger weight sum to the other survivors (added one at a time in
-    ascending id), then by lowest id; with ``rng`` it is ``rng.choice`` of
-    the sorted survivors.  The coloring never decides a victim.
+    ascending id), then by lowest id; with ``draws`` it is the survivor at
+    position ``int(draws[r] * n)`` of the n sorted survivors in round r.
+    The coloring never decides a victim.
     """
     active = list(range(clusters.shape[0]))
     trace = []
@@ -436,7 +436,7 @@ def select_users_case1_reference(clusters: np.ndarray, weights: np.ndarray,
         pilots, num_pilots = dsatur_reference(graph, reuse_cap)
         if num_pilots <= pilot_budget:
             return tuple(trace), pilots
-        if rng is None:
+        if draws is None:
             degree = adjacency.sum(axis=1)
             top = max(degree[k] for k in active)
 
@@ -446,7 +446,7 @@ def select_users_case1_reference(clusters: np.ndarray, weights: np.ndarray,
             # max keeps the first, lowest-id user on a score tie
             victim = max((k for k in active if degree[k] == top), key=score)
         else:
-            victim = int(rng.choice(active))
+            victim = active[int(draws[len(trace)] * len(active))]
         active.remove(victim)
         trace.append(victim)
 

@@ -16,8 +16,9 @@ from ucran import (
     run_stage1,
     simulate_pilot_rx,
 )
-from ucran.channel import complex_normal, perfect_csi, stream_key
-from ucran.topology import STREAM_FADING, STREAM_PILOT_NOISE
+from ucran.channel import perfect_csi
+from ucran.topology import (STREAM_BASELINE, STREAM_FADING, STREAM_PILOT_NOISE, complex_normal,
+                            stream_key, uniforms)
 
 from conftest import craft_instance
 from oracles import (
@@ -53,7 +54,7 @@ def test_splitmix64_reference_gives_the_published_outputs():
 
 
 @pytest.mark.parametrize("counter", [0, 1, 12345, 2 ** 63, 2 ** 64 - 1])
-@pytest.mark.parametrize("stream", [STREAM_FADING, STREAM_PILOT_NOISE])
+@pytest.mark.parametrize("stream", [STREAM_FADING, STREAM_PILOT_NOISE, STREAM_BASELINE])
 def test_complex_normal_is_box_muller_of_two_splitmix64_words(counter, stream):
     # value n reads words 2n and 2n + 1 mod 2**64, each word's top 52 bits
     # give u on (0, 1), and sqrt(-ln u1) * exp(2 pi i u2) is the value;
@@ -62,6 +63,7 @@ def test_complex_normal_is_box_muller_of_two_splitmix64_words(counter, stream):
     u1, u2 = (((splitmix64_reference(key, (2 * counter + j) % 2 ** 64) >> 12) + 0.5)
               * 2.0 ** -52 for j in (0, 1))
     assert 0.0 < u1 < 1.0 and 0.0 < u2 < 1.0
+    assert uniforms(9, stream, [counter])[:, 0].tobytes() == np.array([u1, u2]).tobytes()
     radius = np.sqrt(-np.log(np.array([u1])))
     angle = 2.0 * math.pi * np.array([u2])
     want = radius * np.cos(angle) + 1j * (radius * np.sin(angle))

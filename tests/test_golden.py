@@ -9,7 +9,7 @@ import hashlib
 
 from ucran import ALGORITHMS, SimConfig, run_campaign
 
-GOLDEN_SHA256 = "94d3d081fbbc0eabddc57876692fabae1b6cd4c556791ec82d8aca1c93814f2d"
+GOLDEN_SHA256 = "650c0ea68c2b7b1bc0d5fb5f35a38ba21c4f1ab2f18602d2916654259f2e9d07"
 
 
 def test_golden_campaign_csv(tmp_path):
@@ -25,7 +25,7 @@ def test_golden_campaign_csv(tmp_path):
 
 # The dense point: 324 RRHs and 216 users, where case 1 removes most users,
 # case 2 spreads 64 pilots and the admission loop drops dozens.
-DENSE_SHA256 = "048b0b92d4422626dc5c2bbe17e4671427969c195acf91d337b9e6c627fb5ede"
+DENSE_SHA256 = "b2eb1a0ac96f8bb6e41dbd6a49a7ea63360a636a942cb97993624f4c6251aaef"
 
 
 def test_golden_dense_campaign_csv(tmp_path):

@@ -22,7 +22,7 @@ from ucran import (
     validate_assignment,
     write_csv,
 )
-from ucran.channel import ChannelState, stream_key
+from ucran.channel import ChannelState
 from ucran.harness import (
     CSV_HEADER,
     audit_solution,
@@ -32,7 +32,7 @@ from ucran.harness import (
 )
 from ucran.stage1 import Stage1Base
 from ucran.stage2 import AdmissionSolution, LocalBeams, build_holder_table, enforce_fronthaul_cap
-from ucran.topology import build_clusters, stream_rng
+from ucran.topology import STREAM_BASELINE, build_clusters, stream_key, stream_rng, uniforms
 
 
 def _config(**overrides) -> SimConfig:
@@ -54,6 +54,9 @@ def test_baseline_ortho_picks_budget_many_distinct_pilots():
     pilots = s1.assignment.pilots[s1.admitted].tolist()
     assert sorted(pilots) == [0, 1, 2]
     assert (np.diff(s1.admitted) > 0).all()
+    # the holders are the users with the smallest baseline draws
+    draws = uniforms(0, STREAM_BASELINE, np.arange(config.num_users))[0]
+    assert set(s1.admitted.tolist()) == set(np.argsort(draws)[:3].tolist())
     again = baseline_ortho(instance, pilot_budget=3, reuse_cap=config.reuse_cap, seed=0)
     np.testing.assert_array_equal(s1.admitted, again.admitted)
 

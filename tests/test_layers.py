@@ -87,13 +87,14 @@ def _names(node: ast.AST) -> list[str]:
     return []
 
 
-def test_channel_makes_every_value_from_the_keyed_stream():
-    # channel.py builds no numpy Generator and draws no normal: every
-    # fading and noise value comes from complex_normal's keyed words, so
-    # no value can depend on draw order
+def test_only_topology_draws_outside_the_keyed_stream():
+    # no module but topology.py builds a numpy Generator or draws a normal:
+    # fading, pilot noise and the baseline picks all come from the keyed
+    # words of topology.uniforms, so no value can depend on draw order
     forbidden = {"random", "default_rng", "Generator", "standard_normal", "stream_rng"}
-    used = [f"channel.py:{node.lineno}: {name}"
-            for node in ast.walk(ast.parse((PACKAGE / "channel.py").read_text()))
+    used = [f"{path.name}:{node.lineno}: {name}"
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "topology.py"
+            for node in ast.walk(ast.parse(path.read_text()))
             for name in _names(node) if name in forbidden]
     assert used == []
 

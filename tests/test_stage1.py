@@ -188,10 +188,10 @@ def test_budget_at_least_users_admits_everyone():
     assert result.num_admitted == 8
 
 
-@pytest.mark.parametrize("spread,rng", [(True, None), (False, None),
-                                        (False, np.random.default_rng(0))],
+@pytest.mark.parametrize("spread,draws", [(True, None), (False, None),
+                                          (False, np.random.default_rng(0).random(4))],
                          ids=["proposed", "nocase2", "con"])
-def test_run_stage1_rejects_non_finite_interference_weights(spread, rng):
+def test_run_stage1_rejects_non_finite_interference_weights(spread, draws):
     # every gain underflows to zero, so each own-cluster gain does too:
     # the network still builds, and stage 1, the weights' only reader, raises
     cfg = SimConfig(num_rrhs=6, num_users=4, cluster_size=2, pathloss_intercept=4000.0)
@@ -200,11 +200,11 @@ def test_run_stage1_rejects_non_finite_interference_weights(spread, rng):
         instance = build_network(cfg, seed=0)
         assert not instance.alpha.any()
         with pytest.raises(ValueError, match="not finite"):
-            run_stage1(instance, cfg.pilot_count, cfg.reuse_cap, spread=spread, rng=rng)
+            run_stage1(instance, cfg.pilot_count, cfg.reuse_cap, spread=spread, draws=draws)
 
 
 # what six calls (proposed, nocase2, con, then back) make on one shared
-# base: the removal without rng and the spread once per budget, and one
+# base: the removal without draws and the spread once per budget, and one
 # random removal per con call
 @pytest.mark.parametrize("budget,made", [(2, {"select_users_case1": 1 + 2}), (6, {}),
                                          (9, {"reallocate_case2": 1})],
@@ -224,7 +224,7 @@ def test_a_shared_base_gives_each_call_its_own_result(budget, made, monkeypatch)
 
     def call(spread, seed, option):
         return run_stage1(instance, budget, 4, spread=spread, base=option,
-                          rng=None if seed is None else np.random.default_rng(seed))
+                          draws=None if seed is None else np.random.default_rng(seed).random(24))
 
     results = [call(spread, seed, base) for spread, seed in orders]
     assert calls == Counter(made)
@@ -349,13 +349,11 @@ def test_removal_matches_recoloring_every_round(data):
     assume(base_colors >= 2)
     budget = data.draw(st.integers(1, min(base_colors - 1, 4)), label="budget")
     rng_seed = data.draw(st.one_of(st.none(), st.integers(0, 10 ** 6)), label="rng_seed")
+    draws = None if rng_seed is None else np.random.default_rng(rng_seed).random(num_users)
 
-    def rng():
-        return None if rng_seed is None else np.random.default_rng(rng_seed)
-
-    result = run_stage1(instance, budget, reuse_cap, spread=False, rng=rng())
+    result = run_stage1(instance, budget, reuse_cap, spread=False, draws=draws)
     trace, pilots = select_users_case1_reference(instance.clusters, _weights(instance),
-                                                 budget, reuse_cap, rng=rng())
+                                                 budget, reuse_cap, draws=draws)
     assert result.case_taken == CASE_REMOVAL
     assert result.removal_trace == trace
     np.testing.assert_array_equal(result.assignment.pilots, pilots)
@@ -370,13 +368,11 @@ def test_removal_matches_recoloring_every_round_on_a_long_run(policy, seed, monk
     instance = build_network(SimConfig(num_rrhs=144, num_users=96), seed=seed)
     budget, cap = 4, 4
 
-    def rng():
-        return None if policy == "proposed" else np.random.default_rng(seed)
-
+    draws = None if policy == "proposed" else np.random.default_rng(seed).random(96)
     calls = _count_dsatur_calls(monkeypatch)
-    result = run_stage1(instance, budget, cap, spread=False, rng=rng())
+    result = run_stage1(instance, budget, cap, spread=False, draws=draws)
     trace, pilots = select_users_case1_reference(instance.clusters, _weights(instance),
-                                                 budget, cap, rng=rng())
+                                                 budget, cap, draws=draws)
     assert result.case_taken == CASE_REMOVAL
     assert calls == [96, 16]
     assert result.removal_trace == trace
@@ -391,8 +387,8 @@ def test_removal_from_a_restricted_graph_keeps_to_its_users(policy):
     instance = build_network(SimConfig(num_rrhs=36, num_users=40, cluster_size=3), seed=3)
     active = np.arange(1, 40, 2)
     graph = build_base_graph(instance.clusters).restrict(active)
-    rng = None if policy == "proposed" else np.random.default_rng(0)
-    assignment, trace = select_users_case1(_weights(instance), 1, 2, graph, rng=rng)
+    draws = None if policy == "proposed" else np.random.default_rng(0).random(40)
+    assignment, trace = select_users_case1(_weights(instance), 1, 2, graph, draws=draws)
     assert set(trace) <= set(active.tolist())
     np.testing.assert_array_equal(assignment.users,
                                   sorted(set(active.tolist()) - set(trace)))
@@ -417,7 +413,8 @@ def test_random_removal_colors_only_when_the_count_bound_cannot_decide(monkeypat
     instance = build_network(cfg, seed=4)
     budget, cap = 2, 2
     calls = _count_dsatur_calls(monkeypatch)
-    result = run_stage1(instance, budget, cap, spread=False, rng=np.random.default_rng(0))
+    result = run_stage1(instance, budget, cap, spread=False,
+                        draws=np.random.default_rng(0).random(60))
     assert result.case_taken == CASE_REMOVAL
     survivors = [60 - r for r in range(1, len(result.removal_trace) + 1)]
     undecided = [n for n in survivors if -(-n // cap) <= budget]
@@ -433,9 +430,9 @@ def test_removal_colors_only_for_the_budget_test(policy, seed, monkeypatch):
     cfg = SimConfig(num_rrhs=36, num_users=60, cluster_size=3)
     instance = build_network(cfg, seed=seed)
     budget, cap = 2, 2
-    rng = None if policy == "proposed" else np.random.default_rng(seed)
+    draws = None if policy == "proposed" else np.random.default_rng(seed).random(60)
     calls = _count_dsatur_calls(monkeypatch)
-    result = run_stage1(instance, budget, cap, spread=False, rng=rng)
+    result = run_stage1(instance, budget, cap, spread=False, draws=draws)
     assert result.case_taken == CASE_REMOVAL
     survivors = [60 - r for r in range(1, len(result.removal_trace) + 1)]
     assert calls == [60] + [n for n in survivors if -(-n // cap) <= budget]
@@ -545,25 +542,6 @@ def test_the_runner_up_filter_calls_near_best_only_inside_its_bound(pair_weight,
     assert trace == (0,)
     assert near == near_calls
     assert score_calls == []
-
-
-@pytest.mark.parametrize("count", [2, 24, 96, 216])
-def test_one_integers_call_draws_what_one_choice_per_round_draws(count):
-    # random removal draws the victims of the rounds before its first
-    # budget test in one rng.integers call over the bounds count,
-    # count - 1, ...; numpy must give the indices, and leave the stream,
-    # as rng.choice of the ascending survivors one round at a time
-    for seed in range(200):
-        blind = 1 + seed % (count - 1)
-        one_by_one, at_once = np.random.default_rng(seed), np.random.default_rng(seed)
-        survivors, want = list(range(count)), []
-        for _ in range(blind):
-            want.append(int(one_by_one.choice(np.array(survivors))))
-            survivors.remove(want[-1])
-        survivors = list(range(count))
-        indices = at_once.integers(0, np.arange(count, count - blind, -1)).tolist()
-        assert [survivors.pop(i) for i in indices] == want
-        assert at_once.bit_generator.state == one_by_one.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -52,15 +52,15 @@ PINNED_COUNTS = {
         "stage2.power.rrh_cap": 0, "stage2.rounds": 2, "topology.calls": 1,
     },
     "grid-default": {
-        "channel.calls": 48, "coloring.dsatur.calls": 115, "coloring.dsatur.vertices": 2034,
+        "channel.calls": 48, "coloring.dsatur.calls": 112, "coloring.dsatur.vertices": 1944,
         "conflict_graph.base_graph.calls": 6, "conflict_graph.score.calls": 0,
         "conflict_graph.threshold_graph.calls": 25, "conflict_graph.weights.calls": 6,
         "stage1.case.base": 3, "stage1.case.case1": 27, "stage1.case.case2": 6,
-        "stage1.case.ortho": 12, "stage1.removal_rounds": 233, "stage1.spread_probes": 25,
-        "stage2.beam.calls": 162, "stage2.beam.user_solves": 2639, "stage2.drops": 128,
-        "stage2.power.calls": 162, "stage2.power.ceiling": 86, "stage2.power.feasible": 48,
-        "stage2.power.margin": 27, "stage2.power.no_convergence": 0,
-        "stage2.power.rrh_cap": 1, "stage2.rounds": 162, "topology.calls": 6,
+        "stage1.case.ortho": 12, "stage1.removal_rounds": 230, "stage1.spread_probes": 25,
+        "stage2.beam.calls": 158, "stage2.beam.user_solves": 2600, "stage2.drops": 123,
+        "stage2.power.calls": 158, "stage2.power.ceiling": 79, "stage2.power.feasible": 48,
+        "stage2.power.margin": 30, "stage2.power.no_convergence": 0,
+        "stage2.power.rrh_cap": 1, "stage2.rounds": 158, "topology.calls": 6,
     },
 }
 
@@ -81,12 +81,12 @@ PINNED_CALLS = {
         "stage2.rate_coeffs": 2, "stage2.rate_lb": 2, "topology": 1,
     },
     "grid-default": {
-        "channel": 48, "coloring.dsatur": 115, "conflict_graph.base_graph": 6,
+        "channel": 48, "coloring.dsatur": 112, "conflict_graph.base_graph": 6,
         "conflict_graph.degrees": 9, "conflict_graph.threshold_graph": 25,
         "conflict_graph.weights": 6, "harness.checks": 120, "harness.trial": 60,
         "stage1": 60, "stage1.removal": 18, "stage1.spread": 3, "stage2": 48,
-        "stage2.beam": 162, "stage2.fronthaul": 162, "stage2.power": 162,
-        "stage2.power_share": 162, "stage2.rate_coeffs": 162, "stage2.rate_lb": 48,
+        "stage2.beam": 158, "stage2.fronthaul": 158, "stage2.power": 158,
+        "stage2.power_share": 158, "stage2.rate_coeffs": 158, "stage2.rate_lb": 48,
         "topology": 6,
     },
 }
