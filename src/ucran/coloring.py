@@ -55,45 +55,54 @@ def dsatur_color(graph: ConflictGraph, reuse_cap: int,
                  max_colors: int | None = None) -> PilotAssignment | None:
     """Color the graph's active users under the reuse cap.
 
+    One step per active user, each a few whole-row numpy operations.  An
+    uncolored user u holds ``key[u] = saturation * (n + 1) + (n - rank)``
+    (rank: u's place by static degree descending, then id), so
+    ``key.argmax()`` is the max saturation / max degree / lowest id pick;
+    colored and inactive users hold the int64 minimum.  ``bump[c, u]`` is
+    n + 1 while c is under the cap and no neighbour of u holds it, else 0,
+    so the picked user's color is its column's first nonzero row.  Coloring
+    k with c adds ``bump[c] & -adjacency[k]`` to the keys (one more
+    saturation for each neighbour new to c) and takes it off ``bump[c]``.
+
     With ``max_colors``, None at the moment the coloring would open color
     ``max_colors``: no color is ever closed, so None comes exactly when the
     full coloring needs more than ``max_colors`` colors, and otherwise the
-    assignment is the one made without the limit.
+    assignment is the one made without the limit (a negative limit is
+    never reached).
     """
     check_integer("reuse_cap", reuse_cap)
     adjacency = graph.adjacency
+    users = graph.users
+    n = users.size
     degree = adjacency.sum(axis=1)
-    # uncolored users by max degree, then lowest id; the first most-saturated
-    # user in this order is the max saturation / max degree / lowest id pick
-    order = graph.users[np.argsort(-degree[graph.users], kind="stable")].tolist()
-    # user k's neighbours are neighbours[start[k]:start[k + 1]]
-    neighbours = np.nonzero(adjacency)[1].tolist()
-    start = np.concatenate(([0], np.cumsum(degree))).tolist()
-
+    done = np.iinfo(np.int64).min
+    key = np.full(graph.num_users, done)
+    key[users[np.argsort(-degree[users], kind="stable")]] = np.arange(n, 0, -1)
+    edge_bits = -adjacency.astype(np.int64)   # all bits set on an edge, none off it
+    # a step opens at most color n - 1, so n rows always leave a nonzero one
+    bump = np.full((n, graph.num_users), n + 1)
+    fresh = np.empty(graph.num_users, dtype=np.int64)
     pilots = np.full(graph.num_users, -1, dtype=np.int64)
-    neighbor_colors: list[set[int]] = [set() for _ in range(graph.num_users)]
-    saturation = [0] * graph.num_users
     color_count: list[int] = []
-    open_colors: list[int] = []     # colors below the cap, ascending
 
-    while order:
-        k = max(order, key=saturation.__getitem__)
-        order.remove(k)
-        forbidden = neighbor_colors[k]
-        color = next((c for c in open_colors if c not in forbidden), len(color_count))
+    for _ in range(n):
+        k = key.argmax()
+        color = bump[:, k].argmax()
         if color == len(color_count):
             if color == max_colors:
                 return None
             color_count.append(0)
-            open_colors.append(color)
+        pilots[k] = color
+        key[k] = done
+        row = bump[color]
+        np.bitwise_and(edge_bits[k], row, out=fresh)
+        np.add(key, fresh, out=key)
         color_count[color] += 1
         if color_count[color] == reuse_cap:
-            open_colors.remove(color)
-        pilots[k] = color
-        for nb in neighbours[start[k]:start[k + 1]]:
-            if color not in neighbor_colors[nb]:
-                neighbor_colors[nb].add(color)
-                saturation[nb] += 1
+            row[:] = 0
+        else:
+            np.subtract(row, fresh, out=row)
 
     return PilotAssignment(pilots=pilots, num_pilots=len(color_count))
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucran import PilotAssignment, build_base_graph, dsatur_color, validate_assignment
+from ucran import (PilotAssignment, SimConfig, build_base_graph, build_network, dsatur_color,
+                   validate_assignment)
 from ucran.conflict_graph import ConflictGraph
 
 from oracles import dsatur_reference, exact_capped_chromatic, greedy_clique_bound
@@ -147,6 +148,51 @@ def test_matches_reference_dsatur_on_cluster_graphs(data):
     pilots, num_pilots = dsatur_reference(g, cap)
     np.testing.assert_array_equal(assignment.pilots, pilots)
     assert assignment.num_pilots == num_pilots
+
+
+def assert_limited_coloring_matches_reference(g, cap, limit):
+    """dsatur_color(g, cap, limit) is the reference coloring, or None exactly
+    when that coloring needs more than a non-negative ``limit`` colors."""
+    pilots, num_pilots = dsatur_reference(g, cap)
+    limited = dsatur_color(g, cap, limit)
+    if limit is not None and 0 <= limit < num_pilots:
+        assert limited is None
+    else:
+        np.testing.assert_array_equal(limited.pilots, pilots)
+        assert limited.num_pilots == num_pilots
+
+
+def dense_cluster_graph() -> ConflictGraph:
+    return build_base_graph(build_network(SimConfig(num_rrhs=324, num_users=216), 7).clusters)
+
+
+# the size of a dense case-2 spread probe: 216 users, thresholded graphs as
+# dense as 0.58 and 0.9, and a 324-RRH cluster-overlap graph
+@pytest.mark.parametrize("make_graph", [lambda: random_graph(2024, 216, 0.58),
+                                        lambda: random_graph(2025, 216, 0.9),
+                                        dense_cluster_graph],
+                         ids=["density-0.58", "density-0.9", "cluster-overlap"])
+def test_matches_reference_at_probe_scale(make_graph):
+    g = make_graph()
+    _, full = dsatur_reference(g, 4)
+    for limit in (64, full - 1, full, full + 1):
+        assert_limited_coloring_matches_reference(g, 4, limit)
+
+
+@pytest.mark.parametrize("make_graph, limit", [
+    (lambda: random_graph(3, 12).restrict([]), None),
+    (lambda: random_graph(3, 12).restrict([]), 0),
+    (lambda: random_graph(4, 12, 0.5), 12),
+    (lambda: random_graph(4, 12, 0.5), 13),
+    (lambda: random_graph(5, 30, 0.4).restrict(range(1, 30, 3)), None),
+    (lambda: random_graph(5, 30, 0.4).restrict(range(1, 30, 3)), 2),
+    (lambda: random_graph(6, 12, 0.5), -1),
+    (lambda: random_graph(6, 12, 0.5).restrict(range(4)), -5),
+], ids=["empty", "empty-limit-0", "limit-at-user-count", "limit-above-user-count",
+        "restricted", "restricted-limit-2", "negative-limit", "restricted-negative-limit"])
+def test_edge_cases_match_reference(make_graph, limit):
+    # a negative limit is never reached: the full coloring comes back
+    assert_limited_coloring_matches_reference(make_graph(), 3, limit)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(3, 7))
