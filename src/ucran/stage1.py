@@ -3,10 +3,12 @@
 The base conflict graph is colored once.  Four outcomes:
 
 * colors needed > budget: drop users one at a time until the remaining
-  users fit the budget.  The victim is the user with the highest conflict
+  users fit the budget.  One loop takes the victims in one of two orders,
+  neither of which reads a coloring: the user with the highest conflict
   degree (ties by the largest total pilot-interference weight to the other
   remaining users, then lowest id), or, when random draws are given, the
-  active user each round's draw picks;
+  active user each round's draw picks.  So a larger budget removes a
+  prefix of a smaller one's victims;
 * colors needed < budget: spare pilots are spent on extra separation, by
   a binary search for a low interference threshold whose augmented graph
   still colors within the budget;
@@ -30,6 +32,8 @@ pilots.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 
@@ -162,100 +166,88 @@ def select_users_case1(weights: np.ndarray, pilot_budget: int, reuse_cap: int,
     ``graph``'s own coloring must exceed the budget, as :func:`run_stage1`
     guarantees, so each round removes a victim before it tests.  Returns
     the coloring of the users left and the removed users in removal order.
-    The victim is the active user with the most conflict edges, ties
-    broken by the largest total of the (K, K) pilot-interference
-    ``weights`` to the other active users, summed left to right in
-    ascending id (:func:`~ucran.conflict_graph.interference_score`), then
-    by lowest user id.  With ``draws``, one float in (0, 1) per round,
-    round r pops position ``int(draws[r] * n)`` of the n active users in
-    ascending id, and no degree or weight is read.
+    One loop takes the victims from one of two orders, neither of which
+    reads a coloring: with ``draws``, one float in (0, 1) per round, the
+    drawn order (:func:`_drawn_victims`); without, the conflict order
+    (:func:`_conflict_victims`), whose degree ties read running weight
+    totals and are re-summed exactly wherever one rounding-error bound
+    (Higham) cannot tell them apart.
 
-    A capped coloring of n users needs at least ``ceil(n / reuse_cap)``
-    pilots, so while that exceeds the budget the loop goes on without
-    one.  The survivors are restricted out of ``graph`` and colored only
-    for the budget test, once that bound no longer decides it, and the
-    coloring stops at the first color past the budget; no victim pick
-    reads a coloring.
-
-    Without ``draws`` the degrees and the weight totals are summed once;
-    each victim then takes one off each of its neighbours' degrees and its
-    weight row (``weights`` is symmetric) off the running totals.  A
-    removed user, or one outside ``graph.users``, reads a negative degree,
-    so it never ties for the maximum.  A degree tie goes to the best
-    running total, the lowest id among equal ones, unless another tied
-    total lies within the two sums' error bound of it (:func:`_near_best`);
-    only such near ties are re-summed left to right by
-    ``interference_score``, so the victim is the one the left-to-right
-    rule picks.  ``_near_best`` itself runs only when the runner-up tied
-    total reaches ``top - 2 * terms * eps * (2 * max(scale))``, ``terms``
-    the users plus the rounds so far.  Every slack ``_near_best`` allows
-    is ``2 * terms * eps * (scale[best] + scale[j])``, at most that bound,
-    and rounding is monotone, so a runner-up below it leaves the best
-    total alone in the near set: the victim is the same.
+    Each round runs one budget test.  A capped coloring of n users needs at
+    least ``ceil(n / reuse_cap)`` pilots, so while that exceeds the budget
+    the loop goes on without one; otherwise the survivors are restricted
+    out of ``graph`` and colored, the coloring stopping at the first color
+    past the budget.  The loop needs no exit of its own: one survivor
+    colors with one pilot, within any budget.
     """
     users = graph.users
-    count = len(users)
-    if draws is not None:
-        active, trace = users.tolist(), []
-        while True:
-            trace.append(active.pop(int(draws[len(trace)] * len(active))))
-            if -(-len(active) // reuse_cap) <= pilot_budget:
-                assignment = dsatur_color(graph.restrict(active), reuse_cap, pilot_budget)
-                if assignment is not None:
-                    return assignment, tuple(trace)
-
-    degrees = np.full(graph.num_users, -1, dtype=np.int64)
-    degrees[users] = vertex_degrees(graph)[users]
-    block = weights[:, users]
-    totals = block.sum(axis=1)
-    scale = np.abs(block).sum(axis=1)
-    reach = 2 * scale.max()     # at least scale[best] + scale[j] for any pair
-    eps = np.finfo(float).eps
+    victims = _conflict_victims(weights, graph) if draws is None else _drawn_victims(
+        users, draws)
+    alive = np.zeros(graph.num_users, dtype=bool)
+    alive[users] = True
     trace = []
-    while True:
-        terms = count + len(trace)
-        top_degree = degrees.max()
-        candidates = np.where(degrees == top_degree, totals, -np.inf)
-        victim = int(np.argmax(candidates))
-        top = candidates[victim]
-        candidates[victim] = -np.inf
-        if candidates.max() >= top - 2 * terms * eps * reach:
-            tied = np.flatnonzero(degrees == top_degree)
-            near = tied[_near_best(totals[tied], scale[tied], terms)]
-            victim = int(near[0])
-            if len(near) > 1:
-                # argmax keeps the lowest id on a score tie
-                score = interference_score(weights, np.flatnonzero(degrees >= 0), near)
-                victim = int(near[np.argmax(score)])
-        totals -= weights[victim]
+    for victim in victims:
+        alive[victim] = False
         trace.append(victim)
-        degrees -= graph.adjacency[victim]
-        degrees[victim] = -1
-        if -(-(count - len(trace)) // reuse_cap) <= pilot_budget:
-            assignment = dsatur_color(graph.restrict(np.flatnonzero(degrees >= 0)), reuse_cap,
+        if -(-(len(users) - len(trace)) // reuse_cap) <= pilot_budget:
+            assignment = dsatur_color(graph.restrict(np.flatnonzero(alive)), reuse_cap,
                                       pilot_budget)
             if assignment is not None:
                 return assignment, tuple(trace)
 
 
-def _near_best(totals: np.ndarray, scale: np.ndarray, terms: int) -> np.ndarray:
-    """Ascending positions of the ``totals`` whose left-to-right sums may
-    reach the best one's: the best one's alone unless a near tie needs
-    the exact sums.
+def _drawn_victims(users: np.ndarray, draws: np.ndarray) -> Iterator[int]:
+    """Round r pops position ``int(draws[r] * n)`` of the n active users in
+    ascending id; no degree or weight is read."""
+    active = users.tolist()
+    for r in itertools.count():
+        yield active.pop(int(draws[r] * len(active)))
+
+
+def _conflict_victims(weights: np.ndarray, graph: ConflictGraph) -> Iterator[int]:
+    """The active user with the most conflict edges, ties broken by the
+    largest total of the (K, K) pilot-interference ``weights`` to the other
+    active users, summed left to right in ascending id
+    (:func:`~ucran.conflict_graph.interference_score`), then by lowest id.
+
+    The degrees and the weight totals are summed once; each victim then
+    takes one off each of its neighbours' degrees and its weight row
+    (``weights`` is symmetric) off the running totals.  A removed user, or
+    one outside ``graph.users``, reads a negative degree, so it never ties
+    for the maximum.
 
     A running total adds weights and subtracts some of them again,
-    ``terms`` in all, whose magnitudes sum to at most ``2 * scale``: it
-    lies within ``terms * eps * scale`` of the exact sum, and a
-    left-to-right sum of the same weights within half that (Higham,
-    *Accuracy and Stability*, sec. 4.2; eps is twice the unit roundoff).
-    The slack gives each of a total and the best one
-    ``2 * terms * eps * scale``, more than its two sums can differ by
+    ``terms`` in all (the users plus the rounds so far), whose magnitudes
+    sum to at most ``2 * scale``, ``scale`` its row's absolute sum: it lies
+    within ``terms * eps * scale`` of the exact sum, and a left-to-right
+    sum of the same weights within half that (Higham, *Accuracy and
+    Stability*, sec. 4.2; eps is twice the unit roundoff).  So every tied
+    total within ``terms * 4 * eps * max(scale)`` of the best one goes to
+    ``interference_score``, whose argmax (lowest id on a tie) is the
+    victim.  That bound gives each of a total and the best one
+    ``2 * terms * eps * max(scale)``, more than its two sums can differ by
     with room for the test's own rounding, so a total further below the
     best has a strictly lower left-to-right sum: it is never the victim.
     """
-    best = int(np.argmax(totals))
-    slack = 2 * terms * np.finfo(float).eps * (scale[best] + scale)
-    return np.flatnonzero(totals >= totals[best] - slack)
+    users = graph.users
+    degrees = np.full(graph.num_users, -1, dtype=np.int64)
+    degrees[users] = vertex_degrees(graph)[users]
+    block = weights[:, users]
+    totals = block.sum(axis=1)
+    bound = 4 * np.finfo(float).eps * np.abs(block).sum(axis=1).max()
+    for terms in itertools.count(len(users)):
+        tied = np.where(degrees == degrees.max(), totals, -np.inf)
+        victim = int(tied.argmax())
+        near = tied >= tied[victim] - terms * bound
+        if np.count_nonzero(near) > 1:
+            near = np.flatnonzero(near)
+            # argmax keeps the lowest id on a score tie
+            victim = int(near[np.argmax(interference_score(
+                weights, np.flatnonzero(degrees >= 0), near))])
+        yield victim
+        totals -= weights[victim]
+        degrees -= graph.adjacency[victim]
+        degrees[victim] = -1
 
 
 def reallocate_case2(weights: np.ndarray, pilot_budget: int, reuse_cap: int,

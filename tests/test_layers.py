@@ -11,6 +11,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ucran"
 TESTS = Path(__file__).resolve().parent
+DEMOS = PACKAGE.parents[1] / "demos"
 ORDER = ("topology", "conflict_graph", "coloring", "stage1", "channel", "stage2",
          "harness", "cli")
 EXEMPT = {"__init__", "__main__"}
@@ -99,10 +100,10 @@ def test_only_topology_draws_outside_the_keyed_stream():
     assert used == []
 
 
-def test_no_line_of_the_package_or_its_tests_is_over_100_characters():
+def test_no_line_of_the_package_its_tests_or_its_demos_is_over_100_characters():
     # no linter is a dependency, so the one line-length rule is checked here
     long = [f"{path.relative_to(PACKAGE.parents[1])}:{lineno}: {len(line)}"
-            for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+            for folder in (PACKAGE, TESTS, DEMOS) for path in sorted(folder.glob("*.py"))
             for lineno, line in enumerate(path.read_text().splitlines(), start=1)
             if len(line) > 100]
     assert long == []

@@ -395,6 +395,23 @@ def test_removal_from_a_restricted_graph_keeps_to_its_users(policy):
     assert assignment.num_pilots == 1
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("num_rrhs,num_users", [(36, 24), (144, 96)])
+@pytest.mark.parametrize("policy", ["proposed", "random"])
+def test_a_larger_budget_removes_a_prefix_of_a_smaller_ones_victims(policy, num_rrhs,
+                                                                     num_users, seed):
+    # no victim pick reads a coloring, so the budget only decides where the
+    # one victim order stops: each budget's trace extends the next one's
+    instance = build_network(SimConfig(num_rrhs=num_rrhs, num_users=num_users), seed=seed)
+    cap = 4
+    draws = None if policy == "proposed" else np.random.default_rng(seed).random(num_users)
+    base = Stage1Base(instance, cap)
+    traces = [run_stage1(instance, budget, cap, draws=draws, base=base).removal_trace
+              for budget in range(1, base.coloring.num_pilots)]
+    for smaller, larger in zip(traces, traces[1:]):
+        assert smaller[:len(larger)] == larger
+
+
 def _count_dsatur_calls(monkeypatch):
     calls = []
 
@@ -498,50 +515,34 @@ def test_a_near_tie_behind_a_huge_removed_weight_is_summed_exactly(monkeypatch):
     # weight to it is 1e16, whose ulp is 2: user 1's running total
     # 1e16 + 1 + 1 + 1 rounds to 1e16 and reads 0 once that weight is taken
     # off, though its other weights sum to 3.  Round 2 ties users 1-4 on
-    # degree 1 and user 2's running total 2 is the best.  Users 3 (0) and
-    # 4 (1) lie clear below it, but user 1's bound (about 30) covers it,
-    # so the exact sums of 1 and 2 decide: user 1 (3) goes before user 2
-    # (2).  Then 2 and 4 tie on clear totals.
+    # degree 1 and user 2's running total 2 is the best.  The 1e16 weight
+    # sets the one bound (about 62), which covers all four tied totals, so
+    # the exact sums decide: user 1 (3) goes before user 2 (2).  Then 2
+    # and 4 tie on totals inside the bound, and the exact sums pick 2.
     weights = np.zeros((6, 6))
     for a, b, weight in ((0, 1, 1e16), (1, 2, 1.0), (1, 4, 1.0), (1, 5, 1.0), (2, 5, 1.0)):
         weights[a, b] = weights[b, a] = weight
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (2, 4)]
     trace, calls = _check_removal_against_the_oracle(weights, edges, 1, 6, monkeypatch)
     assert trace == (0, 1, 2)
-    assert calls == [[1, 2]]
+    assert calls == [[1, 2, 3, 4], [2, 4]]
 
 
-def _count_near_best_calls(monkeypatch):
-    calls = []
-    near_best = ucran.stage1._near_best
-
-    def counting(totals, scale, terms):
-        near = near_best(totals, scale, terms)
-        calls.append(near.tolist())
-        return near
-
-    monkeypatch.setattr(ucran.stage1, "_near_best", counting)
-    return calls
-
-
-@pytest.mark.parametrize("pair_weight,near_calls", [(1e16, [[0]]), (1.0, [])])
-def test_the_runner_up_filter_calls_near_best_only_inside_its_bound(pair_weight, near_calls,
-                                                                    monkeypatch):
+@pytest.mark.parametrize("pair_weight,score_calls", [(1e16, [[0, 1]]), (1.0, [])])
+def test_the_exact_sums_run_only_inside_the_one_bound(pair_weight, score_calls,
+                                                       monkeypatch):
     # users 0 and 1 share the one edge and tie on degree; their totals are
     # 1 + 3 = 4 and 1 + 2 = 3.  Users 2 and 3, without edges, hold
     # ``pair_weight`` to each other, which sets the largest scale and with
-    # it the runner-up bound 4 * terms * eps * max(scale): about 36 at
-    # 1e16, so user 1 lies inside it and _near_best runs, but outside its
-    # own slack (about 1e-14), so user 0 is left alone and no exact sum
-    # is needed.  At 1.0 the bound is about 1e-14 and _near_best never runs.
+    # it the bound 4 * terms * eps * max(scale): about 36 at 1e16, so user
+    # 1 lies inside it and the exact sums pick user 0.  At 1.0 the bound
+    # is about 1e-14, and user 0's running total decides alone.
     weights = np.zeros((4, 4))
     for a, b, weight in ((0, 1, 1.0), (0, 2, 3.0), (1, 2, 2.0), (2, 3, pair_weight)):
         weights[a, b] = weights[b, a] = weight
-    near = _count_near_best_calls(monkeypatch)
-    trace, score_calls = _check_removal_against_the_oracle(weights, [(0, 1)], 1, 4, monkeypatch)
+    trace, calls = _check_removal_against_the_oracle(weights, [(0, 1)], 1, 4, monkeypatch)
     assert trace == (0,)
-    assert near == near_calls
-    assert score_calls == []
+    assert calls == score_calls
 
 
 @pytest.mark.parametrize("seed", [1, 2])
