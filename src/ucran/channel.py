@@ -22,13 +22,12 @@ treat every link alike: known part plus a zero-mean residual.
 
 The pilot phase makes only what it reads: each pilot holder's
 cluster RRHs, on its own pilot, the channels of that pilot's holders
-there and the noise there.  The observation and the co-pilot gain sum of
-the error variance add the link's co-pilot holders from zero in
-ascending id, as an ``np.add.at`` over every (RRH, pilot) pair and a
-co-pilot product over every (RRH, user) pair formed one user at a time
-do, and a test holds them bit for bit to those forms.  The total
-received pilot power stays one dense ``alpha @ membership`` product: a
-per-link sum would not add in the order its BLAS kernel adds.
+there and the noise there.  The observation and the co-pilot gain sum
+add the link's co-pilot holders from zero in ascending id, as an
+``np.add.at`` over every (RRH, pilot) pair and a co-pilot product over
+every (RRH, user) pair formed one user at a time do, and a test holds
+them bit for bit to those forms.  The MMSE coefficient and the error
+variance both read that one sum.
 """
 
 from __future__ import annotations
@@ -105,27 +104,20 @@ def mmse_estimate(y: np.ndarray, alpha: np.ndarray, assignment: PilotAssignment,
 
     ``y`` is :func:`simulate_pilot_rx`'s observation on the same
     ``links``.  The scaling uses the total received pilot energy on the
-    link's pilot, summed over every user sharing it network-wide; co-pilot
-    users leave a residual error even at high pilot power.  The error
-    variance is ``alpha * (noise + p * others) / received``, with
-    ``others`` the gain summed over the link's co-pilot users alone, in
-    ascending id, so it stays exact when one user dominates its pilot.
+    link's pilot, ``received = p * (alpha + others) + noise``, with
+    ``others`` the gain summed over the link's co-pilot users, the other
+    holders of its pilot network-wide, in ascending id; co-pilot users
+    leave a residual error even at high pilot power.  The error variance
+    is ``alpha * (noise + p * others) / received``, which reads ``others``
+    alone, so it stays exact when one user dominates its pilot.
 
     Returns (estimates, error_var) in the ChannelState layout: estimates
     (H, L, M) on ``links``, in its order; error_var (I, H), alpha on every
     link without an estimate.  ValueError when the received pilot power on
     an estimated link overflows.
     """
-    # received[i, t] = p * sum of alpha over users on pilot t, plus noise
-    received = pilot_power * (alpha @ assignment.membership) + noise_power
     users = assignment.users
     pilot = assignment.pilots[users]
-    denom = received[links, pilot[:, None]]
-    overflowed = int((~np.isfinite(denom)).sum())
-    if overflowed:
-        # p * alpha = inf would give a zero coefficient and a zero error variance
-        raise ValueError(f"channel estimation failed: the received pilot power overflows "
-                         f"on {overflowed} estimated links, so their estimates are not finite")
     # others[r, l] = sum of alpha[links[r, l], j] over the other users j on
     # the pilot of holder r, added from zero in ascending id
     copilot = pilot[:, None] == pilot
@@ -134,6 +126,13 @@ def mmse_estimate(y: np.ndarray, alpha: np.ndarray, assignment: PilotAssignment,
     others = np.zeros(links.shape)
     np.add.at(others, reader, alpha[links[reader], users[holder][:, None]])
     gain = alpha[links, users[:, None]]
+    # p * (the gain of every user on the link's pilot) + noise
+    denom = pilot_power * (gain + others) + noise_power
+    overflowed = int((~np.isfinite(denom)).sum())
+    if overflowed:
+        # p * alpha = inf would give a zero coefficient and a zero error variance
+        raise ValueError(f"channel estimation failed: the received pilot power overflows "
+                         f"on {overflowed} estimated links, so their estimates are not finite")
     coef = np.sqrt(pilot_power) * gain / denom
     error_var = alpha[:, users]
     error_var[links, np.arange(users.size)[:, None]] = (

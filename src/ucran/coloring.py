@@ -10,8 +10,8 @@ given graph always yields the same assignment.
 
 An assignment is one ``(K,)`` array over the full user index set:
 ``pilots[k]`` is user k's pilot, or -1 when k holds none.  The holder
-list, the one-hot membership matrix and the per-pilot group sizes are
-all derived from that array here.
+list and the per-pilot group sizes are both derived from that array
+here.
 """
 
 from __future__ import annotations
@@ -38,14 +38,6 @@ class PilotAssignment:
     def users(self) -> np.ndarray:
         """Sorted ids of the pilot holders."""
         return np.flatnonzero(self.pilots >= 0)
-
-    @property
-    def membership(self) -> np.ndarray:
-        """One-hot (K, num_pilots) matrix; rows of users without a pilot are zero."""
-        out = np.zeros((self.pilots.size, self.num_pilots))
-        users = self.users
-        out[users, self.pilots[users]] = 1.0
-        return out
 
     def group_sizes(self) -> np.ndarray:
         return np.bincount(self.pilots[self.users], minlength=self.num_pilots)

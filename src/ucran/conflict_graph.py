@@ -33,7 +33,9 @@ class ConflictGraph:
         """The subgraph on ``users`` (ids outside the active set are ignored):
         every edge touching another user is dropped."""
         keep = np.zeros(self.num_users, dtype=bool)
-        keep[np.fromiter(users, dtype=np.int64)] = True
+        ids = (np.asarray(users, dtype=np.int64) if isinstance(users, np.ndarray)
+               else np.fromiter(users, dtype=np.int64))
+        keep[ids] = True
         active = np.zeros(self.num_users, dtype=bool)
         active[self.users] = True
         keep &= active

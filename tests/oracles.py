@@ -10,9 +10,11 @@ match bit for bit:
   stable argsort per user), both byte;
 - keyed randomness: :func:`splitmix64_reference` (math, Python ints) and
   :func:`channels_reference`, the fading of every link at once (byte);
-- pilot observation and MMSE estimates: :func:`pilot_rx_reference` and
-  :func:`mmse_estimate_reference`, dense over every (RRH, pilot) and
-  (RRH, user) pair (byte);
+- pilot observation and MMSE estimates: :func:`pilot_rx_reference`,
+  :func:`copilot_gains_reference` and :func:`mmse_estimate_reference`,
+  dense over every (RRH, pilot) and (RRH, user) pair (byte); the
+  received pilot power per link against ``alpha`` times
+  :func:`membership_reference` (math);
 - conflict graph, weights and coloring: :func:`base_graph_on`,
   :func:`pilot_interference`, :func:`weight_total_reference`,
   :func:`dsatur_reference`, :func:`exact_capped_chromatic` and
@@ -311,7 +313,7 @@ def rate_coefficients_whole_reference(channel_state, beams, served):
     return signal, self_err, cross
 
 
-def _membership_reference(assignment, num_users: int) -> np.ndarray:
+def membership_reference(assignment, num_users: int) -> np.ndarray:
     """One-hot (K, num_pilots) pilot membership, filled one user at a time."""
     membership = np.zeros((num_users, assignment.num_pilots))
     for k, pilot in enumerate(assignment.pilots):
@@ -328,11 +330,25 @@ def pilot_rx_reference(true_channels: np.ndarray, assignment, pilot_power: float
     values of ``seed`` at every counter at once, laid out row-major over
     (num_pilots, I, M)."""
     num_rrhs, num_users, antennas = true_channels.shape
-    membership = _membership_reference(assignment, num_users)
+    membership = membership_reference(assignment, num_users)
     y = np.sqrt(pilot_power) * np.einsum("ikm,kt->itm", true_channels, membership)
     shape = (assignment.num_pilots, num_rrhs, antennas)
     noise = complex_normal(seed, STREAM_PILOT_NOISE, np.arange(math.prod(shape)))
     return y + np.sqrt(noise_power) * noise.reshape(shape).transpose(1, 0, 2)
+
+
+def copilot_gains_reference(alpha: np.ndarray, assignment) -> np.ndarray:
+    """(I, K): on link (i, k), the gains alpha[i, j] summed over the other
+    users j on k's pilot, as the product with the co-pilot matrix formed
+    one user row at a time, from zero in ascending id (a BLAS product may
+    add its terms in another order); 0 for users without a pilot."""
+    membership = membership_reference(assignment, alpha.shape[1])
+    copilot = membership @ membership.T
+    np.fill_diagonal(copilot, 0.0)
+    others = np.zeros(alpha.shape)
+    for j in range(alpha.shape[1]):
+        others += alpha[:, j, None] * copilot[j]
+    return others
 
 
 def mmse_estimate_reference(y: np.ndarray, alpha: np.ndarray, assignment,
@@ -340,22 +356,13 @@ def mmse_estimate_reference(y: np.ndarray, alpha: np.ndarray, assignment,
     """Linear MMSE estimates from the whole (I, num_pilots, M) observation
     of :func:`pilot_rx_reference`: (estimates (K, L, M) on ``clusters``,
     zero rows without a pilot; error_var (I, K), alpha on every link
-    without an estimate).  The received pilot power and the co-pilot gain
-    sums are formed on every (RRH, user) pair: the first as the dense
-    product of the gains with the one-hot membership, the second as the
-    product with the co-pilot matrix one user row at a time, from zero in
-    ascending id (a BLAS product may add its terms in another order)."""
-    membership = _membership_reference(assignment, alpha.shape[1])
-    received = pilot_power * (alpha @ membership) + noise_power
-    copilot = membership @ membership.T
-    np.fill_diagonal(copilot, 0.0)
-    others = np.zeros(alpha.shape)
-    for j in range(alpha.shape[1]):
-        others += alpha[:, j, None] * copilot[j]
+    without an estimate).  The received pilot power on a link is p times
+    its own gain plus :func:`copilot_gains_reference`'s sum, plus noise."""
+    others = copilot_gains_reference(alpha, assignment)
     users = np.flatnonzero(assignment.pilots >= 0)
     rows, cols, pilot = clusters[users], users[:, None], assignment.pilots[users][:, None]
-    denom = received[rows, pilot]
     gain = alpha[rows, cols]
+    denom = pilot_power * (gain + others[rows, cols]) + noise_power
     coef = np.sqrt(pilot_power) * gain / denom
     estimates = np.zeros(clusters.shape + (y.shape[2],), dtype=complex)
     estimates[users] = coef[:, :, None] * y[rows, pilot]

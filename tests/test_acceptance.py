@@ -1,5 +1,6 @@
-"""Acceptance gate: eleven go/no-go checks at the reference scale and one
-at the ultra-dense point.
+"""Acceptance gate: eleven go/no-go checks at the reference scale, one at
+the ultra-dense point, one on the case-2 spread and one on densification
+at fixed users.
 
 Each test prints one [PASS]/[FAIL] line (never captured) so the verdicts
 survive any pytest output mode.  The three Monte Carlo campaigns are shared
@@ -30,6 +31,7 @@ from ucran import (
 )
 from ucran.conflict_graph import ConflictGraph
 from ucran.harness import audit_solution
+from ucran.stage1 import CASE_SPREAD
 from ucran.stage2 import power_allocation_fixed_point
 from oracles import (
     exact_capped_chromatic,
@@ -332,3 +334,39 @@ def test_criterion_12_ultra_dense_point(campaign_dense, capsys):
              "served; proposed admitted non-increasing in cluster size)",
              f"proposed served by L {DENSE_SIZES}: {[round(v, 2) for v in proposed]}; "
              f"admitted {[round(v, 2) for v in admitted]}")
+
+
+def test_criterion_14_the_case2_spread_pays(capsys):
+    # on the grid rows where proposed spread its co-pilot groups (case 2),
+    # against the same rows kept on the base coloring (nocase2)
+    report = run_campaign(SimConfig(master_seed=1), [2, 4, 6], [4, 8],
+                          algorithms=("proposed", "nocase2"), num_seeds=60)
+    nocase2 = {(t.cluster_size, t.pilot_budget, t.seed): t.stage2_served
+               for t in report.trials if t.algorithm == "nocase2"}
+    pairs = [(t.stage2_served, nocase2[(t.cluster_size, t.pilot_budget, t.seed)])
+             for t in report.trials if t.algorithm == "proposed" and t.case_taken == CASE_SPREAD]
+    spread, kept = sum(p for p, _ in pairs), sum(n for _, n in pairs)
+    wins, losses = sum(p > n for p, n in pairs), sum(p < n for p, n in pairs)
+    ok = bool(pairs) and spread > kept and wins > losses
+    _verdict(capsys, ok, "criterion 14 (the case-2 spread serves more than the base coloring)",
+             f"{len(pairs)} case-2 rows: {spread} served against {kept}, "
+             f"{wins} wins, {losses} losses")
+
+
+def test_criterion_15_densification_at_fixed_users(capsys):
+    # 48 users on 16 pilots, L 4, as the RRH count grows from 36 to 288
+    densities = [36, 72, 144, 288]
+    proposed, perfect = [], []
+    for num_rrhs in densities:
+        config = SimConfig(num_rrhs=num_rrhs, num_users=48, pilot_count=16, master_seed=1)
+        report = run_campaign(config, [4], [16], algorithms=("proposed", "perfect"),
+                              num_seeds=30)
+        proposed.append(report.cells[("proposed", 4, 16)].mean_served)
+        perfect.append(report.cells[("perfect", 4, 16)].mean_served)
+    gaps = [pf - pr for pf, pr in zip(perfect, proposed)]
+    ok = (all(before < after for before, after in zip(proposed, proposed[1:]))
+          and gaps[-1] < gaps[0])
+    _verdict(capsys, ok, "criterion 15 (K 48, tau 16, L 4: proposed served rises with I; "
+             "the perfect-CSI gap shrinks)",
+             f"proposed served by I {densities}: {[round(v, 3) for v in proposed]}; "
+             f"perfect minus proposed {[round(g, 3) for g in gaps]}")

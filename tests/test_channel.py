@@ -23,6 +23,8 @@ from ucran.topology import (STREAM_BASELINE, STREAM_FADING, STREAM_PILOT_NOISE, 
 from conftest import craft_instance
 from oracles import (
     channels_reference,
+    copilot_gains_reference,
+    membership_reference,
     mmse_estimate_reference,
     pilot_rx_reference,
     scatter_links,
@@ -471,6 +473,13 @@ def test_channel_state_matches_the_whole_array_oracles_bit_for_bit(data):
         y = pilot_rx_reference(h, assignment, config.pilot_power, config.noise_power, seed)
         estimates, error_var = mmse_estimate_reference(
             y, alpha, assignment, links, config.pilot_power, config.noise_power)
+        # the per-link received pilot power, own gain plus co-pilot gains,
+        # is the dense product of the gains with the one-hot membership
+        rows, cols = links[users], users[:, None]
+        p, noise = config.pilot_power, config.noise_power
+        per_link = p * (alpha + copilot_gains_reference(alpha, assignment))[rows, cols] + noise
+        dense = p * (alpha @ membership_reference(assignment, num_users)) + noise
+        np.testing.assert_allclose(per_link, dense[rows, assignment.pilots[cols]], rtol=1e-12)
     # the state holds the pilot holders alone: the oracles at their rows
     assert state.holders.tobytes() == users.tobytes()
     assert state.links.shape == (users.size, size)

@@ -222,19 +222,17 @@ def test_deterministic_output():
     assert a.num_pilots == b.num_pilots
 
 
-def test_membership_and_group_sizes_read_the_one_pilot_array():
+def test_users_and_group_sizes_read_the_one_pilot_array():
     active = [0, 1, 2, 4, 5, 7, 8]
     g = random_graph(7, 9).restrict(active)
     assignment = dsatur_color(g, reuse_cap=3)
     assert assignment.users.tolist() == active
-    # users, membership and group sizes all read the one pilot array
-    membership = assignment.membership
-    assert membership.shape == (9, assignment.num_pilots)
-    np.testing.assert_array_equal(membership.sum(axis=1), assignment.pilots >= 0)
-    np.testing.assert_array_equal(membership.sum(axis=0), assignment.group_sizes())
+    # users and group sizes both read the one pilot array
+    np.testing.assert_array_equal(assignment.users, np.flatnonzero(assignment.pilots >= 0))
+    sizes = assignment.group_sizes()
+    assert sizes.shape == (assignment.num_pilots,)
     for c in range(assignment.num_pilots):
-        np.testing.assert_array_equal(np.flatnonzero(membership[:, c]),
-                                      np.flatnonzero(assignment.pilots == c))
+        assert sizes[c] == np.count_nonzero(assignment.pilots == c)
 
 
 def test_cluster_overlap_to_coloring_pipeline():

@@ -107,3 +107,33 @@ def test_no_line_of_the_package_its_tests_or_its_demos_is_over_100_characters():
             for lineno, line in enumerate(path.read_text().splitlines(), start=1)
             if len(line) > 100]
     assert long == []
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each top-level def and class of a module, and each
+    method or property of its classes, whose name has no leading ``_``."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found += [node] + [member for member in node.body if isinstance(member, functions)]
+        elif isinstance(node, functions):
+            found.append(node)
+    return [(node.lineno, node.name) for node in found if not node.name.startswith("_")]
+
+
+def test_every_public_name_is_read_in_the_package_or_wrapped_by_the_benchmark():
+    # a public name that no module reads and no benchmark span wraps is
+    # code the pipeline never calls
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = {name for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(getattr(node, "ctx", None), ast.Load) for name in _names(node)}
+    spans = ast.parse((PACKAGE.parents[1] / "perfbench" / "spans.py").read_text())
+    targets = {node.value for statement in spans.body if isinstance(statement, ast.Assign)
+               and any(getattr(t, "id", None) == "TARGETS" for t in statement.targets)
+               for node in ast.walk(statement.value)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert targets, "perfbench/spans.py names no TARGETS"
+    unread = [f"{module}:{line}: {name}" for module, tree in trees.items()
+              for line, name in _public_definitions(tree) if name not in read | targets]
+    assert unread == []
