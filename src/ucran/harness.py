@@ -9,13 +9,12 @@ fading.  The baselines' random user picks read their own keyed stream
 
 A campaign runs its trials seed by seed, and every trial of a seed
 shares that seed's work through one :class:`~ucran.topology.Memo`: per
-cluster size one network and one stage-1 base (itself a memo of the base
-graph, base coloring, pilot-interference weights and each budget's
-deterministic stage-1 decision), and one channel state and admission per
-input they read (cluster size, CSI mode and pilots).  The fading needs no
-memo: each channel state makes the links it reads as the seed's keyed
-values there (:mod:`ucran.channel`), so every trial of a seed reads the
-same value on a shared link.
+cluster size one network, which keeps on its own memo what stage 1
+derives from it (:mod:`ucran.stage1`), and one channel state and
+admission per input they read (cluster size, CSI mode and pilots).  The
+fading needs no memo: each channel state makes the links it reads as
+the seed's keyed values there (:mod:`ucran.channel`), so every trial of
+a seed reads the same value on a shared link.
 Each trial calls stage 1 itself with its algorithm's flags, so
 :func:`~ucran.stage1.run_stage1` alone decides its branch and case, and
 two rows share an admission exactly when their pilots and CSI mode
@@ -29,7 +28,6 @@ field is fixed for a campaign):
 - ``("network", L)``: the seed and L.  Its positions and ``alpha`` come
   from the placement and shadowing streams, which read no L (tested), so
   every cluster size of a seed sees the same ones.
-- ``("base", L)``: that cluster size's network and the reuse cap.
 - ``("admission", L, perfect, num_pilots, pilots)``: that network, the
   seed, the CSI mode and the pilots; stage 1's admitted users are the
   pilot holders, so nothing else of the stage-1 result is read.
@@ -48,7 +46,7 @@ from .channel import build_channel_state
 from .coloring import PilotAssignment, validate_assignment
 from .coloring import dsatur_color  # noqa: F401  (perfbench/spans.py wraps this name)
 from .conflict_graph import build_base_graph  # noqa: F401  (perfbench/spans.py wraps this name)
-from .stage1 import Stage1Base, Stage1Result, run_stage1, shared_base
+from .stage1 import Stage1Result, base_coloring, base_graph, run_stage1
 from .stage1 import select_users_case1  # noqa: F401  (perfbench/spans.py wraps this name)
 from .stage2 import AdmissionSolution, admission_loop
 from .topology import (Memo, NetworkInstance, STREAM_BASELINE, SimConfig, build_network,
@@ -92,15 +90,14 @@ def baseline_draws(seed: int, num_users: int) -> np.ndarray:
 
 
 def baseline_ortho(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
-                   seed: int, *, base: Stage1Base | None = None) -> Stage1Result:
+                   seed: int) -> Stage1Result:
     """Orthogonal pilots for the min(budget, K) users of least baseline draw.
 
     ``reuse_cap`` only sizes ``base_colors``, carried on the Stage1Result
     as for the other algorithms; the pick itself ignores the conflict
-    graph and reads no pilot-interference weight.  ``base`` is as for
-    :func:`~ucran.stage1.run_stage1`."""
+    graph and reads no pilot-interference weight."""
     check_integer("pilot_budget", pilot_budget)
-    base_colors = shared_base(instance, reuse_cap, base).coloring.num_pilots
+    base_colors = base_coloring(instance, reuse_cap).num_pilots
     num_users = instance.num_users
     count = min(pilot_budget, num_users)
     chosen = np.sort(np.argsort(baseline_draws(seed, num_users), kind="stable")[:count])
@@ -116,8 +113,8 @@ def baseline_nocase2(instance: NetworkInstance, pilot_budget: int,
     """Like the proposed stage 1, but an under-budget base coloring is kept
     as is instead of being spread over the spare pilots.
 
-    Trials call :func:`~ucran.stage1.run_stage1` with the same flags on a
-    shared base; this name stays because perfbench/spans.py wraps it."""
+    Trials call :func:`~ucran.stage1.run_stage1` with the same flags;
+    this name stays because perfbench/spans.py wraps it."""
     return run_stage1(instance, pilot_budget, reuse_cap, spread=False)
 
 
@@ -126,8 +123,8 @@ def baseline_con(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
     """Conventional removal: over-budget colorings shed users picked by
     :func:`baseline_draws`, not the highest-conflict ones; otherwise as baseline_nocase2.
 
-    Trials call :func:`~ucran.stage1.run_stage1` with the same flags on a
-    shared base; this name stays because perfbench/spans.py wraps it."""
+    Trials call :func:`~ucran.stage1.run_stage1` with the same flags;
+    this name stays because perfbench/spans.py wraps it."""
     return run_stage1(instance, pilot_budget, reuse_cap, spread=False,
                       draws=baseline_draws(seed, instance.num_users))
 
@@ -174,10 +171,10 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
     With ``return_details`` the stage results come back alongside the
     summary, for inspection and auditing.  ``physics`` is the seed's
     shared state when a campaign runs several trials of one seed: per
-    cluster size its network and stage-1 base, and one channel state and
-    admission per (cluster size, CSI mode, pilots) that another of its
-    trials has already made; a trial run alone makes its own.  Every
-    trial runs its own stage-1 call, pilot check and audit.
+    cluster size its network, with what stage 1 keeps on it, and one
+    channel state and admission per (cluster size, CSI mode, pilots) that
+    another of its trials has already made; a trial run alone makes its
+    own.  Every trial runs its own stage-1 call, pilot check and audit.
     ValueError for an unknown algorithm or a bad seed, before any work;
     AuditError when a check fails.
     """
@@ -187,18 +184,17 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
         physics = Memo()
     size, budget, cap = config.cluster_size, config.pilot_count, config.reuse_cap
     instance = physics.once(("network", size), lambda: build_network(config, seed))
-    base = physics.once(("base", size), lambda: Stage1Base(instance, cap))
     if algorithm == ALG_ORTHO:
-        s1 = baseline_ortho(instance, budget, cap, seed, base=base)
+        s1 = baseline_ortho(instance, budget, cap, seed)
     else:
         draws = baseline_draws(seed, instance.num_users) if algorithm == ALG_CON else None
         s1 = run_stage1(instance, budget, cap, spread=algorithm in (ALG_PROPOSED, ALG_PERFECT),
-                        draws=draws, base=base)
+                        draws=draws)
     read_only(s1)
 
     # a hard guarantee: co-clustered users must never share a pilot
     try:
-        validate_assignment(base.graph.restrict(s1.admitted), s1.assignment, cap)
+        validate_assignment(base_graph(instance).restrict(s1.admitted), s1.assignment, cap)
     except AssertionError as exc:
         raise AuditError(f"pilot check failed (seed {seed}, {algorithm}): {exc}") from exc
 
@@ -254,18 +250,19 @@ def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
     """Sweep (algorithm, cluster size, pilot budget) over a shared seed list.
 
     Trials run seed by seed (then cluster size, algorithm, pilot budget).
-    Each seed's trials share one network and one stage-1 base per
-    cluster size, with each budget's deterministic stage-1 decision, and
-    one channel state and admission per (cluster size, CSI mode, pilots)
-    that more than one of them reaches; all of it is dropped before the
-    next seed's.  The rows equal those of trials run one by one, whatever
-    the order of ``algorithms``.  Emits one CSV row per trial, cell by
-    cell in sweep order and by seed within a cell, plus one aggregate row
-    per cell (seed column set to "mean").  Deterministic for a fixed
-    config.  ValueError, before the first trial, when a sweep list is
-    empty or repeats an entry, names an unknown algorithm or holds a point
-    that makes no valid config.  A failing trial stops the campaign
-    at the first failure in seed order.
+    Each seed's trials share one network per cluster size, with what
+    stage 1 keeps on it (base graph, base coloring, weights and each
+    budget's deterministic decision), and one channel state and
+    admission per (cluster size, CSI mode, pilots) that more than one of
+    them reaches; all of it is dropped before the next seed's.  The rows
+    equal those of trials run one by one, whatever the order of
+    ``algorithms``.  Emits one CSV row per trial, cell by cell in sweep
+    order and by seed within a cell, plus one aggregate row per cell
+    (seed column set to "mean").  Deterministic for a fixed config.
+    ValueError, before the first trial, when a sweep list is empty or
+    repeats an entry, names an unknown algorithm or holds a point that
+    makes no valid config.  A failing trial stops the campaign at the
+    first failure in seed order.
     """
     check_integer("num_seeds", num_seeds)
     for name, values in (("algorithms", algorithms), ("cluster_sizes", cluster_sizes),

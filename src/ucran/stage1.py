@@ -16,14 +16,15 @@ The base conflict graph is colored once.  Four outcomes:
   kept as is (``base``);
 * colors needed = budget: the base coloring is kept as is (``exact``).
 
-The base graph, its coloring and the pairwise weights (read nowhere
-else) come from a :class:`Stage1Base`: one per call, or one shared by
-every call on the same network and reuse cap; every call makes and
-checks the weights, whichever branch runs.  The base is a
-:class:`~ucran.topology.Memo`, so it keeps each budget's deterministic
-decision too, the removal made without draws or the spread, for a
-later call at that budget.  Removal gets the over-budget base graph
-alone (:func:`select_users_case1` says how it picks its victims).
+The base graph (:func:`base_graph`), its coloring under each reuse cap
+(:func:`base_coloring`) and the pairwise weights (read nowhere else)
+are functions of the network alone, so they are kept on its
+:attr:`~ucran.topology.NetworkInstance.memo`, made on first use by
+whichever call needs them; every call reads the weights, so a weight
+that is not finite fails it whichever branch runs.  The memo keeps each
+cap and budget's deterministic decision too, the removal made without
+draws or the spread, for a later call.  Removal gets the over-budget base
+graph alone (:func:`select_users_case1` says how it picks its victims).
 Each branch returns only its decision; :func:`run_stage1` builds the
 :class:`Stage1Result`, whose single pilot array
 (:class:`~ucran.coloring.PilotAssignment`) holds the admitted users'
@@ -48,7 +49,7 @@ from .conflict_graph import (
     interference_score,
     vertex_degrees,
 )
-from .topology import Memo, NetworkInstance, check_integer
+from .topology import NetworkInstance, check_integer
 
 CASE_REMOVAL = "case1"      # over budget, users removed
 CASE_SPREAD = "case2"       # under budget, co-pilot groups spread apart
@@ -78,79 +79,49 @@ class Stage1Result:
         return self.assignment.num_pilots
 
 
-class Stage1Base(Memo):
-    """What every stage-1 call on one network and reuse cap shares: the
-    base conflict graph, its DSatur coloring under the cap, the (K, K)
-    pilot-interference weights, and per budget the one decision that
-    needs no random draws (the removal or the spread).  As a
-    :class:`~ucran.topology.Memo` it makes each on first use and keeps it,
-    its arrays read-only.
-    """
-
-    def __init__(self, instance: NetworkInstance, reuse_cap: int):
-        super().__init__()
-        self.instance = instance
-        self.reuse_cap = reuse_cap
-
-    @property
-    def weights(self) -> np.ndarray:
-        """ValueError when a weight is not finite."""
-        return self.once(("weights",), lambda: interference_matrix(
-            self.instance.alpha, self.instance.clusters))
-
-    @property
-    def graph(self) -> ConflictGraph:
-        return self.once(("graph",), lambda: build_base_graph(self.instance.clusters))
-
-    @property
-    def coloring(self) -> PilotAssignment:
-        return self.once(("coloring",), lambda: dsatur_color(self.graph, self.reuse_cap))
+def base_graph(instance: NetworkInstance) -> ConflictGraph:
+    """The conflict graph of every user of ``instance``, kept on its memo."""
+    return instance.memo.once(("graph",), lambda: build_base_graph(instance.clusters))
 
 
-def shared_base(instance: NetworkInstance, reuse_cap: int,
-                base: Stage1Base | None) -> Stage1Base:
-    """``base`` when it was made for ``instance`` and ``reuse_cap``, a new
-    holder when it is None; ValueError otherwise, so no call reads a base
-    graph, coloring, weights or kept decision made for another network
-    or cap."""
-    if base is None:
-        return Stage1Base(instance, reuse_cap)
-    if base.instance is not instance or base.reuse_cap != reuse_cap:
-        raise ValueError("the stage-1 base was made for another network or reuse cap")
-    return base
+def base_coloring(instance: NetworkInstance, reuse_cap: int) -> PilotAssignment:
+    """The DSatur coloring of :func:`base_graph` under ``reuse_cap``, kept
+    on the network's memo."""
+    return instance.memo.once(("coloring", reuse_cap),
+                              lambda: dsatur_color(base_graph(instance), reuse_cap))
 
 
 def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
-               spread: bool = True, draws: np.ndarray | None = None,
-               base: Stage1Base | None = None) -> Stage1Result:
+               spread: bool = True, draws: np.ndarray | None = None) -> Stage1Result:
     """Dispatch on how the base-graph coloring compares to the budget.
 
     Removal gets the base graph alone, whose coloring is over budget.
     ``spread=False`` keeps an under-budget base coloring instead of
     spreading it; ``draws`` picks removal's victims at random
-    (:func:`select_users_case1`).  ``base`` shares the base graph, coloring
-    and weights with other calls on the same network and cap (see
-    :func:`shared_base`), and the removal without ``draws`` and the spread
-    of each budget: a call whose branch and budget match an earlier one
-    returns its pilots, read-only, under its own case.  ValueError when a
-    pilot-interference weight is not finite, whichever branch runs.
+    (:func:`select_users_case1`).  The network's memo keeps the weights
+    and, per cap and budget, the removal without ``draws`` and the spread:
+    a call whose branch, cap and budget match an earlier one on the same
+    network returns its pilots, read-only, under its own case.  ValueError
+    when a pilot-interference weight is not finite, whichever branch runs.
     """
     check_integer("pilot_budget", pilot_budget)
-    base = shared_base(instance, reuse_cap, base)
-    weights = base.weights
-    base_assignment = base.coloring
+    memo = instance.memo
+    weights = memo.once(("weights",), lambda: interference_matrix(instance.alpha,
+                                                                  instance.clusters))
+    base_assignment = base_coloring(instance, reuse_cap)
     base_colors = base_assignment.num_pilots
     trace, threshold = (), None
     if base_colors > pilot_budget:
         case = CASE_REMOVAL
-        remove = partial(select_users_case1, weights, pilot_budget, reuse_cap, base.graph,
-                         draws=draws)
-        assignment, trace = remove() if draws is not None else base.once(
-            ("removal", pilot_budget), remove)
+        remove = partial(select_users_case1, weights, pilot_budget, reuse_cap,
+                         base_graph(instance), draws=draws)
+        assignment, trace = remove() if draws is not None else memo.once(
+            ("removal", reuse_cap, pilot_budget), remove)
     elif base_colors < pilot_budget and spread:
         case = CASE_SPREAD
-        assignment, threshold = base.once(("spread", pilot_budget), partial(
-            reallocate_case2, weights, pilot_budget, reuse_cap, base.graph, base_assignment))
+        assignment, threshold = memo.once(("spread", reuse_cap, pilot_budget), partial(
+            reallocate_case2, weights, pilot_budget, reuse_cap, base_graph(instance),
+            base_assignment))
     else:
         case = CASE_EXACT if base_colors == pilot_budget else CASE_BASE
         assignment = base_assignment

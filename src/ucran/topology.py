@@ -214,16 +214,23 @@ class SimConfig:
 @dataclass(frozen=True)
 class NetworkInstance:
     """One realization of the network, built complete by :func:`build_network`
-    and immutable after.
+    and immutable after: its arrays are read-only.
 
     ``alpha[i, k]`` is the linear large-scale power gain from RRH i to user k,
-    ``clusters[k]`` the candidate serving set (best RRHs first).
+    ``clusters[k]`` the candidate serving set (best RRHs first).  ``memo``
+    keeps what later layers derive from these arrays alone; a copy made by
+    ``dataclasses.replace`` starts with an empty one.
     """
 
     rrh_positions: np.ndarray    # (I, 2) m
     user_positions: np.ndarray   # (K, 2) m
     alpha: np.ndarray            # (I, K) linear gain
     clusters: np.ndarray         # (K, L) RRH indices
+    memo: Memo = dataclasses.field(default_factory=Memo, init=False, repr=False,
+                                   compare=False)
+
+    def __post_init__(self):
+        read_only(self)
 
     @property
     def num_users(self) -> int:

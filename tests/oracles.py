@@ -32,25 +32,31 @@ match bit for bit:
 - the rate bound: :func:`mc_ergodic_rate`, by channel redraws (math).
 
 The whole-served byte references rank, key and pair the served set from
-scratch on every call.  Two admission oracles are not independent:
+scratch on every call.  Three admission oracles are not independent:
 :func:`max_served_reference` tries every subset of the pilot holders,
-largest first, with the production admission round, and
+largest first, with the production admission round,
 :func:`admission_listing_reference` lists each failed round's victims
-one at a time with the production round functions and power loop.
+one at a time with the production round functions and power loop, and
+:func:`admission_with_beam_loading` runs the production admission with
+beams loaded by other error variances.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from itertools import combinations
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
+import ucran.stage2
 from ucran.stage2 import (
     AdmissionSolution,
     LocalBeams,
     PowerControlResult,
+    admission_loop,
     build_holder_table,
     enforce_fronthaul_cap,
     expected_rate_lb,
@@ -640,6 +646,26 @@ def max_served_reference(instance, stage1_result, channel_state, config) -> Admi
                     per_rrh_power=share @ control.powers,
                     removal_trace=tuple(np.setdiff1d(admitted, served).tolist()))
     raise AssertionError("the empty set must be feasible")
+
+
+def admission_with_beam_loading(instance, stage1_result, channel_state, config,
+                                beam_error_var: np.ndarray) -> AdmissionSolution:
+    """The production admission whose beams load ``beam_error_var`` (I, H)
+    instead of the channel state's error variances.
+
+    Each round's beams read the holder table of a copy of
+    ``channel_state`` with those variances; the fronthaul cap, rate
+    coefficients, power control and rate bound read the true table, so a
+    solution is held to the true variances.
+    """
+    beam_table = build_holder_table(
+        dataclasses.replace(channel_state, error_var=beam_error_var), instance.alpha)
+
+    def beams(table, valid, served, noise_power):
+        return robust_beam_direction(beam_table, valid, served, noise_power)
+
+    with mock.patch.object(ucran.stage2, "robust_beam_direction", beams):
+        return admission_loop(instance, stage1_result, channel_state, config)
 
 
 def admission_listing_reference(instance, stage1_result, channel_state, config) -> list[tuple]:

@@ -1,12 +1,13 @@
 """Acceptance gate: eleven go/no-go checks at the reference scale, one at
-the ultra-dense point, one on the case-2 spread and one on densification
-at fixed users.
+the ultra-dense point, one on robust transmission, one on the case-2
+spread and one on densification at fixed users.
 
 Each test prints one [PASS]/[FAIL] line (never captured) so the verdicts
 survive any pytest output mode.  The three Monte Carlo campaigns are shared
 module-scoped fixtures; everything downstream reads their cell statistics.
 """
 
+import itertools
 import math
 from collections import Counter
 
@@ -34,6 +35,7 @@ from ucran.harness import audit_solution
 from ucran.stage1 import CASE_SPREAD
 from ucran.stage2 import power_allocation_fixed_point
 from oracles import (
+    admission_with_beam_loading,
     exact_capped_chromatic,
     greedy_clique_bound,
     max_served_reference,
@@ -334,6 +336,46 @@ def test_criterion_12_ultra_dense_point(campaign_dense, capsys):
              "served; proposed admitted non-increasing in cluster size)",
              f"proposed served by L {DENSE_SIZES}: {[round(v, 2) for v in proposed]}; "
              f"admitted {[round(v, 2) for v in admitted]}")
+
+
+def test_criterion_13_robust_transmission_pays(capsys):
+    # the beams load every estimated (intra-cluster) link with its MMSE
+    # error variance and every other (inter-cluster) link with its full
+    # gain; against beams without one of the two terms, on the same pilots
+    # and channels, every solution held to the true variances
+    cells = list(itertools.product([2, 4, 6], [4, 8]))
+    served = {}     # (pilot power, L, tau) -> users served by each beam loading
+    for pilot_power, (size, budget) in itertools.product((200.0, 0.01), cells):
+        config = SimConfig(cluster_size=size, pilot_count=budget, pilot_power=pilot_power,
+                           master_seed=1)
+        served[(pilot_power, size, budget)] = count = Counter()
+        for seed in range(config.master_seed, config.master_seed + 30):
+            instance = build_network(config, seed)
+            s1 = run_stage1(instance, budget, config.reuse_cap)
+            state = build_channel_state(instance, s1.assignment, config, seed)
+            intra = np.zeros(state.error_var.shape, dtype=bool)
+            intra[state.links, np.arange(len(state.holders))[:, None]] = True
+            solutions = {"both": admission_loop(instance, s1, state, config)}
+            for name, dropped in (("no intra", intra), ("no inter", ~intra)):
+                solutions[name] = admission_with_beam_loading(
+                    instance, s1, state, config, np.where(dropped, 0.0, state.error_var))
+            for name, solution in solutions.items():
+                assert audit_solution(solution, config, s1.admitted) == []
+                count[name] += solution.num_served
+    high = [served[(200.0, *cell)] for cell in cells]
+    high_total, low_total = (sum((served[(power, *cell)] for cell in cells), Counter())
+                             for power in (200.0, 0.01))
+    ok = (all(c["both"] >= c["no inter"] for c in high)
+          and high_total["both"] > high_total["no inter"]
+          and low_total["both"] > low_total["no intra"])
+    _verdict(capsys, ok, "criterion 13 (robust beams: at 200 mW the inter-cluster loading "
+             "serves at least as many per cell and more in total; at 0.01 mW the "
+             "intra-cluster loading serves more in total)",
+             "served with both terms / no intra-cluster / no inter-cluster: " + "; ".join(
+                 f"{power} mW {t['both']} / {t['no intra']} / {t['no inter']}"
+                 for power, t in ((200, high_total), (0.01, low_total)))
+             + "; both terms / no inter-cluster at 200 mW by (L, tau) "
+             + ", ".join(f"{cell}: {c['both']}/{c['no inter']}" for cell, c in zip(cells, high)))
 
 
 def test_criterion_14_the_case2_spread_pays(capsys):

@@ -30,7 +30,7 @@ def test_base_graph_edges_iff_clusters_intersect():
 
 def test_base_graph_restricted_to_active_users():
     clusters = np.array([[0], [0], [0]])
-    g = build_base_graph(clusters).restrict({0, 2})
+    g = build_base_graph(clusters).restrict([0, 2])
     assert g.adjacency[0, 2]
     assert not g.adjacency[0, 1] and not g.adjacency[1, 2]
     np.testing.assert_array_equal(g.users, [0, 2])

@@ -30,7 +30,7 @@ from ucran.harness import (
     baseline_nocase2,
     baseline_ortho,
 )
-from ucran.stage1 import Stage1Base
+from ucran.stage1 import base_coloring
 from ucran.stage2 import AdmissionSolution, LocalBeams, build_holder_table, enforce_fronthaul_cap
 from ucran.topology import STREAM_BASELINE, build_clusters, stream_key, stream_rng, uniforms
 
@@ -619,7 +619,7 @@ def test_the_base_coloring_shares_one_admission_under_each_rows_own_case(monkeyp
     # and above it (base): four rows, one admission, each row its own case
     config = SimConfig(cluster_size=4)
     instance = build_network(config, config.master_seed)
-    exact = Stage1Base(instance, config.reuse_cap).coloring.num_pilots
+    exact = base_coloring(instance, config.reuse_cap).num_pilots
     log = _count_stage_work(monkeypatch)
     report = run_campaign(config, [4], [exact, exact + 2], algorithms=("nocase2", "con"),
                           num_seeds=1)

@@ -67,13 +67,20 @@ def test_topology_imports_no_ucran_module():
 
 def test_one_read_only_rule_and_one_memo():
     # topology.read_only alone freezes arrays and topology.Memo alone keeps
-    # values: a second idiom for either would drift from the first
+    # values: a second idiom for either would drift from the first.  Only
+    # the network's memo and the harness's one per seed exist, so no other
+    # module reads the name Memo, to subclass one or to make one
     allowed = {"flags.writeable": {"topology"}, "cached_property": set()}
     problems = [f"{path.name}:{lineno}: {idiom}"
                 for path in sorted(PACKAGE.glob("*.py"))
                 for lineno, line in enumerate(path.read_text().splitlines(), start=1)
                 for idiom, modules in allowed.items()
                 if idiom in line and path.stem not in modules]
+    problems += [f"{path.name}:{node.lineno}: Memo"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 if path.stem not in ("topology", "harness")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if "Memo" in _names(node)]
     assert problems == []
 
 

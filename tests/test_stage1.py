@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from collections import Counter
@@ -23,9 +24,10 @@ from ucran.stage1 import (
     CASE_EXACT,
     CASE_REMOVAL,
     CASE_SPREAD,
-    Stage1Base,
+    base_coloring,
     select_users_case1,
 )
+from ucran.topology import NetworkInstance
 
 from conftest import craft_instance
 from oracles import select_users_case1_reference
@@ -203,14 +205,15 @@ def test_run_stage1_rejects_non_finite_interference_weights(spread, draws):
             run_stage1(instance, cfg.pilot_count, cfg.reuse_cap, spread=spread, draws=draws)
 
 
-# what six calls (proposed, nocase2, con, then back) make on one shared
-# base: the removal without draws and the spread once per budget, and one
-# random removal per con call
+# what six calls (proposed, nocase2, con, then back) make on one
+# network: the removal without draws and the spread once per budget, and
+# one random removal per con call
 @pytest.mark.parametrize("budget,made", [(2, {"select_users_case1": 1 + 2}), (6, {}),
                                          (9, {"reallocate_case2": 1})],
                          ids=["removal", "exact", "spread"])
 def test_a_shared_base_gives_each_call_its_own_result(budget, made, monkeypatch):
-    # one base for every call on the network, in any order, as each call alone
+    # every call on one network, in any order, returns what it would on a
+    # fresh copy of the network, whose memo is empty
     calls = Counter()
     for name in ("select_users_case1", "reallocate_case2"):
         def counting(*args, _original=getattr(ucran.stage1, name), _name=name, **kwargs):
@@ -218,34 +221,61 @@ def test_a_shared_base_gives_each_call_its_own_result(budget, made, monkeypatch)
             return _original(*args, **kwargs)
         monkeypatch.setattr(ucran.stage1, name, counting)
     instance = build_network(SimConfig(num_rrhs=36, num_users=24, cluster_size=4), seed=6)
-    base = Stage1Base(instance, 4)
     orders = [(True, None), (False, None), (False, 3)]    # proposed, nocase2, con
     orders += orders[::-1]
 
-    def call(spread, seed, option):
-        return run_stage1(instance, budget, 4, spread=spread, base=option,
+    def call(spread, seed, network):
+        return run_stage1(network, budget, 4, spread=spread,
                           draws=None if seed is None else np.random.default_rng(seed).random(24))
 
-    results = [call(spread, seed, base) for spread, seed in orders]
+    results = [call(spread, seed, instance) for spread, seed in orders]
     assert calls == Counter(made)
     for (spread, seed), shared in zip(orders, results):
-        alone = call(spread, seed, None)
+        alone = call(spread, seed, dataclasses.replace(instance))
         assert (shared.case_taken, shared.removal_trace, shared.threshold,
                 shared.base_colors) == (alone.case_taken, alone.removal_trace,
                                         alone.threshold, alone.base_colors)
         np.testing.assert_array_equal(shared.assignment.pilots, alone.assignment.pilots)
-    assert not base.weights.flags.writeable and not base.coloring.pilots.flags.writeable
-    decisions = [kept for key, kept in base.kept.items() if key[0] in ("removal", "spread")]
+    kept = instance.memo.kept
+    assert not kept[("weights",)].flags.writeable
+    assert not kept[("coloring", 4)].pilots.flags.writeable
+    decisions = [value for key, value in kept.items() if key[0] in ("removal", "spread")]
     assert len(decisions) == len(made)    # one kept decision per kind of branch
     assert not any(assignment.pilots.flags.writeable for assignment, _ in decisions)
 
 
-def test_a_base_made_for_another_network_or_cap_is_rejected():
-    cfg = SimConfig(num_rrhs=9, num_users=6, cluster_size=2)
-    instance = build_network(cfg, seed=0)
-    for base in (Stage1Base(build_network(cfg, seed=0), 4), Stage1Base(instance, 3)):
-        with pytest.raises(ValueError, match="another network or reuse cap"):
-            run_stage1(instance, 3, 4, base=base)
+def _decision(result) -> tuple:
+    """Everything a stage-1 result says, its pilots as a list."""
+    return (result.case_taken, result.removal_trace, result.threshold, result.base_colors,
+            result.assignment.num_pilots, result.assignment.pilots.tolist())
+
+
+def test_a_copy_with_other_gains_reads_none_of_the_originals_decisions():
+    # stage 1 keeps its weights and decisions on the network; a copy with
+    # other gains must make its own, not read the original's
+    instance = build_network(SimConfig(num_rrhs=36, num_users=24, cluster_size=4), seed=6)
+    alpha = build_network(SimConfig(num_rrhs=36, num_users=24, cluster_size=4), seed=7).alpha
+    budgets = range(1, 13)
+    before = [_decision(run_stage1(instance, budget, 4)) for budget in budgets]
+    copy = dataclasses.replace(instance, alpha=alpha)
+    fresh = NetworkInstance(rrh_positions=instance.rrh_positions,
+                            user_positions=instance.user_positions, alpha=alpha,
+                            clusters=instance.clusters)
+    after = [_decision(run_stage1(copy, budget, 4)) for budget in budgets]
+    assert after == [_decision(run_stage1(fresh, budget, 4)) for budget in budgets]
+    assert after != before
+
+
+def test_two_reuse_caps_on_one_network_decide_as_on_two_networks():
+    instance = build_network(SimConfig(num_rrhs=36, num_users=24, cluster_size=4), seed=6)
+    calls = [(cap, budget, spread) for budget in range(1, 13) for cap in (2, 4)
+             for spread in (True, False)]
+    shared = [_decision(run_stage1(instance, budget, cap, spread=spread))
+              for cap, budget, spread in calls]
+    alone = {cap: dataclasses.replace(instance) for cap in (2, 4)}
+    assert shared == [_decision(run_stage1(alone[cap], budget, cap, spread=spread))
+                      for cap, budget, spread in calls]
+    assert {key[1] for key in instance.memo.kept if key[0] == "coloring"} == {2, 4}
 
 
 def test_rejects_bad_budget():
@@ -405,9 +435,8 @@ def test_a_larger_budget_removes_a_prefix_of_a_smaller_ones_victims(policy, num_
     instance = build_network(SimConfig(num_rrhs=num_rrhs, num_users=num_users), seed=seed)
     cap = 4
     draws = None if policy == "proposed" else np.random.default_rng(seed).random(num_users)
-    base = Stage1Base(instance, cap)
-    traces = [run_stage1(instance, budget, cap, draws=draws, base=base).removal_trace
-              for budget in range(1, base.coloring.num_pilots)]
+    traces = [run_stage1(instance, budget, cap, draws=draws).removal_trace
+              for budget in range(1, base_coloring(instance, cap).num_pilots)]
     for smaller, larger in zip(traces, traces[1:]):
         assert smaller[:len(larger)] == larger
 

@@ -11,6 +11,7 @@ from ucran import SimConfig, build_network, make_config, pairwise_distances
 from ucran.topology import (
     FIELD_RULES,
     Memo,
+    NetworkInstance,
     STREAM_PLACEMENT,
     STREAM_SHADOWING,
     build_clusters,
@@ -367,6 +368,16 @@ def test_instance_is_immutable():
     inst = build_network(cfg, seed=0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         inst.alpha = None
+
+
+def test_instance_arrays_are_read_only():
+    built = build_network(SimConfig(num_rrhs=4, num_users=2, cluster_size=1), seed=0)
+    made = NetworkInstance(rrh_positions=np.zeros((2, 2)), user_positions=np.zeros((1, 2)),
+                           alpha=np.ones((2, 1)), clusters=np.zeros((1, 1), dtype=np.int64))
+    for instance in (built, made):
+        for name in ("rrh_positions", "user_positions", "alpha", "clusters"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(instance, name)[0] = 0
 
 
 @pytest.mark.parametrize("kept", [None, ()], ids=["None", "empty"])
