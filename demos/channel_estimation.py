@@ -18,8 +18,8 @@ draws = 40_000
 # y[k, i] and estimates[k, i] are link (i, k)
 alpha = np.tile([[gain, gain]], (draws, 1))
 clusters = np.array([np.arange(draws), np.arange(draws)])
-shared = PilotAssignment(pilots=[0, 0], num_pilots=1)
-orthogonal = PilotAssignment(pilots=[0, 1], num_pilots=2)
+shared = PilotAssignment(pilots=[0, 0])
+orthogonal = PilotAssignment(pilots=[0, 1])
 
 print("pilot power | residual error, shared pilot | orthogonal pilots")
 for power in (0.5, 2.0, 8.0, 32.0, 128.0, 512.0):

@@ -5,6 +5,7 @@ base coloring, and spare pilots get spent on extra interference separation.
 """
 
 from ucran import SimConfig, build_network, run_stage1
+from ucran.stage1 import base_coloring
 
 config = SimConfig()
 instance = build_network(config, seed=7)
@@ -23,5 +24,6 @@ for budget in (2, 3, 4, 6, 8, 12):
 # the removal order is greedy on conflict degree, so early victims sit in
 # the thickest part of the graph
 tight = run_stage1(instance, 2, config.reuse_cap)
-print(f"\nbase coloring needs {tight.base_colors} pilots; "
+needed = base_coloring(instance, config.reuse_cap).num_pilots
+print(f"\nbase coloring needs {needed} pilots; "
       f"with only 2, stage 1 removed {len(tight.removal_trace)} users")

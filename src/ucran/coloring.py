@@ -10,8 +10,8 @@ given graph always yields the same assignment.
 
 An assignment is one ``(K,)`` array over the full user index set:
 ``pilots[k]`` is user k's pilot, or -1 when k holds none.  The holder
-list and the per-pilot group sizes are both derived from that array
-here.
+list, the pilot count and the per-pilot group sizes are all derived from
+that array here.
 """
 
 from __future__ import annotations
@@ -29,10 +29,14 @@ class PilotAssignment:
     """Pilot index 0..num_pilots-1 per user id, -1 for users without one."""
 
     pilots: np.ndarray   # (K,) int64
-    num_pilots: int
 
     def __post_init__(self):
         object.__setattr__(self, "pilots", np.asarray(self.pilots, dtype=np.int64))
+
+    @property
+    def num_pilots(self) -> int:
+        """One more than the highest pilot held; 0 when nobody holds one."""
+        return int(self.pilots.max(initial=-1)) + 1
 
     @property
     def users(self) -> np.ndarray:
@@ -40,7 +44,7 @@ class PilotAssignment:
         return np.flatnonzero(self.pilots >= 0)
 
     def group_sizes(self) -> np.ndarray:
-        return np.bincount(self.pilots[self.users], minlength=self.num_pilots)
+        return np.bincount(self.pilots[self.users])
 
 
 def dsatur_color(graph: ConflictGraph, reuse_cap: int,
@@ -96,7 +100,7 @@ def dsatur_color(graph: ConflictGraph, reuse_cap: int,
         else:
             np.subtract(row, fresh, out=row)
 
-    return PilotAssignment(pilots=pilots, num_pilots=len(color_count))
+    return PilotAssignment(pilots=pilots)
 
 
 def validate_assignment(graph: ConflictGraph, assignment: PilotAssignment,
@@ -106,10 +110,6 @@ def validate_assignment(graph: ConflictGraph, assignment: PilotAssignment,
     users = assignment.users
     if pilots.shape != (graph.num_users,) or not np.array_equal(users, np.sort(graph.users)):
         raise AssertionError("assignment does not cover the active users exactly")
-    out_of_range = users[pilots[users] >= assignment.num_pilots]
-    if out_of_range.size:
-        k = int(out_of_range[0])
-        raise AssertionError(f"user {k} holds out-of-range pilot {pilots[k]}")
     clashes = np.argwhere(graph.adjacency & (pilots[:, None] == pilots[None, :])
                           & (pilots >= 0)[:, None])
     if clashes.size:

@@ -28,9 +28,10 @@ field is fixed for a campaign):
 - ``("network", L)``: the seed and L.  Its positions and ``alpha`` come
   from the placement and shadowing streams, which read no L (tested), so
   every cluster size of a seed sees the same ones.
-- ``("admission", L, perfect, num_pilots, pilots)``: that network, the
-  seed, the CSI mode and the pilots; stage 1's admitted users are the
-  pilot holders, so nothing else of the stage-1 result is read.
+- ``("admission", L, perfect, pilots)``: that network, the seed, the CSI
+  mode and the pilots; stage 1's admitted users are the pilot holders and
+  its pilot count is one more than the highest pilot, so nothing else of
+  the stage-1 result is read.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .channel import build_channel_state
 from .coloring import PilotAssignment, validate_assignment
 from .coloring import dsatur_color  # noqa: F401  (perfbench/spans.py wraps this name)
 from .conflict_graph import build_base_graph  # noqa: F401  (perfbench/spans.py wraps this name)
-from .stage1 import Stage1Result, base_coloring, base_graph, run_stage1
+from .stage1 import Stage1Result, base_graph, run_stage1
 from .stage1 import select_users_case1  # noqa: F401  (perfbench/spans.py wraps this name)
 from .stage2 import AdmissionSolution, admission_loop
 from .topology import (Memo, NetworkInstance, STREAM_BASELINE, SimConfig, build_network,
@@ -89,23 +90,19 @@ def baseline_draws(seed: int, num_users: int) -> np.ndarray:
     return uniforms(seed, STREAM_BASELINE, np.arange(num_users))[0]
 
 
-def baseline_ortho(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
-                   seed: int) -> Stage1Result:
+def baseline_ortho(instance: NetworkInstance, pilot_budget: int, seed: int) -> Stage1Result:
     """Orthogonal pilots for the min(budget, K) users of least baseline draw.
 
-    ``reuse_cap`` only sizes ``base_colors``, carried on the Stage1Result
-    as for the other algorithms; the pick itself ignores the conflict
-    graph and reads no pilot-interference weight."""
+    The pick ignores the conflict graph and reads no pilot-interference
+    weight."""
     check_integer("pilot_budget", pilot_budget)
-    base_colors = base_coloring(instance, reuse_cap).num_pilots
     num_users = instance.num_users
     count = min(pilot_budget, num_users)
     chosen = np.sort(np.argsort(baseline_draws(seed, num_users), kind="stable")[:count])
     pilots = np.full(num_users, -1, dtype=np.int64)
     pilots[chosen] = np.arange(count)
-    return Stage1Result(assignment=PilotAssignment(pilots=pilots, num_pilots=count),
-                        case_taken=ALG_ORTHO, removal_trace=(), threshold=None,
-                        base_colors=base_colors)
+    return Stage1Result(assignment=PilotAssignment(pilots=pilots),
+                        case_taken=ALG_ORTHO, removal_trace=(), threshold=None)
 
 
 def baseline_nocase2(instance: NetworkInstance, pilot_budget: int,
@@ -185,7 +182,7 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
     size, budget, cap = config.cluster_size, config.pilot_count, config.reuse_cap
     instance = physics.once(("network", size), lambda: build_network(config, seed))
     if algorithm == ALG_ORTHO:
-        s1 = baseline_ortho(instance, budget, cap, seed)
+        s1 = baseline_ortho(instance, budget, seed)
     else:
         draws = baseline_draws(seed, instance.num_users) if algorithm == ALG_CON else None
         s1 = run_stage1(instance, budget, cap, spread=algorithm in (ALG_PROPOSED, ALG_PERFECT),
@@ -205,8 +202,7 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
         return admission_loop(instance, s1, state, config)
 
     # the inputs of both stages that differ between a campaign's trials of one seed
-    solution = physics.once(("admission", size, perfect, pilots.num_pilots,
-                             pilots.pilots.tobytes()), admit)
+    solution = physics.once(("admission", size, perfect, pilots.pilots.tobytes()), admit)
 
     problems = audit_solution(solution, config, s1.admitted)
     if problems:

@@ -63,7 +63,6 @@ class Stage1Result:
     case_taken: str
     removal_trace: tuple[int, ...]  # users removed, in removal order
     threshold: float | None         # selected spread threshold (case2 only)
-    base_colors: int                # colors the full-user base graph needs under the cap
 
     @property
     def admitted(self) -> np.ndarray:
@@ -109,24 +108,24 @@ def run_stage1(instance: NetworkInstance, pilot_budget: int, reuse_cap: int, *,
     weights = memo.once(("weights",), lambda: interference_matrix(instance.alpha,
                                                                   instance.clusters))
     base_assignment = base_coloring(instance, reuse_cap)
-    base_colors = base_assignment.num_pilots
+    needed = base_assignment.num_pilots
     trace, threshold = (), None
-    if base_colors > pilot_budget:
+    if needed > pilot_budget:
         case = CASE_REMOVAL
         remove = partial(select_users_case1, weights, pilot_budget, reuse_cap,
                          base_graph(instance), draws=draws)
         assignment, trace = remove() if draws is not None else memo.once(
             ("removal", reuse_cap, pilot_budget), remove)
-    elif base_colors < pilot_budget and spread:
+    elif needed < pilot_budget and spread:
         case = CASE_SPREAD
         assignment, threshold = memo.once(("spread", reuse_cap, pilot_budget), partial(
             reallocate_case2, weights, pilot_budget, reuse_cap, base_graph(instance),
             base_assignment))
     else:
-        case = CASE_EXACT if base_colors == pilot_budget else CASE_BASE
+        case = CASE_EXACT if needed == pilot_budget else CASE_BASE
         assignment = base_assignment
     return Stage1Result(assignment=assignment, case_taken=case, removal_trace=trace,
-                        threshold=threshold, base_colors=base_colors)
+                        threshold=threshold)
 
 
 def select_users_case1(weights: np.ndarray, pilot_budget: int, reuse_cap: int,

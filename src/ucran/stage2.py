@@ -382,9 +382,7 @@ def power_allocation_fixed_point(signal: np.ndarray, self_err: np.ndarray,
     n = signal.shape[0]
     gamma_eff = sinr_target * (1.0 + target_margin)
     margins = signal - gamma_eff * self_err
-    if n == 0:
-        return PowerControlResult(True, np.zeros(0), "", margins)
-    if sinr_target == 0.0:
+    if n == 0 or sinr_target == 0.0:
         return PowerControlResult(True, np.zeros(n), "", margins)
     if (margins <= 0.0).any():
         return PowerControlResult(False, np.zeros(n), "margin", margins)

@@ -1,6 +1,6 @@
 """Acceptance gate: eleven go/no-go checks at the reference scale, one at
 the ultra-dense point, one on robust transmission, one on the case-2
-spread and one on densification at fixed users.
+spread, one on densification at fixed users and one on pilot reuse.
 
 Each test prints one [PASS]/[FAIL] line (never captured) so the verdicts
 survive any pytest output mode.  The three Monte Carlo campaigns are shared
@@ -181,7 +181,7 @@ def test_criterion_7_mmse_analytics_match_simulation(capsys):
     gain_a, gain_b, power, noise = 1.0, 0.6, 5.0, 0.4
     alpha = np.tile([[gain_a, gain_b]], (draws, 1))
     clusters = np.array([np.arange(draws), np.arange(draws)])
-    assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
+    assignment = PilotAssignment(pilots=[0, 0])
     rrhs, users = np.indices(alpha.shape)
     h = link_channels(777, alpha, 2, rrhs, users)
     y = simulate_pilot_rx(777, alpha, 2, assignment, clusters, power, noise)
@@ -412,3 +412,36 @@ def test_criterion_15_densification_at_fixed_users(capsys):
              "the perfect-CSI gap shrinks)",
              f"proposed served by I {densities}: {[round(v, 3) for v in proposed]}; "
              f"perfect minus proposed {[round(g, 3) for g in gaps]}")
+
+
+def test_criterion_16_pilot_reuse_pays(capsys):
+    # L 4, seeds 1-10, at two dense points: users whose clusters do not
+    # overlap may share a pilot, up to the reuse cap; ortho ignores the cap
+    # (one user per pilot), so it runs at cap 1 alone
+    caps = [1, 2, 4, 8, 16]
+    served, gaps, lines = [], [], []
+    for num_rrhs, num_users, budget in ((144, 96, 8), (324, 216, 16)):
+        proposed, perfect = [], []
+        for cap in caps:
+            config = SimConfig(num_rrhs=num_rrhs, num_users=num_users, pilot_count=budget,
+                               reuse_cap=cap, master_seed=1)
+            algorithms = ("proposed", "perfect") + (("ortho",) if cap == 1 else ())
+            report = run_campaign(config, [4], [budget], algorithms=algorithms, num_seeds=10)
+            proposed.append(report.cells[("proposed", 4, budget)].mean_served)
+            perfect.append(report.cells[("perfect", 4, budget)].mean_served)
+            if cap == 1:
+                ortho = report.cells[("ortho", 4, budget)].mean_served
+        gap = [pf - pr for pf, pr in zip(perfect, proposed)]
+        served.append((ortho, proposed))
+        gaps.append(gap)
+        lines.append(f"{num_rrhs}/{num_users}, tau {budget}: ortho {ortho}, proposed by cap "
+                     f"{caps} {[round(v, 2) for v in proposed]}, perfect minus proposed "
+                     f"{[round(g, 2) for g in gap]}")
+    ok = all(proposed[0] == ortho
+             and all(before < after for before, after in zip(proposed, proposed[1:]))
+             and gap[-1] > gap[caps.index(4)]
+             for (ortho, proposed), gap in zip(served, gaps))
+    _verdict(capsys, ok, "criterion 16 (L 4: proposed serves what ortho does at cap 1 and "
+             "more at each larger cap; the perfect-CSI gap is wider at cap 16 than at 4)",
+             "; ".join(lines))
+

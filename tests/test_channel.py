@@ -37,7 +37,7 @@ def _pair_system(num_draws: int, a0: float, a1: float):
     along the RRH axis so a single call gives many i.i.d. realizations."""
     alpha = np.tile([[a0, a1]], (num_draws, 1))
     clusters = np.array([np.arange(num_draws), np.arange(num_draws)])
-    assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
+    assignment = PilotAssignment(pilots=[0, 0])
     return alpha, clusters, assignment
 
 
@@ -140,7 +140,7 @@ def test_link_channels_independent_across_links():
 def test_pilot_rx_noise_free_single_user():
     alpha = np.ones((3, 1))
     h = _all_links(2, alpha, antennas=2)
-    assignment = PilotAssignment(pilots=[0], num_pilots=1)
+    assignment = PilotAssignment(pilots=[0])
     y = simulate_pilot_rx(2, alpha, 2, assignment, np.array([[0, 1, 2]]), pilot_power=4.0,
                           noise_power=0.0)
     np.testing.assert_allclose(y[0], 2.0 * h[:, 0])
@@ -156,7 +156,7 @@ def test_pilot_rx_matches_reference(seed):
     alpha = rng.uniform(0.01, 2.0, (num_rrhs, num_users))
     antennas = int(rng.integers(1, 4))
     pilots = np.where(rng.random(num_users) < 0.3, -1, rng.integers(0, num_pilots, num_users))
-    assignment = PilotAssignment(pilots=pilots, num_pilots=int(num_pilots))
+    assignment = PilotAssignment(pilots=pilots)
     p, noise = rng.uniform(0.1, 10.0), rng.uniform(0.0, 1.0)
     links = np.argsort(rng.random((num_users, num_rrhs)), axis=1)[
         :, :rng.integers(1, num_rrhs + 1)]
@@ -170,7 +170,7 @@ def test_pilot_rx_matches_reference(seed):
 def test_pilot_rx_superposition():
     alpha = np.ones((2, 3))
     h = _all_links(3, alpha, antennas=2)
-    assignment = PilotAssignment(pilots=[0, 0, 1], num_pilots=2)
+    assignment = PilotAssignment(pilots=[0, 0, 1])
     links = np.array([[0, 1]] * 3)
     y = simulate_pilot_rx(3, alpha, 2, assignment, links, pilot_power=9.0, noise_power=0.0)
     np.testing.assert_allclose(y[0], 3.0 * (h[:, 0] + h[:, 1]))
@@ -183,7 +183,7 @@ def test_pilot_rx_empty_group_is_noise():
     # noise stream at pilot 1's counters, past pilot 0's, and with a zero
     # channel that noise is all it reads
     alpha = np.zeros((400, 1))
-    assignment = PilotAssignment(pilots=[1], num_pilots=2)
+    assignment = PilotAssignment(pilots=[1])
     y = simulate_pilot_rx(4, alpha, 2, assignment, np.arange(400)[None, :], pilot_power=1.0,
                           noise_power=0.5)
     counters = ((400 + np.arange(400)) * 2)[:, None] + np.arange(2)
@@ -201,8 +201,8 @@ def test_pilot_noise_reads_no_pilot_count_or_cluster_size():
     for num_pilots, size in ((2, 2), (3, 4), (5, 6)):
         pilots = np.arange(3) % num_pilots
         links = np.tile(np.arange(size), (3, 1))
-        y = simulate_pilot_rx(7, alpha, 2, PilotAssignment(pilots=pilots, num_pilots=num_pilots),
-                              links, pilot_power=1.0, noise_power=1.0)
+        y = simulate_pilot_rx(7, alpha, 2, PilotAssignment(pilots=pilots), links,
+                              pilot_power=1.0, noise_power=1.0)
         for k in range(3):
             for l, i in enumerate(links[k]):
                 value = seen.setdefault((i, pilots[k]), y[k, l].tobytes())
@@ -214,7 +214,7 @@ def test_mmse_sole_user_error_formula():
     p, noise, a = 3.0, 0.2, 1.7
     alpha = np.array([[a]])
     clusters = np.array([[0]])
-    assignment = PilotAssignment(pilots=[0], num_pilots=1)
+    assignment = PilotAssignment(pilots=[0])
     y = simulate_pilot_rx(1, alpha, 2, assignment, clusters, p, noise)
     _, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
     assert error_var[0, 0] == pytest.approx(a * noise / (p * a + noise))
@@ -226,7 +226,7 @@ def test_mmse_error_stays_exact_when_one_user_dominates():
     p, noise = 200.0, 4e-11
     alpha = np.array([[1e30, 1.0]])
     clusters = np.array([[0], [0]])
-    assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
+    assignment = PilotAssignment(pilots=[0, 0])
     y = simulate_pilot_rx(0, alpha, 1, assignment, clusters, p, noise)
     _, error_var = mmse_estimate(y, alpha, assignment, clusters, p, noise)
     received = p * (1e30 + 1.0) + noise
@@ -240,7 +240,7 @@ def test_mmse_rejects_an_overflowing_received_power():
     p, noise = 3e299, 1.0
     alpha = np.array([[3e158]])
     clusters = np.array([[0]])
-    assignment = PilotAssignment(pilots=[0], num_pilots=1)
+    assignment = PilotAssignment(pilots=[0])
     with np.errstate(over="ignore"):
         y = simulate_pilot_rx(0, alpha, 1, assignment, clusters, p, noise)
         assert np.isfinite(y).all()
@@ -254,7 +254,7 @@ def test_mmse_contamination_floor():
     a = 0.8
     alpha = np.array([[a, a]])
     clusters = np.array([[0], [0]])
-    assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
+    assignment = PilotAssignment(pilots=[0, 0])
     noise = 0.1
     errors = []
     for p in (2.0, 200.0):
@@ -269,7 +269,7 @@ def test_mmse_error_decreases_with_power_when_alone():
     a = 1.0
     alpha = np.array([[a]])
     clusters = np.array([[0]])
-    assignment = PilotAssignment(pilots=[0], num_pilots=1)
+    assignment = PilotAssignment(pilots=[0])
     noise = 0.3
     prev = None
     for p in (0.5, 1.0, 2.0, 8.0):
@@ -313,7 +313,7 @@ def test_mmse_copilot_estimates_are_collinear():
     # both users' estimates at a shared RRH scale the same observation
     alpha = np.array([[1.0, 0.5]])
     clusters = np.array([[0], [0]])
-    assignment = PilotAssignment(pilots=[0, 0], num_pilots=1)
+    assignment = PilotAssignment(pilots=[0, 0])
     y = simulate_pilot_rx(3, alpha, 4, assignment, clusters, 2.0, 0.2)
     estimates, _ = mmse_estimate(y, alpha, assignment, clusters, 2.0, 0.2)
     e0, e1 = estimates[0, 0], estimates[1, 0]
@@ -324,7 +324,7 @@ def test_mmse_copilot_estimates_are_collinear():
 
 def test_mmse_estimates_follow_the_given_cluster_order():
     alpha = np.array([[1.0, 0.2], [0.5, 0.7], [0.3, 0.9]])
-    assignment = PilotAssignment(pilots=[0, 1], num_pilots=2)
+    assignment = PilotAssignment(pilots=[0, 1])
     clusters = np.array([[2, 0], [1, 2]])
 
     def estimate(links):
@@ -433,7 +433,7 @@ def _greedy_pilots(clusters: np.ndarray, order, num_pilots: int, cap: int) -> Pi
                 group.append(k)
                 pilots[k] = pilot
                 break
-    return PilotAssignment(pilots=pilots, num_pilots=num_pilots)
+    return PilotAssignment(pilots=pilots)
 
 
 @given(st.data())

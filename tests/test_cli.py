@@ -273,7 +273,7 @@ def _clashing_stage1(instance, pilot_budget, reuse_cap, **options):
     a, b = np.argwhere(np.triu(base.adjacency))[0]
     pilots = s1.assignment.pilots.copy()
     pilots[b] = pilots[a]
-    return dataclasses.replace(s1, assignment=PilotAssignment(pilots, s1.colors_used))
+    return dataclasses.replace(s1, assignment=PilotAssignment(pilots))
 
 
 def test_a_broken_pilot_assignment_fails_cleanly(monkeypatch, capsys):

@@ -72,16 +72,25 @@ def test_validate_assignment_catches_violations():
     validate_assignment(g, good, reuse_cap=2)
 
     with pytest.raises(AssertionError, match="share pilot"):
-        validate_assignment(g, PilotAssignment([0, 0, 1], 2), 2)
+        validate_assignment(g, PilotAssignment([0, 0, 1]), 2)
     with pytest.raises(AssertionError, match="cover"):
-        validate_assignment(g, PilotAssignment([0, 1, -1], 2), 2)
+        validate_assignment(g, PilotAssignment([0, 1, -1]), 2)
     with pytest.raises(AssertionError, match="reuse cap"):
-        validate_assignment(g, PilotAssignment([0, 1, 1], 2), 1)
+        validate_assignment(g, PilotAssignment([0, 1, 1]), 1)
     with pytest.raises(AssertionError, match="contiguous"):
-        validate_assignment(g, PilotAssignment([0, 2, 2], 3), 2)
-    with pytest.raises(AssertionError, match="out-of-range"):
-        validate_assignment(g, PilotAssignment([0, 1, 5], 2), 2)
+        validate_assignment(g, PilotAssignment([0, 2, 2]), 2)
+    with pytest.raises(AssertionError, match="contiguous"):
+        validate_assignment(g, PilotAssignment([0, 1, 5]), 2)
 
+
+
+def test_the_pilot_count_is_read_from_the_pilot_array():
+    # one more than the highest pilot held, 0 when nobody holds one; the
+    # count is never passed in beside the array
+    assert PilotAssignment([-1, 1, 0]).num_pilots == 2
+    assert PilotAssignment([-1, -1, -1]).num_pilots == 0
+    with pytest.raises(TypeError):
+        PilotAssignment([0, 1], 2)
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)

@@ -48,7 +48,7 @@ def _config(**overrides) -> SimConfig:
 def test_baseline_ortho_picks_budget_many_distinct_pilots():
     config = _config()
     instance = build_network(config, seed=0)
-    s1 = baseline_ortho(instance, pilot_budget=3, reuse_cap=config.reuse_cap, seed=0)
+    s1 = baseline_ortho(instance, pilot_budget=3, seed=0)
     assert s1.num_admitted == 3
     assert s1.case_taken == "ortho"
     pilots = s1.assignment.pilots[s1.admitted].tolist()
@@ -57,36 +57,34 @@ def test_baseline_ortho_picks_budget_many_distinct_pilots():
     # the holders are the users with the smallest baseline draws
     draws = uniforms(0, STREAM_BASELINE, np.arange(config.num_users))[0]
     assert set(s1.admitted.tolist()) == set(np.argsort(draws)[:3].tolist())
-    again = baseline_ortho(instance, pilot_budget=3, reuse_cap=config.reuse_cap, seed=0)
+    again = baseline_ortho(instance, pilot_budget=3, seed=0)
     np.testing.assert_array_equal(s1.admitted, again.admitted)
 
 
 def test_baseline_ortho_budget_beyond_population():
     config = _config()
     instance = build_network(config, seed=1)
-    s1 = baseline_ortho(instance, pilot_budget=50, reuse_cap=config.reuse_cap, seed=1)
+    s1 = baseline_ortho(instance, pilot_budget=50, seed=1)
     assert s1.num_admitted == config.num_users
     assert s1.colors_used == config.num_users
 
 
-def test_baseline_ortho_reports_base_colors_under_the_reuse_cap():
+def test_base_coloring_needs_more_colors_under_the_reuse_cap():
     # default scenario, seed 5: the base graph needs 5 colors without a
     # cap but 7 under the configured cap of 4
     config = SimConfig()
     instance = build_network(config, seed=5)
     base = build_base_graph(instance.clusters)
     assert dsatur_color(base, config.num_users).num_pilots == 5
-    ortho = baseline_ortho(instance, config.pilot_count, config.reuse_cap, seed=5)
-    proposed = run_stage1(instance, config.pilot_count, config.reuse_cap)
-    assert ortho.base_colors == proposed.base_colors == 7
+    assert base_coloring(instance, config.reuse_cap).num_pilots == 7
 
 
 def test_baseline_ortho_rejects_bad_budget():
     instance = build_network(SimConfig(), seed=0)
     for budget in (0, -1, 4.5, True, np.float64(3.0)):
         with pytest.raises(ValueError, match="^pilot_budget must be an integer >= 1, got "):
-            baseline_ortho(instance, budget, reuse_cap=4, seed=0)
-    assert baseline_ortho(instance, np.int64(2), reuse_cap=4, seed=0).num_admitted == 2
+            baseline_ortho(instance, budget, seed=0)
+    assert baseline_ortho(instance, np.int64(2), seed=0).num_admitted == 2
 
 
 def test_baseline_nocase2_removal_matches_proposed():
@@ -106,7 +104,8 @@ def test_baseline_nocase2_keeps_base_coloring_under_budget():
     instance = build_network(config, seed=3)
     s1 = baseline_nocase2(instance, config.pilot_count, config.reuse_cap)
     assert s1.case_taken == "base"
-    assert s1.colors_used == s1.base_colors < config.pilot_count
+    needed = base_coloring(instance, config.reuse_cap).num_pilots
+    assert s1.colors_used == needed < config.pilot_count
     assert s1.num_admitted == config.num_users
     proposed = run_stage1(instance, config.pilot_count, config.reuse_cap)
     assert proposed.case_taken == "case2"
@@ -372,7 +371,7 @@ _INTEGER_ENTRY_POINTS = {
     "run_stage1": ("pilot_budget", 1,
                    lambda v: run_stage1(build_network(_config(), seed=0), v, 2)),
     "baseline_ortho": ("pilot_budget", 1,
-                       lambda v: baseline_ortho(build_network(_config(), seed=0), v, 2, 0)),
+                       lambda v: baseline_ortho(build_network(_config(), seed=0), v, 0)),
     "enforce_fronthaul_cap": ("fronthaul_cap", 1, lambda v: enforce_fronthaul_cap(
         build_holder_table(ChannelState(holders=np.array([0]), links=np.array([[0]]),
                                         estimates=np.zeros((1, 1, 1), dtype=complex),
@@ -584,8 +583,7 @@ def _admission_key(config, row) -> tuple:
     cfg = dataclasses.replace(config, cluster_size=row.cluster_size,
                               pilot_count=row.pilot_budget)
     _, s1, _ = run_trial(cfg, row.seed, row.algorithm, return_details=True)
-    return (row.cluster_size, row.algorithm == "perfect", s1.assignment.num_pilots,
-            s1.assignment.pilots.tobytes())
+    return row.cluster_size, row.algorithm == "perfect", s1.assignment.pilots.tobytes()
 
 
 def test_campaign_makes_each_decision_and_admission_once_per_seed(monkeypatch):

@@ -47,7 +47,7 @@ def test_star_center_removed_first(star_instance):
     assert result.assignment.pilots.tolist() == [-1, 0, 0, 0, 0, 0]
     # the hub and the leaves need two pilots before any removal
     assert result.threshold is None
-    assert result.base_colors == 2 == dsatur_color(
+    assert base_coloring(star_instance, 5).num_pilots == 2 == dsatur_color(
         build_base_graph(star_instance.clusters), 5).num_pilots
 
 
@@ -92,7 +92,7 @@ def test_no_removals_when_already_within_budget(star_instance):
     assert result.num_admitted == 6
     assert result.threshold is None
     base = dsatur_color(build_base_graph(star_instance.clusters), 5)
-    assert result.base_colors == result.colors_used == base.num_pilots == 2
+    assert base_coloring(star_instance, 5).num_pilots == result.colors_used == base.num_pilots == 2
     np.testing.assert_array_equal(result.assignment.pilots, base.pilots)
 
 
@@ -101,7 +101,7 @@ def test_exact_budget_passthrough(two_triangle_instance):
     assert result.case_taken == CASE_EXACT
     assert result.removal_trace == ()
     assert result.threshold is None
-    assert result.colors_used == 3 == result.base_colors
+    assert result.colors_used == 3 == base_coloring(two_triangle_instance, 4).num_pilots
     assert result.num_admitted == 6
 
 
@@ -120,7 +120,7 @@ def test_spread_separates_strong_pairs(two_triangle_instance):
     pilots = result.assignment.pilots
     for a, b in ((0, 1), (2, 3), (4, 5)):
         assert pilots[a] != pilots[b]
-    assert result.base_colors <= result.colors_used <= 4
+    assert base_coloring(two_triangle_instance, 4).num_pilots <= result.colors_used <= 4
     assert result.threshold is not None
 
 
@@ -152,9 +152,9 @@ def test_removal_case_on_two_triangles(two_triangle_instance, monkeypatch):
     assert calls
     np.testing.assert_array_equal(result.admitted, [0, 3, 4, 5])
     assert result.colors_used == 2
-    # base_colors is the full graph's, not the survivors'
+    # the base coloring is the full graph's, not the survivors'
     assert result.threshold is None
-    assert result.base_colors == 3
+    assert base_coloring(two_triangle_instance, 4).num_pilots == 3
 
 
 def test_spread_picks_smallest_workable_threshold(four_user_spread_instance):
@@ -164,7 +164,7 @@ def test_spread_picks_smallest_workable_threshold(four_user_spread_instance):
     # completing the graph and forcing four distinct pilots
     assert result.threshold == pytest.approx(2 * math.log(2))
     assert sorted(result.assignment.pilots.tolist()) == [0, 1, 2, 3]
-    assert result.base_colors == 2
+    assert base_coloring(four_user_spread_instance, 4).num_pilots == 2
     assert result.colors_used == 4
 
 
@@ -232,9 +232,8 @@ def test_a_shared_base_gives_each_call_its_own_result(budget, made, monkeypatch)
     assert calls == Counter(made)
     for (spread, seed), shared in zip(orders, results):
         alone = call(spread, seed, dataclasses.replace(instance))
-        assert (shared.case_taken, shared.removal_trace, shared.threshold,
-                shared.base_colors) == (alone.case_taken, alone.removal_trace,
-                                        alone.threshold, alone.base_colors)
+        assert (shared.case_taken, shared.removal_trace, shared.threshold) == (
+            alone.case_taken, alone.removal_trace, alone.threshold)
         np.testing.assert_array_equal(shared.assignment.pilots, alone.assignment.pilots)
     kept = instance.memo.kept
     assert not kept[("weights",)].flags.writeable
@@ -246,7 +245,7 @@ def test_a_shared_base_gives_each_call_its_own_result(budget, made, monkeypatch)
 
 def _decision(result) -> tuple:
     """Everything a stage-1 result says, its pilots as a list."""
-    return (result.case_taken, result.removal_trace, result.threshold, result.base_colors,
+    return (result.case_taken, result.removal_trace, result.threshold,
             result.assignment.num_pilots, result.assignment.pilots.tolist())
 
 
@@ -306,13 +305,13 @@ def test_result_invariants_on_random_networks(seed, pilot_budget, reuse_cap):
 
     if result.case_taken == CASE_SPREAD:
         assert result.num_admitted == 10
-        assert result.colors_used >= result.base_colors
+        assert result.colors_used >= base_coloring(instance, reuse_cap).num_pilots
         # spread never assigns co-pilot users above the reuse cap either
         sizes = result.assignment.group_sizes()
         assert sizes.max() <= reuse_cap
 
     # a budget matching the base need leaves the user set untouched
-    rerun = run_stage1(instance, result.base_colors, reuse_cap)
+    rerun = run_stage1(instance, base_coloring(instance, reuse_cap).num_pilots, reuse_cap)
     assert rerun.removal_trace == ()
 
 
@@ -352,7 +351,7 @@ def test_spread_falls_back_to_the_base_coloring():
     assert result.case_taken == CASE_SPREAD
     assert result.threshold == pytest.approx(2 * math.log(2))
     assert result.assignment.pilots.tolist() == [0, 0, 0, 0]
-    assert result.colors_used == result.base_colors == 1
+    assert result.colors_used == base_coloring(instance, 4).num_pilots == 1
 
     # a lone user has no pair weight: the sentinel is the only candidate,
     # no probe runs, and the base coloring comes back at the sentinel 1.0

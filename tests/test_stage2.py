@@ -975,10 +975,8 @@ def _hand_round(est: np.ndarray, error_var: np.ndarray, rate_req: float,
     num_rrhs, num_users, antennas = est.shape
     instance = craft_instance(np.ones((num_rrhs, num_users)),
                               np.tile(np.arange(num_rrhs), (num_users, 1)))
-    s1 = Stage1Result(assignment=PilotAssignment(pilots=np.arange(num_users),
-                                                 num_pilots=num_users),
-                      case_taken="base", removal_trace=(), threshold=None,
-                      base_colors=num_users)
+    s1 = Stage1Result(assignment=PilotAssignment(pilots=np.arange(num_users)),
+                      case_taken="base", removal_trace=(), threshold=None)
     config = SimConfig(num_rrhs=num_rrhs, num_users=num_users, cluster_size=num_rrhs,
                        antennas_per_rrh=antennas, pilot_count=num_users, reuse_cap=1,
                        rate_req=rate_req, noise_power=1.0, fronthaul_cap=num_users,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from ucran import ALGORITHMS, SimConfig, run_campaign
+from ucran import ALGORITHMS, SimConfig, run_campaign, run_trial
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -116,3 +116,11 @@ def test_campaign_work_counts_are_pinned(name):
     counts, calls = _traced(name)
     assert counts == PINNED_COUNTS[name]
     assert calls == PINNED_CALLS[name]
+
+
+def test_a_lone_ortho_trial_makes_no_coloring():
+    # orthogonal pilots read no conflict graph: a trial run alone colors nothing
+    spans = _spans()
+    with spans.Tracer() as tracer:
+        run_trial(SimConfig(), 1, "ortho")
+    assert Counter(span[3] for span in tracer.spans)["coloring.dsatur"] == 0
