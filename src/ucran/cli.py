@@ -19,11 +19,8 @@ from .topology import FIELD_RULES, SimConfig, make_config
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("scenario parameters")
     for field in dataclasses.fields(SimConfig):     # flags in field order
-        kind, _ = FIELD_RULES[field.name]
-        options = (dict(action=argparse.BooleanOptionalAction) if kind is bool
-                   else dict(type=kind, metavar="X"))
         group.add_argument("--" + field.name.replace("_", "-"), dest=field.name,
-                           default=None, **options)
+                           type=FIELD_RULES[field.name][0], metavar="X", default=None)
     group.add_argument("--config", default=None, metavar="FILE",
                        help="key = value file with the same parameter names")
 

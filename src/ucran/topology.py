@@ -97,7 +97,6 @@ FIELD_RULES = {name: rule for rule, names in [
     ((float, math.ulp(0.0)), "area_side rrh_power_cap pilot_power noise_power min_distance"),
     ((float, 0.0), "rate_req shadowing_stddev"),
     ((float, -math.inf), "pathloss_exponent pathloss_intercept"),
-    ((bool, -math.inf), "cluster_by_gain"),
 ] for name in names.split()}
 
 
@@ -186,7 +185,6 @@ class SimConfig:
     pathloss_intercept: float = 128.1  # dB at 1 km
     shadowing_stddev: float = 8.0     # dB
     min_distance: float = 1.0         # m, clamp below this
-    cluster_by_gain: bool = False     # rank candidate RRHs by gain instead of distance
     master_seed: int = 1
 
     def __post_init__(self):
@@ -194,9 +192,8 @@ class SimConfig:
             value = getattr(self, name)
             if kind is int:
                 check_integer(name, value, least)
-            elif isinstance(value, bool) != (kind is bool) or not isinstance(value, numbers.Real):
-                what = "a bool" if kind is bool else "a real number"
-                raise ValueError(f"{name} must be {what}, got {_shown(value)}")
+            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {_shown(value)}")
             elif not _finite(float, value):
                 raise ValueError(f"{name} must be finite, got {_shown(value)}")
             elif float(value) < least:
@@ -286,7 +283,7 @@ def build_network(config: SimConfig, seed: int) -> NetworkInstance:
     """Placement, large-scale gains and clusters for one trial seed.
 
     RRHs and users drop i.i.d. uniformly over the square service area.
-    Clusters rank RRHs by distance, or by gain with ``cluster_by_gain``.
+    Each user's cluster is its ``cluster_size`` nearest RRHs.
     The placement and shadowing streams read no cluster size, so every
     cluster size of a seed sees the same positions and gains.
     """
@@ -295,17 +292,12 @@ def build_network(config: SimConfig, seed: int) -> NetworkInstance:
     users = rng.uniform(0.0, config.area_side, size=(config.num_users, 2))
     distances = pairwise_distances(rrh, users)
     alpha = compute_large_scale(distances, config, seed)
-    clusters = build_clusters(-alpha if config.cluster_by_gain else distances,
-                              config.cluster_size)
+    clusters = build_clusters(distances, config.cluster_size)
     return NetworkInstance(rrh_positions=rrh, user_positions=users,
                            alpha=alpha, clusters=clusters)
 
 
 # --- plain-text config files -------------------------------------------------
-
-_BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,
-                 "yes": True, "no": False}
-
 
 def load_config_file(path: str | Path) -> dict:
     """Parse a ``key = value`` config file into a dict of SimConfig fields.
@@ -328,11 +320,10 @@ def load_config_file(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
         text, target_type = text.strip(), FIELD_RULES[key][0]
         try:
-            values[key] = _BOOL_STRINGS[text.lower()] if target_type is bool else target_type(text)
-        except (KeyError, ValueError):
-            kind = "boolean" if target_type is bool else target_type.__name__
+            values[key] = target_type(text)
+        except ValueError:
             raise ValueError(f"{path}:{lineno}: config key {key!r}: cannot parse "
-                             f"{kind} from {text!r}") from None
+                             f"{target_type.__name__} from {text!r}") from None
     return values
 
 

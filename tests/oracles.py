@@ -20,7 +20,8 @@ match bit for bit:
   :func:`dsatur_reference`, :func:`exact_capped_chromatic` and
   :func:`greedy_clique_bound` (math);
 - case-1 removal: :func:`select_users_case1_reference`, recoloring after
-  every removal (math);
+  every removal, and :func:`max_colorable_users`, the most users any
+  removal can keep, by branch and bound (math);
 - fronthaul cap: :func:`fronthaul_serving_sets` (math) and
   :func:`fronthaul_cap_whole_reference` (byte);
 - beams: :func:`beam_systems_reference` (math) and
@@ -494,6 +495,80 @@ def exact_capped_chromatic(adjacency: np.ndarray, cap: int) -> int:
         if feasible(0):
             return num_colors
     raise RuntimeError("unreachable: n colors always suffice")
+
+
+def max_colorable_users(adjacency: np.ndarray, budget: int, cap: int) -> int:
+    """Size of the largest vertex set that colors properly with at most
+    ``budget`` colors of at most ``cap`` vertices each.
+
+    Branch and bound over the vertices in descending degree, the most
+    constrained first: each joins a color in use, the first unused one (so
+    no two branches differ by a renaming of colors) or no color.  A branch
+    ends once its size plus either bound on what the vertices still to
+    come can add cannot beat the best set found: the room left in each
+    color open to one of them, or, over cliques split off greedily once,
+    per clique the lesser of its members still to come and the colors open
+    to it (a clique puts at most one vertex in each color).  Exponential;
+    keep the graph small."""
+    n = adjacency.shape[0]
+    order = sorted(range(n), key=lambda v: (-adjacency[v].sum(), v))
+    # neighbour bitmask of each vertex, in search order
+    position = {v: i for i, v in enumerate(order)}
+    neighbours = [sum(1 << position[u] for u in np.flatnonzero(adjacency[v]).tolist())
+                  for v in order]
+    cliques: list[int] = []     # bitmask of each clique
+    for v in range(n):
+        joined = next((i for i, q in enumerate(cliques) if q & neighbours[v] == q), None)
+        if joined is None:
+            cliques.append(1 << v)
+        else:
+            cliques[joined] |= 1 << v
+    # per color in use: its members' neighbours, and its size
+    blocked: list[int] = []
+    counts: list[int] = []
+    best = 0
+
+    def bound(v: int) -> int:
+        to_come = (1 << n) - (1 << v)
+        fits = [to_come & ~b if count < cap else 0 for b, count in zip(blocked, counts)]
+        unused = budget - len(counts)
+        room = sum(min(cap - count, fit.bit_count()) for count, fit in zip(counts, fits))
+        by_room = room + unused * min(cap, to_come.bit_count())
+        if not unused:
+            to_come = 0
+            for fit in fits:
+                to_come |= fit
+        by_cliques = 0
+        for q in cliques:
+            waiting = (q & to_come).bit_count()
+            if waiting:
+                # a color holding a member of q is closed to the rest of q
+                by_cliques += min(waiting, unused + sum(1 for fit in fits if fit & q))
+        return min(by_room, by_cliques)
+
+    def search(v: int, size: int) -> None:
+        nonlocal best
+        best = max(best, size)
+        if v == n or size + bound(v) <= best:
+            return
+        for c in range(min(len(counts) + 1, budget)):
+            if c == len(counts):
+                blocked.append(0)
+                counts.append(0)
+            elif counts[c] == cap or blocked[c] >> v & 1:
+                continue
+            kept = blocked[c]
+            blocked[c] |= neighbours[v]
+            counts[c] += 1
+            search(v + 1, size + 1)
+            blocked[c] = kept
+            counts[c] -= 1
+            if not counts[c]:
+                del blocked[c], counts[c]
+        search(v + 1, size)
+
+    search(0, 0)
+    return best
 
 
 def greedy_clique_bound(adjacency: np.ndarray) -> int:

@@ -1,6 +1,7 @@
 """Acceptance gate: eleven go/no-go checks at the reference scale, one at
 the ultra-dense point, one on robust transmission, one on the case-2
-spread, one on densification at fixed users and one on pilot reuse.
+spread, one on densification at fixed users, one on pilot reuse and one
+on case-1 removal against its exact optimum.
 
 Each test prints one [PASS]/[FAIL] line (never captured) so the verdicts
 survive any pytest output mode.  The three Monte Carlo campaigns are shared
@@ -31,13 +32,15 @@ from ucran import (
     validate_assignment,
 )
 from ucran.conflict_graph import ConflictGraph
-from ucran.harness import audit_solution
-from ucran.stage1 import CASE_SPREAD
+from ucran.harness import audit_solution, baseline_con
+from ucran.stage1 import CASE_REMOVAL, CASE_SPREAD
 from ucran.stage2 import power_allocation_fixed_point
 from oracles import (
     admission_with_beam_loading,
+    base_graph_on,
     exact_capped_chromatic,
     greedy_clique_bound,
+    max_colorable_users,
     max_served_reference,
     mc_ergodic_rate,
     scatter_links,
@@ -445,3 +448,31 @@ def test_criterion_16_pilot_reuse_pays(capsys):
              "more at each larger cap; the perfect-CSI gap is wider at cap 16 than at 4)",
              "; ".join(lines))
 
+
+def test_criterion_17_case1_removal_gap_to_optimum(capsys):
+    # greedy removal against the largest user set that colors within the
+    # budget under the reuse cap, found by branch and bound on 16 users
+    gaps = {"proposed": Counter(), "con": Counter()}
+    ok = True
+    for size in (2, 4, 6):
+        for budget in (2, 3, 4):
+            cell = SimConfig(num_users=16, cluster_size=size, pilot_count=budget)
+            for seed in range(1, 31):
+                instance = build_network(cell, seed)
+                proposed = run_stage1(instance, budget, cell.reuse_cap)
+                if proposed.case_taken != CASE_REMOVAL:
+                    continue
+                con = baseline_con(instance, budget, cell.reuse_cap, seed)
+                adjacency, _ = base_graph_on(instance.clusters, range(cell.num_users))
+                optimum = max_colorable_users(adjacency, budget, cell.reuse_cap)
+                for name, result in (("proposed", proposed), ("con", con)):
+                    ok = ok and result.num_admitted <= optimum
+                    gaps[name][optimum - result.num_admitted] += 1
+    total = {name: sum(gap * count for gap, count in gap_counts.items())
+             for name, gap_counts in gaps.items()}
+    ok = ok and total["proposed"] < total["con"]
+    _verdict(capsys, ok, "criterion 17 (case-1 removal never above the exact optimum; "
+             "proposed closer to it than con in total)",
+             f"optimum minus admitted over {sum(gaps['proposed'].values())} case-1 trials: "
+             + ", ".join(f"{name} {dict(sorted(gap_counts.items()))} ({total[name]} users)"
+                         for name, gap_counts in gaps.items()))

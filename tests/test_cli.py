@@ -123,6 +123,7 @@ def test_empty_or_repeated_sweep_list_fails(flag, value, shown, capsys):
     (["trial", "--num-rrhs", "abc"], "argument --num-rrhs: invalid int value: 'abc'"),
     (["trial", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
     (["trial", "--algorithm", "nope"], "argument --algorithm: invalid choice: 'nope'"),
+    (["trial", "--cluster-by-gain"], "unrecognized arguments: --cluster-by-gain"),
 ])
 def test_flag_values_argparse_rejects_exit_2_with_usage(command, message, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from ucran import (PilotAssignment, SimConfig, build_base_graph, build_network, 
                    validate_assignment)
 from ucran.conflict_graph import ConflictGraph
 
-from oracles import dsatur_reference, exact_capped_chromatic, greedy_clique_bound
+from oracles import (dsatur_reference, exact_capped_chromatic, greedy_clique_bound,
+                     max_colorable_users)
 
 
 def graph_from_edges(num_users: int, edges, active=None) -> ConflictGraph:
@@ -211,6 +214,18 @@ def test_never_beats_exhaustive_optimum(seed, cap, num_users):
     assignment = dsatur_color(g, reuse_cap=cap)
     optimum = exact_capped_chromatic(g.adjacency, cap)
     assert assignment.num_pilots >= optimum
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(1, 3), st.integers(1, 7),
+       st.floats(0.1, 0.9))
+@settings(max_examples=40, deadline=None)
+def test_max_colorable_users_matches_exhaustive_search(seed, budget, cap, num_users, p):
+    # the case-1 oracle: the largest user subset whose exact capped coloring fits
+    adjacency = random_graph(seed, num_users, p).adjacency
+    want = max(size for size in range(num_users + 1)
+               for subset in itertools.combinations(range(num_users), size)
+               if exact_capped_chromatic(adjacency[np.ix_(subset, subset)], cap) <= budget)
+    assert max_colorable_users(adjacency, budget, cap) == want
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])

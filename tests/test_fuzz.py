@@ -48,7 +48,6 @@ def _configs(draw) -> dict:
         pathloss_intercept=draw(st.floats(-3000.0, 3000.0)),
         shadowing_stddev=draw(st.floats(0.0, 1000.0)),
         min_distance=draw(_magnitudes(-6, 6)),
-        cluster_by_gain=draw(st.booleans()),
     )
 
 

@@ -89,9 +89,6 @@ def test_config_rejects_non_finite_floats(field, value):
     ("area_side", 1 + 0j, "a real number"),
     ("noise_power", True, "a real number"),
     ("pilot_power", np.bool_(True), "a real number"),
-    ("cluster_by_gain", "no", "a bool"),
-    ("cluster_by_gain", 1, "a bool"),
-    ("cluster_by_gain", np.bool_(False), "a bool"),
     pytest.param("num_rrhs", "36", "an integer >= 1", id="num_rrhs-36-an integer"),
 ])
 def test_config_rejects_wrongly_typed_fields(field, value, kind):
@@ -99,9 +96,13 @@ def test_config_rejects_wrongly_typed_fields(field, value, kind):
         SimConfig(**{field: value})
 
 
+def test_config_rejects_the_removed_cluster_by_gain_field():
+    with pytest.raises(TypeError, match="cluster_by_gain"):
+        SimConfig(cluster_by_gain=True)
+
+
 def test_config_accepts_any_real_number_in_float_fields():
-    cfg = SimConfig(area_side=700, rate_req=np.float32(2.0), pilot_power=np.int64(200),
-                    cluster_by_gain=True)
+    cfg = SimConfig(area_side=700, rate_req=np.float32(2.0), pilot_power=np.int64(200))
     assert (cfg.area_side, cfg.rate_req, cfg.pilot_power) == (700, 2.0, 200)
     other = SimConfig(pilot_power=Fraction(200), noise_power=np.float16(200.0),
                       rate_req=np.longdouble(4.0), num_users=np.int64(24))
@@ -110,7 +111,7 @@ def test_config_accepts_any_real_number_in_float_fields():
     # every field is stored as its plain Python type, never a numpy scalar or a Fraction
     for config in (cfg, other):
         for field in dataclasses.fields(SimConfig):
-            expected = {"float": float, "int": int, "bool": bool}[field.type]
+            expected = {"float": float, "int": int}[field.type]
             assert type(getattr(config, field.name)) is expected, field.name
 
 
@@ -268,16 +269,14 @@ def test_build_clusters_matches_the_stable_argsort_bit_for_bit(data):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("by_gain", [False, True])
-def test_build_network_composes_everything(by_gain):
-    cfg = SimConfig(num_rrhs=12, num_users=6, cluster_size=3, cluster_by_gain=by_gain)
+def test_build_network_composes_everything():
+    cfg = SimConfig(num_rrhs=12, num_users=6, cluster_size=3)
     inst = build_network(cfg, seed=5)
     assert inst.alpha.shape == (12, 6)
     assert inst.clusters.shape == (6, 3)
     assert (inst.alpha > 0).all()
-    # each user's cluster is its best RRHs under the configured ranking
-    key = -inst.alpha if by_gain else pairwise_distances(inst.rrh_positions,
-                                                         inst.user_positions)
+    # each user's cluster is its nearest RRHs
+    key = pairwise_distances(inst.rrh_positions, inst.user_positions)
     for k in range(6):
         best = np.argsort(key[:, k], kind="stable")[:3]
         np.testing.assert_array_equal(inst.clusters[k], best)
@@ -297,14 +296,14 @@ def test_config_file_roundtrip(tmp_path):
         "# scenario\n"
         "num_users = 10\n"
         "cluster_size = 2   # trailing comment\n"
-        "cluster_by_gain = true\n"
+        "shadowing_stddev = 6.5\n"
         "noise_power = 1e-9\n"
         "\n")
     values = load_config_file(path)
     assert values == {"num_users": 10, "cluster_size": 2,
-                      "cluster_by_gain": True, "noise_power": 1e-9}
+                      "shadowing_stddev": 6.5, "noise_power": 1e-9}
     cfg = make_config(path)
-    assert cfg.num_users == 10 and cfg.cluster_by_gain is True
+    assert cfg.num_users == 10 and cfg.shadowing_stddev == 6.5
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -335,17 +334,10 @@ def test_config_file_rejects_malformed_lines(tmp_path):
         load_config_file(path)
 
 
-def test_config_file_rejects_bad_bool(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("cluster_by_gain = maybe\n")
-    with pytest.raises(ValueError, match="boolean"):
-        load_config_file(path)
-
-
 @pytest.mark.parametrize("line,message", [
     ("master_seed = 1.5", "config key 'master_seed': cannot parse int from '1.5'"),
     ("noise_power = 1e-9W", "config key 'noise_power': cannot parse float from '1e-9W'"),
-    ("cluster_by_gain = maybe", "config key 'cluster_by_gain': cannot parse boolean from 'maybe'"),
+    ("cluster_by_gain = true", "unknown config key 'cluster_by_gain'"),
 ])
 def test_config_file_bad_value_names_file_line_and_key(tmp_path, line, message):
     path = tmp_path / "bad.cfg"
