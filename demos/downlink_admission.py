@@ -17,7 +17,8 @@ s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
 print(f"stage 1: {s1.num_admitted} pilot holders ({s1.case_taken}), "
       f"{s1.colors_used} pilots in use")
 
-state = build_channel_state(instance, s1.assignment, config, seed=11)
+# the fading and pilot noise are those of the seed the network was built from
+state = build_channel_state(instance, s1.assignment, config)
 solution = admission_loop(instance, s1, state, config)
 
 print(f"stage 2: {solution.num_served} of {s1.num_admitted} served "
@@ -38,6 +39,6 @@ print(f"fronthaul loads (cap {config.fronthaul_cap}): max {loads.max()}, "
       f"busy RRHs {(loads > 0).sum()}")
 
 # perfect estimates at the same fading: the admission headroom grows
-perfect = build_channel_state(instance, s1.assignment, config, seed=11, perfect=True)
+perfect = build_channel_state(instance, s1.assignment, config, perfect=True)
 ideal = admission_loop(instance, s1, perfect, config)
 print(f"\nsame drop with perfect intra-cluster CSI: {ideal.num_served} served")

@@ -13,18 +13,17 @@ pilot budget over shared seeds and emits CSV campaigns.
 from .channel import build_channel_state, link_channels, mmse_estimate, simulate_pilot_rx
 from .coloring import PilotAssignment, dsatur_color, validate_assignment
 from .conflict_graph import build_base_graph, interference_matrix
-from .harness import ALGORITHMS, CampaignReport, run_campaign, run_trial, write_csv
+from .harness import ALGORITHMS, run_campaign, run_trial, write_csv
 from .stage1 import run_stage1
 from .stage2 import admission_loop
 from .topology import SimConfig, build_network, make_config, pairwise_distances
 
 __version__ = "0.1.0"
 
-# The names the README, the demos and the command line use; everything
-# else is imported from its submodule.
+# The names the README, the demos and the tests import from the package;
+# everything else is imported from its submodule.
 __all__ = [
     "ALGORITHMS",
-    "CampaignReport",
     "PilotAssignment",
     "SimConfig",
     "admission_loop",

@@ -152,22 +152,21 @@ def perfect_csi(seed: int, alpha: np.ndarray, antennas: int, links: np.ndarray,
 
 
 def build_channel_state(instance: NetworkInstance, assignment: PilotAssignment,
-                        config: SimConfig, seed: int, perfect: bool = False) -> ChannelState:
-    """Run the pilot phase on the seed's fading and estimate on each pilot
-    holder's cluster links in ascending RRH order.
+                        config: SimConfig, perfect: bool = False) -> ChannelState:
+    """Run the pilot phase on the fading of the network's seed and estimate
+    on each pilot holder's cluster links in ascending RRH order.
 
-    Perfect and imperfect modes read the same channels for the same seed,
-    and so does every call for that seed whatever its pilots.  ValueError
-    for a bad seed, or when an error variance or estimate is not finite
-    (extreme gains).
+    Perfect and imperfect modes read the same channels for the same network,
+    and so does every call on it whatever its pilots.  ValueError for a bad
+    seed, or when an error variance or estimate is not finite (extreme gains).
     """
     alpha, antennas, holders = instance.alpha, config.antennas_per_rrh, assignment.users
     links = np.sort(instance.clusters[holders], axis=1)
     if perfect:
-        estimates, error_var = perfect_csi(seed, alpha, antennas, links, holders)
+        estimates, error_var = perfect_csi(instance.seed, alpha, antennas, links, holders)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            y = simulate_pilot_rx(seed, alpha, antennas, assignment, links,
+            y = simulate_pilot_rx(instance.seed, alpha, antennas, assignment, links,
                                   config.pilot_power, config.noise_power)
             estimates, error_var = mmse_estimate(
                 y, alpha, assignment, links, config.pilot_power, config.noise_power)

@@ -4,8 +4,8 @@ and CSV emission.
 Seeds fan out as master_seed + j for j in range(num_seeds), and every
 (cluster size, pilot budget, algorithm) cell reuses the same seed list, so
 all algorithms and sweep points see identical placements, shadowing and
-fading.  The baselines' random user picks read their own keyed stream
-(:func:`baseline_draws`) and cannot shift the physics.
+fading.  A network carries its seed; its baselines' random user picks read
+their own stream of it (:func:`baseline_draws`) and cannot shift the physics.
 
 A campaign runs its trials seed by seed, and every trial of a seed
 shares that seed's work through one :class:`~ucran.topology.Memo`: per
@@ -25,11 +25,11 @@ first failure in seed order.
 Within a seed's memo, what each key's value reads (every other config
 field is fixed for a campaign):
 
-- ``("network", L)``: the seed and L.  Its positions and ``alpha`` come
-  from the placement and shadowing streams, which read no L (tested), so
-  every cluster size of a seed sees the same ones.
-- ``("admission", L, perfect, pilots)``: that network, the seed, the CSI
-  mode and the pilots; stage 1's admitted users are the pilot holders and
+- ``("network", L)``: the seed, which the network carries, and L.  Its
+  positions and ``alpha`` come from the placement and shadowing streams,
+  which read no L (tested): every cluster size of a seed sees the same ones.
+- ``("admission", L, perfect, pilots)``: that network, with its seed, the
+  CSI mode and the pilots; stage 1's admitted users are the pilot holders and
   its pilot count is one more than the highest pilot, so nothing else of
   the stage-1 result is read.
 """
@@ -85,12 +85,12 @@ class TrialResult:
                 f"{self.max_rrh_power_mw:.10g}", self.case_taken, self.colors_used]
 
 
-def baseline_draws(seed: int, num_users: int) -> np.ndarray:
-    """One float in (0, 1) per user: u1 at counters 0..K-1 of the baseline stream."""
-    return uniforms(seed, STREAM_BASELINE, np.arange(num_users))[0]
+def baseline_draws(instance: NetworkInstance) -> np.ndarray:
+    """One float in (0, 1) per user: u1 at counters 0..K-1 of the network's baseline stream."""
+    return uniforms(instance.seed, STREAM_BASELINE, np.arange(instance.num_users))[0]
 
 
-def baseline_ortho(instance: NetworkInstance, pilot_budget: int, seed: int) -> Stage1Result:
+def baseline_ortho(instance: NetworkInstance, pilot_budget: int) -> Stage1Result:
     """Orthogonal pilots for the min(budget, K) users of least baseline draw.
 
     The pick ignores the conflict graph and reads no pilot-interference
@@ -98,7 +98,7 @@ def baseline_ortho(instance: NetworkInstance, pilot_budget: int, seed: int) -> S
     check_integer("pilot_budget", pilot_budget)
     num_users = instance.num_users
     count = min(pilot_budget, num_users)
-    chosen = np.sort(np.argsort(baseline_draws(seed, num_users), kind="stable")[:count])
+    chosen = np.sort(np.argsort(baseline_draws(instance), kind="stable")[:count])
     pilots = np.full(num_users, -1, dtype=np.int64)
     pilots[chosen] = np.arange(count)
     return Stage1Result(assignment=PilotAssignment(pilots=pilots),
@@ -115,15 +115,14 @@ def baseline_nocase2(instance: NetworkInstance, pilot_budget: int,
     return run_stage1(instance, pilot_budget, reuse_cap, spread=False)
 
 
-def baseline_con(instance: NetworkInstance, pilot_budget: int, reuse_cap: int,
-                 seed: int) -> Stage1Result:
+def baseline_con(instance: NetworkInstance, pilot_budget: int, reuse_cap: int) -> Stage1Result:
     """Conventional removal: over-budget colorings shed users picked by
     :func:`baseline_draws`, not the highest-conflict ones; otherwise as baseline_nocase2.
 
     Trials call :func:`~ucran.stage1.run_stage1` with the same flags;
     this name stays because perfbench/spans.py wraps it."""
     return run_stage1(instance, pilot_budget, reuse_cap, spread=False,
-                      draws=baseline_draws(seed, instance.num_users))
+                      draws=baseline_draws(instance))
 
 
 class AuditError(AssertionError):
@@ -182,9 +181,9 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
     size, budget, cap = config.cluster_size, config.pilot_count, config.reuse_cap
     instance = physics.once(("network", size), lambda: build_network(config, seed))
     if algorithm == ALG_ORTHO:
-        s1 = baseline_ortho(instance, budget, seed)
+        s1 = baseline_ortho(instance, budget)
     else:
-        draws = baseline_draws(seed, instance.num_users) if algorithm == ALG_CON else None
+        draws = baseline_draws(instance) if algorithm == ALG_CON else None
         s1 = run_stage1(instance, budget, cap, spread=algorithm in (ALG_PROPOSED, ALG_PERFECT),
                         draws=draws)
     read_only(s1)
@@ -198,7 +197,7 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
     perfect, pilots = algorithm == ALG_PERFECT, s1.assignment
 
     def admit() -> AdmissionSolution:
-        state = build_channel_state(instance, pilots, config, seed, perfect=perfect)
+        state = build_channel_state(instance, pilots, config, perfect=perfect)
         return admission_loop(instance, s1, state, config)
 
     # the inputs of both stages that differ between a campaign's trials of one seed

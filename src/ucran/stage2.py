@@ -336,7 +336,8 @@ def rrh_power_share(beams: LocalBeams) -> np.ndarray:
 @dataclass(frozen=True)
 class PowerControlResult:
     feasible: bool
-    powers: np.ndarray    # fixed point if feasible, else the last iterate
+    powers: np.ndarray    # fixed point if feasible, else the last iterate; zeros on "margin",
+                          # where no iterate runs and _victim reads the margins instead
     reason: str           # "", "margin", "ceiling", "rrh_cap", "no_convergence"
     margins: np.ndarray   # per-user signal margin at the effective target
 

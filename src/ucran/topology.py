@@ -214,15 +214,17 @@ class NetworkInstance:
     and immutable after: its arrays are read-only.
 
     ``alpha[i, k]`` is the linear large-scale power gain from RRH i to user k,
-    ``clusters[k]`` the candidate serving set (best RRHs first).  ``memo``
-    keeps what later layers derive from these arrays alone; a copy made by
-    ``dataclasses.replace`` starts with an empty one.
+    ``clusters[k]`` the candidate serving set (best RRHs first), ``seed`` the
+    trial seed whose streams the fading, pilot noise and baseline picks read.
+    ``memo`` keeps what later layers derive from these fields, the seed among
+    them; a copy made by ``dataclasses.replace`` starts with an empty one.
     """
 
     rrh_positions: np.ndarray    # (I, 2) m
     user_positions: np.ndarray   # (K, 2) m
     alpha: np.ndarray            # (I, K) linear gain
     clusters: np.ndarray         # (K, L) RRH indices
+    seed: int                    # the trial seed
     memo: Memo = dataclasses.field(default_factory=Memo, init=False, repr=False,
                                    compare=False)
 
@@ -261,7 +263,7 @@ def compute_large_scale(distances: np.ndarray, config: SimConfig, seed: int) -> 
 
 def build_clusters(key: np.ndarray, cluster_size: int) -> np.ndarray:
     """Candidate serving sets (K, L): per user k, the ``cluster_size`` RRHs i
-    with the smallest ``key[i, k]`` (a distance, or a negated gain), best
+    with the smallest ``key[i, k]``, an RRH-to-user distance, nearest
     first; ties break toward the lower RRH index.
 
     Only the candidates at or below each user's L-th smallest key are
@@ -280,7 +282,7 @@ def build_clusters(key: np.ndarray, cluster_size: int) -> np.ndarray:
 
 
 def build_network(config: SimConfig, seed: int) -> NetworkInstance:
-    """Placement, large-scale gains and clusters for one trial seed.
+    """Placement, large-scale gains and clusters for one trial seed, kept on the network.
 
     RRHs and users drop i.i.d. uniformly over the square service area.
     Each user's cluster is its ``cluster_size`` nearest RRHs.
@@ -294,7 +296,7 @@ def build_network(config: SimConfig, seed: int) -> NetworkInstance:
     alpha = compute_large_scale(distances, config, seed)
     clusters = build_clusters(distances, config.cluster_size)
     return NetworkInstance(rrh_positions=rrh, user_positions=users,
-                           alpha=alpha, clusters=clusters)
+                           alpha=alpha, clusters=clusters, seed=seed)
 
 
 # --- plain-text config files -------------------------------------------------

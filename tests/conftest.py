@@ -2,6 +2,8 @@
 
 Positions are dummies: stage-1 code only reads ``alpha`` and ``clusters``,
 so fixtures set those directly instead of reverse-engineering placements.
+The seed, 0 unless given, is the one whose streams the channel state and
+the baselines read.
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ import pytest
 from ucran.topology import NetworkInstance
 
 
-def craft_instance(alpha: np.ndarray, clusters: np.ndarray) -> NetworkInstance:
+def craft_instance(alpha: np.ndarray, clusters: np.ndarray, seed: int = 0) -> NetworkInstance:
     num_rrhs, num_users = alpha.shape
     return NetworkInstance(
         rrh_positions=np.zeros((num_rrhs, 2)),
         user_positions=np.zeros((num_users, 2)),
         alpha=np.asarray(alpha, dtype=float),
         clusters=np.asarray(clusters, dtype=np.int64),
+        seed=seed,
     )
 
 

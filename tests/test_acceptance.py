@@ -245,7 +245,7 @@ def test_criterion_9_rate_bound_below_monte_carlo(capsys):
     while checked < 20:
         instance = build_network(config, seed)
         s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
-        state = build_channel_state(instance, s1.assignment, config, seed)
+        state = build_channel_state(instance, s1.assignment, config)
         solution = admission_loop(instance, s1, state, config)
         seed += 1
         if solution.num_served == 0:
@@ -312,7 +312,7 @@ def test_criterion_11_admission_gap_to_exact_optimum(capsys):
                 if s1.num_admitted > 12:
                     skipped += 1
                     continue
-                state = build_channel_state(instance, s1.assignment, config, seed)
+                state = build_channel_state(instance, s1.assignment, config)
                 greedy = admission_loop(instance, s1, state, config).num_served
                 optimum = max_served_reference(instance, s1, state, config)
                 problems += audit_solution(optimum, config, s1.admitted)
@@ -355,7 +355,7 @@ def test_criterion_13_robust_transmission_pays(capsys):
         for seed in range(config.master_seed, config.master_seed + 30):
             instance = build_network(config, seed)
             s1 = run_stage1(instance, budget, config.reuse_cap)
-            state = build_channel_state(instance, s1.assignment, config, seed)
+            state = build_channel_state(instance, s1.assignment, config)
             intra = np.zeros(state.error_var.shape, dtype=bool)
             intra[state.links, np.arange(len(state.holders))[:, None]] = True
             solutions = {"both": admission_loop(instance, s1, state, config)}
@@ -462,7 +462,7 @@ def test_criterion_17_case1_removal_gap_to_optimum(capsys):
                 proposed = run_stage1(instance, budget, cell.reuse_cap)
                 if proposed.case_taken != CASE_REMOVAL:
                     continue
-                con = baseline_con(instance, budget, cell.reuse_cap, seed)
+                con = baseline_con(instance, budget, cell.reuse_cap)
                 adjacency, _ = base_graph_on(instance.clusters, range(cell.num_users))
                 optimum = max_colorable_users(adjacency, budget, cell.reuse_cap)
                 for name, result in (("proposed", proposed), ("con", con)):

@@ -343,7 +343,7 @@ def test_estimates_exist_only_inside_clusters():
                     area_side=300.0)
     instance = build_network(cfg, seed=5)
     s1 = run_stage1(instance, cfg.pilot_count, cfg.reuse_cap)
-    state = build_channel_state(instance, s1.assignment, cfg, seed=5)
+    state = build_channel_state(instance, s1.assignment, cfg)
     holders = s1.assignment.users
     assert holders.size < 6
     np.testing.assert_array_equal(state.holders, holders)
@@ -374,7 +374,7 @@ def test_perfect_mode_copies_channels():
     cfg = SimConfig(num_rrhs=6, num_users=4, cluster_size=2, area_side=200.0)
     instance = build_network(cfg, seed=1)
     s1 = run_stage1(instance, cfg.pilot_count, cfg.reuse_cap)
-    state = build_channel_state(instance, s1.assignment, cfg, seed=1, perfect=True)
+    state = build_channel_state(instance, s1.assignment, cfg, perfect=True)
     # the true channels are the seed's values on the fading stream, taken
     # at the holders' columns as the state keeps them
     users = s1.admitted
@@ -393,8 +393,8 @@ def test_perfect_and_imperfect_share_fading():
     cfg = SimConfig(num_rrhs=6, num_users=4, cluster_size=2, area_side=200.0)
     instance = build_network(cfg, seed=8)
     s1 = run_stage1(instance, cfg.pilot_count, cfg.reuse_cap)
-    imperfect = build_channel_state(instance, s1.assignment, cfg, seed=8)
-    perfect = build_channel_state(instance, s1.assignment, cfg, seed=8, perfect=True)
+    imperfect = build_channel_state(instance, s1.assignment, cfg)
+    perfect = build_channel_state(instance, s1.assignment, cfg, perfect=True)
     # both modes read the seed's channels: perfect mode copies them, and
     # the pilot phase observes them under the seed's pilot noise
     h = channels_reference(instance.alpha, cfg.antennas_per_rrh, 8)
@@ -406,6 +406,12 @@ def test_perfect_and_imperfect_share_fading():
                                          cfg.pilot_power, cfg.noise_power)
     np.testing.assert_array_equal(imperfect.estimates, estimates)
     np.testing.assert_array_equal(imperfect.error_var, error_var)
+
+
+def test_a_crafted_network_carries_seed_0_unless_given_one():
+    alpha, clusters = np.ones((2, 3)), np.array([[0], [1], [0]])
+    assert craft_instance(alpha, clusters).seed == 0
+    assert craft_instance(alpha, clusters, 7).seed == 7
 
 
 def test_perfect_csi_direct():
@@ -458,7 +464,7 @@ def test_channel_state_matches_the_whole_array_oracles_bit_for_bit(data):
     assignment = _greedy_pilots(clusters, rng.permutation(num_users).tolist(), num_pilots, cap)
     config = SimConfig(num_rrhs=num_rrhs, num_users=num_users, cluster_size=size,
                        antennas_per_rrh=antennas, pilot_count=num_pilots, reuse_cap=cap)
-    state = build_channel_state(craft_instance(alpha, clusters), assignment, config, seed,
+    state = build_channel_state(craft_instance(alpha, clusters, seed), assignment, config,
                                 perfect=perfect)
 
     h = channels_reference(alpha, antennas, seed)

@@ -22,7 +22,7 @@ from ucran import (
     validate_assignment,
     write_csv,
 )
-from ucran.channel import ChannelState
+from ucran.channel import ChannelState, build_channel_state
 from ucran.harness import (
     CSV_HEADER,
     audit_solution,
@@ -48,7 +48,7 @@ def _config(**overrides) -> SimConfig:
 def test_baseline_ortho_picks_budget_many_distinct_pilots():
     config = _config()
     instance = build_network(config, seed=0)
-    s1 = baseline_ortho(instance, pilot_budget=3, seed=0)
+    s1 = baseline_ortho(instance, pilot_budget=3)
     assert s1.num_admitted == 3
     assert s1.case_taken == "ortho"
     pilots = s1.assignment.pilots[s1.admitted].tolist()
@@ -57,14 +57,14 @@ def test_baseline_ortho_picks_budget_many_distinct_pilots():
     # the holders are the users with the smallest baseline draws
     draws = uniforms(0, STREAM_BASELINE, np.arange(config.num_users))[0]
     assert set(s1.admitted.tolist()) == set(np.argsort(draws)[:3].tolist())
-    again = baseline_ortho(instance, pilot_budget=3, seed=0)
+    again = baseline_ortho(instance, pilot_budget=3)
     np.testing.assert_array_equal(s1.admitted, again.admitted)
 
 
 def test_baseline_ortho_budget_beyond_population():
     config = _config()
     instance = build_network(config, seed=1)
-    s1 = baseline_ortho(instance, pilot_budget=50, seed=1)
+    s1 = baseline_ortho(instance, pilot_budget=50)
     assert s1.num_admitted == config.num_users
     assert s1.colors_used == config.num_users
 
@@ -83,8 +83,8 @@ def test_baseline_ortho_rejects_bad_budget():
     instance = build_network(SimConfig(), seed=0)
     for budget in (0, -1, 4.5, True, np.float64(3.0)):
         with pytest.raises(ValueError, match="^pilot_budget must be an integer >= 1, got "):
-            baseline_ortho(instance, budget, seed=0)
-    assert baseline_ortho(instance, np.int64(2), seed=0).num_admitted == 2
+            baseline_ortho(instance, budget)
+    assert baseline_ortho(instance, np.int64(2)).num_admitted == 2
 
 
 def test_baseline_nocase2_removal_matches_proposed():
@@ -115,7 +115,7 @@ def test_baseline_nocase2_keeps_base_coloring_under_budget():
 def test_baseline_con_random_removal_valid_and_deterministic():
     config = _config(pilot_count=1)
     instance = build_network(config, seed=4)
-    s1 = baseline_con(instance, config.pilot_count, config.reuse_cap, seed=4)
+    s1 = baseline_con(instance, config.pilot_count, config.reuse_cap)
     assert s1.case_taken == "case1"
     assert len(s1.removal_trace) > 0
     together = sorted(list(s1.admitted) + list(s1.removal_trace))
@@ -123,7 +123,7 @@ def test_baseline_con_random_removal_valid_and_deterministic():
     assert s1.colors_used <= config.pilot_count
     base = build_base_graph(instance.clusters).restrict(s1.admitted)
     validate_assignment(base, s1.assignment, config.reuse_cap)
-    again = baseline_con(instance, config.pilot_count, config.reuse_cap, seed=4)
+    again = baseline_con(instance, config.pilot_count, config.reuse_cap)
     np.testing.assert_array_equal(s1.admitted, again.admitted)
     assert s1.removal_trace == again.removal_trace
 
@@ -131,9 +131,44 @@ def test_baseline_con_random_removal_valid_and_deterministic():
 def test_baseline_con_defers_when_within_budget():
     config = _config(pilot_count=6)
     instance = build_network(config, seed=5)
-    s1 = baseline_con(instance, config.pilot_count, config.reuse_cap, seed=5)
+    s1 = baseline_con(instance, config.pilot_count, config.reuse_cap)
     assert s1.case_taken == "base"
     assert s1.num_admitted == config.num_users
+
+
+def _seeded_draws(instance, config) -> list[bytes]:
+    """The bytes of what a network's trial seed decides: the ortho and con
+    picks, and the channel states on the con pilots in both CSI modes."""
+    ortho = baseline_ortho(instance, config.pilot_count)
+    con = baseline_con(instance, config.pilot_count, config.reuse_cap)
+    states = [build_channel_state(instance, con.assignment, config, perfect=perfect)
+              for perfect in (False, True)]
+    return ([s1.assignment.pilots.tobytes() for s1 in (ortho, con)]
+            + [array.tobytes() for state in states
+               for array in (state.holders, state.links, state.estimates, state.error_var)])
+
+
+def test_a_copy_of_a_network_draws_what_the_network_draws():
+    # the channel state and the baselines read the seed the network carries,
+    # so a copy of the network reads the same fading, noise and picks
+    config = SimConfig()
+    instance = build_network(config, seed=4)
+    assert instance.seed == 4
+    assert _seeded_draws(dataclasses.replace(instance), config) == \
+        _seeded_draws(instance, config)
+
+
+def test_a_copy_with_another_seed_draws_other_fading_and_picks():
+    config = SimConfig()
+    instance = build_network(config, seed=4)
+    other = dataclasses.replace(instance, seed=5)
+    s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
+    mine, theirs = (build_channel_state(network, s1.assignment, config)
+                    for network in (instance, other))
+    np.testing.assert_array_equal(mine.links, theirs.links)
+    assert (mine.estimates != theirs.estimates).all()
+    assert not np.array_equal(baseline_ortho(instance, config.pilot_count).admitted,
+                              baseline_ortho(other, config.pilot_count).admitted)
 
 
 # ------------------------------------------------------------------ trials
@@ -371,7 +406,7 @@ _INTEGER_ENTRY_POINTS = {
     "run_stage1": ("pilot_budget", 1,
                    lambda v: run_stage1(build_network(_config(), seed=0), v, 2)),
     "baseline_ortho": ("pilot_budget", 1,
-                       lambda v: baseline_ortho(build_network(_config(), seed=0), v, 0)),
+                       lambda v: baseline_ortho(build_network(_config(), seed=0), v)),
     "enforce_fronthaul_cap": ("fronthaul_cap", 1, lambda v: enforce_fronthaul_cap(
         build_holder_table(ChannelState(holders=np.array([0]), links=np.array([[0]]),
                                         estimates=np.zeros((1, 1, 1), dtype=complex),

@@ -116,9 +116,9 @@ def test_no_line_of_the_package_its_tests_or_its_demos_is_over_100_characters():
     assert long == []
 
 
-def _public_definitions(tree: ast.Module) -> list[tuple[int, str]]:
-    """(line, name) of each top-level def and class of a module, and each
-    method or property of its classes, whose name has no leading ``_``."""
+def _public_definitions(tree: ast.Module) -> list[ast.AST]:
+    """Each top-level def and class of a module, and each method or
+    property of its classes, whose name has no leading ``_``."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     found = []
     for node in tree.body:
@@ -126,7 +126,7 @@ def _public_definitions(tree: ast.Module) -> list[tuple[int, str]]:
             found += [node] + [member for member in node.body if isinstance(member, functions)]
         elif isinstance(node, functions):
             found.append(node)
-    return [(node.lineno, node.name) for node in found if not node.name.startswith("_")]
+    return [node for node in found if not node.name.startswith("_")]
 
 
 def test_every_public_name_is_read_in_the_package_or_wrapped_by_the_benchmark():
@@ -141,6 +141,22 @@ def test_every_public_name_is_read_in_the_package_or_wrapped_by_the_benchmark():
                for node in ast.walk(statement.value)
                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     assert targets, "perfbench/spans.py names no TARGETS"
-    unread = [f"{module}:{line}: {name}" for module, tree in trees.items()
-              for line, name in _public_definitions(tree) if name not in read | targets]
+    unread = [f"{module}:{node.lineno}: {node.name}" for module, tree in trees.items()
+              for node in _public_definitions(tree) if node.name not in read | targets]
     assert unread == []
+
+
+def test_no_public_function_takes_a_seed_beside_a_network():
+    # a network carries its trial seed, which every later draw of the trial
+    # reads; a second seed beside it could pair one drop's gains with another
+    # drop's fading or baseline picks
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _public_definitions(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                continue
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if any(p.annotation is not None and "NetworkInstance" in ast.unparse(p.annotation)
+                   for p in params) and any(p.arg == "seed" for p in params):
+                problems.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert problems == []

@@ -259,7 +259,7 @@ def test_a_copy_with_other_gains_reads_none_of_the_originals_decisions():
     copy = dataclasses.replace(instance, alpha=alpha)
     fresh = NetworkInstance(rrh_positions=instance.rrh_positions,
                             user_positions=instance.user_positions, alpha=alpha,
-                            clusters=instance.clusters)
+                            clusters=instance.clusters, seed=instance.seed)
     after = [_decision(run_stage1(copy, budget, 4)) for budget in budgets]
     assert after == [_decision(run_stage1(fresh, budget, 4)) for budget in budgets]
     assert after != before

@@ -320,7 +320,7 @@ def _pruned_round(seed: int, cluster_size: int, cap: int, perfect: bool):
                            pilot_count=4, reuse_cap=2, fronthaul_cap=cap)
     instance = build_network(config, seed=seed)
     s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
-    state = build_channel_state(instance, s1.assignment, config, seed=seed, perfect=perfect)
+    state = build_channel_state(instance, s1.assignment, config, perfect=perfect)
     table = build_holder_table(state, instance.alpha)
     valid = enforce_fronthaul_cap(table, s1.admitted, cap)
     has_rrh = valid.any(axis=1)
@@ -451,7 +451,7 @@ def test_every_step_takes_an_empty_served_set(served):
     config = _small_config()
     instance = build_network(config, seed=0)
     s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
-    state = build_channel_state(instance, s1.assignment, config, seed=0)
+    state = build_channel_state(instance, s1.assignment, config)
     width, antennas = config.cluster_size, config.antennas_per_rrh
     # the holders stay, and the round has dropped every one of them
     table = build_holder_table(state, instance.alpha)
@@ -791,7 +791,7 @@ def _small_config(**overrides) -> SimConfig:
 def _run_pipeline(config: SimConfig, seed: int):
     instance = build_network(config, seed=seed)
     s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
-    state = build_channel_state(instance, s1.assignment, config, seed=seed)
+    state = build_channel_state(instance, s1.assignment, config)
     return instance, s1, admission_loop(instance, s1, state, config)
 
 
@@ -835,7 +835,7 @@ def test_admission_starved_user_dropped():
                        reuse_cap=2, antennas_per_rrh=2, rate_req=0.5,
                        rrh_power_cap=100.0, fronthaul_cap=1, noise_power=1e-3)
     s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
-    state = build_channel_state(instance, s1.assignment, config, seed=0)
+    state = build_channel_state(instance, s1.assignment, config)
     sol = admission_loop(instance, s1, state, config)
     assert sol.served.tolist() == [1]
     assert 0 in sol.removal_trace
@@ -867,12 +867,12 @@ def test_admission_rejects_a_channel_state_made_for_other_pilot_holders():
     pilots[s1.admitted[0]] = -1
     fewer = dataclasses.replace(s1, assignment=dataclasses.replace(s1.assignment, pilots=pilots))
     for stage1, made_for in ((s1, fewer), (fewer, s1)):
-        state = build_channel_state(instance, made_for.assignment, config, seed=0)
+        state = build_channel_state(instance, made_for.assignment, config)
         with pytest.raises(ValueError, match="^the channel state was made for other pilot "
                                              "holders$"):
             admission_loop(instance, stage1, state, config)
-    sol = admission_loop(instance, fewer, build_channel_state(instance, fewer.assignment,
-                                                              config, seed=0), config)
+    sol = admission_loop(instance, fewer, build_channel_state(instance, fewer.assignment, config),
+                         config)
     assert sorted(sol.served.tolist() + list(sol.removal_trace)) == fewer.admitted.tolist()
 
 
@@ -884,7 +884,7 @@ def test_admission_lists_victims_on_each_failed_rounds_beams(monkeypatch):
                        rate_req=10.0)
     instance = build_network(config, seed=1)
     s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
-    state = build_channel_state(instance, s1.assignment, config, seed=1)
+    state = build_channel_state(instance, s1.assignment, config)
     rounds = admission_listing_reference(instance, s1, state, config)
 
     entering = []
@@ -914,7 +914,7 @@ def test_admission_never_beats_exhaustive_subsets():
     for seed in (0, 1, 2, 3, 4):
         instance = build_network(config, seed=seed)
         s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
-        state = build_channel_state(instance, s1.assignment, config, seed=seed)
+        state = build_channel_state(instance, s1.assignment, config)
         sol = admission_loop(instance, s1, state, config)
 
         target = 2.0 ** config.rate_req - 1.0
@@ -955,9 +955,8 @@ def test_admission_scaling_invariance():
     np.testing.assert_array_equal(s1.admitted, s1_scaled.admitted)
     np.testing.assert_array_equal(s1.assignment.pilots, s1_scaled.assignment.pilots)
 
-    state = build_channel_state(instance, s1.assignment, config, seed=6)
-    state_scaled = build_channel_state(scaled, s1_scaled.assignment,
-                                       scaled_config, seed=6)
+    state = build_channel_state(instance, s1.assignment, config)
+    state_scaled = build_channel_state(scaled, s1_scaled.assignment, scaled_config)
     sol = admission_loop(instance, s1, state, config)
     sol_scaled = admission_loop(scaled, s1_scaled, state_scaled, scaled_config)
 

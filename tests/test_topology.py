@@ -212,15 +212,6 @@ def test_cluster_distance_tie_prefers_lower_rrh_index():
     np.testing.assert_array_equal(clusters[0], [0, 1])
 
 
-def test_cluster_by_gain_uses_alpha_ranking():
-    rrh = np.array([[0.0, 0.0], [10.0, 0.0]])
-    user = np.array([[1.0, 0.0]])
-    # gain ranking contradicts the distance ranking
-    alpha = np.array([[0.1], [0.9]])
-    np.testing.assert_array_equal(build_clusters(-alpha, 1)[0], [1])
-    np.testing.assert_array_equal(build_clusters(pairwise_distances(rrh, user), 1)[0], [0])
-
-
 @pytest.mark.parametrize("size", [0, 2.5, True])
 def test_build_clusters_rejects_bad_size(size):
     with pytest.raises(ValueError, match=f"cluster_size must be an integer >= 1, got {size!r}"):
@@ -365,7 +356,8 @@ def test_instance_is_immutable():
 def test_instance_arrays_are_read_only():
     built = build_network(SimConfig(num_rrhs=4, num_users=2, cluster_size=1), seed=0)
     made = NetworkInstance(rrh_positions=np.zeros((2, 2)), user_positions=np.zeros((1, 2)),
-                           alpha=np.ones((2, 1)), clusters=np.zeros((1, 1), dtype=np.int64))
+                           alpha=np.ones((2, 1)), clusters=np.zeros((1, 1), dtype=np.int64),
+                           seed=0)
     for instance in (built, made):
         for name in ("rrh_positions", "user_positions", "alpha", "clusters"):
             with pytest.raises(ValueError, match="read-only"):
