@@ -10,8 +10,9 @@ their own stream of it (:func:`baseline_draws`) and cannot shift the physics.
 A campaign runs its trials seed by seed, and every trial of a seed
 shares that seed's work through one :class:`~ucran.topology.Memo`: per
 cluster size one network, which keeps on its own memo what stage 1
-derives from it (:mod:`ucran.stage1`), and one channel state and
-admission per input they read (cluster size, CSI mode and pilots).  The
+derives from it (:mod:`ucran.stage1`), and one admission per input it
+reads (cluster size, CSI mode and pilots).  The memo keeps no channel
+state: an admission builds its own and drops it on return.  The
 fading needs no memo: each channel state makes the links it reads as
 the seed's keyed values there (:mod:`ucran.channel`), so every trial of
 a seed reads the same value on a shared link.
@@ -168,9 +169,10 @@ def run_trial(config: SimConfig, seed: int, algorithm: str,
     summary, for inspection and auditing.  ``physics`` is the seed's
     shared state when a campaign runs several trials of one seed: per
     cluster size its network, with what stage 1 keeps on it, and one
-    channel state and admission per (cluster size, CSI mode, pilots) that
-    another of its trials has already made; a trial run alone makes its
-    own.  Every trial runs its own stage-1 call, pilot check and audit.
+    admission per (cluster size, CSI mode, pilots) that another of its
+    trials has already made, whose channel state was built for it and
+    dropped; a trial run alone makes its own.  Every trial runs its own
+    stage-1 call, pilot check and audit.
     ValueError for an unknown algorithm or a bad seed, before any work;
     AuditError when a check fails.
     """
@@ -247,11 +249,11 @@ def run_campaign(config: SimConfig, cluster_sizes, pilot_budgets,
     Trials run seed by seed (then cluster size, algorithm, pilot budget).
     Each seed's trials share one network per cluster size, with what
     stage 1 keeps on it (base graph, base coloring, weights and each
-    budget's deterministic decision), and one channel state and
-    admission per (cluster size, CSI mode, pilots) that more than one of
-    them reaches; all of it is dropped before the next seed's.  The rows
-    equal those of trials run one by one, whatever the order of
-    ``algorithms``.  Emits one CSV row per trial, cell by cell in sweep
+    budget's deterministic decision), and one admission per (cluster
+    size, CSI mode, pilots) that more than one of them reaches, without
+    the channel state it was built from; all of it is dropped before the
+    next seed's.  The rows equal those of trials run one by one, whatever
+    the order of ``algorithms``.  Emits one CSV row per trial, cell by cell in sweep
     order and by seed within a cell, plus one aggregate row per cell
     (seed column set to "mean").  Deterministic for a fixed config.
     ValueError, before the first trial, when a sweep list is empty or

@@ -5,23 +5,24 @@ power control under per-RRH power caps, and greedy admission.
 
 As in the user-centric C-RAN, a user is served by its own cluster only,
 so stage 2 works on the served users' cluster links, the pilot holders'
-rows of the :class:`ChannelState` where the estimates live too, from the
-fronthaul cap to the final solution.  A serving set is an (n, L) bool
-mask on those links, False where the cap pruned one, and a beam is an
-(L, M) block on the same links (:class:`LocalBeams`).  Every admission
+rows of the :class:`ChannelState` where the estimates live too.  It
+names a user by that holder row from the fronthaul cap on; only the
+final solution reads the rows' user ids.  A serving set is an (n, L)
+bool mask on those links, False where the cap pruned one, and a beam is
+an (L, M) block on the same links (:class:`LocalBeams`).  Every admission
 round solves all users' covariances in one batch, then gathers the rate
 coefficients (for power control and the rate bound) and the power shares
 from those blocks; nothing is spread over all I*M antennas.
 
 A failed round drops a few users at most, listed on its own beams, so
 what depends only on the pilot holders is built once per admission, in a
-:class:`HolderTable` beside the channel state's own arrays: the
-fronthaul ranking of every holder link, the RRH-pair keys and outer
-products of the beam covariance table with each holder's index into it,
-and every (link, beam slot) pair that the rate coefficients sum.  A
-round reads the table at its surviving users' rows and filters it.
-Each of its sums adds the same terms in the same order as one built
-from the round's users alone, so every result keeps its bits.
+:class:`HolderTable`, the channel state extended by the fronthaul
+ranking of every holder link, the RRH-pair keys and outer products of
+the beam covariance table with each holder's index into it, and every
+(link, beam slot) pair that the rate coefficients sum.  A round reads
+the table at its surviving rows and filters it.  Each of its sums adds
+the same terms in the same order as one built from the round's users
+alone, so every result keeps its bits.
 """
 
 from __future__ import annotations
@@ -39,19 +40,16 @@ from .topology import NetworkInstance, SimConfig, check_integer
 
 
 @dataclass(frozen=True)
-class HolderTable:
-    """What no admission round changes: the pilot holders' links, built
-    once per admission by :func:`build_holder_table`.
+class HolderTable(ChannelState):
+    """What no admission round changes: the pilot holders' channel state
+    and what its links give, built once per admission by
+    :func:`build_holder_table`.
 
     Row h of every per-holder array, and column h of ``error_var``, is
     holder ``holders[h]``; a holder link, or the beam slot on it, is the
-    flat index h*L + l.  A round reads the table at its surviving users'
-    rows (:meth:`rows`).
+    flat index h*L + l.  A round reads the table at its served users'
+    holder rows.
     """
-    holders: np.ndarray       # (H,) user ids, ascending
-    links: np.ndarray         # (H, L) cluster RRHs, ascending in each row
-    estimates: np.ndarray     # (H, L, M) estimates on those links
-    error_var: np.ndarray     # (I, H) per-antenna residual variance
     # fronthaul cap: every holder link sorted by (RRH, -gain, id)
     cap_links: np.ndarray     # (H*L,) flat link index
     cap_holders: np.ndarray   # (H*L,) its holder row
@@ -72,10 +70,6 @@ class HolderTable:
     comb_user: np.ndarray     # (C,) link holder row of each combination
     comb_beam: np.ndarray     # (C,) beam holder row
     self_comb: np.ndarray     # (H,) combination id of (h, h)
-
-    def rows(self, served) -> np.ndarray:
-        """Rows of ``served``, which must be holders, in the order given."""
-        return np.searchsorted(self.holders, served)
 
 
 def build_holder_table(channel_state: ChannelState, alpha: np.ndarray) -> HolderTable:
@@ -132,8 +126,8 @@ def build_holder_table(channel_state: ChannelState, alpha: np.ndarray) -> Holder
 
 
 def enforce_fronthaul_cap(table: HolderTable, served, cap: int) -> np.ndarray:
-    """Serving mask (n, L) on ``table.links`` at the rows of ``served``:
-    True where the link's RRH serves the user.
+    """Serving mask (n, L) on ``table.links`` at ``served``, the served
+    users' holder rows: True where the link's RRH serves the user.
 
     Start from the served users' full clusters; an over-subscribed RRH
     keeps its ``cap`` strongest users (largest link gain, ties to the lower
@@ -143,15 +137,14 @@ def enforce_fronthaul_cap(table: HolderTable, served, cap: int) -> np.ndarray:
     them within each RRH.
     """
     check_integer("fronthaul_cap", cap)
-    rows = table.rows(served)
     alive = np.zeros(table.holders.size, dtype=bool)
-    alive[rows] = True
+    alive[served] = True
     live = alive[table.cap_holders]
     by_rrh = table.cap_rrhs[live]
     rank = np.arange(by_rrh.size) - np.searchsorted(by_rrh, by_rrh)
     keep = np.zeros(table.links.size, dtype=bool)
     keep[table.cap_links[live]] = rank < cap
-    return keep.reshape(table.links.shape)[rows]
+    return keep.reshape(table.links.shape)[served]
 
 
 @dataclass(frozen=True)
@@ -178,8 +171,8 @@ class LocalBeams:
 def robust_beam_direction(table: HolderTable, valid: np.ndarray, served,
                           noise_power: float) -> LocalBeams:
     """Unit beam directions, one per served user, on its serving antennas:
-    the links of ``table.links`` at the rows of ``served`` that ``valid``
-    marks.
+    the links of ``table.links`` at ``served``, the served users' holder
+    rows, that ``valid`` marks.
 
     On the stacked antennas of the user's serving set, the direction is
     the regularized inverse of the sum of all served users' estimated
@@ -198,24 +191,23 @@ def robust_beam_direction(table: HolderTable, valid: np.ndarray, served,
     ValueError names the first user whose system overflows, is singular,
     or is too ill-conditioned for its beam to be trusted.
     """
-    served = np.asarray(served, dtype=np.int64)
-    rows = table.rows(served)
     num_rrhs = table.error_var.shape[0]
-    rrhs = table.links[rows]
-    est = table.estimates[rows]
+    rrhs = table.links[served]
+    est = table.estimates[served]
     n, width, antennas = est.shape
     empty = ~valid.any(axis=1)
     if empty.any():
-        raise ValueError(f"user {served[np.argmax(empty)]} has an empty serving set")
+        raise ValueError(f"user {table.holders[served[np.argmax(empty)]]} has an empty "
+                         "serving set")
     dim = width * antennas
 
     # bincount adds each bin's terms in input order: the served order
-    sums = np.bincount(table.outer_bins[rows].ravel(), table.outer_parts[rows].ravel(),
+    sums = np.bincount(table.outer_bins[served].ravel(), table.outer_parts[served].ravel(),
                        2 * table.num_keys * antennas ** 2).view(complex)
-    cov = sums[table.cov_index[rows]]
+    cov = sums[table.cov_index[served]]
     on = np.repeat(valid, antennas, axis=1)
     cov[~(on[:, :, None] & on[:, None, :])] = 0.0
-    load = table.error_var[:, rows].sum(axis=1)
+    load = table.error_var[:, served].sum(axis=1)
     # pruned slots get an identity diagonal and a zero right-hand side,
     # so their weights solve to zero
     diagonal = np.where(valid, load[rrhs] + noise_power, 1.0)
@@ -225,20 +217,21 @@ def robust_beam_direction(table: HolderTable, valid: np.ndarray, served,
     try:
         w = np.linalg.solve(cov, own)[:, :, 0]
     except np.linalg.LinAlgError:
-        _raise_first_singular(cov, own, served)
+        _raise_first_singular(cov, own, table.holders[served])
         raise
     overflow = ~(np.isfinite(cov).all(axis=(1, 2)) & np.isfinite(w).all(axis=1))
     if overflow.any():
-        raise ValueError(f"beam solve failed for user {served[np.argmax(overflow)]}: its "
-                         "covariance overflows; the link gains span too wide a range")
+        k = table.holders[served[np.argmax(overflow)]]
+        raise ValueError(f"beam solve failed for user {k}: its covariance overflows; the "
+                         "link gains span too wide a range")
     # cond(cov) <= trace / min loading on the valid slots; the pruned slots
     # are decoupled identity rows and say nothing about the solve
     trace = np.where(on, cov_diagonal.real, 0.0).sum(axis=1)
     ill = trace > 1e11 * np.where(valid, diagonal, np.inf).min(axis=1)
     if ill.any():
-        raise ValueError(f"beam solve failed for user {served[np.argmax(ill)]}: its "
-                         "covariance is too ill-conditioned; the link gains swamp the "
-                         "noise and error loading")
+        k = table.holders[served[np.argmax(ill)]]
+        raise ValueError(f"beam solve failed for user {k}: its covariance is too "
+                         "ill-conditioned; the link gains swamp the noise and error loading")
     # an exact power-of-two scale brings each beam's peak near one, so its
     # norm can neither under- nor overflow; normal beams keep every bit
     _, exponent = np.frexp(np.abs(w).max(axis=1))
@@ -252,10 +245,10 @@ def robust_beam_direction(table: HolderTable, valid: np.ndarray, served,
                       num_rrhs=num_rrhs)
 
 
-def _raise_first_singular(cov: np.ndarray, own: np.ndarray, served: np.ndarray) -> None:
-    """Re-solve user by user after a failed batch, to name the first user
-    whose system is singular."""
-    for a, k in enumerate(served):
+def _raise_first_singular(cov: np.ndarray, own: np.ndarray, users: np.ndarray) -> None:
+    """Re-solve user by user after a failed batch, to name the first of
+    ``users``, the batch's user ids, whose system is singular."""
+    for a, k in enumerate(users):
         try:
             np.linalg.solve(cov[a], own[a])
         except np.linalg.LinAlgError as exc:
@@ -279,18 +272,17 @@ def rate_coefficients(table: HolderTable, beams: LocalBeams,
     holder table lists every (link, beam slot) pair on a shared RRH once;
     a round keeps the pairs of live users on valid slots and sums each
     (a, b) combination by bincount, adding |gain|^2 to the leakage only
-    where both users live.  ``cross`` is C-ordered, which power control's
-    matrix-vector product needs for its bits.
+    where both users live.  ``served`` are the served users' holder rows,
+    in the order of the beams.  ``cross`` is C-ordered, which power
+    control's matrix-vector product needs for its bits.
     """
-    served = np.asarray(served, dtype=np.int64)
-    rows = table.rows(served)
     antennas = table.estimates.shape[2]
     alive = np.zeros(table.holders.size, dtype=bool)
-    alive[rows] = True
+    alive[served] = True
     on = np.zeros(table.links.shape, dtype=bool)
-    on[rows] = beams.valid
+    on[served] = beams.valid
     weights = np.zeros(table.estimates.shape, dtype=complex)
-    weights[rows] = beams.weights
+    weights[served] = beams.weights
 
     kept = np.flatnonzero(alive[table.pair_user] & on.ravel()[table.pair_slot])
     # np.take gathers these short rows several times faster than indexing
@@ -301,14 +293,14 @@ def rate_coefficients(table: HolderTable, beams: LocalBeams,
     gains = (np.bincount(comb, terms.real, size)
              + 1j * np.bincount(comb, terms.imag, size))     # <hhat_a, w_b> per combination
 
-    evar = table.error_var[:, rows]
+    evar = table.error_var[:, served]
     leak = np.einsum("bla,bl->ab", evar[beams.rrhs], beams.slot_power)    # leak[a, b]
-    signal = np.abs(gains[table.self_comb[rows]]) ** 2
+    signal = np.abs(gains[table.self_comb[served]]) ** 2
     self_err = np.diag(leak).copy()
     cross = np.ascontiguousarray(leak)
     live = np.flatnonzero(alive[table.comb_user] & alive[table.comb_beam])
     position = np.zeros(table.holders.size, dtype=np.int64)
-    position[rows] = np.arange(rows.size)
+    position[served] = np.arange(len(served))
     cross[position[table.comb_user[live]], position[table.comb_beam[live]]] += (
         np.abs(gains[live]) ** 2)
     np.fill_diagonal(cross, 0.0)
@@ -470,16 +462,17 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
     constraints (not always the largest set).
 
     The holders' :class:`HolderTable` is built once, before the first
-    round.  Each round prunes serving sets to the fronthaul cap and drops,
-    in that same round, the users it leaves with no RRH; then it computes
-    beams and the power fixed point.  On infeasibility it lists victims on
-    the round's beams, one at a time: the margin-short user with the
-    largest shortfall, otherwise the user with the largest power at the
-    failed iterate; an exact tie goes to the lowest id.  After each pick
-    the power fixed point of the survivors' rate coefficients and power
-    shares is run again for one block of iterates (``_MAX_BLOCK``), and
-    the listing goes on while it fails on the ceiling, a margin or an RRH
-    cap, up to ``max(1, n // 32)`` victims of the round's n users (one
+    round; the rounds name users by their rows in it, the solution by
+    their ids.  Each round prunes serving sets to the fronthaul cap and
+    drops, in that same round, the users it leaves with no RRH; then it
+    computes beams and the power fixed point.  On infeasibility it lists
+    victims on the round's beams, one at a time: the margin-short user
+    with the largest shortfall, otherwise the user with the largest power
+    at the failed iterate; an exact tie goes to the lowest id.  After each
+    pick the power fixed point of the survivors' rate coefficients and
+    power shares is run again for one block of iterates (``_MAX_BLOCK``),
+    and the listing goes on while it fails on the ceiling, a margin or an
+    RRH cap, up to ``max(1, n // 32)`` victims of the round's n users (one
     below 64 users).  A feasible or unconverged listing call ends it.
     The round then drops every listed victim, in order, and repeats.  An
     empty served set is feasible, so it ends through the same return as
@@ -489,8 +482,8 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
     if not np.array_equal(stage1_result.admitted, channel_state.holders):
         raise ValueError("the channel state was made for other pilot holders")
     table = build_holder_table(channel_state, instance.alpha)
-    served = table.holders
-    removed: list[int] = []
+    served = np.arange(table.holders.size)      # holder rows, ascending
+    removed: list[int] = []                     # holder rows, in drop order
     # expm1 keeps tiny targets exact where 2**rate_req - 1 cancels
     sinr_target = math.expm1(config.rate_req * math.log(2.0))
 
@@ -513,15 +506,16 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
             rates = expected_rate_lb(signal, self_err, cross, control.powers,
                                      config.noise_power)
             return AdmissionSolution(
-                served=served, beams=beams,
+                served=table.holders[served], beams=beams,
                 powers=control.powers, rates=rates,
                 per_rrh_power=share @ control.powers,
-                removal_trace=tuple(removed))
+                removal_trace=tuple(table.holders[removed].tolist()))
 
         # list victims on this round's beams: after each pick the survivors'
         # power problem is re-solved while it still shows infeasibility, for
         # one block at most (calls without that limit served fewer); alive
-        # and served ascend, so the first position on a tie is the lowest id
+        # and served ascend, as the holders do, so the first position on a
+        # tie is the lowest id
         limit = max(1, served.size // _LISTING_DIVISOR)
         alive = np.arange(served.size)
         victims = []

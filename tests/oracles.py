@@ -33,7 +33,9 @@ match bit for bit:
 - the rate bound: :func:`mc_ergodic_rate`, by channel redraws (math).
 
 The whole-served byte references rank, key and pair the served set from
-scratch on every call.  Three admission oracles are not independent:
+scratch on every call; the beam and rate references take the served
+users as their rows of the channel state, as the production calls do.
+Three admission oracles are not independent:
 :func:`max_served_reference` tries every subset of the pilot holders,
 largest first, with the production admission round,
 :func:`admission_listing_reference` lists each failed round's victims
@@ -245,13 +247,12 @@ def robust_beam_whole_reference(channel_state, valid: np.ndarray, served,
     one ``np.unique`` per call, the per-pair covariance table by two
     bincounts over the served users' outer products in served order, and
     each covariance gathered block by block, then transposed to stacked
-    antennas.  ``served`` are pilot holders, read at their rows of
-    ``channel_state``.  ValueError where the solve overflows, is singular
-    or too ill-conditioned."""
-    rows = channel_state.holders.searchsorted(np.asarray(served, dtype=np.int64))
+    antennas.  ``served`` are the served users' rows of ``channel_state``,
+    as the production call takes them.  ValueError where the solve
+    overflows, is singular or too ill-conditioned."""
     num_rrhs = channel_state.error_var.shape[0]
-    rrhs = channel_state.links[rows]
-    est = channel_state.estimates[rows]
+    rrhs = channel_state.links[served]
+    est = channel_state.estimates[served]
     n, width, antennas = est.shape
     if (~valid.any(axis=1)).any():
         raise ValueError("empty serving set")
@@ -266,7 +267,7 @@ def robust_beam_whole_reference(channel_state, valid: np.ndarray, served,
     cov = table[block.reshape(n, width, width)]
     cov[~(valid[:, :, None] & valid[:, None, :])] = 0.0
     cov = cov.transpose(0, 1, 3, 2, 4).reshape(n, dim, dim)
-    load = channel_state.error_var[:, rows].sum(axis=1)
+    load = channel_state.error_var[:, served].sum(axis=1)
     diagonal = np.where(valid, load[rrhs] + noise_power, 1.0)
     cov[:, np.arange(dim), np.arange(dim)] += np.repeat(diagonal, antennas, axis=1)
     own = (est * valid[:, :, None]).reshape(n, dim, 1)
@@ -296,11 +297,12 @@ def rate_coefficients_whole_reference(channel_state, beams, served):
     (n*L, n) mask of the beams with a slot at each cluster link's RRH and a
     ``flatnonzero`` over it per call, every gain summed by bincount over
     all n*n combinations, and ``cross`` the whole |gains|^2 plus leakage.
-    ``served`` are pilot holders, read at their rows of ``channel_state``."""
-    rows = channel_state.holders.searchsorted(np.asarray(served, dtype=np.int64))
-    n = rows.size
+    ``served`` are the served users' rows of ``channel_state``, as the
+    production call takes them."""
+    n = len(served)
     link_rrh = beams.rrhs.ravel()
-    est = channel_state.estimates[rows].reshape(link_rrh.size, channel_state.estimates.shape[2])
+    est = channel_state.estimates[served].reshape(link_rrh.size,
+                                                  channel_state.estimates.shape[2])
     users = np.arange(link_rrh.size) // beams.rrhs.shape[1]
     slot = np.full((beams.num_rrhs, n), -1)
     cols, slots = np.nonzero(beams.valid)
@@ -311,7 +313,7 @@ def rate_coefficients_whole_reference(channel_state, beams, served):
     flat = users[link_of] * n + col
     gains = (np.bincount(flat, terms.real, n * n)
              + 1j * np.bincount(flat, terms.imag, n * n)).reshape(n, n)
-    evar = channel_state.error_var[:, rows]
+    evar = channel_state.error_var[:, served]
     leak = np.einsum("bla,bl->ab", evar[beams.rrhs], beams.slot_power)
     signal = np.abs(np.diag(gains)) ** 2
     self_err = np.diag(leak).copy()
@@ -695,25 +697,26 @@ def max_served_reference(instance, stage1_result, channel_state, config) -> Admi
     a feasible power control at admission's SINR target, is returned as
     a solution (the empty set always is one).  The round is made of the
     production stage-2 functions on one holder table of the admitted users,
-    so this is exact for greedy admission's own feasibility test.
-    Exponential in the admitted count.
+    at the subset's rows there, so this is exact for greedy admission's own
+    feasibility test.  Exponential in the admitted count.
     """
     admitted = stage1_result.admitted
     table = build_holder_table(channel_state, instance.alpha)
     sinr_target = math.expm1(config.rate_req * math.log(2.0))
     for size in range(len(admitted), -1, -1):
-        for subset in combinations(admitted.tolist(), size):
-            served = np.array(subset, dtype=np.int64)
-            valid = enforce_fronthaul_cap(table, served, config.fronthaul_cap)
+        for subset in combinations(range(len(admitted)), size):
+            rows = np.array(subset, dtype=np.int64)
+            valid = enforce_fronthaul_cap(table, rows, config.fronthaul_cap)
             if not valid.any(axis=1).all():
                 continue
-            beams = robust_beam_direction(table, valid, served, config.noise_power)
-            signal, self_err, cross = rate_coefficients(table, beams, served)
+            beams = robust_beam_direction(table, valid, rows, config.noise_power)
+            signal, self_err, cross = rate_coefficients(table, beams, rows)
             share = rrh_power_share(beams)
             control = power_allocation_fixed_point(signal, self_err, cross, sinr_target,
                                                    config.noise_power, share,
                                                    config.rrh_power_cap)
             if control.feasible:
+                served = table.holders[rows]
                 return AdmissionSolution(
                     served=served, beams=beams, powers=control.powers,
                     rates=expected_rate_lb(signal, self_err, cross, control.powers,
@@ -729,9 +732,9 @@ def admission_with_beam_loading(instance, stage1_result, channel_state, config,
     instead of the channel state's error variances.
 
     Each round's beams read the holder table of a copy of
-    ``channel_state`` with those variances; the fronthaul cap, rate
-    coefficients, power control and rate bound read the true table, so a
-    solution is held to the true variances.
+    ``channel_state`` with those variances, at the same holder rows; the
+    fronthaul cap, rate coefficients, power control and rate bound read
+    the true table, so a solution is held to the true variances.
     """
     beam_table = build_holder_table(
         dataclasses.replace(channel_state, error_var=beam_error_var), instance.alpha)
@@ -757,11 +760,13 @@ def admission_listing_reference(instance, stage1_result, channel_state, config) 
     that call fails on ceiling, margin or rrh_cap, and at most
     ``max(1, n // 32)`` victims; then every listed victim is dropped and
     the next round re-beams.  The last round is the feasible one, with
-    nothing listed.
+    nothing listed.  The round functions take a round's users as a list of
+    their holder rows; ``stranded`` and ``listed`` are user ids.
     """
     table = build_holder_table(channel_state, instance.alpha)
     sinr_target = math.expm1(config.rate_req * math.log(2.0))
-    served = [int(k) for k in stage1_result.admitted]
+    ids = table.holders.tolist()
+    served = list(range(len(ids)))
     rounds = []
     while True:
         valid = enforce_fronthaul_cap(table, served, config.fronthaul_cap)
@@ -795,7 +800,7 @@ def admission_listing_reference(instance, stage1_result, channel_state, config) 
                 control = power(alive, 128)
                 if control.reason not in ("ceiling", "margin", "rrh_cap"):
                     break
-        rounds.append((len(served), stranded, listed))
+        rounds.append((len(served), [ids[k] for k in stranded], [ids[k] for k in listed]))
         if not listed:
             return rounds
         served = [k for k in served if k not in listed]

@@ -160,3 +160,23 @@ def test_no_public_function_takes_a_seed_beside_a_network():
                    for p in params) and any(p.arg == "seed" for p in params):
                 problems.append(f"{path.name}:{node.lineno}: {node.name}")
     assert problems == []
+
+
+def test_stage2_maps_no_user_id_to_a_holder_row():
+    # stage 2 names a user by its holder row from the first round to the
+    # solution; a searchsorted on the holder ids would give a user a second
+    # index, looked up again every round
+    problems = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Call) and "searchsorted" in _names(child.func)
+                    and any("holders" in _names(part) for part in ast.walk(child))):
+                problems.append(f"stage2.py:{child.lineno}: {inner}")
+            visit(child, inner)
+
+    visit(ast.parse((PACKAGE / "stage2.py").read_text()), "")
+    assert problems == []

@@ -76,9 +76,10 @@ def _links_state(links: np.ndarray, num_rrhs: int) -> ChannelState:
 
 
 def _cap(links: np.ndarray, served, alpha: np.ndarray, cap) -> np.ndarray:
-    """The fronthaul mask of ``served`` on the holder table of ``served``."""
+    """The fronthaul mask of ``served``, distinct user ids in any order, on
+    the holder table of ``served``: at their rows there, in that order."""
     table = build_holder_table(_sliced(_links_state(links, alpha.shape[0]), served), alpha)
-    return enforce_fronthaul_cap(table, served, cap)
+    return enforce_fronthaul_cap(table, table.holders.searchsorted(served), cap)
 
 
 def _dense(beams: LocalBeams) -> np.ndarray:
@@ -127,12 +128,13 @@ def test_fronthaul_cap_second_pass_changes_nothing(ties):
         alpha = levels if ties else rng.uniform(0.1, 1.0, (num_rrhs, num_users))
         served = np.flatnonzero(rng.random(num_users) < 0.8)
         table = build_holder_table(_sliced(_links_state(clusters, num_rrhs), served), alpha)
+        rows = np.arange(served.size)
         for cap in (1, 2, 3):
-            valid = enforce_fronthaul_cap(table, served, cap)
+            valid = enforce_fronthaul_cap(table, rows, cap)
             has_rrh = valid.any(axis=1)
             stranded += int((~has_rrh).sum())
             np.testing.assert_array_equal(
-                enforce_fronthaul_cap(table, served[has_rrh], cap), valid[has_rrh])
+                enforce_fronthaul_cap(table, rows[has_rrh], cap), valid[has_rrh])
     assert stranded > 0
 
 
@@ -257,8 +259,9 @@ def test_beam_solve_failure_names_the_first_singular_user():
     est[0, 5, 0] = 2.0
     state = _state(est, np.zeros((2, 6)))
     valid = _valid(2, {2: [0], 5: [0, 1]})
+    # users 2 and 5 are rows 0 and 1 of the table cut to them
     with pytest.raises(ValueError, match="beam solve failed for user 5"):
-        robust_beam_direction(_table(state, [2, 5]), valid, [2, 5], noise_power=0.0)
+        robust_beam_direction(_table(state, [2, 5]), valid, [0, 1], noise_power=0.0)
 
 
 def test_beam_vanishing_own_estimate_gets_uniform_beam():
@@ -287,8 +290,9 @@ def _assert_matches_reference(state, valid, served, noise):
     checked against the dense products of the same beams; atol covers
     entries that cancel to near zero.
     """
-    table = _table(state, served)
-    beams = robust_beam_direction(table, valid, served, noise)
+    # served ascends, so its rows of the table cut to it are 0..n-1
+    table, table_rows = _table(state, served), np.arange(len(served))
+    beams = robust_beam_direction(table, valid, table_rows, noise)
     dense = _dense(beams)
     # the dense oracles take one column per pilot holder: served at its rows
     columns = state.holders.searchsorted(served)
@@ -306,7 +310,7 @@ def _assert_matches_reference(state, valid, served, noise):
         scale = np.vdot(image, own) / np.vdot(image, image)
         residual = np.linalg.norm(scale * image - own)
         assert residual <= 1e-13 * (np.linalg.norm(cov, 2) * abs(scale) + np.linalg.norm(own))
-    ours = rate_coefficients(table, beams, served) + (rrh_power_share(beams),)
+    ours = rate_coefficients(table, beams, table_rows) + (rrh_power_share(beams),)
     theirs = rate_coefficients_reference(estimates, state.error_var, dense, columns)
     scale = theirs[0].max()
     for name, got, want in zip(("signal", "self_err", "cross", "share"), ours, theirs):
@@ -322,7 +326,7 @@ def _pruned_round(seed: int, cluster_size: int, cap: int, perfect: bool):
     s1 = run_stage1(instance, config.pilot_count, config.reuse_cap)
     state = build_channel_state(instance, s1.assignment, config, perfect=perfect)
     table = build_holder_table(state, instance.alpha)
-    valid = enforce_fronthaul_cap(table, s1.admitted, cap)
+    valid = enforce_fronthaul_cap(table, np.arange(table.holders.size), cap)
     has_rrh = valid.any(axis=1)
     served = [int(k) for k in s1.admitted[has_rrh]]
     return state, valid[has_rrh], served, config.noise_power
@@ -377,7 +381,9 @@ def test_rate_coefficients_match_the_whole_reference_bit_for_bit(seed, num_rrhs,
     valid = rng.random((served.size, width)) >= prune
     beams = LocalBeams(rrhs=links[served], valid=valid, num_rrhs=num_rrhs,
                        weights=_complex(rng, (served.size, width, antennas)) * valid[:, :, None])
-    got = rate_coefficients(_table(state, served), beams, served)
+    # the holders are 0..K-1, so the ids in served are also their rows of
+    # the whole state; on the table cut to served their rows are 0..n-1
+    got = rate_coefficients(_table(state, served), beams, np.arange(served.size))
     want = rate_coefficients_whole_reference(state, beams, served)
     for name, ours, theirs in zip(("signal", "self_err", "cross"), got, want):
         assert ours.shape == theirs.shape and np.array_equal(ours, theirs), name
@@ -424,10 +430,11 @@ def test_every_round_on_the_holder_table_matches_the_whole_served_references(
     noise = 10.0 ** rng.uniform(-3.0, 0.0)
 
     table = build_holder_table(state, alpha)
-    served = table.holders
+    served = np.arange(holders.size)
     while True:
         valid = enforce_fronthaul_cap(table, served, cap)
-        _same_bytes(valid, fronthaul_cap_whole_reference(links, served, alpha, cap), "valid")
+        _same_bytes(valid, fronthaul_cap_whole_reference(links, holders[served], alpha, cap),
+                    "valid")
         has_rrh = valid.any(axis=1)
         served, valid = served[has_rrh], valid[has_rrh]
         beams = robust_beam_direction(table, valid, served, noise)
@@ -919,16 +926,16 @@ def test_admission_never_beats_exhaustive_subsets():
 
         target = 2.0 ** config.rate_req - 1.0
         best = 0
-        admitted = [int(k) for k in s1.admitted]
         table = build_holder_table(state, instance.alpha)
-        for size in range(len(admitted), 0, -1):
-            for subset in combinations(admitted, size):
-                valid = enforce_fronthaul_cap(table, subset, config.fronthaul_cap)
+        for size in range(table.holders.size, 0, -1):
+            for subset in combinations(range(table.holders.size), size):
+                rows = np.array(subset)
+                valid = enforce_fronthaul_cap(table, rows, config.fronthaul_cap)
                 if not valid.any(axis=1).all():
                     continue
-                w = robust_beam_direction(table, valid, subset,
+                w = robust_beam_direction(table, valid, rows,
                                           config.noise_power)
-                sig, serr, cross = rate_coefficients(table, w, subset)
+                sig, serr, cross = rate_coefficients(table, w, rows)
                 share = rrh_power_share(w)
                 control = power_allocation_fixed_point(
                     sig, serr, cross, target, config.noise_power, share,
@@ -998,8 +1005,8 @@ def _hand_round(est: np.ndarray, error_var: np.ndarray, rate_req: float,
 def test_admission_drops_the_largest_demand_first(est, error_var, rate_req, cap, reason,
                                                   victim):
     instance, s1, state, config = _hand_round(est, error_var, rate_req, cap)
-    served = s1.admitted
     table = build_holder_table(state, instance.alpha)
+    served = np.arange(table.holders.size)
     beams = robust_beam_direction(table, np.ones((served.size, est.shape[0]), dtype=bool),
                                   served, config.noise_power)
     control = power_allocation_fixed_point(
