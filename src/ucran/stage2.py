@@ -23,6 +23,12 @@ the beam covariance table with each holder's index into it, and every
 the table at its surviving rows and filters it.  Each of its sums adds
 the same terms in the same order as one built from the round's users
 alone, so every result keeps its bits.
+
+Power control iterates the fixed point from zero.  A slow call jumps
+once, to a start below the fixed point that one linear solve certifies,
+and stops within a few iterates; the listing's one-block calls never
+jump.  Each listing pick cuts its victim out of the previous call's
+arrays by slicing, the bytes a fancy-indexed copy of the survivors gives.
 """
 
 from __future__ import annotations
@@ -328,9 +334,10 @@ def rrh_power_share(beams: LocalBeams) -> np.ndarray:
 @dataclass(frozen=True)
 class PowerControlResult:
     feasible: bool
-    powers: np.ndarray    # fixed point if feasible, else the last iterate; zeros on "margin",
-                          # where no iterate runs and _victim reads the margins instead
-    reason: str           # "", "margin", "ceiling", "rrh_cap", "no_convergence"
+    powers: np.ndarray    # converged iterate if feasible, else the last iterate; zeros on
+                          # "margin", where no iterate runs and _victim reads the margins instead
+    reason: str           # "", "margin", "ceiling", "rrh_cap", "no_convergence" (the budget ran
+                          # out with no certified jump: see power_allocation_fixed_point)
     margins: np.ndarray   # per-user signal margin at the effective target
 
 
@@ -365,12 +372,28 @@ def power_allocation_fixed_point(signal: np.ndarray, self_err: np.ndarray,
     before the relative stop within a row, as a step-at-a-time loop tests
     them.  Rows computed past it are discarded.
 
+    A slow system jumps once.  When the doubling blocks (4 to 64, 124
+    iterates) end with no stop and a full block of 128 is left in the
+    budget, one solve of (diag(margins) - gamma_eff * cross) p* =
+    gamma_eff * noise gives the fixed point; a positive p* within the
+    ceiling certifies that it exists.  The blocks then restart, from the
+    first size and in what is left of the budget, at x = max(p, (1 -
+    rel_tol) p*) if one step from x is nowhere lower (f(x) >= x).  Such an
+    x is a sub-solution: the iterates from it rise monotonically to the
+    minimal fixed point, never pass it, and meet the relative stop within
+    a few steps.  Otherwise the iterates go on from p as if there were no
+    jump, so every ceiling crossing keeps its bits.  A budget under 252
+    iterates never jumps.
+
     Infeasibility is a normal return: zero margin, iterates passing the
     total-power ceiling implied by the per-RRH caps (an overflow does),
     a converged point violating a per-RRH cap, or no convergence within
-    the budget.  ValueError when a float cannot carry the target: the
-    first iterate is subnormal, or gamma * noise, below every SINR
-    numerator here and in the rate bound, cannot resolve the margin.
+    the budget, only where the jump is not taken: a budget under 252, a
+    solve that fails or that a spectral radius too near one leaves
+    uncertified, or a step that falls below x.  ValueError when a float
+    cannot carry the target: the first iterate is subnormal, or gamma *
+    noise, below every SINR numerator here and in the rate bound, cannot
+    resolve the margin.
     """
     n = signal.shape[0]
     gamma_eff = sinr_target * (1.0 + target_margin)
@@ -419,11 +442,35 @@ def power_allocation_fixed_point(signal: np.ndarray, self_err: np.ndarray,
         rows[0] = new[-1]
         left -= size
         size = min(2 * size, _MAX_BLOCK)
+        # the doubling blocks ran out with a full block left: jump, once
+        if max_iters - left == _MAX_BLOCK - _FIRST_BLOCK and left >= _MAX_BLOCK:
+            start = _sub_solution(cross, rows[0], noise, gain, margins, ceiling, rel_tol)
+            if start is not None:
+                rows[0] = start
+                size = _FIRST_BLOCK
     else:
         return PowerControlResult(False, rows[0].copy(), "no_convergence", margins)
     if (rrh_share @ p > rrh_power_cap).any():
         return PowerControlResult(False, p, "rrh_cap", margins)
     return PowerControlResult(True, p, "", margins)
+
+
+def _sub_solution(cross: np.ndarray, p: np.ndarray, noise: np.ndarray, gain: np.ndarray,
+                  margins: np.ndarray, ceiling: float, rel_tol: float) -> np.ndarray | None:
+    """The jump's start max(p, (1 - rel_tol) p*) from the solve's fixed
+    point p*, or None unless p* is positive, within the ceiling, and one
+    step from the start is nowhere lower than it."""
+    system = np.diag(margins) - gain * cross
+    try:
+        fixed = np.linalg.solve(system, np.full(margins.size, gain * noise))
+    except np.linalg.LinAlgError:
+        return None
+    if not (fixed > 0.0).all() or fixed.sum() > ceiling:
+        return None
+    start = np.maximum(p, (1.0 - rel_tol) * fixed)
+    # the loop's step, with the bits of its rows
+    step = (np.dot(cross, start) + noise) * gain / margins
+    return start if (step >= start).all() else None
 
 
 @dataclass(frozen=True)
@@ -454,6 +501,22 @@ def _victim(control: PowerControlResult) -> int:
     short = control.margins <= 0.0
     demand = np.where(short, -control.margins, -np.inf) if short.any() else control.powers
     return int(np.argmax(demand))
+
+
+def _without(cross: np.ndarray, share: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """``cross`` without row and column j, C-ordered, and ``share`` without
+    column j, Fortran-ordered: the bytes and layouts of
+    ``cross[np.ix_(keep, keep)]`` and ``share[:, keep]``, made of slices."""
+    n = cross.shape[0]
+    kept = np.empty((n - 1, n - 1))
+    kept[:j, :j] = cross[:j, :j]
+    kept[:j, j:] = cross[:j, j + 1:]
+    kept[j:, :j] = cross[j + 1:, :j]
+    kept[j:, j:] = cross[j + 1:, j + 1:]
+    columns = np.empty((share.shape[0], n - 1), order="F")
+    columns[:, :j] = share[:, :j]
+    columns[:, j:] = share[:, j + 1:]
+    return kept, columns
 
 
 def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
@@ -515,7 +578,8 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
         # power problem is re-solved while it still shows infeasibility, for
         # one block at most (calls without that limit served fewer); alive
         # and served ascend, as the holders do, so the first position on a
-        # tie is the lowest id
+        # tie is the lowest id.  Each pick cuts the victim out of the last
+        # call's arrays, which then hold the survivors in order.
         limit = max(1, served.size // _LISTING_DIVISOR)
         alive = np.arange(served.size)
         victims = []
@@ -525,10 +589,11 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
             alive = np.delete(alive, victim)
             if len(victims) == limit:
                 break
+            signal, self_err = np.delete(signal, victim), np.delete(self_err, victim)
+            cross, share = _without(cross, share, victim)
             control = power_allocation_fixed_point(
-                signal[alive], self_err[alive], cross[np.ix_(alive, alive)],
-                sinr_target, config.noise_power, share[:, alive], config.rrh_power_cap,
-                max_iters=_MAX_BLOCK)
+                signal, self_err, cross, sinr_target, config.noise_power, share,
+                config.rrh_power_cap, max_iters=_MAX_BLOCK)
             if control.feasible or control.reason == "no_convergence":
                 break
         removed.extend(served[victims].tolist())

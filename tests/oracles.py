@@ -29,7 +29,8 @@ match bit for bit:
 - rate coefficients: :func:`rate_coefficients_reference` (math) and
   :func:`rate_coefficients_whole_reference` (byte);
 - power control: :func:`solve_power_linear` (math) and
-  :func:`power_fixed_point_reference` (byte);
+  :func:`power_fixed_point_reference` (byte), which also gives the loop
+  without its jump;
 - the rate bound: :func:`mc_ergodic_rate`, by channel redraws (math).
 
 The whole-served byte references rank, key and pair the served set from
@@ -617,11 +618,16 @@ def power_fixed_point_reference(signal: np.ndarray, self_err: np.ndarray,
                                 rrh_power_cap: float, *,
                                 target_margin: float = 1e-7,
                                 max_iters: int = 10_000,
-                                rel_tol: float = 1e-8) -> PowerControlResult:
+                                rel_tol: float = 1e-8,
+                                jump: bool = True) -> PowerControlResult:
     """:func:`~ucran.stage2.power_allocation_fixed_point` one step at a
     time: each iterate is made, tested against the total-power ceiling,
-    then against the relative stop, before the next one is made.  Same
-    returns and the same underflow ValueError."""
+    then against the relative stop, before the next one is made.  After
+    iterate 124, with at least 128 steps of the budget left, the iterate
+    jumps to max(p, (1 - rel_tol) p*) when the linear solve's p* is
+    positive and within the ceiling and one step from there is nowhere
+    lower; ``jump=False`` never jumps, as the loop did before it had the
+    jump.  Same returns and the same underflow ValueError."""
     n = signal.shape[0]
     gamma_eff = sinr_target * (1.0 + target_margin)
     margins = signal - gamma_eff * self_err
@@ -641,7 +647,17 @@ def power_fixed_point_reference(signal: np.ndarray, self_err: np.ndarray,
                          f"SINR target times noise {floor:.3g}; too small to carry the target")
     ceiling = rrh_power_cap * rrh_share.shape[0]
     p = np.zeros(n)
-    for _ in range(max_iters):
+    for k in range(max_iters):
+        if jump and k == 124 and max_iters - k >= 128:
+            try:
+                fixed = np.linalg.solve(np.diag(margins) - gamma_eff * cross,
+                                        gamma_eff * noise_power * np.ones(n))
+            except np.linalg.LinAlgError:
+                fixed = None
+            if fixed is not None and (fixed > 0.0).all() and fixed.sum() <= ceiling:
+                start = np.maximum(p, (1.0 - rel_tol) * fixed)
+                if (gamma_eff * (cross @ start + noise_power) / margins >= start).all():
+                    p = start
         p_new = gamma_eff * (cross @ p + noise_power) / margins
         if p_new.sum() > ceiling:
             return PowerControlResult(False, p_new, "ceiling", margins)

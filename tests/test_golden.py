@@ -9,7 +9,7 @@ import hashlib
 
 from ucran import ALGORITHMS, SimConfig, run_campaign
 
-GOLDEN_SHA256 = "650c0ea68c2b7b1bc0d5fb5f35a38ba21c4f1ab2f18602d2916654259f2e9d07"
+GOLDEN_SHA256 = "c1f8f06e42afa43d78e36dc5b49de67cb15b42036098f238c22084cf7a34522e"
 
 
 def test_golden_campaign_csv(tmp_path):
@@ -25,7 +25,7 @@ def test_golden_campaign_csv(tmp_path):
 
 # The dense point: 324 RRHs and 216 users, where case 1 removes most users,
 # case 2 spreads 64 pilots and the admission loop drops dozens.
-DENSE_SHA256 = "b2eb1a0ac96f8bb6e41dbd6a49a7ea63360a636a942cb97993624f4c6251aaef"
+DENSE_SHA256 = "119b11c9e5686c5b26380b51477380b0f35096293866c49b7a816dd253dace47"
 
 
 def test_golden_dense_campaign_csv(tmp_path):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from ucran import SimConfig, admission_loop, build_channel_state, build_network, run_stage1
 from ucran.stage2 import (
+    _MAX_BLOCK,
     LocalBeams,
+    _without,
     build_holder_table,
     enforce_fronthaul_cap,
     expected_rate_lb,
@@ -723,6 +725,39 @@ def test_power_blocks_match_the_step_loop_on_every_outcome(reason, radius, err, 
     assert result.reason == reason
 
 
+@pytest.mark.parametrize("radius,max_iters", [(0.98, 10_000), (0.98, 252), (0.999, 10_000)])
+def test_power_slow_feasible_system_jumps_to_the_solve(radius, max_iters):
+    # error-free margins put rho(T) at the radius: from zero, the relative
+    # stop takes 721 steps at 0.98 and more than 10 000 at 0.999, while the
+    # jump after step 124 meets it a few steps later
+    signal, self_err, cross, share = _power_system(3, 12, radius, err=0.0)
+    result = _same_as_step_loop(signal, self_err, cross, 1.0, 0.1, share, 1e6,
+                                max_iters=max_iters)
+    assert result.feasible
+    plain = power_fixed_point_reference(signal, self_err, cross, 1.0, 0.1, share, 1e6,
+                                        max_iters=max_iters, jump=False)
+    assert plain.reason == ("" if (radius, max_iters) == (0.98, 10_000) else "no_convergence")
+    assert result.powers.tobytes() != plain.powers.tobytes()
+    exact = solve_power_linear(signal, self_err, cross, 1.0 + 1e-7, 0.1)
+    np.testing.assert_allclose(result.powers, exact, rtol=1e-7)
+
+
+@pytest.mark.parametrize("radius,err,cap", [(0.98, 0.0, 1e6), (0.999, 0.0, 1e6),
+                                            (0.999, 0.05, 1e6), (0.99, 0.05, 10.0),
+                                            (0.5, 0.05, 1.0), (1.1, 0.05, 1e4)])
+def test_power_listing_budget_never_jumps(radius, err, cap):
+    # a listing call's one block, and any budget under 252, keep the bits
+    # of the loop without the jump
+    signal, self_err, cross, share = _power_system(4, 9, radius, err=err)
+    for max_iters in (_MAX_BLOCK, 251):
+        got = power_allocation_fixed_point(signal, self_err, cross, 1.0, 0.1, share, cap,
+                                           max_iters=max_iters)
+        want = power_fixed_point_reference(signal, self_err, cross, 1.0, 0.1, share, cap,
+                                           max_iters=max_iters, jump=False)
+        assert (got.feasible, got.reason) == (want.feasible, want.reason)
+        assert got.powers.tobytes() == want.powers.tobytes()
+
+
 @pytest.mark.parametrize("radius,cap,end", [(0.999, 1e6, "no_convergence"),
                                             (0.7, 1e3, ""), (1.1, 1e4, "ceiling")])
 def test_power_blocks_match_the_step_loop_at_every_budget(radius, cap, end):
@@ -783,6 +818,25 @@ def test_power_overflow_inside_a_block_passes_the_ceiling_quietly():
         result = _same_as_step_loop(*args)
     assert result.reason == "ceiling"
     assert np.isinf(result.powers).all()
+
+
+@pytest.mark.parametrize("n,j", [(1, 0), (6, 0), (6, 3), (6, 5), (37, 18), (37, 36)])
+def test_listing_cut_equals_the_fancy_indexed_copies(n, j):
+    rng = np.random.default_rng(n + j)
+    cross, share = rng.standard_normal((n, n)), rng.standard_normal((5, n))
+    keep = np.delete(np.arange(n), j)
+    kept, columns = _without(cross, share, j)
+    want_cross, want_share = cross[np.ix_(keep, keep)], share[:, keep]
+    assert kept.tobytes() == want_cross.tobytes() and kept.flags.c_contiguous
+    assert columns.tobytes() == want_share.tobytes()
+    assert columns.flags.f_contiguous == want_share.flags.f_contiguous
+    if n > 2:
+        # a second cut, from the first one's arrays, as the listing makes it
+        kept, columns = _without(kept, columns, n // 3)
+        keep = np.delete(keep, n // 3)
+        assert kept.tobytes() == cross[np.ix_(keep, keep)].tobytes()
+        assert kept.flags.c_contiguous
+        assert columns.tobytes() == share[:, keep].tobytes()
 
 
 # ---------------------------------------------------------- admission loop
