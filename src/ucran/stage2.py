@@ -27,8 +27,12 @@ alone, so every result keeps its bits.
 Power control iterates the fixed point from zero.  A slow call jumps
 once, to a start below the fixed point that one linear solve certifies,
 and stops within a few iterates; the listing's one-block calls never
-jump.  Each listing pick cuts its victim out of the previous call's
-arrays by slicing, the bytes a fancy-indexed copy of the survivors gives.
+jump.  A failed call stops as soon as an iterate p shows T p >= p, read
+for free off the next iterate: that proves rho(T) >= 1, so no power
+vector serves its users whatever the cap, and it ends as a ceiling at
+that iterate, mostly long before one would cross the ceiling.  Each
+listing pick cuts its victim out of the previous call's arrays by
+slicing, the bytes a fancy-indexed copy of the survivors gives.
 """
 
 from __future__ import annotations
@@ -334,9 +338,11 @@ def rrh_power_share(beams: LocalBeams) -> np.ndarray:
 @dataclass(frozen=True)
 class PowerControlResult:
     feasible: bool
-    powers: np.ndarray    # converged iterate if feasible, else the last iterate; zeros on
+    powers: np.ndarray    # converged iterate if feasible, else the last iterate: on "ceiling"
+                          # the first that certifies rho(T) >= 1 or passes the ceiling; zeros on
                           # "margin", where no iterate runs and _victim reads the margins instead
-    reason: str           # "", "margin", "ceiling", "rrh_cap", "no_convergence" (the budget ran
+    reason: str           # "", "margin", "ceiling" (past the ceiling, or certified rho(T) >= 1:
+                          # no cap serves the set), "rrh_cap", "no_convergence" (the budget ran
                           # out with no certified jump: see power_allocation_fixed_point)
     margins: np.ndarray   # per-user signal margin at the effective target
 
@@ -345,6 +351,9 @@ class PowerControlResult:
 # a quick fixed point costs little, then doubling up to this many.
 _FIRST_BLOCK = 4
 _MAX_BLOCK = 128
+# T p >= p holds only to within rounding, so the certificate asks for a
+# few ulps more: no rho(T) below one passes it
+_CERTIFY = 1.0 + 8 * np.finfo(float).eps
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -368,9 +377,18 @@ def power_allocation_fixed_point(signal: np.ndarray, self_err: np.ndarray,
     Fortran-ordered ``cross`` and the same three element-wise steps in the
     same order, so every iterate is the one a step-at-a-time loop makes,
     bit for bit.  The stop tests run once per block, and the first row in
-    iterate order where one fires is returned: the total-power ceiling
-    before the relative stop within a row, as a step-at-a-time loop tests
-    them.  Rows computed past it are discarded.
+    iterate order where one fires is returned: the total-power ceiling,
+    then the relative stop, then the certificate within a row, as a
+    step-at-a-time loop tests them.  Rows computed past it are discarded.
+
+    The certificate ends a call that no power vector can serve.  With T =
+    gamma_eff * diag(margins)^-1 cross, each row gives p_new - first = T p
+    for the row before it, so p_new - first >= p at a positive p (any
+    iterate but the zero start) proves rho(T) >= 1 by the Collatz-Wielandt
+    bound, and then no fixed point exists, whatever the cap.  The test
+    asks for (1 + 8 eps) p, so rounding never certifies a rho(T) below
+    one, and returns "ceiling" with that iterate.  A user coupled to no
+    one never meets it, so a system with one falls back to the crossing.
 
     A slow system jumps once.  When the doubling blocks (4 to 64, 124
     iterates) end with no stop and a full block of 128 is left in the
@@ -386,14 +404,14 @@ def power_allocation_fixed_point(signal: np.ndarray, self_err: np.ndarray,
     iterates never jumps.
 
     Infeasibility is a normal return: zero margin, iterates passing the
-    total-power ceiling implied by the per-RRH caps (an overflow does),
-    a converged point violating a per-RRH cap, or no convergence within
-    the budget, only where the jump is not taken: a budget under 252, a
-    solve that fails or that a spectral radius too near one leaves
-    uncertified, or a step that falls below x.  ValueError when a float
-    cannot carry the target: the first iterate is subnormal, or gamma *
-    noise, below every SINR numerator here and in the rate bound, cannot
-    resolve the margin.
+    total-power ceiling implied by the per-RRH caps (an overflow does) or
+    certifying rho(T) >= 1, a converged point violating a per-RRH cap, or
+    no convergence within the budget, only where the jump is not taken: a
+    budget under 252, a solve that fails or that a spectral radius too
+    near one leaves uncertified, or a step that falls below x.  ValueError
+    when a float cannot carry the target: the first iterate is subnormal,
+    or gamma * noise, below every SINR numerator here and in the rate
+    bound, cannot resolve the margin.
     """
     n = signal.shape[0]
     gamma_eff = sinr_target * (1.0 + target_margin)
@@ -432,11 +450,16 @@ def power_allocation_fixed_point(signal: np.ndarray, self_err: np.ndarray,
         # within rel_tol of the effective target, so the margin still
         # clears the nominal one
         done = (np.abs(new - block[:-1]) <= rel_tol * new).all(axis=1)
-        stop = over | done
+        # new - first = T p for T = gamma_eff * diag(margins)^-1 cross, so
+        # T p >= p at a positive p certifies rho(T) >= 1 (Collatz-Wielandt)
+        certified = (new - first >= _CERTIFY * block[:-1]).all(axis=1)
+        if left == max_iters:
+            certified[0] = False    # the zero start certifies nothing
+        stop = over | done | certified
         if stop.any():
             row = int(np.argmax(stop))
             p = new[row].copy()
-            if over[row]:
+            if over[row] or not done[row]:
                 return PowerControlResult(False, p, "ceiling", margins)
             break
         rows[0] = new[-1]
@@ -497,7 +520,8 @@ _LISTING_DIVISOR = 32
 def _victim(control: PowerControlResult) -> int:
     """Position of the user to drop after a failed power control: the
     largest margin shortfall, else the largest power at the failed
-    iterate; an exact tie goes to the first position."""
+    iterate (the one that certified rho(T) >= 1 or crossed the ceiling);
+    an exact tie goes to the first position."""
     short = control.margins <= 0.0
     demand = np.where(short, -control.margins, -np.inf) if short.any() else control.powers
     return int(np.argmax(demand))
@@ -536,7 +560,9 @@ def admission_loop(instance: NetworkInstance, stage1_result: Stage1Result,
     power shares is run again for one block of iterates (``_MAX_BLOCK``),
     and the listing goes on while it fails on the ceiling, a margin or an
     RRH cap, up to ``max(1, n // 32)`` victims of the round's n users (one
-    below 64 users).  A feasible or unconverged listing call ends it.
+    below 64 users); a call that certifies rho(T) >= 1 within its block
+    is a ceiling, so the listing goes on.  A feasible or unconverged
+    listing call ends it.
     The round then drops every listed victim, in order, and repeats.  An
     empty served set is feasible, so it ends through the same return as
     any other: a valid empty solution.  ValueError unless

@@ -622,7 +622,9 @@ def power_fixed_point_reference(signal: np.ndarray, self_err: np.ndarray,
                                 jump: bool = True) -> PowerControlResult:
     """:func:`~ucran.stage2.power_allocation_fixed_point` one step at a
     time: each iterate is made, tested against the total-power ceiling,
-    then against the relative stop, before the next one is made.  After
+    then against the relative stop, then, from the second iterate on,
+    against the certificate T p >= (1 + 8 eps) p, read as p_new - first,
+    which returns "ceiling" with p_new, before the next one is made.  After
     iterate 124, with at least 128 steps of the budget left, the iterate
     jumps to max(p, (1 - rel_tol) p*) when the linear solve's p* is
     positive and within the ceiling and one step from there is nowhere
@@ -646,6 +648,7 @@ def power_fixed_point_reference(signal: np.ndarray, self_err: np.ndarray,
         raise ValueError(f"power control underflow: first iterate {first.min():.3g} mW, "
                          f"SINR target times noise {floor:.3g}; too small to carry the target")
     ceiling = rrh_power_cap * rrh_share.shape[0]
+    certify = 1.0 + 8 * np.finfo(float).eps
     p = np.zeros(n)
     for k in range(max_iters):
         if jump and k == 124 and max_iters - k >= 128:
@@ -665,6 +668,8 @@ def power_fixed_point_reference(signal: np.ndarray, self_err: np.ndarray,
         # within rel_tol of the effective target, so the margin still
         # clears the nominal one
         done = bool((np.abs(p_new - p) <= rel_tol * p_new).all())
+        if not done and k > 0 and (p_new - first >= certify * p).all():
+            return PowerControlResult(False, p_new, "ceiling", margins)
         p = p_new
         if done:
             break

@@ -9,7 +9,7 @@ import hashlib
 
 from ucran import ALGORITHMS, SimConfig, run_campaign
 
-GOLDEN_SHA256 = "c1f8f06e42afa43d78e36dc5b49de67cb15b42036098f238c22084cf7a34522e"
+GOLDEN_SHA256 = "d289183dac7103cae02393f203772960b521450f961fb34124cb135058eec903"
 
 
 def test_golden_campaign_csv(tmp_path):
@@ -25,7 +25,7 @@ def test_golden_campaign_csv(tmp_path):
 
 # The dense point: 324 RRHs and 216 users, where case 1 removes most users,
 # case 2 spreads 64 pilots and the admission loop drops dozens.
-DENSE_SHA256 = "119b11c9e5686c5b26380b51477380b0f35096293866c49b7a816dd253dace47"
+DENSE_SHA256 = "e9b2ba0f94bfebc9d1e9d7cc84408a1d93cb21dbb48315fcc31e0b63eb7d5ee8"
 
 
 def test_golden_dense_campaign_csv(tmp_path):

@@ -7,6 +7,7 @@ ties the lower layer to an upper one; this test names each such import.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ucran"
@@ -179,4 +180,25 @@ def test_stage2_maps_no_user_id_to_a_holder_row():
             visit(child, inner)
 
     visit(ast.parse((PACKAGE / "stage2.py").read_text()), "")
+    assert problems == []
+
+
+def test_every_power_reason_in_stage2_is_one_the_benchmark_counts():
+    # perfbench counts power outcomes by the reasons in spans.POWER_REASONS;
+    # a reason outside that fixed set would be counted under no name
+    path = PACKAGE.parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    allowed = {"", *spans.POWER_REASONS}
+    problems, calls = [], 0
+    for node in ast.walk(ast.parse((PACKAGE / "stage2.py").read_text())):
+        if isinstance(node, ast.Call) and "PowerControlResult" in _names(node.func):
+            calls += 1
+            reasons = [*node.args[2:3], *(k.value for k in node.keywords if k.arg == "reason")]
+            if not (len(reasons) == 1 and isinstance(reasons[0], ast.Constant)
+                    and reasons[0].value in allowed):
+                problems.append(f"stage2.py:{node.lineno}: "
+                                f"{' '.join(ast.unparse(r) for r in reasons) or 'no reason'}")
+    assert calls, "stage2.py makes no PowerControlResult"
     assert problems == []

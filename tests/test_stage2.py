@@ -680,6 +680,22 @@ def _power_system(seed: int, n: int, radius: float, num_rrhs: int = 3,
     return signal, self_err, cross, share
 
 
+def _rho_t(signal, self_err, cross, target):
+    """Spectral radius, by eigvals, of T = gamma_eff * diag(margins)^-1 cross,
+    the matrix power control iterates at its default target margin."""
+    gamma_eff = target * (1.0 + 1e-7)
+    margins = signal - gamma_eff * self_err
+    return float(np.abs(np.linalg.eigvals(gamma_eff * cross / margins[:, None])).max())
+
+
+def _system_at_rho(seed, n, rho, num_rrhs, err, target):
+    """:func:`_power_system`'s draw with cross scaled so that rho(T) at the
+    target is ``rho``; n >= 2, so cross has a positive spectral radius."""
+    signal, self_err, cross, share = _power_system(seed, n, 1.0, num_rrhs, err)
+    cross *= rho / _rho_t(signal, self_err, cross, target)
+    return signal, self_err, cross, share
+
+
 def _same_as_step_loop(signal, self_err, cross, target, noise, share, cap, **kwargs):
     """power_allocation_fixed_point's result, after checking that it equals
     the step-at-a-time loop's bit for bit."""
@@ -715,7 +731,9 @@ def test_power_blocks_match_the_step_loop(seed, n, radius, num_rrhs, err, target
     ("margin", 0.7, 1.0, 3.0, 10.0, 10_000),
     ("ceiling", 0.99, 0.05, 1.0, 10.0, 10_000),
     ("rrh_cap", 0.5, 0.05, 1.0, 1.0, 10_000),
-    ("no_convergence", 0.999, 0.05, 1.0, 1e6, 300),
+    # error-free margins put rho(T) just below one, and a budget under 252
+    # leaves no room for the jump
+    ("no_convergence", 0.999, 0.0, 1.0, 1e6, 251),
 ])
 def test_power_blocks_match_the_step_loop_on_every_outcome(reason, radius, err, target,
                                                            cap, max_iters):
@@ -723,6 +741,9 @@ def test_power_blocks_match_the_step_loop_on_every_outcome(reason, radius, err, 
     result = _same_as_step_loop(signal, self_err, cross, target, 0.1, share, cap,
                                 max_iters=max_iters)
     assert result.reason == reason
+    if reason != "margin":
+        # every system but the ceiling's has a fixed point
+        assert (_rho_t(signal, self_err, cross, target) < 1.0) == (reason != "ceiling")
 
 
 @pytest.mark.parametrize("radius,max_iters", [(0.98, 10_000), (0.98, 252), (0.999, 10_000)])
@@ -742,13 +763,51 @@ def test_power_slow_feasible_system_jumps_to_the_solve(radius, max_iters):
     np.testing.assert_allclose(result.powers, exact, rtol=1e-7)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24), rho=st.floats(0.95, 0.999),
+       num_rrhs=st.integers(1, 4), err=st.floats(0.0, 1e-6), target=st.floats(0.1, 4.0),
+       noise=st.floats(1e-3, 10.0), max_iters=st.one_of(st.integers(252, 2_000),
+                                                        st.just(10_000)),
+       fortran=st.booleans())
+def test_power_slow_feasible_systems_jump_to_the_solve(seed, n, rho, num_rrhs, err, target,
+                                                       noise, max_iters, fortran):
+    # rho(T) this near one keeps the relative stop out of reach for
+    # hundreds of steps at least, so every call here needs the jump to end
+    # feasible, within the tolerance of the exact fixed point
+    signal, self_err, cross, share = _system_at_rho(seed, n, rho, num_rrhs, err, target)
+    if fortran:
+        cross = np.asfortranarray(cross)
+    result = _same_as_step_loop(signal, self_err, cross, target, noise, share, 1e9,
+                                max_iters=max_iters)
+    assert result.feasible
+    exact = solve_power_linear(signal, self_err, cross, target * (1.0 + 1e-7), noise)
+    np.testing.assert_allclose(result.powers, exact, rtol=1e-7)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24),
+       rho=st.one_of(st.floats(0.9, 1.1), st.floats(6.0, 13.0).map(lambda e: 1.0 - 10.0 ** -e)),
+       num_rrhs=st.integers(1, 4), err=st.floats(0.0, 0.1), target=st.floats(0.01, 4.0),
+       noise=st.floats(1e-3, 10.0))
+def test_power_certificate_never_stops_a_servable_system(seed, n, rho, num_rrhs, err, target,
+                                                         noise):
+    # with the ceiling out of reach, only the certificate ends a call
+    # "ceiling", and it must never do so while rho(T) < 1
+    signal, self_err, cross, share = _system_at_rho(seed, n, rho, num_rrhs, err, target)
+    result = _same_as_step_loop(signal, self_err, cross, target, noise, share, 1e200)
+    if _rho_t(signal, self_err, cross, target) < 1.0:
+        assert result.reason != "ceiling"
+
+
 @pytest.mark.parametrize("radius,err,cap", [(0.98, 0.0, 1e6), (0.999, 0.0, 1e6),
                                             (0.999, 0.05, 1e6), (0.99, 0.05, 10.0),
                                             (0.5, 0.05, 1.0), (1.1, 0.05, 1e4)])
 def test_power_listing_budget_never_jumps(radius, err, cap):
     # a listing call's one block, and any budget under 252, keep the bits
-    # of the loop without the jump
+    # of the loop without the jump; its certificate still stops them, so
+    # the rho(T) >= 1 systems (0.999 and 1.1 with err 0.05) end "ceiling"
     signal, self_err, cross, share = _power_system(4, 9, radius, err=err)
+    unservable = _rho_t(signal, self_err, cross, 1.0) >= 1.0
     for max_iters in (_MAX_BLOCK, 251):
         got = power_allocation_fixed_point(signal, self_err, cross, 1.0, 0.1, share, cap,
                                            max_iters=max_iters)
@@ -756,15 +815,20 @@ def test_power_listing_budget_never_jumps(radius, err, cap):
                                            max_iters=max_iters, jump=False)
         assert (got.feasible, got.reason) == (want.feasible, want.reason)
         assert got.powers.tobytes() == want.powers.tobytes()
+        if unservable:
+            assert got.reason == "ceiling"
 
 
-@pytest.mark.parametrize("radius,cap,end", [(0.999, 1e6, "no_convergence"),
+@pytest.mark.parametrize("radius,cap,end", [(0.999, 50.0, "no_convergence"),
                                             (0.7, 1e3, ""), (1.1, 1e4, "ceiling")])
 def test_power_blocks_match_the_step_loop_at_every_budget(radius, cap, end):
     # every budget up to 140 steps and either side of later block ends:
-    # the slow system runs out at each, the others converge or pass the
-    # ceiling within 140 steps, inside a block
-    signal, self_err, cross, share = _power_system(4, 7, radius)
+    # the slow system runs out at each (its fixed point lies past the
+    # ceiling, so no budget jumps), the others converge or stop on the
+    # ceiling within 140 steps, inside a block.  Error-free margins put
+    # rho(T) at the radius times 1 + 1e-7
+    signal, self_err, cross, share = _power_system(4, 7, radius, err=0.0)
+    assert (_rho_t(signal, self_err, cross, 1.0) < 1.0) == (end != "ceiling")
     reasons = set()
     for max_iters in [*range(0, 141), 251, 252, 253, 379, 380, 381]:
         result = _same_as_step_loop(signal, self_err, cross, 1.0, 0.1, share, cap,
@@ -806,18 +870,45 @@ def test_power_ceiling_wins_over_the_stop_in_the_converged_row():
 
 
 def test_power_overflow_inside_a_block_passes_the_ceiling_quietly():
-    # each step multiplies the powers by about 1e60: iterates 1-6 stay
-    # finite and under the ceiling, iterate 7 overflows inside the second
-    # block, and the discarded rows after it compute inf - inf and 0 * inf
-    signal, cross = np.ones(2), np.array([[0.0, 1e60], [1e60, 0.0]])
-    args = (signal, np.zeros(2), cross, 1.0, 1.0, np.ones((1, 2)), 1e308)
+    # each step multiplies the first two users' powers by about 1e60, and
+    # the third user, coupled to no one, keeps its first iterate: its row
+    # never certifies rho(T) >= 1, so only the ceiling can stop the loop.
+    # Iterates 1-6 stay finite and under the ceiling, iterate 7 overflows
+    # inside the second block, and the discarded rows after it compute
+    # inf - inf and 0 * inf
+    signal = np.ones(3)
+    cross = np.array([[0.0, 1e60, 0.0], [1e60, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    args = (signal, np.zeros(3), cross, 1.0, 1.0, np.ones((1, 3)), 1e308)
     sixth = power_fixed_point_reference(*args, max_iters=6)
     assert sixth.reason == "no_convergence" and np.isfinite(sixth.powers).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = _same_as_step_loop(*args)
     assert result.reason == "ceiling"
-    assert np.isinf(result.powers).all()
+    assert np.isinf(result.powers[:2]).all() and np.isfinite(result.powers[2])
+
+
+def test_power_certificate_stops_the_coupled_pair_before_any_overflow():
+    # the same pair alone: iterate 2 is 1e60 times iterate 1, which
+    # certifies rho(T) >= 1 long before any iterate overflows
+    signal, cross = np.ones(2), np.array([[0.0, 1e60], [1e60, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _same_as_step_loop(signal, np.zeros(2), cross, 1.0, 1.0, np.ones((1, 2)),
+                                    1e308)
+    assert result.reason == "ceiling"
+    assert np.isfinite(result.powers).all() and result.powers.sum() <= 1e308
+
+
+def test_power_certificate_stops_a_coupling_failure_before_the_crossing():
+    # rho(T) = 1.1: no power vector serves the set, and the certificate
+    # says so at an iterate far below the ceiling, which the loop would
+    # otherwise climb to
+    signal, self_err, cross, share = _power_system(7, 10, 1.1, err=0.0)
+    assert _rho_t(signal, self_err, cross, 1.0) >= 1.0
+    result = _same_as_step_loop(signal, self_err, cross, 1.0, 0.1, share, 1e6)
+    assert result.reason == "ceiling"
+    assert result.powers.sum() <= 3e6
 
 
 @pytest.mark.parametrize("n,j", [(1, 0), (6, 0), (6, 3), (6, 5), (37, 18), (37, 36)])

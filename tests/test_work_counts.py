@@ -36,10 +36,10 @@ PINNED_COUNTS = {
         "conflict_graph.base_graph.calls": 1, "conflict_graph.score.calls": 0,
         "conflict_graph.threshold_graph.calls": 15, "conflict_graph.weights.calls": 1,
         "stage1.case.case2": 1, "stage1.removal_rounds": 0, "stage1.spread_probes": 15,
-        "stage2.beam.calls": 14, "stage2.beam.user_solves": 2545, "stage2.drops": 55,
-        "stage2.power.calls": 59, "stage2.power.ceiling": 54, "stage2.power.feasible": 1,
-        "stage2.power.margin": 0, "stage2.power.no_convergence": 4,
-        "stage2.power.rrh_cap": 0, "stage2.rounds": 14, "topology.calls": 1,
+        "stage2.beam.calls": 11, "stage2.beam.user_solves": 2056, "stage2.drops": 55,
+        "stage2.power.calls": 55, "stage2.power.ceiling": 54, "stage2.power.feasible": 1,
+        "stage2.power.margin": 0, "stage2.power.no_convergence": 0,
+        "stage2.power.rrh_cap": 0, "stage2.rounds": 11, "topology.calls": 1,
     },
     "dense-removal": {
         "channel.calls": 2, "coloring.dsatur.calls": 3, "coloring.dsatur.vertices": 280,
@@ -57,10 +57,10 @@ PINNED_COUNTS = {
         "conflict_graph.threshold_graph.calls": 25, "conflict_graph.weights.calls": 6,
         "stage1.case.base": 3, "stage1.case.case1": 27, "stage1.case.case2": 6,
         "stage1.case.ortho": 12, "stage1.removal_rounds": 230, "stage1.spread_probes": 25,
-        "stage2.beam.calls": 158, "stage2.beam.user_solves": 2600, "stage2.drops": 123,
-        "stage2.power.calls": 158, "stage2.power.ceiling": 79, "stage2.power.feasible": 48,
+        "stage2.beam.calls": 155, "stage2.beam.user_solves": 2561, "stage2.drops": 120,
+        "stage2.power.calls": 155, "stage2.power.ceiling": 76, "stage2.power.feasible": 48,
         "stage2.power.margin": 30, "stage2.power.no_convergence": 0,
-        "stage2.power.rrh_cap": 1, "stage2.rounds": 158, "topology.calls": 6,
+        "stage2.power.rrh_cap": 1, "stage2.rounds": 155, "topology.calls": 6,
     },
 }
 
@@ -69,8 +69,8 @@ PINNED_CALLS = {
         "channel": 1, "coloring.dsatur": 16, "conflict_graph.base_graph": 1,
         "conflict_graph.threshold_graph": 15, "conflict_graph.weights": 1,
         "harness.checks": 2, "harness.trial": 1, "stage1": 1, "stage1.spread": 1,
-        "stage2": 1, "stage2.beam": 14, "stage2.fronthaul": 14, "stage2.power": 59,
-        "stage2.power_share": 14, "stage2.rate_coeffs": 14, "stage2.rate_lb": 1,
+        "stage2": 1, "stage2.beam": 11, "stage2.fronthaul": 11, "stage2.power": 55,
+        "stage2.power_share": 11, "stage2.rate_coeffs": 11, "stage2.rate_lb": 1,
         "topology": 1,
     },
     "dense-removal": {
@@ -85,8 +85,8 @@ PINNED_CALLS = {
         "conflict_graph.degrees": 9, "conflict_graph.threshold_graph": 25,
         "conflict_graph.weights": 6, "harness.checks": 120, "harness.trial": 60,
         "stage1": 60, "stage1.removal": 18, "stage1.spread": 3, "stage2": 48,
-        "stage2.beam": 158, "stage2.fronthaul": 158, "stage2.power": 158,
-        "stage2.power_share": 158, "stage2.rate_coeffs": 158, "stage2.rate_lb": 48,
+        "stage2.beam": 155, "stage2.fronthaul": 155, "stage2.power": 155,
+        "stage2.power_share": 155, "stage2.rate_coeffs": 155, "stage2.rate_lb": 48,
         "topology": 6,
     },
 }
